@@ -9,7 +9,7 @@
 
 use nassc_circuit::{Gate, Instruction, QuantumCircuit};
 use nassc_math::Matrix4;
-use nassc_synthesis::synthesize_two_qubit;
+use nassc_synthesis::{synthesize_two_qubit, two_qubit_cnot_cost};
 
 use crate::manager::{PassError, TranspilePass};
 
@@ -176,17 +176,18 @@ impl TranspilePass for TwoQubitBlockResynthesis {
                 continue;
             }
             let target = block.unitary(circuit);
-            let (low, high) = block.qubits;
-            let Ok(synthesized) = synthesize_two_qubit(&target, low, high) else {
+            let Ok(new_cx) = two_qubit_cnot_cost(&target) else {
                 continue;
             };
-            let new_cx = synthesized.iter().filter(|i| i.gate == Gate::Cx).count();
             let old_cx = block.cx_count(circuit);
             let old_2q = block.two_qubit_count(circuit);
             // Count non-CX two-qubit gates as CNOT-equivalents conservatively.
             let old_cost = old_cx.max(old_2q);
             if new_cx < old_cost {
-                replacements[bid] = Some(synthesized);
+                // Synthesis emits exactly `new_cx` CNOTs, so only blocks that
+                // will be replaced pay for it.
+                let (low, high) = block.qubits;
+                replacements[bid] = synthesize_two_qubit(&target, low, high).ok();
             }
         }
 

@@ -78,7 +78,7 @@ pub mod metrics;
 pub mod queue;
 pub mod signal;
 
-use std::io::{BufReader, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -383,6 +383,16 @@ fn reject(shared: &Shared, mut stream: TcpStream, status: u16, message: &str) {
     let response = Response::text(status, format!("{message}\n"));
     if response.write_to(&mut stream).is_ok() {
         let _ = stream.flush();
+    }
+    // Drain up to 64 KiB of request already received, without waiting for
+    // more: closing a socket with unread input resets the connection, and
+    // the reset can discard the response before the client reads it.
+    let _ = stream.set_nonblocking(true);
+    let mut sink = [0u8; 4096];
+    for _ in 0..16 {
+        if !matches!(stream.read(&mut sink), Ok(n) if n > 0) {
+            break;
+        }
     }
     lock_metrics(shared).count_response(status);
 }

@@ -10,7 +10,8 @@
 //!   the interaction angles that determine the CNOT cost of any two-qubit
 //!   operator,
 //! * [`synthesize_two_qubit`] / [`two_qubit_cnot_cost`] — re-synthesis of a
-//!   two-qubit unitary with 0–3 CNOTs,
+//!   two-qubit unitary with 0–3 CNOTs, and its CNOT count from the
+//!   decomposition's allocation-free angle stage alone,
 //! * [`swap_decomposition`] / [`SwapOrientation`] — the two SWAP-to-CNOT
 //!   expansions the optimization-aware decomposition of §IV-E selects from.
 //!

@@ -3,6 +3,7 @@
 //! interaction matrix `exp(i(αXX + βYY + γZZ))`.
 
 use nassc_math::{Matrix2, Matrix4, C64};
+use std::sync::OnceLock;
 
 /// The magic-basis change-of-basis matrix `B`.
 ///
@@ -120,17 +121,16 @@ pub fn interaction_matrix(alpha: f64, beta: f64, gamma: f64) -> Matrix4 {
 /// The diagonal signatures of `XX`, `YY`, `ZZ` in the magic basis.
 ///
 /// Each is a vector of ±1 entries `s` such that `B†·(P⊗P)·B = diag(s)`.
-/// Used to solve for the interaction angles from magic-basis eigenphases.
+/// Used to solve for the interaction angles from magic-basis eigenphases;
+/// computed on the first call and cached.
 pub fn magic_signatures() -> [[f64; 4]; 3] {
-    let paulis = [Matrix2::pauli_x(), Matrix2::pauli_y(), Matrix2::pauli_z()];
-    let mut out = [[0.0; 4]; 3];
-    for (k, p) in paulis.iter().enumerate() {
-        let m = to_magic(&p.kron(p));
-        for (j, cell) in out[k].iter_mut().enumerate() {
-            *cell = m.get(j, j).re;
-        }
-    }
-    out
+    static SIGNATURES: OnceLock<[[f64; 4]; 3]> = OnceLock::new();
+    *SIGNATURES.get_or_init(|| {
+        [Matrix2::pauli_x(), Matrix2::pauli_y(), Matrix2::pauli_z()].map(|p| {
+            let m = to_magic(&p.kron(&p));
+            std::array::from_fn(|j| m.get(j, j).re)
+        })
+    })
 }
 
 #[cfg(test)]

@@ -6,10 +6,7 @@ use nassc_circuit::{Gate, Instruction};
 use nassc_math::{Matrix2, Matrix4};
 use std::f64::consts::{FRAC_PI_2, FRAC_PI_4};
 
-use crate::weyl::{DecomposeUnitaryError, WeylDecomposition};
-
-/// Threshold below which an interaction angle is treated as absent.
-const ANGLE_TOL: f64 = 1e-7;
+use crate::weyl::{AngleStage, DecomposeUnitaryError, WeylDecomposition, ANGLE_TOL};
 
 /// Which qubit acts as the control of the *first* CNOT when a SWAP gate is
 /// expanded into three CNOTs.
@@ -84,11 +81,15 @@ pub fn synthesize_two_qubit(
 
 /// The number of CNOTs [`synthesize_two_qubit`] will emit for `u`.
 ///
+/// Runs only the angle stage of the Weyl decomposition, which allocates
+/// nothing unless it fails; its angles, and so the count, are bit-identical
+/// to those [`WeylDecomposition::new`] computes.
+///
 /// # Errors
 ///
 /// Propagates [`DecomposeUnitaryError`] when the Weyl decomposition fails.
 pub fn two_qubit_cnot_cost(u: &Matrix4) -> Result<usize, DecomposeUnitaryError> {
-    Ok(WeylDecomposition::new(u)?.cnot_cost())
+    Ok(AngleStage::new(u)?.cnot_cost())
 }
 
 /// Appends a single-qubit unitary as an instruction unless it is the

@@ -14,10 +14,17 @@
 //! the magic basis, diagonalise `M = UᵀU` with a real orthogonal matrix
 //! (simultaneously diagonalising its commuting real and imaginary parts),
 //! recover the interaction angles from the eigenphases, and read the local
-//! factors off the orthogonal diagonaliser.
+//! factors off the orthogonal diagonaliser. It runs in two stages: the
+//! *angle stage* ends at the reduced interaction angles, which is all a CNOT
+//! count needs, and allocates nothing unless it fails; the *factor stage*
+//! splits the local factors and verifies the reconstruction.
+//! [`crate::two_qubit_cnot_cost`] runs the first stage only,
+//! [`WeylDecomposition::new`] runs both, so the two agree on every angle bit
+//! for bit.
 
 use nassc_math::eigen::{jacobi_eigen, RealMatrix};
 use nassc_math::{Matrix2, Matrix4, C64};
+use std::f64::consts::{FRAC_PI_2, FRAC_PI_4, PI};
 use std::fmt;
 
 use crate::local::{from_magic, interaction_matrix, magic_signatures, split_kron, to_magic};
@@ -25,10 +32,34 @@ use crate::local::{from_magic, interaction_matrix, magic_signatures, split_kron,
 /// Numerical tolerance for the decomposition internals.
 const TOL: f64 = 1e-9;
 
+/// Threshold below which an interaction angle is treated as absent, shared
+/// with the circuit emission so counts and emitted CNOTs agree.
+pub(crate) const ANGLE_TOL: f64 = 1e-7;
+
+/// Mixing angles `r` tried, in order, for diagonalising
+/// `cos(r)·Re(M) + sin(r)·Im(M)`; the first generic one wins.
+const MIXING_ANGLES: [f64; 7] = [
+    0.614_352_1,
+    1.170_313,
+    0.0,
+    2.035_77,
+    0.333_33,
+    std::f64::consts::E,
+    FRAC_PI_2,
+];
+
 /// Error returned when a two-qubit decomposition cannot be computed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DecomposeUnitaryError {
     message: String,
+}
+
+impl DecomposeUnitaryError {
+    fn new(message: impl Into<String>) -> Self {
+        Self {
+            message: message.into(),
+        }
+    }
 }
 
 impl fmt::Display for DecomposeUnitaryError {
@@ -78,146 +109,7 @@ impl WeylDecomposition {
     /// procedure fails to converge (which the retry loop makes vanishingly
     /// rare).
     pub fn new(u: &Matrix4) -> Result<Self, DecomposeUnitaryError> {
-        if !u.is_unitary(1e-7) {
-            return Err(DecomposeUnitaryError {
-                message: "input matrix is not unitary".into(),
-            });
-        }
-
-        // Normalise to SU(4) and move to the magic basis.
-        let det = u.det();
-        let phase0 = det.arg() / 4.0;
-        let u_su = u.scale(C64::exp_i(-phase0));
-        let um = to_magic(&u_su);
-        let m2 = um.transpose().mul(&um);
-
-        // Split M2 into commuting real symmetric parts.
-        let mut re = RealMatrix::zeros(4);
-        let mut im = RealMatrix::zeros(4);
-        for r in 0..4 {
-            for c in 0..4 {
-                re.set(r, c, m2.get(r, c).re);
-                im.set(r, c, m2.get(r, c).im);
-            }
-        }
-        // Symmetrise away numerical noise.
-        for m in [&mut re, &mut im] {
-            for r in 0..4 {
-                for c in (r + 1)..4 {
-                    let avg = 0.5 * (m.get(r, c) + m.get(c, r));
-                    m.set(r, c, avg);
-                    m.set(c, r, avg);
-                }
-            }
-        }
-
-        // Diagonalise cos(r)·Re + sin(r)·Im for a generic mixing angle; for a
-        // generic angle the eigenvalues are simple and the eigenvectors
-        // diagonalise both parts simultaneously.
-        let mixing_angles: [f64; 7] = [
-            0.614_352_1,
-            1.170_313,
-            0.0,
-            2.035_77,
-            0.333_33,
-            std::f64::consts::E,
-            std::f64::consts::FRAC_PI_2,
-        ];
-        let mut chosen_p: Option<RealMatrix> = None;
-        for &ang in &mixing_angles {
-            let mut mix = RealMatrix::zeros(4);
-            for r in 0..4 {
-                for c in 0..4 {
-                    mix.set(r, c, ang.cos() * re.get(r, c) + ang.sin() * im.get(r, c));
-                }
-            }
-            let eig = jacobi_eigen(&mix);
-            let p = eig.vectors;
-            if is_simultaneous_diagonalizer(&p, &re, &im, 1e-7) {
-                chosen_p = Some(p);
-                break;
-            }
-        }
-        let mut p = chosen_p.ok_or_else(|| DecomposeUnitaryError {
-            message: "failed to simultaneously diagonalize the magic-basis Gram matrix".into(),
-        })?;
-
-        // Force det(P) = +1 so that P corresponds to a local unitary.
-        if p.det() < 0.0 {
-            for r in 0..4 {
-                p.set(r, 0, -p.get(r, 0));
-            }
-        }
-
-        // Eigenphases of M2 on the diagonal of Pᵀ M2 P.
-        let mut theta = [0.0_f64; 4];
-        for (j, th) in theta.iter_mut().enumerate() {
-            let mut acc = C64::zero();
-            for r in 0..4 {
-                for c in 0..4 {
-                    acc += m2.get(r, c).scale(p.get(r, j) * p.get(c, j));
-                }
-            }
-            *th = acc.arg() / 2.0;
-        }
-
-        // Fix the half-angle branch parity: the left local factor lies in
-        // SO(4) (i.e. is a tensor product of single-qubit gates) only when
-        // the eigenphases sum to 0 mod 2π. Flipping one branch by π toggles
-        // the parity without affecting anything else.
-        let phase_sum = C64::exp_i(theta.iter().sum::<f64>());
-        if (phase_sum - C64::one()).abs() > 0.5 {
-            theta[0] += std::f64::consts::PI;
-        }
-        let k1_imag = max_imag(&left_factor(&um, &p, &theta));
-        if k1_imag > 1e-6 {
-            return Err(DecomposeUnitaryError {
-                message: format!("left local factor is not real (residual {k1_imag:.2e})"),
-            });
-        }
-
-        // Solve the interaction angles from the eigenphases using the fixed
-        // magic-basis signatures of XX, YY, ZZ (a consistent 4×3 linear
-        // system once the mean eigenphase is moved into the global phase).
-        let mean = theta.iter().sum::<f64>() / 4.0;
-        let centred: Vec<f64> = theta.iter().map(|t| t - mean).collect();
-        let sigs = magic_signatures();
-        let (alpha, beta, gamma) =
-            solve_interaction_angles(&centred, &sigs).ok_or_else(|| DecomposeUnitaryError {
-                message: "eigenphases are inconsistent with XX/YY/ZZ axes".into(),
-            })?;
-
-        // Local factors: K̂2 = Pᵀ, K̂1 = Um · P · diag(e^{-iθ}).
-        let k1_hat = left_factor(&um, &p, &theta);
-        let k1 = from_magic(&realify(&k1_hat));
-        let mut k2_hat = Matrix4::identity();
-        for r in 0..4 {
-            for c in 0..4 {
-                k2_hat.set(r, c, C64::real(p.get(c, r)));
-            }
-        }
-        let k2 = from_magic(&k2_hat);
-
-        let (k1l, k1r) = split_kron(&k1, 1e-6).ok_or_else(|| DecomposeUnitaryError {
-            message: "left local factor is not a tensor product".into(),
-        })?;
-        let (k2l, k2r) = split_kron(&k2, 1e-6).ok_or_else(|| DecomposeUnitaryError {
-            message: "right local factor is not a tensor product".into(),
-        })?;
-
-        let mut decomposition = WeylDecomposition {
-            phase: 0.0,
-            k1l,
-            k1r,
-            k2l,
-            k2r,
-            alpha,
-            beta,
-            gamma,
-        };
-        decomposition.reduce_angles();
-        decomposition.fix_phase(u)?;
-        Ok(decomposition)
+        AngleStage::new(u)?.factor(u)
     }
 
     /// The canonical interaction matrix `exp(i(αXX + βYY + γZZ))` of this
@@ -244,59 +136,13 @@ impl WeylDecomposition {
     /// equals the CNOT count of the re-synthesis this crate emits, except for
     /// the single-axis ±π/4 case which needs only one CNOT.
     pub fn entangling_axes(&self) -> usize {
-        [self.alpha, self.beta, self.gamma]
-            .iter()
-            .filter(|a| a.abs() > 1e-7)
-            .count()
+        entangling_axes([self.alpha, self.beta, self.gamma])
     }
 
     /// The number of CNOTs [`crate::synthesize_two_qubit`] will emit for this
     /// operator.
     pub fn cnot_cost(&self) -> usize {
-        let axes = self.entangling_axes();
-        if axes == 0 {
-            return 0;
-        }
-        if axes == 1 {
-            let angle = [self.alpha, self.beta, self.gamma]
-                .into_iter()
-                .find(|a| a.abs() > 1e-7)
-                .expect("one non-zero axis");
-            if (angle.abs() - std::f64::consts::FRAC_PI_4).abs() < 1e-7 {
-                return 1;
-            }
-            return 2;
-        }
-        if axes == 2 {
-            return 2;
-        }
-        3
-    }
-
-    /// Reduces each interaction angle into `(-π/2, π/2]` and folds exact
-    /// ±π/2 interactions (which are local up to phase) into the left local
-    /// factors.
-    fn reduce_angles(&mut self) {
-        use std::f64::consts::{FRAC_PI_2, PI};
-        let paulis = [Matrix2::pauli_x(), Matrix2::pauli_y(), Matrix2::pauli_z()];
-        let mut angles = [self.alpha, self.beta, self.gamma];
-        for (axis, angle) in angles.iter_mut().enumerate() {
-            while *angle > FRAC_PI_2 + TOL {
-                *angle -= PI;
-            }
-            while *angle <= -FRAC_PI_2 + TOL {
-                *angle += PI;
-            }
-            if (*angle - FRAC_PI_2).abs() < 1e-9 {
-                // exp(i·π/2·PP) = i·(P⊗P): absorb the Paulis into K1.
-                self.k1l = self.k1l.mul(&paulis[axis]);
-                self.k1r = self.k1r.mul(&paulis[axis]);
-                *angle = 0.0;
-            }
-        }
-        self.alpha = angles[0];
-        self.beta = angles[1];
-        self.gamma = angles[2];
+        cnot_cost([self.alpha, self.beta, self.gamma])
     }
 
     /// Recomputes the global phase by comparing the reconstruction against
@@ -321,10 +167,222 @@ impl WeylDecomposition {
         if adjusted.approx_eq(original, 1e-6) {
             Ok(())
         } else {
-            Err(DecomposeUnitaryError {
-                message: "reconstruction does not match the input".into(),
-            })
+            Err(DecomposeUnitaryError::new(
+                "reconstruction does not match the input",
+            ))
         }
+    }
+}
+
+/// The angle stage of a decomposition: everything up to the reduced
+/// interaction angles, on the stack.
+pub(crate) struct AngleStage {
+    /// The orthogonal diagonaliser `P` of the magic-basis Gram matrix.
+    p: RealMatrix,
+    /// `K̂1 = Um · P · diag(e^{-iθ})`, the left factor in the magic basis.
+    k1_hat: Matrix4,
+    /// The interaction angles `(α, β, γ)`, reduced to `(-π/2, π/2]`.
+    angles: [f64; 3],
+    /// Axes whose exact π/2 interaction is local and folds into `K1`.
+    folded: [bool; 3],
+}
+
+impl AngleStage {
+    /// Runs the angle stage on `u`.
+    pub(crate) fn new(u: &Matrix4) -> Result<Self, DecomposeUnitaryError> {
+        if !u.is_unitary(1e-7) {
+            return Err(DecomposeUnitaryError::new("input matrix is not unitary"));
+        }
+
+        // Normalise to SU(4) and move to the magic basis.
+        let det = u.det();
+        let phase0 = det.arg() / 4.0;
+        let u_su = u.scale(C64::exp_i(-phase0));
+        let um = to_magic(&u_su);
+        let m2 = um.transpose().mul(&um);
+
+        // Split M2 into commuting real symmetric parts.
+        let mut re = RealMatrix::zeros();
+        let mut im = RealMatrix::zeros();
+        for r in 0..4 {
+            for c in 0..4 {
+                re.set(r, c, m2.get(r, c).re);
+                im.set(r, c, m2.get(r, c).im);
+            }
+        }
+        // Symmetrise away numerical noise.
+        for m in [&mut re, &mut im] {
+            for r in 0..4 {
+                for c in (r + 1)..4 {
+                    let avg = 0.5 * (m.get(r, c) + m.get(c, r));
+                    m.set(r, c, avg);
+                    m.set(c, r, avg);
+                }
+            }
+        }
+
+        // Diagonalise cos(r)·Re + sin(r)·Im for a generic mixing angle; for a
+        // generic angle the eigenvalues are simple and the eigenvectors
+        // diagonalise both parts simultaneously.
+        let mut p = MIXING_ANGLES
+            .iter()
+            .find_map(|&ang| {
+                let (cos, sin) = (ang.cos(), ang.sin());
+                let mut mix = RealMatrix::zeros();
+                for r in 0..4 {
+                    for c in 0..4 {
+                        mix.set(r, c, cos * re.get(r, c) + sin * im.get(r, c));
+                    }
+                }
+                let p = jacobi_eigen(&mix).vectors;
+                is_simultaneous_diagonalizer(&p, &re, &im, 1e-7).then_some(p)
+            })
+            .ok_or_else(|| {
+                DecomposeUnitaryError::new(
+                    "failed to simultaneously diagonalize the magic-basis Gram matrix",
+                )
+            })?;
+
+        // Force det(P) = +1 so that P corresponds to a local unitary.
+        if p.det() < 0.0 {
+            for r in 0..4 {
+                p.set(r, 0, -p.get(r, 0));
+            }
+        }
+
+        // Eigenphases of M2 on the diagonal of Pᵀ M2 P.
+        let mut theta = [0.0_f64; 4];
+        for (j, th) in theta.iter_mut().enumerate() {
+            let mut acc = C64::zero();
+            for r in 0..4 {
+                for c in 0..4 {
+                    acc += m2.get(r, c).scale(p.get(r, j) * p.get(c, j));
+                }
+            }
+            *th = acc.arg() / 2.0;
+        }
+
+        // Fix the half-angle branch parity: the left local factor lies in
+        // SO(4) (i.e. is a tensor product of single-qubit gates) only when
+        // the eigenphases sum to 0 mod 2π. Flipping one branch by π toggles
+        // the parity without affecting anything else.
+        let phase_sum = C64::exp_i(theta.iter().sum::<f64>());
+        if (phase_sum - C64::one()).abs() > 0.5 {
+            theta[0] += PI;
+        }
+        let k1_hat = left_factor(&um, &p, &theta);
+        let k1_imag = max_imag(&k1_hat);
+        if k1_imag > 1e-6 {
+            return Err(DecomposeUnitaryError::new(format!(
+                "left local factor is not real (residual {k1_imag:.2e})"
+            )));
+        }
+
+        // Solve the interaction angles from the eigenphases using the fixed
+        // magic-basis signatures of XX, YY, ZZ (a consistent 4×3 linear
+        // system once the mean eigenphase is moved into the global phase).
+        let mean = theta.iter().sum::<f64>() / 4.0;
+        let centred = theta.map(|t| t - mean);
+        let mut angles =
+            solve_interaction_angles(&centred, &magic_signatures()).ok_or_else(|| {
+                DecomposeUnitaryError::new("eigenphases are inconsistent with XX/YY/ZZ axes")
+            })?;
+
+        // Reduce each angle into (-π/2, π/2]; an exact π/2 interaction is
+        // local up to phase, so its axis is zeroed and folded into K1.
+        let mut folded = [false; 3];
+        for (angle, fold) in angles.iter_mut().zip(&mut folded) {
+            while *angle > FRAC_PI_2 + TOL {
+                *angle -= PI;
+            }
+            while *angle <= -FRAC_PI_2 + TOL {
+                *angle += PI;
+            }
+            if (*angle - FRAC_PI_2).abs() < 1e-9 {
+                *fold = true;
+                *angle = 0.0;
+            }
+        }
+        Ok(Self {
+            p,
+            k1_hat,
+            angles,
+            folded,
+        })
+    }
+
+    /// The number of CNOTs [`crate::synthesize_two_qubit`] will emit.
+    pub(crate) fn cnot_cost(&self) -> usize {
+        cnot_cost(self.angles)
+    }
+
+    /// The factor stage: local factors, π/2 folding, global phase and the
+    /// reconstruction check against `u`.
+    fn factor(self, u: &Matrix4) -> Result<WeylDecomposition, DecomposeUnitaryError> {
+        // Local factors: K̂2 = Pᵀ, K̂1 = Um · P · diag(e^{-iθ}).
+        let k1 = from_magic(&realify(&self.k1_hat));
+        let mut k2_hat = Matrix4::identity();
+        for r in 0..4 {
+            for c in 0..4 {
+                k2_hat.set(r, c, C64::real(self.p.get(c, r)));
+            }
+        }
+        let k2 = from_magic(&k2_hat);
+
+        let (mut k1l, mut k1r) = split_kron(&k1, 1e-6).ok_or_else(|| {
+            DecomposeUnitaryError::new("left local factor is not a tensor product")
+        })?;
+        let (k2l, k2r) = split_kron(&k2, 1e-6).ok_or_else(|| {
+            DecomposeUnitaryError::new("right local factor is not a tensor product")
+        })?;
+
+        // exp(i·π/2·PP) = i·(P⊗P): absorb the Paulis of folded axes into K1.
+        let paulis = [Matrix2::pauli_x(), Matrix2::pauli_y(), Matrix2::pauli_z()];
+        for (pauli, _) in paulis.iter().zip(self.folded).filter(|(_, fold)| *fold) {
+            k1l = k1l.mul(pauli);
+            k1r = k1r.mul(pauli);
+        }
+
+        let [alpha, beta, gamma] = self.angles;
+        let mut decomposition = WeylDecomposition {
+            phase: 0.0,
+            k1l,
+            k1r,
+            k2l,
+            k2r,
+            alpha,
+            beta,
+            gamma,
+        };
+        decomposition.fix_phase(u)?;
+        Ok(decomposition)
+    }
+}
+
+/// The number of reduced interaction angles that are non-negligible.
+fn entangling_axes(angles: [f64; 3]) -> usize {
+    angles.iter().filter(|a| a.abs() > ANGLE_TOL).count()
+}
+
+/// The CNOT count of the re-synthesis for reduced interaction angles: none
+/// for local operators, one for a single ±π/4 axis, two when an axis
+/// vanishes, three otherwise.
+fn cnot_cost(angles: [f64; 3]) -> usize {
+    match entangling_axes(angles) {
+        0 => 0,
+        1 => {
+            let angle = angles
+                .into_iter()
+                .find(|a| a.abs() > ANGLE_TOL)
+                .expect("one non-zero axis");
+            if (angle.abs() - FRAC_PI_4).abs() < ANGLE_TOL {
+                1
+            } else {
+                2
+            }
+        }
+        2 => 2,
+        _ => 3,
     }
 }
 
@@ -367,39 +425,27 @@ fn realify(m: &Matrix4) -> Matrix4 {
 
 /// Checks that `P` diagonalises both symmetric matrices.
 fn is_simultaneous_diagonalizer(p: &RealMatrix, a: &RealMatrix, b: &RealMatrix, tol: f64) -> bool {
-    for m in [a, b] {
-        let d = p.transpose().mul(m).mul(p);
-        for r in 0..4 {
-            for c in 0..4 {
-                if r != c && d.get(r, c).abs() > tol {
-                    return false;
-                }
-            }
-        }
-    }
-    true
+    [a, b]
+        .into_iter()
+        .all(|m| p.transpose().mul(m).mul(p).max_off_diagonal() <= tol)
 }
 
 /// Solves `θ_j ≈ α·s_xx[j] + β·s_yy[j] + γ·s_zz[j]` for the three angles.
-fn solve_interaction_angles(theta: &[f64], sigs: &[[f64; 4]; 3]) -> Option<(f64, f64, f64)> {
+fn solve_interaction_angles(theta: &[f64; 4], sigs: &[[f64; 4]; 3]) -> Option<[f64; 3]> {
     // Normal equations of the 4×3 least-squares system; the signature rows
     // are orthogonal (they are distinct non-trivial ±1 patterns summing to
     // zero), so the system is diagonal: coefficient = <θ, s> / 4.
-    let dot =
-        |s: &[f64; 4]| -> f64 { theta.iter().zip(s.iter()).map(|(t, x)| t * x).sum::<f64>() / 4.0 };
-    let alpha = dot(&sigs[0]);
-    let beta = dot(&sigs[1]);
-    let gamma = dot(&sigs[2]);
+    let angles = sigs.map(|s| theta.iter().zip(s.iter()).map(|(t, x)| t * x).sum::<f64>() / 4.0);
     // Verify the residual: the centred eigenphases must be fully explained.
     for j in 0..4 {
-        let model = alpha * sigs[0][j] + beta * sigs[1][j] + gamma * sigs[2][j];
-        let residual = (theta[j] - model).rem_euclid(2.0 * std::f64::consts::PI);
-        let residual = residual.min(2.0 * std::f64::consts::PI - residual);
+        let model = angles[0] * sigs[0][j] + angles[1] * sigs[1][j] + angles[2] * sigs[2][j];
+        let residual = (theta[j] - model).rem_euclid(2.0 * PI);
+        let residual = residual.min(2.0 * PI - residual);
         if residual > 1e-5 {
             return None;
         }
     }
-    Some((alpha, beta, gamma))
+    Some(angles)
 }
 
 #[cfg(test)]
