@@ -8,8 +8,8 @@ use nassc::{RouterKind, TranspileOptions, Transpiler};
 use nassc_benchmarks::circuits;
 use nassc_topology::CouplingMap;
 
-/// One cold transpile: a fresh session per iteration, so every cache misses
-/// — the same work the pre-session free function did per call.
+/// One cold transpile: a fresh session per iteration, so every cache
+/// misses — distances, preparation and the layout search run every time.
 fn cold_transpile(
     circuit: &nassc::circuit::QuantumCircuit,
     device: &CouplingMap,

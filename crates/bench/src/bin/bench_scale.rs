@@ -10,9 +10,10 @@
 //!
 //! 1. **round-trip** — `parse(export(generated))` must equal the generated
 //!    circuit exactly;
-//! 2. **reference path** — the session's output must be bit-identical
-//!    (circuit, initial layout, swap count) to the pre-session
-//!    `nassc::transpile` free function on the generated circuit.
+//! 2. **cold vs warm** — the same session transpiles the parsed circuit a
+//!    second time, which replays one routing pass from the cached layout
+//!    (the warm `route_from` path); that result must equal the cold one
+//!    field by field (circuit, layouts, swap count, trial diagnostics).
 //!
 //! Peak/total heap use per row comes from the crate's counting global
 //! allocator ([`nassc_bench::alloc`]) — no external profiler. The summary
@@ -28,15 +29,12 @@
 //! Flags: `--devices a,b,c` (any `Device::from_str` spec; default
 //! `montreal,eagle,osprey`), `--sizes n,m` (default `10000,100000`),
 //! `--styles qv,qft`, `--max-qubits N` (skip devices wider than `N` — how CI
-//! keeps the 433-qubit Osprey rows out of the smoke budget), `--no-reference`
-//! (skip check 2, halving runtime for local profiling), `--json <path>`.
-
-#![allow(deprecated)] // the pre-session `transpile` free function IS the reference
+//! keeps the 433-qubit Osprey rows out of the smoke budget), `--json <path>`.
 
 use std::time::Instant;
 
 use nassc::circuit::QuantumCircuit;
-use nassc::{transpile, Device, TranspileOptions, Transpiler};
+use nassc::{Device, TranspileOptions, Transpiler};
 use nassc_bench::scale::{qft_style, qv_style};
 use nassc_bench::{alloc, cli_value, BenchReport, ReportRow, BASE_SEED};
 
@@ -80,7 +78,6 @@ fn main() {
         .collect();
     let styles = csv_list("--styles", "qv,qft");
     let max_qubits = cli_value("--max-qubits").map(|v| v.parse::<usize>().expect("--max-qubits"));
-    let check_reference = !std::env::args().any(|a| a == "--no-reference");
     let json_path = cli_value("--json");
 
     let mut report = BenchReport::new(
@@ -125,7 +122,7 @@ fn main() {
                         "sabre" => TranspileOptions::sabre(BASE_SEED),
                         _ => TranspileOptions::nassc(BASE_SEED),
                     };
-                    let session = Transpiler::new(device.clone(), options.clone());
+                    let session = Transpiler::new(device.clone(), options);
 
                     alloc::reset();
                     let start = Instant::now();
@@ -134,19 +131,19 @@ fn main() {
                     let peak = alloc::peak_bytes();
                     let total = alloc::total_bytes();
 
-                    if check_reference {
-                        let reference = transpile(&generated, device.coupling(), &options)
-                            .expect("reference transpile");
-                        if result.circuit != reference.circuit
-                            || result.initial_layout != reference.initial_layout
-                            || result.swap_count != reference.swap_count
-                        {
-                            eprintln!(
-                                "MISMATCH: {spec}/{style}{gates}/{router}: session output \
-                                 diverged from the reference transpile path"
-                            );
-                            mismatches += 1;
-                        }
+                    let warm = session.transpile(&parsed).expect("warm transpile");
+                    if warm.circuit != result.circuit
+                        || warm.initial_layout != result.initial_layout
+                        || warm.final_layout != result.final_layout
+                        || warm.swap_count != result.swap_count
+                        || warm.chosen_layout_trial != result.chosen_layout_trial
+                        || warm.layout_trial_costs != result.layout_trial_costs
+                    {
+                        eprintln!(
+                            "MISMATCH: {spec}/{style}{gates}/{router}: warm output \
+                             diverged from the cold transpile"
+                        );
+                        mismatches += 1;
                     }
 
                     let name = format!("{spec}/{style}{}k/{router}", gates / 1000);

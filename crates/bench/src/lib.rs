@@ -731,27 +731,24 @@ mod tests {
     }
 
     #[test]
-    // Deliberately drives the deprecated free function: the session-run
-    // suite must keep matching the legacy serial path bit for bit.
-    #[allow(deprecated)]
     fn compare_suite_matches_the_serial_transpile_loop() {
-        use nassc::transpile;
+        // The suite runs as one batch; the reference is one request at a
+        // time through a one-worker session.
         let device = CouplingMap::linear(25);
         let suite = &quick_benchmarks()[..2];
         let runs = 2;
         let rows = compare_suite(suite, &device, runs);
         assert_eq!(rows.len(), suite.len());
+        let serial = Transpiler::new(device.clone(), TranspileOptions::new())
+            .with_pool(nassc::ThreadPool::new(1));
+        let cx = |circuit, options| serial.transpile_with(circuit, &options).unwrap().cx_count();
         for (bench, row) in suite.iter().zip(&rows) {
             let mut sabre_cx = 0.0;
             let mut nassc_cx = 0.0;
             for run in 0..runs {
                 let seed = BASE_SEED + run as u64;
-                sabre_cx += transpile(&bench.circuit, &device, &TranspileOptions::sabre(seed))
-                    .unwrap()
-                    .cx_count() as f64;
-                nassc_cx += transpile(&bench.circuit, &device, &TranspileOptions::nassc(seed))
-                    .unwrap()
-                    .cx_count() as f64;
+                sabre_cx += cx(&bench.circuit, TranspileOptions::sabre(seed)) as f64;
+                nassc_cx += cx(&bench.circuit, TranspileOptions::nassc(seed)) as f64;
             }
             assert_eq!(row.sabre.cx_total, sabre_cx / runs as f64, "{}", bench.name);
             assert_eq!(row.nassc.cx_total, nassc_cx / runs as f64, "{}", bench.name);

@@ -1,22 +1,24 @@
 //! The heavy-hex scale determinism contract: a 10k-gate QV-style circuit on
-//! the 127-qubit Eagle device transpiles **bit-identically** across
-//! `NASSC_THREADS` ∈ {1, 8} under both routers. This pins the compact
-//! instruction storage and the allocation-free routing hot loop at a scale
-//! the montreal corpus never reaches — any thread-count-dependent divergence
-//! in layout, routing, or decomposition shows up as a hard failure here.
-//!
-//! The single test owns the `NASSC_THREADS` sweep, so the env mutation
-//! cannot race a concurrent reader (the same isolation pattern as
-//! `qasm_corpus_determinism.rs`).
+//! the 127-qubit Eagle device transpiles **bit-identically** at 1 and 8
+//! workers under both routers, and digests to the committed value. This pins
+//! the compact instruction storage and the allocation-free routing hot loop
+//! at a scale the montreal corpus never reaches — any worker-count-dependent
+//! divergence or output change in layout, routing, or decomposition shows up
+//! as a hard failure here.
 
-// The deprecated pre-session free function is used on purpose: it is the
-// reference path the `Transpiler` session must keep matching.
-#![allow(deprecated)]
+#[path = "../../../tests/fingerprint/mod.rs"]
+mod fingerprint;
 
-use nassc::{transpile, RouterKind, TranspileOptions};
+use nassc::{RouterKind, ThreadPool, TranspileOptions, Transpiler};
 use nassc_bench::scale::qv_style;
 use nassc_bench::BASE_SEED;
 use nassc_topology::CouplingMap;
+
+/// Output digest per router (`tests/fingerprint/mod.rs` says what it covers).
+const FINGERPRINTS: [(RouterKind, u64); 2] = [
+    (RouterKind::Sabre, 0x1a13_1b52_fca5_0ea5),
+    (RouterKind::Nassc, 0xa10d_d07d_790d_eeee),
+];
 
 #[test]
 fn eagle_10k_gates_transpile_identically_across_thread_counts() {
@@ -24,34 +26,18 @@ fn eagle_10k_gates_transpile_identically_across_thread_counts() {
     assert_eq!(device.num_qubits(), 127, "heavy_hex(7) must be Eagle-sized");
     let circuit = qv_style(device.num_qubits(), 10_000, BASE_SEED);
 
-    for router in [RouterKind::Sabre, RouterKind::Nassc] {
-        let options = match router {
-            RouterKind::Sabre => TranspileOptions::sabre(7),
-            RouterKind::Nassc => TranspileOptions::nassc(7),
-        };
-        let mut reference = None;
-        for threads in ["1", "8"] {
-            std::env::set_var("NASSC_THREADS", threads);
-            let result = transpile(&circuit, &device, &options)
+    for (router, expected) in FINGERPRINTS {
+        let options = TranspileOptions::new().router(router).seed(7);
+        for workers in [1, 8] {
+            let result = Transpiler::new(device.clone(), options.clone())
+                .with_pool(ThreadPool::new(workers))
+                .transpile(&circuit)
                 .unwrap_or_else(|e| panic!("eagle/qv10k ({router:?}): {e}"));
-            match &reference {
-                None => reference = Some(result),
-                Some(baseline) => {
-                    assert_eq!(
-                        baseline.circuit, result.circuit,
-                        "eagle/qv10k ({router:?}): routed circuit diverged at {threads} threads"
-                    );
-                    assert_eq!(
-                        baseline.initial_layout, result.initial_layout,
-                        "eagle/qv10k ({router:?}): initial layout diverged at {threads} threads"
-                    );
-                    assert_eq!(
-                        baseline.swap_count, result.swap_count,
-                        "eagle/qv10k ({router:?}): swap count diverged at {threads} threads"
-                    );
-                }
-            }
+            let digest = fingerprint::digest(&result);
+            assert_eq!(
+                digest, expected,
+                "eagle/qv10k ({router:?}): output digest {digest:#018x} at {workers} workers"
+            );
         }
     }
-    std::env::remove_var("NASSC_THREADS");
 }

@@ -321,12 +321,6 @@ impl QuantumCircuit {
             .expect("lossy serialization cannot fail")
     }
 
-    /// The historical name of the text dump.
-    #[deprecated(note = "use `to_qasm` (strict) or `to_qasm_lossy` (total) instead")]
-    pub fn to_text(&self) -> String {
-        self.to_qasm_lossy()
-    }
-
     /// Shared body of [`Self::to_qasm`] and [`Self::to_qasm_lossy`].
     ///
     /// The output string is pre-sized from the instruction count and every
@@ -703,10 +697,6 @@ mod tests {
         assert!(qasm.contains("rz(0.5) q[1];"));
         assert!(qasm.contains("barrier q[0],q[1],q[2];"));
         assert!(qasm.contains("measure q[1] -> c[1];"));
-        // The deprecated alias still produces the same dump.
-        #[allow(deprecated)]
-        let text = qc.to_text();
-        assert_eq!(text, qasm);
     }
 
     #[test]

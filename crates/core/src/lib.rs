@@ -24,9 +24,10 @@
 //!   fanning (benchmark × seed × router) grids across cores with results
 //!   bit-identical to serial execution at any cache temperature.
 //!
-//! The nine free functions of the pre-session API (`transpile`,
-//! `transpile_batch`, `distances_for`, …) remain as deprecated shims with
-//! unchanged behavior.
+//! The two pipelines share one tail — layout, routing, SWAP expansion and
+//! post-routing optimization — that cold and warm session requests both
+//! run; the routers differ only in how they score SWAPs, price layout trials
+//! and expand SWAPs into CNOTs.
 //!
 //! # Example
 //!
@@ -50,7 +51,6 @@
 //! assert!(ours.cx_count() <= baseline.cx_count());
 //! ```
 
-pub mod batch;
 pub mod cost;
 pub mod device;
 pub mod error;
@@ -58,23 +58,80 @@ pub mod pipeline;
 pub mod policy;
 pub mod session;
 
-#[allow(deprecated)]
-pub use batch::{
-    transpile_batch, transpile_batch_on, transpile_batch_prepared, transpile_batch_prepared_on,
-};
-pub use batch::{BatchJob, DistanceCache};
 pub use cost::{
     evaluate_swap_reduction, evaluate_swap_reduction_windowed, OptimizationFlags, SwapReduction,
 };
 pub use device::{Device, DeviceParseError};
 pub use error::{Error, ErrorKind};
 pub use pipeline::{
-    decompose_swaps_fixed, embed, optimize_without_routing, RouterKind, TranspileOptions,
-    TranspileResult,
-};
-#[allow(deprecated)]
-pub use pipeline::{
-    distances_for, transpile, transpile_prepared, transpile_prepared_on, transpile_with_distances,
+    decompose_swaps_fixed, optimize_without_routing, RouterKind, TranspileOptions, TranspileResult,
 };
 pub use policy::NasscPolicy;
 pub use session::{CacheStats, SessionJob, Transpiler};
+
+/// The batch engine, [`Transpiler::transpile_jobs`]: a batch equals its
+/// serial replay at every worker budget.
+#[cfg(test)]
+mod batch {
+    mod tests {
+        use crate::{CacheStats, SessionJob, TranspileOptions, TranspileResult, Transpiler};
+        use nassc_circuit::QuantumCircuit;
+        use nassc_parallel::ThreadPool;
+        use nassc_topology::CouplingMap;
+
+        fn session(workers: usize) -> Transpiler {
+            Transpiler::new(CouplingMap::linear(5), TranspileOptions::new())
+                .with_pool(ThreadPool::new(workers))
+        }
+
+        /// One job per entry of `options`, over a circuit that needs SWAPs
+        /// on the line, as one batch on a fresh `workers`-wide session.
+        fn batch(options: &[TranspileOptions], workers: usize) -> Vec<TranspileResult> {
+            let mut qc = QuantumCircuit::new(5);
+            qc.h(0).cx(0, 1).cx(1, 2).cx(2, 3).cx(3, 4);
+            qc.cx(0, 4).cx(1, 3).cx(0, 2);
+            let jobs: Vec<SessionJob<'_>> = options
+                .iter()
+                .map(|options| SessionJob::with_options(&qc, options.clone()))
+                .collect();
+            let results = session(workers).transpile_jobs(&jobs);
+            results.into_iter().map(Result::unwrap).collect()
+        }
+
+        #[test]
+        fn batch_matches_serial_for_a_seed_sweep() {
+            let options: Vec<TranspileOptions> = (0..6)
+                .flat_map(|seed| [TranspileOptions::sabre(seed), TranspileOptions::nassc(seed)])
+                .collect();
+            for (options, batched) in options.iter().zip(batch(&options, 4)) {
+                let serial = &batch(std::slice::from_ref(options), 1)[0];
+                assert_eq!(serial.circuit, batched.circuit);
+                assert_eq!(serial.initial_layout, batched.initial_layout);
+                assert_eq!(serial.final_layout, batched.final_layout);
+                assert_eq!(serial.swap_count, batched.swap_count);
+            }
+        }
+
+        #[test]
+        fn multi_trial_jobs_match_serial_at_every_worker_count() {
+            let options: Vec<TranspileOptions> = (0..3)
+                .map(|seed| TranspileOptions::nassc(seed).with_layout_trials(4))
+                .collect();
+            let serial = batch(&options, 1);
+            for workers in [2, 8] {
+                for (s, p) in serial.iter().zip(batch(&options, workers)) {
+                    assert_eq!(s.circuit, p.circuit, "{workers} workers");
+                    assert_eq!(s.chosen_layout_trial, p.chosen_layout_trial);
+                    assert_eq!(s.layout_trial_costs, p.layout_trial_costs);
+                }
+            }
+        }
+
+        #[test]
+        fn empty_batch_is_fine() {
+            let session = session(1);
+            assert!(session.transpile_jobs(&[]).is_empty());
+            assert_eq!(session.cache_stats(), CacheStats::default());
+        }
+    }
+}

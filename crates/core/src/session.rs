@@ -1,18 +1,15 @@
-//! The long-lived [`Transpiler`] session: one blessed entry point owning the
+//! The long-lived [`Transpiler`] session: the one entry point, owning the
 //! worker budget and every cross-request cache.
 //!
-//! The free functions this module supersedes (`transpile`,
-//! `transpile_with_distances`, `transpile_prepared[_on]`,
-//! `transpile_batch[_prepared][_on]`, `distances_for`) each forced callers to
-//! hand-manage some slice of reusable state: distance matrices, prepared
-//! pre-routing baselines, thread budgets. A service handling many requests
-//! against one device wants that state owned in one place and reused
-//! automatically. A `Transpiler` is constructed once per device and then
-//! serves any number of requests, reusing three caches across them:
+//! A service handling many requests against one device wants the reusable
+//! state — distance matrices, prepared pre-routing baselines, thread
+//! budgets — owned in one place and reused automatically. A `Transpiler` is
+//! constructed once per device and then serves any number of requests,
+//! reusing three caches across them:
 //!
-//! 1. **Distances** — one [`DistanceMatrix`] per distinct
-//!    `(coupling, calibration)` pair (via [`DistanceCache`]); requests whose
-//!    options carry a different calibration get their own entry.
+//! 1. **Distances** — one [`DistanceMatrix`] per distinct calibration (the
+//!    device is fixed, so the calibration alone keys an entry); requests
+//!    whose options carry a different calibration get their own entry.
 //! 2. **Prepared baselines** — the deterministic, seed-independent
 //!    pre-routing optimization ([`optimize_without_routing`]) memoized per
 //!    structurally distinct circuit, keyed by
@@ -21,7 +18,7 @@
 //!    diagnostics) per `(prepared circuit, options)` pair. A warm request
 //!    replays one routing pass from the cached layout instead of re-running
 //!    the whole layout search; the result is bit-identical to the cold path
-//!    (see `transpile_prepared_from_layout` in `pipeline.rs` for why).
+//!    (see `transpile_prepared` in `pipeline.rs` for why).
 //!
 //! Hit/miss counters for all three caches are attached to every
 //! [`TranspileResult`] (`result.cache`, this request only) and accumulated
@@ -30,10 +27,11 @@
 //! [`ThreadPool`] handle is the concurrency budget each request's fan-out
 //! respects, so construction is cheap and `NASSC_THREADS` keeps working.
 //!
-//! Determinism contract, inherited and extended: for equal inputs a session
-//! returns the same circuits, layouts and SWAP counts as the legacy free
-//! functions, bit for bit, at any worker count and any cache temperature —
-//! only `elapsed` and `cache` differ.
+//! Determinism contract: for equal inputs a session returns the same
+//! circuits, layouts, SWAP counts and trial diagnostics, bit for bit, at any
+//! worker count and any cache temperature — only `elapsed` and `cache`
+//! differ. `tests/output_fingerprints.rs` pins those outputs to committed
+//! digests.
 //!
 //! **Fault containment.** Every session entry point is a `catch_unwind`
 //! boundary: a panic anywhere in preparation, layout, routing or
@@ -58,14 +56,15 @@ use std::time::{Duration, Instant};
 use nassc_circuit::QuantumCircuit;
 use nassc_parallel::{worker_pool_status, Budget, Cancelled, PoolStatus, ThreadPool};
 use nassc_passes::PassError;
-use nassc_topology::{CouplingMap, DistanceMatrix, Layout};
+use nassc_topology::{
+    noise_aware_distance, Calibration, CouplingMap, DistanceMatrix, NoiseAwareAlphas,
+};
 
-use crate::batch::DistanceCache;
 use crate::device::Device;
 use crate::error::Error;
 use crate::pipeline::{
-    optimize_without_routing_budgeted, transpile_prepared_from_layout,
-    transpile_prepared_on_budgeted_impl, TranspileOptions, TranspileResult,
+    optimize_without_routing_budgeted, transpile_prepared, LayoutWinner, TranspileOptions,
+    TranspileResult,
 };
 
 /// Hit/miss counters of the [`Transpiler`] caches.
@@ -155,15 +154,13 @@ struct LayoutEntry {
     prepared_hash: u64,
     prepared: Arc<QuantumCircuit>,
     options: TranspileOptions,
-    initial_layout: Layout,
-    chosen_trial: usize,
-    trial_costs: Vec<f64>,
+    winner: LayoutWinner,
 }
 
 /// Everything mutable behind the session lock.
 #[derive(Default)]
 struct SessionState {
-    distances: DistanceCache,
+    distances: Vec<(Option<Calibration>, Arc<DistanceMatrix>)>,
     prepared: Vec<PreparedEntry>,
     layouts: Vec<LayoutEntry>,
     stats: CacheStats,
@@ -177,7 +174,7 @@ struct ResolvedJob {
     options: TranspileOptions,
     distances: Arc<DistanceMatrix>,
     prepared: Arc<QuantumCircuit>,
-    cached_layout: Option<(Layout, usize, Vec<f64>)>,
+    cached_layout: Option<LayoutWinner>,
     stats: CacheStats,
     /// The job's cooperative deadline, anchored at request entry; unlimited
     /// when [`TranspileOptions::deadline`] is unset.
@@ -487,7 +484,7 @@ impl Transpiler {
             Ok(guard) => guard,
             Err(poisoned) => {
                 let mut guard = poisoned.into_inner();
-                guard.distances = DistanceCache::new();
+                guard.distances.clear();
                 guard.prepared.clear();
                 guard.layouts.clear();
                 self.cache_resets.fetch_add(1, Ordering::Relaxed);
@@ -534,21 +531,28 @@ impl Transpiler {
     ) -> Result<ResolvedJob, Error> {
         let mut stats = CacheStats::default();
 
-        let distances = match state
+        let cached = state
             .distances
-            .lookup(self.device.coupling(), options.calibration.as_ref())
-        {
-            Some(cached) => {
+            .iter()
+            .find(|(calibration, _)| *calibration == options.calibration);
+        let distances = match cached {
+            Some((_, cached)) => {
                 stats.distance_hits += 1;
                 nassc_trace::counter("cache.distance_hit", 1);
-                cached
+                Arc::clone(cached)
             }
             None => {
                 stats.distance_misses += 1;
                 nassc_trace::counter("cache.distance_miss", 1);
-                state
-                    .distances
-                    .get_or_compute(self.device.coupling(), options.calibration.as_ref())
+                // Hop counts, or the noise-aware Eq. 3 matrix when calibrated.
+                let coupling = self.device.coupling();
+                let computed = Arc::new(match &options.calibration {
+                    Some(cal) => noise_aware_distance(coupling, cal, NoiseAwareAlphas::default()),
+                    None => coupling.distance_matrix(),
+                });
+                let entry = (options.calibration.clone(), Arc::clone(&computed));
+                state.distances.push(entry);
+                computed
             }
         };
 
@@ -568,13 +572,7 @@ impl Transpiler {
             .find(|e| {
                 e.prepared_hash == prepared_hash && e.options == options && *e.prepared == *prepared
             })
-            .map(|e| {
-                (
-                    e.initial_layout.clone(),
-                    e.chosen_trial,
-                    e.trial_costs.clone(),
-                )
-            });
+            .map(|e| e.winner.clone());
         if cached_layout.is_some() {
             stats.layout_hits += 1;
             nassc_trace::counter("cache.layout_hit", 1);
@@ -613,26 +611,16 @@ impl Transpiler {
                 "cold"
             },
         );
-        let outcome = catch_unwind(AssertUnwindSafe(|| match &resolved.cached_layout {
-            Some((layout, chosen_trial, trial_costs)) => transpile_prepared_from_layout(
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            transpile_prepared(
                 &resolved.prepared,
                 self.device.coupling(),
                 &resolved.distances,
                 &resolved.options,
-                layout,
-                *chosen_trial,
-                trial_costs.clone(),
+                resolved.cached_layout.as_ref(),
                 pool,
                 &resolved.budget,
-            ),
-            None => transpile_prepared_on_budgeted_impl(
-                &resolved.prepared,
-                self.device.coupling(),
-                &resolved.distances,
-                &resolved.options,
-                pool,
-                &resolved.budget,
-            ),
+            )
         }));
         match outcome {
             Ok(result) => result.map_err(Error::from),
@@ -670,9 +658,11 @@ impl Transpiler {
                     prepared_hash,
                     prepared: Arc::clone(&job.prepared),
                     options: job.options.clone(),
-                    initial_layout: result.initial_layout.clone(),
-                    chosen_trial: result.chosen_layout_trial,
-                    trial_costs: result.layout_trial_costs.clone(),
+                    winner: LayoutWinner {
+                        layout: result.initial_layout.clone(),
+                        chosen_trial: result.chosen_layout_trial,
+                        trial_costs: result.layout_trial_costs.clone(),
+                    },
                 });
             }
         }
@@ -803,6 +793,24 @@ mod tests {
             classify_panic("transpile", fault, None),
             Error::internal("transpile", "index out of bounds")
         );
+    }
+
+    #[test]
+    fn distance_cache_keys_entries_by_calibration() {
+        let session = session();
+        let calibration = Calibration::synthetic(session.coupling(), 1);
+        let plain = session.options().clone();
+        let calibrated = plain.clone().calibration(calibration.clone());
+        for options in [&plain, &calibrated, &plain, &calibrated] {
+            session.transpile_with(&ghz(4), options).expect("transpile");
+        }
+        let state = session.lock();
+        assert_eq!(state.stats.distance_misses, 2);
+        assert_eq!(state.stats.distance_hits, 2);
+        let keys: Vec<_> = state.distances.iter().map(|(key, _)| key.clone()).collect();
+        assert_eq!(keys, [None, Some(calibration)]);
+        assert_eq!(*state.distances[0].1, session.coupling().distance_matrix());
+        assert_ne!(*state.distances[1].1, *state.distances[0].1);
     }
 
     #[test]

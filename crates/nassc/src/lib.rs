@@ -9,9 +9,9 @@
 //! budget and reuses distance matrices, prepared baselines and layout
 //! winners across requests ([`CacheStats`] reports the hit rates, and
 //! [`Error`] folds pass and QASM failures into one type for
-//! [`Transpiler::transpile_qasm`]). The pre-session free functions
-//! ([`transpile`], [`transpile_batch`], …) remain as deprecated shims with
-//! unchanged behavior — see the README's migration table.
+//! [`Transpiler::transpile_qasm`]). Single circuits, per-request options
+//! and whole batches all go through the session
+//! ([`Transpiler::transpile_with`], [`Transpiler::transpile_jobs`]).
 //!
 //! External OpenQASM 2.0 workloads enter and leave through the [`qasm`]
 //! namespace: `nassc::qasm::parse` lowers a `.qasm` source into a
@@ -40,21 +40,10 @@
 //! assert!(warm.cache.hits() > 0);
 //! ```
 
-// The deprecated pre-session entry points stay re-exported (and deprecated)
-// here so `use nassc::transpile` keeps compiling — with the deprecation
-// warning — until the shims are removed.
-#[allow(deprecated)]
 pub use nassc_core::{
-    distances_for, transpile, transpile_batch, transpile_batch_on, transpile_batch_prepared,
-    transpile_batch_prepared_on, transpile_prepared, transpile_prepared_on,
-    transpile_with_distances,
-};
-
-pub use nassc_core::{
-    decompose_swaps_fixed, embed, evaluate_swap_reduction, evaluate_swap_reduction_windowed,
-    optimize_without_routing, BatchJob, CacheStats, Device, DeviceParseError, DistanceCache, Error,
-    ErrorKind, NasscPolicy, OptimizationFlags, RouterKind, SessionJob, TranspileOptions,
-    TranspileResult, Transpiler,
+    decompose_swaps_fixed, evaluate_swap_reduction, evaluate_swap_reduction_windowed,
+    optimize_without_routing, CacheStats, Device, DeviceParseError, Error, ErrorKind, NasscPolicy,
+    OptimizationFlags, RouterKind, SessionJob, TranspileOptions, TranspileResult, Transpiler,
 };
 
 // The persistent worker pool behind every `Transpiler` dispatch: the budget

@@ -43,6 +43,9 @@ fn transpiler_session_is_the_facade_entry_point() {
         // so only the cap is a safe invariant to pin.
         assert!(session.pool_status().workers <= nassc::parallel::MAX_POOL_WORKERS);
     }
+    // The pre-routing baseline stays callable on its own.
+    let optimized = nassc::optimize_without_routing(&qc).expect("optimize");
+    assert!(optimized.cx_count() <= qc.cx_count());
 }
 
 #[test]
@@ -55,23 +58,6 @@ fn transpile_qasm_surfaces_the_unified_error() {
         .transpile_qasm("not qasm")
         .expect_err("parse failure");
     assert!(matches!(err, Error::Qasm(_)));
-}
-
-// The deprecated pre-session free functions stay part of the public surface
-// until the shims are removed; this pin keeps them (and their signatures)
-// reachable through the facade.
-#[test]
-#[allow(deprecated)]
-fn deprecated_free_functions_stay_reachable() {
-    use nassc::{optimize_without_routing, transpile};
-    let device = nassc::topology::CouplingMap::linear(4);
-    let qc = smoke_circuit();
-    for options in [TranspileOptions::sabre(1), TranspileOptions::nassc(1)] {
-        let result = transpile(&qc, &device, &options).expect("transpile");
-        assert!(nassc::passes::is_mapped(&result.circuit, &device));
-    }
-    let optimized = optimize_without_routing(&qc).expect("optimize");
-    assert!(optimized.cx_count() <= qc.cx_count());
 }
 
 #[test]

@@ -1,26 +1,16 @@
-//! The batch engine's determinism contract: `transpile_batch` must equal the
-//! corresponding serial `transpile` calls gate-for-gate, layout-for-layout,
-//! at every worker count.
-
-// This file deliberately exercises the deprecated pre-session free
-// functions: it pins the legacy entry points' behavior (the contract the
-// `Transpiler` session must keep matching) until the shims are removed.
-// New coverage belongs in `transpiler_session_determinism.rs`.
-#![allow(deprecated)]
+//! The batch engine's determinism contract: a session batch
+//! (`Transpiler::transpile_jobs`) must equal the corresponding serial cold
+//! transpiles gate-for-gate, layout-for-layout, at every worker count.
 
 use nassc::parallel::ThreadPool;
-use nassc::{
-    transpile, transpile_batch, transpile_batch_on, BatchJob, TranspileOptions, TranspileResult,
-};
+use nassc::{SessionJob, TranspileOptions, TranspileResult, Transpiler};
 use nassc_benchmarks::quick_benchmarks;
 use nassc_topology::{Calibration, CouplingMap};
 
-/// Asserts everything but the wall-clock matches between two results.
+/// Asserts everything but the wall-clock and cache counters matches between
+/// two results.
 fn assert_identical(serial: &TranspileResult, batched: &TranspileResult, context: &str) {
-    assert_eq!(
-        serial.swap_count, batched.swap_count,
-        "{context}: swap count"
-    );
+    assert_eq!(serial.swap_count, batched.swap_count, "{context}: swaps");
     assert_eq!(
         serial.initial_layout, batched.initial_layout,
         "{context}: initial layout"
@@ -30,19 +20,6 @@ fn assert_identical(serial: &TranspileResult, batched: &TranspileResult, context
         "{context}: final layout"
     );
     // Gate-for-gate: same instruction sequence, not just equal counts.
-    assert_eq!(
-        serial.circuit.iter().count(),
-        batched.circuit.iter().count(),
-        "{context}: gate count"
-    );
-    for (i, (s, b)) in serial
-        .circuit
-        .iter()
-        .zip(batched.circuit.iter())
-        .enumerate()
-    {
-        assert_eq!(s, b, "{context}: instruction {i}");
-    }
     assert_eq!(serial.circuit, batched.circuit, "{context}: circuit");
 }
 
@@ -50,21 +27,24 @@ fn assert_identical(serial: &TranspileResult, batched: &TranspileResult, context
 fn batch_over_eight_seeds_matches_serial_transpile_gate_for_gate() {
     let device = CouplingMap::ibmq_montreal();
     let bench = &quick_benchmarks()[0]; // Grover_4-qubits
-    let jobs: Vec<BatchJob> = (0..8)
+    let jobs: Vec<SessionJob<'_>> = (0..8)
         .map(|seed| {
             let options = if seed % 2 == 0 {
                 TranspileOptions::nassc(seed)
             } else {
                 TranspileOptions::sabre(seed)
             };
-            BatchJob::new(&bench.circuit, &device, options)
+            SessionJob::with_options(&bench.circuit, options)
         })
         .collect();
 
-    let batched = transpile_batch(&jobs);
+    let batched = Transpiler::new(device.clone(), TranspileOptions::new()).transpile_jobs(&jobs);
     assert_eq!(batched.len(), 8);
     for (seed, (job, batched)) in jobs.iter().zip(&batched).enumerate() {
-        let serial = transpile(job.circuit, job.coupling, &job.options).expect("serial transpile");
+        let options = job.options.clone().expect("per-job options");
+        let serial = Transpiler::new(device.clone(), options)
+            .transpile(job.circuit)
+            .expect("serial transpile");
         let batched = batched.as_ref().expect("batched transpile");
         assert_identical(&serial, batched, &format!("seed {seed}"));
     }
@@ -75,22 +55,24 @@ fn worker_count_never_changes_results() {
     let device = CouplingMap::linear(25);
     let cal = Calibration::synthetic(&device, 3);
     let bench = &quick_benchmarks()[0];
-    let jobs: Vec<BatchJob> = (0..4)
+    let jobs: Vec<SessionJob<'_>> = (0..4)
         .flat_map(|seed| {
             [
-                BatchJob::new(&bench.circuit, &device, TranspileOptions::nassc(seed)),
-                BatchJob::new(
-                    &bench.circuit,
-                    &device,
-                    TranspileOptions::sabre(seed).with_calibration(cal.clone()),
-                ),
+                TranspileOptions::nassc(seed),
+                TranspileOptions::sabre(seed).with_calibration(cal.clone()),
             ]
         })
+        .map(|options| SessionJob::with_options(&bench.circuit, options))
         .collect();
+    let batch_on = |workers| {
+        Transpiler::new(device.clone(), TranspileOptions::new())
+            .with_pool(ThreadPool::new(workers))
+            .transpile_jobs(&jobs)
+    };
 
-    let single = transpile_batch_on(&ThreadPool::new(1), &jobs);
+    let single = batch_on(1);
     for workers in [2, 3, 8] {
-        let multi = transpile_batch_on(&ThreadPool::new(workers), &jobs);
+        let multi = batch_on(workers);
         for (index, (s, m)) in single.iter().zip(&multi).enumerate() {
             assert_identical(
                 s.as_ref().expect("serial"),

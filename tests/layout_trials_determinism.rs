@@ -1,20 +1,14 @@
 //! The layout-trials determinism contract: transpile output is bit-identical
-//! at every worker count (`NASSC_THREADS` ∈ {1, 2, 8}) for both the
-//! single-trial compatibility mode and multi-trial selection, and trial
-//! selection is reproducible with deterministic lowest-index tie-breaking.
-
-// This file deliberately exercises the deprecated pre-session free
-// functions: it pins the legacy entry points' behavior (the contract the
-// `Transpiler` session must keep matching) until the shims are removed.
-// New coverage belongs in `transpiler_session_determinism.rs`.
-#![allow(deprecated)]
+//! at every worker budget ({1, 2, 8} workers) for both the single-trial
+//! compatibility mode and multi-trial selection, and trial selection is
+//! reproducible with deterministic lowest-index tie-breaking.
 
 use nassc::circuit::QuantumCircuit;
 use nassc::parallel::ThreadPool;
 use nassc::sabre::{route_with_policy_on, SabreConfig, SabrePolicy};
 use nassc::{
-    transpile, transpile_batch_on, BatchJob, NasscPolicy, OptimizationFlags, RouterKind,
-    TranspileOptions, TranspileResult,
+    NasscPolicy, OptimizationFlags, RouterKind, SessionJob, TranspileOptions, TranspileResult,
+    Transpiler,
 };
 use nassc_topology::{CouplingMap, Layout};
 use rand::rngs::StdRng;
@@ -71,22 +65,30 @@ fn assert_identical(reference: &TranspileResult, other: &TranspileResult, contex
     assert_eq!(reference.circuit, other.circuit, "{context}: circuit");
 }
 
-/// The headline contract: `NASSC_THREADS` ∈ {1, 2, 8} × trial counts {1, 4}
-/// × both routers, all bit-identical to the single-threaded run.
-///
-/// This is the only test in this binary that touches `NASSC_THREADS`, so the
-/// env sweep cannot race a concurrent reader.
+/// A cold transpile on a fresh session with a `workers`-wide budget.
+fn transpile_on(
+    workers: usize,
+    device: &CouplingMap,
+    circuit: &QuantumCircuit,
+    options: TranspileOptions,
+) -> TranspileResult {
+    Transpiler::new(device.clone(), options)
+        .with_pool(ThreadPool::new(workers))
+        .transpile(circuit)
+        .unwrap()
+}
+
+/// The headline contract: {1, 2, 8} workers × trial counts {1, 4} × both
+/// routers, all bit-identical to the single-worker run.
 #[test]
 fn transpile_is_bit_identical_across_thread_and_trial_counts() {
     let device = CouplingMap::ibmq_montreal();
     let circuit = sample_circuit();
     for router in [RouterKind::Sabre, RouterKind::Nassc] {
         for trials in [1usize, 4] {
-            let options = options_for(router, trials);
             let mut reference: Option<TranspileResult> = None;
-            for threads in ["1", "2", "8"] {
-                std::env::set_var("NASSC_THREADS", threads);
-                let result = transpile(&circuit, &device, &options).unwrap();
+            for workers in [1, 2, 8] {
+                let result = transpile_on(workers, &device, &circuit, options_for(router, trials));
                 let expected_costs = if trials == 1 { 0 } else { trials };
                 assert_eq!(result.layout_trial_costs.len(), expected_costs);
                 match &reference {
@@ -94,40 +96,42 @@ fn transpile_is_bit_identical_across_thread_and_trial_counts() {
                     Some(reference) => assert_identical(
                         reference,
                         &result,
-                        &format!("{router:?}, {trials} trials, NASSC_THREADS={threads}"),
+                        &format!("{router:?}, {trials} trials, {workers} workers"),
                     ),
                 }
             }
         }
     }
-    std::env::remove_var("NASSC_THREADS");
 }
 
-/// The batch engine splits its explicit worker budget between jobs and
-/// trials; whatever the split, multi-trial results match the serial run.
+/// A session batch splits its worker budget between jobs and trials;
+/// whatever the split, multi-trial results match the serial run.
 #[test]
 fn batched_multi_trial_jobs_match_serial_pools() {
     let device = CouplingMap::grid(5, 5);
     let circuit = sample_circuit();
-    let jobs: Vec<BatchJob> = (0..3)
+    let jobs: Vec<SessionJob> = (0..3)
         .flat_map(|seed| {
             [
-                BatchJob::new(
+                SessionJob::with_options(
                     &circuit,
-                    &device,
                     TranspileOptions::sabre(seed).with_layout_trials(4),
                 ),
-                BatchJob::new(
+                SessionJob::with_options(
                     &circuit,
-                    &device,
                     TranspileOptions::nassc(seed).with_layout_trials(4),
                 ),
             ]
         })
         .collect();
-    let serial = transpile_batch_on(&ThreadPool::new(1), &jobs);
+    let batch_on = |workers| {
+        Transpiler::new(device.clone(), TranspileOptions::new())
+            .with_pool(ThreadPool::new(workers))
+            .transpile_jobs(&jobs)
+    };
+    let serial = batch_on(1);
     for workers in [2, 3, 8] {
-        let parallel = transpile_batch_on(&ThreadPool::new(workers), &jobs);
+        let parallel = batch_on(workers);
         for (index, (s, p)) in serial.iter().zip(&parallel).enumerate() {
             assert_identical(
                 s.as_ref().expect("serial"),
@@ -140,9 +144,9 @@ fn batched_multi_trial_jobs_match_serial_pools() {
 
 /// In-pass parallel SWAP scoring: a single routing pass driven through an
 /// explicit score pool is bit-identical to the serial pass, for both the
-/// SABRE and the NASSC policy, at every worker count. (The
-/// `NASSC_THREADS` sweep above exercises the same machinery through the
-/// pipeline's budget split; this pins the router-level contract directly.)
+/// SABRE and the NASSC policy, at every worker count. (The worker sweep
+/// above exercises the same machinery through the pipeline's budget split;
+/// this pins the router-level contract directly.)
 #[test]
 fn in_pass_parallel_scoring_is_bit_identical() {
     let device = CouplingMap::ibmq_montreal();
@@ -202,11 +206,7 @@ fn chosen_trial_is_the_first_cost_minimum() {
     let circuit = sample_circuit();
     for seed in 0..4 {
         let options = TranspileOptions::nassc(seed).with_layout_trials(6);
-        let jobs = [BatchJob::new(&circuit, &device, options)];
-        let result = transpile_batch_on(&ThreadPool::new(2), &jobs)
-            .pop()
-            .unwrap()
-            .unwrap();
+        let result = transpile_on(2, &device, &circuit, options);
         assert_eq!(result.layout_trial_costs.len(), 6);
         let best = result.layout_trial_costs[result.chosen_layout_trial];
         let first_min = result

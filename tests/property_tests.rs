@@ -2,15 +2,9 @@
 //! semantically equivalent through synthesis, optimization and routing, and
 //! structural invariants (coupling compliance, CNOT-cost bounds) always hold.
 
-// This file deliberately exercises the deprecated pre-session free
-// functions: it pins the legacy entry points' behavior (the contract the
-// `Transpiler` session must keep matching) until the shims are removed.
-// New coverage belongs in `transpiler_session_determinism.rs`.
-#![allow(deprecated)]
-
 use proptest::prelude::*;
 
-use nassc::{transpile, TranspileOptions};
+use nassc::{TranspileOptions, Transpiler};
 use nassc_circuit::{circuits_equivalent, Gate, QuantumCircuit};
 use nassc_math::Matrix4;
 use nassc_passes::{is_mapped, standard_optimization_pipeline};
@@ -116,7 +110,7 @@ proptest! {
         let circuit = random_circuit(5, ops);
         let device = CouplingMap::linear(6);
         for options in [TranspileOptions::sabre(seed), TranspileOptions::nassc(seed)] {
-            let result = transpile(&circuit, &device, &options).unwrap();
+            let result = Transpiler::new(device.clone(), options).transpile(&circuit).unwrap();
             prop_assert!(is_mapped(&result.circuit, &device));
             prop_assert!(result.circuit.iter().all(|i| i.gate.in_ibm_basis()));
         }

@@ -1,21 +1,11 @@
 //! The external-workload corpus contract: every committed `benchmarks/qasm/`
-//! file parses, transpiles bit-identically across `NASSC_THREADS` ∈ {1, 8}
-//! under both routers, and re-exports as parseable OpenQASM 2.0.
-//!
-//! This binary's only test sweeps `NASSC_THREADS`, so the env mutation
-//! cannot race a concurrent reader (the same isolation pattern as
-//! `layout_trials_determinism.rs`).
-
-// This file deliberately exercises the deprecated pre-session free
-// functions: it pins the legacy entry points' behavior (the contract the
-// `Transpiler` session must keep matching) until the shims are removed.
-// New coverage belongs in `transpiler_session_determinism.rs`.
-#![allow(deprecated)]
+//! file parses, transpiles bit-identically at 1 and 8 workers under both
+//! routers, and re-exports as parseable OpenQASM 2.0.
 
 use std::path::PathBuf;
 
 use nassc::qasm;
-use nassc::{transpile, RouterKind, TranspileOptions};
+use nassc::{RouterKind, ThreadPool, TranspileOptions, Transpiler};
 use nassc_topology::CouplingMap;
 
 /// The committed corpus directory, resolved relative to the workspace root.
@@ -61,9 +51,10 @@ fn corpus_transpiles_bit_identically_and_reexports() {
                 }
                 .with_layout_trials(trials);
                 let mut reference = None;
-                for threads in ["1", "8"] {
-                    std::env::set_var("NASSC_THREADS", threads);
-                    let result = transpile(circuit, &device, &options)
+                for workers in [1, 8] {
+                    let result = Transpiler::new(device.clone(), options.clone())
+                        .with_pool(ThreadPool::new(workers))
+                        .transpile(circuit)
                         .unwrap_or_else(|e| panic!("{} ({router:?}): {e}", file.name));
                     match &reference {
                         None => {
@@ -84,7 +75,7 @@ fn corpus_transpiles_bit_identically_and_reexports() {
                             assert_eq!(
                                 reference.circuit, result.circuit,
                                 "{} ({router:?}, {trials} trials): \
-                                 output differs at NASSC_THREADS={threads}",
+                                 output differs at {workers} workers",
                                 file.name
                             );
                             assert_eq!(
@@ -103,5 +94,4 @@ fn corpus_transpiles_bit_identically_and_reexports() {
             }
         }
     }
-    std::env::remove_var("NASSC_THREADS");
 }

@@ -2,17 +2,22 @@
 //! semantics, respect the coupling map, and NASSC never loses to SABRE on
 //! CNOT overhead by more than seed noise.
 
-// This file deliberately exercises the deprecated pre-session free
-// functions: it pins the legacy entry points' behavior (the contract the
-// `Transpiler` session must keep matching) until the shims are removed.
-// New coverage belongs in `transpiler_session_determinism.rs`.
-#![allow(deprecated)]
-
-use nassc::{optimize_without_routing, transpile, OptimizationFlags, TranspileOptions};
+use nassc::{
+    optimize_without_routing, OptimizationFlags, TranspileOptions, TranspileResult, Transpiler,
+};
 use nassc_benchmarks::{adder, bernstein_vazirani, grover, qft, qpe, vqe};
 use nassc_circuit::{circuit_unitary, QuantumCircuit};
 use nassc_passes::is_mapped;
 use nassc_topology::CouplingMap;
+
+/// A cold transpile on a fresh session.
+fn transpile(
+    circuit: &QuantumCircuit,
+    device: &CouplingMap,
+    options: &TranspileOptions,
+) -> Result<TranspileResult, nassc::Error> {
+    Transpiler::new(device.clone(), options.clone()).transpile(circuit)
+}
 
 /// Checks that a routed+optimized physical circuit implements the same
 /// statistics as the logical circuit: because the final layout permutes the

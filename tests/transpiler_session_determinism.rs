@@ -1,7 +1,7 @@
 //! The [`Transpiler`] session determinism contract: a warm session (every
-//! cache populated) returns results bit-identical to the cold legacy
-//! free-function path, for both routers, at a 1-worker and an 8-worker
-//! budget — only `elapsed` and `cache` may differ. Plus the cache-counter
+//! cache populated) returns results bit-identical to a cold one, for both
+//! routers, at every worker budget and for single requests and batches alike
+//! — only `elapsed` and `cache` may differ. Plus the cache-counter
 //! arithmetic the contract's observability rests on.
 
 use nassc::circuit::QuantumCircuit;
@@ -52,19 +52,16 @@ fn assert_same_result(left: &TranspileResult, right: &TranspileResult, context: 
 }
 
 #[test]
-fn warm_session_matches_the_cold_free_function_path() {
-    // The free functions are the pre-session reference implementation this
-    // test deliberately pins against the session.
-    #[allow(deprecated)]
-    use nassc::transpile;
-
+fn warm_sessions_match_a_one_worker_cold_session() {
     let circuit = sample_circuit();
     let device = CouplingMap::grid(2, 3);
     for router in [RouterKind::Sabre, RouterKind::Nassc] {
         for trials in [1, 3] {
             let options = options_for(router, trials);
-            #[allow(deprecated)]
-            let reference = transpile(&circuit, &device, &options).expect("reference");
+            let reference = Transpiler::new(device.clone(), options.clone())
+                .with_pool(ThreadPool::new(1))
+                .transpile(&circuit)
+                .expect("reference");
             for workers in [1, 8] {
                 let session = Transpiler::new(device.clone(), options.clone())
                     .with_pool(ThreadPool::new(workers));
