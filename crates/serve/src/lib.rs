@@ -6,8 +6,9 @@
 //! and its distance/baseline/layout caches. The serving pipeline is:
 //!
 //! ```text
-//!   acceptor (non-blocking accept, polls shutdown)
-//!      │  try_push            ── full → 429 written by the acceptor
+//!   acceptor (blocking accept: each connection is queued on arrival)
+//!      │  try_push            ── full → 429 written by the acceptor; the
+//!      │                         linger thread reads to the client's EOF
 //!      ▼
 //!   BoundedQueue<Conn>        ── backpressure valve (queue_depth)
 //!      │  pop (blocking)
@@ -64,7 +65,10 @@
 //!
 //! Shutdown is graceful: SIGINT/SIGTERM (or [`ShutdownHandle::shutdown`])
 //! stops the acceptor, closes the queue, lets the workers drain in-flight
-//! requests, and joins them before [`Server::run`] returns.
+//! requests, and joins them before [`Server::run`] returns. The acceptor
+//! blocks in `accept` with no timer, so a shutdown wakes it with a loopback
+//! connection to the bound port; a signal watcher thread does the same on
+//! SIGINT/SIGTERM (see [`signal`]).
 
 // Production code must not `unwrap()` — a stray panic in a handler is a
 // dropped connection and a respawned worker, so every lock/parse site
@@ -79,8 +83,9 @@ pub mod queue;
 pub mod signal;
 
 use std::io::{BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -94,12 +99,30 @@ use queue::{BoundedQueue, PushError};
 /// Largest accepted request body (QASM source), in bytes.
 pub const MAX_BODY_BYTES: usize = 4 * 1024 * 1024;
 
-/// How long the acceptor sleeps between non-blocking `accept` attempts —
-/// also the shutdown-poll latency bound.
-const ACCEPT_POLL: Duration = Duration::from_millis(2);
+/// How long the acceptor pauses after a failed `accept` (EMFILE and the
+/// like), so a persistent error cannot spin it. Its only sleep.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(2);
+
+/// How often the signal watcher checks for SIGINT/SIGTERM — the bound on
+/// signal-to-shutdown latency. Off the request path.
+const SIGNAL_CHECK: Duration = Duration::from_millis(50);
+
+/// Bound on the loopback connect that wakes the acceptor on shutdown.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Per-socket read timeout so a stalled client cannot pin a worker.
 const SOCKET_READ_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// A shed or refused connection stays open after its response for at most
+/// this long, reading the client's request until its EOF…
+const LINGER_TIMEOUT: Duration = Duration::from_millis(500);
+
+/// …and at most this many bytes of it.
+const LINGER_MAX_BYTES: usize = 64 * 1024;
+
+/// Shed connections the linger thread holds at once; beyond that, the
+/// acceptor closes at once after draining what has already arrived.
+const LINGER_BACKLOG: usize = 32;
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -178,6 +201,8 @@ struct Shared {
 #[derive(Debug, Clone)]
 pub struct ShutdownHandle {
     flag: Arc<AtomicBool>,
+    /// Where a connection wakes the acceptor out of its blocking `accept`.
+    wake: SocketAddr,
 }
 
 impl ShutdownHandle {
@@ -185,7 +210,32 @@ impl ShutdownHandle {
     /// drain, then [`Server::run`] returns.
     pub fn shutdown(&self) {
         self.flag.store(true, Ordering::SeqCst);
+        // The acceptor drops the wake-up connection unread. Once it has
+        // gone, the connect is refused, which is just as good.
+        let _ = TcpStream::connect_timeout(&self.wake, WAKE_TIMEOUT);
     }
+
+    fn requested(&self) -> bool {
+        self.flag.load(Ordering::SeqCst)
+    }
+}
+
+/// The address a shutdown connects to: the bound one, with an unspecified
+/// IP (`0.0.0.0`, `::`) replaced by the loopback address of its family.
+fn wake_addr(mut addr: SocketAddr) -> SocketAddr {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
+}
+
+/// A shed connection waiting on the linger thread for its client's EOF.
+struct Lingering {
+    stream: TcpStream,
+    deadline: Instant,
 }
 
 /// A bound (but not yet running) daemon.
@@ -193,7 +243,7 @@ pub struct Server {
     listener: TcpListener,
     addr: SocketAddr,
     shared: Arc<Shared>,
-    shutdown: Arc<AtomicBool>,
+    shutdown: ShutdownHandle,
 }
 
 impl Server {
@@ -226,7 +276,6 @@ impl Server {
         }
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         Ok(Server {
             listener,
             addr,
@@ -248,7 +297,10 @@ impl Server {
                 trace_serial: Mutex::new(()),
                 last_trace: Mutex::new(None),
             }),
-            shutdown: Arc::new(AtomicBool::new(false)),
+            shutdown: ShutdownHandle {
+                flag: Arc::new(AtomicBool::new(false)),
+                wake: wake_addr(addr),
+            },
         })
     }
 
@@ -259,9 +311,7 @@ impl Server {
 
     /// A handle that triggers graceful shutdown from another thread.
     pub fn shutdown_handle(&self) -> ShutdownHandle {
-        ShutdownHandle {
-            flag: Arc::clone(&self.shutdown),
-        }
+        self.shutdown.clone()
     }
 
     /// Runs the daemon: spawns the handler workers, accepts until shutdown
@@ -273,34 +323,18 @@ impl Server {
             spawn_worker(&self.shared, &registry, index);
         }
 
-        while !self.shutdown.load(Ordering::SeqCst) && !signal::signalled() {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    let conn = Conn {
-                        stream,
-                        accepted_at: Instant::now(),
-                    };
-                    match self.shared.queue.try_push(conn) {
-                        Ok(()) => {}
-                        Err(PushError::Full(conn)) => {
-                            let mut metrics = lock_metrics(&self.shared);
-                            metrics.rejected_busy += 1;
-                            drop(metrics);
-                            reject(&self.shared, conn.stream, 429, "queue full");
-                        }
-                        Err(PushError::Closed(conn)) => {
-                            reject(&self.shared, conn.stream, 503, "shutting down");
-                        }
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(ACCEPT_POLL);
-                }
-                Err(_) => std::thread::sleep(ACCEPT_POLL),
-            }
-        }
+        // The scope joins the signal watcher and the linger thread; the
+        // latter ends once the acceptor's sender is gone and the connections
+        // it holds are done.
+        std::thread::scope(|scope| {
+            let watcher = scope.spawn(|| watch_signals(&self.shutdown));
+            let (linger, lingering) = sync_channel(LINGER_BACKLOG);
+            scope.spawn(move || linger_loop(lingering));
+            self.accept_until_shutdown(&linger);
+            watcher.thread().unpark();
+            self.shared.queue.close();
+        });
 
-        self.shared.queue.close();
         // Join until the registry stays empty: a worker that panics while
         // draining respawns (and registers) its replacement before it dies,
         // so after joining a handle there may be late registrations.
@@ -311,6 +345,78 @@ impl Server {
             }
             for worker in drained {
                 let _ = worker.join();
+            }
+        }
+    }
+
+    /// Blocks in `accept` and queues each connection as it arrives, until
+    /// shutdown is requested.
+    fn accept_until_shutdown(&self, linger: &SyncSender<Lingering>) {
+        loop {
+            let accepted = self.listener.accept();
+            // A shutdown wakes the blocked `accept` with a connection of its
+            // own. That one, and any client racing the shutdown, is dropped
+            // like the rest of the backlog.
+            if self.shutdown.requested() {
+                return;
+            }
+            let Ok((stream, _)) = accepted else {
+                std::thread::sleep(ACCEPT_ERROR_BACKOFF);
+                continue;
+            };
+            let conn = Conn {
+                stream,
+                accepted_at: Instant::now(),
+            };
+            match self.shared.queue.try_push(conn) {
+                Ok(()) => {}
+                Err(PushError::Full(conn)) => {
+                    lock_metrics(&self.shared).rejected_busy += 1;
+                    reject(&self.shared, linger, conn.stream, 429, "queue full");
+                }
+                Err(PushError::Closed(conn)) => {
+                    reject(&self.shared, linger, conn.stream, 503, "shutting down");
+                }
+            }
+        }
+    }
+}
+
+/// Turns SIGINT/SIGTERM into a shutdown. glibc's `signal` installs its
+/// handler with `SA_RESTART`, so a signal does not interrupt the acceptor's
+/// blocking `accept`; this thread checks [`signal::signalled`] instead and
+/// wakes the acceptor as [`ShutdownHandle::shutdown`] does. The acceptor
+/// unparks it on exit.
+fn watch_signals(shutdown: &ShutdownHandle) {
+    while !shutdown.requested() {
+        if signal::signalled() {
+            shutdown.shutdown();
+            return;
+        }
+        std::thread::park_timeout(SIGNAL_CHECK);
+    }
+}
+
+/// Keeps each shed connection open until its client's EOF, reading at most
+/// [`LINGER_MAX_BYTES`] and stopping at its deadline, then closes it. One
+/// thread serves every shed connection in arrival order; each deadline is
+/// absolute, so the whole backlog is done [`LINGER_TIMEOUT`] after the last.
+fn linger_loop(lingering: Receiver<Lingering>) {
+    let mut sink = [0u8; 4096];
+    for Lingering {
+        mut stream,
+        deadline,
+    } in lingering
+    {
+        let mut read = 0;
+        while read < LINGER_MAX_BYTES {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+                break;
+            }
+            match stream.read(&mut sink) {
+                Ok(n) if n > 0 => read += n,
+                _ => break,
             }
         }
     }
@@ -379,22 +485,38 @@ fn lock_metrics(shared: &Shared) -> std::sync::MutexGuard<'_, ServerMetrics> {
 
 /// Writes a bare error response from the acceptor (load shedding and
 /// shutdown refusals never reach the queue).
-fn reject(shared: &Shared, mut stream: TcpStream, status: u16, message: &str) {
+fn reject(
+    shared: &Shared,
+    linger: &SyncSender<Lingering>,
+    mut stream: TcpStream,
+    status: u16,
+    message: &str,
+) {
+    lock_metrics(shared).count_response(status);
     let response = Response::text(status, format!("{message}\n"));
     if response.write_to(&mut stream).is_ok() {
         let _ = stream.flush();
     }
-    // Drain up to 64 KiB of request already received, without waiting for
-    // more: closing a socket with unread input resets the connection, and
-    // the reset can discard the response before the client reads it.
-    let _ = stream.set_nonblocking(true);
-    let mut sink = [0u8; 4096];
-    for _ in 0..16 {
-        if !matches!(stream.read(&mut sink), Ok(n) if n > 0) {
-            break;
+    // Closing a socket with unread input resets the connection, and the
+    // reset can discard the response before the client reads it. The
+    // request has usually not arrived yet, so half-close and hand the
+    // socket to the linger thread to read it: the acceptor never waits on a
+    // client.
+    let _ = stream.shutdown(Shutdown::Write);
+    let lingering = Lingering {
+        stream,
+        deadline: Instant::now() + LINGER_TIMEOUT,
+    };
+    if let Err(TrySendError::Full(Lingering { mut stream, .. })) = linger.try_send(lingering) {
+        // Drain up to 64 KiB that has already arrived, without waiting.
+        let _ = stream.set_nonblocking(true);
+        let mut sink = [0u8; 4096];
+        for _ in 0..LINGER_MAX_BYTES / sink.len() {
+            if !matches!(stream.read(&mut sink), Ok(n) if n > 0) {
+                break;
+            }
         }
     }
-    lock_metrics(shared).count_response(status);
 }
 
 /// One handler worker: drain the queue until it is closed and empty.
@@ -435,10 +557,12 @@ fn handle_connection(shared: &Shared, conn: Conn) {
         Err(HttpError { status, message }) => Response::text(status, format!("{message}\n")),
     };
     let response = response.header("X-Request-Id", &request_id);
+    // Count before writing: a client that has read this response may ask
+    // another worker for `/metrics` at once, and must find it counted.
+    lock_metrics(shared).count_response(response.status);
     if response.write_to(&mut stream).is_ok() {
         let _ = stream.flush();
     }
-    lock_metrics(shared).count_response(response.status);
     // The access log: one JSON object per request on stderr, keyed by the
     // same id the client saw in `X-Request-Id`.
     eprintln!(

@@ -3,13 +3,15 @@
 //! The daemon needs exactly one bit of information from the OS: "a shutdown
 //! signal arrived". The handler installed here does the only thing an
 //! async-signal-safe handler may do with our toolbox — store to a static
-//! atomic — and the accept loop polls [`signalled`] between `accept` attempts
-//! (the listener is non-blocking, so the poll latency is bounded by the
-//! accept-loop sleep, not by the next connection).
+//! atomic. glibc's `signal` installs it with `SA_RESTART`, so the signal
+//! does not interrupt the acceptor's blocking `accept`. Instead a watcher
+//! thread in [`Server::run`](crate::Server::run) checks [`signalled`] every
+//! 50 ms and wakes the acceptor with a loopback connection, just as
+//! [`ShutdownHandle::shutdown`](crate::ShutdownHandle::shutdown) does.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Set by the handler; read by the accept loop.
+/// Set by the handler; read by the signal watcher.
 static SIGNALLED: AtomicBool = AtomicBool::new(false);
 
 /// Whether SIGINT or SIGTERM has arrived since [`install_handlers`].

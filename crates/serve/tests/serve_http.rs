@@ -2,7 +2,9 @@
 //! surface, the HTTP error taxonomy derived from `ErrorKind`, backpressure
 //! (429), deadlines (504) and graceful shutdown.
 
+use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::mpsc;
 use std::time::Duration;
 
 use nassc::{qasm, Device, TranspileOptions, Transpiler};
@@ -173,6 +175,46 @@ fn full_queue_sheds_load_with_429() {
     std::thread::sleep(Duration::from_millis(100)); // let the acceptor queue it
     let rejected = client::post(&addr, "/transpile", BELL).expect("second connection");
     assert_eq!(rejected.status, 429);
+    stop();
+}
+
+/// The shed client sends its request only after the 429 has arrived, in two
+/// writes. Closing the socket right after the response would answer the
+/// first write with a reset, failing the second write or the read.
+#[test]
+fn shed_connection_reads_429_after_sending_its_request_late() {
+    let (addr, stop) = boot(ServeConfig {
+        workers: 0,
+        queue_depth: 1,
+        ..default_config()
+    });
+    // The listener's backlog is FIFO: the first connection fills the queue.
+    let _parked = TcpStream::connect(&addr).expect("first connection");
+    let mut shed = TcpStream::connect(&addr).expect("second connection");
+    shed.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    let mut first_byte = [0u8; 1];
+    assert_eq!(shed.peek(&mut first_byte).expect("429 arrives"), 1);
+    // The pauses only let a server that closes right after its response do
+    // so, and its reset reach the client, before each write.
+    std::thread::sleep(Duration::from_millis(20));
+
+    let head = format!(
+        "POST /transpile HTTP/1.1\r\nhost: {addr}\r\nconnection: close\r\n\
+         content-length: {}\r\n\r\n",
+        BELL.len()
+    );
+    shed.write_all(head.as_bytes()).expect("first write");
+    std::thread::sleep(Duration::from_millis(20));
+    shed.write_all(BELL.as_bytes()).expect("second write");
+    let mut response = String::new();
+    shed.read_to_string(&mut response)
+        .expect("read the response");
+    assert!(
+        response.starts_with("HTTP/1.1 429"),
+        "response: {response:?}"
+    );
+    drop(shed);
     stop();
 }
 
@@ -485,4 +527,78 @@ fn graceful_shutdown_drains_and_stops_listening() {
         TcpStream::connect(&addr).is_err(),
         "listener must be closed after shutdown"
     );
+}
+
+/// `run` returns after `shutdown` even when no client ever connects: the
+/// wake-up connection reaches an acceptor bound to the unspecified address
+/// through loopback.
+#[test]
+fn shutdown_wakes_an_idle_acceptor_bound_to_an_unspecified_address() {
+    let server = Server::bind(ServeConfig {
+        addr: "0.0.0.0:0".to_string(),
+        ..default_config()
+    })
+    .expect("bind");
+    let shutdown = server.shutdown_handle();
+    let (returned, run_returned) = mpsc::channel();
+    let running = std::thread::spawn(move || {
+        server.run();
+        let _ = returned.send(());
+    });
+    shutdown.shutdown();
+    run_returned
+        .recv_timeout(Duration::from_secs(10))
+        .expect("run must return after shutdown");
+    running.join().expect("server thread");
+}
+
+/// SIGTERM reaches the real binary's blocked acceptor: after one request the
+/// daemon drains, reports it on stderr and exits 0.
+#[cfg(unix)]
+#[test]
+fn sigterm_stops_the_daemon_binary() {
+    use std::io::{BufRead, BufReader};
+    use std::process::{Command, Stdio};
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_nassc-serve"))
+        .args(["--addr", "127.0.0.1:0", "--device", "linear:4"])
+        .args(["--workers", "1"])
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn nassc-serve");
+    let pid = child.id().to_string();
+    let mut stderr = BufReader::new(child.stderr.take().expect("stderr"));
+    let mut banner = String::new();
+    let _ = stderr.read_line(&mut banner);
+    let Some(addr) = banner
+        .strip_prefix("nassc-serve listening on ")
+        .and_then(|rest| rest.split_whitespace().next())
+        .map(str::to_string)
+    else {
+        let _ = child.kill();
+        panic!("unexpected banner {banner:?}");
+    };
+
+    // The rest of stderr and the exit status, collected on another thread so
+    // that a daemon which misses the signal fails the test, not hangs it.
+    let (exited, exit) = mpsc::channel();
+    let waiter = std::thread::spawn(move || {
+        let mut rest = String::new();
+        let _ = stderr.read_to_string(&mut rest);
+        let _ = exited.send((child.wait(), rest));
+    });
+
+    // Signal before asserting anything, so that no failure leaves the
+    // daemon running.
+    let response = client::post(&addr, "/transpile", BELL);
+    let term = Command::new("kill").args(["-TERM", &pid]).status();
+    let Ok((status, stderr)) = exit.recv_timeout(Duration::from_secs(10)) else {
+        let _ = Command::new("kill").args(["-KILL", &pid]).status();
+        panic!("nassc-serve did not exit within 10 s of SIGTERM ({term:?})");
+    };
+    waiter.join().expect("waiter thread");
+    let response = response.expect("request");
+    assert_eq!(response.status, 200, "body: {}", response.body);
+    assert!(status.expect("wait").success(), "stderr: {stderr}");
+    assert!(stderr.contains("drained and stopped"), "stderr: {stderr}");
 }
