@@ -7,7 +7,6 @@
 
 use nassc::{SessionJob, TranspileOptions, Transpiler};
 use nassc_bench::{cli_usize, BenchReport, HarnessArgs, ReportRow};
-use nassc_parallel::parallel_map;
 use nassc_sim::{success_rate, NoiseModel};
 use nassc_topology::{Calibration, CouplingMap};
 
@@ -74,9 +73,10 @@ fn main() {
         .iter()
         .map(|r| r.as_ref().expect("transpile").elapsed.as_secs_f64())
         .sum();
-    // The noisy shot simulations dominate wall-clock; fan them out too
-    // (the per-call seed is fixed, so rates match the serial harness).
-    let rates = parallel_map(routed.iter().collect(), |result| {
+    // The noisy shot simulations dominate wall-clock; fan them out over the
+    // session's worker budget too (the per-call seed is fixed, so rates
+    // match the serial harness).
+    let rates = session.pool().map(routed.iter().collect(), |result| {
         success_rate(
             &result.as_ref().expect("transpile").circuit,
             &noise,

@@ -196,45 +196,24 @@ pub fn geometric_mean_reduction(reductions: &[f64]) -> f64 {
 /// matching the serial harness of earlier revisions.
 pub const BASE_SEED: u64 = 1000;
 
-/// Runs SABRE and NASSC over a whole suite, averaging over `runs` seeds per
-/// benchmark.
+/// Runs SABRE and NASSC over a whole suite through a caller-owned
+/// [`Transpiler`] session, averaging over `runs` seeds per benchmark, with
+/// `layout_trials` independent layout trials per transpile (`1` = the
+/// single-trial path).
 ///
-/// The full (benchmark × seed × router) grid goes through one
-/// [`Transpiler`] session as a single [`Transpiler::transpile_jobs`] batch,
-/// so parallelism spans benchmarks, seeds and routers at once. The
-/// seed-independent work is done exactly once per benchmark — pre-routing
-/// optimization (whose output is also the unrouted baseline of each row,
-/// served from the session's prepared cache) and the per-device distance
-/// matrix — instead of once per job. CNOT and depth aggregates are
-/// bit-identical to the serial per-benchmark loop this replaces; `time_s`
-/// covers the seed-dependent pipeline tail only (layout, routing,
-/// decomposition, post-optimization), so the shared preparation no longer
-/// dilutes the `t_NASSC / t_SABRE` ratio.
-pub fn compare_suite(
-    suite: &[Benchmark],
-    coupling: &CouplingMap,
-    runs: usize,
-) -> Vec<ComparisonRow> {
-    compare_suite_with_trials(suite, coupling, runs, 1)
-}
-
-/// [`compare_suite`] with `layout_trials` independent layout trials per
-/// transpile (`1` = the historical single-trial path). The session splits
-/// the worker budget between jobs and trials, so the grid never
-/// oversubscribes the cores.
-pub fn compare_suite_with_trials(
-    suite: &[Benchmark],
-    coupling: &CouplingMap,
-    runs: usize,
-    layout_trials: usize,
-) -> Vec<ComparisonRow> {
-    let session = Transpiler::new(coupling.clone(), TranspileOptions::new());
-    compare_suite_on(&session, suite, runs, layout_trials)
-}
-
-/// [`compare_suite_with_trials`] against a caller-owned [`Transpiler`]
-/// session — the session-reuse benchmark drives a cold and a warm corpus
-/// pass through the same session to measure what the caches buy.
+/// The full (benchmark × seed × router) grid goes through the session as a
+/// single [`Transpiler::transpile_jobs`] batch, so parallelism spans
+/// benchmarks, seeds and routers at once, and the session splits its worker
+/// budget between jobs and trials so the grid never oversubscribes the
+/// cores. The seed-independent work is done exactly once per benchmark —
+/// pre-routing optimization (whose output is also the unrouted baseline of
+/// each row, served from the session's prepared cache) and the per-device
+/// distance matrix — instead of once per job. CNOT and depth aggregates are
+/// bit-identical to a serial per-benchmark loop; `time_s` covers the
+/// seed-dependent pipeline tail only (layout, routing, decomposition,
+/// post-optimization), so the shared preparation does not dilute the
+/// `t_NASSC / t_SABRE` ratio. The session-reuse benchmark drives a cold and
+/// a warm corpus pass through one session to measure what the caches buy.
 pub fn compare_suite_on(
     session: &Transpiler,
     suite: &[Benchmark],
@@ -290,17 +269,6 @@ pub fn compare_suite_on(
             }
         })
         .collect()
-}
-
-/// Runs SABRE and NASSC on one benchmark, averaging over `runs` seeds.
-pub fn compare_benchmark(
-    benchmark: &Benchmark,
-    coupling: &CouplingMap,
-    runs: usize,
-) -> ComparisonRow {
-    compare_suite(std::slice::from_ref(benchmark), coupling, runs)
-        .pop()
-        .expect("one row per benchmark")
 }
 
 /// Returns the value following `name` in the process arguments
@@ -708,6 +676,16 @@ mod tests {
     use super::*;
     use nassc_benchmarks::quick_benchmarks;
 
+    /// [`compare_suite_on`] through a fresh single-trial session.
+    fn compare_suite(
+        suite: &[Benchmark],
+        coupling: &CouplingMap,
+        runs: usize,
+    ) -> Vec<ComparisonRow> {
+        let session = Transpiler::new(coupling.clone(), TranspileOptions::new());
+        compare_suite_on(&session, suite, runs, 1)
+    }
+
     #[test]
     fn relative_reduction_basic_cases() {
         assert!((relative_reduction(80.0, 100.0) - 0.2).abs() < 1e-12);
@@ -724,8 +702,8 @@ mod tests {
     #[test]
     fn comparison_row_on_small_benchmark() {
         let device = CouplingMap::linear(25);
-        let bench = &quick_benchmarks()[0]; // Grover_4-qubits
-        let row = compare_benchmark(bench, &device, 1);
+        let suite = &quick_benchmarks()[..1]; // Grover_4-qubits
+        let row = &compare_suite(suite, &device, 1)[0];
         assert!(row.original_cx > 0);
         assert!(row.sabre.cx_total >= row.original_cx as f64);
     }

@@ -1,12 +1,11 @@
 //! Dependency-DAG view of a circuit.
 //!
-//! Routing (SABRE and NASSC) and several optimization passes need to know,
-//! for each gate, which gates must execute before it and which come after it
-//! on each qubit wire. [`DagCircuit`] precomputes those relations: a node per
-//! instruction, an edge `i → j` whenever `j` consumes a qubit last written by
-//! `i`.
-
-use std::collections::HashMap;
+//! Routing (SABRE and NASSC) walks a circuit gate by gate in dependency
+//! order: it needs, for each gate, the gates that consume a qubit it was the
+//! last to act on, and how many gates it still waits for. [`DagCircuit`]
+//! precomputes exactly that: a node per instruction, an edge `i → j`
+//! whenever `j` consumes a qubit last acted on by `i`, and each node's
+//! in-degree.
 
 use crate::circuit::QuantumCircuit;
 use crate::instruction::Instruction;
@@ -18,31 +17,14 @@ pub struct DagNode {
     pub id: usize,
     /// The instruction itself.
     pub instruction: Instruction,
-    preds: Vec<usize>,
+    in_degree: usize,
     succs: Vec<usize>,
-    wire_pred: HashMap<usize, usize>,
-    wire_succ: HashMap<usize, usize>,
 }
 
 impl DagNode {
-    /// All predecessor node ids (deduplicated, in wire order).
-    pub fn predecessors(&self) -> &[usize] {
-        &self.preds
-    }
-
     /// All successor node ids (deduplicated, in wire order).
     pub fn successors(&self) -> &[usize] {
         &self.succs
-    }
-
-    /// The previous node on the given qubit wire, if any.
-    pub fn wire_predecessor(&self, qubit: usize) -> Option<usize> {
-        self.wire_pred.get(&qubit).copied()
-    }
-
-    /// The next node on the given qubit wire, if any.
-    pub fn wire_successor(&self, qubit: usize) -> Option<usize> {
-        self.wire_succ.get(&qubit).copied()
     }
 }
 
@@ -56,8 +38,9 @@ impl DagNode {
 /// let mut qc = QuantumCircuit::new(3);
 /// qc.h(0).cx(0, 1).cx(1, 2);
 /// let dag = DagCircuit::from_circuit(&qc);
-/// assert_eq!(dag.front_layer(), vec![0]);            // only h(0) is ready
-/// assert_eq!(dag.node(2).predecessors(), &[1]);      // cx(1,2) waits on cx(0,1)
+/// assert_eq!(dag.front_layer(), vec![0]);          // only h(0) is ready
+/// assert_eq!(dag.node(1).successors(), &[2]);      // cx(1,2) waits on cx(0,1)
+/// assert_eq!(dag.in_degrees(), vec![0, 1, 1]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct DagCircuit {
@@ -74,18 +57,16 @@ impl DagCircuit {
         let mut last_on_wire: Vec<Option<usize>> = vec![None; circuit.num_qubits()];
 
         for (id, inst) in circuit.iter().enumerate() {
-            let mut preds = Vec::new();
-            let mut wire_pred = HashMap::new();
+            let mut in_degree = 0;
             for q in inst.qubits().iter() {
                 if let Some(p) = last_on_wire[q] {
-                    wire_pred.insert(q, p);
-                    if !preds.contains(&p) {
-                        preds.push(p);
-                    }
-                    let pred_node = &mut nodes[p];
-                    pred_node.wire_succ.insert(q, id);
-                    if !pred_node.succs.contains(&id) {
-                        pred_node.succs.push(id);
+                    // Successors are pushed in id order, so `id` is already
+                    // an edge of `p` exactly when an earlier wire of this
+                    // instruction also led back to `p`.
+                    let succs = &mut nodes[p].succs;
+                    if succs.last() != Some(&id) {
+                        succs.push(id);
+                        in_degree += 1;
                     }
                 }
                 last_on_wire[q] = Some(id);
@@ -93,10 +74,8 @@ impl DagCircuit {
             nodes.push(DagNode {
                 id,
                 instruction: inst.clone(),
-                preds,
+                in_degree,
                 succs: Vec::new(),
-                wire_pred,
-                wire_succ: HashMap::new(),
             });
         }
 
@@ -125,16 +104,11 @@ impl DagCircuit {
         &self.nodes[id]
     }
 
-    /// Iterates over the nodes in topological (instruction) order.
-    pub fn iter(&self) -> std::slice::Iter<'_, DagNode> {
-        self.nodes.iter()
-    }
-
     /// Node ids with no predecessors — the initial front layer.
     pub fn front_layer(&self) -> Vec<usize> {
         self.nodes
             .iter()
-            .filter(|n| n.preds.is_empty())
+            .filter(|n| n.in_degree == 0)
             .map(|n| n.id)
             .collect()
     }
@@ -143,88 +117,26 @@ impl DagCircuit {
     /// indexed by node id. Routing algorithms use this as the initial state
     /// of their "unresolved dependency" counters.
     pub fn in_degrees(&self) -> Vec<usize> {
-        self.nodes.iter().map(|n| n.preds.len()).collect()
-    }
-
-    /// Longest-path depth of the DAG, counting only non-directive gates.
-    pub fn depth(&self) -> usize {
-        let mut level = vec![0usize; self.nodes.len()];
-        let mut max = 0;
-        for node in &self.nodes {
-            let base = node.preds.iter().map(|&p| level[p]).max().unwrap_or(0);
-            let own = if node.instruction.gate.is_directive() {
-                base
-            } else {
-                base + 1
-            };
-            level[node.id] = own;
-            max = max.max(own);
-        }
-        max
-    }
-
-    /// Converts the DAG back into a flat circuit (instruction order is the
-    /// node-id order, which is topological by construction).
-    pub fn to_circuit(&self) -> QuantumCircuit {
-        let mut qc = QuantumCircuit::new(self.num_qubits);
-        for node in &self.nodes {
-            qc.push(node.instruction.clone());
-        }
-        qc
-    }
-
-    /// Walks forward along a qubit wire starting *after* `node_id`, returning
-    /// the node ids encountered (up to `limit`). Useful for commute-set
-    /// searches which the paper caps at 20 gates.
-    pub fn wire_walk_forward(&self, node_id: usize, qubit: usize, limit: usize) -> Vec<usize> {
-        let mut out = Vec::new();
-        let mut current = self.nodes[node_id].wire_successor(qubit);
-        while let Some(id) = current {
-            out.push(id);
-            if out.len() >= limit {
-                break;
-            }
-            current = self.nodes[id].wire_successor(qubit);
-        }
-        out
-    }
-
-    /// Walks backward along a qubit wire starting *before* `node_id`.
-    pub fn wire_walk_backward(&self, node_id: usize, qubit: usize, limit: usize) -> Vec<usize> {
-        let mut out = Vec::new();
-        let mut current = self.nodes[node_id].wire_predecessor(qubit);
-        while let Some(id) = current {
-            out.push(id);
-            if out.len() >= limit {
-                break;
-            }
-            current = self.nodes[id].wire_predecessor(qubit);
-        }
-        out
+        self.nodes.iter().map(|n| n.in_degree).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gate::Gate;
-
-    fn sample() -> QuantumCircuit {
-        let mut qc = QuantumCircuit::new(3);
-        qc.h(0).cx(0, 1).rz(0.5, 1).cx(1, 2).h(2);
-        qc
-    }
 
     #[test]
     fn edges_follow_wires() {
-        let dag = DagCircuit::from_circuit(&sample());
+        let mut qc = QuantumCircuit::new(3);
+        qc.h(0).cx(0, 1).rz(0.5, 1).cx(1, 2).h(2);
+        let dag = DagCircuit::from_circuit(&qc);
         assert_eq!(dag.num_nodes(), 5);
         // h(0) -> cx(0,1) -> rz(1) -> cx(1,2) -> h(2)
-        assert_eq!(dag.node(1).predecessors(), &[0]);
-        assert_eq!(dag.node(2).predecessors(), &[1]);
-        assert_eq!(dag.node(3).predecessors(), &[2]);
-        assert_eq!(dag.node(4).predecessors(), &[3]);
-        assert_eq!(dag.node(0).successors(), &[1]);
+        for id in 0..4 {
+            assert_eq!(dag.node(id).successors(), &[id + 1]);
+        }
+        assert!(dag.node(4).successors().is_empty());
+        assert_eq!(dag.in_degrees(), vec![0, 1, 1, 1, 1]);
     }
 
     #[test]
@@ -233,32 +145,7 @@ mod tests {
         qc.cx(0, 1).cx(2, 3).cx(1, 2);
         let dag = DagCircuit::from_circuit(&qc);
         assert_eq!(dag.front_layer(), vec![0, 1]);
-        assert_eq!(dag.node(2).predecessors(), &[0, 1]);
-    }
-
-    #[test]
-    fn roundtrip_to_circuit() {
-        let qc = sample();
-        let dag = DagCircuit::from_circuit(&qc);
-        assert_eq!(dag.to_circuit(), qc);
-    }
-
-    #[test]
-    fn dag_depth_matches_circuit_depth() {
-        let qc = sample();
-        let dag = DagCircuit::from_circuit(&qc);
-        assert_eq!(dag.depth(), qc.depth());
-    }
-
-    #[test]
-    fn wire_navigation() {
-        let dag = DagCircuit::from_circuit(&sample());
-        // Wire 1: cx(0,1)=node1 -> rz=node2 -> cx(1,2)=node3.
-        assert_eq!(dag.node(1).wire_successor(1), Some(2));
-        assert_eq!(dag.node(3).wire_predecessor(1), Some(2));
-        assert_eq!(dag.wire_walk_forward(1, 1, 10), vec![2, 3]);
-        assert_eq!(dag.wire_walk_backward(3, 1, 10), vec![2, 1]);
-        assert_eq!(dag.wire_walk_forward(1, 1, 1), vec![2]);
+        assert_eq!(dag.in_degrees(), vec![0, 0, 2]);
     }
 
     #[test]
@@ -266,30 +153,9 @@ mod tests {
         let mut qc = QuantumCircuit::new(2);
         qc.cx(0, 1).cx(0, 1);
         let dag = DagCircuit::from_circuit(&qc);
-        // Second CX depends on the first via both wires but the pred list is
-        // deduplicated.
-        assert_eq!(dag.node(1).predecessors(), &[0]);
-        assert_eq!(dag.node(1).wire_predecessor(0), Some(0));
-        assert_eq!(dag.node(1).wire_predecessor(1), Some(0));
-    }
-
-    #[test]
-    fn in_degrees_match_predecessor_counts() {
-        let dag = DagCircuit::from_circuit(&sample());
-        let degrees = dag.in_degrees();
-        for node in dag.iter() {
-            assert_eq!(degrees[node.id], node.predecessors().len());
-        }
-        assert_eq!(degrees[0], 0);
-    }
-
-    #[test]
-    fn directive_nodes_do_not_add_depth() {
-        let mut qc = QuantumCircuit::new(2);
-        qc.h(0);
-        qc.append(Gate::Barrier(2), vec![0, 1]);
-        qc.h(1);
-        let dag = DagCircuit::from_circuit(&qc);
-        assert_eq!(dag.depth(), 2);
+        // The second CX depends on the first via both wires, but the edge
+        // and the in-degree count it once.
+        assert_eq!(dag.node(0).successors(), &[1]);
+        assert_eq!(dag.in_degrees(), vec![0, 1]);
     }
 }

@@ -6,8 +6,7 @@
 //! * [`Instruction`] — a gate bound to qubit indices,
 //! * [`QuantumCircuit`] — an ordered instruction list with builder helpers
 //!   and size/depth metrics,
-//! * [`DagCircuit`] — the dependency-DAG view used by routing and the
-//!   optimization passes,
+//! * [`DagCircuit`] — the dependency-DAG view routing walks,
 //! * [`unitary`] — dense unitary construction for equivalence checking of
 //!   small circuits.
 //!

@@ -63,9 +63,7 @@ pub use cost::{
 };
 pub use device::{Device, DeviceParseError};
 pub use error::{Error, ErrorKind};
-pub use pipeline::{
-    decompose_swaps_fixed, optimize_without_routing, RouterKind, TranspileOptions, TranspileResult,
-};
+pub use pipeline::{optimize_without_routing, RouterKind, TranspileOptions, TranspileResult};
 pub use policy::NasscPolicy;
 pub use session::{CacheStats, SessionJob, Transpiler};
 

@@ -58,8 +58,8 @@ pub struct TranspileOptions {
     pub calibration: Option<Calibration>,
     /// Number of independent layout trials (see
     /// [`nassc_sabre::LayoutTrials`]). `1` (the default) selects the
-    /// single-trial compatibility path, whose outputs are bit-identical to
-    /// the historical single-`StdRng` [`nassc_sabre::sabre_layout`]; `N > 1` runs `N`
+    /// single-trial path, the single-`StdRng` refinement of
+    /// [`nassc_sabre::sabre_layout_prepared_budgeted`]; `N > 1` runs `N`
     /// independently seeded trials refined through the router's own
     /// [`nassc_sabre::SwapPolicy`] and keeps the one whose full routing pass
     /// costs least — fewest SWAPs for SABRE, fewest CNOTs surviving the
@@ -275,12 +275,6 @@ pub(crate) fn optimize_without_routing_budgeted(
     standard_optimization_pipeline().run_with_budget(&unrolled, budget)
 }
 
-/// Expands every SWAP with the fixed default template (what the baseline
-/// Qiskit+SABRE flow does): NASSC's expansion with no orientation recorded.
-pub fn decompose_swaps_fixed(circuit: &QuantumCircuit) -> QuantumCircuit {
-    NasscPolicy::default().decompose_swaps(circuit)
-}
-
 /// What one router contributes to the shared pipeline tail: its SWAP
 /// scorer, how it prices a layout trial and how it expands SWAPs.
 pub(crate) trait Router: SwapPolicy + Send + Sync {
@@ -297,7 +291,9 @@ pub(crate) trait Router: SwapPolicy + Send + Sync {
 
 /// SABRE prices every SWAP at three CNOTs, so a trial's SWAP count is (up to
 /// a constant factor) the CNOT overhead its layout costs — the trial score
-/// Qiskit's SabreLayout uses.
+/// Qiskit's SabreLayout uses. Its SWAPs expand with the fixed default
+/// template (what the baseline Qiskit+SABRE flow does): NASSC's expansion
+/// with no orientation recorded.
 impl Router for SabrePolicy {
     fn from_options(_: &TranspileOptions) -> Self {
         SabrePolicy
@@ -308,7 +304,7 @@ impl Router for SabrePolicy {
     }
 
     fn expand_swaps(&self, routed: &QuantumCircuit) -> QuantumCircuit {
-        decompose_swaps_fixed(routed)
+        NasscPolicy::default().decompose_swaps(routed)
     }
 }
 
@@ -347,7 +343,7 @@ pub(crate) struct LayoutWinner {
 /// routes: in single-trial mode its production route is one pass from the
 /// refined layout, and in multi-trial mode the winner's scoring pass already
 /// runs on the production RNG, so its route *is* the production route (see
-/// [`LayoutTrials::run_routed`]). The pool size affects wall clock only.
+/// [`LayoutTrials::run`]). The pool size affects wall clock only.
 ///
 /// Every layout trial, routing step and optimization pass checkpoints
 /// `budget`; an exhausted budget unwinds with a typed `Cancelled` payload,
@@ -466,7 +462,7 @@ impl Tail<'_> {
             .pool(trial_pool)
             .score_pool(score_pool)
             .budget(self.budget.clone())
-            .run_routed(
+            .run(
                 || R::from_options(self.options),
                 |routed, router: &R| router.trial_cost(routed),
             );
@@ -587,7 +583,7 @@ mod tests {
     fn fixed_swap_decomposition_removes_swaps() {
         let mut qc = QuantumCircuit::new(3);
         qc.swap(0, 1).cx(1, 2).swap(1, 2);
-        let out = decompose_swaps_fixed(&qc);
+        let out = SabrePolicy.expand_swaps(&qc);
         assert_eq!(out.swap_count(), 0);
         assert_eq!(out.cx_count(), 7);
     }

@@ -153,11 +153,32 @@ impl SwapPolicy for NasscPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nassc_circuit::circuits_equivalent;
-    use nassc_sabre::{route_with_policy, SabreConfig};
+    use nassc_circuit::{circuits_equivalent, DagCircuit};
+    use nassc_parallel::ThreadPool;
+    use nassc_sabre::{route_prepared, RoutingResult, SabreConfig};
     use nassc_topology::CouplingMap;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Routes `qc` from the trivial layout with `policy`, `seed` seeding
+    /// both the heuristic configuration and the RNG.
+    fn route(
+        qc: &QuantumCircuit,
+        coupling: &CouplingMap,
+        policy: &mut NasscPolicy,
+        seed: u64,
+    ) -> RoutingResult {
+        route_prepared(
+            &DagCircuit::from_circuit(qc),
+            coupling,
+            &coupling.distance_matrix(),
+            &Layout::trivial(coupling.num_qubits()),
+            &SabreConfig::with_seed(seed),
+            policy,
+            &mut StdRng::seed_from_u64(seed),
+            &ThreadPool::new(1),
+        )
+    }
 
     #[test]
     fn routes_figure1_circuit_with_one_swap() {
@@ -165,19 +186,7 @@ mod tests {
         let mut qc = QuantumCircuit::new(3);
         qc.cx(1, 2).cx(0, 1).cx(0, 2);
         let mut policy = NasscPolicy::new(OptimizationFlags::all());
-        let distances = line.distance_matrix();
-        let layout = Layout::trivial(3);
-        let config = SabreConfig::with_seed(1);
-        let mut rng = StdRng::seed_from_u64(1);
-        let result = route_with_policy(
-            &qc,
-            &line,
-            &distances,
-            &layout,
-            &config,
-            &mut policy,
-            &mut rng,
-        );
+        let result = route(&qc, &line, &mut policy, 1);
         assert_eq!(result.swap_count, 1);
     }
 
@@ -187,19 +196,7 @@ mod tests {
         let mut qc = QuantumCircuit::new(4);
         qc.cx(0, 3).h(1).cx(1, 2).cx(0, 3).cx(2, 3);
         let mut policy = NasscPolicy::new(OptimizationFlags::all());
-        let distances = grid.distance_matrix();
-        let layout = Layout::trivial(4);
-        let config = SabreConfig::with_seed(4);
-        let mut rng = StdRng::seed_from_u64(4);
-        let result = route_with_policy(
-            &qc,
-            &grid,
-            &distances,
-            &layout,
-            &config,
-            &mut policy,
-            &mut rng,
-        );
+        let result = route(&qc, &grid, &mut policy, 4);
         let decomposed = policy.decompose_swaps(&result.circuit);
         assert_eq!(decomposed.swap_count(), 0);
         assert!(circuits_equivalent(&result.circuit, &decomposed, 1e-8));
@@ -245,7 +242,6 @@ mod tests {
         use nassc_passes::is_mapped;
         use rand::Rng;
         let line = CouplingMap::linear(5);
-        let distances = line.distance_matrix();
         let mut rng = StdRng::seed_from_u64(33);
         for trial in 0..8 {
             let mut qc = QuantumCircuit::new(5);
@@ -259,18 +255,7 @@ mod tests {
                 }
             }
             let mut policy = NasscPolicy::new(OptimizationFlags::all());
-            let layout = Layout::trivial(5);
-            let config = SabreConfig::with_seed(trial);
-            let mut route_rng = StdRng::seed_from_u64(trial);
-            let result = route_with_policy(
-                &qc,
-                &line,
-                &distances,
-                &layout,
-                &config,
-                &mut policy,
-                &mut route_rng,
-            );
+            let result = route(&qc, &line, &mut policy, trial);
             assert!(is_mapped(&result.circuit, &line));
             let decomposed = policy.decompose_swaps(&result.circuit);
             assert!(is_mapped(&decomposed, &line));

@@ -302,10 +302,11 @@ impl Transpiler {
     ///
     /// # Errors
     ///
-    /// [`Error::Pass`] when an optimization pass fails, [`Error::Internal`]
-    /// when a panic was caught (and contained) at the session boundary,
-    /// [`Error::Deadline`] when [`TranspileOptions::deadline`] expired
-    /// mid-flight.
+    /// [`Error::TooWide`] when the circuit needs more qubits than the device
+    /// has, [`Error::Pass`] when an optimization pass fails,
+    /// [`Error::Internal`] when a panic was caught (and contained) at the
+    /// session boundary, [`Error::Deadline`] when
+    /// [`TranspileOptions::deadline`] expired mid-flight.
     pub fn transpile(&self, circuit: &QuantumCircuit) -> Result<TranspileResult, Error> {
         self.transpile_with(circuit, &self.options)
     }
@@ -327,24 +328,15 @@ impl Transpiler {
             .expect("one job yields one result")
     }
 
-    /// Transpiles every circuit under the session's default options,
-    /// fanning the batch across the worker budget. Results come back in
-    /// input order; a failed circuit yields its error in place.
-    pub fn transpile_batch(
-        &self,
-        circuits: &[QuantumCircuit],
-    ) -> Vec<Result<TranspileResult, Error>> {
-        let jobs: Vec<SessionJob<'_>> = circuits.iter().map(SessionJob::new).collect();
-        self.transpile_jobs(&jobs)
-    }
-
     /// The general batch entry point: transpiles every job (each optionally
     /// overriding the session options), sharing all caches and splitting the
     /// worker budget between jobs and each job's layout trials.
     ///
     /// Results come back in job order and are bit-identical to calling
     /// [`transpile_with`](Self::transpile_with) per job in sequence —
-    /// whatever the worker count or cache temperature.
+    /// whatever the worker count or cache temperature. A failed job yields
+    /// its error in place (see [`transpile`](Self::transpile) for the
+    /// kinds); its siblings are unaffected.
     pub fn transpile_jobs(&self, jobs: &[SessionJob<'_>]) -> Vec<Result<TranspileResult, Error>> {
         // Deadlines are anchored here, at request entry: a job's budget
         // covers its share of resolution, layout, routing and optimization.
@@ -402,15 +394,13 @@ impl Transpiler {
     }
 
     /// Transpiles OpenQASM 2.0 source under the session's default options:
-    /// parse, capacity-check, then [`transpile`](Self::transpile), with
-    /// every failure domain folded into one [`Error`] (branch on
-    /// [`Error::kind`]).
+    /// parse, then [`transpile`](Self::transpile), with every failure domain
+    /// folded into one [`Error`] (branch on [`Error::kind`]).
     ///
     /// # Errors
     ///
-    /// [`Error::Qasm`] when the source does not parse, [`Error::TooWide`]
-    /// when the circuit needs more qubits than the device has,
-    /// [`Error::Pass`] when an optimization pass fails.
+    /// [`Error::Qasm`] when the source does not parse; otherwise as
+    /// [`transpile`](Self::transpile).
     pub fn transpile_qasm(&self, source: &str) -> Result<TranspileResult, Error> {
         self.transpile_qasm_with(source, &self.options)
     }
@@ -428,18 +418,12 @@ impl Transpiler {
         options: &TranspileOptions,
     ) -> Result<TranspileResult, Error> {
         let circuit = nassc_qasm::parse(source)?;
-        self.check_fits(&circuit)?;
         self.transpile_with(&circuit, options)
     }
 
     /// Checks that `circuit` fits on the session's device; routing a wider
     /// circuit would panic deep inside layout instead of failing cleanly.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::TooWide`] when the circuit declares more qubits than the
-    /// device has.
-    pub fn check_fits(&self, circuit: &QuantumCircuit) -> Result<(), Error> {
+    fn check_fits(&self, circuit: &QuantumCircuit) -> Result<(), Error> {
         if circuit.num_qubits() > self.device.num_qubits() {
             return Err(Error::too_wide(
                 circuit.num_qubits(),
@@ -520,7 +504,8 @@ impl Transpiler {
     }
 
     /// Makes every cache decision for one job, updating that job's private
-    /// counters. Runs under the session lock.
+    /// counters. Runs under the session lock. A circuit too wide for the
+    /// device fails here, before it touches any cache.
     fn resolve(
         &self,
         state: &mut SessionState,
@@ -529,6 +514,7 @@ impl Transpiler {
         options: TranspileOptions,
         budget: Budget,
     ) -> Result<ResolvedJob, Error> {
+        self.check_fits(circuit)?;
         let mut stats = CacheStats::default();
 
         let cached = state
@@ -811,6 +797,26 @@ mod tests {
         assert_eq!(keys, [None, Some(calibration)]);
         assert_eq!(*state.distances[0].1, session.coupling().distance_matrix());
         assert_ne!(*state.distances[1].1, *state.distances[0].1);
+    }
+
+    #[test]
+    fn too_wide_circuits_fail_cleanly_at_every_entry_point() {
+        // The session's device has 4 qubits.
+        let session = session();
+        let wide = ghz(6);
+        let narrow = ghz(3);
+        let too_wide = |result: &Result<TranspileResult, Error>| {
+            let err = result.as_ref().expect_err("a 6-qubit circuit cannot fit");
+            assert_eq!(err.kind(), crate::ErrorKind::TooWide, "{err}");
+        };
+        too_wide(&session.transpile(&wide));
+        too_wide(&session.transpile_qasm(&wide.to_qasm().unwrap()));
+        let results = session.transpile_jobs(&[SessionJob::new(&wide), SessionJob::new(&narrow)]);
+        too_wide(&results[0]);
+        results[1].as_ref().expect("the narrow sibling transpiles");
+        // Only the narrow job consulted the caches: one miss in each.
+        let stats = session.cache_stats();
+        assert_eq!((stats.misses(), stats.hits()), (3, 0));
     }
 
     #[test]

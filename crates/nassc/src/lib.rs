@@ -41,15 +41,15 @@
 //! ```
 
 pub use nassc_core::{
-    decompose_swaps_fixed, evaluate_swap_reduction, evaluate_swap_reduction_windowed,
-    optimize_without_routing, CacheStats, Device, DeviceParseError, Error, ErrorKind, NasscPolicy,
-    OptimizationFlags, RouterKind, SessionJob, TranspileOptions, TranspileResult, Transpiler,
+    evaluate_swap_reduction, evaluate_swap_reduction_windowed, optimize_without_routing,
+    CacheStats, Device, DeviceParseError, Error, ErrorKind, NasscPolicy, OptimizationFlags,
+    RouterKind, SessionJob, TranspileOptions, TranspileResult, Transpiler,
 };
 
 // The persistent worker pool behind every `Transpiler` dispatch: the budget
 // handle plus the process-wide pool observability hooks, and the cooperative
 // deadline/cancellation primitives behind `TranspileOptions::deadline`.
-pub use nassc_parallel::{worker_pool_status, Budget, Cancelled, JobPanic, PoolStatus, ThreadPool};
+pub use nassc_parallel::{worker_pool_status, Budget, Cancelled, PoolStatus, ThreadPool};
 
 // The multi-trial layout subsystem (see `nassc::sabre::layout`): the engine,
 // its selection/outcome records and the deterministic seed splitter, surfaced

@@ -45,8 +45,7 @@ pub mod pool;
 pub use budget::{Budget, Cancelled};
 pub use pool::{worker_pool_status, PoolStatus, MAX_POOL_WORKERS};
 
-use std::any::Any;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::resume_unwind;
 use std::sync::Mutex;
 
 /// Environment variable overriding the worker count picked by
@@ -88,59 +87,6 @@ fn hardware_parallelism() -> usize {
         .map(|n| n.get())
         .unwrap_or(1)
 }
-
-/// A contained job panic, reported as a value by [`ThreadPool::try_map`] /
-/// [`ThreadPool::try_map_range`] instead of being re-raised into the caller.
-///
-/// Carries the panicking job's index and a best-effort rendering of the
-/// panic payload (`&str` / `String` payloads verbatim, anything else a
-/// placeholder). The original payload is not kept: a typed payload that is
-/// not `&str`/`String` is either a [`Cancelled`] budget abort — which
-/// callers handle *before* reaching `JobPanic` via
-/// [`JobPanic::is_cancelled`] — or a bug to be reported, not rethrown.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JobPanic {
-    /// Index of the panicking job within its batch.
-    pub index: usize,
-    /// Best-effort panic message.
-    pub message: String,
-    cancelled: bool,
-}
-
-impl JobPanic {
-    fn from_payload(index: usize, payload: Box<dyn Any + Send>) -> Self {
-        let cancelled = Cancelled::from_payload(payload.as_ref());
-        let message = if cancelled {
-            Cancelled.to_string()
-        } else if let Some(s) = payload.downcast_ref::<&str>() {
-            (*s).to_string()
-        } else if let Some(s) = payload.downcast_ref::<String>() {
-            s.clone()
-        } else {
-            "non-string panic payload".to_string()
-        };
-        Self {
-            index,
-            message,
-            cancelled,
-        }
-    }
-
-    /// Whether this "panic" was a cooperative [`Budget`] cancellation
-    /// rather than a genuine fault. Deadline-aware callers map this to
-    /// their own timeout error instead of an internal one.
-    pub fn is_cancelled(&self) -> bool {
-        self.cancelled
-    }
-}
-
-impl std::fmt::Display for JobPanic {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "job {} panicked: {}", self.index, self.message)
-    }
-}
-
-impl std::error::Error for JobPanic {}
 
 /// An order-preserving concurrency budget over the persistent worker pool.
 ///
@@ -232,34 +178,6 @@ impl ThreadPool {
         })
     }
 
-    /// [`map`](Self::map) with panic containment: a panicking job becomes
-    /// `Err(`[`JobPanic`]`)` instead of unwinding into the caller.
-    ///
-    /// In parallel dispatch, remaining jobs still run to completion before
-    /// the error is returned (a published batch always drains; the serial
-    /// path stops at the failing job), and the *first* panic wins when
-    /// several jobs fail. Persistent pool workers survive either way; this variant
-    /// is for callers — like the transpilation daemon — that must convert a
-    /// fault into a response rather than crash.
-    pub fn try_map<T, R, F>(&self, items: Vec<T>, f: F) -> Result<Vec<R>, JobPanic>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(T) -> R + Sync,
-    {
-        let n = items.len();
-        let inputs: Vec<Mutex<Option<T>>> =
-            items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-        self.try_map_range(n, |index| {
-            let item = inputs[index]
-                .lock()
-                .expect("input slot poisoned")
-                .take()
-                .expect("each index is dispatched exactly once");
-            f(item)
-        })
-    }
-
     /// Applies `f` to every index in `0..n`, returning results in index
     /// order — [`map`](Self::map) over `(0..n).collect()` minus the input
     /// vector, and the primitive `map` itself is built on: workers draw
@@ -282,7 +200,7 @@ impl ThreadPool {
             let result = f(index);
             *slots[index].lock().expect("result slot poisoned") = Some(result);
         };
-        if let Some((_, payload)) = pool::run_batch(self.threads, n, &task) {
+        if let Some(payload) = pool::run_batch(self.threads, n, &task) {
             resume_unwind(payload);
         }
         slots
@@ -294,60 +212,12 @@ impl ThreadPool {
             })
             .collect()
     }
-
-    /// [`map_range`](Self::map_range) with panic containment: a panicking
-    /// job becomes `Err(`[`JobPanic`]`)` instead of unwinding into the
-    /// caller. See [`try_map`](Self::try_map) for the containment contract.
-    pub fn try_map_range<R, F>(&self, n: usize, f: F) -> Result<Vec<R>, JobPanic>
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-    {
-        if self.threads == 1 || n <= 1 {
-            // The serial path still contains panics — the `try_` contract
-            // must not depend on the worker count.
-            let mut results = Vec::with_capacity(n);
-            for index in 0..n {
-                match catch_unwind(AssertUnwindSafe(|| f(index))) {
-                    Ok(result) => results.push(result),
-                    Err(payload) => return Err(JobPanic::from_payload(index, payload)),
-                }
-            }
-            return Ok(results);
-        }
-        let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let task = |index: usize| {
-            let result = f(index);
-            *slots[index].lock().expect("result slot poisoned") = Some(result);
-        };
-        if let Some((index, payload)) = pool::run_batch(self.threads, n, &task) {
-            return Err(JobPanic::from_payload(index, payload));
-        }
-        Ok(slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("result slot poisoned")
-                    .expect("every index stores a result before the batch completes")
-            })
-            .collect())
-    }
 }
 
 impl Default for ThreadPool {
     fn default() -> Self {
         Self::with_default_parallelism()
     }
-}
-
-/// One-shot convenience: [`ThreadPool::with_default_parallelism`]`.map(items, f)`.
-pub fn parallel_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    ThreadPool::with_default_parallelism().map(items, f)
 }
 
 #[cfg(test)]
@@ -511,51 +381,22 @@ mod tests {
     }
 
     #[test]
-    fn try_map_contains_panics_at_every_worker_count() {
-        let _guard = panic_counter_guard();
-        for threads in [1, 2, 4, 8] {
-            let err = ThreadPool::new(threads)
-                .try_map((0..16).collect::<Vec<usize>>(), |i| {
-                    if i == 7 {
-                        panic!("contained job panic");
-                    }
-                    i * 2
-                })
-                .expect_err("panicking job must surface as Err");
-            assert_eq!(err.index, 7, "threads = {threads}");
-            assert_eq!(err.message, "contained job panic");
-            assert!(!err.is_cancelled());
-        }
-    }
-
-    #[test]
-    fn try_map_matches_map_on_success() {
-        for threads in [1, 3, 8] {
-            let got = ThreadPool::new(threads)
-                .try_map((0..57u64).collect(), |x| x * x)
-                .expect("no panics");
-            let expected: Vec<u64> = (0..57).map(|x| x * x).collect();
-            assert_eq!(got, expected, "threads = {threads}");
-        }
-    }
-
-    #[test]
     fn try_map_range_contains_panics_and_counts_them() {
         let _guard = panic_counter_guard();
         let before = worker_pool_status().jobs_panicked;
-        let err = ThreadPool::new(4)
-            .try_map_range(16, |i| {
+        let payload = std::panic::catch_unwind(|| {
+            ThreadPool::new(4).map_range(16, |i| {
                 if i == 3 {
                     panic!("boom {i}");
                 }
                 i
             })
-            .expect_err("panicking job must surface as Err");
-        assert_eq!(err.index, 3);
-        assert_eq!(err.message, "boom 3");
+        })
+        .expect_err("a panicking job must reach the caller");
+        assert_eq!(payload.downcast_ref::<String>().unwrap(), "boom 3");
         assert_eq!(worker_pool_status().jobs_panicked, before + 1);
         // The pool is healthy afterwards.
-        let got = ThreadPool::new(4).try_map_range(8, |i| i + 1).unwrap();
+        let got = ThreadPool::new(4).map_range(8, |i| i + 1);
         assert_eq!(got, (1..9).collect::<Vec<_>>());
     }
 
@@ -565,16 +406,16 @@ mod tests {
         let budget = Budget::unlimited();
         budget.cancel();
         let before = worker_pool_status().jobs_panicked;
-        let err = ThreadPool::new(4)
-            .try_map_range(8, |i| {
+        let payload = std::panic::catch_unwind(|| {
+            ThreadPool::new(4).map_range(8, |i| {
                 if i >= 4 {
                     budget.checkpoint();
                 }
                 i
             })
-            .expect_err("tripped checkpoint must surface as Err");
-        assert!(err.is_cancelled());
-        assert_eq!(err.message, "budget cancelled");
+        })
+        .expect_err("a tripped checkpoint must reach the caller");
+        assert!(Cancelled::from_payload(payload.as_ref()));
         assert_eq!(
             worker_pool_status().jobs_panicked,
             before,

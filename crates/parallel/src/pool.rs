@@ -99,10 +99,10 @@ struct Task(&'static (dyn Fn(usize) + Sync));
 /// Completion state of a batch, updated once per finished index.
 struct DoneState {
     completed: usize,
-    /// First panic observed: `(job index, payload)`. Lowest-index wins only
-    /// among jobs that actually panicked; "first" here is completion order,
-    /// which is fine — callers surface one representative fault.
-    panic: Option<(usize, Box<dyn std::any::Any + Send>)>,
+    /// Payload of the first panic observed. "First" is completion order,
+    /// not job index, which is fine — callers surface one representative
+    /// fault.
+    panic: Option<Box<dyn std::any::Any + Send>>,
 }
 
 /// One published unit of parallel work: apply the task to every index in
@@ -156,7 +156,7 @@ impl Batch {
             }
             let mut done = self.done.lock().expect("batch completion state poisoned");
             if let Err(payload) = outcome {
-                done.panic.get_or_insert((index, payload));
+                done.panic.get_or_insert(payload);
             }
             done.completed += 1;
             if done.completed == self.n {
@@ -166,8 +166,8 @@ impl Batch {
     }
 
     /// Blocks until every index has completed, handing back the first panic
-    /// `(index, payload)`, if any.
-    fn wait_done(&self) -> Option<(usize, Box<dyn std::any::Any + Send>)> {
+    /// payload, if any.
+    fn wait_done(&self) -> Option<Box<dyn std::any::Any + Send>> {
         let mut done = self.done.lock().expect("batch completion state poisoned");
         while done.completed < self.n {
             done = self
@@ -259,20 +259,18 @@ fn worker_main(shared: &Arc<Shared>) {
 
 /// Runs `task` over every index in `0..n` with up to `threads - 1` pool
 /// workers helping the calling thread. Blocks until every index has
-/// completed; returns the first job panic `(index, payload)` — the caller
-/// decides whether to re-raise ([`ThreadPool::map_range`]) or convert it to
-/// a typed error ([`ThreadPool::try_map_range`]).
+/// completed; returns the first job panic's payload, which
+/// [`ThreadPool::map_range`] re-raises in the caller.
 ///
 /// Expects `threads >= 2` and `n >= 2` — serial fast paths belong to the
 /// caller ([`ThreadPool::map_range`]).
 ///
 /// [`ThreadPool::map_range`]: crate::ThreadPool::map_range
-/// [`ThreadPool::try_map_range`]: crate::ThreadPool::try_map_range
 pub(crate) fn run_batch(
     threads: usize,
     n: usize,
     task: &(dyn Fn(usize) + Sync),
-) -> Option<(usize, Box<dyn std::any::Any + Send>)> {
+) -> Option<Box<dyn std::any::Any + Send>> {
     debug_assert!(threads >= 2 && n >= 2, "serial batches bypass the pool");
     let mut span = nassc_trace::span!("pool_batch");
     span.arg_u64("threads", threads as u64);

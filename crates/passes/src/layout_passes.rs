@@ -1,27 +1,7 @@
-//! Layout application and coupling-map compliance checking.
+//! Coupling-map compliance checking.
 
 use nassc_circuit::QuantumCircuit;
-use nassc_topology::{CouplingMap, Layout};
-
-/// Rewrites a logical circuit onto the physical qubits of a device: logical
-/// qubit `l` becomes physical wire `layout.physical_of(l)` and the circuit is
-/// widened to the device size.
-///
-/// # Panics
-///
-/// Panics when the device has fewer qubits than the circuit.
-pub fn apply_layout(
-    circuit: &QuantumCircuit,
-    layout: &Layout,
-    device_qubits: usize,
-) -> QuantumCircuit {
-    assert!(
-        device_qubits >= circuit.num_qubits(),
-        "device has {device_qubits} qubits but the circuit needs {}",
-        circuit.num_qubits()
-    );
-    circuit.map_qubits(device_qubits, |q| layout.physical_of(q))
-}
+use nassc_topology::CouplingMap;
 
 /// Checks that every two-qubit gate acts on a connected pair of physical
 /// qubits, returning the indices of violating instructions.
@@ -46,17 +26,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn layout_application_remaps_and_widens() {
-        let mut qc = QuantumCircuit::new(2);
-        qc.h(0).cx(0, 1);
-        let layout = Layout::from_logical_to_physical(vec![3, 1, 0, 2, 4]);
-        let mapped = apply_layout(&qc, &layout, 5);
-        assert_eq!(mapped.num_qubits(), 5);
-        assert_eq!(mapped.instructions()[0].qubits().to_vec(), vec![3]);
-        assert_eq!(mapped.instructions()[1].qubits().to_vec(), vec![3, 1]);
-    }
-
-    #[test]
     fn violations_found_on_linear_device() {
         let line = CouplingMap::linear(4);
         let mut qc = QuantumCircuit::new(4);
@@ -71,13 +40,5 @@ mod tests {
         let mut qc = QuantumCircuit::new(4);
         qc.cx(0, 1).cx(2, 1).h(3).measure(3);
         assert!(is_mapped(&qc, &line));
-    }
-
-    #[test]
-    #[should_panic(expected = "device has")]
-    fn too_small_device_panics() {
-        let qc = QuantumCircuit::new(5);
-        let layout = Layout::trivial(5);
-        let _ = apply_layout(&qc, &layout, 3);
     }
 }

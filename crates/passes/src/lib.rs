@@ -6,13 +6,13 @@
 //!
 //! * [`PassManager`] / [`TranspilePass`] — the pipeline scaffolding,
 //! * [`UnrollToBasis`] — decomposition into `{id, rz, sx, x, cx}`,
-//! * [`Optimize1qGates`] / [`Collect1qRuns`] — single-qubit run merging,
+//! * [`Optimize1qGates`] — single-qubit run merging,
 //! * [`TwoQubitBlockResynthesis`] (with [`collect_two_qubit_blocks`]) — the
 //!   two-qubit block re-synthesis that NASSC's `C_2q` cost term anticipates,
 //! * [`CommutativeCancellation`] (with [`commutation_analysis`]) — the
 //!   commutation-based gate cancellation behind `C_commute1`/`C_commute2`,
-//! * [`apply_layout`] / [`is_mapped`] — layout application and coupling-map
-//!   compliance checks.
+//! * [`is_mapped`] / [`coupling_violations`] — coupling-map compliance
+//!   checks.
 //!
 //! # Example
 //!
@@ -39,9 +39,9 @@ pub use blocks::{
 pub use commutation::{
     commutation_analysis, instructions_commute, CommutationSets, CommutativeCancellation,
 };
-pub use layout_passes::{apply_layout, coupling_violations, is_mapped};
+pub use layout_passes::{coupling_violations, is_mapped};
 pub use manager::{PassError, PassManager, TranspilePass};
-pub use optimize_1q::{Collect1qRuns, Optimize1qGates};
+pub use optimize_1q::Optimize1qGates;
 pub use unroll::UnrollToBasis;
 
 /// The post-routing optimization pipeline both evaluation arms of the paper

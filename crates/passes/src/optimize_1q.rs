@@ -1,6 +1,6 @@
 //! Merging of single-qubit gate runs (Qiskit's `Optimize1qGates`).
 
-use nassc_circuit::{Gate, Instruction, QuantumCircuit};
+use nassc_circuit::QuantumCircuit;
 use nassc_math::Matrix2;
 use nassc_synthesis::OneQubitEulerDecomposer;
 
@@ -66,52 +66,10 @@ impl TranspilePass for Optimize1qGates {
     }
 }
 
-/// Convenience wrapper: merge runs but emit a single [`Gate::Unitary1`]
-/// instead of basis gates — useful when a later pass wants the matrices.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Collect1qRuns;
-
-impl TranspilePass for Collect1qRuns {
-    fn name(&self) -> &str {
-        "collect-1q-runs"
-    }
-
-    fn run(&self, circuit: &QuantumCircuit) -> Result<QuantumCircuit, PassError> {
-        let mut out = QuantumCircuit::new(circuit.num_qubits());
-        let mut pending: Vec<Option<Matrix2>> = vec![None; circuit.num_qubits()];
-        let flush = |out: &mut QuantumCircuit, pending: &mut Vec<Option<Matrix2>>, qubit: usize| {
-            if let Some(m) = pending[qubit].take() {
-                if !m.approx_eq_up_to_phase(&Matrix2::identity(), 1e-10) {
-                    out.push(Instruction::new(Gate::Unitary1(m), vec![qubit]));
-                }
-            }
-        };
-        for inst in circuit.iter() {
-            if inst.gate.is_unitary() && inst.gate.num_qubits() == 1 {
-                let m = inst.gate.matrix2().ok_or_else(|| {
-                    PassError::new("collect-1q-runs", "single-qubit gate without matrix")
-                })?;
-                let q = inst.qubit(0);
-                let acc = pending[q].take().unwrap_or_else(Matrix2::identity);
-                pending[q] = Some(m.mul(&acc));
-            } else {
-                for q in inst.qubits().iter() {
-                    flush(&mut out, &mut pending, q);
-                }
-                out.push(inst.clone());
-            }
-        }
-        for q in 0..circuit.num_qubits() {
-            flush(&mut out, &mut pending, q);
-        }
-        Ok(out)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nassc_circuit::circuits_equivalent;
+    use nassc_circuit::{circuits_equivalent, Gate};
 
     #[test]
     fn merges_runs_across_other_wires() {
@@ -161,15 +119,6 @@ mod tests {
         qc.h(0).t(0).ry(0.4, 0);
         let out = Optimize1qGates.run(&qc).unwrap();
         assert!(out.iter().all(|i| i.gate.in_ibm_basis()));
-    }
-
-    #[test]
-    fn collect_runs_emits_unitary_gates() {
-        let mut qc = QuantumCircuit::new(2);
-        qc.h(0).t(0).cx(0, 1).s(1);
-        let out = Collect1qRuns.run(&qc).unwrap();
-        assert_eq!(out.count_ops()["unitary1"], 2);
-        assert!(circuits_equivalent(&qc, &out, 1e-8));
     }
 
     #[test]

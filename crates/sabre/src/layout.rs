@@ -3,10 +3,11 @@
 //!
 //! Two entry points:
 //!
-//! * [`sabre_layout`] — the single-trial compatibility path: one random start
-//!   refined with the plain SABRE heuristic through a single shared RNG,
-//!   bit-identical to the historical implementation that lived in
-//!   `router.rs`. This is what `layout_trials = 1` pipelines use.
+//! * [`sabre_layout_prepared_budgeted`] — the single-trial path: one random
+//!   start refined with the plain SABRE heuristic through a single shared
+//!   RNG, over prebuilt dependency DAGs. This is what `layout_trials = 1`
+//!   pipelines use. It always runs the search, so callers give a circuit
+//!   without two-qubit gates the identity layout themselves.
 //! * [`LayoutTrials`] — the multi-trial engine: `N` independent trials, each
 //!   with its own [`split_seed`]-derived seed stream, refined through a
 //!   *generic* [`SwapPolicy`] (so NASSC refines layouts with its
@@ -14,11 +15,9 @@
 //!   routing pass and reduced to the argmin with deterministic lowest-index
 //!   tie-breaking. Trials fan out across a [`ThreadPool`]; because every
 //!   trial owns its seed stream, results are bit-identical regardless of
-//!   worker count or of how many sibling trials run.
-//!
-//! A circuit with no two-qubit gates needs no layout search at all: both
-//! entry points return the identity layout (deterministic, and the cheapest
-//! possible input for downstream `apply_layout`).
+//!   worker count or of how many sibling trials run. A circuit with no
+//!   two-qubit gates needs no search: the engine returns the identity
+//!   layout without routing.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -46,48 +45,7 @@ pub fn split_seed(base: u64, index: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Chooses an initial layout with SABRE's random-start + reverse-traversal
-/// refinement — the single-trial compatibility path.
-///
-/// One `StdRng` seeded from `config.seed` threads through the random start
-/// and every refinement pass, reproducing the historical outputs exactly;
-/// multi-trial pipelines use [`LayoutTrials`], whose per-trial seed streams
-/// do not depend on call-ordering internals.
-pub fn sabre_layout(
-    circuit: &QuantumCircuit,
-    coupling: &CouplingMap,
-    distances: &DistanceMatrix,
-    config: &SabreConfig,
-) -> Layout {
-    sabre_layout_on(circuit, coupling, distances, config, &ThreadPool::new(1))
-}
-
-/// [`sabre_layout`] with an explicit pool for in-pass candidate scoring
-/// (see [`crate::router::route_with_policy_on`]). The pool affects wall
-/// clock only — outputs are bit-identical at any worker count.
-pub fn sabre_layout_on(
-    circuit: &QuantumCircuit,
-    coupling: &CouplingMap,
-    distances: &DistanceMatrix,
-    config: &SabreConfig,
-    score_pool: &ThreadPool,
-) -> Layout {
-    if circuit.two_qubit_gate_count() == 0 {
-        return Layout::trivial(coupling.num_qubits());
-    }
-    // The refinement rounds route the same two circuits over and over;
-    // build each dependency DAG once instead of once per pass.
-    let dag = DagCircuit::from_circuit(circuit);
-    let reversed_dag = DagCircuit::from_circuit(&circuit.reversed());
-    sabre_layout_prepared(&dag, &reversed_dag, coupling, distances, config, score_pool)
-}
-
-/// [`sabre_layout_on`] over prebuilt forward/reversed dependency DAGs.
-///
-/// The single-trial pipeline builds the DAG once per circuit and shares it
-/// between the layout search and the production routing pass, instead of
-/// rebuilding it per pass. Outputs are bit-identical to [`sabre_layout_on`]
-/// for matching DAGs.
+/// [`sabre_layout_prepared_budgeted`] with an unlimited budget.
 pub fn sabre_layout_prepared(
     dag: &DagCircuit,
     reversed_dag: &DagCircuit,
@@ -107,10 +65,23 @@ pub fn sabre_layout_prepared(
     )
 }
 
-/// [`sabre_layout_prepared`] under a cooperative [`Budget`], checked at the
-/// start of the search and once per routing step of every refinement pass
-/// (see [`route_prepared_budgeted`]). Outputs are unchanged whenever the
-/// budget does not trip.
+/// Chooses an initial layout with SABRE's random start and reverse-traversal
+/// refinement — the single-trial path.
+///
+/// `dag` and `reversed_dag` are the dependency DAGs of the circuit and of
+/// its reversal; the single-trial pipeline builds them once and shares the
+/// forward one with its production routing pass. One `StdRng` seeded from
+/// `config.seed` threads through the random start and every refinement
+/// pass; multi-trial pipelines use [`LayoutTrials`], whose per-trial seed
+/// streams do not depend on call-ordering internals. `score_pool` fans
+/// candidate scoring across workers and affects wall clock only.
+///
+/// The search always runs: callers check first whether the circuit has any
+/// two-qubit gate, and give one without the identity layout.
+///
+/// `budget` is checked at the start of the search and once per routing step
+/// of every refinement pass (see [`route_prepared_budgeted`]). Outputs are
+/// unchanged whenever the budget does not trip.
 pub fn sabre_layout_prepared_budgeted(
     dag: &DagCircuit,
     reversed_dag: &DagCircuit,
@@ -162,9 +133,8 @@ pub struct TrialOutcome {
     /// The [`split_seed`]-derived seed this trial's refinement stream
     /// started from (the scoring pass itself runs on the production RNG).
     pub seed: u64,
-    /// Cost of the scoring routing pass — SWAPs inserted under
-    /// [`LayoutTrials::run`], or whatever the caller's cost function returns
-    /// under [`LayoutTrials::run_scored`]. Lower is better.
+    /// Cost of the scoring routing pass, as the `score` function handed to
+    /// [`LayoutTrials::run`] priced it. Lower is better.
     pub cost: f64,
 }
 
@@ -193,7 +163,7 @@ impl LayoutSelection {
 /// # Panics
 ///
 /// Panics on an empty slice.
-pub fn select_best_trial(costs: &[f64]) -> usize {
+fn select_best_trial(costs: &[f64]) -> usize {
     assert!(!costs.is_empty(), "no layout trials to select from");
     let mut best = 0;
     for (index, &cost) in costs.iter().enumerate().skip(1) {
@@ -236,9 +206,9 @@ pub fn select_best_trial(costs: &[f64]) -> usize {
 /// let device = CouplingMap::linear(3);
 /// let distances = device.distance_matrix();
 /// let config = SabreConfig::with_seed(7);
-/// let selection = LayoutTrials::new(&qc, &device, &distances, &config)
+/// let (selection, _) = LayoutTrials::new(&qc, &device, &distances, &config)
 ///     .trials(4)
-///     .run(|| SabrePolicy);
+///     .run(|| SabrePolicy, |routed, _| routed.swap_count as f64);
 /// assert_eq!(selection.outcomes.len(), 4);
 /// assert!(selection.chosen_trial < 4);
 /// ```
@@ -308,45 +278,25 @@ impl<'a> LayoutTrials<'a> {
         self
     }
 
-    /// Runs every trial, scoring each by the SWAP count of its scoring pass,
-    /// and returns the winning layout with per-trial diagnostics.
-    /// `make_policy` builds a fresh [`SwapPolicy`] for each routing pass, so
-    /// stateful policies never leak state across passes.
-    pub fn run<P, F>(&self, make_policy: F) -> LayoutSelection
-    where
-        P: SwapPolicy + Send + Sync,
-        F: Fn() -> P + Sync,
-    {
-        self.run_scored(make_policy, |routed, _| routed.swap_count as f64)
-    }
-
-    /// [`run`](Self::run) with a caller-supplied cost function.
+    /// Runs every trial and returns the winning layout with per-trial
+    /// diagnostics, plus the winning trial's scoring pass: its
+    /// [`RoutingResult`] and the policy that produced it.
     ///
-    /// `score` receives each trial's scoring [`RoutingResult`] together with
-    /// the policy that produced it, and returns the cost to minimise — e.g.
-    /// an optimization-aware router can decompose the routed circuit's SWAPs
-    /// with the policy's recorded orientations and count the CNOTs that
-    /// actually survive, instead of pricing every SWAP equally.
-    pub fn run_scored<P, F, S>(&self, make_policy: F, score: S) -> LayoutSelection
-    where
-        P: SwapPolicy + Send + Sync,
-        F: Fn() -> P + Sync,
-        S: Fn(&RoutingResult, &P) -> f64 + Sync,
-    {
-        self.run_routed(make_policy, score).0
-    }
-
-    /// [`run_scored`](Self::run_scored), additionally handing back the
-    /// winning trial's scoring pass: its [`RoutingResult`] and the policy
-    /// that produced it.
+    /// `make_policy` builds a fresh [`SwapPolicy`] for each routing pass, so
+    /// stateful policies never leak state across passes. `score` receives
+    /// each trial's scoring [`RoutingResult`] together with the policy that
+    /// produced it, and returns the cost to minimise — the SWAP count for
+    /// plain SABRE, or, for an optimization-aware router, the CNOTs that
+    /// survive decomposing the routed SWAPs with the policy's recorded
+    /// orientations.
     ///
     /// Because the scoring pass routes on the production RNG
-    /// (`config.seed`), that result is byte-identical to what re-routing the
-    /// winning layout would produce — callers (the transpile pipeline) reuse
-    /// it instead of paying a duplicate routing pass. `None` only in the
-    /// degenerate no-two-qubit-gate case, where no routing runs.
+    /// (`config.seed`), the returned result is byte-identical to what
+    /// re-routing the winning layout would produce — callers (the transpile
+    /// pipeline) reuse it instead of paying a duplicate routing pass. `None`
+    /// only in the degenerate no-two-qubit-gate case, where no routing runs.
     #[allow(clippy::type_complexity)]
-    pub fn run_routed<P, F, S>(
+    pub fn run<P, F, S>(
         &self,
         make_policy: F,
         score: S,
@@ -370,26 +320,16 @@ impl<'a> LayoutTrials<'a> {
         span.arg_u64("trials", self.trials as u64);
         let dag = DagCircuit::from_circuit(self.circuit);
         let reversed_dag = DagCircuit::from_circuit(&self.circuit.reversed());
-        let candidates: Vec<(Layout, TrialOutcome, RoutingResult, P)> =
+        let mut candidates: Vec<(Layout, TrialOutcome, RoutingResult, P)> =
             self.pool.map((0..self.trials).collect(), |trial| {
                 self.run_trial(trial, &dag, &reversed_dag, &make_policy, &score)
             });
-        let costs: Vec<f64> = candidates
-            .iter()
-            .map(|(_, outcome, _, _)| outcome.cost)
-            .collect();
+        let outcomes: Vec<TrialOutcome> = candidates.iter().map(|c| c.1.clone()).collect();
+        let costs: Vec<f64> = outcomes.iter().map(|outcome| outcome.cost).collect();
         let chosen_trial = select_best_trial(&costs);
         span.arg_u64("chosen_trial", chosen_trial as u64);
         span.arg_f64("chosen_cost", costs[chosen_trial]);
-        let mut outcomes = Vec::with_capacity(candidates.len());
-        let mut winner = None;
-        for (index, (trial_layout, outcome, routed, policy)) in candidates.into_iter().enumerate() {
-            if index == chosen_trial {
-                winner = Some((trial_layout, routed, policy));
-            }
-            outcomes.push(outcome);
-        }
-        let (layout, routed, policy) = winner.expect("chosen trial is in range");
+        let (layout, _, routed, policy) = candidates.swap_remove(chosen_trial);
         let selection = LayoutSelection {
             layout,
             chosen_trial,
@@ -484,8 +424,17 @@ impl<'a> LayoutTrials<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::router::sabre_route;
+    use crate::router::route_prepared;
     use nassc_passes::is_mapped;
+
+    /// Prices a trial by the SWAP count of its scoring pass.
+    fn swap_cost(routed: &RoutingResult, _: &SabrePolicy) -> f64 {
+        routed.swap_count as f64
+    }
+
+    fn run(engine: &LayoutTrials<'_>) -> LayoutSelection {
+        engine.run(|| SabrePolicy, swap_cost).0
+    }
 
     fn ring_circuit(n: usize, rounds: usize) -> QuantumCircuit {
         let mut qc = QuantumCircuit::new(n);
@@ -511,7 +460,14 @@ mod tests {
         let distances = montreal.distance_matrix();
         let mut qc = QuantumCircuit::new(5);
         qc.cx(0, 1).cx(1, 2).cx(2, 3).cx(3, 4).cx(0, 4);
-        let layout = sabre_layout(&qc, &montreal, &distances, &SabreConfig::with_seed(9));
+        let layout = sabre_layout_prepared(
+            &DagCircuit::from_circuit(&qc),
+            &DagCircuit::from_circuit(&qc.reversed()),
+            &montreal,
+            &distances,
+            &SabreConfig::with_seed(9),
+            &ThreadPool::new(1),
+        );
         assert_eq!(layout.len(), 27);
         assert_is_permutation(&layout, 27);
     }
@@ -524,9 +480,23 @@ mod tests {
         let distances = montreal.distance_matrix();
         let qc = ring_circuit(6, 3);
         let config = SabreConfig::with_seed(2);
-        let layout = sabre_layout(&qc, &montreal, &distances, &config);
-        let mut rng = StdRng::seed_from_u64(2);
-        let routed = sabre_route(&qc, &montreal, &distances, &layout, &config, &mut rng);
+        let (dag, reversed_dag) = (
+            DagCircuit::from_circuit(&qc),
+            DagCircuit::from_circuit(&qc.reversed()),
+        );
+        let pool = ThreadPool::new(1);
+        let layout =
+            sabre_layout_prepared(&dag, &reversed_dag, &montreal, &distances, &config, &pool);
+        let routed = route_prepared(
+            &dag,
+            &montreal,
+            &distances,
+            &layout,
+            &config,
+            &mut SabrePolicy,
+            &mut StdRng::seed_from_u64(2),
+            &pool,
+        );
         assert!(is_mapped(&routed.circuit, &montreal));
         // 18 CNOTs on a sensible layout should need well under 2 SWAPs per CNOT.
         assert!(
@@ -568,16 +538,16 @@ mod tests {
         let mut qc = QuantumCircuit::new(3);
         qc.h(0).h(1).h(2);
         let config = SabreConfig::with_seed(4);
-        assert_eq!(
-            sabre_layout(&qc, &device, &distances, &config),
-            Layout::trivial(5)
-        );
-        let selection = LayoutTrials::new(&qc, &device, &distances, &config)
+        let (selection, routed) = LayoutTrials::new(&qc, &device, &distances, &config)
             .trials(4)
-            .run(|| SabrePolicy);
+            .run(|| SabrePolicy, swap_cost);
         assert_eq!(selection.layout, Layout::trivial(5));
         assert_eq!(selection.chosen_trial, 0);
         assert!(selection.outcomes.is_empty());
+        assert!(
+            routed.is_none(),
+            "no trial routes a circuit without 2q gates"
+        );
     }
 
     #[test]
@@ -588,18 +558,14 @@ mod tests {
         let config = SabreConfig::with_seed(11);
         let engine = LayoutTrials::new(&qc, &device, &distances, &config);
 
-        let serial = engine.clone().trials(4).run(|| SabrePolicy);
+        let serial = run(&engine.clone().trials(4));
         for workers in [2, 8] {
-            let parallel = engine
-                .clone()
-                .trials(4)
-                .pool(ThreadPool::new(workers))
-                .run(|| SabrePolicy);
+            let parallel = run(&engine.clone().trials(4).pool(ThreadPool::new(workers)));
             assert_eq!(serial, parallel, "{workers} workers");
         }
         // Trial 0..4 of an 8-trial run are the same trials: outcomes are a
         // pure function of (inputs, seed, trial index).
-        let wider = engine.clone().trials(8).run(|| SabrePolicy);
+        let wider = run(&engine.clone().trials(8));
         assert_eq!(&wider.outcomes[..4], &serial.outcomes[..]);
     }
 
@@ -609,9 +575,7 @@ mod tests {
         let distances = device.distance_matrix();
         let qc = ring_circuit(6, 3);
         let config = SabreConfig::with_seed(2);
-        let selection = LayoutTrials::new(&qc, &device, &distances, &config)
-            .trials(5)
-            .run(|| SabrePolicy);
+        let selection = run(&LayoutTrials::new(&qc, &device, &distances, &config).trials(5));
         assert_eq!(selection.outcomes.len(), 5);
         assert_is_permutation(&selection.layout, 27);
         let best = selection.outcomes[selection.chosen_trial].cost;
@@ -636,8 +600,7 @@ mod tests {
         let engine = LayoutTrials::new(&qc, &device, &distances, &config)
             .trials(3)
             .budget(budget);
-        let caught =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| engine.run(|| SabrePolicy)));
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(&engine)));
         let payload = caught.expect_err("cancelled budget must abort the search");
         assert!(
             nassc_parallel::Cancelled::from_payload(payload.as_ref()),
@@ -652,11 +615,10 @@ mod tests {
         let qc = ring_circuit(5, 2);
         let config = SabreConfig::with_seed(11);
         let engine = LayoutTrials::new(&qc, &device, &distances, &config).trials(4);
-        let unbudgeted = engine.clone().run(|| SabrePolicy);
-        let budgeted = engine
+        let unbudgeted = run(&engine);
+        let budgeted = run(&engine
             .clone()
-            .budget(Budget::with_timeout(std::time::Duration::from_secs(3600)))
-            .run(|| SabrePolicy);
+            .budget(Budget::with_timeout(std::time::Duration::from_secs(3600))));
         assert_eq!(unbudgeted, budgeted);
     }
 
@@ -667,8 +629,8 @@ mod tests {
         let qc = ring_circuit(6, 3);
         let config = SabreConfig::with_seed(13);
         let engine = LayoutTrials::new(&qc, &device, &distances, &config);
-        let one = engine.clone().trials(1).run(|| SabrePolicy);
-        let four = engine.clone().trials(4).run(|| SabrePolicy);
+        let one = run(&engine.clone().trials(1));
+        let four = run(&engine.clone().trials(4));
         assert!(
             four.outcomes[four.chosen_trial].cost <= one.outcomes[0].cost,
             "4 trials scored worse than trial 0 alone"

@@ -18,9 +18,9 @@
 //!   endpoints ([`RoutingContext::front_distance_after_swap`]), so scoring a
 //!   SWAP clones no [`Layout`] and allocates nothing;
 //! * [`SwapPolicy::score`] takes `&self`, so candidate scoring is `Sync` and
-//!   [`route_with_policy_on`] can fan it across a [`ThreadPool`]. The argmin
-//!   reduction stays serial in shuffled candidate order, so outputs are
-//!   bit-identical at every worker count;
+//!   [`route_prepared_budgeted`] can fan it across a [`ThreadPool`]. The
+//!   argmin reduction stays serial in shuffled candidate order, so outputs
+//!   are bit-identical at every worker count;
 //! * all per-step buffers (front layer, extended set, candidate edges,
 //!   scores) are reused scratch owned by the routing loop.
 
@@ -28,7 +28,6 @@ use std::collections::VecDeque;
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::Rng;
 
 use nassc_circuit::{DagCircuit, Gate, QuantumCircuit};
 use nassc_parallel::{Budget, ThreadPool};
@@ -152,50 +151,10 @@ impl<'a> RoutingContext<'a> {
         }
     }
 
-    /// The output circuit emitted so far.
-    pub fn output(&self) -> &QuantumCircuit {
-        self.state.circuit()
-    }
-
-    /// The summed front-layer distance under a layout (reference path; the
-    /// score path uses [`front_distance_after_swap`](Self::front_distance_after_swap)).
-    pub fn front_distance(&self, layout: &Layout) -> f64 {
-        self.front
-            .iter()
-            .map(|&node| {
-                let inst = &self.dag.node(node).instruction;
-                let a = layout.physical_of(inst.qubit(0));
-                let b = layout.physical_of(inst.qubit(1));
-                self.distances.weight(a, b)
-            })
-            .sum()
-    }
-
-    /// The summed extended-layer distance under a layout (reference path).
-    pub fn extended_distance(&self, layout: &Layout) -> f64 {
-        self.extended
-            .iter()
-            .map(|&node| {
-                let inst = &self.dag.node(node).instruction;
-                let a = layout.physical_of(inst.qubit(0));
-                let b = layout.physical_of(inst.qubit(1));
-                self.distances.weight(a, b)
-            })
-            .sum()
-    }
-
-    /// The layout obtained by applying the candidate SWAP (reference path —
-    /// the score path never clones a layout).
-    pub fn layout_after_swap(&self, p1: usize, p2: usize) -> Layout {
-        let mut trial = self.layout.clone();
-        trial.swap_physical(p1, p2);
-        trial
-    }
-
     /// The summed front-layer distance after a SWAP on `(p1, p2)`, computed
-    /// from the cached physical endpoints: same gates, same summation order
-    /// — bit-identical to `front_distance(&layout_after_swap(p1, p2))` —
-    /// with zero clones and zero allocation.
+    /// from the cached physical endpoints with zero clones and zero
+    /// allocation: same gates and summation order as re-resolving the front
+    /// layer through a swapped copy of the layout, so bit-identical to it.
     pub fn front_distance_after_swap(&self, p1: usize, p2: usize) -> f64 {
         let (p1, p2) = (p1 as u32, p2 as u32);
         self.endpoints
@@ -306,70 +265,7 @@ pub struct RoutingResult {
     pub swap_count: usize,
 }
 
-/// Routes a logical circuit with the given SWAP policy, serially.
-///
-/// Every gate of the output acts on physical qubits and every two-qubit gate
-/// respects the coupling map (inserted SWAPs included).
-///
-/// # Panics
-///
-/// Panics when the device is smaller than the circuit, the coupling graph is
-/// disconnected, or routing fails to make progress (which would indicate an
-/// internal bug).
-pub fn route_with_policy<P: SwapPolicy + Sync>(
-    circuit: &QuantumCircuit,
-    coupling: &CouplingMap,
-    distances: &DistanceMatrix,
-    initial_layout: &Layout,
-    config: &SabreConfig,
-    policy: &mut P,
-    rng: &mut StdRng,
-) -> RoutingResult {
-    route_with_policy_on(
-        circuit,
-        coupling,
-        distances,
-        initial_layout,
-        config,
-        policy,
-        rng,
-        &ThreadPool::new(1),
-    )
-}
-
-/// [`route_with_policy`] with an explicit pool for in-pass candidate
-/// scoring. The pool affects wall clock only: scores are computed in
-/// candidate order either way and reduced serially, so the routed output is
-/// bit-identical at any worker count.
-#[allow(clippy::too_many_arguments)]
-pub fn route_with_policy_on<P: SwapPolicy + Sync>(
-    circuit: &QuantumCircuit,
-    coupling: &CouplingMap,
-    distances: &DistanceMatrix,
-    initial_layout: &Layout,
-    config: &SabreConfig,
-    policy: &mut P,
-    rng: &mut StdRng,
-    score_pool: &ThreadPool,
-) -> RoutingResult {
-    let dag = DagCircuit::from_circuit(circuit);
-    route_prepared(
-        &dag,
-        coupling,
-        distances,
-        initial_layout,
-        config,
-        policy,
-        rng,
-        score_pool,
-    )
-}
-
-/// [`route_with_policy_on`] over a prebuilt dependency DAG.
-///
-/// Layout search routes the same circuit (and its reversal) many times;
-/// building the DAG once per circuit instead of once per pass is what this
-/// entry point exists for.
+/// [`route_prepared_budgeted`] with an unlimited budget.
 #[allow(clippy::too_many_arguments)]
 pub fn route_prepared<P: SwapPolicy + Sync>(
     dag: &DagCircuit,
@@ -394,11 +290,29 @@ pub fn route_prepared<P: SwapPolicy + Sync>(
     )
 }
 
-/// [`route_prepared`] under a cooperative [`Budget`]: the routing loop
-/// checks the budget once per SWAP step and aborts by unwinding with a
-/// typed [`Cancelled`] payload when it is exhausted. The checkpoint is one
+/// Routes the circuit behind a prebuilt dependency DAG from
+/// `initial_layout`, scoring SWAP candidates with `policy`.
+///
+/// Every gate of the output acts on physical qubits and every two-qubit gate
+/// respects the coupling map (inserted SWAPs included). The DAG is an input
+/// because layout search routes the same circuit (and its reversal) many
+/// times; callers build it once per circuit instead of once per pass.
+///
+/// `score_pool` fans each step's candidate scoring across workers. It
+/// affects wall clock only: scores are computed in candidate order either
+/// way and reduced serially, so the routed output is bit-identical at any
+/// worker count.
+///
+/// The loop checks `budget` once per SWAP step and aborts by unwinding with
+/// a typed [`Cancelled`] payload when it is exhausted. The checkpoint is one
 /// relaxed atomic load on an unexpired budget, so the routed output — and
 /// its cost — is unchanged whenever the budget does not trip.
+///
+/// # Panics
+///
+/// Panics when the device is smaller than the circuit, the coupling graph is
+/// disconnected, or routing fails to make progress (which would indicate an
+/// internal bug).
 ///
 /// [`Cancelled`]: nassc_parallel::Cancelled
 #[allow(clippy::too_many_arguments)]
@@ -603,26 +517,6 @@ pub fn route_prepared_budgeted<P: SwapPolicy + Sync>(
     }
 }
 
-/// Routes with the plain SABRE heuristic.
-pub fn sabre_route(
-    circuit: &QuantumCircuit,
-    coupling: &CouplingMap,
-    distances: &DistanceMatrix,
-    initial_layout: &Layout,
-    config: &SabreConfig,
-    rng: &mut StdRng,
-) -> RoutingResult {
-    route_with_policy(
-        circuit,
-        coupling,
-        distances,
-        initial_layout,
-        config,
-        &mut SabrePolicy,
-        rng,
-    )
-}
-
 /// Reusable buffers for [`collect_extended_set`]: the BFS queue, the visited
 /// bitmap (cleared via the touched list, so a step costs O(visited) rather
 /// than O(nodes)) and the output vector.
@@ -689,12 +583,6 @@ fn collect_extended_set<'s>(
     &scratch.extended
 }
 
-/// Returns a uniformly random tie-broken integer in `0..n` (helper for
-/// policies that need reproducible randomness).
-pub fn random_index(rng: &mut StdRng, n: usize) -> usize {
-    rng.gen_range(0..n)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -702,12 +590,35 @@ mod tests {
     use nassc_passes::is_mapped;
     use rand::SeedableRng;
 
+    /// Routes `circuit` from `layout` with the plain SABRE heuristic, `seed`
+    /// seeding the RNG and `threads` sizing the score pool.
+    fn sabre_route(
+        circuit: &QuantumCircuit,
+        coupling: &CouplingMap,
+        layout: &Layout,
+        seed: u64,
+        threads: usize,
+    ) -> RoutingResult {
+        route_prepared(
+            &DagCircuit::from_circuit(circuit),
+            coupling,
+            &coupling.distance_matrix(),
+            layout,
+            &SabreConfig::with_seed(seed),
+            &mut SabrePolicy,
+            &mut StdRng::seed_from_u64(seed),
+            &ThreadPool::new(threads),
+        )
+    }
+
     fn route(circuit: &QuantumCircuit, coupling: &CouplingMap, seed: u64) -> RoutingResult {
-        let config = SabreConfig::with_seed(seed);
-        let distances = coupling.distance_matrix();
-        let layout = Layout::trivial(coupling.num_qubits());
-        let mut rng = StdRng::seed_from_u64(seed);
-        sabre_route(circuit, coupling, &distances, &layout, &config, &mut rng)
+        sabre_route(
+            circuit,
+            coupling,
+            &Layout::trivial(coupling.num_qubits()),
+            seed,
+            1,
+        )
     }
 
     /// Expands SWAPs so the equivalence checker sees plain unitaries and
@@ -788,7 +699,6 @@ mod tests {
     fn parallel_scoring_is_bit_identical_to_serial() {
         use rand::Rng;
         let grid = CouplingMap::grid(3, 3);
-        let distances = grid.distance_matrix();
         let layout = Layout::trivial(9);
         let mut gen = StdRng::seed_from_u64(5);
         for trial in 0..4 {
@@ -798,19 +708,7 @@ mod tests {
                 let b = (a + gen.gen_range(1..9)) % 9;
                 qc.cx(a, b);
             }
-            let config = SabreConfig::with_seed(trial);
-            let route_on = |threads: usize| {
-                route_with_policy_on(
-                    &qc,
-                    &grid,
-                    &distances,
-                    &layout,
-                    &config,
-                    &mut SabrePolicy,
-                    &mut StdRng::seed_from_u64(trial),
-                    &ThreadPool::new(threads),
-                )
-            };
+            let route_on = |threads: usize| sabre_route(&qc, &grid, &layout, trial, threads);
             let serial = route_on(1);
             for threads in [2, 8] {
                 let parallel = route_on(threads);
@@ -828,10 +726,7 @@ mod tests {
         qc.cx(0, 1).measure(0).measure(1);
         let mut layout = Layout::trivial(3);
         layout.swap_physical(0, 2);
-        let config = SabreConfig::default();
-        let distances = line.distance_matrix();
-        let mut rng = StdRng::seed_from_u64(0);
-        let result = sabre_route(&qc, &line, &distances, &layout, &config, &mut rng);
+        let result = sabre_route(&qc, &line, &layout, 0, 1);
         let measures: Vec<_> = result
             .circuit
             .iter()

@@ -835,10 +835,6 @@ fn transpile_core(
             .header("X-Error-Kind", "limits");
         }
     }
-    if let Err(e) = session.check_fits(&circuit) {
-        return Response::text(422, format!("{e}\n")).header("X-Error-Kind", "too-wide");
-    }
-
     // Whatever remains of the request deadline becomes the transpile budget:
     // the session aborts cooperatively mid-routing when it expires.
     let options = options.deadline(total.saturating_sub(accepted_at.elapsed()));

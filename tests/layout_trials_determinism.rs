@@ -3,9 +3,9 @@
 //! compatibility mode and multi-trial selection, and trial selection is
 //! reproducible with deterministic lowest-index tie-breaking.
 
-use nassc::circuit::QuantumCircuit;
+use nassc::circuit::{DagCircuit, QuantumCircuit};
 use nassc::parallel::ThreadPool;
-use nassc::sabre::{route_with_policy_on, SabreConfig, SabrePolicy};
+use nassc::sabre::{route_prepared, SabreConfig, SabrePolicy};
 use nassc::{
     NasscPolicy, OptimizationFlags, RouterKind, SessionJob, TranspileOptions, TranspileResult,
     Transpiler,
@@ -151,13 +151,13 @@ fn batched_multi_trial_jobs_match_serial_pools() {
 fn in_pass_parallel_scoring_is_bit_identical() {
     let device = CouplingMap::ibmq_montreal();
     let distances = device.distance_matrix();
-    let circuit = sample_circuit();
+    let dag = DagCircuit::from_circuit(&sample_circuit());
     let layout = Layout::trivial(device.num_qubits());
     let config = SabreConfig::with_seed(3);
 
     let sabre_route = |threads: usize| {
-        route_with_policy_on(
-            &circuit,
+        route_prepared(
+            &dag,
             &device,
             &distances,
             &layout,
@@ -168,8 +168,8 @@ fn in_pass_parallel_scoring_is_bit_identical() {
         )
     };
     let nassc_route = |threads: usize| {
-        route_with_policy_on(
-            &circuit,
+        route_prepared(
+            &dag,
             &device,
             &distances,
             &layout,

@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 
 use nassc::{TranspileOptions, Transpiler};
-use nassc_circuit::{circuits_equivalent, Gate, QuantumCircuit};
+use nassc_circuit::{circuits_equivalent, DagCircuit, Gate, QuantumCircuit};
 use nassc_math::Matrix4;
 use nassc_passes::{is_mapped, standard_optimization_pipeline};
 use nassc_synthesis::{interaction_circuit, synthesize_two_qubit, WeylDecomposition};
@@ -41,8 +41,79 @@ fn random_circuit(width: usize, ops: Vec<(u8, usize, usize, f64)>) -> QuantumCir
     qc
 }
 
+/// A random 6-qubit circuit of `h`, `cx`, `ccx`, measurements and
+/// full-width barriers (whose 6-qubit list spills out of the inline
+/// `QubitList` storage).
+fn random_dag_circuit(ops: Vec<(u8, usize, usize, usize)>) -> QuantumCircuit {
+    let mut qc = QuantumCircuit::new(6);
+    for (kind, a, b, c) in ops {
+        match kind % 8 {
+            0 | 1 => {
+                qc.h(a);
+            }
+            2 | 3 => {
+                if a != b {
+                    qc.cx(a, b);
+                }
+            }
+            4 | 5 => {
+                if a != b && b != c && a != c {
+                    qc.ccx(a, b, c);
+                }
+            }
+            6 => {
+                qc.measure(a);
+            }
+            _ => {
+                qc.barrier_all();
+            }
+        }
+    }
+    qc
+}
+
+/// The dependency DAG the naive way: each gate depends on the last earlier
+/// gate on each of its wires, found by scanning backwards. Returns every
+/// node's successors (ascending) and in-degree.
+fn reference_dag(circuit: &QuantumCircuit) -> (Vec<Vec<usize>>, Vec<usize>) {
+    let gates = circuit.instructions();
+    let mut successors = vec![Vec::new(); gates.len()];
+    let mut in_degrees = vec![0; gates.len()];
+    for (node, gate) in gates.iter().enumerate() {
+        let mut preds = Vec::new();
+        for q in gate.qubits().iter() {
+            if let Some(pred) = (0..node).rev().find(|&i| gates[i].acts_on(q)) {
+                if !preds.contains(&pred) {
+                    preds.push(pred);
+                }
+            }
+        }
+        in_degrees[node] = preds.len();
+        for pred in preds {
+            successors[pred].push(node);
+        }
+    }
+    (successors, in_degrees)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn dag_edges_match_a_backwards_wire_scan(
+        ops in proptest::collection::vec((any::<u8>(), 0usize..6, 0usize..6, 0usize..6), 0..40),
+    ) {
+        let circuit = random_dag_circuit(ops);
+        let dag = DagCircuit::from_circuit(&circuit);
+        let (successors, in_degrees) = reference_dag(&circuit);
+        prop_assert_eq!(dag.num_nodes(), circuit.num_gates());
+        for (node, expected) in successors.iter().enumerate() {
+            prop_assert_eq!(dag.node(node).successors(), &expected[..], "node {}", node);
+        }
+        let front: Vec<usize> = (0..in_degrees.len()).filter(|&n| in_degrees[n] == 0).collect();
+        prop_assert_eq!(dag.in_degrees(), in_degrees);
+        prop_assert_eq!(dag.front_layer(), front);
+    }
 
     #[test]
     fn weyl_decomposition_reconstructs_random_interactions(

@@ -9,7 +9,7 @@ use nassc::{
     CacheStats, Error, RouterKind, SessionJob, ThreadPool, TranspileOptions, TranspileResult,
     Transpiler,
 };
-use nassc_topology::CouplingMap;
+use nassc_topology::{CouplingMap, Layout};
 
 fn sample_circuit() -> QuantumCircuit {
     let mut qc = QuantumCircuit::new(6);
@@ -74,6 +74,23 @@ fn warm_sessions_match_a_one_worker_cold_session() {
                 assert_eq!(warm.cache.hits(), 3, "{context}: warm hits");
                 assert_eq!(warm.cache.misses(), 0, "{context}: warm misses");
             }
+        }
+    }
+
+    // Without two-qubit gates there is nothing to lay out: every router and
+    // trial count keeps the identity layout and inserts no SWAP, cold or warm.
+    let mut local = QuantumCircuit::new(4);
+    local.h(0).x(1).h(3).measure(0).measure(3);
+    for router in [RouterKind::Sabre, RouterKind::Nassc] {
+        for trials in [1, 4] {
+            let session = Transpiler::new(device.clone(), options_for(router, trials));
+            let cold = session.transpile(&local).expect("cold");
+            let warm = session.transpile(&local).expect("warm");
+            let context = format!("single-qubit circuit, {router:?} trials={trials}");
+            assert_eq!(cold.initial_layout, Layout::trivial(6), "{context}");
+            assert_eq!(cold.swap_count, 0, "{context}");
+            assert!(cold.layout_trial_costs.is_empty(), "{context}");
+            assert_same_result(&warm, &cold, &format!("warm vs cold, {context}"));
         }
     }
 }
