@@ -81,11 +81,6 @@ pub fn reset() {
     PEAK.store(LIVE.load(Ordering::Relaxed), Ordering::Relaxed);
 }
 
-/// Bytes currently allocated and not yet freed.
-pub fn live_bytes() -> usize {
-    LIVE.load(Ordering::Relaxed)
-}
-
 /// High-water mark of live bytes since the last [`reset`].
 pub fn peak_bytes() -> usize {
     PEAK.load(Ordering::Relaxed)

@@ -50,11 +50,6 @@ impl QuantumCircuit {
         }
     }
 
-    /// Reserves room for at least `additional` more instructions.
-    pub fn reserve(&mut self, additional: usize) {
-        self.instructions.reserve(additional);
-    }
-
     /// The number of qubits.
     pub fn num_qubits(&self) -> usize {
         self.num_qubits
@@ -145,10 +140,23 @@ impl QuantumCircuit {
         self.instructions.pop()
     }
 
-    /// Shortens the circuit to at most `len` instructions (no-op when it is
-    /// already that short).
-    pub fn truncate(&mut self, len: usize) {
-        self.instructions.truncate(len);
+    /// Replaces the instruction at `index`, returning the old one.
+    ///
+    /// Routing uses this to relist a SWAP's qubits once a later SWAP fixes
+    /// which of them controls its first CNOT.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is out of range or an instruction qubit is.
+    pub fn replace(&mut self, index: usize, instruction: Instruction) -> Instruction {
+        for q in instruction.qubits().iter() {
+            assert!(
+                q < self.num_qubits,
+                "qubit {q} out of range for a {}-qubit circuit",
+                self.num_qubits
+            );
+        }
+        std::mem::replace(&mut self.instructions[index], instruction)
     }
 
     /// Appends every instruction of `other` (qubit indices taken verbatim).
@@ -163,22 +171,6 @@ impl QuantumCircuit {
         );
         for inst in &other.instructions {
             self.push(inst.clone());
-        }
-        self
-    }
-
-    /// Appends `other` with its qubit `i` mapped onto `qubits[i]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the mapping is shorter than `other`'s qubit count.
-    pub fn compose_on(&mut self, other: &QuantumCircuit, qubits: &[usize]) -> &mut Self {
-        assert!(
-            qubits.len() >= other.num_qubits(),
-            "qubit mapping too short"
-        );
-        for inst in &other.instructions {
-            self.push(inst.map_qubits(|q| qubits[q]));
         }
         self
     }
@@ -309,26 +301,11 @@ impl QuantumCircuit {
     /// assert!(qasm.contains("measure q[0] -> c[0];"));
     /// ```
     pub fn to_qasm(&self) -> Result<String, QasmExportError> {
-        self.write_qasm(false)
-    }
-
-    /// [`Self::to_qasm`] that never fails: instructions without an OpenQASM
-    /// spelling are emitted as `// <name> [qubits]` comment lines instead of
-    /// aborting the dump. Useful for debugging intermediate circuits that
-    /// still hold `unitary1`/`unitary2` blocks.
-    pub fn to_qasm_lossy(&self) -> String {
-        self.write_qasm(true)
-            .expect("lossy serialization cannot fail")
-    }
-
-    /// Shared body of [`Self::to_qasm`] and [`Self::to_qasm_lossy`].
-    ///
-    /// The output string is pre-sized from the instruction count and every
-    /// line is written in place (no per-gate `format!` temporaries), so a
-    /// 100k-gate export performs O(1) reallocations.
-    fn write_qasm(&self, lossy: bool) -> Result<String, QasmExportError> {
-        // ~24 bytes covers a typical parameterless line (`cx q[12],q[13];`);
-        // parameterised lines overflow into the usual amortised growth.
+        // The output is pre-sized and every line is written in place (no
+        // per-gate `format!` temporaries), so a 100k-gate export performs
+        // O(1) reallocations. ~24 bytes covers a typical parameterless line
+        // (`cx q[12],q[13];`); parameterised lines overflow into the usual
+        // amortised growth.
         let mut out = String::with_capacity(64 + 24 * self.instructions.len());
         out.push_str("OPENQASM 2.0;\n");
         out.push_str("include \"qelib1.inc\";\n");
@@ -350,19 +327,11 @@ impl QuantumCircuit {
                     out.push_str(";\n");
                 }
                 Gate::Unitary1(_) | Gate::Unitary2(_) => {
-                    if lossy {
-                        let _ = writeln!(out, "// {} {:?}", inst.gate.name(), inst.qubits());
-                    } else {
-                        return Err(QasmExportError::new(index, inst.gate.name()));
-                    }
+                    return Err(QasmExportError::new(index, inst.gate.name()));
                 }
                 gate => {
                     let params = gate.params();
                     if params.iter().any(|p| !p.is_finite()) {
-                        if lossy {
-                            let _ = writeln!(out, "// {} {:?}", gate.name(), inst.qubits());
-                            continue;
-                        }
                         return Err(QasmExportError::new(index, gate.name()));
                     }
                     out.push_str(gate.name());
@@ -593,14 +562,29 @@ mod tests {
         assert_eq!(last.gate, Gate::Cx);
         assert_eq!(last.qubits().to_vec(), vec![1, 2]);
         assert_eq!(qc.num_gates(), 2);
-        qc.truncate(1);
-        assert_eq!(qc.num_gates(), 1);
-        assert_eq!(qc.instructions()[0].gate, Gate::H);
-        qc.truncate(5); // longer than the circuit: no-op
-        assert_eq!(qc.num_gates(), 1);
-        qc.truncate(0);
+        qc.pop();
+        assert_eq!(qc.instructions(), &[Instruction::new(Gate::H, [0])]);
+        qc.pop();
         assert!(qc.is_empty());
         assert_eq!(qc.pop(), None);
+    }
+
+    #[test]
+    fn replace_swaps_one_instruction_in_place() {
+        let mut qc = QuantumCircuit::new(3);
+        qc.h(0).swap(0, 1).cx(1, 2);
+        let old = qc.replace(1, Instruction::new(Gate::Swap, [1, 0]));
+        assert_eq!(old, Instruction::new(Gate::Swap, [0, 1]));
+        assert_eq!(qc.instructions()[1].qubits().to_vec(), vec![1, 0]);
+        assert_eq!(qc.num_gates(), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn replace_rejects_out_of_range_qubits() {
+        let mut qc = QuantumCircuit::new(2);
+        qc.h(0);
+        qc.replace(0, Instruction::new(Gate::H, [2]));
     }
 
     #[test]
@@ -642,16 +626,6 @@ mod tests {
         let rev = qc.reversed();
         assert_eq!(rev.instructions()[0].gate, Gate::Cx);
         assert_eq!(rev.instructions()[1].gate, Gate::S);
-    }
-
-    #[test]
-    fn compose_on_remaps_qubits() {
-        let mut bell = QuantumCircuit::new(2);
-        bell.h(0).cx(0, 1);
-        let mut big = QuantumCircuit::new(5);
-        big.compose_on(&bell, &[3, 1]);
-        assert_eq!(big.instructions()[0].qubits().to_vec(), vec![3]);
-        assert_eq!(big.instructions()[1].qubits().to_vec(), vec![3, 1]);
     }
 
     #[test]
@@ -718,17 +692,14 @@ mod tests {
         assert_eq!(err.instruction, 1);
         assert_eq!(err.gate, "unitary1");
         assert!(err.to_string().contains("no OpenQASM 2.0 representation"));
-        let lossy = qc.to_qasm_lossy();
-        assert!(lossy.contains("h q[0];"));
-        assert!(lossy.contains("// unitary1 [0]"));
     }
 
     #[test]
     fn non_finite_parameters_fail_strict_export() {
         let mut qc = QuantumCircuit::new(1);
         qc.rz(f64::NAN, 0);
-        assert!(qc.to_qasm().is_err());
-        assert!(qc.to_qasm_lossy().contains("// rz [0]"));
+        let err = qc.to_qasm().unwrap_err();
+        assert_eq!((err.instruction, err.gate.as_str()), (0, "rz"));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! `|b a⟩`. Controlled gates list the control qubit first.
 
 use nassc_math::{Matrix2, Matrix4, C64};
-use std::f64::consts::{FRAC_PI_2, FRAC_PI_4, PI};
+use std::f64::consts::{FRAC_PI_2, FRAC_PI_4};
 
 /// A quantum gate (or the non-unitary `Measure`/`Barrier` markers).
 ///
@@ -381,24 +381,6 @@ impl Gate {
         Some(m)
     }
 
-    /// Number of parameters carried by the gate.
-    pub fn num_params(&self) -> usize {
-        match self {
-            Gate::Rx(_)
-            | Gate::Ry(_)
-            | Gate::Rz(_)
-            | Gate::Phase(_)
-            | Gate::Crx(_)
-            | Gate::Cry(_)
-            | Gate::Crz(_)
-            | Gate::Cp(_)
-            | Gate::Rxx(_)
-            | Gate::Rzz(_) => 1,
-            Gate::U(_, _, _) => 3,
-            _ => 0,
-        }
-    }
-
     /// The gate's parameters, if any.
     pub fn params(&self) -> Vec<f64> {
         match self {
@@ -443,11 +425,6 @@ fn u_matrix(theta: f64, phi: f64, lam: f64) -> Matrix2 {
     ])
 }
 
-/// Convenience constant: π.
-pub const GATE_PI: f64 = PI;
-/// Convenience constant: π/2.
-pub const GATE_PI_2: f64 = FRAC_PI_2;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -459,7 +436,7 @@ mod tests {
         assert_eq!(Gate::Rz(0.3).name(), "rz");
         assert_eq!(Gate::Ccx.num_qubits(), 3);
         assert_eq!(Gate::Barrier(5).num_qubits(), 5);
-        assert_eq!(Gate::U(0.1, 0.2, 0.3).num_params(), 3);
+        assert_eq!(Gate::U(0.1, 0.2, 0.3).params(), vec![0.1, 0.2, 0.3]);
     }
 
     #[test]
@@ -556,7 +533,9 @@ mod tests {
         // U(0,0,λ) == Phase(λ) up to phase, U(π/2,0,π) == H up to phase.
         let p = Gate::U(0.0, 0.0, 0.7).matrix2().unwrap();
         assert!(p.approx_eq_up_to_phase(&Gate::Phase(0.7).matrix2().unwrap(), 1e-10));
-        let h = Gate::U(GATE_PI_2, 0.0, GATE_PI).matrix2().unwrap();
+        let h = Gate::U(FRAC_PI_2, 0.0, std::f64::consts::PI)
+            .matrix2()
+            .unwrap();
         assert!(h.approx_eq_up_to_phase(&Matrix2::hadamard(), 1e-10));
     }
 

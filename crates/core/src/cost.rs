@@ -1,6 +1,6 @@
 //! The optimization-aware pieces of NASSC's cost function (Eq. 1–2):
 //! the `C_2q`, `C_commute1` and `C_commute2` reduction terms and the
-//! SWAP-orientation decisions they imply.
+//! SWAP orientation they imply: which qubit controls the SWAP's first CNOT.
 //!
 //! Two evaluation paths compute the same reductions:
 //!
@@ -14,10 +14,10 @@
 //!   reference on every input (same instructions, same order, same floats).
 
 use nassc_circuit::{Gate, Instruction, QuantumCircuit};
-use nassc_math::{Matrix2, Matrix4};
-use nassc_passes::instructions_commute;
+use nassc_math::Matrix4;
+use nassc_passes::{instructions_commute, pair_matrix, COMMUTE_SET_LIMIT};
 use nassc_sabre::RoutingState;
-use nassc_synthesis::{two_qubit_cnot_cost, SwapOrientation};
+use nassc_synthesis::two_qubit_cnot_cost;
 
 /// Which of the three optimizations NASSC anticipates during routing
 /// (the paper's `b_k` bits; Figure 9 sweeps all eight combinations).
@@ -48,8 +48,11 @@ impl OptimizationFlags {
         }
     }
 
-    /// Every optimization disabled (the cost function degenerates to SABRE's
-    /// distance heuristic scaled by 3).
+    /// Every optimization disabled. Eq. 2's front term is then SABRE's
+    /// front-layer distance scaled by 3, but its extended term is not
+    /// scaled, so the lookahead weighs a third of what it weighs in SABRE and
+    /// routing differs from [`nassc_sabre::SabrePolicy`]'s. Whether the
+    /// extended term should be scaled too is an open question.
     pub fn none() -> Self {
         Self {
             block_resynthesis: false,
@@ -92,8 +95,8 @@ impl OptimizationFlags {
 }
 
 /// The outcome of evaluating the optimization-aware reductions for one SWAP
-/// candidate.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// candidate. The default is no reduction at all.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SwapReduction {
     /// Estimated CNOT reduction from two-qubit block re-synthesis (0–3).
     pub c_2q: f64,
@@ -101,10 +104,11 @@ pub struct SwapReduction {
     pub c_commute1: f64,
     /// Estimated CNOT reduction from SWAP–SWAP sandwich cancellation (0 or 2).
     pub c_commute2: f64,
-    /// The SWAP decomposition orientation the cancellations require, if any.
-    pub orientation: Option<SwapOrientation>,
-    /// Output index of an earlier SWAP whose orientation should be aligned
-    /// (the `C_commute2` sandwich partner).
+    /// The qubit that must control the SWAP's first CNOT for the
+    /// cancellation to happen, if any.
+    pub first_control: Option<usize>,
+    /// Output index of an earlier SWAP whose first CNOT should have the same
+    /// control (the `C_commute2` sandwich partner).
     pub partner_swap_index: Option<usize>,
 }
 
@@ -113,21 +117,11 @@ impl SwapReduction {
     pub fn total(&self) -> f64 {
         self.c_2q + self.c_commute1 + self.c_commute2
     }
-
-    fn zero() -> Self {
-        Self {
-            c_2q: 0.0,
-            c_commute1: 0.0,
-            c_commute2: 0.0,
-            orientation: None,
-            partner_swap_index: None,
-        }
-    }
 }
 
-/// Size cap on backwards searches through the resolved circuit, mirroring the
-/// paper's 20-gate commute-set limit.
-pub const SEARCH_WINDOW: usize = 20;
+/// Size cap on backwards searches through the resolved circuit: the
+/// commute-set limit the commutative-cancellation pass groups with.
+pub const SEARCH_WINDOW: usize = COMMUTE_SET_LIMIT;
 
 /// Evaluates the optimization-aware CNOT reductions for inserting a SWAP on
 /// physical qubits `(p1, p2)` given the already-routed output circuit.
@@ -137,21 +131,21 @@ pub fn evaluate_swap_reduction(
     p2: usize,
     flags: &OptimizationFlags,
 ) -> SwapReduction {
-    let mut reduction = SwapReduction::zero();
+    let mut reduction = SwapReduction::default();
     if flags.block_resynthesis {
         reduction.c_2q = block_resynthesis_reduction(output, p1, p2);
     }
     if flags.commute_cancellation {
-        if let Some((gain, orientation)) = commute1_reduction(output, p1, p2) {
+        if let Some((gain, control)) = commute1_reduction(output, p1, p2) {
             reduction.c_commute1 = gain;
-            reduction.orientation = Some(orientation);
+            reduction.first_control = Some(control);
         }
     }
     if flags.swap_sandwich_cancellation {
-        if let Some((gain, orientation, partner)) = commute2_reduction(output, p1, p2) {
+        if let Some((gain, control, partner)) = commute2_reduction(output, p1, p2) {
             reduction.c_commute2 = gain;
-            if reduction.orientation.is_none() {
-                reduction.orientation = Some(orientation);
+            if reduction.first_control.is_none() {
+                reduction.first_control = Some(control);
             }
             reduction.partner_swap_index = Some(partner);
         }
@@ -184,12 +178,8 @@ fn block_resynthesis_reduction(output: &QuantumCircuit, p1: usize, p2: usize) ->
 
 /// `C_commute1`: 2 when a CNOT on `(p1, p2)` earlier in the circuit can
 /// commute up to the insertion point and cancel against the SWAP's first
-/// CNOT. Returns the required SWAP orientation.
-fn commute1_reduction(
-    output: &QuantumCircuit,
-    p1: usize,
-    p2: usize,
-) -> Option<(f64, SwapOrientation)> {
+/// CNOT. Returns the control that first CNOT needs.
+fn commute1_reduction(output: &QuantumCircuit, p1: usize, p2: usize) -> Option<(f64, usize)> {
     let window = touching_window(output, p1, p2);
     // Gates between the candidate CNOT and the insertion point (multi-qubit
     // gates only; single-qubit gates are movable through the SWAP).
@@ -210,8 +200,7 @@ fn commute1_reduction(
                 .iter()
                 .all(|other| instructions_commute(inst, other));
             if commutes_past_all {
-                let control = inst.qubit(0);
-                return Some((2.0, SwapOrientation::with_first_control(p1, p2, control)));
+                return Some((2.0, inst.qubit(0)));
             }
             return None;
         }
@@ -225,13 +214,13 @@ fn commute1_reduction(
 }
 
 /// `C_commute2`: 2 when an earlier SWAP on the same pair sandwiches a
-/// commute set, so one CNOT of each SWAP cancels. Returns the orientation
-/// and the output index of the earlier SWAP.
+/// commute set, so one CNOT of each SWAP cancels. Returns the control both
+/// SWAPs' first CNOTs need and the output index of the earlier SWAP.
 fn commute2_reduction(
     output: &QuantumCircuit,
     p1: usize,
     p2: usize,
-) -> Option<(f64, SwapOrientation, usize)> {
+) -> Option<(f64, usize, usize)> {
     let window = touching_window(output, p1, p2);
     let mut between: Vec<&Instruction> = Vec::new();
     for &idx in window.iter().rev() {
@@ -253,11 +242,7 @@ fn commute2_reduction(
                     .iter()
                     .all(|other| instructions_commute(&probe, other))
                 {
-                    return Some((
-                        2.0,
-                        SwapOrientation::with_first_control(p1, p2, control),
-                        idx,
-                    ));
+                    return Some((2.0, control, idx));
                 }
             }
             return None;
@@ -290,24 +275,12 @@ pub fn evaluate_swap_reduction_windowed(
     let mut buf = [0u32; SEARCH_WINDOW];
     let len = state.rev_touching_window(p1, p2, &mut buf);
     let window = &buf[..len];
-    let mut reduction = SwapReduction::zero();
+    let mut reduction = SwapReduction::default();
     if flags.block_resynthesis {
         reduction.c_2q = block_resynthesis_windowed(state, window, p1, p2);
     }
-    if flags.commute_cancellation {
-        if let Some((gain, orientation)) = commute1_windowed(state, window, p1, p2) {
-            reduction.c_commute1 = gain;
-            reduction.orientation = Some(orientation);
-        }
-    }
-    if flags.swap_sandwich_cancellation {
-        if let Some((gain, orientation, partner)) = commute2_windowed(state, window, p1, p2) {
-            reduction.c_commute2 = gain;
-            if reduction.orientation.is_none() {
-                reduction.orientation = Some(orientation);
-            }
-            reduction.partner_swap_index = Some(partner);
-        }
+    if flags.commute_cancellation || flags.swap_sandwich_cancellation {
+        commute_windowed(state, window, p1, p2, flags, &mut reduction);
     }
     reduction
 }
@@ -338,8 +311,7 @@ fn block_resynthesis_windowed(state: &RoutingState, window: &[u32], p1: usize, p
     let low = p1.min(p2);
     let mut block_unitary = Matrix4::identity();
     for &idx in block[..len].iter().rev() {
-        let m = instruction_matrix(state.instruction(idx as usize), low);
-        block_unitary = m.mul(&block_unitary);
+        block_unitary = pair_matrix(state.instruction(idx as usize), low).mul(&block_unitary);
     }
     let with_swap = Matrix4::swap().mul(&block_unitary);
     let (Ok(old_cost), Ok(new_cost)) = (
@@ -352,13 +324,20 @@ fn block_resynthesis_windowed(state: &RoutingState, window: &[u32], p1: usize, p
     (3.0 - extra).clamp(0.0, 3.0)
 }
 
-/// `C_commute1` over the windowed index (see [`commute1_reduction`]).
-fn commute1_windowed(
+/// `C_commute1` and `C_commute2` over the windowed index, in one walk (see
+/// [`commute1_reduction`] and [`commute2_reduction`]).
+///
+/// Both searches skip one-qubit unitaries and stop at the first multi-qubit
+/// gate on the pair, so they walk past the same gates: a CNOT there can
+/// only score `C_commute1`, and a SWAP only `C_commute2`.
+fn commute_windowed(
     state: &RoutingState,
     window: &[u32],
     p1: usize,
     p2: usize,
-) -> Option<(f64, SwapOrientation)> {
+    flags: &OptimizationFlags,
+    reduction: &mut SwapReduction,
+) {
     let mut between = [0u32; SEARCH_WINDOW];
     let mut between_len = 0usize;
     for &idx in window {
@@ -367,75 +346,41 @@ fn commute1_windowed(
             continue;
         }
         let on_pair = inst.num_qubits() == 2 && inst.acts_on(p1) && inst.acts_on(p2);
-        if on_pair && inst.gate == Gate::Cx {
-            if between_len == 0 {
-                // Directly adjacent: the block-resynthesis term already
-                // captures this case.
-                return None;
-            }
-            let commutes_past_all = between[..between_len]
+        if !on_pair {
+            between[between_len] = idx;
+            between_len += 1;
+            continue;
+        }
+        // Directly adjacent gates on the pair are the block-resynthesis
+        // term's case.
+        if between_len == 0 {
+            return;
+        }
+        let commutes_past_all = |probe: &Instruction| {
+            between[..between_len]
                 .iter()
-                .all(|&other| instructions_commute(inst, state.instruction(other as usize)));
-            if commutes_past_all {
-                let control = inst.qubit(0);
-                return Some((2.0, SwapOrientation::with_first_control(p1, p2, control)));
+                .all(|&other| instructions_commute(probe, state.instruction(other as usize)))
+        };
+        match inst.gate {
+            Gate::Cx if flags.commute_cancellation && commutes_past_all(inst) => {
+                reduction.c_commute1 = 2.0;
+                reduction.first_control = Some(inst.qubit(0));
             }
-            return None;
-        }
-        if on_pair {
-            // A non-CNOT gate on the pair (e.g. an earlier SWAP) stops the search.
-            return None;
-        }
-        between[between_len] = idx;
-        between_len += 1;
-    }
-    None
-}
-
-/// `C_commute2` over the windowed index (see [`commute2_reduction`]).
-fn commute2_windowed(
-    state: &RoutingState,
-    window: &[u32],
-    p1: usize,
-    p2: usize,
-) -> Option<(f64, SwapOrientation, usize)> {
-    let mut between = [0u32; SEARCH_WINDOW];
-    let mut between_len = 0usize;
-    for &idx in window {
-        let inst = state.instruction(idx as usize);
-        if inst.num_qubits() == 1 && inst.gate.is_unitary() {
-            continue;
-        }
-        let on_pair = inst.num_qubits() == 2 && inst.acts_on(p1) && inst.acts_on(p2);
-        if on_pair && inst.gate == Gate::Swap {
-            if between_len == 0 {
-                // Back-to-back SWAPs cancel entirely; the block term covers it.
-                return None;
-            }
-            // Try both CNOT orientations for the cancelling pair.
-            for control in [p1, p2] {
-                let target = if control == p1 { p2 } else { p1 };
-                let probe = Instruction::new(Gate::Cx, [control, target]);
-                if between[..between_len]
-                    .iter()
-                    .all(|&other| instructions_commute(&probe, state.instruction(other as usize)))
-                {
-                    return Some((
-                        2.0,
-                        SwapOrientation::with_first_control(p1, p2, control),
-                        idx as usize,
-                    ));
+            Gate::Swap if flags.swap_sandwich_cancellation => {
+                // Try both CNOT orientations for the cancelling pair.
+                for (control, target) in [(p1, p2), (p2, p1)] {
+                    if commutes_past_all(&Instruction::new(Gate::Cx, [control, target])) {
+                        reduction.c_commute2 = 2.0;
+                        reduction.first_control = Some(control);
+                        reduction.partner_swap_index = Some(idx as usize);
+                        break;
+                    }
                 }
             }
-            return None;
+            _ => {}
         }
-        if on_pair {
-            return None;
-        }
-        between[between_len] = idx;
-        between_len += 1;
+        return;
     }
-    None
 }
 
 /// The indices (in circuit order) of the last [`SEARCH_WINDOW`] instructions
@@ -483,32 +428,9 @@ fn trailing_block(output: &QuantumCircuit, p1: usize, p2: usize) -> Option<Vec<I
 fn block_matrix(block: &[Instruction], low: usize) -> Matrix4 {
     let mut acc = Matrix4::identity();
     for inst in block {
-        acc = instruction_matrix(inst, low).mul(&acc);
+        acc = pair_matrix(inst, low).mul(&acc);
     }
     acc
-}
-
-/// The 4×4 matrix of one pair-confined instruction (`low` is the
-/// least-significant qubit of the pair).
-fn instruction_matrix(inst: &Instruction, low: usize) -> Matrix4 {
-    match inst.num_qubits() {
-        1 => {
-            let g = inst.gate.matrix2().expect("1q gate in block has matrix");
-            if inst.qubit(0) == low {
-                Matrix2::identity().kron(&g)
-            } else {
-                g.kron(&Matrix2::identity())
-            }
-        }
-        _ => {
-            let g = inst.gate.matrix4().expect("2q gate in block has matrix");
-            if inst.qubit(0) == low {
-                g
-            } else {
-                g.swap_qubits()
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -556,7 +478,7 @@ mod tests {
         output.cx(2, 3);
         let r = evaluate_swap_reduction(&output, 0, 1, &OptimizationFlags::all());
         assert_eq!(r.total(), 0.0);
-        assert!(r.orientation.is_none());
+        assert!(r.first_control.is_none());
     }
 
     #[test]
@@ -577,10 +499,7 @@ mod tests {
         let r = evaluate_swap_reduction(&output, 1, 2, &OptimizationFlags::all());
         assert_eq!(r.c_commute1, 2.0);
         // The cancelling CNOT has control 2 → the SWAP's first CNOT must too.
-        assert_eq!(
-            r.orientation,
-            Some(SwapOrientation::with_first_control(1, 2, 2))
-        );
+        assert_eq!(r.first_control, Some(2));
     }
 
     #[test]
@@ -654,7 +573,7 @@ mod tests {
             c_2q: 2.0,
             c_commute1: 2.0,
             c_commute2: 0.0,
-            orientation: None,
+            first_control: None,
             partner_swap_index: None,
         };
         assert_eq!(r.total(), 4.0);

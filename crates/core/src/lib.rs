@@ -26,8 +26,9 @@
 //!
 //! The two pipelines share one tail — layout, routing, SWAP expansion and
 //! post-routing optimization — that cold and warm session requests both
-//! run; the routers differ only in how they score SWAPs, price layout trials
-//! and expand SWAPs into CNOTs.
+//! run; the routers differ only in their SWAP policy: how a candidate is
+//! scored and how the winner is emitted. NASSC lists first the qubit that
+//! must control a SWAP's first CNOT, so the shared expansion follows it.
 //!
 //! # Example
 //!

@@ -1,10 +1,11 @@
 //! End-to-end transpile pipelines: the paper's `Qiskit+SABRE` baseline and
 //! `Qiskit+NASSC`, with optional noise-aware (HA) distance matrices.
 //!
-//! The two flows differ in three places only: how a candidate SWAP is
-//! scored, how a layout trial is priced, and how each SWAP is expanded into
-//! CNOTs. A crate-private `Router` trait captures those three, and one tail
-//! generic over it serves every [`Transpiler`] request, cold or warm.
+//! The two flows differ only in their [`SwapPolicy`]: how a candidate SWAP
+//! is scored and how the winner is emitted. Both price a layout trial by its
+//! SWAP count and expand SWAPs with [`expand_swaps`], which follows the
+//! qubit order each SWAP was emitted in. One tail, generic over a policy
+//! factory, serves every [`Transpiler`] request, cold or warm.
 //! [`RouterKind`] is matched once, where that tail is instantiated, so the
 //! routing hot loop stays statically dispatched.
 //!
@@ -22,6 +23,7 @@ use nassc_sabre::{
     route_prepared_budgeted, sabre_layout_prepared_budgeted, LayoutTrials, RoutingResult,
     SabreConfig, SabrePolicy, SwapPolicy,
 };
+use nassc_synthesis::expand_swaps;
 use nassc_topology::{Calibration, CouplingMap, DistanceMatrix, Layout};
 
 use crate::cost::OptimizationFlags;
@@ -62,8 +64,7 @@ pub struct TranspileOptions {
     /// [`nassc_sabre::sabre_layout_prepared_budgeted`]; `N > 1` runs `N`
     /// independently seeded trials refined through the router's own
     /// [`nassc_sabre::SwapPolicy`] and keeps the one whose full routing pass
-    /// costs least — fewest SWAPs for SABRE, fewest CNOTs surviving the
-    /// optimization-aware decomposition for NASSC (ties break to the lowest
+    /// inserts the fewest SWAPs, for either router (ties break to the lowest
     /// trial index).
     pub layout_trials: usize,
     /// When set, the transpile runs under a cooperative deadline measured
@@ -225,11 +226,9 @@ pub struct TranspileResult {
     /// Index of the layout trial whose layout was used (always 0 in the
     /// single-trial compatibility mode).
     pub chosen_layout_trial: usize,
-    /// Scoring cost of every layout trial, in trial order. The unit is
-    /// router-specific: SWAPs inserted by the trial's full routing pass for
-    /// SABRE, CNOTs surviving the optimization-aware decomposition for
-    /// NASSC — comparable within a run, not across routers. Empty in
-    /// single-trial mode, where no scoring pass runs.
+    /// Scoring cost of every layout trial, in trial order: the SWAPs the
+    /// trial's full routing pass inserted, with the router's own policy.
+    /// Empty in single-trial mode, where no scoring pass runs.
     pub layout_trial_costs: Vec<f64>,
     /// Cache activity this request observed on the [`Transpiler`] session
     /// that served it: hits and misses against the distance, prepared and
@@ -275,55 +274,6 @@ pub(crate) fn optimize_without_routing_budgeted(
     standard_optimization_pipeline().run_with_budget(&unrolled, budget)
 }
 
-/// What one router contributes to the shared pipeline tail: its SWAP
-/// scorer, how it prices a layout trial and how it expands SWAPs.
-pub(crate) trait Router: SwapPolicy + Send + Sync {
-    /// A fresh policy for one routing pass, so no state leaks across passes.
-    fn from_options(options: &TranspileOptions) -> Self;
-
-    /// The cost of a layout trial whose scoring pass this policy routed;
-    /// the cheapest trial wins.
-    fn trial_cost(&self, routed: &RoutingResult) -> f64;
-
-    /// The routed circuit with every SWAP expanded into CNOTs.
-    fn expand_swaps(&self, routed: &QuantumCircuit) -> QuantumCircuit;
-}
-
-/// SABRE prices every SWAP at three CNOTs, so a trial's SWAP count is (up to
-/// a constant factor) the CNOT overhead its layout costs — the trial score
-/// Qiskit's SabreLayout uses. Its SWAPs expand with the fixed default
-/// template (what the baseline Qiskit+SABRE flow does): NASSC's expansion
-/// with no orientation recorded.
-impl Router for SabrePolicy {
-    fn from_options(_: &TranspileOptions) -> Self {
-        SabrePolicy
-    }
-
-    fn trial_cost(&self, routed: &RoutingResult) -> f64 {
-        routed.swap_count as f64
-    }
-
-    fn expand_swaps(&self, routed: &QuantumCircuit) -> QuantumCircuit {
-        NasscPolicy::default().decompose_swaps(routed)
-    }
-}
-
-/// Not all SWAPs have the same cost: NASSC's expansion cancels CNOTs against
-/// neighbouring gates, so a trial is priced by the CNOTs that survive it.
-impl Router for NasscPolicy {
-    fn from_options(options: &TranspileOptions) -> Self {
-        NasscPolicy::new(options.flags)
-    }
-
-    fn trial_cost(&self, routed: &RoutingResult) -> f64 {
-        self.decompose_swaps(&routed.circuit).cx_count() as f64
-    }
-
-    fn expand_swaps(&self, routed: &QuantumCircuit) -> QuantumCircuit {
-        self.decompose_swaps(routed)
-    }
-}
-
 /// A layout search's outcome, as the session's layout cache keeps it.
 #[derive(Debug, Clone)]
 pub(crate) struct LayoutWinner {
@@ -365,8 +315,8 @@ pub(crate) fn transpile_prepared(
         budget,
     };
     match options.router {
-        RouterKind::Sabre => tail.run::<SabrePolicy>(cached, pool),
-        RouterKind::Nassc => tail.run::<NasscPolicy>(cached, pool),
+        RouterKind::Sabre => tail.run(cached, pool, || SabrePolicy),
+        RouterKind::Nassc => tail.run(cached, pool, || NasscPolicy::new(options.flags)),
     }
 }
 
@@ -380,22 +330,29 @@ struct Tail<'a> {
 }
 
 impl Tail<'_> {
-    fn run<R: Router>(
+    /// Runs the tail with `make_policy` building a fresh policy for every
+    /// routing pass, so no state leaks across passes.
+    fn run<P, F>(
         &self,
         cached: Option<&LayoutWinner>,
         pool: &ThreadPool,
-    ) -> Result<TranspileResult, PassError> {
+        make_policy: F,
+    ) -> Result<TranspileResult, PassError>
+    where
+        P: SwapPolicy + Sync,
+        F: Fn() -> P + Sync,
+    {
         let start = Instant::now();
         let (routed, decomposed, chosen_layout_trial, layout_trial_costs) = match cached {
             Some(winner) => {
                 let mut span = nassc_trace::span!("route_from");
                 span.arg_u64("chosen_trial", winner.chosen_trial as u64);
-                let (routed, router) = self.route_from::<R>(&winner.layout, pool);
-                let decomposed = router.expand_swaps(&routed.circuit);
+                let routed = self.route_from(&winner.layout, pool, &make_policy);
+                let decomposed = expand_swaps(&routed.circuit);
                 let costs = winner.trial_costs.clone();
                 (routed, decomposed, winner.chosen_trial, costs)
             }
-            None => self.layout_route_decompose::<R>(pool),
+            None => self.layout_route_decompose(pool, &make_policy),
         };
         let optimized = {
             let _span = nassc_trace::span!("post_optimize");
@@ -421,12 +378,17 @@ impl Tail<'_> {
     /// bit-identical to the historical pipeline. Several trials run the
     /// policy-aware [`LayoutTrials`] engine and reuse the winner's scoring
     /// route instead of paying a duplicate routing pass.
-    fn layout_route_decompose<R: Router>(
+    fn layout_route_decompose<P, F>(
         &self,
         pool: &ThreadPool,
-    ) -> (RoutingResult, QuantumCircuit, usize, Vec<f64>) {
+        make_policy: &F,
+    ) -> (RoutingResult, QuantumCircuit, usize, Vec<f64>)
+    where
+        P: SwapPolicy + Sync,
+        F: Fn() -> P + Sync,
+    {
         let (trial_pool, score_pool) = pool.split_budget(self.options.layout_trials);
-        let (routed, router, chosen_trial, costs) = if self.options.layout_trials <= 1 {
+        let (routed, chosen_trial, costs) = if self.options.layout_trials <= 1 {
             // Build the dependency DAG once and share it between the layout
             // search and the production routing pass — at 100k gates the
             // per-pass rebuild used to dominate the single-trial path.
@@ -449,8 +411,8 @@ impl Tail<'_> {
                 )
             };
             let _span = nassc_trace::span!("route");
-            let (routed, router) = self.route_dag::<R>(&dag, &layout, &score_pool);
-            (routed, router, 0, Vec::new())
+            let routed = self.route_dag(&dag, &layout, &score_pool, make_policy);
+            (routed, 0, Vec::new())
         } else {
             let (selection, winner) = LayoutTrials::new(
                 self.prepared,
@@ -462,54 +424,55 @@ impl Tail<'_> {
             .pool(trial_pool)
             .score_pool(score_pool)
             .budget(self.budget.clone())
-            .run(
-                || R::from_options(self.options),
-                |routed, router: &R| router.trial_cost(routed),
-            );
+            .run(make_policy);
             // No trial routes a circuit without two-qubit gates, so route
             // that degenerate case once from the engine's identity layout.
-            let (routed, router) =
-                winner.unwrap_or_else(|| self.route_from::<R>(&selection.layout, &score_pool));
-            (
-                routed,
-                router,
-                selection.chosen_trial,
-                selection.trial_costs(),
-            )
+            let routed = winner
+                .unwrap_or_else(|| self.route_from(&selection.layout, &score_pool, make_policy));
+            (routed, selection.chosen_trial, selection.trial_costs())
         };
         let decomposed = {
             let _span = nassc_trace::span!("decompose");
-            router.expand_swaps(&routed.circuit)
+            expand_swaps(&routed.circuit)
         };
         (routed, decomposed, chosen_trial, costs)
     }
 
     /// One production routing pass from `layout` over a freshly built DAG.
-    fn route_from<R: Router>(&self, layout: &Layout, pool: &ThreadPool) -> (RoutingResult, R) {
-        self.route_dag(&DagCircuit::from_circuit(self.prepared), layout, pool)
+    fn route_from<P: SwapPolicy + Sync>(
+        &self,
+        layout: &Layout,
+        pool: &ThreadPool,
+        make_policy: &impl Fn() -> P,
+    ) -> RoutingResult {
+        self.route_dag(
+            &DagCircuit::from_circuit(self.prepared),
+            layout,
+            pool,
+            make_policy,
+        )
     }
 
     /// One production routing pass: a fresh policy, and the RNG seeded from
     /// `options.config.seed`.
-    fn route_dag<R: Router>(
+    fn route_dag<P: SwapPolicy + Sync>(
         &self,
         dag: &DagCircuit,
         layout: &Layout,
         pool: &ThreadPool,
-    ) -> (RoutingResult, R) {
-        let mut router = R::from_options(self.options);
-        let routed = route_prepared_budgeted(
+        make_policy: &impl Fn() -> P,
+    ) -> RoutingResult {
+        route_prepared_budgeted(
             dag,
             self.coupling,
             self.distances,
             layout,
             &self.options.config,
-            &mut router,
+            &mut make_policy(),
             &mut StdRng::seed_from_u64(self.options.config.seed),
             pool,
             self.budget,
-        );
-        (routed, router)
+        )
     }
 }
 
@@ -583,7 +546,7 @@ mod tests {
     fn fixed_swap_decomposition_removes_swaps() {
         let mut qc = QuantumCircuit::new(3);
         qc.swap(0, 1).cx(1, 2).swap(1, 2);
-        let out = SabrePolicy.expand_swaps(&qc);
+        let out = expand_swaps(&qc);
         assert_eq!(out.swap_count(), 0);
         assert_eq!(out.cx_count(), 7);
     }

@@ -1,12 +1,8 @@
 //! The NASSC routing policy: SABRE's traversal with the optimization-aware
 //! cost function of Eq. 2 and optimization-aware SWAP decomposition.
 
-use std::collections::HashMap;
-
 use nassc_circuit::{Gate, Instruction, QuantumCircuit};
 use nassc_sabre::{RoutingContext, RoutingState, SwapPolicy};
-use nassc_synthesis::{swap_decomposition, SwapOrientation};
-use nassc_topology::Layout;
 
 use crate::cost::{evaluate_swap_reduction_windowed, OptimizationFlags};
 
@@ -19,16 +15,14 @@ use crate::cost::{evaluate_swap_reduction_windowed, OptimizationFlags};
 /// ```
 ///
 /// where the `C_k` reductions are evaluated against the already-routed
-/// output circuit. Alongside scoring, the policy records the SWAP
-/// decomposition orientation each cancellation requires and commutes
-/// trailing single-qubit gates through the SWAP (the single-qubit movement
-/// of §IV-E).
+/// output circuit. Emitting the winner, the policy lists first the qubit
+/// each cancellation needs as the control of the SWAP's first CNOT (a
+/// SWAP's qubit order is its orientation), and commutes trailing
+/// single-qubit gates through the SWAP (the single-qubit movement of
+/// §IV-E).
 #[derive(Debug, Clone, Default)]
 pub struct NasscPolicy {
     flags: OptimizationFlags,
-    orientations: HashMap<usize, SwapOrientation>,
-    pending_orientation: Option<SwapOrientation>,
-    pending_partner: Option<usize>,
     detached_gates: Vec<Instruction>,
 }
 
@@ -41,36 +35,11 @@ impl NasscPolicy {
         }
     }
 
-    /// The orientation recorded for the SWAP emitted at `output_index`
-    /// (defaults to [`SwapOrientation::FirstQubitControl`] when no
-    /// cancellation constrained it).
-    pub fn orientation_of(&self, output_index: usize) -> SwapOrientation {
-        self.orientations
-            .get(&output_index)
-            .copied()
-            .unwrap_or_default()
-    }
-
-    /// All recorded orientations keyed by output instruction index.
-    pub fn orientations(&self) -> &HashMap<usize, SwapOrientation> {
-        &self.orientations
-    }
-
-    /// Expands every `swap` instruction of a routed circuit into three CNOTs
-    /// using the orientations this policy recorded during routing.
+    /// Expands every `swap` of a routed circuit into three CNOTs: a
+    /// forwarder to [`nassc_synthesis::expand_swaps`], which both routers'
+    /// pipelines call directly.
     pub fn decompose_swaps(&self, routed: &QuantumCircuit) -> QuantumCircuit {
-        let mut out = QuantumCircuit::new(routed.num_qubits());
-        for (idx, inst) in routed.iter().enumerate() {
-            if inst.gate == Gate::Swap {
-                let orientation = self.orientation_of(idx);
-                for cx in swap_decomposition(inst.qubit(0), inst.qubit(1), orientation) {
-                    out.push(cx);
-                }
-            } else {
-                out.push(inst.clone());
-            }
-        }
-        out
+        nassc_synthesis::expand_swaps(routed)
     }
 }
 
@@ -88,18 +57,10 @@ impl SwapPolicy for NasscPolicy {
         basic + extended
     }
 
-    fn before_swap_emit(
-        &mut self,
-        output: &mut RoutingState,
-        _layout: &Layout,
-        p1: usize,
-        p2: usize,
-    ) {
-        // Re-evaluate the winning candidate to fix its decomposition
-        // orientation (and its sandwich partner's).
+    fn emit_swap(&mut self, output: &mut RoutingState, p1: usize, p2: usize) {
+        // Re-evaluate the winning candidate for the control its first CNOT
+        // needs (and its sandwich partner's).
         let reduction = evaluate_swap_reduction_windowed(output, p1, p2, &self.flags);
-        self.pending_orientation = reduction.orientation;
-        self.pending_partner = reduction.partner_swap_index;
 
         // Single-qubit movement: trailing one-qubit gates on the swapped
         // wires can hop over the SWAP (retargeted to the partner wire), so
@@ -107,44 +68,29 @@ impl SwapPolicy for NasscPolicy {
         // goes through `RoutingState::pop`, which keeps the touch index
         // exact without rebuilding the instruction vector.
         self.detached_gates.clear();
-        loop {
-            let movable = match output.circuit().instructions().last() {
-                Some(last) => {
-                    last.gate.is_unitary()
-                        && last.num_qubits() == 1
-                        && (last.qubit(0) == p1 || last.qubit(0) == p2)
-                }
-                None => false,
-            };
+        while let Some(last) = output.circuit().instructions().last() {
+            let movable = last.gate.is_unitary()
+                && last.num_qubits() == 1
+                && (last.qubit(0) == p1 || last.qubit(0) == p2);
             if !movable {
                 break;
             }
             let gate = output.pop().expect("checked non-empty");
             let other = if gate.qubit(0) == p1 { p2 } else { p1 };
             self.detached_gates
-                .push(Instruction::new(gate.gate, vec![other]));
+                .push(Instruction::new(gate.gate, [other]));
         }
-        self.detached_gates.reverse();
-    }
 
-    fn after_swap_emit(
-        &mut self,
-        output: &mut RoutingState,
-        swap_index: usize,
-        _p1: usize,
-        _p2: usize,
-    ) {
-        if let Some(orientation) = self.pending_orientation.take() {
-            self.orientations.insert(swap_index, orientation);
-            if let Some(partner) = self.pending_partner.take() {
-                // The sandwich partner's *last* CNOT must match our first:
-                // for the symmetric 3-CNOT template that means the same
-                // orientation on both SWAPs.
-                self.orientations.insert(partner, orientation);
-            }
+        let control = reduction.first_control.unwrap_or(p1);
+        let other = if control == p1 { p2 } else { p1 };
+        output.push(Instruction::new(Gate::Swap, [control, other]));
+        if let Some(partner) = reduction.partner_swap_index {
+            // The sandwich partner's last CNOT must match our first: for the
+            // symmetric 3-CNOT template that means the same control first on
+            // both SWAPs.
+            output.orient_swap(partner, control);
         }
-        self.pending_partner = None;
-        for inst in self.detached_gates.drain(..) {
+        for inst in self.detached_gates.drain(..).rev() {
             output.push(inst);
         }
     }
@@ -155,8 +101,9 @@ mod tests {
     use super::*;
     use nassc_circuit::{circuits_equivalent, DagCircuit};
     use nassc_parallel::ThreadPool;
+    use nassc_passes::standard_optimization_pipeline;
     use nassc_sabre::{route_prepared, RoutingResult, SabreConfig};
-    use nassc_topology::CouplingMap;
+    use nassc_topology::{CouplingMap, Layout};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -203,28 +150,15 @@ mod tests {
     }
 
     #[test]
-    fn orientation_defaults_when_unconstrained() {
-        let policy = NasscPolicy::new(OptimizationFlags::all());
-        assert_eq!(
-            policy.orientation_of(42),
-            SwapOrientation::FirstQubitControl
-        );
-    }
-
-    #[test]
     fn single_qubit_gates_move_through_the_swap() {
-        // Manually exercise the emission hooks: a trailing U3 on one of the
+        // Manually exercise the emission hook: a trailing U3 on one of the
         // swapped wires must end up after the SWAP, on the other wire.
         let mut circuit = QuantumCircuit::new(2);
         circuit.cx(0, 1).u(0.1, 0.2, 0.3, 0);
         let before = circuit.clone();
         let mut output = RoutingState::from_circuit(circuit);
         let mut policy = NasscPolicy::new(OptimizationFlags::all());
-        let layout = Layout::trivial(2);
-        policy.before_swap_emit(&mut output, &layout, 0, 1);
-        output.push(Instruction::new(Gate::Swap, vec![0, 1]));
-        let swap_index = output.num_gates() - 1;
-        policy.after_swap_emit(&mut output, swap_index, 0, 1);
+        policy.emit_swap(&mut output, 0, 1);
         let output = output.into_circuit();
         // The U3 now sits after the SWAP on wire 1.
         let last = output.instructions().last().unwrap();
@@ -234,6 +168,41 @@ mod tests {
         let mut reference = before;
         reference.swap(0, 1);
         assert!(circuits_equivalent(&reference, &output, 1e-9));
+    }
+
+    #[test]
+    fn sandwiched_swaps_are_listed_control_first() {
+        // The SWAP about to be emitted on (0, 1) sandwiches CX(1, 2) with the
+        // earlier one. Only CX(1, 0) commutes past CX(1, 2), so both SWAPs
+        // must list qubit 1 first for one CNOT of each to cancel.
+        let mut routed = QuantumCircuit::new(3);
+        routed.swap(0, 1).cx(1, 2);
+        let mut output = RoutingState::from_circuit(routed);
+        let mut policy = NasscPolicy::new(OptimizationFlags::all());
+        policy.emit_swap(&mut output, 0, 1);
+        let oriented = output.into_circuit();
+        let swaps: Vec<Vec<usize>> = oriented
+            .iter()
+            .filter(|inst| inst.gate == Gate::Swap)
+            .map(|inst| inst.qubits().to_vec())
+            .collect();
+        assert_eq!(swaps, vec![vec![1, 0], vec![1, 0]]);
+
+        let mut fixed = QuantumCircuit::new(3);
+        fixed.swap(0, 1).cx(1, 2).swap(0, 1);
+        let optimize = |routed: &QuantumCircuit| {
+            standard_optimization_pipeline()
+                .run(&policy.decompose_swaps(routed))
+                .unwrap()
+        };
+        let (optimized, baseline) = (optimize(&oriented), optimize(&fixed));
+        assert!(circuits_equivalent(&oriented, &optimized, 1e-8));
+        assert!(
+            optimized.cx_count() < baseline.cx_count(),
+            "oriented {} vs fixed {} CNOTs",
+            optimized.cx_count(),
+            baseline.cx_count()
+        );
     }
 
     #[test]

@@ -27,7 +27,3 @@ pub mod matrix;
 
 pub use complex::C64;
 pub use matrix::{Matrix2, Matrix4};
-
-/// Default numerical tolerance used across the workspace when comparing
-/// floating-point matrices and angles.
-pub const EPS: f64 = 1e-9;

@@ -8,7 +8,7 @@
 //! effect NASSC's `C_2q` cost term anticipates during routing.
 
 use nassc_circuit::{Gate, Instruction, QuantumCircuit};
-use nassc_math::Matrix4;
+use nassc_math::{Matrix2, Matrix4};
 use nassc_synthesis::{synthesize_two_qubit, two_qubit_cnot_cost};
 
 use crate::manager::{PassError, TranspilePass};
@@ -45,29 +45,40 @@ impl TwoQubitBlock {
         let (low, _high) = self.qubits;
         let mut acc = Matrix4::identity();
         for &idx in &self.instruction_indices {
-            let inst = &circuit.instructions()[idx];
-            let gate_matrix = match inst.num_qubits() {
-                1 => {
-                    let m = inst.gate.matrix2().expect("block gates have matrices");
-                    if inst.qubit(0) == low {
-                        nassc_math::Matrix2::identity().kron(&m)
-                    } else {
-                        m.kron(&nassc_math::Matrix2::identity())
-                    }
-                }
-                2 => {
-                    let m = inst.gate.matrix4().expect("block gates have matrices");
-                    if inst.qubit(0) == low {
-                        m
-                    } else {
-                        m.swap_qubits()
-                    }
-                }
-                _ => unreachable!("blocks only contain 1- and 2-qubit gates"),
-            };
-            acc = gate_matrix.mul(&acc);
+            acc = pair_matrix(&circuit.instructions()[idx], low).mul(&acc);
         }
         acc
+    }
+}
+
+/// The 4×4 matrix of a one- or two-qubit unitary confined to a qubit pair
+/// whose least-significant qubit is `low`.
+///
+/// Block re-synthesis multiplies its blocks from these, and so does NASSC's
+/// `C_2q` cost term, which predicts that re-synthesis during routing.
+///
+/// # Panics
+///
+/// Panics if the instruction has no 2×2 or 4×4 matrix.
+pub fn pair_matrix(inst: &Instruction, low: usize) -> Matrix4 {
+    match inst.num_qubits() {
+        1 => {
+            let m = inst.gate.matrix2().expect("1q gate in a pair has a matrix");
+            if inst.qubit(0) == low {
+                Matrix2::identity().kron(&m)
+            } else {
+                m.kron(&Matrix2::identity())
+            }
+        }
+        2 => {
+            let m = inst.gate.matrix4().expect("2q gate in a pair has a matrix");
+            if inst.qubit(0) == low {
+                m
+            } else {
+                m.swap_qubits()
+            }
+        }
+        n => panic!("a {n}-qubit gate is not confined to a pair"),
     }
 }
 

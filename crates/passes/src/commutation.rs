@@ -188,17 +188,22 @@ impl CommutationSets {
     }
 }
 
+/// The paper's 20-gate cap on a commute set. [`CommutativeCancellation`]
+/// groups with it, and NASSC's routing-time searches look back as far.
+pub const COMMUTE_SET_LIMIT: usize = 20;
+
 /// Groups the gates on every wire into commute sets.
 ///
-/// `max_set_size` bounds the pairwise-commutation search exactly like the
-/// paper's 20-gate cap: once a set reaches the cap a new set is started.
-pub fn commutation_analysis(circuit: &QuantumCircuit, max_set_size: usize) -> CommutationSets {
+/// `set_limit` bounds the pairwise-commutation search like the paper's
+/// 20-gate cap ([`COMMUTE_SET_LIMIT`]): once a set reaches the cap a new set
+/// is started.
+pub fn commutation_analysis(circuit: &QuantumCircuit, set_limit: usize) -> CommutationSets {
     let mut sets: Vec<Vec<Vec<usize>>> = vec![Vec::new(); circuit.num_qubits()];
     for (idx, inst) in circuit.iter().enumerate() {
         for q in inst.qubits().iter() {
             let wire_sets = &mut sets[q];
             let joins_current = wire_sets.last().is_some_and(|current| {
-                current.len() < max_set_size
+                current.len() < set_limit
                     && inst.gate.is_unitary()
                     && current
                         .iter()
@@ -215,7 +220,8 @@ pub fn commutation_analysis(circuit: &QuantumCircuit, max_set_size: usize) -> Co
 }
 
 /// Cancels pairs of identical self-inverse gates that can be brought
-/// together by commutation (Qiskit's `CommutativeCancellation`).
+/// together by commutation (Qiskit's `CommutativeCancellation`), over commute
+/// sets of at most [`COMMUTE_SET_LIMIT`] gates.
 ///
 /// # Example
 ///
@@ -228,20 +234,11 @@ pub fn commutation_analysis(circuit: &QuantumCircuit, max_set_size: usize) -> Co
 /// let mut qc = QuantumCircuit::new(3);
 /// qc.cx(0, 2).cx(1, 2).cx(0, 2);
 /// let mut pm = PassManager::new();
-/// pm.push(CommutativeCancellation::default());
+/// pm.push(CommutativeCancellation);
 /// assert_eq!(pm.run(&qc).unwrap().cx_count(), 1);
 /// ```
-#[derive(Debug, Clone, Copy)]
-pub struct CommutativeCancellation {
-    /// Bound on the commute-set size (the paper uses 20).
-    pub max_set_size: usize,
-}
-
-impl Default for CommutativeCancellation {
-    fn default() -> Self {
-        Self { max_set_size: 20 }
-    }
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct CommutativeCancellation;
 
 impl TranspilePass for CommutativeCancellation {
     fn name(&self) -> &str {
@@ -253,7 +250,7 @@ impl TranspilePass for CommutativeCancellation {
         // Iterate to a fixed point (each round may expose new cancellations),
         // with a small bound to keep the pass predictable.
         for _ in 0..4 {
-            let (next, changed) = cancel_once(&current, self.max_set_size);
+            let (next, changed) = cancel_once(&current);
             current = next;
             if !changed {
                 break;
@@ -265,8 +262,8 @@ impl TranspilePass for CommutativeCancellation {
 
 /// One round of commutation-aware cancellation. Returns the new circuit and
 /// whether anything was removed.
-fn cancel_once(circuit: &QuantumCircuit, max_set_size: usize) -> (QuantumCircuit, bool) {
-    let sets = commutation_analysis(circuit, max_set_size);
+fn cancel_once(circuit: &QuantumCircuit) -> (QuantumCircuit, bool) {
+    let sets = commutation_analysis(circuit, COMMUTE_SET_LIMIT);
     let mut removed = vec![false; circuit.num_gates()];
 
     for wire in 0..circuit.num_qubits() {
@@ -415,7 +412,7 @@ mod tests {
     fn analysis_groups_commuting_cnots() {
         let mut qc = QuantumCircuit::new(3);
         qc.cx(0, 2).cx(1, 2).cx(0, 2).h(2);
-        let sets = commutation_analysis(&qc, 20);
+        let sets = commutation_analysis(&qc, COMMUTE_SET_LIMIT);
         // On wire 2 the three CNOTs share a target and commute; H starts a new set.
         assert_eq!(sets.wire(2).len(), 2);
         assert_eq!(sets.wire(2)[0], vec![0, 1, 2]);
@@ -439,7 +436,7 @@ mod tests {
     fn cancels_cnots_through_commuting_gate() {
         let mut qc = QuantumCircuit::new(3);
         qc.cx(0, 2).cx(1, 2).cx(0, 2);
-        let out = CommutativeCancellation::default().run(&qc).unwrap();
+        let out = CommutativeCancellation.run(&qc).unwrap();
         assert_eq!(out.cx_count(), 1);
         assert!(circuits_equivalent(&qc, &out, 1e-9));
     }
@@ -448,7 +445,7 @@ mod tests {
     fn does_not_cancel_across_blocking_gates() {
         let mut qc = QuantumCircuit::new(2);
         qc.cx(0, 1).h(1).cx(0, 1);
-        let out = CommutativeCancellation::default().run(&qc).unwrap();
+        let out = CommutativeCancellation.run(&qc).unwrap();
         assert_eq!(out.cx_count(), 2);
     }
 
@@ -459,7 +456,7 @@ mod tests {
         let mut qc = QuantumCircuit::new(2);
         qc.z(0).cx(0, 1).z(0); // Z commutes with the control
         qc.x(1).cx(0, 1).x(1); // X commutes with the target
-        let out = CommutativeCancellation::default().run(&qc).unwrap();
+        let out = CommutativeCancellation.run(&qc).unwrap();
         assert_eq!(out.num_gates(), 0);
         assert!(circuits_equivalent(&qc, &out, 1e-9));
     }
@@ -471,7 +468,7 @@ mod tests {
         let mut qc = QuantumCircuit::new(2);
         qc.cx(0, 1);
         qc.cx(0, 1).cx(1, 0).cx(0, 1); // SWAP with matching orientation
-        let out = CommutativeCancellation::default().run(&qc).unwrap();
+        let out = CommutativeCancellation.run(&qc).unwrap();
         assert_eq!(out.cx_count(), 2);
         assert!(circuits_equivalent(&qc, &out, 1e-9));
     }
@@ -480,7 +477,7 @@ mod tests {
     fn rotation_gates_are_left_alone() {
         let mut qc = QuantumCircuit::new(1);
         qc.rz(0.4, 0).rz(-0.4, 0);
-        let out = CommutativeCancellation::default().run(&qc).unwrap();
+        let out = CommutativeCancellation.run(&qc).unwrap();
         // Not self-inverse gates: this pass leaves them for Optimize1qGates.
         assert_eq!(out.num_gates(), 2);
     }
@@ -510,7 +507,7 @@ mod tests {
                     }
                 }
             }
-            let out = CommutativeCancellation::default().run(&qc).unwrap();
+            let out = CommutativeCancellation.run(&qc).unwrap();
             assert!(circuits_equivalent(&qc, &out, 1e-8));
             assert!(out.num_gates() <= qc.num_gates());
         }

@@ -34,10 +34,12 @@ pub mod optimize_1q;
 pub mod unroll;
 
 pub use blocks::{
-    block_membership, collect_two_qubit_blocks, TwoQubitBlock, TwoQubitBlockResynthesis,
+    block_membership, collect_two_qubit_blocks, pair_matrix, TwoQubitBlock,
+    TwoQubitBlockResynthesis,
 };
 pub use commutation::{
     commutation_analysis, instructions_commute, CommutationSets, CommutativeCancellation,
+    COMMUTE_SET_LIMIT,
 };
 pub use layout_passes::{coupling_violations, is_mapped};
 pub use manager::{PassError, PassManager, TranspilePass};
@@ -50,10 +52,10 @@ pub use unroll::UnrollToBasis;
 pub fn standard_optimization_pipeline() -> PassManager {
     let mut pm = PassManager::new();
     pm.push(TwoQubitBlockResynthesis);
-    pm.push(CommutativeCancellation::default());
+    pm.push(CommutativeCancellation);
     pm.push(TwoQubitBlockResynthesis);
     pm.push(UnrollToBasis);
-    pm.push(CommutativeCancellation::default());
+    pm.push(CommutativeCancellation);
     pm.push(Optimize1qGates);
     pm
 }

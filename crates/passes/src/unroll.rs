@@ -1,7 +1,7 @@
 //! Unrolling to the IBM hardware basis `{id, rz, sx, x, cx}`.
 
 use nassc_circuit::{Gate, Instruction, QuantumCircuit};
-use nassc_synthesis::{synthesize_two_qubit, OneQubitEulerDecomposer};
+use nassc_synthesis::{swap_decomposition, synthesize_two_qubit, OneQubitEulerDecomposer};
 
 use crate::manager::{PassError, TranspilePass};
 
@@ -51,11 +51,7 @@ fn unroll_instruction(inst: &Instruction) -> Result<Vec<Instruction>, PassError>
         return Ok(vec![inst.clone()]);
     }
     match &inst.gate {
-        Gate::Swap => Ok(nassc_synthesis::swap_decomposition(
-            inst.qubit(0),
-            inst.qubit(1),
-            nassc_synthesis::SwapOrientation::FirstQubitControl,
-        )),
+        Gate::Swap => Ok(swap_decomposition(inst.qubit(0), inst.qubit(1)).into()),
         Gate::Ccx => Ok(toffoli(inst.qubit(0), inst.qubit(1), inst.qubit(2))
             .into_iter()
             .flat_map(|i| unroll_instruction(&i).expect("toffoli gates are simple"))

@@ -11,11 +11,12 @@
 //! * [`LayoutTrials`] — the multi-trial engine: `N` independent trials, each
 //!   with its own [`split_seed`]-derived seed stream, refined through a
 //!   *generic* [`SwapPolicy`] (so NASSC refines layouts with its
-//!   optimization-aware cost, not just plain SABRE), scored by a full
-//!   routing pass and reduced to the argmin with deterministic lowest-index
-//!   tie-breaking. Trials fan out across a [`ThreadPool`]; because every
-//!   trial owns its seed stream, results are bit-identical regardless of
-//!   worker count or of how many sibling trials run. A circuit with no
+//!   optimization-aware cost, not just plain SABRE), priced by the SWAPs a
+//!   full routing pass inserts and reduced to the argmin with
+//!   deterministic lowest-index tie-breaking. Trials fan out across a
+//!   [`ThreadPool`]; because every trial owns its seed stream, results are
+//!   bit-identical regardless of worker count or of how many sibling
+//!   trials run. A circuit with no
 //!   two-qubit gates needs no search: the engine returns the identity
 //!   layout without routing.
 
@@ -124,7 +125,7 @@ pub fn sabre_layout_prepared_budgeted(
     layout
 }
 
-/// The outcome of one layout trial: its seed and the cost of the full
+/// The outcome of one layout trial: its seed and the SWAP count of the full
 /// routing pass that scored its refined layout.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrialOutcome {
@@ -133,8 +134,8 @@ pub struct TrialOutcome {
     /// The [`split_seed`]-derived seed this trial's refinement stream
     /// started from (the scoring pass itself runs on the production RNG).
     pub seed: u64,
-    /// Cost of the scoring routing pass, as the `score` function handed to
-    /// [`LayoutTrials::run`] priced it. Lower is better.
+    /// The number of SWAPs the scoring routing pass inserted. Lower is
+    /// better.
     pub cost: f64,
 }
 
@@ -177,8 +178,9 @@ fn select_best_trial(costs: &[f64]) -> usize {
 /// The multi-trial layout engine.
 ///
 /// Runs `trials` independent layout searches and keeps the one whose refined
-/// layout routes the circuit most cheaply. Refinement draws randomness from
-/// a private per-trial seed stream — refinement stage `k` of trial `t` seeds
+/// layout routes the circuit with the fewest SWAPs, the trial score of
+/// Qiskit's `SabreLayout`. Refinement draws randomness from a private
+/// per-trial seed stream — refinement stage `k` of trial `t` seeds
 /// a fresh `StdRng` with `split_seed(split_seed(config.seed, t), k)` — so
 /// the result is a pure function of `(inputs, config.seed, trial index)`:
 /// independent of the worker count, of how many sibling trials run, and of
@@ -192,7 +194,10 @@ fn select_best_trial(costs: &[f64]) -> usize {
 ///
 /// Refinement and scoring run through a caller-supplied [`SwapPolicy`]
 /// factory, so optimization-aware routers refine layouts with their own cost
-/// function instead of the plain SABRE heuristic.
+/// function instead of the plain SABRE heuristic. Every policy is priced
+/// alike: routing emits each input gate once and every SWAP later expands
+/// into three CNOTs, so the SWAP count ranks trials exactly as the CNOT
+/// count of the expanded circuit would.
 ///
 /// # Example
 ///
@@ -208,7 +213,7 @@ fn select_best_trial(costs: &[f64]) -> usize {
 /// let config = SabreConfig::with_seed(7);
 /// let (selection, _) = LayoutTrials::new(&qc, &device, &distances, &config)
 ///     .trials(4)
-///     .run(|| SabrePolicy, |routed, _| routed.swap_count as f64);
+///     .run(|| SabrePolicy);
 /// assert_eq!(selection.outcomes.len(), 4);
 /// assert!(selection.chosen_trial < 4);
 /// ```
@@ -279,32 +284,21 @@ impl<'a> LayoutTrials<'a> {
     }
 
     /// Runs every trial and returns the winning layout with per-trial
-    /// diagnostics, plus the winning trial's scoring pass: its
-    /// [`RoutingResult`] and the policy that produced it.
+    /// diagnostics, plus the [`RoutingResult`] of the winning trial's
+    /// scoring pass.
     ///
     /// `make_policy` builds a fresh [`SwapPolicy`] for each routing pass, so
-    /// stateful policies never leak state across passes. `score` receives
-    /// each trial's scoring [`RoutingResult`] together with the policy that
-    /// produced it, and returns the cost to minimise — the SWAP count for
-    /// plain SABRE, or, for an optimization-aware router, the CNOTs that
-    /// survive decomposing the routed SWAPs with the policy's recorded
-    /// orientations.
+    /// stateful policies never leak state across passes.
     ///
     /// Because the scoring pass routes on the production RNG
     /// (`config.seed`), the returned result is byte-identical to what
     /// re-routing the winning layout would produce — callers (the transpile
     /// pipeline) reuse it instead of paying a duplicate routing pass. `None`
     /// only in the degenerate no-two-qubit-gate case, where no routing runs.
-    #[allow(clippy::type_complexity)]
-    pub fn run<P, F, S>(
-        &self,
-        make_policy: F,
-        score: S,
-    ) -> (LayoutSelection, Option<(RoutingResult, P)>)
+    pub fn run<P, F>(&self, make_policy: F) -> (LayoutSelection, Option<RoutingResult>)
     where
-        P: SwapPolicy + Send + Sync,
+        P: SwapPolicy + Sync,
         F: Fn() -> P + Sync,
-        S: Fn(&RoutingResult, &P) -> f64 + Sync,
     {
         if self.circuit.two_qubit_gate_count() == 0 {
             let selection = LayoutSelection {
@@ -320,22 +314,22 @@ impl<'a> LayoutTrials<'a> {
         span.arg_u64("trials", self.trials as u64);
         let dag = DagCircuit::from_circuit(self.circuit);
         let reversed_dag = DagCircuit::from_circuit(&self.circuit.reversed());
-        let mut candidates: Vec<(Layout, TrialOutcome, RoutingResult, P)> =
+        let mut candidates: Vec<(Layout, TrialOutcome, RoutingResult)> =
             self.pool.map((0..self.trials).collect(), |trial| {
-                self.run_trial(trial, &dag, &reversed_dag, &make_policy, &score)
+                self.run_trial(trial, &dag, &reversed_dag, &make_policy)
             });
         let outcomes: Vec<TrialOutcome> = candidates.iter().map(|c| c.1.clone()).collect();
         let costs: Vec<f64> = outcomes.iter().map(|outcome| outcome.cost).collect();
         let chosen_trial = select_best_trial(&costs);
         span.arg_u64("chosen_trial", chosen_trial as u64);
         span.arg_f64("chosen_cost", costs[chosen_trial]);
-        let (layout, _, routed, policy) = candidates.swap_remove(chosen_trial);
+        let (layout, _, routed) = candidates.swap_remove(chosen_trial);
         let selection = LayoutSelection {
             layout,
             chosen_trial,
             outcomes,
         };
-        (selection, Some((routed, policy)))
+        (selection, Some(routed))
     }
 
     /// One trial: random start, `layout_iterations` forward/backward
@@ -343,18 +337,16 @@ impl<'a> LayoutTrials<'a> {
     /// trial's stream), then a scoring pass on the production RNG
     /// (`config.seed`), so the recorded cost is exactly what the pipeline's
     /// final routing pass will pay for this layout.
-    fn run_trial<P, F, S>(
+    fn run_trial<P, F>(
         &self,
         trial: usize,
         dag: &DagCircuit,
         reversed_dag: &DagCircuit,
         make_policy: &F,
-        score: &S,
-    ) -> (Layout, TrialOutcome, RoutingResult, P)
+    ) -> (Layout, TrialOutcome, RoutingResult)
     where
         P: SwapPolicy + Sync,
         F: Fn() -> P + Sync,
-        S: Fn(&RoutingResult, &P) -> f64 + Sync,
     {
         // A trial is the per-trial budget checkpoint: a deadline tripping
         // here unwinds with `Cancelled`, which the worker pool recognises
@@ -398,26 +390,25 @@ impl<'a> LayoutTrials<'a> {
             );
             layout = backward.final_layout;
         }
-        let mut scoring_policy = make_policy();
         let scored = route_prepared_budgeted(
             dag,
             self.coupling,
             self.distances,
             &layout,
             self.config,
-            &mut scoring_policy,
+            &mut make_policy(),
             &mut StdRng::seed_from_u64(self.config.seed),
             &self.score_pool,
             &self.budget,
         );
-        let cost = score(&scored, &scoring_policy);
+        let cost = scored.swap_count as f64;
         span.arg_f64("cost", cost);
         let outcome = TrialOutcome {
             trial,
             seed: trial_seed,
             cost,
         };
-        (layout, outcome, scored, scoring_policy)
+        (layout, outcome, scored)
     }
 }
 
@@ -427,13 +418,8 @@ mod tests {
     use crate::router::route_prepared;
     use nassc_passes::is_mapped;
 
-    /// Prices a trial by the SWAP count of its scoring pass.
-    fn swap_cost(routed: &RoutingResult, _: &SabrePolicy) -> f64 {
-        routed.swap_count as f64
-    }
-
     fn run(engine: &LayoutTrials<'_>) -> LayoutSelection {
-        engine.run(|| SabrePolicy, swap_cost).0
+        engine.run(|| SabrePolicy).0
     }
 
     fn ring_circuit(n: usize, rounds: usize) -> QuantumCircuit {
@@ -540,7 +526,7 @@ mod tests {
         let config = SabreConfig::with_seed(4);
         let (selection, routed) = LayoutTrials::new(&qc, &device, &distances, &config)
             .trials(4)
-            .run(|| SabrePolicy, swap_cost);
+            .run(|| SabrePolicy);
         assert_eq!(selection.layout, Layout::trivial(5));
         assert_eq!(selection.chosen_trial, 0);
         assert!(selection.outcomes.is_empty());

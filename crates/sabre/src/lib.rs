@@ -8,19 +8,22 @@
 //! circuit many times build its DAG once. This crate provides:
 //!
 //! * [`route_prepared_budgeted`] / [`SwapPolicy`] — the routing pass: the
-//!   SABRE traversal with a pluggable SWAP score, which is how the NASSC
-//!   router reuses the machinery while replacing only the scoring.
-//!   [`SabrePolicy`] is the plain SABRE heuristic. Candidate scoring fans
-//!   across a thread pool, bit-identical to serial at any worker count.
+//!   SABRE traversal with a pluggable policy that scores each SWAP
+//!   candidate and emits the winner. SABRE and NASSC differ only in their
+//!   policy: [`SabrePolicy`] is the plain SABRE heuristic and emits every
+//!   SWAP as `swap p1, p2`; NASSC's policy also lists the qubit that
+//!   controls a SWAP's first CNOT first. Candidate scoring fans across a
+//!   thread pool, bit-identical to serial at any worker count.
 //! * [`sabre_layout_prepared_budgeted`] — random initial layout refined by
 //!   reverse traversal (the single-trial path),
 //! * [`LayoutTrials`] — the multi-trial layout engine: N independently
-//!   seeded trials refined through any [`SwapPolicy`], scored by a full
-//!   routing pass, argmin kept with deterministic lowest-index tie-breaking,
+//!   seeded trials refined through any [`SwapPolicy`], each priced by the
+//!   SWAPs its full routing pass inserts, argmin kept with deterministic
+//!   lowest-index tie-breaking,
 //!   optionally fanned across a thread pool without affecting results,
 //! * [`RoutingState`] — the incremental output-circuit state (per-qubit
-//!   touch index with O(1) push/pop and O(window) pair queries) the hot
-//!   loop is built around.
+//!   touch index with O(1) push/pop, in-place SWAP orientation and
+//!   O(window) pair queries) the hot loop is built around.
 //!
 //! [`route_prepared`] and [`sabre_layout_prepared`] are the same two
 //! functions with an unlimited budget.

@@ -2,9 +2,10 @@
 //!
 //! The engine implements the SABRE traversal (front layer / extended layer /
 //! decay, eager execution of gates that already fit the device) and delegates
-//! the *scoring* of SWAP candidates to a [`SwapPolicy`]. The plain SABRE
-//! heuristic is provided here as [`SabrePolicy`]; the NASSC crate plugs in
-//! its optimization-aware cost function through the same interface.
+//! the scoring and emission of SWAP candidates to a [`SwapPolicy`]. The
+//! plain SABRE heuristic is provided here as [`SabrePolicy`]; the NASSC crate
+//! plugs in its optimization-aware cost function and SWAP orientation
+//! through the same interface.
 //!
 //! # Hot-loop architecture
 //!
@@ -29,7 +30,7 @@ use std::collections::VecDeque;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 
-use nassc_circuit::{DagCircuit, Gate, QuantumCircuit};
+use nassc_circuit::{DagCircuit, Gate, Instruction, QuantumCircuit};
 use nassc_parallel::{Budget, ThreadPool};
 use nassc_topology::{CouplingMap, DistanceMatrix, Layout};
 
@@ -197,7 +198,8 @@ impl<'a> RoutingContext<'a> {
     }
 }
 
-/// Scoring hook for SWAP candidates plus emission callbacks.
+/// What distinguishes one router from another: how a SWAP candidate is
+/// scored and how the winner is emitted.
 ///
 /// Lower scores are better. The engine multiplies the returned score by the
 /// SABRE decay factor of the two physical qubits before comparing.
@@ -205,37 +207,22 @@ impl<'a> RoutingContext<'a> {
 /// [`score`](Self::score) takes `&self` — scoring must be a pure function of
 /// the context and the candidate, which is what lets the engine evaluate
 /// candidates in parallel while staying bit-identical to serial evaluation.
-/// Mutable state belongs in the emission hooks, which run serially exactly
-/// once per inserted SWAP.
+/// Mutable state belongs in [`emit_swap`](Self::emit_swap), which runs
+/// serially exactly once per inserted SWAP.
 pub trait SwapPolicy {
     /// Scores the SWAP on physical qubits `(p1, p2)`.
     fn score(&self, ctx: &RoutingContext<'_>, p1: usize, p2: usize) -> f64;
 
-    /// Called just before the SWAP instruction is appended to the output,
-    /// allowing the policy to rearrange trailing gates (NASSC moves
-    /// single-qubit gates through the SWAP here). Mutations must go through
-    /// [`RoutingState::push`]/[`RoutingState::pop`] so the touch index stays
-    /// exact.
-    fn before_swap_emit(
-        &mut self,
-        _output: &mut RoutingState,
-        _layout: &Layout,
-        _p1: usize,
-        _p2: usize,
-    ) {
-    }
-
-    /// Called after the SWAP has been appended at `swap_index`. The output
-    /// is mutable so policies can re-append gates they detached in
-    /// [`SwapPolicy::before_swap_emit`] (e.g. single-qubit gates commuted
-    /// through the SWAP).
-    fn after_swap_emit(
-        &mut self,
-        _output: &mut RoutingState,
-        _swap_index: usize,
-        _p1: usize,
-        _p2: usize,
-    ) {
+    /// Appends the winning SWAP on `(p1, p2)` to the output; the default
+    /// pushes `swap p1, p2`.
+    ///
+    /// A policy may list the SWAP's qubits in either order, since the first
+    /// one controls the first CNOT of its expansion, and may rearrange the
+    /// gates around it (NASSC moves trailing single-qubit gates through the
+    /// SWAP). Mutations go through [`RoutingState`]'s methods, which keep
+    /// the touch index exact.
+    fn emit_swap(&mut self, output: &mut RoutingState, p1: usize, p2: usize) {
+        output.push(Instruction::new(Gate::Swap, [p1, p2]));
     }
 }
 
@@ -253,8 +240,9 @@ impl SwapPolicy for SabrePolicy {
 /// The product of routing a circuit onto a device.
 #[derive(Debug, Clone)]
 pub struct RoutingResult {
-    /// The physical circuit: resolved gates plus inserted SWAPs (kept as
-    /// `swap` instructions so later passes can decompose them as they wish).
+    /// The physical circuit: resolved gates plus inserted SWAPs, kept as
+    /// `swap` instructions whose first qubit controls the first CNOT of
+    /// their expansion (see `nassc_synthesis::expand_swaps`).
     pub circuit: QuantumCircuit,
     /// The layout in force before the first gate.
     pub initial_layout: Layout,
@@ -486,10 +474,7 @@ pub fn route_prepared_budgeted<P: SwapPolicy + Sync>(
         }
         let ((p1, p2), _) = best.expect("at least one SWAP candidate");
 
-        policy.before_swap_emit(&mut state, &layout, p1, p2);
-        state.push(nassc_circuit::Instruction::new(Gate::Swap, [p1, p2]));
-        let swap_index = state.num_gates() - 1;
-        policy.after_swap_emit(&mut state, swap_index, p1, p2);
+        policy.emit_swap(&mut state, p1, p2);
         layout.swap_physical(p1, p2);
         swap_count += 1;
         total_swaps_guard += 1;

@@ -16,6 +16,8 @@
 //! the new index to each touched qubit's list, [`RoutingState::pop`] removes
 //! it again, so policies that detach trailing gates (NASSC's single-qubit
 //! movement) keep the index exact without any rebuild.
+//! [`RoutingState::orient_swap`] relists an earlier SWAP's qubits in place,
+//! which leaves the index as it is.
 //!
 //! The lists hold *every* touching index, not just the last `W`: a capped
 //! ring buffer could not survive [`RoutingState::pop`] (an entry evicted by a
@@ -39,15 +41,16 @@
 //! assert_eq!(&buf[..n], &[2, 1, 0]);
 //! ```
 
-use nassc_circuit::{Instruction, QuantumCircuit};
+use nassc_circuit::{Gate, Instruction, QuantumCircuit};
 
 /// The router's output circuit plus the per-qubit index lists that make
 /// windowed queries O(window) instead of O(circuit).
 ///
 /// See the [module docs](self) for the design rationale. All mutation goes
-/// through [`push`](Self::push)/[`pop`](Self::pop), which keep the circuit
-/// and the lists consistent by construction; read access to the instructions
-/// goes through [`circuit`](Self::circuit).
+/// through [`push`](Self::push), [`pop`](Self::pop) and
+/// [`orient_swap`](Self::orient_swap), which keep the circuit and the lists
+/// consistent by construction; read access to the instructions goes through
+/// [`circuit`](Self::circuit).
 #[derive(Debug, Clone)]
 pub struct RoutingState {
     circuit: QuantumCircuit,
@@ -112,6 +115,30 @@ impl RoutingState {
             debug_assert_eq!(popped, Some(index), "touch list out of sync on pop");
         }
         Some(instruction)
+    }
+
+    /// Relists the SWAP at output index `index` so `control` comes first,
+    /// making `control` the control of the first CNOT of its expansion.
+    ///
+    /// The SWAP keeps its qubit pair, so the touch index does not change.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the instruction at `index` is not a SWAP or `control` is
+    /// not one of its qubits.
+    pub fn orient_swap(&mut self, index: usize, control: usize) {
+        let swap = &self.circuit.instructions()[index];
+        assert!(
+            swap.gate == Gate::Swap && swap.acts_on(control),
+            "instruction {index} ({swap}) is not a SWAP on qubit {control}"
+        );
+        let other = if swap.qubit(0) == control {
+            swap.qubit(1)
+        } else {
+            swap.qubit(0)
+        };
+        self.circuit
+            .replace(index, Instruction::new(Gate::Swap, [control, other]));
     }
 
     /// Fills `buf` with the output indices of the most recent instructions
@@ -180,7 +207,6 @@ impl PartialEq for RoutingState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nassc_circuit::Gate;
 
     /// Reference implementation: full backwards scan of the circuit.
     fn reference_window(circuit: &QuantumCircuit, p1: usize, p2: usize, limit: usize) -> Vec<u32> {
@@ -253,6 +279,34 @@ mod tests {
         let mut buf = [0u32; 4];
         let n = state.rev_touching_window(0, 1, &mut buf);
         assert_eq!(&buf[..n], &[1, 0]);
+    }
+
+    #[test]
+    fn orient_swap_relists_the_swap_and_keeps_the_index() {
+        let mut state = sample_state();
+        let before = state.clone();
+        state.orient_swap(3, 2);
+        assert_eq!(state.instruction(3).qubits().to_vec(), vec![2, 1]);
+        assert_eq!(state.touched, before.touched);
+        // Orienting to the qubit already listed first changes nothing.
+        state.orient_swap(3, 2);
+        assert_eq!(state.instruction(3).qubits().to_vec(), vec![2, 1]);
+        state.orient_swap(3, 1);
+        assert_eq!(state, before);
+    }
+
+    #[test]
+    #[should_panic(expected = "is not a SWAP")]
+    fn orient_swap_rejects_a_non_swap() {
+        let mut state = sample_state();
+        state.orient_swap(1, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "is not a SWAP on qubit 0")]
+    fn orient_swap_rejects_a_qubit_off_the_swap() {
+        let mut state = sample_state();
+        state.orient_swap(3, 0);
     }
 
     #[test]

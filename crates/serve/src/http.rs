@@ -109,8 +109,10 @@ fn read_line(reader: &mut impl BufRead) -> Result<String, HttpError> {
     String::from_utf8(line).map_err(|_| HttpError::new(400, "request is not valid UTF-8"))
 }
 
-/// Percent-decodes a query component (`%41` → `A`, `+` → space). Malformed
-/// escapes pass through verbatim rather than failing the whole request.
+/// Percent-decodes a query component (`%41` → `A`, `+` → space). A
+/// malformed escape, `%` without two hex digits after it, passes through
+/// verbatim together with those two bytes rather than failing the whole
+/// request.
 fn percent_decode(text: &str) -> String {
     let bytes = text.as_bytes();
     let mut out = Vec::with_capacity(bytes.len());
@@ -119,14 +121,22 @@ fn percent_decode(text: &str) -> String {
         match bytes[i] {
             b'+' => out.push(b' '),
             b'%' => {
-                let hex = bytes.get(i + 1..i + 3);
-                match hex.and_then(|h| u8::from_str_radix(std::str::from_utf8(h).ok()?, 16).ok()) {
-                    Some(b) => {
-                        out.push(b);
-                        i += 2;
+                let escape = &bytes[i + 1..bytes.len().min(i + 3)];
+                // `to_digit` takes ASCII hex digits only; `from_str_radix`
+                // would also take a sign and decode `%+A` as a newline.
+                let digit = |b: u8| char::from(b).to_digit(16);
+                let decoded = match *escape {
+                    [hi, lo] => digit(hi).zip(digit(lo)).map(|(h, l)| (h * 16 + l) as u8),
+                    _ => None,
+                };
+                match decoded {
+                    Some(b) => out.push(b),
+                    None => {
+                        out.push(b'%');
+                        out.extend_from_slice(escape);
                     }
-                    None => out.push(b'%'),
                 }
+                i += escape.len();
             }
             b => out.push(b),
         }
@@ -420,6 +430,7 @@ mod tests {
         assert_eq!(percent_decode("a%3Ab+c"), "a:b c");
         assert_eq!(percent_decode("100%"), "100%");
         assert_eq!(percent_decode("%zz"), "%zz");
+        assert_eq!(percent_decode("%+A"), "%+A");
     }
 
     #[test]

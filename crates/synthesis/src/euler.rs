@@ -95,12 +95,6 @@ impl OneQubitEulerDecomposer {
         rz_phi.mul(&ry).mul(&rz_lam).scale(C64::exp_i(angles.phase))
     }
 
-    /// Synthesises a unitary as a `U(θ, φ, λ)` gate instruction on `qubit`.
-    pub fn to_u_gate(u: &Matrix2, qubit: usize) -> Instruction {
-        let a = Self::angles(u);
-        Instruction::new(Gate::U(a.theta, a.phi, a.lambda), vec![qubit])
-    }
-
     /// Synthesises a unitary into the `{rz, sx}` basis on `qubit`.
     ///
     /// The output uses at most two `sx` gates and three `rz` gates; pure
@@ -131,19 +125,6 @@ impl OneQubitEulerDecomposer {
         out.push(Instruction::new(Gate::Sx, vec![qubit]));
         push_rz(&mut out, a.phi + PI);
         out
-    }
-
-    /// Multiplies a run of single-qubit gate matrices (listed in circuit
-    /// order, i.e. first applied first) into one matrix.
-    pub fn combine_run(gates: &[Gate]) -> Matrix2 {
-        let mut acc = Matrix2::identity();
-        for gate in gates {
-            let m = gate
-                .matrix2()
-                .unwrap_or_else(|| panic!("gate {} is not single-qubit", gate.name()));
-            acc = m.mul(&acc);
-        }
-        acc
     }
 }
 
@@ -254,14 +235,6 @@ mod tests {
         let gates = OneQubitEulerDecomposer::to_zsx(&Matrix2::pauli_x(), 0);
         assert_eq!(gates.len(), 1);
         assert_eq!(gates[0].gate, Gate::X);
-    }
-
-    #[test]
-    fn combine_run_multiplies_in_circuit_order() {
-        // S then T equals a single Rz(3pi/4) up to phase.
-        let combined = OneQubitEulerDecomposer::combine_run(&[Gate::S, Gate::T]);
-        let expected = Gate::Rz(3.0 * PI / 4.0).matrix2().unwrap();
-        assert!(combined.approx_eq_up_to_phase(&expected, 1e-10));
     }
 
     #[test]

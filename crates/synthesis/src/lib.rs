@@ -12,8 +12,11 @@
 //! * [`synthesize_two_qubit`] / [`two_qubit_cnot_cost`] — re-synthesis of a
 //!   two-qubit unitary with 0–3 CNOTs, and its CNOT count from the
 //!   decomposition's allocation-free angle stage alone,
-//! * [`swap_decomposition`] / [`SwapOrientation`] — the two SWAP-to-CNOT
-//!   expansions the optimization-aware decomposition of §IV-E selects from.
+//! * [`swap_decomposition`] / [`expand_swaps`] — the SWAP-to-CNOT
+//!   expansion. A SWAP's qubit order is its orientation: its first qubit
+//!   controls the first CNOT, which is how NASSC's optimization-aware
+//!   decomposition of §IV-E reaches this step. Both routers' routed
+//!   circuits expand through [`expand_swaps`].
 //!
 //! # Example
 //!
@@ -34,7 +37,7 @@ pub mod weyl;
 pub use euler::{wrap_angle, EulerAngles, OneQubitEulerDecomposer};
 pub use local::{interaction_matrix, magic_basis, split_kron};
 pub use synth::{
-    interaction_circuit, swap_decomposition, synthesize_two_qubit, two_qubit_cnot_cost,
-    SwapOrientation,
+    expand_swaps, interaction_circuit, swap_decomposition, synthesize_two_qubit,
+    two_qubit_cnot_cost,
 };
 pub use weyl::{DecomposeUnitaryError, WeylDecomposition};

@@ -1,55 +1,43 @@
 //! Circuit emission: re-synthesis of two-qubit unitaries with minimal CNOTs
-//! and the two SWAP-gate decompositions the paper's optimization-aware
-//! routing chooses between.
+//! and the expansion of routed SWAPs into CNOTs.
 
-use nassc_circuit::{Gate, Instruction};
+use nassc_circuit::{Gate, Instruction, QuantumCircuit};
 use nassc_math::{Matrix2, Matrix4};
 use std::f64::consts::{FRAC_PI_2, FRAC_PI_4};
 
 use crate::weyl::{AngleStage, DecomposeUnitaryError, WeylDecomposition, ANGLE_TOL};
 
-/// Which qubit acts as the control of the *first* CNOT when a SWAP gate is
-/// expanded into three CNOTs.
+/// Expands a SWAP on `(a, b)` into three CNOTs, `a` controlling the first:
+/// `CX(a,b)·CX(b,a)·CX(a,b)`.
 ///
-/// The two decompositions are logically equivalent, but — as §IV-E of the
-/// paper argues — only one of them lines its first (or last) CNOT up with a
-/// cancellable CNOT already in the circuit. NASSC records the required
-/// orientation during routing and applies it here.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum SwapOrientation {
-    /// The first CNOT uses the SWAP's first qubit as control:
-    /// `CX(a,b)·CX(b,a)·CX(a,b)`.
-    #[default]
-    FirstQubitControl,
-    /// The first CNOT uses the SWAP's second qubit as control:
-    /// `CX(b,a)·CX(a,b)·CX(b,a)`.
-    SecondQubitControl,
+/// Both qubit orders implement the same SWAP, but — as §IV-E of the paper
+/// argues — only one of them lines its first (or last) CNOT up with a
+/// cancellable CNOT already in the circuit. A SWAP's qubit order is
+/// therefore its orientation: NASSC lists the control it chose first.
+pub fn swap_decomposition(a: usize, b: usize) -> [Instruction; 3] {
+    [
+        Instruction::new(Gate::Cx, [a, b]),
+        Instruction::new(Gate::Cx, [b, a]),
+        Instruction::new(Gate::Cx, [a, b]),
+    ]
 }
 
-impl SwapOrientation {
-    /// The orientation whose first CNOT has `control` as its control qubit,
-    /// given the SWAP acts on `(a, b)`.
-    pub fn with_first_control(a: usize, _b: usize, control: usize) -> Self {
-        if control == a {
-            SwapOrientation::FirstQubitControl
+/// The routed circuit with every `swap` expanded by
+/// [`swap_decomposition`], in the qubit order the router listed it; every
+/// other instruction is copied as is.
+pub fn expand_swaps(routed: &QuantumCircuit) -> QuantumCircuit {
+    let capacity = routed.num_gates() + 2 * routed.swap_count();
+    let mut out = QuantumCircuit::with_capacity(routed.num_qubits(), capacity);
+    for inst in routed {
+        if inst.gate == Gate::Swap {
+            for cx in swap_decomposition(inst.qubit(0), inst.qubit(1)) {
+                out.push(cx);
+            }
         } else {
-            SwapOrientation::SecondQubitControl
+            out.push(inst.clone());
         }
     }
-}
-
-/// Expands a SWAP on `(a, b)` into three CNOTs with the requested
-/// orientation.
-pub fn swap_decomposition(a: usize, b: usize, orientation: SwapOrientation) -> Vec<Instruction> {
-    let (first, second) = match orientation {
-        SwapOrientation::FirstQubitControl => ((a, b), (b, a)),
-        SwapOrientation::SecondQubitControl => ((b, a), (a, b)),
-    };
-    vec![
-        Instruction::new(Gate::Cx, vec![first.0, first.1]),
-        Instruction::new(Gate::Cx, vec![second.0, second.1]),
-        Instruction::new(Gate::Cx, vec![first.0, first.1]),
-    ]
+    out
 }
 
 /// Synthesises a two-qubit unitary into CNOTs and single-qubit gates on the
@@ -239,7 +227,7 @@ fn single_cnot_interaction(axis: usize, positive: bool, q0: usize, q1: usize) ->
 mod tests {
     use super::*;
     use crate::local::interaction_matrix;
-    use nassc_circuit::{circuit_unitary, QuantumCircuit};
+    use nassc_circuit::{circuit_unitary, circuits_equivalent};
     use nassc_math::C64;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -382,30 +370,24 @@ mod tests {
 
     #[test]
     fn swap_decompositions_are_correct_and_differ_in_first_control() {
-        for orientation in [
-            SwapOrientation::FirstQubitControl,
-            SwapOrientation::SecondQubitControl,
-        ] {
-            let circ = swap_decomposition(0, 1, orientation);
-            assert_eq!(circ.len(), 3);
+        for (a, b) in [(0, 1), (1, 0)] {
+            let circ = swap_decomposition(a, b);
             assert!(circuit_matrix(&circ).approx_eq_up_to_phase(&Matrix4::swap(), 1e-10));
         }
-        let a = swap_decomposition(4, 7, SwapOrientation::FirstQubitControl);
-        assert_eq!(a[0].qubits().to_vec(), vec![4, 7]);
-        let b = swap_decomposition(4, 7, SwapOrientation::SecondQubitControl);
-        assert_eq!(b[0].qubits().to_vec(), vec![7, 4]);
+        assert_eq!(swap_decomposition(4, 7)[0].qubits().to_vec(), vec![4, 7]);
+        assert_eq!(swap_decomposition(7, 4)[0].qubits().to_vec(), vec![7, 4]);
     }
 
     #[test]
-    fn orientation_helper_selects_control() {
-        assert_eq!(
-            SwapOrientation::with_first_control(3, 8, 3),
-            SwapOrientation::FirstQubitControl
-        );
-        assert_eq!(
-            SwapOrientation::with_first_control(3, 8, 8),
-            SwapOrientation::SecondQubitControl
-        );
+    fn expand_swaps_follows_each_swaps_qubit_order() {
+        let mut routed = QuantumCircuit::new(3);
+        routed.h(0).swap(0, 1).cx(1, 2).swap(2, 1);
+        let mut expected = QuantumCircuit::new(3);
+        expected.h(0).cx(0, 1).cx(1, 0).cx(0, 1).cx(1, 2);
+        expected.cx(2, 1).cx(1, 2).cx(2, 1);
+        let expanded = expand_swaps(&routed);
+        assert_eq!(expanded, expected);
+        assert!(circuits_equivalent(&routed, &expanded, 1e-10));
     }
 
     #[test]

@@ -127,11 +127,6 @@ impl WeylDecomposition {
             .scale(C64::exp_i(self.phase))
     }
 
-    /// The interaction angles `(α, β, γ)`.
-    pub fn interaction_angles(&self) -> (f64, f64, f64) {
-        (self.alpha, self.beta, self.gamma)
-    }
-
     /// The number of interaction axes with non-negligible angles (0–3). This
     /// equals the CNOT count of the re-synthesis this crate emits, except for
     /// the single-axis ±π/4 case which needs only one CNOT.

@@ -2,7 +2,8 @@
 //! index and the delta-style (cached-endpoint, zero-clone) scoring helpers
 //! agree *exactly* — same booleans, same floats — with the full-recompute
 //! reference implementations, on random circuits, random push/pop
-//! histories and every qubit pair.
+//! histories and every qubit pair. A SWAP's qubit order, which NASSC sets
+//! to orient its expansion, changes none of them.
 
 use proptest::prelude::*;
 
@@ -101,8 +102,8 @@ proptest! {
     }
 
     /// The windowed Eq. 2 reduction terms equal the full-recompute reference
-    /// — gains, orientations and sandwich partners — for every pair and
-    /// every flag combination.
+    /// — gains, first-CNOT controls and sandwich partners — for every pair
+    /// and every flag combination.
     #[test]
     fn windowed_swap_reductions_match_reference(
         ops in proptest::collection::vec((any::<u8>(), 0usize..WIDTH, 0usize..WIDTH, -3.0f64..3.0), 0..50),
@@ -118,6 +119,43 @@ proptest! {
                     let reference = evaluate_swap_reduction(state.circuit(), p1, p2, &flags);
                     prop_assert_eq!(
                         fast, reference,
+                        "pair ({}, {}) flags {}", p1, p2, flags.label()
+                    );
+                }
+            }
+        }
+    }
+
+    /// Relisting every SWAP with its second qubit first, as NASSC's emission
+    /// may, changes no routing decision: the touch index and every windowed
+    /// reduction, under every flag combination, stay exactly as they were.
+    #[test]
+    fn swap_orientation_changes_no_index_or_reduction(
+        ops in proptest::collection::vec((any::<u8>(), 0usize..WIDTH, 0usize..WIDTH, -3.0f64..3.0), 0..50),
+    ) {
+        let state = build_state(&ops);
+        let mut oriented = state.clone();
+        for index in 0..state.num_gates() {
+            let inst = state.instruction(index);
+            if inst.gate == Gate::Swap {
+                oriented.orient_swap(index, inst.qubit(1));
+            }
+        }
+        let rebuilt = RoutingState::from_circuit(oriented.circuit().clone());
+        prop_assert_eq!(&oriented, &rebuilt, "orienting desynced the index");
+        let (mut before, mut after) = ([0u32; 64], [0u32; 64]);
+        for p1 in 0..WIDTH {
+            for p2 in 0..WIDTH {
+                if p1 == p2 {
+                    continue;
+                }
+                let n = state.rev_touching_window(p1, p2, &mut before);
+                let m = oriented.rev_touching_window(p1, p2, &mut after);
+                prop_assert_eq!(&before[..n], &after[..m], "pair ({}, {})", p1, p2);
+                for flags in OptimizationFlags::all_combinations() {
+                    prop_assert_eq!(
+                        evaluate_swap_reduction_windowed(&state, p1, p2, &flags),
+                        evaluate_swap_reduction_windowed(&oriented, p1, p2, &flags),
                         "pair ({}, {}) flags {}", p1, p2, flags.label()
                     );
                 }
