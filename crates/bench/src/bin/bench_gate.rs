@@ -22,6 +22,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+use nassc::trace::json_escape;
 use nassc_bench::BenchReport;
 
 /// One `--min`/`--max` constraint on a summary metric.
@@ -89,16 +90,6 @@ fn parse_args(args: &[String]) -> Result<GateArgs, String> {
 /// identifiers, but escape them anyway — the file is parsed by humans and
 /// scripts alike.
 fn summary_json(report: &BenchReport) -> String {
-    let escape = |s: &str| {
-        s.chars()
-            .flat_map(|c| match c {
-                '"' => vec!['\\', '"'],
-                '\\' => vec!['\\', '\\'],
-                c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-                c => vec![c],
-            })
-            .collect::<String>()
-    };
     let metrics = report
         .summary
         .iter()
@@ -108,15 +99,15 @@ fn summary_json(report: &BenchReport) -> String {
             } else {
                 "null".to_string()
             };
-            format!("    \"{}\": {rendered}", escape(name))
+            format!("    \"{}\": {rendered}", json_escape(name))
         })
         .collect::<Vec<_>>()
         .join(",\n");
     format!(
         "{{\n  \"artefact\": \"{}\",\n  \"suite\": \"{}\",\n  \"runs\": {},\n  \
          \"layout_trials\": {},\n  \"rows\": {},\n  \"summary\": {{\n{metrics}\n  }}\n}}\n",
-        escape(&report.artefact),
-        escape(&report.suite),
+        json_escape(&report.artefact),
+        json_escape(&report.suite),
         report.runs,
         report.layout_trials,
         report.rows.len()

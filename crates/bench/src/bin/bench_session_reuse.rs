@@ -39,11 +39,11 @@ fn job_grid(suite: &[Benchmark], runs: usize, layout_trials: usize) -> Vec<Sessi
             let seed = BASE_SEED + run as u64;
             jobs.push(SessionJob::with_options(
                 &bench.circuit,
-                TranspileOptions::sabre(seed).with_layout_trials(layout_trials),
+                TranspileOptions::sabre(seed).layout_trials(layout_trials),
             ));
             jobs.push(SessionJob::with_options(
                 &bench.circuit,
-                TranspileOptions::nassc(seed).with_layout_trials(layout_trials),
+                TranspileOptions::nassc(seed).layout_trials(layout_trials),
             ));
         }
     }

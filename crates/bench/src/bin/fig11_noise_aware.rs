@@ -39,10 +39,10 @@ fn main() {
         let base = match variant {
             0 => TranspileOptions::sabre(seed(run)),
             1 => TranspileOptions::nassc(seed(run)),
-            2 => TranspileOptions::sabre(seed(run)).with_calibration(calibration.clone()),
-            _ => TranspileOptions::nassc(seed(run)).with_calibration(calibration.clone()),
+            2 => TranspileOptions::sabre(seed(run)).calibration(calibration.clone()),
+            _ => TranspileOptions::nassc(seed(run)).calibration(calibration.clone()),
         };
-        base.with_layout_trials(args.layout_trials)
+        base.layout_trials(args.layout_trials)
     };
 
     // One session serves the whole grid: the prepared cache runs the

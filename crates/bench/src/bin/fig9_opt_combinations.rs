@@ -49,15 +49,16 @@ fn main() {
             for run in 0..args.runs {
                 jobs.push(SessionJob::with_options(
                     &bench.circuit,
-                    TranspileOptions::sabre(seed(run)).with_layout_trials(args.layout_trials),
+                    TranspileOptions::sabre(seed(run)).layout_trials(args.layout_trials),
                 ));
             }
             for &flags in &combinations {
                 for run in 0..args.runs {
                     jobs.push(SessionJob::with_options(
                         &bench.circuit,
-                        TranspileOptions::nassc_with_flags(seed(run), flags)
-                            .with_layout_trials(args.layout_trials),
+                        TranspileOptions::nassc(seed(run))
+                            .flags(flags)
+                            .layout_trials(args.layout_trials),
                     ));
                 }
             }

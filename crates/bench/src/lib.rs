@@ -229,11 +229,11 @@ pub fn compare_suite_on(
             let seed = BASE_SEED + run as u64;
             jobs.push(SessionJob::with_options(
                 &benchmark.circuit,
-                TranspileOptions::sabre(seed).with_layout_trials(layout_trials),
+                TranspileOptions::sabre(seed).layout_trials(layout_trials),
             ));
             jobs.push(SessionJob::with_options(
                 &benchmark.circuit,
-                TranspileOptions::nassc(seed).with_layout_trials(layout_trials),
+                TranspileOptions::nassc(seed).layout_trials(layout_trials),
             ));
         }
     }

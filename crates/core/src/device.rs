@@ -1,13 +1,13 @@
 //! The first-class [`Device`] type: a named target a [`Transpiler`] session
 //! is constructed for.
 //!
-//! Before this type existed, "the device" was a bare [`CouplingMap`] plus an
-//! optional [`Calibration`] smuggled through [`TranspileOptions`], and every
-//! front end (the `transpile_qasm` CLI, now the `nassc-serve` daemon) grew
-//! its own string parser for `montreal` / `linear:<n>` / `grid:<r>x<c>`.
-//! [`Device`] owns all three pieces — a stable name, the coupling map and the
-//! calibration — and implements [`FromStr`] once, so the CLI and the daemon
-//! share a single parser with a single error message.
+//! A [`Device`] is a named coupling map: a stable name plus the
+//! connectivity graph. It implements [`FromStr`] once, so every front end
+//! (the `transpile_qasm` CLI, the `nassc-serve` daemon) shares a single
+//! parser for `montreal` / `linear:<n>` / `grid:<r>x<c>` with a single error
+//! message. Calibration data is not part of the device: it is set per
+//! request, through
+//! [`TranspileOptions::calibration`](crate::pipeline::TranspileOptions::calibration).
 //!
 //! [`Transpiler::new`] takes `impl Into<Device>`; [`From<CouplingMap>`] keeps
 //! every existing `Transpiler::new(coupling, options)` call site compiling
@@ -15,14 +15,13 @@
 //!
 //! [`Transpiler`]: crate::session::Transpiler
 //! [`Transpiler::new`]: crate::session::Transpiler::new
-//! [`TranspileOptions`]: crate::pipeline::TranspileOptions
 
 use std::fmt;
 use std::str::FromStr;
 
-use nassc_topology::{Calibration, CouplingMap};
+use nassc_topology::CouplingMap;
 
-/// A transpilation target: a named coupling map plus optional calibration.
+/// A transpilation target: a named coupling map.
 ///
 /// Constructors cover the devices of the paper's evaluation
 /// ([`montreal`](Self::montreal), [`linear`](Self::linear),
@@ -43,16 +42,14 @@ use nassc_topology::{Calibration, CouplingMap};
 pub struct Device {
     name: String,
     coupling: CouplingMap,
-    calibration: Option<Calibration>,
 }
 
 impl Device {
-    /// A device with an explicit name and coupling map (no calibration).
+    /// A device with an explicit name and coupling map.
     pub fn new(name: impl Into<String>, coupling: CouplingMap) -> Self {
         Self {
             name: name.into(),
             coupling,
-            calibration: None,
         }
     }
 
@@ -111,17 +108,6 @@ impl Device {
         Self::new(format!("grid:{rows}x{cols}"), CouplingMap::grid(rows, cols))
     }
 
-    /// Attaches calibration data (builder style). A [`Transpiler`] built
-    /// from a calibrated device routes on the noise-aware distance matrix by
-    /// default (unless its options already carry a calibration).
-    ///
-    /// [`Transpiler`]: crate::session::Transpiler
-    #[must_use]
-    pub fn with_calibration(mut self, calibration: Calibration) -> Self {
-        self.calibration = Some(calibration);
-        self
-    }
-
     /// The device's stable name (what the daemon's device registry and the
     /// `--device` flag key on).
     pub fn name(&self) -> &str {
@@ -131,11 +117,6 @@ impl Device {
     /// The qubit-connectivity graph.
     pub fn coupling(&self) -> &CouplingMap {
         &self.coupling
-    }
-
-    /// The calibration data, when the device carries any.
-    pub fn calibration(&self) -> Option<&Calibration> {
-        self.calibration.as_ref()
     }
 
     /// The number of physical qubits.
@@ -311,14 +292,5 @@ mod tests {
         let device: Device = CouplingMap::linear(7).into();
         assert_eq!(device.name(), "custom:7q");
         assert_eq!(device.num_qubits(), 7);
-        assert!(device.calibration().is_none());
-    }
-
-    #[test]
-    fn calibration_attaches() {
-        let device = Device::montreal();
-        let cal = Calibration::synthetic(device.coupling(), 5);
-        let device = device.with_calibration(cal.clone());
-        assert_eq!(device.calibration(), Some(&cal));
     }
 }

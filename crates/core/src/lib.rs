@@ -114,7 +114,7 @@ mod batch {
         #[test]
         fn multi_trial_jobs_match_serial_at_every_worker_count() {
             let options: Vec<TranspileOptions> = (0..3)
-                .map(|seed| TranspileOptions::nassc(seed).with_layout_trials(4))
+                .map(|seed| TranspileOptions::nassc(seed).layout_trials(4))
                 .collect();
             let serial = batch(&options, 1);
             for workers in [2, 8] {

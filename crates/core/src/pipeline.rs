@@ -20,8 +20,8 @@ use nassc_circuit::{DagCircuit, QuantumCircuit};
 use nassc_parallel::{Budget, ThreadPool};
 use nassc_passes::{standard_optimization_pipeline, PassError, PassManager, UnrollToBasis};
 use nassc_sabre::{
-    route_prepared_budgeted, sabre_layout_prepared_budgeted, LayoutTrials, RoutingResult,
-    SabreConfig, SabrePolicy, SwapPolicy,
+    route_prepared_budgeted, sabre_layout_prepared_budgeted, LayoutSelection, LayoutTrials,
+    RoutingResult, SabreConfig, SabrePolicy, SwapPolicy,
 };
 use nassc_synthesis::expand_swaps;
 use nassc_topology::{Calibration, CouplingMap, DistanceMatrix, Layout};
@@ -44,19 +44,20 @@ pub enum RouterKind {
 /// Construct via the fluent builder —
 /// `TranspileOptions::new().router(RouterKind::Sabre).layout_trials(4).seed(7)`
 /// — or one of the named presets ([`sabre`](Self::sabre),
-/// [`nassc`](Self::nassc)). Struct-literal construction over the public
-/// fields keeps working for existing callers.
+/// [`nassc`](Self::nassc)). Every option has one builder method, and each
+/// is a public field, so struct-literal construction works too.
 #[derive(Debug, Clone)]
 pub struct TranspileOptions {
     /// Which router to use.
     pub router: RouterKind,
-    /// Shared SABRE/NASSC heuristic parameters (extended-layer size 20 and
-    /// weight 0.5 by default, as in the paper).
+    /// The layout/routing seed. The heuristic's other parameters are the
+    /// paper's fixed values (see [`nassc_sabre::config`]).
     pub config: SabreConfig,
     /// NASSC's optimization flags (`b_k` bits); ignored by SABRE.
     pub flags: OptimizationFlags,
     /// When set, routing uses the noise-aware distance matrix of Eq. 3
-    /// (the `+HA` variants of Figure 11).
+    /// (the `+HA` variants of Figure 11). Options are the one place a
+    /// calibration lives.
     pub calibration: Option<Calibration>,
     /// Number of independent layout trials (see
     /// [`nassc_sabre::LayoutTrials`]). `1` (the default) selects the
@@ -129,18 +130,10 @@ impl TranspileOptions {
         self
     }
 
-    /// Sets the layout/routing RNG seed, keeping the other heuristic
-    /// parameters as configured.
+    /// Sets the layout/routing RNG seed.
     #[must_use]
     pub fn seed(mut self, seed: u64) -> Self {
         self.config.seed = seed;
-        self
-    }
-
-    /// Replaces the full SABRE/NASSC heuristic configuration.
-    #[must_use]
-    pub fn config(mut self, config: SabreConfig) -> Self {
-        self.config = config;
         self
     }
 
@@ -151,18 +144,21 @@ impl TranspileOptions {
         self
     }
 
-    /// Builder alias of [`with_calibration`](Self::with_calibration): route
-    /// on the noise-aware distance matrix of Eq. 3.
+    /// Routes on the noise-aware distance matrix of Eq. 3 built from
+    /// `calibration`: the `SABRE+HA` / `NASSC+HA` variants.
     #[must_use]
-    pub fn calibration(self, calibration: Calibration) -> Self {
-        self.with_calibration(calibration)
+    pub fn calibration(mut self, calibration: Calibration) -> Self {
+        self.calibration = Some(calibration);
+        self
     }
 
-    /// Builder alias of [`with_layout_trials`](Self::with_layout_trials):
-    /// run `trials` independent layout trials (clamped to at least 1).
+    /// Runs `trials` independent layout trials (clamped to at least 1) and
+    /// keeps the cheapest-to-route layout. `1` preserves the historical
+    /// single-trial outputs bit-for-bit.
     #[must_use]
-    pub fn layout_trials(self, trials: usize) -> Self {
-        self.with_layout_trials(trials)
+    pub fn layout_trials(mut self, trials: usize) -> Self {
+        self.layout_trials = trials.max(1);
+        self
     }
 
     /// `Qiskit+SABRE` with the given seed.
@@ -173,28 +169,6 @@ impl TranspileOptions {
     /// `Qiskit+NASSC` with all optimizations enabled and the given seed.
     pub fn nassc(seed: u64) -> Self {
         Self::new().seed(seed)
-    }
-
-    /// `Qiskit+NASSC` with a specific optimization-flag combination
-    /// (used by the Figure 9 sweep).
-    pub fn nassc_with_flags(seed: u64, flags: OptimizationFlags) -> Self {
-        Self::nassc(seed).flags(flags)
-    }
-
-    /// The noise-aware variant (`SABRE+HA` / `NASSC+HA`).
-    #[must_use]
-    pub fn with_calibration(mut self, calibration: Calibration) -> Self {
-        self.calibration = Some(calibration);
-        self
-    }
-
-    /// Runs `trials` independent layout trials (clamped to at least 1) and
-    /// keeps the cheapest-to-route layout. `1` preserves the historical
-    /// single-trial outputs bit-for-bit.
-    #[must_use]
-    pub fn with_layout_trials(mut self, trials: usize) -> Self {
-        self.layout_trials = trials.max(1);
-        self
     }
 
     /// Caps how long the transpile may run (measured from request entry by
@@ -274,14 +248,6 @@ pub(crate) fn optimize_without_routing_budgeted(
     standard_optimization_pipeline().run_with_budget(&unrolled, budget)
 }
 
-/// A layout search's outcome, as the session's layout cache keeps it.
-#[derive(Debug, Clone)]
-pub(crate) struct LayoutWinner {
-    pub layout: Layout,
-    pub chosen_trial: usize,
-    pub trial_costs: Vec<f64>,
-}
-
 /// The tail of every session request: layout, routing, SWAP expansion and
 /// post-routing optimization of a circuit that [`optimize_without_routing`]
 /// already prepared.
@@ -303,7 +269,7 @@ pub(crate) fn transpile_prepared(
     coupling: &CouplingMap,
     distances: &DistanceMatrix,
     options: &TranspileOptions,
-    cached: Option<&LayoutWinner>,
+    cached: Option<&LayoutSelection>,
     pool: &ThreadPool,
     budget: &Budget,
 ) -> Result<TranspileResult, PassError> {
@@ -334,7 +300,7 @@ impl Tail<'_> {
     /// routing pass, so no state leaks across passes.
     fn run<P, F>(
         &self,
-        cached: Option<&LayoutWinner>,
+        cached: Option<&LayoutSelection>,
         pool: &ThreadPool,
         make_policy: F,
     ) -> Result<TranspileResult, PassError>
@@ -405,7 +371,7 @@ impl Tail<'_> {
                     &reversed_dag,
                     self.coupling,
                     self.distances,
-                    &self.options.config,
+                    self.options.config.seed,
                     &score_pool,
                     self.budget,
                 )
@@ -418,7 +384,7 @@ impl Tail<'_> {
                 self.prepared,
                 self.coupling,
                 self.distances,
-                &self.options.config,
+                self.options.config.seed,
             )
             .trials(self.options.layout_trials)
             .pool(trial_pool)
@@ -429,7 +395,7 @@ impl Tail<'_> {
             // that degenerate case once from the engine's identity layout.
             let routed = winner
                 .unwrap_or_else(|| self.route_from(&selection.layout, &score_pool, make_policy));
-            (routed, selection.chosen_trial, selection.trial_costs())
+            (routed, selection.chosen_trial, selection.trial_costs)
         };
         let decomposed = {
             let _span = nassc_trace::span!("decompose");
@@ -454,7 +420,7 @@ impl Tail<'_> {
     }
 
     /// One production routing pass: a fresh policy, and the RNG seeded from
-    /// `options.config.seed`.
+    /// the options' seed.
     fn route_dag<P: SwapPolicy + Sync>(
         &self,
         dag: &DagCircuit,
@@ -467,7 +433,6 @@ impl Tail<'_> {
             self.coupling,
             self.distances,
             layout,
-            &self.options.config,
             &mut make_policy(),
             &mut StdRng::seed_from_u64(self.options.config.seed),
             pool,
@@ -558,8 +523,8 @@ mod tests {
         let mut qc = QuantumCircuit::new(4);
         qc.h(0).cx(0, 1).cx(1, 2).cx(2, 3).cx(0, 3);
         for options in [
-            TranspileOptions::sabre(1).with_calibration(cal.clone()),
-            TranspileOptions::nassc(1).with_calibration(cal),
+            TranspileOptions::sabre(1).calibration(cal.clone()),
+            TranspileOptions::nassc(1).calibration(cal),
         ] {
             let result = transpile(&qc, &device, &options);
             assert!(is_mapped(&result.circuit, &device));
@@ -578,8 +543,8 @@ mod tests {
         for options in [
             TranspileOptions::sabre(7),
             TranspileOptions::nassc(7),
-            TranspileOptions::nassc(7).with_calibration(cal.clone()),
-            TranspileOptions::sabre(7).with_calibration(cal),
+            TranspileOptions::nassc(7).calibration(cal.clone()),
+            TranspileOptions::sabre(7).calibration(cal),
         ] {
             let inline = transpile(&circuit, &device, &options);
             let precomputed = shared.transpile_with(&circuit, &options).unwrap();
@@ -606,8 +571,8 @@ mod tests {
         let device = CouplingMap::ibmq_montreal();
         let circuit = sample_circuit();
         for options in [
-            TranspileOptions::sabre(3).with_layout_trials(4),
-            TranspileOptions::nassc(3).with_layout_trials(4),
+            TranspileOptions::sabre(3).layout_trials(4),
+            TranspileOptions::nassc(3).layout_trials(4),
         ] {
             let result = transpile(&circuit, &device, &options);
             assert!(is_mapped(&result.circuit, &device));
@@ -622,7 +587,7 @@ mod tests {
     fn multi_trial_results_are_reproducible() {
         let device = CouplingMap::ibmq_montreal();
         let circuit = sample_circuit();
-        let options = TranspileOptions::nassc(5).with_layout_trials(3);
+        let options = TranspileOptions::nassc(5).layout_trials(3);
         let a = transpile(&circuit, &device, &options);
         let b = transpile(&circuit, &device, &options);
         assert_eq!(a.circuit, b.circuit);

@@ -48,13 +48,7 @@ impl SwapPolicy for NasscPolicy {
         let front_len = ctx.front.len().max(1) as f64;
         let reduction = evaluate_swap_reduction_windowed(ctx.state, p1, p2, &self.flags);
         let basic = (3.0 * ctx.front_distance_after_swap(p1, p2) - reduction.total()) / front_len;
-        let extended = if ctx.extended.is_empty() {
-            0.0
-        } else {
-            ctx.config.extended_set_weight * ctx.extended_distance_after_swap(p1, p2)
-                / ctx.extended.len() as f64
-        };
-        basic + extended
+        basic + ctx.extended_cost(p1, p2)
     }
 
     fn emit_swap(&mut self, output: &mut RoutingState, p1: usize, p2: usize) {
@@ -108,7 +102,7 @@ mod tests {
     use rand::SeedableRng;
 
     /// Routes `qc` from the trivial layout with `policy`, `seed` seeding
-    /// both the heuristic configuration and the RNG.
+    /// the RNG.
     fn route(
         qc: &QuantumCircuit,
         coupling: &CouplingMap,
@@ -120,7 +114,7 @@ mod tests {
             coupling,
             &coupling.distance_matrix(),
             &Layout::trivial(coupling.num_qubits()),
-            &SabreConfig::with_seed(seed),
+            &SabreConfig::default(),
             policy,
             &mut StdRng::seed_from_u64(seed),
             &ThreadPool::new(1),

@@ -56,15 +56,13 @@ use std::time::{Duration, Instant};
 use nassc_circuit::QuantumCircuit;
 use nassc_parallel::{worker_pool_status, Budget, Cancelled, PoolStatus, ThreadPool};
 use nassc_passes::PassError;
-use nassc_topology::{
-    noise_aware_distance, Calibration, CouplingMap, DistanceMatrix, NoiseAwareAlphas,
-};
+use nassc_sabre::LayoutSelection;
+use nassc_topology::{noise_aware_distance, Calibration, DistanceMatrix};
 
 use crate::device::Device;
 use crate::error::Error;
 use crate::pipeline::{
-    optimize_without_routing_budgeted, transpile_prepared, LayoutWinner, TranspileOptions,
-    TranspileResult,
+    optimize_without_routing_budgeted, transpile_prepared, TranspileOptions, TranspileResult,
 };
 
 /// Hit/miss counters of the [`Transpiler`] caches.
@@ -154,7 +152,7 @@ struct LayoutEntry {
     prepared_hash: u64,
     prepared: Arc<QuantumCircuit>,
     options: TranspileOptions,
-    winner: LayoutWinner,
+    winner: LayoutSelection,
 }
 
 /// Everything mutable behind the session lock.
@@ -174,7 +172,7 @@ struct ResolvedJob {
     options: TranspileOptions,
     distances: Arc<DistanceMatrix>,
     prepared: Arc<QuantumCircuit>,
-    cached_layout: Option<LayoutWinner>,
+    cached_layout: Option<LayoutSelection>,
     stats: CacheStats,
     /// The job's cooperative deadline, anchored at request entry; unlimited
     /// when [`TranspileOptions::deadline`] is unset.
@@ -229,21 +227,16 @@ impl std::fmt::Debug for Transpiler {
 
 impl Transpiler {
     /// A session for `device` with the given default options. Anything that
-    /// converts into a [`Device`] is accepted — a bare [`CouplingMap`] keeps
-    /// working via `From` (it becomes an anonymous device). When the device
-    /// carries a [`Device::calibration`] and `options` does not, the
-    /// device's calibration becomes the session default, so a calibrated
-    /// device routes noise-aware out of the box. The worker budget defaults
-    /// to [`ThreadPool::with_default_parallelism`] (`NASSC_THREADS`
-    /// applies).
+    /// converts into a [`Device`] is accepted — a bare
+    /// [`CouplingMap`](nassc_topology::CouplingMap) becomes an anonymous
+    /// device. The session routes noise-aware when `options` (or a
+    /// request's own options) carry a
+    /// [`calibration`](TranspileOptions::calibration). The worker budget
+    /// defaults to [`ThreadPool::with_default_parallelism`]
+    /// (`NASSC_THREADS` applies).
     pub fn new(device: impl Into<Device>, options: TranspileOptions) -> Self {
-        let device = device.into();
-        let mut options = options;
-        if options.calibration.is_none() {
-            options.calibration = device.calibration().cloned();
-        }
         Self {
-            device,
+            device: device.into(),
             options,
             pool: ThreadPool::with_default_parallelism(),
             state: Mutex::new(SessionState::default()),
@@ -261,12 +254,6 @@ impl Transpiler {
     /// The device this session transpiles onto.
     pub fn device(&self) -> &Device {
         &self.device
-    }
-
-    /// The coupling map of [`device`](Self::device) (convenience accessor
-    /// predating the [`Device`] type).
-    pub fn coupling(&self) -> &CouplingMap {
-        self.device.coupling()
     }
 
     /// The session's default options.
@@ -533,7 +520,7 @@ impl Transpiler {
                 // Hop counts, or the noise-aware Eq. 3 matrix when calibrated.
                 let coupling = self.device.coupling();
                 let computed = Arc::new(match &options.calibration {
-                    Some(cal) => noise_aware_distance(coupling, cal, NoiseAwareAlphas::default()),
+                    Some(cal) => noise_aware_distance(coupling, cal),
                     None => coupling.distance_matrix(),
                 });
                 let entry = (options.calibration.clone(), Arc::clone(&computed));
@@ -644,7 +631,7 @@ impl Transpiler {
                     prepared_hash,
                     prepared: Arc::clone(&job.prepared),
                     options: job.options.clone(),
-                    winner: LayoutWinner {
+                    winner: LayoutSelection {
                         layout: result.initial_layout.clone(),
                         chosen_trial: result.chosen_layout_trial,
                         trial_costs: result.layout_trial_costs.clone(),
@@ -679,6 +666,7 @@ fn classify_panic(site: &str, payload: Box<dyn Any + Send>, deadline: Option<Dur
 mod tests {
     use super::*;
     use crate::pipeline::RouterKind;
+    use nassc_topology::CouplingMap;
 
     fn ghz(n: usize) -> QuantumCircuit {
         let mut qc = QuantumCircuit::new(n);
@@ -784,7 +772,8 @@ mod tests {
     #[test]
     fn distance_cache_keys_entries_by_calibration() {
         let session = session();
-        let calibration = Calibration::synthetic(session.coupling(), 1);
+        let coupling = session.device().coupling();
+        let calibration = Calibration::synthetic(coupling, 1);
         let plain = session.options().clone();
         let calibrated = plain.clone().calibration(calibration.clone());
         for options in [&plain, &calibrated, &plain, &calibrated] {
@@ -795,7 +784,7 @@ mod tests {
         assert_eq!(state.stats.distance_hits, 2);
         let keys: Vec<_> = state.distances.iter().map(|(key, _)| key.clone()).collect();
         assert_eq!(keys, [None, Some(calibration)]);
-        assert_eq!(*state.distances[0].1, session.coupling().distance_matrix());
+        assert_eq!(*state.distances[0].1, coupling.distance_matrix());
         assert_ne!(*state.distances[1].1, *state.distances[0].1);
     }
 

@@ -52,10 +52,10 @@ pub use nassc_core::{
 pub use nassc_parallel::{worker_pool_status, Budget, Cancelled, PoolStatus, ThreadPool};
 
 // The multi-trial layout subsystem (see `nassc::sabre::layout`): the engine,
-// its selection/outcome records and the deterministic seed splitter, surfaced
-// at the top level because `TranspileOptions::new().layout_trials(n)`
-// consumers read its diagnostics.
-pub use nassc_sabre::{split_seed, LayoutSelection, LayoutTrials, RoutingState, TrialOutcome};
+// its selection record and the deterministic seed splitter, surfaced at the
+// top level because `TranspileOptions::new().layout_trials(n)` consumers
+// read its diagnostics.
+pub use nassc_sabre::{split_seed, LayoutSelection, LayoutTrials, RoutingState};
 
 // Sub-crate namespaces, so downstream code can write `nassc::circuit::...`
 // without depending on each `nassc-*` crate individually.

@@ -26,7 +26,7 @@ fn transpiler_session_is_the_facade_entry_point() {
         let result = session.transpile(&qc).expect("transpile");
         assert!(nassc::passes::is_mapped(
             &result.circuit,
-            session.coupling()
+            session.device().coupling()
         ));
         assert!(result.circuit.iter().all(|i| i.gate.in_ibm_basis()));
         assert!(result.cx_count() > 0);
@@ -66,7 +66,7 @@ fn router_kind_is_part_of_the_options_surface() {
     assert_eq!(TranspileOptions::nassc(3).router, RouterKind::Nassc);
     let flags = OptimizationFlags::default();
     assert_eq!(
-        TranspileOptions::nassc_with_flags(3, flags).router,
+        TranspileOptions::nassc(3).flags(flags).router,
         RouterKind::Nassc
     );
     // The builder spelling constructs the same options as the shorthands.

@@ -27,7 +27,7 @@ use nassc_circuit::{DagCircuit, QuantumCircuit};
 use nassc_parallel::{Budget, ThreadPool};
 use nassc_topology::{CouplingMap, DistanceMatrix, Layout};
 
-use crate::config::SabreConfig;
+use crate::config::{SabreConfig, LAYOUT_ITERATIONS};
 use crate::router::{route_prepared_budgeted, RoutingResult, SabrePolicy, SwapPolicy};
 
 /// Derives an independent child seed from `base` and a stream index.
@@ -46,7 +46,8 @@ pub fn split_seed(base: u64, index: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// [`sabre_layout_prepared_budgeted`] with an unlimited budget.
+/// [`sabre_layout_prepared_budgeted`] with an unlimited budget and the
+/// seed of `config`.
 pub fn sabre_layout_prepared(
     dag: &DagCircuit,
     reversed_dag: &DagCircuit,
@@ -60,7 +61,7 @@ pub fn sabre_layout_prepared(
         reversed_dag,
         coupling,
         distances,
-        config,
+        config.seed,
         score_pool,
         &Budget::unlimited(),
     )
@@ -72,10 +73,11 @@ pub fn sabre_layout_prepared(
 /// `dag` and `reversed_dag` are the dependency DAGs of the circuit and of
 /// its reversal; the single-trial pipeline builds them once and shares the
 /// forward one with its production routing pass. One `StdRng` seeded from
-/// `config.seed` threads through the random start and every refinement
-/// pass; multi-trial pipelines use [`LayoutTrials`], whose per-trial seed
-/// streams do not depend on call-ordering internals. `score_pool` fans
-/// candidate scoring across workers and affects wall clock only.
+/// `seed` threads through the random start and all [`LAYOUT_ITERATIONS`]
+/// refinement rounds; multi-trial pipelines use [`LayoutTrials`], whose
+/// per-trial seed streams do not depend on call-ordering internals.
+/// `score_pool` fans candidate scoring across workers and affects wall
+/// clock only.
 ///
 /// The search always runs: callers check first whether the circuit has any
 /// two-qubit gate, and give one without the identity layout.
@@ -88,22 +90,21 @@ pub fn sabre_layout_prepared_budgeted(
     reversed_dag: &DagCircuit,
     coupling: &CouplingMap,
     distances: &DistanceMatrix,
-    config: &SabreConfig,
+    seed: u64,
     score_pool: &ThreadPool,
     budget: &Budget,
 ) -> Layout {
     budget.checkpoint();
     nassc_circuit::failpoints::hit("layout_trial");
     let _span = nassc_trace::span!("sabre_layout");
-    let mut rng = StdRng::seed_from_u64(config.seed);
+    let mut rng = StdRng::seed_from_u64(seed);
     let mut layout = Layout::random(coupling.num_qubits(), &mut rng);
-    for _ in 0..config.layout_iterations {
+    for _ in 0..LAYOUT_ITERATIONS {
         let forward = route_prepared_budgeted(
             dag,
             coupling,
             distances,
             &layout,
-            config,
             &mut SabrePolicy,
             &mut rng,
             score_pool,
@@ -114,7 +115,6 @@ pub fn sabre_layout_prepared_budgeted(
             coupling,
             distances,
             &forward.final_layout,
-            config,
             &mut SabrePolicy,
             &mut rng,
             score_pool,
@@ -125,38 +125,20 @@ pub fn sabre_layout_prepared_budgeted(
     layout
 }
 
-/// The outcome of one layout trial: its seed and the SWAP count of the full
-/// routing pass that scored its refined layout.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TrialOutcome {
-    /// Trial index (`0..trials`).
-    pub trial: usize,
-    /// The [`split_seed`]-derived seed this trial's refinement stream
-    /// started from (the scoring pass itself runs on the production RNG).
-    pub seed: u64,
-    /// The number of SWAPs the scoring routing pass inserted. Lower is
-    /// better.
-    pub cost: f64,
-}
-
-/// The result of a [`LayoutTrials`] run: the winning layout plus the
-/// per-trial diagnostics benchmark reports record.
+/// The result of a layout search: the winning layout plus the per-trial
+/// diagnostics benchmark reports record.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LayoutSelection {
     /// The layout of the winning trial.
     pub layout: Layout,
     /// Index of the winning trial (lowest index on cost ties).
     pub chosen_trial: usize,
-    /// One outcome per trial, in trial order. Empty for the degenerate
-    /// no-two-qubit-gate case, where no search runs.
-    pub outcomes: Vec<TrialOutcome>,
-}
-
-impl LayoutSelection {
-    /// The per-trial scoring costs, in trial order.
-    pub fn trial_costs(&self) -> Vec<f64> {
-        self.outcomes.iter().map(|outcome| outcome.cost).collect()
-    }
+    /// Each trial's cost, in trial order: the number of SWAPs its scoring
+    /// routing pass inserted (lower is better). Trial `t` refined its
+    /// layout from the seed `split_seed(seed, t)`. Empty when no trial was
+    /// scored: the single-trial path of [`sabre_layout_prepared_budgeted`],
+    /// or a circuit without two-qubit gates.
+    pub trial_costs: Vec<f64>,
 }
 
 /// Deterministic argmin over trial costs, tie-breaking by lowest index.
@@ -181,13 +163,13 @@ fn select_best_trial(costs: &[f64]) -> usize {
 /// layout routes the circuit with the fewest SWAPs, the trial score of
 /// Qiskit's `SabreLayout`. Refinement draws randomness from a private
 /// per-trial seed stream — refinement stage `k` of trial `t` seeds
-/// a fresh `StdRng` with `split_seed(split_seed(config.seed, t), k)` — so
-/// the result is a pure function of `(inputs, config.seed, trial index)`:
+/// a fresh `StdRng` with `split_seed(split_seed(seed, t), k)` — so
+/// the result is a pure function of `(inputs, seed, trial index)`:
 /// independent of the worker count, of how many sibling trials run, and of
 /// how many random draws any individual routing pass happens to consume.
 ///
 /// The scoring pass deliberately does *not* use the trial stream: it routes
-/// with a `StdRng` seeded directly from `config.seed` — exactly the RNG the
+/// with a `StdRng` seeded directly from `seed` — exactly the RNG the
 /// production routing pass uses — so each trial's cost is the cost the
 /// pipeline will actually pay if that trial's layout wins, not a
 /// differently-seeded estimate of it.
@@ -203,18 +185,17 @@ fn select_best_trial(costs: &[f64]) -> usize {
 ///
 /// ```
 /// use nassc_circuit::QuantumCircuit;
-/// use nassc_sabre::{LayoutTrials, SabreConfig, SabrePolicy};
+/// use nassc_sabre::{LayoutTrials, SabrePolicy};
 /// use nassc_topology::CouplingMap;
 ///
 /// let mut qc = QuantumCircuit::new(3);
 /// qc.cx(1, 2).cx(0, 1).cx(0, 2);
 /// let device = CouplingMap::linear(3);
 /// let distances = device.distance_matrix();
-/// let config = SabreConfig::with_seed(7);
-/// let (selection, _) = LayoutTrials::new(&qc, &device, &distances, &config)
+/// let (selection, _) = LayoutTrials::new(&qc, &device, &distances, 7)
 ///     .trials(4)
 ///     .run(|| SabrePolicy);
-/// assert_eq!(selection.outcomes.len(), 4);
+/// assert_eq!(selection.trial_costs.len(), 4);
 /// assert!(selection.chosen_trial < 4);
 /// ```
 #[derive(Debug, Clone)]
@@ -222,7 +203,7 @@ pub struct LayoutTrials<'a> {
     circuit: &'a QuantumCircuit,
     coupling: &'a CouplingMap,
     distances: &'a DistanceMatrix,
-    config: &'a SabreConfig,
+    seed: u64,
     trials: usize,
     pool: ThreadPool,
     score_pool: ThreadPool,
@@ -236,13 +217,13 @@ impl<'a> LayoutTrials<'a> {
         circuit: &'a QuantumCircuit,
         coupling: &'a CouplingMap,
         distances: &'a DistanceMatrix,
-        config: &'a SabreConfig,
+        seed: u64,
     ) -> Self {
         Self {
             circuit,
             coupling,
             distances,
-            config,
+            seed,
             trials: 1,
             pool: ThreadPool::new(1),
             score_pool: ThreadPool::new(1),
@@ -291,7 +272,7 @@ impl<'a> LayoutTrials<'a> {
     /// stateful policies never leak state across passes.
     ///
     /// Because the scoring pass routes on the production RNG
-    /// (`config.seed`), the returned result is byte-identical to what
+    /// (`seed`), the returned result is byte-identical to what
     /// re-routing the winning layout would produce — callers (the transpile
     /// pipeline) reuse it instead of paying a duplicate routing pass. `None`
     /// only in the degenerate no-two-qubit-gate case, where no routing runs.
@@ -304,7 +285,7 @@ impl<'a> LayoutTrials<'a> {
             let selection = LayoutSelection {
                 layout: Layout::trivial(self.coupling.num_qubits()),
                 chosen_trial: 0,
-                outcomes: Vec::new(),
+                trial_costs: Vec::new(),
             };
             return (selection, None);
         }
@@ -314,36 +295,35 @@ impl<'a> LayoutTrials<'a> {
         span.arg_u64("trials", self.trials as u64);
         let dag = DagCircuit::from_circuit(self.circuit);
         let reversed_dag = DagCircuit::from_circuit(&self.circuit.reversed());
-        let mut candidates: Vec<(Layout, TrialOutcome, RoutingResult)> =
+        let mut candidates: Vec<(Layout, f64, RoutingResult)> =
             self.pool.map((0..self.trials).collect(), |trial| {
                 self.run_trial(trial, &dag, &reversed_dag, &make_policy)
             });
-        let outcomes: Vec<TrialOutcome> = candidates.iter().map(|c| c.1.clone()).collect();
-        let costs: Vec<f64> = outcomes.iter().map(|outcome| outcome.cost).collect();
-        let chosen_trial = select_best_trial(&costs);
+        let trial_costs: Vec<f64> = candidates.iter().map(|c| c.1).collect();
+        let chosen_trial = select_best_trial(&trial_costs);
         span.arg_u64("chosen_trial", chosen_trial as u64);
-        span.arg_f64("chosen_cost", costs[chosen_trial]);
+        span.arg_f64("chosen_cost", trial_costs[chosen_trial]);
         let (layout, _, routed) = candidates.swap_remove(chosen_trial);
         let selection = LayoutSelection {
             layout,
             chosen_trial,
-            outcomes,
+            trial_costs,
         };
         (selection, Some(routed))
     }
 
-    /// One trial: random start, `layout_iterations` forward/backward
+    /// One trial: random start, [`LAYOUT_ITERATIONS`] forward/backward
     /// refinement rounds (each stage on its own freshly seeded RNG from the
     /// trial's stream), then a scoring pass on the production RNG
-    /// (`config.seed`), so the recorded cost is exactly what the pipeline's
-    /// final routing pass will pay for this layout.
+    /// (`seed`), so the returned cost is exactly what the pipeline's final
+    /// routing pass will pay for this layout.
     fn run_trial<P, F>(
         &self,
         trial: usize,
         dag: &DagCircuit,
         reversed_dag: &DagCircuit,
         make_policy: &F,
-    ) -> (Layout, TrialOutcome, RoutingResult)
+    ) -> (Layout, f64, RoutingResult)
     where
         P: SwapPolicy + Sync,
         F: Fn() -> P + Sync,
@@ -353,7 +333,7 @@ impl<'a> LayoutTrials<'a> {
         // (not a fault) and the session boundary maps to a deadline error.
         self.budget.checkpoint();
         nassc_circuit::failpoints::hit("layout_trial");
-        let trial_seed = split_seed(self.config.seed, trial as u64);
+        let trial_seed = split_seed(self.seed, trial as u64);
         let mut span = nassc_trace::span!("layout_trial");
         span.arg_u64("trial", trial as u64);
         span.arg_u64("seed", trial_seed);
@@ -365,13 +345,12 @@ impl<'a> LayoutTrials<'a> {
         };
 
         let mut layout = Layout::random(self.coupling.num_qubits(), &mut stage_rng());
-        for _ in 0..self.config.layout_iterations {
+        for _ in 0..LAYOUT_ITERATIONS {
             let forward = route_prepared_budgeted(
                 dag,
                 self.coupling,
                 self.distances,
                 &layout,
-                self.config,
                 &mut make_policy(),
                 &mut stage_rng(),
                 &self.score_pool,
@@ -382,7 +361,6 @@ impl<'a> LayoutTrials<'a> {
                 self.coupling,
                 self.distances,
                 &forward.final_layout,
-                self.config,
                 &mut make_policy(),
                 &mut stage_rng(),
                 &self.score_pool,
@@ -395,20 +373,14 @@ impl<'a> LayoutTrials<'a> {
             self.coupling,
             self.distances,
             &layout,
-            self.config,
             &mut make_policy(),
-            &mut StdRng::seed_from_u64(self.config.seed),
+            &mut StdRng::seed_from_u64(self.seed),
             &self.score_pool,
             &self.budget,
         );
         let cost = scored.swap_count as f64;
         span.arg_f64("cost", cost);
-        let outcome = TrialOutcome {
-            trial,
-            seed: trial_seed,
-            cost,
-        };
-        (layout, outcome, scored)
+        (layout, cost, scored)
     }
 }
 
@@ -451,7 +423,7 @@ mod tests {
             &DagCircuit::from_circuit(&qc.reversed()),
             &montreal,
             &distances,
-            &SabreConfig::with_seed(9),
+            &SabreConfig { seed: 9 },
             &ThreadPool::new(1),
         );
         assert_eq!(layout.len(), 27);
@@ -465,7 +437,7 @@ mod tests {
         let montreal = CouplingMap::ibmq_montreal();
         let distances = montreal.distance_matrix();
         let qc = ring_circuit(6, 3);
-        let config = SabreConfig::with_seed(2);
+        let config = SabreConfig { seed: 2 };
         let (dag, reversed_dag) = (
             DagCircuit::from_circuit(&qc),
             DagCircuit::from_circuit(&qc.reversed()),
@@ -523,13 +495,12 @@ mod tests {
         let distances = device.distance_matrix();
         let mut qc = QuantumCircuit::new(3);
         qc.h(0).h(1).h(2);
-        let config = SabreConfig::with_seed(4);
-        let (selection, routed) = LayoutTrials::new(&qc, &device, &distances, &config)
+        let (selection, routed) = LayoutTrials::new(&qc, &device, &distances, 4)
             .trials(4)
             .run(|| SabrePolicy);
         assert_eq!(selection.layout, Layout::trivial(5));
         assert_eq!(selection.chosen_trial, 0);
-        assert!(selection.outcomes.is_empty());
+        assert!(selection.trial_costs.is_empty());
         assert!(
             routed.is_none(),
             "no trial routes a circuit without 2q gates"
@@ -541,18 +512,17 @@ mod tests {
         let device = CouplingMap::grid(2, 3);
         let distances = device.distance_matrix();
         let qc = ring_circuit(5, 2);
-        let config = SabreConfig::with_seed(11);
-        let engine = LayoutTrials::new(&qc, &device, &distances, &config);
+        let engine = LayoutTrials::new(&qc, &device, &distances, 11);
 
         let serial = run(&engine.clone().trials(4));
         for workers in [2, 8] {
             let parallel = run(&engine.clone().trials(4).pool(ThreadPool::new(workers)));
             assert_eq!(serial, parallel, "{workers} workers");
         }
-        // Trial 0..4 of an 8-trial run are the same trials: outcomes are a
+        // Trial 0..4 of an 8-trial run are the same trials: costs are a
         // pure function of (inputs, seed, trial index).
         let wider = run(&engine.clone().trials(8));
-        assert_eq!(&wider.outcomes[..4], &serial.outcomes[..]);
+        assert_eq!(&wider.trial_costs[..4], &serial.trial_costs[..]);
     }
 
     #[test]
@@ -560,17 +530,16 @@ mod tests {
         let device = CouplingMap::ibmq_montreal();
         let distances = device.distance_matrix();
         let qc = ring_circuit(6, 3);
-        let config = SabreConfig::with_seed(2);
-        let selection = run(&LayoutTrials::new(&qc, &device, &distances, &config).trials(5));
-        assert_eq!(selection.outcomes.len(), 5);
+        let selection = run(&LayoutTrials::new(&qc, &device, &distances, 2).trials(5));
+        assert_eq!(selection.trial_costs.len(), 5);
         assert_is_permutation(&selection.layout, 27);
-        let best = selection.outcomes[selection.chosen_trial].cost;
-        assert!(selection.outcomes.iter().all(|o| o.cost >= best));
+        let best = selection.trial_costs[selection.chosen_trial];
+        assert!(selection.trial_costs.iter().all(|&cost| cost >= best));
         // The winner is the first trial achieving the minimum.
         let first_min = selection
-            .outcomes
+            .trial_costs
             .iter()
-            .position(|o| o.cost == best)
+            .position(|&cost| cost == best)
             .unwrap();
         assert_eq!(selection.chosen_trial, first_min);
     }
@@ -580,10 +549,9 @@ mod tests {
         let device = CouplingMap::ibmq_montreal();
         let distances = device.distance_matrix();
         let qc = ring_circuit(6, 3);
-        let config = SabreConfig::with_seed(2);
         let budget = Budget::unlimited();
         budget.cancel();
-        let engine = LayoutTrials::new(&qc, &device, &distances, &config)
+        let engine = LayoutTrials::new(&qc, &device, &distances, 2)
             .trials(3)
             .budget(budget);
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(&engine)));
@@ -599,8 +567,7 @@ mod tests {
         let device = CouplingMap::grid(2, 3);
         let distances = device.distance_matrix();
         let qc = ring_circuit(5, 2);
-        let config = SabreConfig::with_seed(11);
-        let engine = LayoutTrials::new(&qc, &device, &distances, &config).trials(4);
+        let engine = LayoutTrials::new(&qc, &device, &distances, 11).trials(4);
         let unbudgeted = run(&engine);
         let budgeted = run(&engine
             .clone()
@@ -613,12 +580,11 @@ mod tests {
         let device = CouplingMap::ibmq_montreal();
         let distances = device.distance_matrix();
         let qc = ring_circuit(6, 3);
-        let config = SabreConfig::with_seed(13);
-        let engine = LayoutTrials::new(&qc, &device, &distances, &config);
+        let engine = LayoutTrials::new(&qc, &device, &distances, 13);
         let one = run(&engine.clone().trials(1));
         let four = run(&engine.clone().trials(4));
         assert!(
-            four.outcomes[four.chosen_trial].cost <= one.outcomes[0].cost,
+            four.trial_costs[four.chosen_trial] <= one.trial_costs[0],
             "4 trials scored worse than trial 0 alone"
         );
     }

@@ -26,7 +26,16 @@
 //!   O(window) pair queries) the hot loop is built around.
 //!
 //! [`route_prepared`] and [`sabre_layout_prepared`] are the same two
-//! functions with an unlimited budget.
+//! functions with an unlimited budget, taking the seed as a [`SabreConfig`].
+//!
+//! The heuristic itself is fixed, as in the paper's evaluation (§V) and in
+//! Qiskit's `sabre_swap.py` module constants: an extended layer of
+//! [`EXTENDED_SET_SIZE`](config::EXTENDED_SET_SIZE) = 20 gates weighted by
+//! [`EXTENDED_SET_WEIGHT`](config::EXTENDED_SET_WEIGHT) = 0.5, a decay of
+//! [`DECAY_DELTA`](config::DECAY_DELTA) = 0.001 reset every
+//! [`DECAY_RESET_INTERVAL`](config::DECAY_RESET_INTERVAL) = 5 SWAPs, and
+//! [`LAYOUT_ITERATIONS`](config::LAYOUT_ITERATIONS) = 3 layout refinement
+//! rounds. Only the seed varies between runs.
 //!
 //! # Example
 //!
@@ -43,7 +52,7 @@
 //! let reversed_dag = DagCircuit::from_circuit(&qc.reversed());
 //! let device = CouplingMap::linear(3);
 //! let distances = device.distance_matrix();
-//! let config = SabreConfig::with_seed(7);
+//! let config = SabreConfig { seed: 7 };
 //! let pool = ThreadPool::new(1);
 //! let layout = sabre_layout_prepared(&dag, &reversed_dag, &device, &distances, &config, &pool);
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(7);
@@ -61,7 +70,7 @@ pub mod state;
 pub use config::SabreConfig;
 pub use layout::{
     sabre_layout_prepared, sabre_layout_prepared_budgeted, split_seed, LayoutSelection,
-    LayoutTrials, TrialOutcome,
+    LayoutTrials,
 };
 pub use router::{
     route_prepared, route_prepared_budgeted, RoutingContext, RoutingResult, SabrePolicy,

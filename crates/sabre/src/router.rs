@@ -34,7 +34,9 @@ use nassc_circuit::{DagCircuit, Gate, Instruction, QuantumCircuit};
 use nassc_parallel::{Budget, ThreadPool};
 use nassc_topology::{CouplingMap, DistanceMatrix, Layout};
 
-use crate::config::SabreConfig;
+use crate::config::{
+    SabreConfig, DECAY_DELTA, DECAY_RESET_INTERVAL, EXTENDED_SET_SIZE, EXTENDED_SET_WEIGHT,
+};
 use crate::state::RoutingState;
 
 /// Minimum number of SWAP candidates before a step's scoring is fanned
@@ -102,12 +104,8 @@ fn after_swap(p: u32, p1: u32, p2: u32) -> usize {
 /// scoring a SWAP candidate.
 #[derive(Debug)]
 pub struct RoutingContext<'a> {
-    /// The device connectivity.
-    pub coupling: &'a CouplingMap,
     /// The distance matrix used by the heuristic (plain or noise-aware).
     pub distances: &'a DistanceMatrix,
-    /// The current logical→physical layout (before the candidate SWAP).
-    pub layout: &'a Layout,
     /// DAG node ids of the unroutable two-qubit gates in the front layer.
     pub front: &'a [usize],
     /// DAG node ids of the lookahead (extended) layer.
@@ -117,37 +115,29 @@ pub struct RoutingContext<'a> {
     /// The physical circuit emitted so far (resolved gates and earlier
     /// SWAPs), with its per-qubit touch index for windowed queries.
     pub state: &'a RoutingState,
-    /// The heuristic configuration.
-    pub config: &'a SabreConfig,
     endpoints: &'a StepEndpoints,
 }
 
 impl<'a> RoutingContext<'a> {
     /// Builds a context over an explicitly prepared [`StepEndpoints`]
     /// (`endpoints.prepare` must have been called with the same
-    /// `front`/`extended`/`layout`). The router does this once per step;
-    /// exposed so tests and embedders can score candidates directly.
-    #[allow(clippy::too_many_arguments)]
+    /// `front`/`extended` and the current layout). The router does this once
+    /// per step; exposed so tests and embedders can score candidates
+    /// directly.
     pub fn new(
-        coupling: &'a CouplingMap,
         distances: &'a DistanceMatrix,
-        layout: &'a Layout,
         front: &'a [usize],
         extended: &'a [usize],
         dag: &'a DagCircuit,
         state: &'a RoutingState,
-        config: &'a SabreConfig,
         endpoints: &'a StepEndpoints,
     ) -> Self {
         Self {
-            coupling,
             distances,
-            layout,
             front,
             extended,
             dag,
             state,
-            config,
             endpoints,
         }
     }
@@ -182,19 +172,26 @@ impl<'a> RoutingContext<'a> {
             .sum()
     }
 
+    /// The lookahead term both routers add to their front-layer cost: the
+    /// extended-layer distance after a SWAP on `(p1, p2)`, normalised by the
+    /// layer's size and weighted by [`EXTENDED_SET_WEIGHT`]; `0` when the
+    /// extended layer is empty.
+    pub fn extended_cost(&self, p1: usize, p2: usize) -> f64 {
+        if self.extended.is_empty() {
+            0.0
+        } else {
+            EXTENDED_SET_WEIGHT * self.extended_distance_after_swap(p1, p2)
+                / self.extended.len() as f64
+        }
+    }
+
     /// SABRE's lookahead distance term: normalised front-layer distance plus
-    /// the weighted, normalised extended-layer distance, evaluated after the
+    /// the [`extended_cost`](Self::extended_cost), evaluated after the
     /// candidate SWAP.
     pub fn lookahead_cost(&self, p1: usize, p2: usize) -> f64 {
         let front_len = self.front.len().max(1) as f64;
         let front_term = self.front_distance_after_swap(p1, p2) / front_len;
-        let extended_term = if self.extended.is_empty() {
-            0.0
-        } else {
-            self.config.extended_set_weight * self.extended_distance_after_swap(p1, p2)
-                / self.extended.len() as f64
-        };
-        front_term + extended_term
+        front_term + self.extended_cost(p1, p2)
     }
 }
 
@@ -253,14 +250,15 @@ pub struct RoutingResult {
     pub swap_count: usize,
 }
 
-/// [`route_prepared_budgeted`] with an unlimited budget.
+/// [`route_prepared_budgeted`] with an unlimited budget. The seed reaches
+/// routing through `rng`, so `_config` is unused.
 #[allow(clippy::too_many_arguments)]
 pub fn route_prepared<P: SwapPolicy + Sync>(
     dag: &DagCircuit,
     coupling: &CouplingMap,
     distances: &DistanceMatrix,
     initial_layout: &Layout,
-    config: &SabreConfig,
+    _config: &SabreConfig,
     policy: &mut P,
     rng: &mut StdRng,
     score_pool: &ThreadPool,
@@ -270,7 +268,6 @@ pub fn route_prepared<P: SwapPolicy + Sync>(
         coupling,
         distances,
         initial_layout,
-        config,
         policy,
         rng,
         score_pool,
@@ -309,7 +306,6 @@ pub fn route_prepared_budgeted<P: SwapPolicy + Sync>(
     coupling: &CouplingMap,
     distances: &DistanceMatrix,
     initial_layout: &Layout,
-    config: &SabreConfig,
     policy: &mut P,
     rng: &mut StdRng,
     score_pool: &ThreadPool,
@@ -415,7 +411,7 @@ pub fn route_prepared_budgeted<P: SwapPolicy + Sync>(
             dag,
             &front,
             &executed,
-            config.extended_set_size,
+            EXTENDED_SET_SIZE,
             &mut extended_scratch,
         );
 
@@ -444,9 +440,7 @@ pub fn route_prepared_budgeted<P: SwapPolicy + Sync>(
         trace_swap_candidates += candidates.len() as u64;
 
         endpoints.prepare(dag, &front, extended, &layout);
-        let ctx = RoutingContext::new(
-            coupling, distances, &layout, &front, extended, dag, &state, config, &endpoints,
-        );
+        let ctx = RoutingContext::new(distances, &front, extended, dag, &state, &endpoints);
         scores.clear();
         let policy_ref: &P = policy;
         if score_pool.threads() > 1 && candidates.len() >= PARALLEL_SCORE_THRESHOLD {
@@ -482,10 +476,10 @@ pub fn route_prepared_budgeted<P: SwapPolicy + Sync>(
             total_swaps_guard <= max_swaps,
             "routing exceeded the SWAP budget; the coupling graph may be disconnected"
         );
-        decay[p1] += config.decay_delta;
-        decay[p2] += config.decay_delta;
+        decay[p1] += DECAY_DELTA;
+        decay[p2] += DECAY_DELTA;
         swaps_since_reset += 1;
-        if swaps_since_reset >= config.decay_reset_interval {
+        if swaps_since_reset >= DECAY_RESET_INTERVAL {
             decay.iter_mut().for_each(|d| *d = 1.0);
             swaps_since_reset = 0;
         }
@@ -589,7 +583,7 @@ mod tests {
             coupling,
             &coupling.distance_matrix(),
             layout,
-            &SabreConfig::with_seed(seed),
+            &SabreConfig::default(),
             &mut SabrePolicy,
             &mut StdRng::seed_from_u64(seed),
             &ThreadPool::new(threads),

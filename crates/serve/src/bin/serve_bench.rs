@@ -314,32 +314,6 @@ fn run_corpus_pass(addr: &str, expected: &[Expected]) -> PhaseStats {
     stats
 }
 
-/// Extracts and unescapes the first JSON string field named `key` — enough
-/// JSON to read the `?trace=1` envelope the daemon emits.
-fn json_str_field(body: &str, key: &str) -> Option<String> {
-    let marker = format!("\"{key}\":\"");
-    let start = body.find(&marker)? + marker.len();
-    let mut out = String::new();
-    let mut chars = body[start..].chars();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                'n' => out.push('\n'),
-                'r' => out.push('\r'),
-                't' => out.push('\t'),
-                'u' => {
-                    let hex: String = (0..4).filter_map(|_| chars.next()).collect();
-                    out.push(char::from_u32(u32::from_str_radix(&hex, 16).ok()?)?);
-                }
-                other => out.push(other),
-            },
-            c => out.push(c),
-        }
-    }
-    None
-}
-
 /// One corpus pass through `POST /transpile?trace=1`: every response must
 /// echo the client-chosen `X-Request-Id`, carry a non-empty span table, and
 /// round-trip the exact QASM bytes of the untraced reference — tracing is
@@ -383,7 +357,8 @@ fn run_traced_pass(addr: &str, expected: &[Expected], tag: &str) -> PhaseStats {
                 .body
                 .contains(&format!("\"request_id\":\"{request_id}\""));
         let spans_ok = response.body.contains("\"spans\":[{");
-        let qasm_ok = json_str_field(&response.body, "qasm").as_deref() == Some(item.body.as_str());
+        let qasm_ok =
+            client::json_str_field(&response.body, "qasm").as_deref() == Some(item.body.as_str());
         if !id_ok || !spans_ok || !qasm_ok {
             eprintln!(
                 "{}: traced round-trip mismatch (id {}, spans {}, qasm {})",

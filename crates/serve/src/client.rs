@@ -141,6 +141,32 @@ pub fn get(addr: &str, path_and_query: &str) -> std::io::Result<ClientResponse> 
     request(addr, "GET", path_and_query, "")
 }
 
+/// Extracts and unescapes the first JSON string field named `key` — enough
+/// JSON to read the daemon's `/version` body and `?trace=1` envelope.
+pub fn json_str_field(body: &str, key: &str) -> Option<String> {
+    let marker = format!("\"{key}\":\"");
+    let start = body.find(&marker)? + marker.len();
+    let mut out = String::new();
+    let mut chars = body[start..].chars();
+    while let Some(c) = chars.next() {
+        match c {
+            '"' => return Some(out),
+            '\\' => match chars.next()? {
+                'n' => out.push('\n'),
+                'r' => out.push('\r'),
+                't' => out.push('\t'),
+                'u' => {
+                    let hex: String = (0..4).filter_map(|_| chars.next()).collect();
+                    out.push(char::from_u32(u32::from_str_radix(&hex, 16).ok()?)?);
+                }
+                other => out.push(other),
+            },
+            c => out.push(c),
+        }
+    }
+    None
+}
+
 /// `POST` with a body.
 ///
 /// # Errors

@@ -331,23 +331,6 @@ impl Response {
     }
 }
 
-/// Escapes a string for embedding in a JSON document.
-pub fn json_escape(text: &str) -> String {
-    let mut out = String::with_capacity(text.len() + 2);
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -447,11 +430,5 @@ mod tests {
         assert!(text.contains("Connection: close\r\n"));
         assert!(text.contains("X-Elapsed-Ms: 1.5\r\n"));
         assert!(text.ends_with("\r\n\r\nOPENQASM 2.0;\n"));
-    }
-
-    #[test]
-    fn json_escape_covers_the_control_set() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 }

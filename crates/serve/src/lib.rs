@@ -23,6 +23,8 @@
 //!
 //! * `POST /transpile?device=<spec>&router=<sabre|nassc>&seed=<n>&layout-trials=<n>&timeout-ms=<n>`
 //!   — body is OpenQASM 2.0 in, body is transpiled OpenQASM 2.0 out.
+//!   `layout-trials` is bounded by [`MAX_LAYOUT_TRIALS`] (64); a larger
+//!   count is refused with 400.
 //!   Per-request metrics travel as `X-Elapsed-Ms`, `X-Queue-Ms`,
 //!   `X-Cx-Count`, `X-Swap-Count`, `X-Depth`, `X-Chosen-Trial`,
 //!   `X-Cache-Hits`/`X-Cache-Misses` response headers, so the body stays
@@ -90,6 +92,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use nassc::qasm;
+use nassc::trace::json_escape;
 use nassc::{Device, ErrorKind, RouterKind, TranspileOptions, Transpiler};
 
 use http::{read_request, HttpError, Request, Response};
@@ -98,6 +101,12 @@ use queue::{BoundedQueue, PushError};
 
 /// Largest accepted request body (QASM source), in bytes.
 pub const MAX_BODY_BYTES: usize = 4 * 1024 * 1024;
+
+/// Largest accepted `?layout-trials=`: a layout search holds every finished
+/// trial's routed circuit until it picks the cheapest, so an unbounded count
+/// would pin every pool worker and grow memory with it. 64 is eight times
+/// the largest count the tests, examples and CI use.
+pub const MAX_LAYOUT_TRIALS: usize = 64;
 
 /// How long the acceptor pauses after a failed `accept` (EMFILE and the
 /// like), so a persistent error cannot spin it. Its only sleep.
@@ -568,9 +577,9 @@ fn handle_connection(shared: &Shared, conn: Conn) {
     eprintln!(
         "{{\"request_id\":\"{}\",\"method\":\"{}\",\"path\":\"{}\",\"status\":{},\
          \"queue_ms\":{:.3},\"elapsed_ms\":{:.3}}}",
-        http::json_escape(&request_id),
-        http::json_escape(&method),
-        http::json_escape(&path),
+        json_escape(&request_id),
+        json_escape(&method),
+        json_escape(&path),
         response.status,
         queue_ms,
         1000.0 * accepted_at.elapsed().as_secs_f64(),
@@ -701,7 +710,7 @@ fn transpile_endpoint(
     drop(serial);
 
     let spans = report.span_table_json();
-    let escaped_id = http::json_escape(request_id);
+    let escaped_id = json_escape(request_id);
     *shared
         .last_trace
         .lock()
@@ -716,7 +725,7 @@ fn transpile_endpoint(
     let envelope = format!(
         "{{\"request_id\":\"{escaped_id}\",\"status\":{},\"trace\":{spans},\"{body_key}\":\"{}\"}}",
         response.status,
-        http::json_escape(&response.body),
+        json_escape(&response.body),
     );
     let mut wrapped = Response::json(response.status, envelope);
     wrapped.headers = response.headers;
@@ -789,11 +798,13 @@ fn transpile_core(
     }
     if let Some(raw) = request.query_param("layout-trials") {
         match raw.parse::<usize>() {
-            Ok(trials) if trials >= 1 => options = options.layout_trials(trials),
+            Ok(trials) if (1..=MAX_LAYOUT_TRIALS).contains(&trials) => {
+                options = options.layout_trials(trials);
+            }
             _ => {
                 return Response::text(
                     400,
-                    format!("invalid layout-trials {raw:?}: expected >= 1\n"),
+                    format!("invalid layout-trials {raw:?}: expected 1 to {MAX_LAYOUT_TRIALS}\n"),
                 );
             }
         }
@@ -907,7 +918,7 @@ fn metrics_json(shared: &Shared) -> String {
                     "{{\"name\":\"{}\",\"qubits\":{},\"cache_hits\":{},",
                     "\"cache_misses\":{},\"cache_resets\":{}}}"
                 ),
-                http::json_escape(name),
+                json_escape(name),
                 session.device().num_qubits(),
                 stats.hits(),
                 stats.misses(),
@@ -1032,7 +1043,7 @@ fn metrics_prometheus(shared: &Shared) -> String {
     let _ = writeln!(out, "# TYPE nassc_serve_device_cache_misses counter");
     for (name, session) in &shared.sessions {
         let stats = session.cache_stats();
-        let label = http::json_escape(name);
+        let label = json_escape(name);
         let _ = writeln!(
             out,
             "nassc_serve_device_cache_hits{{device=\"{label}\"}} {}",

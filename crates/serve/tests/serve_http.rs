@@ -137,11 +137,15 @@ fn device_and_option_query_params() {
         "/transpile?router=qiskit",
         "/transpile?seed=banana",
         "/transpile?layout-trials=0",
+        "/transpile?layout-trials=65",
         "/transpile?timeout-ms=soon",
     ] {
         let bad = client::post(&addr, query, BELL).expect("bad option");
         assert_eq!(bad.status, 400, "{query} should be rejected");
     }
+    // The layout-trials bound is inclusive.
+    let most = client::post(&addr, "/transpile?layout-trials=64", BELL).expect("64 trials");
+    assert_eq!(most.status, 200, "body: {}", most.body);
     stop();
 }
 
@@ -296,31 +300,6 @@ fn metrics_report_counts_and_histograms() {
     stop();
 }
 
-/// Extracts and unescapes the first JSON string field named `key`.
-fn json_str_field(body: &str, key: &str) -> Option<String> {
-    let marker = format!("\"{key}\":\"");
-    let start = body.find(&marker)? + marker.len();
-    let mut out = String::new();
-    let mut chars = body[start..].chars();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                'n' => out.push('\n'),
-                'r' => out.push('\r'),
-                't' => out.push('\t'),
-                'u' => {
-                    let hex: String = (0..4).filter_map(|_| chars.next()).collect();
-                    out.push(char::from_u32(u32::from_str_radix(&hex, 16).ok()?)?);
-                }
-                other => out.push(other),
-            },
-            c => out.push(c),
-        }
-    }
-    None
-}
-
 /// The value of an unlabeled Prometheus metric line `name <value>`.
 fn prom_value(text: &str, name: &str) -> Option<f64> {
     text.lines().find_map(|line| {
@@ -384,7 +363,7 @@ fn version_reports_crate_version_and_features() {
     assert_eq!(version.status, 200);
     assert!(version.body.contains("\"name\":\"nassc-serve\""));
     assert_eq!(
-        json_str_field(&version.body, "version").as_deref(),
+        client::json_str_field(&version.body, "version").as_deref(),
         Some(env!("CARGO_PKG_VERSION"))
     );
     let expected = if cfg!(feature = "failpoints") {
@@ -502,7 +481,7 @@ fn traced_requests_return_span_tables_that_round_trip() {
     // The traced transpile returns the exact bytes of the untraced one —
     // tracing is observational only.
     assert_eq!(
-        json_str_field(&traced.body, "qasm").as_deref(),
+        client::json_str_field(&traced.body, "qasm").as_deref(),
         Some(untraced.body.as_str()),
         "traced vs untraced qasm mismatch"
     );

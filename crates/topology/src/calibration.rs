@@ -8,10 +8,11 @@
 //! D_noise[i][j] = α1·ε[i][j] + α2·T[i][j] + α3·D[i][j]        (Eq. 3)
 //! ```
 //!
-//! with `α = (0.5, 0, 0.5)` in the paper's experiments. The original artifact
-//! reads ε and T from the IBM backend; we generate a synthetic but realistic
-//! calibration (documented in DESIGN.md) because real backend access is not
-//! available offline.
+//! The paper's experiments fix `α = (0.5, 0, 0.5)`, and so does
+//! [`noise_aware_distance`]: the three α are private constants, not
+//! parameters. The original artifact reads ε and T from the IBM backend; we
+//! generate a synthetic but realistic calibration (documented in DESIGN.md)
+//! because real backend access is not available offline.
 
 use std::collections::HashMap;
 
@@ -106,40 +107,24 @@ impl Calibration {
     }
 }
 
-/// The α coefficients of the noise-aware distance (Eq. 3).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NoiseAwareAlphas {
-    /// Weight of the CNOT error term.
-    pub alpha_error: f64,
-    /// Weight of the SWAP-duration term.
-    pub alpha_time: f64,
-    /// Weight of the plain hop-distance term.
-    pub alpha_distance: f64,
-}
+/// Eq. 3's `α1`, the weight of the CNOT error term (the paper's 0.5).
+const ALPHA_ERROR: f64 = 0.5;
 
-impl Default for NoiseAwareAlphas {
-    /// The paper's setting: `(0.5, 0, 0.5)`.
-    fn default() -> Self {
-        Self {
-            alpha_error: 0.5,
-            alpha_time: 0.0,
-            alpha_distance: 0.5,
-        }
-    }
-}
+/// Eq. 3's `α2`, the weight of the SWAP-duration term (the paper's 0).
+const ALPHA_TIME: f64 = 0.0;
 
-/// Builds the noise-aware distance matrix of Eq. 3.
+/// Eq. 3's `α3`, the weight of the plain hop-distance term (the paper's 0.5).
+const ALPHA_DISTANCE: f64 = 0.5;
+
+/// Builds the noise-aware distance matrix of Eq. 3 with the paper's
+/// `α = (0.5, 0, 0.5)`.
 ///
 /// Edge weights are `α1·ε̂ + α2·T̂ + α3·1` where `ε̂`/`T̂` are the edge error
 /// and duration normalised to `[0, 1]` over the device, and all-pairs
 /// distances are shortest weighted paths (Dijkstra from every source). The
 /// hop view of the returned matrix remains the plain BFS hop count so the
 /// routers can still reason about adjacency.
-pub fn noise_aware_distance(
-    coupling: &CouplingMap,
-    calibration: &Calibration,
-    alphas: NoiseAwareAlphas,
-) -> DistanceMatrix {
+pub fn noise_aware_distance(coupling: &CouplingMap, calibration: &Calibration) -> DistanceMatrix {
     let n = coupling.num_qubits();
     let base = coupling.distance_matrix();
 
@@ -159,7 +144,7 @@ pub fn noise_aware_distance(
     let edge_weight = |a: usize, b: usize| -> f64 {
         let err = calibration.cx_error(a, b).unwrap_or(max_err) / max_err;
         let dur = calibration.cx_duration_ns(a, b).unwrap_or(max_dur) / max_dur;
-        alphas.alpha_error * err + alphas.alpha_time * dur + alphas.alpha_distance
+        ALPHA_ERROR * err + ALPHA_TIME * dur + ALPHA_DISTANCE
     };
 
     // Dijkstra from every source over the weighted graph.
@@ -231,7 +216,7 @@ mod tests {
     fn noise_aware_distance_reduces_to_scaled_hops_for_uniform_errors() {
         let map = CouplingMap::linear(5);
         let cal = Calibration::uniform(&map, 0.01, 0.02);
-        let d = noise_aware_distance(&map, &cal, NoiseAwareAlphas::default());
+        let d = noise_aware_distance(&map, &cal);
         // Uniform errors: every edge weight is 0.5*1 + 0.5 = 1.0, so the
         // weighted distance equals the hop count.
         for i in 0..5 {
@@ -248,7 +233,7 @@ mod tests {
         let map = CouplingMap::new(3, &[(0, 1), (1, 2), (0, 2)]);
         let mut cal = Calibration::uniform(&map, 0.01, 0.02);
         cal.cx_error.insert((0, 2), 0.10);
-        let d = noise_aware_distance(&map, &cal, NoiseAwareAlphas::default());
+        let d = noise_aware_distance(&map, &cal);
         // Direct edge weight: 0.5*1.0 + 0.5 = 1.0 (it is the max error).
         // Detour: 2 * (0.5*0.1 + 0.5) = 1.1. Direct edge still wins but the
         // penalty is visible relative to a clean edge.
@@ -258,9 +243,13 @@ mod tests {
 
     #[test]
     fn alphas_default_matches_paper() {
-        let a = NoiseAwareAlphas::default();
-        assert_eq!(a.alpha_error, 0.5);
-        assert_eq!(a.alpha_time, 0.0);
-        assert_eq!(a.alpha_distance, 0.5);
+        // α = (0.5, 0, 0.5): an edge weighs half its normalised CNOT error
+        // plus half a hop, whatever its duration.
+        let map = CouplingMap::linear(3);
+        let mut cal = Calibration::uniform(&map, 0.02, 0.02);
+        cal.cx_error.insert((1, 2), 0.01);
+        cal.cx_duration_ns.insert((1, 2), 900.0);
+        let d = noise_aware_distance(&map, &cal);
+        assert_eq!((d.weight(0, 1), d.weight(1, 2)), (1.0, 0.75));
     }
 }

@@ -29,7 +29,7 @@ pub mod coupling;
 pub mod distance;
 pub mod layout;
 
-pub use calibration::{noise_aware_distance, Calibration, NoiseAwareAlphas};
+pub use calibration::{noise_aware_distance, Calibration};
 pub use coupling::CouplingMap;
 pub use distance::DistanceMatrix;
 pub use layout::Layout;

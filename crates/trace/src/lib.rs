@@ -59,7 +59,8 @@
 pub mod report;
 
 pub use report::{
-    ArgValue, CounterEvent, EventKind, SpanEvent, SpanStat, ThreadInfo, TraceEvent, TraceReport,
+    json_escape, ArgValue, CounterEvent, EventKind, SpanEvent, SpanStat, ThreadInfo, TraceEvent,
+    TraceReport,
 };
 
 use std::borrow::Cow;

@@ -364,8 +364,10 @@ fn nearest_rank(sorted: &[u64], quantile: f64) -> u64 {
     sorted[rank.min(sorted.len() - 1)]
 }
 
-/// Minimal JSON string escaping (quotes, backslashes, control characters).
-fn json_escape(text: &str) -> String {
+/// Escapes a string for embedding in a JSON document: quotes, backslashes
+/// and control characters. The one JSON string escaper of the workspace:
+/// trace reports, daemon responses and bench reports all write through it.
+pub fn json_escape(text: &str) -> String {
     let mut out = String::with_capacity(text.len());
     for ch in text.chars() {
         match ch {

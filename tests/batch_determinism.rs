@@ -59,7 +59,7 @@ fn worker_count_never_changes_results() {
         .flat_map(|seed| {
             [
                 TranspileOptions::nassc(seed),
-                TranspileOptions::sabre(seed).with_calibration(cal.clone()),
+                TranspileOptions::sabre(seed).calibration(cal.clone()),
             ]
         })
         .map(|options| SessionJob::with_options(&bench.circuit, options))

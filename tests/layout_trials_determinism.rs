@@ -29,7 +29,7 @@ fn options_for(router: RouterKind, trials: usize) -> TranspileOptions {
         RouterKind::Sabre => TranspileOptions::sabre(7),
         RouterKind::Nassc => TranspileOptions::nassc(7),
     };
-    base.with_layout_trials(trials)
+    base.layout_trials(trials)
 }
 
 /// Everything except wall-clock must match, gate for gate.
@@ -113,14 +113,8 @@ fn batched_multi_trial_jobs_match_serial_pools() {
     let jobs: Vec<SessionJob> = (0..3)
         .flat_map(|seed| {
             [
-                SessionJob::with_options(
-                    &circuit,
-                    TranspileOptions::sabre(seed).with_layout_trials(4),
-                ),
-                SessionJob::with_options(
-                    &circuit,
-                    TranspileOptions::nassc(seed).with_layout_trials(4),
-                ),
+                SessionJob::with_options(&circuit, TranspileOptions::sabre(seed).layout_trials(4)),
+                SessionJob::with_options(&circuit, TranspileOptions::nassc(seed).layout_trials(4)),
             ]
         })
         .collect();
@@ -153,7 +147,7 @@ fn in_pass_parallel_scoring_is_bit_identical() {
     let distances = device.distance_matrix();
     let dag = DagCircuit::from_circuit(&sample_circuit());
     let layout = Layout::trivial(device.num_qubits());
-    let config = SabreConfig::with_seed(3);
+    let config = SabreConfig { seed: 3 };
 
     let sabre_route = |threads: usize| {
         route_prepared(
@@ -205,7 +199,7 @@ fn chosen_trial_is_the_first_cost_minimum() {
     let device = CouplingMap::ibmq_montreal();
     let circuit = sample_circuit();
     for seed in 0..4 {
-        let options = TranspileOptions::nassc(seed).with_layout_trials(6);
+        let options = TranspileOptions::nassc(seed).layout_trials(6);
         let result = transpile_on(2, &device, &circuit, options);
         assert_eq!(result.layout_trial_costs.len(), 6);
         let best = result.layout_trial_costs[result.chosen_layout_trial];

@@ -49,7 +49,7 @@ fn corpus_transpiles_bit_identically_and_reexports() {
                     RouterKind::Sabre => TranspileOptions::sabre(7),
                     RouterKind::Nassc => TranspileOptions::nassc(7),
                 }
-                .with_layout_trials(trials);
+                .layout_trials(trials);
                 let mut reference = None;
                 for workers in [1, 8] {
                     let result = Transpiler::new(device.clone(), options.clone())

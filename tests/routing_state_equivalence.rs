@@ -8,7 +8,7 @@
 use proptest::prelude::*;
 
 use nassc::circuit::{DagCircuit, Gate, Instruction, QuantumCircuit};
-use nassc::sabre::{RoutingContext, RoutingState, SabreConfig, StepEndpoints};
+use nassc::sabre::{RoutingContext, RoutingState, StepEndpoints};
 use nassc::{evaluate_swap_reduction, evaluate_swap_reduction_windowed, OptimizationFlags};
 use nassc_topology::{CouplingMap, Layout};
 use rand::rngs::StdRng;
@@ -188,13 +188,10 @@ proptest! {
         let device = CouplingMap::linear(WIDTH);
         let distances = device.distance_matrix();
         let layout = Layout::random(WIDTH, &mut StdRng::seed_from_u64(layout_seed));
-        let config = SabreConfig::default();
         let state = RoutingState::new(WIDTH);
         let mut endpoints = StepEndpoints::new();
         endpoints.prepare(&dag, front, extended, &layout);
-        let ctx = RoutingContext::new(
-            &device, &distances, &layout, front, extended, &dag, &state, &config, &endpoints,
-        );
+        let ctx = RoutingContext::new(&distances, front, extended, &dag, &state, &endpoints);
         for p1 in 0..WIDTH {
             for p2 in 0..WIDTH {
                 if p1 == p2 {

@@ -142,7 +142,7 @@ fn all_optimization_flag_combinations_produce_valid_circuits() {
     let device = CouplingMap::linear(6);
     let circuit = vqe(5, 2, 3);
     for flags in OptimizationFlags::all_combinations() {
-        let options = TranspileOptions::nassc_with_flags(9, flags);
+        let options = TranspileOptions::nassc(9).flags(flags);
         let result = transpile(&circuit, &device, &options).unwrap();
         assert!(
             is_mapped(&result.circuit, &device),
