@@ -50,11 +50,8 @@ impl Instruction {
             gate.num_qubits(),
             qubits
         );
-        let qs = qubits.as_u32();
-        for (i, a) in qs.iter().enumerate() {
-            for b in qs.iter().skip(i + 1) {
-                assert_ne!(a, b, "duplicate qubit {a} in {} instruction", gate.name());
-            }
+        if let Some(q) = qubits.duplicate() {
+            panic!("duplicate qubit {q} in {} instruction", gate.name());
         }
         Self { gate, qubits }
     }

@@ -103,6 +103,26 @@ impl QubitList {
         u32::try_from(qubit).is_ok_and(|q| self.as_u32().contains(&q))
     }
 
+    /// The first qubit the list holds twice, if any. Lists wider than the
+    /// inline capacity (only barriers) are checked on a sorted copy: a
+    /// 4096-wide barrier would otherwise cost 8M pairwise comparisons.
+    pub fn duplicate(&self) -> Option<usize> {
+        let qs = self.as_u32();
+        let found = if qs.len() <= INLINE {
+            (0..qs.len())
+                .find(|&i| qs[i + 1..].contains(&qs[i]))
+                .map(|i| qs[i])
+        } else {
+            let mut sorted = qs.to_vec();
+            sorted.sort_unstable();
+            sorted
+                .windows(2)
+                .find(|pair| pair[0] == pair[1])
+                .map(|pair| pair[0])
+        };
+        found.map(|q| q as usize)
+    }
+
     /// The list as a freshly allocated `Vec<usize>`.
     pub fn to_vec(&self) -> Vec<usize> {
         self.iter().collect()

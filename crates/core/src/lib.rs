@@ -24,9 +24,10 @@
 //!   fanning (benchmark × seed × router) grids across cores with results
 //!   bit-identical to serial execution at any cache temperature.
 //!
-//! The two pipelines share one tail — layout, routing, SWAP expansion and
-//! post-routing optimization — that cold and warm session requests both
-//! run; the routers differ only in their SWAP policy: how a candidate is
+//! The two pipelines share one tail — layout and routing through
+//! `nassc_sabre::LayoutTrials`, SWAP expansion and post-routing
+//! optimization — that cold and warm session requests both run; the
+//! routers differ only in their SWAP policy: how a candidate is
 //! scored and how the winner is emitted. NASSC lists first the qubit that
 //! must control a SWAP's first CNOT, so the shared expansion follows it.
 //!

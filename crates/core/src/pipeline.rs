@@ -4,24 +4,21 @@
 //! The two flows differ only in their [`SwapPolicy`]: how a candidate SWAP
 //! is scored and how the winner is emitted. Both price a layout trial by its
 //! SWAP count and expand SWAPs with [`expand_swaps`], which follows the
-//! qubit order each SWAP was emitted in. One tail, generic over a policy
-//! factory, serves every [`Transpiler`] request, cold or warm.
-//! [`RouterKind`] is matched once, where that tail is instantiated, so the
-//! routing hot loop stays statically dispatched.
+//! qubit order each SWAP was emitted in. One function serves every
+//! [`Transpiler`] request, cold or warm: [`LayoutTrials`] places and routes
+//! the prepared circuit, then SWAPs are expanded and the result optimized.
+//! [`RouterKind`] is matched once, where the engine is handed its policy
+//! factory, so the routing hot loop stays statically dispatched.
 //!
 //! [`Transpiler`]: crate::session::Transpiler
 
 use std::time::{Duration, Instant};
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-use nassc_circuit::{DagCircuit, QuantumCircuit};
+use nassc_circuit::QuantumCircuit;
 use nassc_parallel::{Budget, ThreadPool};
 use nassc_passes::{standard_optimization_pipeline, PassError, PassManager, UnrollToBasis};
 use nassc_sabre::{
-    route_prepared_budgeted, sabre_layout_prepared_budgeted, LayoutSelection, LayoutTrials,
-    RoutingResult, SabreConfig, SabrePolicy, SwapPolicy,
+    LayoutSelection, LayoutTrials, RoutingResult, SabreConfig, SabrePolicy, SwapPolicy,
 };
 use nassc_synthesis::expand_swaps;
 use nassc_topology::{Calibration, CouplingMap, DistanceMatrix, Layout};
@@ -59,14 +56,16 @@ pub struct TranspileOptions {
     /// (the `+HA` variants of Figure 11). Options are the one place a
     /// calibration lives.
     pub calibration: Option<Calibration>,
-    /// Number of independent layout trials (see
-    /// [`nassc_sabre::LayoutTrials`]). `1` (the default) selects the
-    /// single-trial path, the single-`StdRng` refinement of
+    /// Number of layout trials (see [`nassc_sabre::LayoutTrials`], the one
+    /// entry point from a prepared circuit to its production route, which
+    /// also owns the production RNG). `1` (the default) runs the one-RNG
+    /// SABRE refinement of
     /// [`nassc_sabre::sabre_layout_prepared_budgeted`]; `N > 1` runs `N`
     /// independently seeded trials refined through the router's own
     /// [`nassc_sabre::SwapPolicy`] and keeps the one whose full routing pass
     /// inserts the fewest SWAPs, for either router (ties break to the lowest
-    /// trial index).
+    /// trial index). A circuit without two-qubit gates is routed from the
+    /// identity layout at any count.
     pub layout_trials: usize,
     /// When set, the transpile runs under a cooperative deadline measured
     /// from request entry ([`Transpiler`] methods anchor it when they start
@@ -197,8 +196,8 @@ pub struct TranspileResult {
     pub final_layout: Layout,
     /// Number of SWAPs inserted during routing (before optimization).
     pub swap_count: usize,
-    /// Index of the layout trial whose layout was used (always 0 in the
-    /// single-trial compatibility mode).
+    /// Index of the layout trial whose layout was used (always 0 with one
+    /// trial).
     pub chosen_layout_trial: usize,
     /// Scoring cost of every layout trial, in trial order: the SWAPs the
     /// trial's full routing pass inserted, with the router's own policy.
@@ -252,14 +251,12 @@ pub(crate) fn optimize_without_routing_budgeted(
 /// post-routing optimization of a circuit that [`optimize_without_routing`]
 /// already prepared.
 ///
-/// A cold request (`cached` is `None`) runs the layout search, splitting
-/// `pool` between layout trials and in-pass SWAP scoring. A warm request
-/// routes once from the cached winner's layout and echoes its trial
-/// diagnostics. The two agree field by field because of how the cold path
-/// routes: in single-trial mode its production route is one pass from the
-/// refined layout, and in multi-trial mode the winner's scoring pass already
-/// runs on the production RNG, so its route *is* the production route (see
-/// [`LayoutTrials::run`]). The pool size affects wall clock only.
+/// [`LayoutTrials`] owns the layout search and the production route. A cold
+/// request (`cached` is `None`) runs the search; a warm request routes once
+/// from the cached winner's layout and echoes its trial diagnostics. The
+/// two agree field by field because the engine builds every production
+/// route on the same RNG and a fresh policy. The pool size affects wall
+/// clock only.
 ///
 /// Every layout trial, routing step and optimization pass checkpoints
 /// `budget`; an exhausted budget unwinds with a typed `Cancelled` payload,
@@ -273,171 +270,58 @@ pub(crate) fn transpile_prepared(
     pool: &ThreadPool,
     budget: &Budget,
 ) -> Result<TranspileResult, PassError> {
-    let tail = Tail {
-        prepared,
-        coupling,
-        distances,
-        options,
-        budget,
-    };
-    match options.router {
-        RouterKind::Sabre => tail.run(cached, pool, || SabrePolicy),
-        RouterKind::Nassc => tail.run(cached, pool, || NasscPolicy::new(options.flags)),
-    }
-}
-
-/// The inputs every stage of one request's tail reads.
-struct Tail<'a> {
-    prepared: &'a QuantumCircuit,
-    coupling: &'a CouplingMap,
-    distances: &'a DistanceMatrix,
-    options: &'a TranspileOptions,
-    budget: &'a Budget,
-}
-
-impl Tail<'_> {
-    /// Runs the tail with `make_policy` building a fresh policy for every
-    /// routing pass, so no state leaks across passes.
-    fn run<P, F>(
-        &self,
-        cached: Option<&LayoutSelection>,
-        pool: &ThreadPool,
-        make_policy: F,
-    ) -> Result<TranspileResult, PassError>
-    where
-        P: SwapPolicy + Sync,
-        F: Fn() -> P + Sync,
-    {
-        let start = Instant::now();
-        let (routed, decomposed, chosen_layout_trial, layout_trial_costs) = match cached {
-            Some(winner) => {
-                let mut span = nassc_trace::span!("route_from");
-                span.arg_u64("chosen_trial", winner.chosen_trial as u64);
-                let routed = self.route_from(&winner.layout, pool, &make_policy);
-                let decomposed = expand_swaps(&routed.circuit);
-                let costs = winner.trial_costs.clone();
-                (routed, decomposed, winner.chosen_trial, costs)
+    let start = Instant::now();
+    // The engine owns the DAG, so it is dropped before post-optimization.
+    let (selection, routed) = {
+        let engine = LayoutTrials::new(prepared, coupling, distances, options.config.seed)
+            .trials(options.layout_trials)
+            .pool(*pool)
+            .budget(budget.clone());
+        match options.router {
+            RouterKind::Sabre => place_and_route(&engine, cached, || SabrePolicy),
+            RouterKind::Nassc => {
+                place_and_route(&engine, cached, || NasscPolicy::new(options.flags))
             }
-            None => self.layout_route_decompose(pool, &make_policy),
-        };
-        let optimized = {
-            let _span = nassc_trace::span!("post_optimize");
-            standard_optimization_pipeline().run_with_budget(&decomposed, self.budget)?
-        };
-        Ok(TranspileResult {
-            circuit: optimized,
-            initial_layout: routed.initial_layout,
-            final_layout: routed.final_layout,
-            swap_count: routed.swap_count,
-            chosen_layout_trial,
-            layout_trial_costs,
-            cache: CacheStats::default(),
-            elapsed: start.elapsed(),
-        })
-    }
+        }
+    };
+    let decomposed = {
+        let _span = nassc_trace::span!("decompose");
+        expand_swaps(&routed.circuit)
+    };
+    let optimized = {
+        let _span = nassc_trace::span!("post_optimize");
+        standard_optimization_pipeline().run_with_budget(&decomposed, budget)?
+    };
+    Ok(TranspileResult {
+        circuit: optimized,
+        initial_layout: routed.initial_layout,
+        final_layout: routed.final_layout,
+        swap_count: routed.swap_count,
+        chosen_layout_trial: selection.chosen_trial,
+        layout_trial_costs: selection.trial_costs,
+        cache: CacheStats::default(),
+        elapsed: start.elapsed(),
+    })
+}
 
-    /// The cold path: layout search, the production route and SWAP
-    /// expansion, plus the layout-trial diagnostics.
-    ///
-    /// One trial takes the compatibility path — the single-trial SABRE
-    /// layout refinement, then one routing pass on the production RNG,
-    /// bit-identical to the historical pipeline. Several trials run the
-    /// policy-aware [`LayoutTrials`] engine and reuse the winner's scoring
-    /// route instead of paying a duplicate routing pass.
-    fn layout_route_decompose<P, F>(
-        &self,
-        pool: &ThreadPool,
-        make_policy: &F,
-    ) -> (RoutingResult, QuantumCircuit, usize, Vec<f64>)
-    where
-        P: SwapPolicy + Sync,
-        F: Fn() -> P + Sync,
-    {
-        let (trial_pool, score_pool) = pool.split_budget(self.options.layout_trials);
-        let (routed, chosen_trial, costs) = if self.options.layout_trials <= 1 {
-            // Build the dependency DAG once and share it between the layout
-            // search and the production routing pass — at 100k gates the
-            // per-pass rebuild used to dominate the single-trial path.
-            let dag = {
-                let _span = nassc_trace::span!("dag_build");
-                DagCircuit::from_circuit(self.prepared)
-            };
-            let layout = if self.prepared.two_qubit_gate_count() == 0 {
-                Layout::trivial(self.coupling.num_qubits())
-            } else {
-                let reversed_dag = DagCircuit::from_circuit(&self.prepared.reversed());
-                sabre_layout_prepared_budgeted(
-                    &dag,
-                    &reversed_dag,
-                    self.coupling,
-                    self.distances,
-                    self.options.config.seed,
-                    &score_pool,
-                    self.budget,
-                )
-            };
-            let _span = nassc_trace::span!("route");
-            let routed = self.route_dag(&dag, &layout, &score_pool, make_policy);
-            (routed, 0, Vec::new())
-        } else {
-            let (selection, winner) = LayoutTrials::new(
-                self.prepared,
-                self.coupling,
-                self.distances,
-                self.options.config.seed,
-            )
-            .trials(self.options.layout_trials)
-            .pool(trial_pool)
-            .score_pool(score_pool)
-            .budget(self.budget.clone())
-            .run(make_policy);
-            // No trial routes a circuit without two-qubit gates, so route
-            // that degenerate case once from the engine's identity layout.
-            let routed = winner
-                .unwrap_or_else(|| self.route_from(&selection.layout, &score_pool, make_policy));
-            (routed, selection.chosen_trial, selection.trial_costs)
-        };
-        let decomposed = {
-            let _span = nassc_trace::span!("decompose");
-            expand_swaps(&routed.circuit)
-        };
-        (routed, decomposed, chosen_trial, costs)
-    }
-
-    /// One production routing pass from `layout` over a freshly built DAG.
-    fn route_from<P: SwapPolicy + Sync>(
-        &self,
-        layout: &Layout,
-        pool: &ThreadPool,
-        make_policy: &impl Fn() -> P,
-    ) -> RoutingResult {
-        self.route_dag(
-            &DagCircuit::from_circuit(self.prepared),
-            layout,
-            pool,
-            make_policy,
-        )
-    }
-
-    /// One production routing pass: a fresh policy, and the RNG seeded from
-    /// the options' seed.
-    fn route_dag<P: SwapPolicy + Sync>(
-        &self,
-        dag: &DagCircuit,
-        layout: &Layout,
-        pool: &ThreadPool,
-        make_policy: &impl Fn() -> P,
-    ) -> RoutingResult {
-        route_prepared_budgeted(
-            dag,
-            self.coupling,
-            self.distances,
-            layout,
-            &mut make_policy(),
-            &mut StdRng::seed_from_u64(self.options.config.seed),
-            pool,
-            self.budget,
-        )
+/// Replays the cached winner, or runs the layout search when there is none.
+/// `make_policy` builds a fresh policy for every routing pass.
+fn place_and_route<P, F>(
+    engine: &LayoutTrials<'_>,
+    cached: Option<&LayoutSelection>,
+    make_policy: F,
+) -> (LayoutSelection, RoutingResult)
+where
+    P: SwapPolicy + Sync,
+    F: Fn() -> P + Sync,
+{
+    match cached {
+        Some(winner) => {
+            let mut span = nassc_trace::span!("route_from");
+            span.arg_u64("chosen_trial", winner.chosen_trial as u64);
+            (winner.clone(), engine.route(&winner.layout, &make_policy))
+        }
+        None => engine.run(make_policy),
     }
 }
 

@@ -15,10 +15,11 @@
 //!    structurally distinct circuit, keyed by
 //!    [`QuantumCircuit::structural_hash`] and confirmed by full equality.
 //! 3. **Layout winners** — the chosen initial layout (plus trial
-//!    diagnostics) per `(prepared circuit, options)` pair. A warm request
-//!    replays one routing pass from the cached layout instead of re-running
-//!    the whole layout search; the result is bit-identical to the cold path
-//!    (see `transpile_prepared` in `pipeline.rs` for why).
+//!    diagnostics) per options, stored under the prepared entry they were
+//!    found for. A warm request replays one routing pass from the cached
+//!    layout instead of re-running the whole layout search; the result is
+//!    bit-identical to the cold path (see `transpile_prepared` in
+//!    `pipeline.rs` for why).
 //!
 //! Hit/miss counters for all three caches are attached to every
 //! [`TranspileResult`] (`result.cache`, this request only) and accumulated
@@ -140,19 +141,13 @@ impl<'a> SessionJob<'a> {
     }
 }
 
-/// A prepared baseline memoized per structurally distinct raw circuit.
+/// A prepared baseline memoized per structurally distinct raw circuit,
+/// with the layout-search winners found for it, one per options.
 struct PreparedEntry {
     raw_hash: u64,
     raw: QuantumCircuit,
     prepared: Arc<QuantumCircuit>,
-}
-
-/// A layout-search winner memoized per `(prepared circuit, options)`.
-struct LayoutEntry {
-    prepared_hash: u64,
-    prepared: Arc<QuantumCircuit>,
-    options: TranspileOptions,
-    winner: LayoutSelection,
+    layouts: Vec<(TranspileOptions, LayoutSelection)>,
 }
 
 /// Everything mutable behind the session lock.
@@ -160,7 +155,6 @@ struct LayoutEntry {
 struct SessionState {
     distances: Vec<(Option<Calibration>, Arc<DistanceMatrix>)>,
     prepared: Vec<PreparedEntry>,
-    layouts: Vec<LayoutEntry>,
     stats: CacheStats,
 }
 
@@ -432,7 +426,7 @@ impl Transpiler {
     /// [`Error::Internal`] when it panicked (contained at this boundary).
     pub fn prepared(&self, circuit: &QuantumCircuit) -> Result<Arc<QuantumCircuit>, Error> {
         let mut state = self.lock();
-        let (prepared, hit) = catch_unwind(AssertUnwindSafe(|| {
+        let (entry, hit) = catch_unwind(AssertUnwindSafe(|| {
             Self::prepared_locked(&mut state, circuit, &Budget::unlimited()).map_err(Error::from)
         }))
         .unwrap_or_else(|payload| Err(classify_panic("prepare", payload, None)))?;
@@ -441,7 +435,7 @@ impl Transpiler {
         } else {
             state.stats.prepared_misses += 1;
         }
-        Ok(prepared)
+        Ok(Arc::clone(&state.prepared[entry].prepared))
     }
 
     /// Acquires the session lock, recovering from poison: a panic while
@@ -449,7 +443,8 @@ impl Transpiler {
     /// under it) leaves the caches in an unknown state, so recovery resets
     /// all three to empty — preserving the accumulated stats — counts the
     /// reset in [`cache_resets`](Self::cache_resets), clears the poison
-    /// flag and continues serving.
+    /// flag and continues serving. Layout winners live under their prepared
+    /// entries, so clearing those empties both caches.
     fn lock(&self) -> std::sync::MutexGuard<'_, SessionState> {
         match self.state.lock() {
             Ok(guard) => guard,
@@ -457,7 +452,6 @@ impl Transpiler {
                 let mut guard = poisoned.into_inner();
                 guard.distances.clear();
                 guard.prepared.clear();
-                guard.layouts.clear();
                 self.cache_resets.fetch_add(1, Ordering::Relaxed);
                 self.state.clear_poison();
                 guard
@@ -466,28 +460,30 @@ impl Transpiler {
     }
 
     /// Looks up / computes the prepared baseline for `circuit`, returning
-    /// it with a hit flag. Does not touch the stats counters — callers
-    /// attribute the hit/miss to the right request.
+    /// the index of its entry in `state.prepared` with a hit flag. Does not
+    /// touch the stats counters — callers attribute the hit/miss to the
+    /// right request.
     fn prepared_locked(
         state: &mut SessionState,
         circuit: &QuantumCircuit,
         budget: &Budget,
-    ) -> Result<(Arc<QuantumCircuit>, bool), PassError> {
+    ) -> Result<(usize, bool), PassError> {
         let raw_hash = circuit.structural_hash();
-        if let Some(entry) = state
+        if let Some(index) = state
             .prepared
             .iter()
-            .find(|e| e.raw_hash == raw_hash && e.raw == *circuit)
+            .position(|e| e.raw_hash == raw_hash && e.raw == *circuit)
         {
-            return Ok((Arc::clone(&entry.prepared), true));
+            return Ok((index, true));
         }
         let prepared = Arc::new(optimize_without_routing_budgeted(circuit, budget)?);
         state.prepared.push(PreparedEntry {
             raw_hash,
             raw: circuit.clone(),
-            prepared: Arc::clone(&prepared),
+            prepared,
+            layouts: Vec::new(),
         });
-        Ok((prepared, false))
+        Ok((state.prepared.len() - 1, false))
     }
 
     /// Makes every cache decision for one job, updating that job's private
@@ -529,7 +525,7 @@ impl Transpiler {
             }
         };
 
-        let (prepared, prepared_hit) = Self::prepared_locked(state, circuit, &budget)?;
+        let (entry, prepared_hit) = Self::prepared_locked(state, circuit, &budget)?;
         if prepared_hit {
             stats.prepared_hits += 1;
             nassc_trace::counter("cache.prepared_hit", 1);
@@ -538,14 +534,13 @@ impl Transpiler {
             nassc_trace::counter("cache.prepared_miss", 1);
         }
 
-        let prepared_hash = prepared.structural_hash();
-        let cached_layout = state
+        let entry = &state.prepared[entry];
+        let prepared = Arc::clone(&entry.prepared);
+        let cached_layout = entry
             .layouts
             .iter()
-            .find(|e| {
-                e.prepared_hash == prepared_hash && e.options == options && *e.prepared == *prepared
-            })
-            .map(|e| e.winner.clone());
+            .find(|(cached, _)| *cached == options)
+            .map(|(_, winner)| winner.clone());
         if cached_layout.is_some() {
             stats.layout_hits += 1;
             nassc_trace::counter("cache.layout_hit", 1);
@@ -606,8 +601,10 @@ impl Transpiler {
     }
 
     /// Rolls per-request counters into the session totals and memoizes the
-    /// layout winners cold jobs discovered. Insertion re-checks for an
-    /// existing entry so duplicate cold jobs in one batch stay idempotent.
+    /// layout winners cold jobs discovered under their prepared entry.
+    /// Insertion re-checks for an existing winner so duplicate cold jobs in
+    /// one batch stay idempotent; a winner whose entry poison recovery has
+    /// cleared since resolution is dropped.
     fn commit(&self, resolved: &[ResolvedJob], results: &[Result<TranspileResult, Error>]) {
         let _span = nassc_trace::span!("commit");
         let mut state = self.lock();
@@ -620,23 +617,26 @@ impl Transpiler {
             let Some(Ok(result)) = results.get(job.index) else {
                 continue;
             };
-            let prepared_hash = job.prepared.structural_hash();
-            let exists = state.layouts.iter().any(|e| {
-                e.prepared_hash == prepared_hash
-                    && e.options == job.options
-                    && *e.prepared == *job.prepared
-            });
-            if !exists {
-                state.layouts.push(LayoutEntry {
-                    prepared_hash,
-                    prepared: Arc::clone(&job.prepared),
-                    options: job.options.clone(),
-                    winner: LayoutSelection {
+            let Some(entry) = state
+                .prepared
+                .iter_mut()
+                .find(|e| Arc::ptr_eq(&e.prepared, &job.prepared))
+            else {
+                continue;
+            };
+            if !entry
+                .layouts
+                .iter()
+                .any(|(cached, _)| *cached == job.options)
+            {
+                entry.layouts.push((
+                    job.options.clone(),
+                    LayoutSelection {
                         layout: result.initial_layout.clone(),
                         chosen_trial: result.chosen_layout_trial,
                         trial_costs: result.layout_trial_costs.clone(),
                     },
-                });
+                ));
             }
         }
     }

@@ -19,7 +19,9 @@
 //!   harness.
 //!
 //! Known limitations: no classical control (`if`), no `reset`, no `opaque`
-//! gates, and includes other than `qelib1.inc` are rejected.
+//! gates, and includes other than `qelib1.inc` are rejected. A source may
+//! declare at most [`MAX_QUBITS`] qubits and expand to at most
+//! [`MAX_OPERANDS`] qubit operands.
 //!
 //! # Example
 //!
@@ -43,7 +45,7 @@ mod lexer;
 mod parser;
 
 pub use error::QasmError;
-pub use parser::parse;
+pub use parser::{parse, MAX_OPERANDS, MAX_QUBITS};
 
 /// Serializes a circuit as an OpenQASM 2.0 program.
 ///

@@ -16,13 +16,15 @@
 //!
 //! Unsupported constructs fail with a positioned [`QasmError`]: `if`
 //! (classical control), `reset`, `opaque`, and includes other than
-//! `qelib1.inc`.
+//! `qelib1.inc`. So do sources over [`MAX_QUBITS`] or [`MAX_OPERANDS`],
+//! which bound what a short source can make the parser allocate.
 
 use std::collections::HashMap;
 use std::f64::consts::PI;
+use std::ops::Range;
 use std::rc::Rc;
 
-use nassc_circuit::{Gate, Instruction, QuantumCircuit};
+use nassc_circuit::{Gate, Instruction, QuantumCircuit, QubitList};
 
 use crate::error::QasmError;
 use crate::lexer::{lex, Token, TokenKind};
@@ -30,6 +32,17 @@ use crate::lexer::{lex, Token, TokenKind};
 /// Hard cap on nested gate-definition inlining, against (ill-formed)
 /// self-referential definitions.
 const MAX_EXPANSION_DEPTH: usize = 64;
+
+/// The most qubits a source may declare over all its `qreg`s: about 10×
+/// the 433-qubit Osprey, the largest device this workspace models.
+pub const MAX_QUBITS: usize = 4_096;
+
+/// The most qubit operands a source may expand to, summed over every
+/// emitted instruction and every user-gate call after register broadcast
+/// and gate-definition inlining. That admits at least 1M two-qubit gates,
+/// 10× the largest `bench_scale` circuits, and bounds the memory and time a
+/// few lines of nested definitions or broadcasts can demand.
+pub const MAX_OPERANDS: usize = 1 << 21;
 
 /// `(name, parameter count, qubit count)` of every built-in gate the parser
 /// resolves without a user definition: the `U`/`CX` primitives and the
@@ -84,8 +97,9 @@ const BUILTINS: &[(&str, usize, usize)] = &[
 /// # Errors
 ///
 /// Returns a [`QasmError`] with the offending source line for syntax errors,
-/// unknown gates, register overflows, arity mismatches and unsupported
-/// constructs (`if`, `reset`, `opaque`, non-`qelib1.inc` includes).
+/// unknown gates, register overflows, arity mismatches, unsupported
+/// constructs (`if`, `reset`, `opaque`, non-`qelib1.inc` includes) and
+/// sources over [`MAX_QUBITS`] or [`MAX_OPERANDS`].
 ///
 /// # Example
 ///
@@ -211,6 +225,8 @@ struct Parser {
     creg_sizes: HashMap<String, usize>,
     gates: HashMap<String, Rc<GateDef>>,
     num_qubits: usize,
+    /// Qubit operands charged so far against [`MAX_OPERANDS`].
+    operands: usize,
     instructions: Vec<Instruction>,
 }
 
@@ -223,6 +239,7 @@ impl Parser {
             creg_sizes: HashMap::new(),
             gates: HashMap::new(),
             num_qubits: 0,
+            operands: 0,
             instructions: Vec::new(),
         }
     }
@@ -445,6 +462,16 @@ impl Parser {
 
     fn parse_qreg(&mut self) -> Result<(), QasmError> {
         let (name, size) = self.parse_register_decl()?;
+        let total = self
+            .num_qubits
+            .checked_add(size)
+            .filter(|&total| total <= MAX_QUBITS)
+            .ok_or_else(|| {
+                QasmError::at(
+                    self.last_line(),
+                    format!("qreg {name}[{size}] declares more than {MAX_QUBITS} qubits in all"),
+                )
+            })?;
         self.qregs.insert(
             name,
             QReg {
@@ -452,7 +479,7 @@ impl Parser {
                 size,
             },
         );
-        self.num_qubits += size;
+        self.num_qubits = total;
         Ok(())
     }
 
@@ -697,9 +724,9 @@ impl Parser {
         Ok(list)
     }
 
-    /// Resolves a quantum argument to flat qubit indices (`None` index means
-    /// the whole register).
-    fn resolve_qubits(&self, argument: &Argument) -> Result<Vec<usize>, QasmError> {
+    /// Resolves a quantum argument to its flat qubit indices (`None` index
+    /// means the whole register).
+    fn resolve_qubits(&self, argument: &Argument) -> Result<Range<usize>, QasmError> {
         let reg = self.qregs.get(&argument.reg).ok_or_else(|| {
             QasmError::at(
                 argument.line,
@@ -714,8 +741,8 @@ impl Parser {
                     argument.reg, reg.size
                 ),
             )),
-            Some(index) => Ok(vec![reg.offset + index]),
-            None => Ok((reg.offset..reg.offset + reg.size).collect()),
+            Some(index) => Ok(reg.offset + index..reg.offset + index + 1),
+            None => Ok(reg.offset..reg.offset + reg.size),
         }
     }
 
@@ -725,7 +752,9 @@ impl Parser {
         self.expect_symbol(';')?;
         let mut qubits = Vec::new();
         for argument in &arguments {
-            qubits.extend(self.resolve_qubits(argument)?);
+            let span = self.resolve_qubits(argument)?;
+            self.check_operands(qubits.len() + span.len(), line)?;
+            qubits.extend(span);
         }
         self.push_instruction(Gate::Barrier(qubits.len()), qubits, line)
     }
@@ -827,7 +856,7 @@ impl Parser {
         }
         let repetitions = broadcast.unwrap_or(1);
         // Resolve each argument once; whole registers yield their full span.
-        let resolved: Vec<Vec<usize>> = arguments
+        let resolved: Vec<Range<usize>> = arguments
             .iter()
             .map(|a| self.resolve_qubits(a))
             .collect::<Result<_, _>>()?;
@@ -836,9 +865,9 @@ impl Parser {
                 .iter()
                 .map(|span| {
                     if span.len() == 1 {
-                        span[0]
+                        span.start
                     } else {
-                        span[repetition]
+                        span.start + repetition
                     }
                 })
                 .collect();
@@ -874,6 +903,7 @@ impl Parser {
             ));
         }
         if let Some(def) = resolved {
+            self.charge_operands(qubits.len(), line)?;
             if params.len() != def.params.len() {
                 return Err(QasmError::at(
                     line,
@@ -1025,21 +1055,41 @@ impl Parser {
         }
     }
 
-    /// Validates qubit distinctness (so [`Instruction::new`] cannot panic)
-    /// and appends the instruction.
+    /// Fails when `count` more operands would take the source over
+    /// [`MAX_OPERANDS`].
+    fn check_operands(&self, count: usize, line: usize) -> Result<(), QasmError> {
+        if count > MAX_OPERANDS - self.operands {
+            return Err(QasmError::at(
+                line,
+                format!("source expands to more than {MAX_OPERANDS} qubit operands"),
+            ));
+        }
+        Ok(())
+    }
+
+    /// Charges `count` operands against [`MAX_OPERANDS`].
+    fn charge_operands(&mut self, count: usize, line: usize) -> Result<(), QasmError> {
+        self.check_operands(count, line)?;
+        self.operands += count;
+        Ok(())
+    }
+
+    /// Charges the operands, validates qubit distinctness (so
+    /// [`Instruction::new`] cannot panic) and appends the instruction.
     fn push_instruction(
         &mut self,
         gate: Gate,
         qubits: Vec<usize>,
         line: usize,
     ) -> Result<(), QasmError> {
-        for (i, a) in qubits.iter().enumerate() {
-            if qubits[i + 1..].contains(a) {
-                return Err(QasmError::at(
-                    line,
-                    format!("duplicate qubit in {} application", gate.name()),
-                ));
-            }
+        self.charge_operands(qubits.len(), line)?;
+        // Every index is below `MAX_QUBITS`, so the conversion cannot panic.
+        let qubits = QubitList::from(qubits);
+        if qubits.duplicate().is_some() {
+            return Err(QasmError::at(
+                line,
+                format!("duplicate qubit in {} application", gate.name()),
+            ));
         }
         self.instructions.push(Instruction::new(gate, qubits));
         Ok(())

@@ -194,3 +194,60 @@ fn truncated_statements_point_at_the_end() {
     assert_error("OPENQASM 2.0;\nqreg q[2];\ncx q[0],", "end of input", 0);
     assert_error("OPENQASM 2.0;\nqreg q[2", "expected ']'", 0);
 }
+
+#[test]
+fn declared_qubits_are_bounded() {
+    // A 61-byte source whose broadcast would materialize four billion
+    // qubit indices.
+    assert_error(
+        "OPENQASM 2.0; include \"qelib1.inc\"; qreg q[4000000000]; h q;",
+        "more than 4096 qubits",
+        1,
+    );
+    // A size that wraps the running qubit count.
+    assert_error(
+        "OPENQASM 2.0;\nqreg a[18446744073709551615];\nqreg b[1];\nh b[0];\n",
+        "more than 4096 qubits",
+        2,
+    );
+    assert_error(
+        "OPENQASM 2.0;\nqreg a[4000];\nqreg b[97];\n",
+        "more than 4096 qubits",
+        3,
+    );
+    let widest = format!("OPENQASM 2.0;\nqreg q[{}];\nh q;\n", nassc_qasm::MAX_QUBITS);
+    assert_eq!(
+        parse(&widest).expect("MAX_QUBITS qubits").num_qubits(),
+        nassc_qasm::MAX_QUBITS
+    );
+}
+
+/// A gate whose body makes `calls` calls of `callee` on its two arguments.
+fn fan_out(name: &str, callee: &str, calls: usize) -> String {
+    format!(
+        "gate {name} a,b {{ {}}}\n",
+        format!("{callee} a,b; ").repeat(calls)
+    )
+}
+
+#[test]
+fn expanded_operands_are_bounded() {
+    // Five levels of 16 calls over a `cx` emit 2^21 operands in 16^5 CNOTs;
+    // one more gate goes over.
+    let mut fan = String::from("OPENQASM 2.0;\nqreg q[2];\n");
+    fan += &fan_out("f1", "cx", 16);
+    for level in 2..=5 {
+        fan += &fan_out(&format!("f{level}"), &format!("f{}", level - 1), 16);
+    }
+    fan += "f5 q[0],q[1];\ncx q[0],q[1];\n";
+    assert_error(&fan, "more than 2097152 qubit operands", 0);
+
+    // Register broadcast counts too: 512 full-width barriers fill the
+    // budget, and one more qubit goes over.
+    let barriers = format!(
+        "OPENQASM 2.0;\nqreg q[{}];\n{}barrier q[0];\n",
+        nassc_qasm::MAX_QUBITS,
+        "barrier q;\n".repeat(nassc_qasm::MAX_OPERANDS / nassc_qasm::MAX_QUBITS)
+    );
+    assert_error(&barriers, "more than 2097152 qubit operands", 515);
+}

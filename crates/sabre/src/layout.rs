@@ -1,24 +1,11 @@
-//! Initial-layout selection: SABRE's reverse-traversal refinement and the
-//! multi-trial selection engine.
+//! Initial-layout selection and the production route.
 //!
-//! Two entry points:
-//!
-//! * [`sabre_layout_prepared_budgeted`] — the single-trial path: one random
-//!   start refined with the plain SABRE heuristic through a single shared
-//!   RNG, over prebuilt dependency DAGs. This is what `layout_trials = 1`
-//!   pipelines use. It always runs the search, so callers give a circuit
-//!   without two-qubit gates the identity layout themselves.
-//! * [`LayoutTrials`] — the multi-trial engine: `N` independent trials, each
-//!   with its own [`split_seed`]-derived seed stream, refined through a
-//!   *generic* [`SwapPolicy`] (so NASSC refines layouts with its
-//!   optimization-aware cost, not just plain SABRE), priced by the SWAPs a
-//!   full routing pass inserts and reduced to the argmin with
-//!   deterministic lowest-index tie-breaking. Trials fan out across a
-//!   [`ThreadPool`]; because every trial owns its seed stream, results are
-//!   bit-identical regardless of worker count or of how many sibling
-//!   trials run. A circuit with no
-//!   two-qubit gates needs no search: the engine returns the identity
-//!   layout without routing.
+//! [`LayoutTrials`] is the one entry point from a prepared circuit to its
+//! production route, at every trial count. It builds the dependency DAG
+//! once, chooses a layout — the identity for a circuit without two-qubit
+//! gates, [`sabre_layout_prepared_budgeted`]'s single-RNG refinement for
+//! one trial, [`split_seed`]-seeded policy-aware trials otherwise — and
+//! routes from it on the production RNG, which it owns.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -68,19 +55,18 @@ pub fn sabre_layout_prepared(
 }
 
 /// Chooses an initial layout with SABRE's random start and reverse-traversal
-/// refinement — the single-trial path.
+/// refinement — the single-trial search of [`LayoutTrials`].
 ///
 /// `dag` and `reversed_dag` are the dependency DAGs of the circuit and of
-/// its reversal; the single-trial pipeline builds them once and shares the
-/// forward one with its production routing pass. One `StdRng` seeded from
-/// `seed` threads through the random start and all [`LAYOUT_ITERATIONS`]
-/// refinement rounds; multi-trial pipelines use [`LayoutTrials`], whose
-/// per-trial seed streams do not depend on call-ordering internals.
-/// `score_pool` fans candidate scoring across workers and affects wall
-/// clock only.
+/// its reversal; [`LayoutTrials`] builds them once and shares the forward
+/// one with its production route. One `StdRng` seeded from `seed` threads
+/// through the random start and all [`LAYOUT_ITERATIONS`] refinement
+/// rounds; a multi-trial search instead seeds each trial from its own
+/// stream, which does not depend on call-ordering internals. `score_pool`
+/// fans candidate scoring across workers and affects wall clock only.
 ///
-/// The search always runs: callers check first whether the circuit has any
-/// two-qubit gate, and give one without the identity layout.
+/// The search always runs: [`LayoutTrials::run`] gives a circuit without
+/// two-qubit gates the identity layout instead of calling it.
 ///
 /// `budget` is checked at the start of the search and once per routing step
 /// of every refinement pass (see [`route_prepared_budgeted`]). Outputs are
@@ -136,8 +122,7 @@ pub struct LayoutSelection {
     /// Each trial's cost, in trial order: the number of SWAPs its scoring
     /// routing pass inserted (lower is better). Trial `t` refined its
     /// layout from the seed `split_seed(seed, t)`. Empty when no trial was
-    /// scored: the single-trial path of [`sabre_layout_prepared_budgeted`],
-    /// or a circuit without two-qubit gates.
+    /// scored: a single-trial search, or a circuit without two-qubit gates.
     pub trial_costs: Vec<f64>,
 }
 
@@ -157,22 +142,26 @@ fn select_best_trial(costs: &[f64]) -> usize {
     best
 }
 
-/// The multi-trial layout engine.
+/// The layout engine: the one path from a prepared circuit to its
+/// production route, at every trial count.
 ///
-/// Runs `trials` independent layout searches and keeps the one whose refined
-/// layout routes the circuit with the fewest SWAPs, the trial score of
-/// Qiskit's `SabreLayout`. Refinement draws randomness from a private
-/// per-trial seed stream — refinement stage `k` of trial `t` seeds
-/// a fresh `StdRng` with `split_seed(split_seed(seed, t), k)` — so
-/// the result is a pure function of `(inputs, seed, trial index)`:
-/// independent of the worker count, of how many sibling trials run, and of
-/// how many random draws any individual routing pass happens to consume.
+/// [`new`](Self::new) builds the dependency DAG, [`run`](Self::run) chooses
+/// a layout and routes from it, and [`route`](Self::route) replays the
+/// route from a layout an earlier run chose. Every production route — a
+/// trial's scoring pass, the single-trial route, the identity-layout route
+/// and the replay — runs on a `StdRng` seeded directly from `seed` with a
+/// fresh policy, so a replay equals its cold run.
 ///
-/// The scoring pass deliberately does *not* use the trial stream: it routes
-/// with a `StdRng` seeded directly from `seed` — exactly the RNG the
-/// production routing pass uses — so each trial's cost is the cost the
-/// pipeline will actually pay if that trial's layout wins, not a
-/// differently-seeded estimate of it.
+/// With one trial (the default) `run` refines a random start with
+/// [`sabre_layout_prepared_budgeted`]. With `N > 1` it keeps the trial
+/// whose refined layout routes with the fewest SWAPs, the trial score of
+/// Qiskit's `SabreLayout`. Refinement stage `k` of trial `t` seeds a fresh
+/// `StdRng` with `split_seed(split_seed(seed, t), k)`, so the result is a
+/// pure function of `(inputs, seed, trial index)`: independent of the
+/// worker count, of how many sibling trials run, and of how many random
+/// draws any routing pass consumes. The scoring pass is the production
+/// route, so a trial's cost is what the pipeline pays if it wins, and the
+/// winner's scoring route is returned instead of routing again.
 ///
 /// Refinement and scoring run through a caller-supplied [`SwapPolicy`]
 /// factory, so optimization-aware routers refine layouts with their own cost
@@ -192,41 +181,46 @@ fn select_best_trial(costs: &[f64]) -> usize {
 /// qc.cx(1, 2).cx(0, 1).cx(0, 2);
 /// let device = CouplingMap::linear(3);
 /// let distances = device.distance_matrix();
-/// let (selection, _) = LayoutTrials::new(&qc, &device, &distances, 7)
-///     .trials(4)
-///     .run(|| SabrePolicy);
+/// let engine = LayoutTrials::new(&qc, &device, &distances, 7).trials(4);
+/// let (selection, routed) = engine.run(|| SabrePolicy);
 /// assert_eq!(selection.trial_costs.len(), 4);
 /// assert!(selection.chosen_trial < 4);
+/// let replay = engine.route(&selection.layout, &|| SabrePolicy);
+/// assert_eq!(replay.circuit, routed.circuit);
 /// ```
 #[derive(Debug, Clone)]
 pub struct LayoutTrials<'a> {
     circuit: &'a QuantumCircuit,
+    dag: DagCircuit,
     coupling: &'a CouplingMap,
     distances: &'a DistanceMatrix,
     seed: u64,
     trials: usize,
     pool: ThreadPool,
-    score_pool: ThreadPool,
     budget: Budget,
 }
 
 impl<'a> LayoutTrials<'a> {
     /// An engine over the given inputs, defaulting to one trial on a serial
-    /// pool.
+    /// pool. Builds the circuit's dependency DAG, which every route shares.
     pub fn new(
         circuit: &'a QuantumCircuit,
         coupling: &'a CouplingMap,
         distances: &'a DistanceMatrix,
         seed: u64,
     ) -> Self {
+        let dag = {
+            let _span = nassc_trace::span!("dag_build");
+            DagCircuit::from_circuit(circuit)
+        };
         Self {
             circuit,
+            dag,
             coupling,
             distances,
             seed,
             trials: 1,
             pool: ThreadPool::new(1),
-            score_pool: ThreadPool::new(1),
             budget: Budget::unlimited(),
         }
     }
@@ -237,23 +231,17 @@ impl<'a> LayoutTrials<'a> {
         self
     }
 
-    /// Fans trials across `pool` (results never depend on its size).
+    /// Fans the work across `pool` (results never depend on its size).
+    /// [`run`](Self::run) splits it between trials and each routing pass's
+    /// candidate scoring via [`ThreadPool::split_budget`], so the two levels
+    /// never oversubscribe; a route outside a trial scores on all of it.
     pub fn pool(mut self, pool: ThreadPool) -> Self {
         self.pool = pool;
         self
     }
 
-    /// Fans each routing pass's candidate scoring across `pool` (results
-    /// never depend on its size). Callers with a fixed worker budget split
-    /// it between trials and scoring via
-    /// [`ThreadPool::split_budget`] so the two levels never oversubscribe.
-    pub fn score_pool(mut self, pool: ThreadPool) -> Self {
-        self.score_pool = pool;
-        self
-    }
-
-    /// Runs the trials under a cooperative [`Budget`]: each trial checks it
-    /// at trial start and once per routing step, aborting the whole search
+    /// Runs the engine under a cooperative [`Budget`]: the search checks it
+    /// at every trial start and every route once per routing step, aborting
     /// by unwinding with a typed [`Cancelled`] payload when it is
     /// exhausted. The budget's flag is shared, so once one trial trips,
     /// sibling trials on other workers abort at their own next checkpoint.
@@ -264,40 +252,56 @@ impl<'a> LayoutTrials<'a> {
         self
     }
 
-    /// Runs every trial and returns the winning layout with per-trial
-    /// diagnostics, plus the [`RoutingResult`] of the winning trial's
-    /// scoring pass.
+    /// Chooses the layout and returns it with the per-trial diagnostics,
+    /// plus the production route from it.
     ///
     /// `make_policy` builds a fresh [`SwapPolicy`] for each routing pass, so
-    /// stateful policies never leak state across passes.
-    ///
-    /// Because the scoring pass routes on the production RNG
-    /// (`seed`), the returned result is byte-identical to what
-    /// re-routing the winning layout would produce — callers (the transpile
-    /// pipeline) reuse it instead of paying a duplicate routing pass. `None`
-    /// only in the degenerate no-two-qubit-gate case, where no routing runs.
-    pub fn run<P, F>(&self, make_policy: F) -> (LayoutSelection, Option<RoutingResult>)
+    /// stateful policies never leak state across passes. A circuit without
+    /// two-qubit gates gets the identity layout and is routed as is; one
+    /// trial refines a single layout and then routes it; several trials
+    /// return the winner's scoring route, which is byte-identical to what
+    /// [`route`](Self::route) produces from the winning layout.
+    pub fn run<P, F>(&self, make_policy: F) -> (LayoutSelection, RoutingResult)
     where
         P: SwapPolicy + Sync,
         F: Fn() -> P + Sync,
     {
-        if self.circuit.two_qubit_gate_count() == 0 {
+        let unscored = |layout: Layout| {
+            let routed = self.route(&layout, &make_policy);
             let selection = LayoutSelection {
-                layout: Layout::trivial(self.coupling.num_qubits()),
+                layout,
                 chosen_trial: 0,
                 trial_costs: Vec::new(),
             };
-            return (selection, None);
+            (selection, routed)
+        };
+        if self.circuit.two_qubit_gate_count() == 0 {
+            return unscored(Layout::trivial(self.coupling.num_qubits()));
         }
-        // Every trial routes the same two circuits; build each dependency
-        // DAG once and share it across all trials and refinement rounds.
+        let reversed_dag = {
+            let _span = nassc_trace::span!("dag_build");
+            DagCircuit::from_circuit(&self.circuit.reversed())
+        };
+        if self.trials == 1 {
+            let layout = sabre_layout_prepared_budgeted(
+                &self.dag,
+                &reversed_dag,
+                self.coupling,
+                self.distances,
+                self.seed,
+                &self.pool,
+                &self.budget,
+            );
+            // The production route reads only the forward DAG.
+            drop(reversed_dag);
+            return unscored(layout);
+        }
         let mut span = nassc_trace::span!("layout_trials");
         span.arg_u64("trials", self.trials as u64);
-        let dag = DagCircuit::from_circuit(self.circuit);
-        let reversed_dag = DagCircuit::from_circuit(&self.circuit.reversed());
-        let mut candidates: Vec<(Layout, f64, RoutingResult)> =
-            self.pool.map((0..self.trials).collect(), |trial| {
-                self.run_trial(trial, &dag, &reversed_dag, &make_policy)
+        let (trial_pool, score_pool) = self.pool.split_budget(self.trials);
+        let mut candidates: Vec<(Layout, f64, RoutingResult)> = trial_pool
+            .map((0..self.trials).collect(), |trial| {
+                self.run_trial(trial, &reversed_dag, &score_pool, &make_policy)
             });
         let trial_costs: Vec<f64> = candidates.iter().map(|c| c.1).collect();
         let chosen_trial = select_best_trial(&trial_costs);
@@ -309,19 +313,49 @@ impl<'a> LayoutTrials<'a> {
             chosen_trial,
             trial_costs,
         };
-        (selection, Some(routed))
+        (selection, routed)
+    }
+
+    /// The production route from `layout`: the warm replay of a layout an
+    /// earlier [`run`](Self::run) chose, bit-identical to that run's route.
+    pub fn route<P, F>(&self, layout: &Layout, make_policy: &F) -> RoutingResult
+    where
+        P: SwapPolicy + Sync,
+        F: Fn() -> P,
+    {
+        let _span = nassc_trace::span!("route");
+        self.production_route(layout, make_policy, &self.pool)
+    }
+
+    /// Builds every production route: a fresh policy, and the RNG seeded
+    /// directly from `seed`.
+    fn production_route<P: SwapPolicy + Sync>(
+        &self,
+        layout: &Layout,
+        make_policy: &impl Fn() -> P,
+        score_pool: &ThreadPool,
+    ) -> RoutingResult {
+        route_prepared_budgeted(
+            &self.dag,
+            self.coupling,
+            self.distances,
+            layout,
+            &mut make_policy(),
+            &mut StdRng::seed_from_u64(self.seed),
+            score_pool,
+            &self.budget,
+        )
     }
 
     /// One trial: random start, [`LAYOUT_ITERATIONS`] forward/backward
     /// refinement rounds (each stage on its own freshly seeded RNG from the
-    /// trial's stream), then a scoring pass on the production RNG
-    /// (`seed`), so the returned cost is exactly what the pipeline's final
-    /// routing pass will pay for this layout.
+    /// trial's stream), then the production route as its scoring pass, so
+    /// the returned cost is exactly what the pipeline pays for this layout.
     fn run_trial<P, F>(
         &self,
         trial: usize,
-        dag: &DagCircuit,
         reversed_dag: &DagCircuit,
+        score_pool: &ThreadPool,
         make_policy: &F,
     ) -> (Layout, f64, RoutingResult)
     where
@@ -347,13 +381,13 @@ impl<'a> LayoutTrials<'a> {
         let mut layout = Layout::random(self.coupling.num_qubits(), &mut stage_rng());
         for _ in 0..LAYOUT_ITERATIONS {
             let forward = route_prepared_budgeted(
-                dag,
+                &self.dag,
                 self.coupling,
                 self.distances,
                 &layout,
                 &mut make_policy(),
                 &mut stage_rng(),
-                &self.score_pool,
+                score_pool,
                 &self.budget,
             );
             let backward = route_prepared_budgeted(
@@ -363,21 +397,12 @@ impl<'a> LayoutTrials<'a> {
                 &forward.final_layout,
                 &mut make_policy(),
                 &mut stage_rng(),
-                &self.score_pool,
+                score_pool,
                 &self.budget,
             );
             layout = backward.final_layout;
         }
-        let scored = route_prepared_budgeted(
-            dag,
-            self.coupling,
-            self.distances,
-            &layout,
-            &mut make_policy(),
-            &mut StdRng::seed_from_u64(self.seed),
-            &self.score_pool,
-            &self.budget,
-        );
+        let scored = self.production_route(&layout, make_policy, score_pool);
         let cost = scored.swap_count as f64;
         span.arg_f64("cost", cost);
         (layout, cost, scored)
@@ -495,16 +520,17 @@ mod tests {
         let distances = device.distance_matrix();
         let mut qc = QuantumCircuit::new(3);
         qc.h(0).h(1).h(2);
-        let (selection, routed) = LayoutTrials::new(&qc, &device, &distances, 4)
-            .trials(4)
-            .run(|| SabrePolicy);
-        assert_eq!(selection.layout, Layout::trivial(5));
-        assert_eq!(selection.chosen_trial, 0);
-        assert!(selection.trial_costs.is_empty());
-        assert!(
-            routed.is_none(),
-            "no trial routes a circuit without 2q gates"
-        );
+        for trials in [1, 4] {
+            let (selection, routed) = LayoutTrials::new(&qc, &device, &distances, 4)
+                .trials(trials)
+                .run(|| SabrePolicy);
+            assert_eq!(selection.layout, Layout::trivial(5), "{trials} trials");
+            assert_eq!(selection.chosen_trial, 0);
+            assert!(selection.trial_costs.is_empty());
+            assert_eq!(routed.initial_layout, Layout::trivial(5));
+            assert_eq!(routed.swap_count, 0, "{trials} trials");
+            assert_eq!(routed.circuit.num_gates(), 3);
+        }
     }
 
     #[test]
@@ -580,12 +606,10 @@ mod tests {
         let device = CouplingMap::ibmq_montreal();
         let distances = device.distance_matrix();
         let qc = ring_circuit(6, 3);
-        let engine = LayoutTrials::new(&qc, &device, &distances, 13);
-        let one = run(&engine.clone().trials(1));
-        let four = run(&engine.clone().trials(4));
+        let four = run(&LayoutTrials::new(&qc, &device, &distances, 13).trials(4));
         assert!(
-            four.trial_costs[four.chosen_trial] <= one.trial_costs[0],
-            "4 trials scored worse than trial 0 alone"
+            four.trial_costs[four.chosen_trial] <= four.trial_costs[0],
+            "the 4-trial winner scored worse than trial 0 alone"
         );
     }
 }

@@ -14,13 +14,15 @@
 //!   SWAP as `swap p1, p2`; NASSC's policy also lists the qubit that
 //!   controls a SWAP's first CNOT first. Candidate scoring fans across a
 //!   thread pool, bit-identical to serial at any worker count.
-//! * [`sabre_layout_prepared_budgeted`] — random initial layout refined by
-//!   reverse traversal (the single-trial path),
-//! * [`LayoutTrials`] — the multi-trial layout engine: N independently
-//!   seeded trials refined through any [`SwapPolicy`], each priced by the
-//!   SWAPs its full routing pass inserts, argmin kept with deterministic
-//!   lowest-index tie-breaking,
-//!   optionally fanned across a thread pool without affecting results,
+//! * [`LayoutTrials`] — the layout engine, the one path from a prepared
+//!   circuit to its production route: it builds the DAG once, searches a
+//!   layout and routes from it on the production RNG, and replays a cached
+//!   layout's route. One trial is [`sabre_layout_prepared_budgeted`]'s
+//!   random initial layout refined by reverse traversal; N trials are
+//!   independently seeded and refined through any [`SwapPolicy`], each
+//!   priced by the SWAPs its full routing pass inserts, argmin kept with
+//!   deterministic lowest-index tie-breaking, optionally fanned across a
+//!   thread pool without affecting results,
 //! * [`RoutingState`] — the incremental output-circuit state (per-qubit
 //!   touch index with O(1) push/pop, in-place SWAP orientation and
 //!   O(window) pair queries) the hot loop is built around.

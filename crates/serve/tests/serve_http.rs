@@ -166,6 +166,21 @@ fn error_taxonomy_maps_kinds_to_statuses() {
     stop();
 }
 
+/// A 61-byte source declaring four billion qubits is refused by the parser
+/// before anything is allocated for them, so the daemon answers 400 and
+/// keeps serving.
+#[test]
+fn oversized_register_is_a_parse_error_and_the_daemon_survives() {
+    let (addr, stop) = boot(default_config());
+    let source = r#"OPENQASM 2.0; include "qelib1.inc"; qreg q[4000000000]; h q;"#;
+    let refused = client::post(&addr, "/transpile", source).expect("wide register");
+    assert_eq!(refused.status, 400, "body: {}", refused.body);
+    assert_eq!(refused.header("x-error-kind").unwrap(), "parse");
+    let health = client::get(&addr, "/health").expect("health");
+    assert_eq!(health.status, 200);
+    stop();
+}
+
 #[test]
 fn full_queue_sheds_load_with_429() {
     // No workers: nothing drains the queue, so with depth 1 the second

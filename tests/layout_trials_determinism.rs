@@ -1,16 +1,21 @@
 //! The layout-trials determinism contract: transpile output is bit-identical
 //! at every worker budget ({1, 2, 8} workers) for both the single-trial
-//! compatibility mode and multi-trial selection, and trial selection is
-//! reproducible with deterministic lowest-index tie-breaking.
+//! search and multi-trial selection, trial selection is reproducible with
+//! deterministic lowest-index tie-breaking, and the single-trial search is
+//! the one a caller recomposes from the public stage functions.
+
+use std::path::PathBuf;
 
 use nassc::circuit::{DagCircuit, QuantumCircuit};
 use nassc::parallel::ThreadPool;
-use nassc::sabre::{route_prepared, SabreConfig, SabrePolicy};
+use nassc::passes::standard_optimization_pipeline;
+use nassc::sabre::{route_prepared, sabre_layout_prepared, SabreConfig, SabrePolicy, SwapPolicy};
+use nassc::synthesis::expand_swaps;
 use nassc::{
-    NasscPolicy, OptimizationFlags, RouterKind, SessionJob, TranspileOptions, TranspileResult,
-    Transpiler,
+    optimize_without_routing, NasscPolicy, OptimizationFlags, RouterKind, SessionJob,
+    TranspileOptions, TranspileResult, Transpiler,
 };
-use nassc_topology::{CouplingMap, Layout};
+use nassc_topology::{CouplingMap, DistanceMatrix, Layout};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -213,5 +218,82 @@ fn chosen_trial_is_the_first_cost_minimum() {
             "seed {seed}: tie must break to the lowest trial index"
         );
         assert!(result.layout_trial_costs.iter().all(|&c| c >= best));
+    }
+}
+
+/// The single-trial pipeline recomposed stage by stage from public
+/// functions, as a benchmark that times each stage does it.
+fn recomposed<P: SwapPolicy + Sync>(
+    circuit: &QuantumCircuit,
+    device: &CouplingMap,
+    distances: &DistanceMatrix,
+    config: &SabreConfig,
+    mut policy: P,
+) -> TranspileResult {
+    let pool = ThreadPool::new(1);
+    let prepared = optimize_without_routing(circuit).expect("prepare");
+    let dag = DagCircuit::from_circuit(&prepared);
+    let reversed = DagCircuit::from_circuit(&prepared.reversed());
+    let layout = if prepared.two_qubit_gate_count() == 0 {
+        Layout::trivial(device.num_qubits())
+    } else {
+        sabre_layout_prepared(&dag, &reversed, device, distances, config, &pool)
+    };
+    let mut rng = StdRng::seed_from_u64(config.seed);
+    let routed = route_prepared(
+        &dag,
+        device,
+        distances,
+        &layout,
+        config,
+        &mut policy,
+        &mut rng,
+        &pool,
+    );
+    let optimized = standard_optimization_pipeline()
+        .run(&expand_swaps(&routed.circuit))
+        .expect("post-optimize");
+    TranspileResult {
+        circuit: optimized,
+        initial_layout: routed.initial_layout,
+        final_layout: routed.final_layout,
+        swap_count: routed.swap_count,
+        chosen_layout_trial: 0,
+        layout_trial_costs: Vec::new(),
+        cache: Default::default(),
+        elapsed: Default::default(),
+    }
+}
+
+/// `layout_trials = 1` is the search `sabre_layout_prepared` runs, followed
+/// by one route on a fresh policy and an RNG seeded from the seed: a
+/// stage-by-stage recomposition reproduces every corpus output.
+#[test]
+fn single_trial_sessions_match_the_recomposed_stages() {
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("benchmarks/qasm");
+    let corpus = nassc::qasm::load_corpus(&dir).expect("corpus directory must be readable");
+    assert!(!corpus.is_empty(), "the committed corpus is empty");
+    let device = CouplingMap::ibmq_montreal();
+    let distances = device.distance_matrix();
+    for router in [RouterKind::Sabre, RouterKind::Nassc] {
+        let options = options_for(router, 1);
+        let session = Transpiler::new(device.clone(), options.clone());
+        for file in &corpus {
+            let (name, circuit) = (&file.name, file.circuit.as_ref().expect("corpus parses"));
+            let result = session.transpile(circuit).expect("session transpile");
+            let expected = match router {
+                RouterKind::Sabre => {
+                    recomposed(circuit, &device, &distances, &options.config, SabrePolicy)
+                }
+                RouterKind::Nassc => recomposed(
+                    circuit,
+                    &device,
+                    &distances,
+                    &options.config,
+                    NasscPolicy::new(options.flags),
+                ),
+            };
+            assert_identical(&expected, &result, &format!("{router:?}, {name}"));
+        }
     }
 }

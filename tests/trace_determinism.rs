@@ -124,11 +124,12 @@ fn enabled_recorder_captures_the_span_taxonomy() {
     assert_eq!(report.span_count("resolve"), 2);
     assert_eq!(report.span_count("commit"), 2);
     assert_eq!(report.span_count("job"), 2);
-    // Cold request: preparation, 4 layout trials, decompose, post-optimize.
+    // Cold request: preparation and 4 layout trials; both requests expand
+    // SWAPs and post-optimize.
     assert_eq!(report.span_count("prepare"), 1);
     assert_eq!(report.span_count("layout_trials"), 1);
     assert_eq!(report.span_count("layout_trial"), 4);
-    assert_eq!(report.span_count("decompose"), 1);
+    assert_eq!(report.span_count("decompose"), 2, "cold + warm");
     assert_eq!(report.span_count("post_optimize"), 2, "cold + warm");
     // Warm request replays one routing pass from the cached layout.
     assert_eq!(report.span_count("route_from"), 1);
