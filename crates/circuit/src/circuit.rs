@@ -687,7 +687,7 @@ mod tests {
         use nassc_math::Matrix2;
         let mut qc = QuantumCircuit::new(1);
         qc.h(0);
-        qc.append(Gate::Unitary1(Matrix2::identity()), vec![0]);
+        qc.append(Gate::Unitary1(Box::new(Matrix2::identity())), vec![0]);
         let err = qc.to_qasm().unwrap_err();
         assert_eq!(err.instruction, 1);
         assert_eq!(err.gate, "unitary1");

@@ -81,7 +81,9 @@ pub enum Gate {
     /// Controlled-SWAP; qubit order is `[control, target, target]`.
     Cswap,
     /// An explicit single-qubit unitary (produced by 1q optimization).
-    Unitary1(Matrix2),
+    /// Boxed, like [`Unitary2`](Self::Unitary2), so the matrix does not
+    /// widen every `Gate`.
+    Unitary1(Box<Matrix2>),
     /// An explicit two-qubit unitary (produced by block consolidation).
     Unitary2(Box<Matrix4>),
     /// Measurement in the computational basis (non-unitary marker).
@@ -285,7 +287,7 @@ impl Gate {
             Gate::Cp(t) => Gate::Cp(-t),
             Gate::Rxx(t) => Gate::Rxx(-t),
             Gate::Rzz(t) => Gate::Rzz(-t),
-            Gate::Unitary1(m) => Gate::Unitary1(m.adjoint()),
+            Gate::Unitary1(m) => Gate::Unitary1(Box::new(m.adjoint())),
             Gate::Unitary2(m) => Gate::Unitary2(Box::new(m.adjoint())),
             Gate::Barrier(n) => Gate::Barrier(*n),
             Gate::Measure => panic!("measure has no inverse"),
@@ -328,7 +330,7 @@ impl Gate {
             Gate::Rz(t) => Matrix2::new([[C64::exp_i(-t / 2.0), z], [z, C64::exp_i(t / 2.0)]]),
             Gate::Phase(t) => Matrix2::new([[o, z], [z, C64::exp_i(*t)]]),
             Gate::U(theta, phi, lam) => u_matrix(*theta, *phi, *lam),
-            Gate::Unitary1(m) => *m,
+            Gate::Unitary1(m) => **m,
             _ => return None,
         };
         Some(m)

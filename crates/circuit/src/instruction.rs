@@ -168,6 +168,15 @@ mod tests {
         assert_eq!(sw.control(), None);
     }
 
+    /// Every circuit, DAG node and routing state stores instructions by
+    /// value, so a new inline `Gate` payload must be boxed instead of
+    /// widening them all.
+    #[test]
+    fn gate_and_instruction_stay_compact() {
+        assert!(std::mem::size_of::<Gate>() <= 32, "Gate grew");
+        assert!(std::mem::size_of::<Instruction>() <= 56, "Instruction grew");
+    }
+
     #[test]
     #[should_panic(expected = "expects 2 qubits")]
     fn arity_mismatch_panics() {

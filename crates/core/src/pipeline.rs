@@ -312,7 +312,7 @@ fn place_and_route<P, F>(
     make_policy: F,
 ) -> (LayoutSelection, RoutingResult)
 where
-    P: SwapPolicy + Sync,
+    P: SwapPolicy,
     F: Fn() -> P + Sync,
 {
     match cached {

@@ -25,8 +25,9 @@
 //! [`TranspileResult`] (`result.cache`, this request only) and accumulated
 //! on the session ([`Transpiler::cache_stats`]). Worker threads come from
 //! the process-wide persistent pool (`nassc-parallel`); the session's
-//! [`ThreadPool`] handle is the concurrency budget each request's fan-out
-//! respects, so construction is cheap and `NASSC_THREADS` keeps working.
+//! [`ThreadPool`] handle is the concurrency budget of its two fan-outs, a
+//! batch's jobs and a job's layout trials, so construction is cheap and
+//! `NASSC_THREADS` keeps working.
 //!
 //! Determinism contract: for equal inputs a session returns the same
 //! circuits, layouts, SWAP counts and trial diagnostics, bit for bit, at any
@@ -238,7 +239,9 @@ impl Transpiler {
         }
     }
 
-    /// Replaces the session's worker budget (builder style).
+    /// Replaces the session's worker budget (builder style). A batch's
+    /// jobs and each job's layout trials are mapped over it; routing passes
+    /// score on their own thread. Outputs never depend on its size.
     #[must_use]
     pub fn with_pool(mut self, pool: ThreadPool) -> Self {
         self.pool = pool;
@@ -310,8 +313,9 @@ impl Transpiler {
     }
 
     /// The general batch entry point: transpiles every job (each optionally
-    /// overriding the session options), sharing all caches and splitting the
-    /// worker budget between jobs and each job's layout trials.
+    /// overriding the session options), sharing all caches. Jobs are mapped
+    /// over the session's pool, and each job maps its layout trials over
+    /// the same pool, whose idle workers help whichever level has work.
     ///
     /// Results come back in job order and are bit-identical to calling
     /// [`transpile_with`](Self::transpile_with) per job in sequence —
@@ -337,8 +341,9 @@ impl Transpiler {
                 .map(|(index, job)| {
                     let options = job.options.clone().unwrap_or_else(|| self.options.clone());
                     let deadline = options.deadline;
-                    let budget = match deadline {
-                        Some(limit) => Budget::with_deadline(entry + limit),
+                    // A deadline beyond `Instant`'s range means no deadline.
+                    let budget = match deadline.and_then(|limit| entry.checked_add(limit)) {
+                        Some(at) => Budget::with_deadline(at),
                         None => Budget::unlimited(),
                     };
                     catch_unwind(AssertUnwindSafe(|| {
@@ -349,14 +354,15 @@ impl Transpiler {
                 .collect()
         };
 
-        // Phase 2 — fan the seed-dependent tails across the budget. Each
+        // Phase 2 — fan the seed-dependent tails across the pool. Each
         // job's tail is its own catch boundary: one panicking or expired
         // job fails alone while its siblings complete normally.
-        let (job_pool, trial_pool) = self.pool.split_budget(jobs.len());
-        let mut results = job_pool.map(resolved.iter().collect(), |resolved| match resolved {
-            Ok(resolved) => self.run_resolved(resolved, &trial_pool),
-            Err(e) => Err(e.clone()),
-        });
+        let mut results = self
+            .pool
+            .map(resolved.iter().collect(), |resolved| match resolved {
+                Ok(resolved) => self.run_resolved(resolved),
+                Err(e) => Err(e.clone()),
+            });
 
         // Phase 3 — commit: stamp per-request counters, memoize the layout
         // winners that cold jobs just discovered, roll up session stats.
@@ -564,11 +570,7 @@ impl Transpiler {
     /// pass from the cached layout, cold jobs run the full layout search.
     /// This is the per-job catch boundary — a panic or budget abort in here
     /// fails this job alone.
-    fn run_resolved(
-        &self,
-        resolved: &ResolvedJob,
-        pool: &ThreadPool,
-    ) -> Result<TranspileResult, Error> {
+    fn run_resolved(&self, resolved: &ResolvedJob) -> Result<TranspileResult, Error> {
         let mut span = nassc_trace::span!("job");
         span.arg_u64("index", resolved.index as u64);
         span.arg_text(
@@ -586,7 +588,7 @@ impl Transpiler {
                 &resolved.distances,
                 &resolved.options,
                 resolved.cached_layout.as_ref(),
-                pool,
+                &self.pool,
                 &resolved.budget,
             )
         }));
@@ -706,6 +708,20 @@ mod tests {
             .expect("budgeted transpile");
         assert_eq!(reference.circuit, budgeted.circuit);
         assert_eq!(reference.initial_layout, budgeted.initial_layout);
+    }
+
+    #[test]
+    fn an_unrepresentable_deadline_means_no_deadline() {
+        let session = session();
+        let reference = session.transpile(&ghz(4)).expect("unlimited transpile");
+        let options = session.options().clone().deadline(Duration::MAX);
+        let result = session
+            .transpile_with(&ghz(4), &options)
+            .expect("Duration::MAX transpile");
+        assert_eq!(reference.circuit, result.circuit);
+        assert_eq!(reference.initial_layout, result.initial_layout);
+        assert_eq!(reference.final_layout, result.final_layout);
+        assert_eq!(session.cache_resets(), 0);
     }
 
     #[test]

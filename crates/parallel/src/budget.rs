@@ -68,9 +68,13 @@ impl Budget {
         }
     }
 
-    /// A budget expiring `limit` from now.
+    /// A budget expiring `limit` from now; unlimited when that instant is
+    /// beyond `Instant`'s range.
     pub fn with_timeout(limit: Duration) -> Self {
-        Self::with_deadline(Instant::now() + limit)
+        match Instant::now().checked_add(limit) {
+            Some(deadline) => Self::with_deadline(deadline),
+            None => Self::unlimited(),
+        }
     }
 
     /// A budget expiring at `deadline`.
@@ -174,6 +178,13 @@ mod tests {
         let budget = Budget::with_timeout(Duration::from_secs(3600));
         assert!(!budget.is_exhausted());
         budget.checkpoint();
+    }
+
+    #[test]
+    fn unrepresentable_timeout_is_unlimited() {
+        let budget = Budget::with_timeout(Duration::MAX);
+        assert_eq!(budget.deadline(), None);
+        assert!(!budget.is_exhausted());
     }
 
     #[test]

@@ -11,6 +11,13 @@
 //! `Vec::into_iter().map(f).collect()`, regardless of how the OS schedules
 //! the workers.
 //!
+//! The transpile pipeline dispatches independent jobs of milliseconds or
+//! more, at two sites: a `Transpiler` session maps the jobs of a batch, and
+//! the layout engine maps the trials of a multi-trial search. Each dispatch
+//! uses the session's whole budget. A routing pass scores its SWAP
+//! candidates on its own thread: one step's scores cost microseconds, less
+//! than publishing a batch.
+//!
 //! Dispatch runs on a **process-wide persistent worker pool** (see
 //! [`pool`]): worker threads are spawned once, parked between calls, and
 //! shared by every [`ThreadPool`] handle. A handle is therefore just a
@@ -18,9 +25,9 @@
 //! each of its dispatches — which is what lets a long-lived `Transpiler`
 //! session pay thread start-up once per process instead of once per call.
 //! The publishing caller always participates in its own batch, so nested
-//! dispatch (a batch job running layout trials running in-pass SWAP scoring)
-//! can never deadlock, and jobs may still borrow from the caller's stack:
-//! a dispatch blocks until its whole batch has completed.
+//! dispatch (a batch job running layout trials) can never deadlock, and
+//! jobs may still borrow from the caller's stack: a dispatch blocks until
+//! its whole batch has completed.
 //!
 //! Worker count resolution (see [`default_parallelism`]): the
 //! `NASSC_THREADS` environment variable when set to a positive integer,
@@ -91,9 +98,9 @@ fn hardware_parallelism() -> usize {
 /// An order-preserving concurrency budget over the persistent worker pool.
 ///
 /// A `ThreadPool` value is a cheap `Copy` handle: it owns no threads itself.
-/// Each [`map`](Self::map)/[`map_range`](Self::map_range) call publishes one
-/// batch to the process-wide [`pool`] and lets at most `threads - 1`
-/// persistent workers join the calling thread in draining it. There is no
+/// Each [`map`](Self::map) call publishes one batch to the process-wide
+/// [`pool`] and lets at most `threads - 1` persistent workers join the
+/// calling thread in draining it. There is no
 /// per-handle state to manage and nothing to shut down; workers are spawned
 /// lazily on first parallel dispatch and parked between calls.
 ///
@@ -122,29 +129,6 @@ impl ThreadPool {
     /// pool's jobs concurrently.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// Splits this pool's worker budget between an outer batch of `jobs`
-    /// and the parallelism nested inside each job, so the two levels never
-    /// oversubscribe the budget: `outer.threads() * inner.threads() <=
-    /// self.threads()` (both at least 1).
-    ///
-    /// The outer pool gets `min(threads, jobs)` workers — no point spawning
-    /// more workers than jobs — and the inner pool divides what is left:
-    /// `threads / outer`. A saturated outer level (at least as many jobs as
-    /// workers) therefore yields a serial inner pool, while a single job
-    /// hands the entire budget to its nested work. Because [`map`](Self::map)
-    /// is order-preserving at every worker count, the split affects wall
-    /// clock only, never results.
-    ///
-    /// Splits chain: the batch engine splits its budget between jobs and
-    /// each job's share, and the transpile pipeline splits that share again
-    /// between layout trials and in-pass SWAP scoring — the product of all
-    /// levels never exceeds the original budget.
-    pub fn split_budget(&self, jobs: usize) -> (ThreadPool, ThreadPool) {
-        let outer = self.threads.min(jobs.max(1));
-        let inner = (self.threads / outer).max(1);
-        (Self::new(outer), Self::new(inner))
     }
 
     /// Applies `f` to every item, returning results in input order.
@@ -179,13 +163,9 @@ impl ThreadPool {
     }
 
     /// Applies `f` to every index in `0..n`, returning results in index
-    /// order — [`map`](Self::map) over `(0..n).collect()` minus the input
-    /// vector, and the primitive `map` itself is built on: workers draw
-    /// indices from an atomic counter, so dispatching allocates nothing
-    /// beyond the result slots. Built for per-step fan-outs inside hot
-    /// loops (the routing engine scores SWAP candidates through this every
-    /// step).
-    pub fn map_range<R, F>(&self, n: usize, f: F) -> Vec<R>
+    /// order — the primitive [`map`](Self::map) is built on: workers draw
+    /// indices from an atomic counter and store each result in its slot.
+    fn map_range<R, F>(&self, n: usize, f: F) -> Vec<R>
     where
         R: Send,
         F: Fn(usize) -> R + Sync,
@@ -309,37 +289,6 @@ mod tests {
     }
 
     #[test]
-    fn split_budget_never_oversubscribes() {
-        for threads in [1, 2, 3, 8, 17] {
-            let pool = ThreadPool::new(threads);
-            for jobs in [0, 1, 2, 5, 8, 100] {
-                let (outer, inner) = pool.split_budget(jobs);
-                assert!(outer.threads() >= 1 && inner.threads() >= 1);
-                assert!(
-                    outer.threads() * inner.threads() <= threads,
-                    "threads {threads}, jobs {jobs}: {} x {}",
-                    outer.threads(),
-                    inner.threads()
-                );
-                assert!(outer.threads() <= jobs.max(1));
-            }
-        }
-    }
-
-    #[test]
-    fn split_budget_extremes() {
-        // A single job hands the whole budget to the nested level.
-        let (outer, inner) = ThreadPool::new(8).split_budget(1);
-        assert_eq!((outer.threads(), inner.threads()), (1, 8));
-        // A saturated outer level leaves the nested level serial.
-        let (outer, inner) = ThreadPool::new(8).split_budget(64);
-        assert_eq!((outer.threads(), inner.threads()), (8, 1));
-        // Leftover workers go to the nested level.
-        let (outer, inner) = ThreadPool::new(8).split_budget(3);
-        assert_eq!((outer.threads(), inner.threads()), (3, 2));
-    }
-
-    #[test]
     fn thread_override_parsing() {
         assert_eq!(parse_thread_override(None), None);
         assert_eq!(parse_thread_override(Some("")), None);
@@ -381,7 +330,7 @@ mod tests {
     }
 
     #[test]
-    fn try_map_range_contains_panics_and_counts_them() {
+    fn map_range_contains_panics_and_counts_them() {
         let _guard = panic_counter_guard();
         let before = worker_pool_status().jobs_panicked;
         let payload = std::panic::catch_unwind(|| {
@@ -426,8 +375,8 @@ mod tests {
     #[test]
     fn nested_dispatch_completes_without_deadlock() {
         // Outer jobs publish inner batches while every worker may already be
-        // busy; caller participation guarantees progress. This mirrors the
-        // transpile pipeline's layout-trials → in-pass-scoring nesting.
+        // busy; caller participation guarantees progress. This mirrors a
+        // session's nesting of batch jobs → layout trials.
         let outer = ThreadPool::new(4);
         let inner = ThreadPool::new(4);
         let got = outer.map_range(8, |i| inner.map_range(8, |j| i * 8 + j));

@@ -1,27 +1,25 @@
 //! The process-wide persistent worker pool behind [`ThreadPool`]'s parallel
 //! dispatch.
 //!
-//! Earlier revisions spawned OS threads inside every `map`/`map_range` call
-//! via [`std::thread::scope`]. That is correct but pays thread creation on
-//! every call — ruinous for the routing engine, which fans out candidate
-//! scoring on every routing step, and wrong for a long-lived transpilation
-//! service, where worker warm-up should be paid once per process, not once
-//! per request. This module replaces it with **long-lived parked workers**
-//! fed by a queue of published batches:
+//! In the transpile pipeline two sites publish batches: a `Transpiler`
+//! session maps the jobs of a batch, and the layout engine maps the trials
+//! of a multi-trial search. Both are independent jobs of milliseconds or
+//! more, and a session pays worker start-up once per process, not once per
+//! request. The pool is **long-lived parked workers** fed by a queue of
+//! published batches:
 //!
 //! * Workers are spawned lazily (up to the largest helper count any batch has
 //!   ever asked for, capped at [`MAX_POOL_WORKERS`]) and then live for the
 //!   rest of the process, parked on a condvar while idle.
-//! * A [`ThreadPool::map_range`] call publishes one `Batch` — a shared
-//!   index counter over `0..n` plus the job closure — wakes the workers, and
+//! * A [`ThreadPool::map`] call publishes one `Batch` — a shared index
+//!   counter over `0..n` plus the job closure — wakes the workers, and
 //!   **participates in draining its own batch**. Caller participation is
-//!   what makes nested dispatch (batch jobs running layout trials running
-//!   in-pass scoring) deadlock-free: even if every worker is busy elsewhere,
-//!   the publishing thread drains the batch alone and the call completes.
+//!   what makes nested dispatch (batch jobs running layout trials)
+//!   deadlock-free: even if every worker is busy elsewhere, the publishing
+//!   thread drains the batch alone and the call completes.
 //! * A handle's `threads` budget caps how many workers may join its batch
-//!   (`threads - 1` helpers + the caller), so [`ThreadPool::split_budget`]
-//!   arithmetic keeps its meaning: the configured budget bounds the
-//!   parallelism of each dispatch, while the *pool* is shared process-wide.
+//!   (`threads - 1` helpers + the caller). A nested batch can claim only
+//!   idle workers, so nesting never adds threads beyond the largest budget.
 //!
 //! Results are written into per-index slots by the caller-provided closure,
 //! so output order — and therefore every downstream aggregate — never
@@ -44,8 +42,7 @@
 //! atomics, never the closure.
 //!
 //! [`ThreadPool`]: crate::ThreadPool
-//! [`ThreadPool::map_range`]: crate::ThreadPool::map_range
-//! [`ThreadPool::split_budget`]: crate::ThreadPool::split_budget
+//! [`ThreadPool::map`]: crate::ThreadPool::map
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -260,12 +257,12 @@ fn worker_main(shared: &Arc<Shared>) {
 /// Runs `task` over every index in `0..n` with up to `threads - 1` pool
 /// workers helping the calling thread. Blocks until every index has
 /// completed; returns the first job panic's payload, which
-/// [`ThreadPool::map_range`] re-raises in the caller.
+/// [`ThreadPool::map`] re-raises in the caller.
 ///
 /// Expects `threads >= 2` and `n >= 2` — serial fast paths belong to the
-/// caller ([`ThreadPool::map_range`]).
+/// caller.
 ///
-/// [`ThreadPool::map_range`]: crate::ThreadPool::map_range
+/// [`ThreadPool::map`]: crate::ThreadPool::map
 pub(crate) fn run_batch(
     threads: usize,
     n: usize,

@@ -34,14 +34,16 @@ pub fn split_seed(base: u64, index: u64) -> u64 {
 }
 
 /// [`sabre_layout_prepared_budgeted`] with an unlimited budget and the
-/// seed of `config`.
+/// seed of `config`, kept with its signature for callers that recompose the
+/// pipeline stage by stage. Every routing pass scores on its own thread, so
+/// `_score_pool` is unused.
 pub fn sabre_layout_prepared(
     dag: &DagCircuit,
     reversed_dag: &DagCircuit,
     coupling: &CouplingMap,
     distances: &DistanceMatrix,
     config: &SabreConfig,
-    score_pool: &ThreadPool,
+    _score_pool: &ThreadPool,
 ) -> Layout {
     sabre_layout_prepared_budgeted(
         dag,
@@ -49,7 +51,6 @@ pub fn sabre_layout_prepared(
         coupling,
         distances,
         config.seed,
-        score_pool,
         &Budget::unlimited(),
     )
 }
@@ -62,8 +63,7 @@ pub fn sabre_layout_prepared(
 /// one with its production route. One `StdRng` seeded from `seed` threads
 /// through the random start and all [`LAYOUT_ITERATIONS`] refinement
 /// rounds; a multi-trial search instead seeds each trial from its own
-/// stream, which does not depend on call-ordering internals. `score_pool`
-/// fans candidate scoring across workers and affects wall clock only.
+/// stream, which does not depend on call-ordering internals.
 ///
 /// The search always runs: [`LayoutTrials::run`] gives a circuit without
 /// two-qubit gates the identity layout instead of calling it.
@@ -77,7 +77,6 @@ pub fn sabre_layout_prepared_budgeted(
     coupling: &CouplingMap,
     distances: &DistanceMatrix,
     seed: u64,
-    score_pool: &ThreadPool,
     budget: &Budget,
 ) -> Layout {
     budget.checkpoint();
@@ -93,7 +92,6 @@ pub fn sabre_layout_prepared_budgeted(
             &layout,
             &mut SabrePolicy,
             &mut rng,
-            score_pool,
             budget,
         );
         let backward = route_prepared_budgeted(
@@ -103,7 +101,6 @@ pub fn sabre_layout_prepared_budgeted(
             &forward.final_layout,
             &mut SabrePolicy,
             &mut rng,
-            score_pool,
             budget,
         );
         layout = backward.final_layout;
@@ -231,10 +228,9 @@ impl<'a> LayoutTrials<'a> {
         self
     }
 
-    /// Fans the work across `pool` (results never depend on its size).
-    /// [`run`](Self::run) splits it between trials and each routing pass's
-    /// candidate scoring via [`ThreadPool::split_budget`], so the two levels
-    /// never oversubscribe; a route outside a trial scores on all of it.
+    /// Maps the trials of a multi-trial [`run`](Self::run) over `pool`
+    /// (results never depend on its size). Each trial's routing passes,
+    /// and every route outside a trial, score on their own thread.
     pub fn pool(mut self, pool: ThreadPool) -> Self {
         self.pool = pool;
         self
@@ -263,7 +259,7 @@ impl<'a> LayoutTrials<'a> {
     /// [`route`](Self::route) produces from the winning layout.
     pub fn run<P, F>(&self, make_policy: F) -> (LayoutSelection, RoutingResult)
     where
-        P: SwapPolicy + Sync,
+        P: SwapPolicy,
         F: Fn() -> P + Sync,
     {
         let unscored = |layout: Layout| {
@@ -289,7 +285,6 @@ impl<'a> LayoutTrials<'a> {
                 self.coupling,
                 self.distances,
                 self.seed,
-                &self.pool,
                 &self.budget,
             );
             // The production route reads only the forward DAG.
@@ -298,10 +293,9 @@ impl<'a> LayoutTrials<'a> {
         }
         let mut span = nassc_trace::span!("layout_trials");
         span.arg_u64("trials", self.trials as u64);
-        let (trial_pool, score_pool) = self.pool.split_budget(self.trials);
-        let mut candidates: Vec<(Layout, f64, RoutingResult)> = trial_pool
-            .map((0..self.trials).collect(), |trial| {
-                self.run_trial(trial, &reversed_dag, &score_pool, &make_policy)
+        let mut candidates: Vec<(Layout, f64, RoutingResult)> =
+            self.pool.map((0..self.trials).collect(), |trial| {
+                self.run_trial(trial, &reversed_dag, &make_policy)
             });
         let trial_costs: Vec<f64> = candidates.iter().map(|c| c.1).collect();
         let chosen_trial = select_best_trial(&trial_costs);
@@ -320,20 +314,19 @@ impl<'a> LayoutTrials<'a> {
     /// earlier [`run`](Self::run) chose, bit-identical to that run's route.
     pub fn route<P, F>(&self, layout: &Layout, make_policy: &F) -> RoutingResult
     where
-        P: SwapPolicy + Sync,
+        P: SwapPolicy,
         F: Fn() -> P,
     {
         let _span = nassc_trace::span!("route");
-        self.production_route(layout, make_policy, &self.pool)
+        self.production_route(layout, make_policy)
     }
 
     /// Builds every production route: a fresh policy, and the RNG seeded
     /// directly from `seed`.
-    fn production_route<P: SwapPolicy + Sync>(
+    fn production_route<P: SwapPolicy>(
         &self,
         layout: &Layout,
         make_policy: &impl Fn() -> P,
-        score_pool: &ThreadPool,
     ) -> RoutingResult {
         route_prepared_budgeted(
             &self.dag,
@@ -342,7 +335,6 @@ impl<'a> LayoutTrials<'a> {
             layout,
             &mut make_policy(),
             &mut StdRng::seed_from_u64(self.seed),
-            score_pool,
             &self.budget,
         )
     }
@@ -355,12 +347,11 @@ impl<'a> LayoutTrials<'a> {
         &self,
         trial: usize,
         reversed_dag: &DagCircuit,
-        score_pool: &ThreadPool,
         make_policy: &F,
     ) -> (Layout, f64, RoutingResult)
     where
-        P: SwapPolicy + Sync,
-        F: Fn() -> P + Sync,
+        P: SwapPolicy,
+        F: Fn() -> P,
     {
         // A trial is the per-trial budget checkpoint: a deadline tripping
         // here unwinds with `Cancelled`, which the worker pool recognises
@@ -387,7 +378,6 @@ impl<'a> LayoutTrials<'a> {
                 &layout,
                 &mut make_policy(),
                 &mut stage_rng(),
-                score_pool,
                 &self.budget,
             );
             let backward = route_prepared_budgeted(
@@ -397,12 +387,11 @@ impl<'a> LayoutTrials<'a> {
                 &forward.final_layout,
                 &mut make_policy(),
                 &mut stage_rng(),
-                score_pool,
                 &self.budget,
             );
             layout = backward.final_layout;
         }
-        let scored = self.production_route(&layout, make_policy, score_pool);
+        let scored = self.production_route(&layout, make_policy);
         let cost = scored.swap_count as f64;
         span.arg_f64("cost", cost);
         (layout, cost, scored)

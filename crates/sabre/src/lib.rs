@@ -12,8 +12,8 @@
 //!   candidate and emits the winner. SABRE and NASSC differ only in their
 //!   policy: [`SabrePolicy`] is the plain SABRE heuristic and emits every
 //!   SWAP as `swap p1, p2`; NASSC's policy also lists the qubit that
-//!   controls a SWAP's first CNOT first. Candidate scoring fans across a
-//!   thread pool, bit-identical to serial at any worker count.
+//!   controls a SWAP's first CNOT first. A routing pass scores its
+//!   candidates on its own thread.
 //! * [`LayoutTrials`] — the layout engine, the one path from a prepared
 //!   circuit to its production route: it builds the DAG once, searches a
 //!   layout and routes from it on the production RNG, and replays a cached
@@ -76,6 +76,6 @@ pub use layout::{
 };
 pub use router::{
     route_prepared, route_prepared_budgeted, RoutingContext, RoutingResult, SabrePolicy,
-    StepEndpoints, SwapPolicy, PARALLEL_SCORE_THRESHOLD,
+    StepEndpoints, SwapPolicy,
 };
 pub use state::RoutingState;

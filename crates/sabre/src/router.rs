@@ -18,12 +18,12 @@
 //! * candidate scores are evaluated against per-step cached physical
 //!   endpoints ([`RoutingContext::front_distance_after_swap`]), so scoring a
 //!   SWAP clones no [`Layout`] and allocates nothing;
-//! * [`SwapPolicy::score`] takes `&self`, so candidate scoring is `Sync` and
-//!   [`route_prepared_budgeted`] can fan it across a [`ThreadPool`]. The
-//!   argmin reduction stays serial in shuffled candidate order, so outputs
-//!   are bit-identical at every worker count;
-//! * all per-step buffers (front layer, extended set, candidate edges,
-//!   scores) are reused scratch owned by the routing loop.
+//! * each step scores its candidates and keeps the decay-weighted argmin in
+//!   one loop over the shuffled candidates, on the routing thread. A step's
+//!   scores cost microseconds, far less than one worker-pool dispatch, so
+//!   parallelism lives a level up: in layout trials and batch jobs;
+//! * all per-step buffers (front layer, extended set, candidate edges) are
+//!   reused scratch owned by the routing loop.
 
 use std::collections::VecDeque;
 
@@ -38,12 +38,6 @@ use crate::config::{
     SabreConfig, DECAY_DELTA, DECAY_RESET_INTERVAL, EXTENDED_SET_SIZE, EXTENDED_SET_WEIGHT,
 };
 use crate::state::RoutingState;
-
-/// Minimum number of SWAP candidates before a step's scoring is fanned
-/// across the score pool. Below this, pool dispatch costs more than the
-/// scores themselves; the threshold only redirects *where* scores are
-/// computed, never what they are, so results do not depend on it.
-pub const PARALLEL_SCORE_THRESHOLD: usize = 8;
 
 /// Per-step cache of the front/extended layers' *physical* endpoints.
 ///
@@ -201,11 +195,11 @@ impl<'a> RoutingContext<'a> {
 /// Lower scores are better. The engine multiplies the returned score by the
 /// SABRE decay factor of the two physical qubits before comparing.
 ///
-/// [`score`](Self::score) takes `&self` — scoring must be a pure function of
-/// the context and the candidate, which is what lets the engine evaluate
-/// candidates in parallel while staying bit-identical to serial evaluation.
-/// Mutable state belongs in [`emit_swap`](Self::emit_swap), which runs
-/// serially exactly once per inserted SWAP.
+/// [`score`](Self::score) takes `&self` — a score is a pure function of the
+/// context and the candidate, so the order in which candidates are scored
+/// cannot change the result. Mutable state belongs in
+/// [`emit_swap`](Self::emit_swap), which runs exactly once per inserted
+/// SWAP.
 pub trait SwapPolicy {
     /// Scores the SWAP on physical qubits `(p1, p2)`.
     fn score(&self, ctx: &RoutingContext<'_>, p1: usize, p2: usize) -> f64;
@@ -250,10 +244,12 @@ pub struct RoutingResult {
     pub swap_count: usize,
 }
 
-/// [`route_prepared_budgeted`] with an unlimited budget. The seed reaches
-/// routing through `rng`, so `_config` is unused.
+/// [`route_prepared_budgeted`] with an unlimited budget, kept with its
+/// signature for callers that recompose the pipeline stage by stage. The
+/// seed reaches routing through `rng` and every routing pass scores on its
+/// own thread, so `_config` and `_score_pool` are unused.
 #[allow(clippy::too_many_arguments)]
-pub fn route_prepared<P: SwapPolicy + Sync>(
+pub fn route_prepared<P: SwapPolicy>(
     dag: &DagCircuit,
     coupling: &CouplingMap,
     distances: &DistanceMatrix,
@@ -261,7 +257,7 @@ pub fn route_prepared<P: SwapPolicy + Sync>(
     _config: &SabreConfig,
     policy: &mut P,
     rng: &mut StdRng,
-    score_pool: &ThreadPool,
+    _score_pool: &ThreadPool,
 ) -> RoutingResult {
     route_prepared_budgeted(
         dag,
@@ -270,7 +266,6 @@ pub fn route_prepared<P: SwapPolicy + Sync>(
         initial_layout,
         policy,
         rng,
-        score_pool,
         &Budget::unlimited(),
     )
 }
@@ -282,11 +277,6 @@ pub fn route_prepared<P: SwapPolicy + Sync>(
 /// respects the coupling map (inserted SWAPs included). The DAG is an input
 /// because layout search routes the same circuit (and its reversal) many
 /// times; callers build it once per circuit instead of once per pass.
-///
-/// `score_pool` fans each step's candidate scoring across workers. It
-/// affects wall clock only: scores are computed in candidate order either
-/// way and reduced serially, so the routed output is bit-identical at any
-/// worker count.
 ///
 /// The loop checks `budget` once per SWAP step and aborts by unwinding with
 /// a typed [`Cancelled`] payload when it is exhausted. The checkpoint is one
@@ -300,15 +290,13 @@ pub fn route_prepared<P: SwapPolicy + Sync>(
 /// internal bug).
 ///
 /// [`Cancelled`]: nassc_parallel::Cancelled
-#[allow(clippy::too_many_arguments)]
-pub fn route_prepared_budgeted<P: SwapPolicy + Sync>(
+pub fn route_prepared_budgeted<P: SwapPolicy>(
     dag: &DagCircuit,
     coupling: &CouplingMap,
     distances: &DistanceMatrix,
     initial_layout: &Layout,
     policy: &mut P,
     rng: &mut StdRng,
-    score_pool: &ThreadPool,
     budget: &Budget,
 ) -> RoutingResult {
     assert!(
@@ -331,16 +319,13 @@ pub fn route_prepared_budgeted<P: SwapPolicy + Sync>(
     let max_swaps = 10 + 20 * dag.num_nodes() * num_physical;
     let mut total_swaps_guard = 0usize;
 
-    // Reusable per-step scratch: with serial scoring, nothing below
-    // allocates after warm-up (parallel dispatch additionally pays
-    // `map_range`'s result slots and a pool batch per step).
+    // Reusable per-step scratch: nothing below allocates after warm-up.
     let mut next_ready: Vec<usize> = Vec::new();
     let mut front: Vec<usize> = Vec::new();
     let mut extended_scratch = ExtendedScratch::new(dag.num_nodes());
     let mut candidates: Vec<(usize, usize)> = Vec::new();
     let mut edge_seen = vec![false; num_physical * num_physical];
     let mut endpoints = StepEndpoints::new();
-    let mut scores: Vec<f64> = Vec::new();
 
     // Trace totals, accumulated locally and emitted once per route call:
     // per-step counter events would dominate the enabled-mode overhead on
@@ -350,8 +335,8 @@ pub fn route_prepared_budgeted<P: SwapPolicy + Sync>(
     let mut trace_swap_candidates = 0u64;
 
     while remaining > 0 {
-        // A deadline mid-routing aborts here — before the step's scoring
-        // fan-out, the expensive part — by unwinding with `Cancelled`.
+        // A deadline mid-routing aborts here — before the step's scoring,
+        // the expensive part — by unwinding with `Cancelled`.
         budget.checkpoint();
         nassc_circuit::failpoints::hit("route_step");
 
@@ -441,27 +426,10 @@ pub fn route_prepared_budgeted<P: SwapPolicy + Sync>(
 
         endpoints.prepare(dag, &front, extended, &layout);
         let ctx = RoutingContext::new(distances, &front, extended, dag, &state, &endpoints);
-        scores.clear();
-        let policy_ref: &P = policy;
-        if score_pool.threads() > 1 && candidates.len() >= PARALLEL_SCORE_THRESHOLD {
-            // Workers draw candidate indices from an atomic counter, so
-            // parallel dispatch allocates nothing beyond the result slots.
-            scores.extend(score_pool.map_range(candidates.len(), |i| {
-                let (p1, p2) = candidates[i];
-                policy_ref.score(&ctx, p1, p2)
-            }));
-        } else {
-            scores.extend(
-                candidates
-                    .iter()
-                    .map(|&(p1, p2)| policy_ref.score(&ctx, p1, p2)),
-            );
-        }
-        // Serial argmin in shuffled candidate order: ties keep the first
-        // minimum, exactly as the serial scoring loop always has.
+        // Argmin in shuffled candidate order: ties keep the first minimum.
         let mut best: Option<((usize, usize), f64)> = None;
-        for (&(p1, p2), &raw) in candidates.iter().zip(&scores) {
-            let score = raw * decay[p1].max(decay[p2]);
+        for &(p1, p2) in &candidates {
+            let score = policy.score(&ctx, p1, p2) * decay[p1].max(decay[p2]);
             if best.is_none_or(|(_, b)| score < b) {
                 best = Some(((p1, p2), score));
             }
@@ -570,23 +538,21 @@ mod tests {
     use rand::SeedableRng;
 
     /// Routes `circuit` from `layout` with the plain SABRE heuristic, `seed`
-    /// seeding the RNG and `threads` sizing the score pool.
+    /// seeding the RNG.
     fn sabre_route(
         circuit: &QuantumCircuit,
         coupling: &CouplingMap,
         layout: &Layout,
         seed: u64,
-        threads: usize,
     ) -> RoutingResult {
-        route_prepared(
+        route_prepared_budgeted(
             &DagCircuit::from_circuit(circuit),
             coupling,
             &coupling.distance_matrix(),
             layout,
-            &SabreConfig::default(),
             &mut SabrePolicy,
             &mut StdRng::seed_from_u64(seed),
-            &ThreadPool::new(threads),
+            &Budget::unlimited(),
         )
     }
 
@@ -596,7 +562,6 @@ mod tests {
             coupling,
             &Layout::trivial(coupling.num_qubits()),
             seed,
-            1,
         )
     }
 
@@ -675,37 +640,13 @@ mod tests {
     }
 
     #[test]
-    fn parallel_scoring_is_bit_identical_to_serial() {
-        use rand::Rng;
-        let grid = CouplingMap::grid(3, 3);
-        let layout = Layout::trivial(9);
-        let mut gen = StdRng::seed_from_u64(5);
-        for trial in 0..4 {
-            let mut qc = QuantumCircuit::new(9);
-            for _ in 0..40 {
-                let a = gen.gen_range(0..9);
-                let b = (a + gen.gen_range(1..9)) % 9;
-                qc.cx(a, b);
-            }
-            let route_on = |threads: usize| sabre_route(&qc, &grid, &layout, trial, threads);
-            let serial = route_on(1);
-            for threads in [2, 8] {
-                let parallel = route_on(threads);
-                assert_eq!(serial.circuit, parallel.circuit, "{threads} threads");
-                assert_eq!(serial.final_layout, parallel.final_layout);
-                assert_eq!(serial.swap_count, parallel.swap_count);
-            }
-        }
-    }
-
-    #[test]
     fn measurements_are_mapped_to_physical_qubits() {
         let line = CouplingMap::linear(3);
         let mut qc = QuantumCircuit::new(2);
         qc.cx(0, 1).measure(0).measure(1);
         let mut layout = Layout::trivial(3);
         layout.swap_physical(0, 2);
-        let result = sabre_route(&qc, &line, &layout, 0, 1);
+        let result = sabre_route(&qc, &line, &layout, 0);
         let measures: Vec<_> = result
             .circuit
             .iter()

@@ -207,7 +207,7 @@ mod tests {
                 qc.push(g.clone());
             }
             let mut reference = QuantumCircuit::new(1);
-            reference.append(Gate::Unitary1(m), vec![0]);
+            reference.append(Gate::Unitary1(Box::new(m)), vec![0]);
             assert!(
                 circuit_unitary(&qc).approx_eq_up_to_phase(&circuit_unitary(&reference), 1e-8),
                 "zsx synthesis mismatch"

@@ -86,7 +86,7 @@ fn push_local(out: &mut Vec<Instruction>, m: &Matrix2, qubit: usize) {
     if m.approx_eq_up_to_phase(&Matrix2::identity(), 1e-9) {
         return;
     }
-    out.push(Instruction::new(Gate::Unitary1(*m), vec![qubit]));
+    out.push(Instruction::new(Gate::Unitary1(Box::new(*m)), vec![qubit]));
 }
 
 /// Emits a circuit implementing `exp(i(αXX + βYY + γZZ))` (up to global

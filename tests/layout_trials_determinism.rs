@@ -12,8 +12,8 @@ use nassc::passes::standard_optimization_pipeline;
 use nassc::sabre::{route_prepared, sabre_layout_prepared, SabreConfig, SabrePolicy, SwapPolicy};
 use nassc::synthesis::expand_swaps;
 use nassc::{
-    optimize_without_routing, NasscPolicy, OptimizationFlags, RouterKind, SessionJob,
-    TranspileOptions, TranspileResult, Transpiler,
+    optimize_without_routing, NasscPolicy, RouterKind, SessionJob, TranspileOptions,
+    TranspileResult, Transpiler,
 };
 use nassc_topology::{CouplingMap, DistanceMatrix, Layout};
 use rand::rngs::StdRng;
@@ -109,8 +109,8 @@ fn transpile_is_bit_identical_across_thread_and_trial_counts() {
     }
 }
 
-/// A session batch splits its worker budget between jobs and trials;
-/// whatever the split, multi-trial results match the serial run.
+/// A session batch maps its jobs, and each job its layout trials, over one
+/// pool; at every worker count, multi-trial results match the serial run.
 #[test]
 fn batched_multi_trial_jobs_match_serial_pools() {
     let device = CouplingMap::grid(5, 5);
@@ -141,62 +141,6 @@ fn batched_multi_trial_jobs_match_serial_pools() {
     }
 }
 
-/// In-pass parallel SWAP scoring: a single routing pass driven through an
-/// explicit score pool is bit-identical to the serial pass, for both the
-/// SABRE and the NASSC policy, at every worker count. (The worker sweep
-/// above exercises the same machinery through the pipeline's budget split;
-/// this pins the router-level contract directly.)
-#[test]
-fn in_pass_parallel_scoring_is_bit_identical() {
-    let device = CouplingMap::ibmq_montreal();
-    let distances = device.distance_matrix();
-    let dag = DagCircuit::from_circuit(&sample_circuit());
-    let layout = Layout::trivial(device.num_qubits());
-    let config = SabreConfig { seed: 3 };
-
-    let sabre_route = |threads: usize| {
-        route_prepared(
-            &dag,
-            &device,
-            &distances,
-            &layout,
-            &config,
-            &mut SabrePolicy,
-            &mut StdRng::seed_from_u64(3),
-            &ThreadPool::new(threads),
-        )
-    };
-    let nassc_route = |threads: usize| {
-        route_prepared(
-            &dag,
-            &device,
-            &distances,
-            &layout,
-            &config,
-            &mut NasscPolicy::new(OptimizationFlags::all()),
-            &mut StdRng::seed_from_u64(3),
-            &ThreadPool::new(threads),
-        )
-    };
-    let (sabre_serial, nassc_serial) = (sabre_route(1), nassc_route(1));
-    assert!(nassc_serial.swap_count > 0, "inner loop never exercised");
-    for threads in [2, 8] {
-        let sabre = sabre_route(threads);
-        assert_eq!(
-            sabre_serial.circuit, sabre.circuit,
-            "sabre, {threads} workers"
-        );
-        assert_eq!(sabre_serial.final_layout, sabre.final_layout);
-        let nassc = nassc_route(threads);
-        assert_eq!(
-            nassc_serial.circuit, nassc.circuit,
-            "nassc, {threads} workers"
-        );
-        assert_eq!(nassc_serial.final_layout, nassc.final_layout);
-        assert_eq!(nassc_serial.swap_count, nassc.swap_count);
-    }
-}
-
 /// Trial selection picks the first trial achieving the minimum cost, and the
 /// reported diagnostics are internally consistent.
 #[test]
@@ -223,7 +167,7 @@ fn chosen_trial_is_the_first_cost_minimum() {
 
 /// The single-trial pipeline recomposed stage by stage from public
 /// functions, as a benchmark that times each stage does it.
-fn recomposed<P: SwapPolicy + Sync>(
+fn recomposed<P: SwapPolicy>(
     circuit: &QuantumCircuit,
     device: &CouplingMap,
     distances: &DistanceMatrix,

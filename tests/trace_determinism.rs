@@ -2,7 +2,8 @@
 //! only. Traced and untraced transpiles are bit-identical at every worker
 //! count, disabled-mode sites record nothing, and an enabled recording
 //! window captures the documented span taxonomy (per-pass spans, layout
-//! trials, routing counters, cache events).
+//! trials, routing counters, cache events). The `pool_batch` spans also
+//! show what the worker pool runs: layout trials, never routing steps.
 //!
 //! The recorder is process-wide, so every test in this binary serializes
 //! on one mutex.
@@ -10,6 +11,7 @@
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use nassc::circuit::QuantumCircuit;
+use nassc::trace::{ArgValue, TraceReport};
 use nassc::{RouterKind, ThreadPool, TranspileOptions, TranspileResult, Transpiler};
 use nassc_topology::CouplingMap;
 
@@ -163,4 +165,61 @@ fn enabled_recorder_captures_the_span_taxonomy() {
     for name in ["resolve", "layout_trial", "route_from", "post_optimize"] {
         assert!(chrome.contains(&format!("\"name\":\"{name}\"")), "{name}");
     }
+}
+
+/// The `items` annotation of every `pool_batch` span in `report`.
+fn pool_batch_items(report: &TraceReport) -> Vec<u64> {
+    report
+        .spans()
+        .filter(|span| span.name == "pool_batch")
+        .map(|span| {
+            let items = span.args.iter().find(|(key, _)| key == "items");
+            match items {
+                Some((_, ArgValue::U64(items))) => *items,
+                other => panic!("pool_batch without an integer item count: {other:?}"),
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn routing_dispatches_nothing_to_the_pool() {
+    let _guard = recorder_guard();
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/benchmarks/qasm/vqe_n8.qasm");
+    let source = std::fs::read_to_string(path).expect("corpus file must be readable");
+    let session_for = |trials| {
+        Transpiler::new(
+            CouplingMap::ibmq_montreal(),
+            options_for(RouterKind::Nassc, trials),
+        )
+        .with_pool(ThreadPool::new(8))
+    };
+
+    // One trial: the layout search and every route run on the caller's
+    // thread, cold and warm alike.
+    let session = session_for(1);
+    nassc::trace::enable();
+    session.transpile_qasm(&source).expect("cold transpile");
+    session.transpile_qasm(&source).expect("warm transpile");
+    let report = nassc::trace::take_report();
+    nassc::trace::disable();
+    assert!(
+        report.counter_total("route.steps") > 0,
+        "routing never stepped"
+    );
+    assert_eq!(pool_batch_items(&report), Vec::<u64>::new());
+
+    // Four trials: one batch of four trials, none from their routing passes.
+    let session = session_for(4);
+    nassc::trace::enable();
+    session
+        .transpile_qasm(&source)
+        .expect("cold 4-trial transpile");
+    let report = nassc::trace::take_report();
+    nassc::trace::disable();
+    assert!(
+        report.counter_total("route.steps") > 0,
+        "routing never stepped"
+    );
+    assert_eq!(pool_batch_items(&report), vec![4]);
 }
