@@ -27,7 +27,8 @@ use nassc_benchmarks::Benchmark;
 use nassc_topology::CouplingMap;
 
 /// The worker budgets the reuse experiment runs under: the serial baseline
-/// and a parallel budget (`ThreadPool` clamps helpers to the machine).
+/// and a parallel budget (a batch spawns at most `min(8, jobs) − 1` helper
+/// threads, whatever the core count).
 const WORKER_COUNTS: [usize; 2] = [1, 8];
 
 /// The standard comparison grid over raw circuits: for every benchmark,

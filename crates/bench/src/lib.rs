@@ -20,8 +20,8 @@
 //!
 //! The whole (benchmark × seed × router) grid of each binary runs through
 //! one [`nassc::Transpiler`] session per device
-//! ([`Transpiler::transpile_jobs`]), fanning jobs across the persistent
-//! worker pool while staying bit-identical to serial execution; set
+//! ([`Transpiler::transpile_jobs`]), fanning jobs across the session's
+//! worker budget while staying bit-identical to serial execution; set
 //! `NASSC_THREADS=1` to force the serial baseline.
 
 use std::path::PathBuf;
@@ -49,9 +49,8 @@ pub struct RouterMetrics {
     /// Mean index of the winning layout trial (0.0 in single-trial mode).
     pub chosen_trial: f64,
     /// Mean scoring cost of each layout trial, in trial order (empty in
-    /// single-trial mode, where no scoring pass runs). Router-specific
-    /// units — SWAPs for SABRE, post-decomposition CNOTs for NASSC — so
-    /// compare within a router's columns, not across routers.
+    /// single-trial mode, where no scoring pass runs): the SWAPs the
+    /// trial's scoring pass inserts, under either router.
     pub trial_costs: Vec<f64>,
 }
 
@@ -203,17 +202,18 @@ pub const BASE_SEED: u64 = 1000;
 ///
 /// The full (benchmark × seed × router) grid goes through the session as a
 /// single [`Transpiler::transpile_jobs`] batch, so parallelism spans
-/// benchmarks, seeds and routers at once, and the session splits its worker
-/// budget between jobs and trials so the grid never oversubscribes the
-/// cores. The seed-independent work is done exactly once per benchmark —
-/// pre-routing optimization (whose output is also the unrouted baseline of
-/// each row, served from the session's prepared cache) and the per-device
-/// distance matrix — instead of once per job. CNOT and depth aggregates are
-/// bit-identical to a serial per-benchmark loop; `time_s` covers the
-/// seed-dependent pipeline tail only (layout, routing, decomposition,
-/// post-optimization), so the shared preparation does not dilute the
-/// `t_NASSC / t_SABRE` ratio. The session-reuse benchmark drives a cold and
-/// a warm corpus pass through one session to measure what the caches buy.
+/// benchmarks, seeds and routers at once; each job's layout trials run on
+/// its own thread while the jobs use the whole budget, so the grid never
+/// oversubscribes the cores. The seed-independent work is done exactly once
+/// per benchmark — pre-routing optimization (whose output is also the
+/// unrouted baseline of each row, served from the session's prepared cache)
+/// and the per-device distance matrix — instead of once per job. CNOT and
+/// depth aggregates are bit-identical to a serial per-benchmark loop;
+/// `time_s` covers the seed-dependent pipeline tail only (layout, routing,
+/// decomposition, post-optimization), so the shared preparation does not
+/// dilute the `t_NASSC / t_SABRE` ratio. The session-reuse benchmark drives
+/// a cold and a warm corpus pass through one session to measure what the
+/// caches buy.
 pub fn compare_suite_on(
     session: &Transpiler,
     suite: &[Benchmark],

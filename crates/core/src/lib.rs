@@ -17,7 +17,7 @@
 //!   full `Qiskit+SABRE` and `Qiskit+NASSC` pipelines evaluated in the paper
 //!   (including the noise-aware `+HA` variants of Eq. 3 and multi-trial
 //!   layout selection via `TranspileOptions::new().layout_trials(n)`) behind
-//!   one entry point that owns the persistent worker budget and reuses
+//!   one entry point that owns the worker budget and reuses
 //!   distance matrices, prepared baselines and layout winners across
 //!   requests ([`CacheStats`] reports the hit rates),
 //! * [`Transpiler::transpile_jobs`] / [`SessionJob`] — the batch engine

@@ -23,11 +23,11 @@
 //!
 //! Hit/miss counters for all three caches are attached to every
 //! [`TranspileResult`] (`result.cache`, this request only) and accumulated
-//! on the session ([`Transpiler::cache_stats`]). Worker threads come from
-//! the process-wide persistent pool (`nassc-parallel`); the session's
+//! on the session ([`Transpiler::cache_stats`]). The session's
 //! [`ThreadPool`] handle is the concurrency budget of its two fan-outs, a
-//! batch's jobs and a job's layout trials, so construction is cheap and
-//! `NASSC_THREADS` keeps working.
+//! batch's jobs and a job's layout trials: each parallel batch runs on its
+//! caller plus helper threads spawned for it (`nassc-parallel`), so
+//! construction is cheap and `NASSC_THREADS` keeps working.
 //!
 //! Determinism contract: for equal inputs a session returns the same
 //! circuits, layouts, SWAP counts and trial diagnostics, bit for bit, at any
@@ -56,7 +56,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use nassc_circuit::QuantumCircuit;
-use nassc_parallel::{worker_pool_status, Budget, Cancelled, PoolStatus, ThreadPool};
+use nassc_parallel::{Budget, Cancelled, ThreadPool};
 use nassc_passes::PassError;
 use nassc_sabre::LayoutSelection;
 use nassc_topology::{noise_aware_distance, Calibration, DistanceMatrix};
@@ -276,12 +276,6 @@ impl Transpiler {
         self.cache_resets.load(Ordering::Relaxed)
     }
 
-    /// A snapshot of the process-wide persistent worker pool feeding this
-    /// session's dispatches.
-    pub fn pool_status(&self) -> PoolStatus {
-        worker_pool_status()
-    }
-
     /// Transpiles one circuit under the session's default options.
     ///
     /// # Errors
@@ -315,7 +309,9 @@ impl Transpiler {
     /// The general batch entry point: transpiles every job (each optionally
     /// overriding the session options), sharing all caches. Jobs are mapped
     /// over the session's pool, and each job maps its layout trials over
-    /// the same pool, whose idle workers help whichever level has work.
+    /// the same pool; trials get helper threads only while the jobs leave
+    /// some of the budget free, so the batch never runs more jobs at once
+    /// than the budget.
     ///
     /// Results come back in job order and are bit-identical to calling
     /// [`transpile_with`](Self::transpile_with) per job in sequence —

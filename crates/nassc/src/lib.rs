@@ -5,8 +5,8 @@
 //! The heavy lifting lives in the sub-crates (re-exported below under short
 //! module names); this crate re-exports the handful of types that nearly
 //! every consumer needs. The blessed entry point is the [`Transpiler`]
-//! session: constructed once per device, it owns the persistent worker
-//! budget and reuses distance matrices, prepared baselines and layout
+//! session: constructed once per device, it owns the worker budget and
+//! reuses distance matrices, prepared baselines and layout
 //! winners across requests ([`CacheStats`] reports the hit rates, and
 //! [`Error`] folds pass and QASM failures into one type for
 //! [`Transpiler::transpile_qasm`]). Single circuits, per-request options
@@ -46,8 +46,8 @@ pub use nassc_core::{
     RouterKind, SessionJob, TranspileOptions, TranspileResult, Transpiler,
 };
 
-// The persistent worker pool behind every `Transpiler` dispatch: the budget
-// handle plus the process-wide pool observability hooks, and the cooperative
+// The parallel batches behind every `Transpiler` dispatch: the budget handle
+// plus the process-wide dispatch counters, and the cooperative
 // deadline/cancellation primitives behind `TranspileOptions::deadline`.
 pub use nassc_parallel::{worker_pool_status, Budget, Cancelled, PoolStatus, ThreadPool};
 

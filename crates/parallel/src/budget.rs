@@ -11,12 +11,14 @@
 //! untouched: no `Result` threading through the numeric core. The unwind is
 //! caught exactly once, at the session entry-point's `catch_unwind`
 //! boundary, where [`Cancelled::from_payload`] distinguishes a deadline
-//! abort from a genuine bug panic. The worker pool performs the same
+//! abort from a genuine bug panic. [`ThreadPool::map`] performs the same
 //! distinction so a deadline abort is not counted as a panicked job.
 //!
 //! The flag is shared (`Arc`) so that once any checkpoint trips, sibling
 //! layout trials running on other workers abort at their own next
 //! checkpoint instead of running to completion.
+//!
+//! [`ThreadPool::map`]: crate::ThreadPool::map
 
 use std::any::Any;
 use std::sync::atomic::{AtomicBool, Ordering};

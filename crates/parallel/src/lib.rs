@@ -1,4 +1,4 @@
-//! A persistent thread pool for embarrassingly parallel batches, with no
+//! Order-preserving parallel batches on scoped helper threads, with no
 //! dependencies outside the workspace (`nassc-trace` instruments batch
 //! dispatch; it is itself dependency-free).
 //!
@@ -16,18 +16,21 @@
 //! the layout engine maps the trials of a multi-trial search. Each dispatch
 //! uses the session's whole budget. A routing pass scores its SWAP
 //! candidates on its own thread: one step's scores cost microseconds, less
-//! than publishing a batch.
+//! than spawning a helper.
 //!
-//! Dispatch runs on a **process-wide persistent worker pool** (see
-//! [`pool`]): worker threads are spawned once, parked between calls, and
-//! shared by every [`ThreadPool`] handle. A handle is therefore just a
-//! concurrency *budget* — a `Copy` value bounding how many workers may join
-//! each of its dispatches — which is what lets a long-lived `Transpiler`
-//! session pay thread start-up once per process instead of once per call.
-//! The publishing caller always participates in its own batch, so nested
-//! dispatch (a batch job running layout trials) can never deadlock, and
-//! jobs may still borrow from the caller's stack: a dispatch blocks until
-//! its whole batch has completed.
+//! Each parallel batch runs inside [`std::thread::scope`]: the calling
+//! thread and up to `threads - 1` helper threads spawned for that batch
+//! (named `nassc-worker-{i}`) drain it together, and the call returns once
+//! every helper has finished. Jobs may therefore borrow from the caller's
+//! stack through safe code alone. A helper costs tens of microseconds to
+//! spawn and join, against milliseconds per job.
+//!
+//! One process-wide count of running helpers bounds them all. A batch
+//! spawns only the helpers its budget leaves free, so a batch job's own
+//! trials (or a concurrent request on another thread) run on their caller
+//! while the budget is in use, and a batch tree never runs more jobs at once
+//! than its budget. The caller always drains its own batch, so nested
+//! dispatch never waits on a free helper.
 //!
 //! Worker count resolution (see [`default_parallelism`]): the
 //! `NASSC_THREADS` environment variable when set to a positive integer,
@@ -47,17 +50,59 @@
 //! ```
 
 pub mod budget;
-pub mod pool;
 
 pub use budget::{Budget, Cancelled};
-pub use pool::{worker_pool_status, PoolStatus, MAX_POOL_WORKERS};
 
-use std::panic::resume_unwind;
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Environment variable overriding the worker count picked by
 /// [`default_parallelism`].
 pub const THREADS_ENV_VAR: &str = "NASSC_THREADS";
+
+/// Hard cap on the helper threads running at once across the process,
+/// however large the requesting [`ThreadPool`] budgets are. Batches asking
+/// for more still complete — the calling thread always drains its own
+/// batch — they just run with fewer helpers.
+pub const MAX_POOL_WORKERS: usize = 256;
+
+// Process-wide dispatch counts. None of them publishes other data, so every
+// access is `Relaxed`.
+/// Helper threads running now, across every batch: the seats that
+/// [`MAX_POOL_WORKERS`] and each batch's budget bound.
+static HELPERS: AtomicUsize = AtomicUsize::new(0);
+static BATCHES: AtomicU64 = AtomicU64::new(0);
+static ITEMS: AtomicU64 = AtomicU64::new(0);
+static JOBS_PANICKED: AtomicU64 = AtomicU64::new(0);
+
+/// A snapshot of the process-wide dispatch counters, for observability
+/// (the daemon's `/metrics` reports it).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PoolStatus {
+    /// Helper threads running now, across every batch in the process.
+    pub workers: usize,
+    /// Parallel batches completed since process start.
+    pub batches_completed: u64,
+    /// Total items executed across all completed batches.
+    pub items_completed: u64,
+    /// Jobs that panicked (and were contained by their batch). Cooperative
+    /// budget cancellations ([`Cancelled`] unwinds) are not counted — they
+    /// are deadline aborts, not faults.
+    pub jobs_panicked: u64,
+}
+
+/// A snapshot of the dispatch counters. Only batches with at least two
+/// threads and two items count: serial maps run inline.
+pub fn worker_pool_status() -> PoolStatus {
+    PoolStatus {
+        workers: HELPERS.load(Ordering::Relaxed),
+        batches_completed: BATCHES.load(Ordering::Relaxed),
+        items_completed: ITEMS.load(Ordering::Relaxed),
+        jobs_panicked: JOBS_PANICKED.load(Ordering::Relaxed),
+    }
+}
 
 /// Parses a `NASSC_THREADS`-style override: `Some(n)` for a positive integer,
 /// `None` for anything else (absent, empty, zero, garbage).
@@ -95,18 +140,26 @@ fn hardware_parallelism() -> usize {
         .unwrap_or(1)
 }
 
-/// An order-preserving concurrency budget over the persistent worker pool.
+/// Claims up to `wanted` helper seats while keeping at most `cap` helpers
+/// running process-wide; returns how many were claimed.
+fn claim_helpers(wanted: usize, cap: usize) -> usize {
+    let mut claimed = 0;
+    let _ = HELPERS.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |running| {
+        claimed = wanted.min(cap.saturating_sub(running));
+        Some(running + claimed)
+    });
+    claimed
+}
+
+/// An order-preserving concurrency budget for parallel batches.
 ///
 /// A `ThreadPool` value is a cheap `Copy` handle: it owns no threads itself.
-/// Each [`map`](Self::map) call publishes one batch to the process-wide
-/// [`pool`] and lets at most `threads - 1` persistent workers join the
-/// calling thread in draining it. There is no
-/// per-handle state to manage and nothing to shut down; workers are spawned
-/// lazily on first parallel dispatch and parked between calls.
+/// Each [`map`](Self::map) call runs one batch on the calling thread plus at
+/// most `threads - 1` helper threads spawned for that batch and joined
+/// before it returns. There is nothing to shut down.
 ///
 /// Jobs may freely borrow from the caller's stack (no `'static` bound): a
-/// dispatch blocks until its whole batch has completed, exactly like the
-/// scoped-thread implementation it replaced.
+/// dispatch blocks until its whole batch has completed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ThreadPool {
     threads: usize,
@@ -126,7 +179,9 @@ impl ThreadPool {
     }
 
     /// The maximum number of workers (caller included) that may run this
-    /// pool's jobs concurrently.
+    /// pool's jobs at once. Batches nested in those jobs under the same
+    /// budget stay within it too: they get helpers only from seats the
+    /// outer batch leaves free.
     pub fn threads(&self) -> usize {
         self.threads
     }
@@ -136,7 +191,7 @@ impl ThreadPool {
     /// Equivalent to `items.into_iter().map(f).collect()` — including when a
     /// job panics: remaining jobs finish, then the caller panics with the
     /// first job's original panic payload. With one worker (or ≤ 1 item) no
-    /// batch is published and `f` runs on the caller's thread.
+    /// batch is dispatched and `f` runs on the caller's thread.
     pub fn map<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
     where
         T: Send,
@@ -147,9 +202,8 @@ impl ThreadPool {
         if self.threads == 1 || n <= 1 {
             return items.into_iter().map(f).collect();
         }
-        // Park each item in its own slot and dispatch by index through the
-        // shared worker loop; every slot is taken exactly once, so the
-        // per-item lock is never contended.
+        // Park each item in its own slot and dispatch by index; every slot
+        // is taken exactly once, so the per-item lock is never contended.
         let inputs: Vec<Mutex<Option<T>>> =
             items.into_iter().map(|t| Mutex::new(Some(t))).collect();
         self.map_range(n, |index| {
@@ -163,8 +217,9 @@ impl ThreadPool {
     }
 
     /// Applies `f` to every index in `0..n`, returning results in index
-    /// order — the primitive [`map`](Self::map) is built on: workers draw
-    /// indices from an atomic counter and store each result in its slot.
+    /// order — the primitive [`map`](Self::map) is built on: the caller and
+    /// its helpers draw indices from an atomic counter and store each result
+    /// in its slot.
     fn map_range<R, F>(&self, n: usize, f: F) -> Vec<R>
     where
         R: Send,
@@ -173,14 +228,57 @@ impl ThreadPool {
         if self.threads == 1 || n <= 1 {
             return (0..n).map(f).collect();
         }
+        let mut span = nassc_trace::span!("pool_batch");
+        span.arg_u64("threads", self.threads as u64);
+        span.arg_u64("items", n as u64);
         let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let task = |index: usize| {
-            // Run the job before touching the slot, so a panicking job
-            // cannot poison its result mutex for the collection loop below.
-            let result = f(index);
-            *slots[index].lock().expect("result slot poisoned") = Some(result);
+        let next = AtomicUsize::new(0);
+        // The first panic in completion order; callers surface one fault.
+        let first_panic: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
+        // Each job is its own catch boundary, so one panicking job neither
+        // kills a helper nor stops its siblings.
+        let drain = || loop {
+            let index = next.fetch_add(1, Ordering::Relaxed);
+            if index >= n {
+                break;
+            }
+            match catch_unwind(AssertUnwindSafe(|| f(index))) {
+                Ok(result) => *slots[index].lock().expect("result slot poisoned") = Some(result),
+                Err(payload) => {
+                    if !Cancelled::from_payload(payload.as_ref()) {
+                        JOBS_PANICKED.fetch_add(1, Ordering::Relaxed);
+                    }
+                    first_panic
+                        .lock()
+                        .expect("panic slot poisoned")
+                        .get_or_insert(payload);
+                }
+            }
         };
-        if let Some(payload) = pool::run_batch(self.threads, n, &task) {
+
+        let cap = (self.threads - 1).min(MAX_POOL_WORKERS);
+        let helpers = claim_helpers(self.threads.min(n) - 1, cap);
+        std::thread::scope(|scope| {
+            for worker in 0..helpers {
+                let spawned = std::thread::Builder::new()
+                    .name(format!("nassc-worker-{worker}"))
+                    .spawn_scoped(scope, || {
+                        drain();
+                        HELPERS.fetch_sub(1, Ordering::Relaxed);
+                    });
+                if spawned.is_err() {
+                    // Resource exhaustion is not fatal: give back the seats
+                    // that got no thread and leave their share to the caller.
+                    HELPERS.fetch_sub(helpers - worker, Ordering::Relaxed);
+                    break;
+                }
+            }
+            drain();
+        });
+        BATCHES.fetch_add(1, Ordering::Relaxed);
+        ITEMS.fetch_add(n as u64, Ordering::Relaxed);
+
+        if let Some(payload) = first_panic.into_inner().expect("panic slot poisoned") {
             resume_unwind(payload);
         }
         slots
@@ -218,7 +316,7 @@ mod tests {
     fn map_matches_serial_and_preserves_order() {
         let items: Vec<u64> = (0..257).collect();
         let expected: Vec<u64> = items.iter().map(|x| x * 3 + 1).collect();
-        for threads in [1, 2, 3, 8, 64] {
+        for threads in [1, 2, 3, 8] {
             let got = ThreadPool::new(threads).map(items.clone(), |x| x * 3 + 1);
             assert_eq!(got, expected, "threads = {threads}");
         }
@@ -252,7 +350,7 @@ mod tests {
     #[test]
     fn map_range_matches_serial_and_preserves_order() {
         let expected: Vec<usize> = (0..113).map(|i| i * 7 + 2).collect();
-        for threads in [1, 2, 3, 8, 64] {
+        for threads in [1, 2, 3, 8] {
             let got = ThreadPool::new(threads).map_range(113, |i| i * 7 + 2);
             assert_eq!(got, expected, "threads = {threads}");
         }
@@ -313,9 +411,8 @@ mod tests {
     #[test]
     fn pool_survives_a_panicking_batch() {
         let _guard = panic_counter_guard();
-        // Persistent workers must outlive panicking jobs: a batch that
-        // panics is reported to its caller, and the very next dispatch on
-        // the same workers still completes normally.
+        // A batch that panics is reported to its caller, and the very next
+        // dispatch still completes normally.
         let caught = std::panic::catch_unwind(|| {
             ThreadPool::new(4).map_range(16, |i| {
                 if i == 3 {
@@ -374,8 +471,8 @@ mod tests {
 
     #[test]
     fn nested_dispatch_completes_without_deadlock() {
-        // Outer jobs publish inner batches while every worker may already be
-        // busy; caller participation guarantees progress. This mirrors a
+        // Outer jobs dispatch inner batches while the budget's helpers are
+        // all busy; caller participation guarantees progress. This mirrors a
         // session's nesting of batch jobs → layout trials.
         let outer = ThreadPool::new(4);
         let inner = ThreadPool::new(4);
@@ -387,24 +484,9 @@ mod tests {
     }
 
     #[test]
-    fn workers_persist_across_dispatches() {
-        // Two dispatches must not grow the pool past the first one's needs,
-        // and counters must advance: the whole point of the refactor.
-        let pool = ThreadPool::new(3);
-        pool.map_range(8, |i| i);
-        let after_first = worker_pool_status();
-        assert!(after_first.workers >= 2, "helpers spawned: {after_first:?}");
-        pool.map_range(8, |i| i);
-        let after_second = worker_pool_status();
-        assert_eq!(after_second.workers, after_first.workers);
-        assert!(after_second.batches_completed > after_first.batches_completed);
-        assert!(after_second.items_completed >= after_first.items_completed + 8);
-    }
-
-    #[test]
     fn deep_nesting_with_skewed_budgets_completes() {
-        // Three levels of nesting with mismatched budgets — the worst case
-        // for a queue-based pool (every level blocks on the one below).
+        // Three levels of nesting with mismatched budgets: every level
+        // blocks on the one below.
         let got = ThreadPool::new(8).map_range(4, |i| {
             ThreadPool::new(2).map_range(3, |j| {
                 ThreadPool::new(5)
@@ -421,5 +503,34 @@ mod tests {
             })
             .collect();
         assert_eq!(got, expected);
+    }
+
+    #[test]
+    fn nested_batches_never_run_more_jobs_than_the_budget() {
+        // A wide batch first: a pool that kept its threads would now have
+        // idle ones for the nested batches below to claim.
+        ThreadPool::new(8).map_range(8, |i| i);
+        let before = worker_pool_status();
+        let running = AtomicUsize::new(0);
+        let peak = AtomicUsize::new(0);
+        let pool = ThreadPool::new(4);
+        pool.map_range(8, |_| {
+            pool.map_range(8, |_| {
+                let now = running.fetch_add(1, Ordering::SeqCst) + 1;
+                peak.fetch_max(now, Ordering::SeqCst);
+                std::thread::sleep(std::time::Duration::from_millis(2));
+                running.fetch_sub(1, Ordering::SeqCst);
+            })
+        });
+        let peak = peak.load(Ordering::SeqCst);
+        assert!(
+            peak <= 4,
+            "{peak} inner jobs ran at once under a budget of 4"
+        );
+        // Every batch counts, including the inner ones that found no free
+        // helper seat and ran on their caller alone.
+        let after = worker_pool_status();
+        assert!(after.batches_completed >= before.batches_completed + 9);
+        assert!(after.items_completed >= before.items_completed + 8 + 64);
     }
 }

@@ -156,8 +156,10 @@ fn one_qubit_vs_two(one: &Instruction, two: &Instruction) -> Option<bool> {
 ///
 /// On every wire, consecutive gates that pairwise commute are grouped into a
 /// *commute set*; gates inside one set may be freely reordered along that
-/// wire. This is the information NASSC's `C_commute1`/`C_commute2` cost
-/// terms query during routing.
+/// wire. [`CommutativeCancellation`] cancels within these sets after
+/// routing. NASSC's `C_commute1`/`C_commute2` cost terms do not query them:
+/// during routing they read the recent gates on a qubit pair from
+/// `RoutingState`'s touch window instead.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct CommutationSets {
     /// `sets[wire]` is the ordered list of commute sets on that wire, each a

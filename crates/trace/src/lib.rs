@@ -28,8 +28,11 @@
 //!   the count appears in [`TraceReport::events_dropped`] and the
 //!   process-lifetime total in [`events_dropped_total`].
 //! * Buffers merge deterministically: threads order by (name, registration
-//!   order) — pool workers carry stable `nassc-worker-N` names — and events
-//!   within a thread by their per-thread sequence number.
+//!   order) — a parallel batch's helpers are named `nassc-worker-N` by
+//!   their index in the batch — and events within a thread by their
+//!   per-thread sequence number.
+//! * A thread's buffer outlives the thread until [`take_report`] drains
+//!   it, and is then dropped, so short-lived batch helpers do not pile up.
 //!
 //! # Allocation attribution
 //!
@@ -360,25 +363,34 @@ pub fn counter(name: &'static str, value: u64) {
 }
 
 /// Drains every thread's buffer into one deterministically merged report
-/// and folds the per-window dropped count into the process total.
+/// and folds the per-window dropped count into the process total. The
+/// buffer of a thread that has exited is dropped once drained.
 ///
 /// Merge order: threads sort by (thread name, registration order) — stable
-/// across runs whenever thread names are distinct, which holds for the
-/// main thread and the persistent `nassc-worker-N` pool — then each
+/// across runs whenever thread names are distinct, as they are for the
+/// main thread and for one batch's `nassc-worker-N` helpers — then each
 /// thread's events in per-thread sequence order. Spans still open when the
 /// report is taken are not included (their guards have not dropped yet).
 pub fn take_report() -> TraceReport {
-    // (thread name, registration order, drained events) per live thread.
+    // (thread name, registration order, drained events) per thread.
     type DrainedBuffer = (String, usize, Vec<(u64, RawEvent)>);
-    let mut buffers: Vec<DrainedBuffer> = registry_snapshot()
-        .iter()
-        .map(|shared| {
+    let mut buffers: Vec<DrainedBuffer> = Vec::new();
+    registry()
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .retain(|shared| {
+            // Besides the registry, a buffer is owned by its thread's
+            // thread-local, released when the thread exits (nothing can
+            // record into it after that), and for a moment by `enable`'s
+            // snapshot, which only delays the drop to a later report.
+            let exited = Arc::strong_count(shared) == 1;
             let mut buffer = lock_buffer(shared);
             let events = std::mem::take(&mut buffer.events);
-            (buffer.name.clone(), buffer.registered, events)
-        })
-        .filter(|(_, _, events)| !events.is_empty())
-        .collect();
+            if !events.is_empty() {
+                buffers.push((buffer.name.clone(), buffer.registered, events));
+            }
+            !exited
+        });
     buffers.sort_by(|a, b| (&a.0, a.1).cmp(&(&b.0, b.1)));
 
     let mut threads = Vec::with_capacity(buffers.len());
@@ -536,6 +548,37 @@ mod tests {
             8 * 4 * 2,
             "4 spans + 4 counter events per thread"
         );
+    }
+
+    #[test]
+    fn exited_threads_are_drained_then_dropped_from_the_registry() {
+        let _guard = recorder_guard();
+        let registered = || {
+            registry()
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .len()
+        };
+        enable();
+        let _ = take_report();
+        let before = registered();
+        let handles: Vec<_> = (0..16)
+            .map(|i| {
+                std::thread::Builder::new()
+                    .name(format!("trace-exit-{i}"))
+                    .spawn(|| drop(span!("short_lived")))
+                    .expect("spawn test thread")
+            })
+            .collect();
+        for handle in handles {
+            handle.join().expect("test thread");
+        }
+        let report = take_report();
+        disable();
+        assert_eq!(report.span_count("short_lived"), 16);
+        // A buffer from an earlier test's thread may also have gone, so the
+        // registry can only have shrunk.
+        assert!(registered() <= before, "{} > {before}", registered());
     }
 
     #[test]

@@ -143,14 +143,27 @@ impl TraceReport {
             .sum()
     }
 
-    /// Total wall time (ns) covered by **top-level** spans (depth 0) —
-    /// nested spans are already inside a parent, so this is the
-    /// double-count-free coverage figure profiles compare to wall clock.
+    /// Wall time (ns) covered by the union of **top-level** spans (depth 0)
+    /// across every thread — the double-count-free coverage figure profiles
+    /// compare to wall clock. Nested spans lie inside their parent, but a
+    /// batch helper's top-level span overlaps its caller's span, so
+    /// overlapping intervals count once.
     pub fn top_level_span_ns(&self) -> u64 {
-        self.spans()
+        let mut intervals: Vec<(u64, u64)> = self
+            .spans()
             .filter(|span| span.depth == 0)
-            .map(|span| span.dur_ns)
-            .sum()
+            .map(|span| (span.start_ns, span.start_ns.saturating_add(span.dur_ns)))
+            .collect();
+        intervals.sort_unstable();
+        let (mut covered, mut covered_until) = (0, 0);
+        for (start, end) in intervals {
+            let start = start.max(covered_until);
+            if end > start {
+                covered += end - start;
+                covered_until = end;
+            }
+        }
+        covered
     }
 
     /// Per-counter totals, sorted by name.
@@ -408,12 +421,12 @@ mod tests {
 
     #[test]
     fn span_table_aggregates_and_sorts_by_total() {
-        let mk = |name: &str, dur: u64, alloc: u64| TraceEvent {
+        let mk = |name: &str, start: u64, dur: u64, alloc: u64| TraceEvent {
             tid: 0,
             seq: 0,
             kind: EventKind::Span(SpanEvent {
                 name: name.to_string(),
-                start_ns: 0,
+                start_ns: start,
                 dur_ns: dur,
                 depth: 0,
                 alloc_bytes: alloc,
@@ -425,7 +438,7 @@ mod tests {
                 tid: 0,
                 name: "main".to_string(),
             }],
-            events: vec![mk("a", 10, 4), mk("b", 100, 0), mk("a", 30, 4)],
+            events: vec![mk("a", 0, 10, 4), mk("b", 10, 100, 0), mk("a", 110, 30, 4)],
             events_dropped: 0,
         };
         let table = report.span_table();
@@ -435,5 +448,40 @@ mod tests {
         assert_eq!(table[1].total_ns, 40);
         assert_eq!(table[1].alloc_bytes, 8);
         assert_eq!(report.top_level_span_ns(), 140);
+    }
+
+    #[test]
+    fn top_level_coverage_counts_overlapping_threads_once() {
+        let mk = |tid: usize, start: u64, dur: u64, depth: u32| TraceEvent {
+            tid,
+            seq: 0,
+            kind: EventKind::Span(SpanEvent {
+                name: "span".to_string(),
+                start_ns: start,
+                dur_ns: dur,
+                depth,
+                alloc_bytes: 0,
+                args: Vec::new(),
+            }),
+        };
+        let thread = |tid: usize, name: &str| ThreadInfo {
+            tid,
+            name: name.to_string(),
+        };
+        // The caller's top-level span with a nested child, a helper whose
+        // top-level spans overlap it, and a later span after a gap: the
+        // union is [0, 120) and [200, 230).
+        let report = TraceReport {
+            threads: vec![thread(0, "main"), thread(1, "nassc-worker-0")],
+            events: vec![
+                mk(0, 0, 100, 0),
+                mk(0, 10, 40, 1),
+                mk(1, 40, 80, 0),
+                mk(1, 60, 20, 0),
+                mk(0, 200, 30, 0),
+            ],
+            events_dropped: 0,
+        };
+        assert_eq!(report.top_level_span_ns(), 150);
     }
 }
