@@ -13,8 +13,15 @@
 //! the exact value can vary run to run with scheduling; only the routed
 //! circuits themselves are bit-deterministic, not the allocator high-water
 //! mark.
+//!
+//! Each thread also counts its own allocated bytes, which [`reset`] never
+//! touches. [`thread_total_bytes`] reads that count and is the trace
+//! allocation probe `bench_profile` and `transpile_qasm` register, so a
+//! span's bytes are the bytes its own thread allocated while it was open,
+//! whatever other threads allocate meanwhile.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Bytes currently allocated and not yet freed.
@@ -24,6 +31,11 @@ static PEAK: AtomicUsize = AtomicUsize::new(0);
 /// Cumulative bytes handed out since the last [`reset`].
 static TOTAL: AtomicUsize = AtomicUsize::new(0);
 
+thread_local! {
+    /// Cumulative bytes the current thread has allocated; never reset.
+    static THREAD_TOTAL: Cell<u64> = const { Cell::new(0) };
+}
+
 /// Counting wrapper around the system allocator (see module docs).
 pub struct CountingAlloc;
 
@@ -31,6 +43,8 @@ fn on_alloc(size: usize) {
     let live = LIVE.fetch_add(size, Ordering::Relaxed) + size;
     TOTAL.fetch_add(size, Ordering::Relaxed);
     PEAK.fetch_max(live, Ordering::Relaxed);
+    // `try_with` keeps the count usable while the thread tears down.
+    let _ = THREAD_TOTAL.try_with(|total| total.set(total.get() + size as u64));
 }
 
 fn on_dealloc(size: usize) {
@@ -89,4 +103,10 @@ pub fn peak_bytes() -> usize {
 /// Cumulative bytes allocated since the last [`reset`].
 pub fn total_bytes() -> usize {
     TOTAL.load(Ordering::Relaxed)
+}
+
+/// Cumulative bytes the calling thread has allocated since it started. It
+/// only grows, and [`reset`] leaves it alone.
+pub fn thread_total_bytes() -> u64 {
+    THREAD_TOTAL.try_with(Cell::get).unwrap_or(0)
 }

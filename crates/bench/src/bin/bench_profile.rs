@@ -10,7 +10,7 @@
 //!   this at ≤ 1.10: the recorder must stay effectively free even when on.
 //! * one row per span name with count, total/p50/p99 wall time and
 //!   allocation bytes (this binary installs the counting allocator and
-//!   registers it as the trace allocation probe).
+//!   registers its per-thread byte count as the trace allocation probe).
 //! * `trace_events` / `trace_events_dropped` — a non-zero dropped count
 //!   means the per-thread buffers overflowed and the profile is truncated.
 //!
@@ -35,16 +35,12 @@ static ALLOC: alloc::CountingAlloc = alloc::CountingAlloc;
 /// overhead ratio robust to scheduling noise on shared CI runners.
 const REPS: usize = 3;
 
-fn alloc_probe() -> u64 {
-    alloc::total_bytes() as u64
-}
-
 fn main() {
     let args = HarnessArgs::from_env();
     let suite = args.suite();
     let device = CouplingMap::ibmq_montreal();
     ensure_suite_fits(&suite, &device);
-    nassc::trace::set_alloc_probe(alloc_probe);
+    nassc::trace::set_alloc_probe(alloc::thread_total_bytes);
 
     eprintln!(
         "profiling {} benchmarks × {} seeds × 2 routers ({} layout trials), \

@@ -52,7 +52,8 @@ use nassc_bench::{
 use nassc_benchmarks::Benchmark;
 
 // The counting allocator feeds the per-span allocation column of
-// `--profile` span tables (registered as the trace probe in `main`).
+// `--profile` span tables (its per-thread byte count is registered as the
+// trace probe in `main`).
 #[global_allocator]
 static ALLOC: alloc::CountingAlloc = alloc::CountingAlloc;
 
@@ -121,12 +122,8 @@ fn warn_ignored_flags(mode: &str, ignored: &[&str]) {
     }
 }
 
-fn alloc_probe() -> u64 {
-    alloc::total_bytes() as u64
-}
-
 fn main() -> ExitCode {
-    nassc::trace::set_alloc_probe(alloc_probe);
+    nassc::trace::set_alloc_probe(alloc::thread_total_bytes);
     let device = device_from_args();
     let layout_trials = cli_usize("--layout-trials").unwrap_or(1).max(1);
     let json = cli_value("--json").map(PathBuf::from);

@@ -137,17 +137,6 @@ pub fn collect_two_qubit_blocks(circuit: &QuantumCircuit) -> Vec<TwoQubitBlock> 
     blocks
 }
 
-/// Maps every instruction index to the id of the block containing it (if any).
-pub fn block_membership(circuit: &QuantumCircuit, blocks: &[TwoQubitBlock]) -> Vec<Option<usize>> {
-    let mut membership = vec![None; circuit.num_gates()];
-    for (bid, block) in blocks.iter().enumerate() {
-        for &idx in &block.instruction_indices {
-            membership[idx] = Some(bid);
-        }
-    }
-    membership
-}
-
 /// Re-synthesises every two-qubit block whose Weyl decomposition certifies a
 /// lower CNOT count (the paper's "two-qubit block re-synthesis").
 ///
@@ -176,13 +165,17 @@ impl TranspilePass for TwoQubitBlockResynthesis {
     }
 
     fn run(&self, circuit: &QuantumCircuit) -> Result<QuantumCircuit, PassError> {
-        let blocks = collect_two_qubit_blocks(circuit);
-        let membership = block_membership(circuit, &blocks);
-
-        // Decide the replacement (if any) for every block.
-        let mut replacements: Vec<Option<Vec<Instruction>>> = vec![None; blocks.len()];
-        for (bid, block) in blocks.iter().enumerate() {
-            if block.two_qubit_count(circuit) < 2 {
+        // Decide every block: a replaced block's members are dropped, and
+        // its replacement is emitted at its first two-qubit member. (Leading
+        // absorbed one-qubit gates may sit much earlier in the instruction
+        // list; emitting there could hoist the block's two-qubit gates over
+        // unrelated gates on the partner wire.) Blocks open at their first
+        // two-qubit member, so the replacements come out in circuit order.
+        let mut dropped = vec![false; circuit.num_gates()];
+        let mut replacements: Vec<(usize, Vec<Instruction>)> = Vec::new();
+        for block in collect_two_qubit_blocks(circuit) {
+            let old_2q = block.two_qubit_count(circuit);
+            if old_2q < 2 {
                 // Nothing to gain from re-synthesising a single two-qubit gate.
                 continue;
             }
@@ -190,45 +183,35 @@ impl TranspilePass for TwoQubitBlockResynthesis {
             let Ok(new_cx) = two_qubit_cnot_cost(&target) else {
                 continue;
             };
-            let old_cx = block.cx_count(circuit);
-            let old_2q = block.two_qubit_count(circuit);
             // Count non-CX two-qubit gates as CNOT-equivalents conservatively.
-            let old_cost = old_cx.max(old_2q);
-            if new_cx < old_cost {
-                // Synthesis emits exactly `new_cx` CNOTs, so only blocks that
-                // will be replaced pay for it.
-                let (low, high) = block.qubits;
-                replacements[bid] = synthesize_two_qubit(&target, low, high).ok();
+            if new_cx >= block.cx_count(circuit).max(old_2q) {
+                continue;
+            }
+            // Synthesis emits exactly `new_cx` CNOTs, so only blocks that
+            // will be replaced pay for it.
+            let (low, high) = block.qubits;
+            let Ok(replacement) = synthesize_two_qubit(&target, low, high) else {
+                continue;
+            };
+            let members = &block.instruction_indices;
+            let at = members
+                .iter()
+                .find(|&&idx| circuit.instructions()[idx].is_two_qubit());
+            replacements.push((*at.expect("a block opens on a two-qubit gate"), replacement));
+            for &idx in members {
+                dropped[idx] = true;
             }
         }
 
-        // Emit: each replaced block appears at the position of its first
-        // two-qubit member. (Leading absorbed one-qubit gates may sit much
-        // earlier in the instruction list; emitting there could hoist the
-        // block's two-qubit gates over unrelated gates on the partner wire.)
-        let mut first_member: Vec<usize> = vec![usize::MAX; blocks.len()];
-        for (bid, block) in blocks.iter().enumerate() {
-            first_member[bid] = block
-                .instruction_indices
-                .iter()
-                .copied()
-                .find(|&idx| circuit.instructions()[idx].is_two_qubit())
-                .unwrap_or_else(|| *block.instruction_indices.first().expect("non-empty block"));
-        }
+        let mut replacements = replacements.into_iter().peekable();
         let mut out = QuantumCircuit::new(circuit.num_qubits());
         for (idx, inst) in circuit.iter().enumerate() {
-            match membership[idx] {
-                Some(bid) if replacements[bid].is_some() => {
-                    if idx == first_member[bid] {
-                        for new_inst in replacements[bid].as_ref().expect("checked") {
-                            out.push(new_inst.clone());
-                        }
-                    }
-                    // Other members of a replaced block are dropped.
+            if let Some((_, replacement)) = replacements.next_if(|&(at, _)| at == idx) {
+                for new_inst in replacement {
+                    out.push(new_inst);
                 }
-                _ => {
-                    out.push(inst.clone());
-                }
+            } else if !dropped[idx] {
+                out.push(inst.clone());
             }
         }
         Ok(out)
@@ -325,17 +308,6 @@ mod tests {
         assert_eq!(out.cx_count(), 0);
         assert_eq!(out.count_ops()["measure"], 1);
         assert_eq!(out.count_ops()["h"], 1);
-    }
-
-    #[test]
-    fn membership_maps_back_to_blocks() {
-        let mut qc = QuantumCircuit::new(3);
-        qc.cx(0, 1).h(2).cx(0, 1);
-        let blocks = collect_two_qubit_blocks(&qc);
-        let membership = block_membership(&qc, &blocks);
-        assert_eq!(membership[0], Some(0));
-        assert_eq!(membership[1], None);
-        assert_eq!(membership[2], Some(0));
     }
 
     #[test]

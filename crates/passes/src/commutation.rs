@@ -1,7 +1,5 @@
-//! Commutation analysis and commutative gate cancellation
+//! Gate commutation and commutative gate cancellation
 //! (Qiskit's `CommutationAnalysis` + `CommutativeCancellation`).
-
-use std::collections::HashMap;
 
 use nassc_circuit::{circuit_unitary, Instruction, QuantumCircuit};
 
@@ -14,10 +12,11 @@ use crate::manager::{PassError, TranspilePass};
 /// anything. Instructions on disjoint qubits always commute. Overlapping
 /// pairs first try an exact structural fast path (`commute_fast_path`) —
 /// this function sits in both NASSC's in-routing commute searches and the
-/// commutation-analysis optimization pass, where multiplying out unitaries
-/// for every `rz`-vs-`cx` pair dominated the whole transpile. Pairs the fast
-/// path cannot decide fall back to the exact check: both orderings are
-/// multiplied out on the (at most four) qubits involved and compared.
+/// commute sets of [`CommutativeCancellation`], where multiplying out
+/// unitaries for every `rz`-vs-`cx` pair dominated the whole transpile.
+/// Pairs the fast path cannot decide fall back to the exact check: both
+/// orderings are multiplied out on the (at most four) qubits involved and
+/// compared.
 pub fn instructions_commute(a: &Instruction, b: &Instruction) -> bool {
     if !a.gate.is_unitary() || !b.gate.is_unitary() {
         return false;
@@ -152,78 +151,21 @@ fn one_qubit_vs_two(one: &Instruction, two: &Instruction) -> Option<bool> {
     }
 }
 
-/// The per-wire commutation structure of a circuit.
-///
-/// On every wire, consecutive gates that pairwise commute are grouped into a
-/// *commute set*; gates inside one set may be freely reordered along that
-/// wire. [`CommutativeCancellation`] cancels within these sets after
-/// routing. NASSC's `C_commute1`/`C_commute2` cost terms do not query them:
-/// during routing they read the recent gates on a qubit pair from
-/// `RoutingState`'s touch window instead.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct CommutationSets {
-    /// `sets[wire]` is the ordered list of commute sets on that wire, each a
-    /// list of instruction indices in circuit order.
-    sets: Vec<Vec<Vec<usize>>>,
-}
-
-impl CommutationSets {
-    /// The commute sets of one wire, in circuit order.
-    pub fn wire(&self, qubit: usize) -> &[Vec<usize>] {
-        &self.sets[qubit]
-    }
-
-    /// The index of the commute set (on `qubit`) containing the instruction,
-    /// if the instruction acts on that wire.
-    pub fn set_of(&self, qubit: usize, instruction_index: usize) -> Option<usize> {
-        self.sets[qubit]
-            .iter()
-            .position(|set| set.contains(&instruction_index))
-    }
-
-    /// Whether two instructions belong to the same commute set on `qubit`.
-    pub fn same_set(&self, qubit: usize, a: usize, b: usize) -> bool {
-        match (self.set_of(qubit, a), self.set_of(qubit, b)) {
-            (Some(x), Some(y)) => x == y,
-            _ => false,
-        }
-    }
-}
-
 /// The paper's 20-gate cap on a commute set. [`CommutativeCancellation`]
 /// groups with it, and NASSC's routing-time searches look back as far.
 pub const COMMUTE_SET_LIMIT: usize = 20;
 
-/// Groups the gates on every wire into commute sets.
-///
-/// `set_limit` bounds the pairwise-commutation search like the paper's
-/// 20-gate cap ([`COMMUTE_SET_LIMIT`]): once a set reaches the cap a new set
-/// is started.
-pub fn commutation_analysis(circuit: &QuantumCircuit, set_limit: usize) -> CommutationSets {
-    let mut sets: Vec<Vec<Vec<usize>>> = vec![Vec::new(); circuit.num_qubits()];
-    for (idx, inst) in circuit.iter().enumerate() {
-        for q in inst.qubits().iter() {
-            let wire_sets = &mut sets[q];
-            let joins_current = wire_sets.last().is_some_and(|current| {
-                current.len() < set_limit
-                    && inst.gate.is_unitary()
-                    && current
-                        .iter()
-                        .all(|&other| instructions_commute(inst, &circuit.instructions()[other]))
-            });
-            if joins_current {
-                wire_sets.last_mut().expect("checked").push(idx);
-            } else {
-                wire_sets.push(vec![idx]);
-            }
-        }
-    }
-    CommutationSets { sets }
-}
-
 /// Cancels pairs of identical self-inverse gates that can be brought
-/// together by commutation (Qiskit's `CommutativeCancellation`), over commute
-/// sets of at most [`COMMUTE_SET_LIMIT`] gates.
+/// together by commutation (Qiskit's `CommutationAnalysis` +
+/// `CommutativeCancellation`).
+///
+/// On every wire, consecutive gates that pairwise commute form a *commute
+/// set* of at most [`COMMUTE_SET_LIMIT`] gates, which may be freely
+/// reordered along that wire. Two identical self-inverse gates cancel when
+/// they share a commute set on every wire they touch. NASSC's
+/// `C_commute1`/`C_commute2` cost terms anticipate this pass; during routing
+/// they read the recent gates on a qubit pair from `RoutingState`'s touch
+/// window instead of commute sets.
 ///
 /// # Example
 ///
@@ -248,74 +190,89 @@ impl TranspilePass for CommutativeCancellation {
     }
 
     fn run(&self, circuit: &QuantumCircuit) -> Result<QuantumCircuit, PassError> {
-        let mut current = circuit.clone();
+        let mut removed = vec![false; circuit.num_gates()];
         // Iterate to a fixed point (each round may expose new cancellations),
         // with a small bound to keep the pass predictable.
         for _ in 0..4 {
-            let (next, changed) = cancel_once(&current);
-            current = next;
-            if !changed {
+            if !cancel_round(circuit, &mut removed) {
                 break;
             }
         }
-        Ok(current)
+        let mut out = QuantumCircuit::with_capacity(circuit.num_qubits(), circuit.num_gates());
+        for (inst, _) in circuit.iter().zip(&removed).filter(|(_, &gone)| !gone) {
+            out.push(inst.clone());
+        }
+        Ok(out)
     }
 }
 
-/// One round of commutation-aware cancellation. Returns the new circuit and
-/// whether anything was removed.
-fn cancel_once(circuit: &QuantumCircuit) -> (QuantumCircuit, bool) {
-    let sets = commutation_analysis(circuit, COMMUTE_SET_LIMIT);
-    let mut removed = vec![false; circuit.num_gates()];
+/// One round of commutation-aware cancellation over the gates not yet
+/// `removed`. Returns whether it removed anything.
+fn cancel_round(circuit: &QuantumCircuit, removed: &mut [bool]) -> bool {
+    let gates = circuit.instructions();
+    // Commutation analysis: `wires[q]` lists the surviving gates on wire `q`
+    // in circuit order, each with the id of its commute set on that wire. A
+    // gate joins the wire's current set if the set has room and the gate
+    // commutes with every member; otherwise it opens the next set.
+    let mut wires: Vec<Vec<(usize, usize)>> = vec![Vec::new(); circuit.num_qubits()];
+    let mut set_start = vec![0; circuit.num_qubits()];
+    for (idx, inst) in gates.iter().enumerate().filter(|&(idx, _)| !removed[idx]) {
+        for q in inst.qubits().iter() {
+            let wire = &mut wires[q];
+            let current = &wire[set_start[q]..];
+            let joins = current.len() < COMMUTE_SET_LIMIT
+                && current
+                    .iter()
+                    .all(|&(other, _)| instructions_commute(inst, &gates[other]));
+            let mut set = wire.last().map_or(0, |&(_, set)| set);
+            if !joins {
+                set_start[q] = wire.len();
+                set += 1;
+            }
+            wire.push((idx, set));
+        }
+    }
+    let set_of = |q: usize, idx: usize| {
+        let wire = &wires[q];
+        wire[wire.partition_point(|&(other, _)| other < idx)].1
+    };
 
-    for wire in 0..circuit.num_qubits() {
-        for set in sets.wire(wire) {
-            // Group identical self-inverse gates within the set.
-            let mut groups: HashMap<String, Vec<usize>> = HashMap::new();
-            for &idx in set {
-                let inst = &circuit.instructions()[idx];
-                if !inst.gate.is_self_inverse() || removed[idx] {
+    // Within each set, in wire order, pair every self-inverse gate with the
+    // pending identical gate before it if the two share a set on every wire
+    // they touch; otherwise the later gate becomes the pending one.
+    let mut changed = false;
+    let mut pending: Vec<usize> = Vec::with_capacity(COMMUTE_SET_LIMIT);
+    for wire in &wires {
+        for set in wire.chunk_by(|a, b| a.1 == b.1) {
+            pending.clear();
+            for &(idx, _) in set {
+                let inst = &gates[idx];
+                if removed[idx] || !inst.gate.is_self_inverse() {
                     continue;
                 }
-                let key = format!("{}:{:?}", inst.gate.name(), inst.qubits());
-                groups.entry(key).or_default().push(idx);
-            }
-            for candidates in groups.values() {
-                let mut pending: Option<usize> = None;
-                for &idx in candidates {
-                    if removed[idx] {
-                        continue;
-                    }
-                    match pending {
-                        None => pending = Some(idx),
-                        Some(first) => {
-                            let inst = &circuit.instructions()[idx];
-                            // Multi-qubit cancellations must be legal on every
-                            // wire the gate touches, not just this one.
-                            let ok_everywhere =
-                                inst.qubits().iter().all(|q| sets.same_set(q, first, idx));
-                            if ok_everywhere {
-                                removed[first] = true;
-                                removed[idx] = true;
-                                pending = None;
-                            } else {
-                                pending = Some(idx);
-                            }
-                        }
-                    }
+                let twin =
+                    |&p: &usize| gates[p].gate == inst.gate && gates[p].qubits() == inst.qubits();
+                let Some(slot) = pending.iter().position(twin) else {
+                    pending.push(idx);
+                    continue;
+                };
+                let first = pending[slot];
+                if inst
+                    .qubits()
+                    .iter()
+                    .all(|q| set_of(q, first) == set_of(q, idx))
+                {
+                    pending.swap_remove(slot);
+                    removed[first] = true;
+                    removed[idx] = true;
+                    changed = true;
+                } else {
+                    pending[slot] = idx;
                 }
             }
         }
     }
-
-    let changed = removed.iter().any(|&r| r);
-    let mut out = QuantumCircuit::new(circuit.num_qubits());
-    for (idx, inst) in circuit.iter().enumerate() {
-        if !removed[idx] {
-            out.push(inst.clone());
-        }
-    }
-    (out, changed)
+    changed
 }
 
 #[cfg(test)]
@@ -411,27 +368,18 @@ mod tests {
     }
 
     #[test]
-    fn analysis_groups_commuting_cnots() {
-        let mut qc = QuantumCircuit::new(3);
-        qc.cx(0, 2).cx(1, 2).cx(0, 2).h(2);
-        let sets = commutation_analysis(&qc, COMMUTE_SET_LIMIT);
-        // On wire 2 the three CNOTs share a target and commute; H starts a new set.
-        assert_eq!(sets.wire(2).len(), 2);
-        assert_eq!(sets.wire(2)[0], vec![0, 1, 2]);
-        assert_eq!(sets.wire(2)[1], vec![3]);
-        assert!(sets.same_set(2, 0, 2));
-        assert!(!sets.same_set(2, 0, 3));
-    }
-
-    #[test]
-    fn set_size_cap_is_respected() {
-        let mut qc = QuantumCircuit::new(1);
-        for _ in 0..10 {
-            qc.z(0);
+    fn commute_set_cap_keeps_a_distant_pair() {
+        // Every T commutes with the CNOT's control, but the first CNOT's
+        // set on wire 0 fills up at 20 gates, so the second CNOT lands in
+        // the next set and the pair must not cancel.
+        let mut qc = QuantumCircuit::new(2);
+        qc.cx(0, 1);
+        for _ in 0..COMMUTE_SET_LIMIT {
+            qc.t(0);
         }
-        let sets = commutation_analysis(&qc, 4);
-        assert!(sets.wire(0).iter().all(|s| s.len() <= 4));
-        assert_eq!(sets.wire(0).len(), 3);
+        qc.cx(0, 1);
+        let out = CommutativeCancellation.run(&qc).unwrap();
+        assert_eq!(out, qc);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! * [`Optimize1qGates`] — single-qubit run merging,
 //! * [`TwoQubitBlockResynthesis`] (with [`collect_two_qubit_blocks`]) — the
 //!   two-qubit block re-synthesis that NASSC's `C_2q` cost term anticipates,
-//! * [`CommutativeCancellation`] (with [`commutation_analysis`]) — the
+//! * [`CommutativeCancellation`] (with [`instructions_commute`]) — the
 //!   commutation-based gate cancellation behind `C_commute1`/`C_commute2`,
 //! * [`is_mapped`] / [`coupling_violations`] — coupling-map compliance
 //!   checks.
@@ -33,14 +33,8 @@ pub mod manager;
 pub mod optimize_1q;
 pub mod unroll;
 
-pub use blocks::{
-    block_membership, collect_two_qubit_blocks, pair_matrix, TwoQubitBlock,
-    TwoQubitBlockResynthesis,
-};
-pub use commutation::{
-    commutation_analysis, instructions_commute, CommutationSets, CommutativeCancellation,
-    COMMUTE_SET_LIMIT,
-};
+pub use blocks::{collect_two_qubit_blocks, pair_matrix, TwoQubitBlock, TwoQubitBlockResynthesis};
+pub use commutation::{instructions_commute, CommutativeCancellation, COMMUTE_SET_LIMIT};
 pub use layout_passes::{coupling_violations, is_mapped};
 pub use manager::{PassError, PassManager, TranspilePass};
 pub use optimize_1q::Optimize1qGates;

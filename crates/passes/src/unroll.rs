@@ -37,58 +37,54 @@ impl TranspilePass for UnrollToBasis {
     fn run(&self, circuit: &QuantumCircuit) -> Result<QuantumCircuit, PassError> {
         let mut out = QuantumCircuit::new(circuit.num_qubits());
         for inst in circuit.iter() {
-            for lowered in unroll_instruction(inst)? {
-                out.push(lowered);
-            }
+            unroll_into(&mut out, inst)?;
         }
         Ok(out)
     }
 }
 
-/// Lowers one instruction to basis gates.
-fn unroll_instruction(inst: &Instruction) -> Result<Vec<Instruction>, PassError> {
-    if inst.gate.in_ibm_basis() {
-        return Ok(vec![inst.clone()]);
-    }
+/// Lowers one instruction to basis gates at the end of `out`.
+fn unroll_into(out: &mut QuantumCircuit, inst: &Instruction) -> Result<(), PassError> {
+    let fail = |message: String| PassError::new("unroll-to-basis", message);
+    let no_matrix = || fail(format!("no matrix for {}", inst.gate.name()));
     match &inst.gate {
-        Gate::Swap => Ok(swap_decomposition(inst.qubit(0), inst.qubit(1)).into()),
-        Gate::Ccx => Ok(toffoli(inst.qubit(0), inst.qubit(1), inst.qubit(2))
-            .into_iter()
-            .flat_map(|i| unroll_instruction(&i).expect("toffoli gates are simple"))
-            .collect()),
+        gate if gate.in_ibm_basis() => {
+            out.push(inst.clone());
+        }
+        Gate::Swap => {
+            for cx in swap_decomposition(inst.qubit(0), inst.qubit(1)) {
+                out.push(cx);
+            }
+        }
+        Gate::Ccx => {
+            for lowered in toffoli(inst.qubit(0), inst.qubit(1), inst.qubit(2)) {
+                unroll_into(out, &lowered)?;
+            }
+        }
         Gate::Cswap => {
             // CSWAP(c, a, b) = CX(b, a) · CCX(c, a, b) · CX(b, a).
             let (c, a, b) = (inst.qubit(0), inst.qubit(1), inst.qubit(2));
-            let mut gates = vec![Instruction::new(Gate::Cx, vec![b, a])];
-            gates.extend(toffoli(c, a, b));
-            gates.push(Instruction::new(Gate::Cx, vec![b, a]));
-            Ok(gates
-                .into_iter()
-                .flat_map(|i| unroll_instruction(&i).expect("cswap gates are simple"))
-                .collect())
+            out.append(Gate::Cx, [b, a]);
+            unroll_into(out, &Instruction::new(Gate::Ccx, [c, a, b]))?;
+            out.append(Gate::Cx, [b, a]);
         }
         gate if gate.num_qubits() == 1 => {
-            let m = gate.matrix2().ok_or_else(|| {
-                PassError::new("unroll-to-basis", format!("no matrix for {}", gate.name()))
-            })?;
-            Ok(OneQubitEulerDecomposer::to_zsx(&m, inst.qubit(0)))
+            let m = gate.matrix2().ok_or_else(no_matrix)?;
+            for lowered in OneQubitEulerDecomposer::to_zsx(&m, inst.qubit(0)) {
+                out.push(lowered);
+            }
         }
         gate if gate.num_qubits() == 2 => {
-            let m = gate.matrix4().ok_or_else(|| {
-                PassError::new("unroll-to-basis", format!("no matrix for {}", gate.name()))
-            })?;
+            let m = gate.matrix4().ok_or_else(no_matrix)?;
             let synthesized = synthesize_two_qubit(&m, inst.qubit(0), inst.qubit(1))
-                .map_err(|e| PassError::new("unroll-to-basis", e.to_string()))?;
-            Ok(synthesized
-                .into_iter()
-                .flat_map(|i| unroll_instruction(&i).expect("synthesized gates are 1q or cx"))
-                .collect())
+                .map_err(|e| fail(e.to_string()))?;
+            for lowered in synthesized {
+                unroll_into(out, &lowered)?;
+            }
         }
-        other => Err(PassError::new(
-            "unroll-to-basis",
-            format!("cannot lower gate {}", other.name()),
-        )),
+        other => return Err(fail(format!("cannot lower gate {}", other.name()))),
     }
+    Ok(())
 }
 
 /// The standard 6-CNOT Toffoli decomposition.

@@ -125,8 +125,10 @@ pub struct ServerMetrics {
     pub rejected_busy: u64,
     /// Requests that timed out waiting in the queue (504).
     pub deadline_expired: u64,
-    /// End-to-end latency (accept to response written) of `/transpile`
-    /// requests that produced a transpiled circuit.
+    /// Server-side transpile time of `/transpile` requests that produced a
+    /// transpiled circuit: the session call plus the QASM export, the same
+    /// number the response carries as `X-Elapsed-Ms`. Parsing, queueing and
+    /// writing the response are not included.
     pub transpile_latency: LatencyHistogram,
     /// Time requests spent queued before a worker picked them up.
     pub queue_wait: LatencyHistogram,

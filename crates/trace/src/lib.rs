@@ -39,9 +39,14 @@
 //! The recorder itself never measures the heap; a binary that installs a
 //! counting allocator (see `nassc_bench::alloc`) registers a probe with
 //! [`set_alloc_probe`], and every span then records the probe delta between
-//! its start and end. The counter is process-wide, so deltas attribute
-//! concurrent allocations to whichever spans are open — exact in serial
-//! runs, an upper bound in parallel ones.
+//! its start and end, less what the recorder's own event buffer allocated
+//! meanwhile. A span starts and ends on one thread, and
+//! `nassc_bench::alloc::thread_total_bytes` (the probe of `bench_profile`
+//! and `transpile_qasm`) counts only the calling thread's bytes, so a span's
+//! bytes are its own thread's, the same at any worker count; what a batch
+//! allocates on helper threads lands in the helpers' spans. A process-wide
+//! probe instead charges concurrent allocations to every span open at the
+//! time: exact in serial runs, an upper bound in parallel ones.
 //!
 //! # Example
 //!
@@ -107,8 +112,9 @@ pub fn disable() {
 }
 
 /// Registers the allocation probe spans sample at start and end (e.g.
-/// `nassc_bench::alloc` total bytes). First registration wins; the probe
-/// must be monotonically non-decreasing.
+/// `nassc_bench::alloc::thread_total_bytes`, the calling thread's allocated
+/// bytes). First registration wins; the probe must be monotonically
+/// non-decreasing on every thread.
 pub fn set_alloc_probe(probe: fn() -> u64) {
     let _ = alloc_probe_cell().set(probe);
 }
@@ -165,6 +171,9 @@ struct ThreadBuffer {
     depth: u32,
     /// Per-thread sequence number of the next recorded event.
     seq: u64,
+    /// Bytes the allocation probe counted while `events` grew: the
+    /// recorder's own allocations, which span deltas leave out.
+    own_bytes: u64,
     events: Vec<(u64, RawEvent)>,
 }
 
@@ -177,7 +186,13 @@ impl ThreadBuffer {
         }
         let seq = self.seq;
         self.seq += 1;
-        self.events.push((seq, event));
+        if self.events.len() == self.events.capacity() {
+            let before = alloc_now();
+            self.events.push((seq, event));
+            self.own_bytes += alloc_now().saturating_sub(before);
+        } else {
+            self.events.push((seq, event));
+        }
     }
 }
 
@@ -213,6 +228,7 @@ fn with_buffer<R>(f: impl FnOnce(&mut ThreadBuffer) -> R) -> R {
                 registered: REGISTERED.fetch_add(1, Ordering::Relaxed),
                 depth: 0,
                 seq: 0,
+                own_bytes: 0,
                 events: Vec::new(),
             }));
             registry()
@@ -243,17 +259,17 @@ struct ActiveSpan {
 
 impl SpanGuard {
     fn begin(name: Cow<'static, str>) -> Self {
-        let depth = with_buffer(|buffer| {
+        let (depth, own_bytes) = with_buffer(|buffer| {
             let depth = buffer.depth;
             buffer.depth += 1;
-            depth
+            (depth, buffer.own_bytes)
         });
         SpanGuard {
             inner: Some(ActiveSpan {
                 name,
                 start_ns: now_ns(),
                 depth,
-                alloc_start: alloc_now(),
+                alloc_start: alloc_now().saturating_sub(own_bytes),
                 args: Vec::new(),
             }),
         }
@@ -288,8 +304,10 @@ impl Drop for SpanGuard {
             return;
         };
         let dur_ns = now_ns().saturating_sub(active.start_ns);
-        let alloc_bytes = alloc_now().saturating_sub(active.alloc_start);
         with_buffer(|buffer| {
+            let alloc_bytes = alloc_now()
+                .saturating_sub(buffer.own_bytes)
+                .saturating_sub(active.alloc_start);
             buffer.depth = buffer.depth.saturating_sub(1);
             buffer.push(RawEvent::Span {
                 name: active.name,
