@@ -16,14 +16,15 @@
 //!    field by field (circuit, layouts, swap count, trial diagnostics).
 //!
 //! Peak/total heap use per row comes from the crate's counting global
-//! allocator ([`nassc_bench::alloc`]) — no external profiler. The summary
-//! carries `peak_alloc_mb` (max over rows) and `total_transpile_seconds` so
-//! CI can put hard bounds on both:
+//! allocator ([`nassc_bench::alloc`]) — no external profiler. The table
+//! prints it in MiB (2^20 bytes), the JSON rows keep exact `peak_bytes` and
+//! `total_bytes`, and the summary carries `peak_alloc_mib` (max over rows)
+//! and `total_transpile_seconds` so CI can put hard bounds on both:
 //!
 //! ```text
 //! bench_scale --max-qubits 127 --json BENCH_scale.json
 //! bench_gate BENCH_scale.json --max scale_mismatches 0 \
-//!     --max peak_alloc_mb 2048 --max total_transpile_seconds 900
+//!     --max peak_alloc_mib 2048 --max total_transpile_seconds 900
 //! ```
 //!
 //! Flags: `--devices a,b,c` (any `Device::from_str` spec; default
@@ -41,7 +42,7 @@ use nassc_bench::{alloc, cli_value, BenchReport, ReportRow, BASE_SEED};
 #[global_allocator]
 static ALLOC: alloc::CountingAlloc = alloc::CountingAlloc;
 
-const MB: f64 = 1024.0 * 1024.0;
+const MIB: f64 = 1024.0 * 1024.0;
 
 fn csv_list(flag: &str, default: &str) -> Vec<String> {
     cli_value(flag)
@@ -87,13 +88,13 @@ fn main() {
         1,
     );
     let mut mismatches = 0usize;
-    let mut peak_alloc_mb = 0f64;
+    let mut peak_alloc_mib = 0f64;
     let mut total_seconds = 0f64;
 
     println!("== Scale sweep — devices {devices:?}, sizes {sizes:?}, styles {styles:?} ==");
     println!(
         "{:<26} {:>6} {:>8} {:>12} {:>8} {:>10} {:>10}",
-        "row", "qubits", "gates", "transpile ms", "swaps", "peak MB", "total MB"
+        "row", "qubits", "gates", "transpile ms", "swaps", "peak MiB", "total MiB"
     );
 
     for spec in &devices {
@@ -154,8 +155,8 @@ fn main() {
                         gates,
                         elapsed * 1e3,
                         result.swap_count,
-                        peak as f64 / MB,
-                        total as f64 / MB
+                        peak as f64 / MIB,
+                        total as f64 / MIB
                     );
                     report.rows.push(ReportRow {
                         name,
@@ -169,7 +170,7 @@ fn main() {
                             ("total_bytes".into(), total as f64),
                         ],
                     });
-                    peak_alloc_mb = peak_alloc_mb.max(peak as f64 / MB);
+                    peak_alloc_mib = peak_alloc_mib.max(peak as f64 / MIB);
                     total_seconds += elapsed;
                 }
             }
@@ -179,14 +180,14 @@ fn main() {
     report.summary = vec![
         ("rows".into(), report.rows.len() as f64),
         ("scale_mismatches".into(), mismatches as f64),
-        ("peak_alloc_mb".into(), peak_alloc_mb),
+        ("peak_alloc_mib".into(), peak_alloc_mib),
         ("total_transpile_seconds".into(), total_seconds),
     ];
     println!(
-        "\nsummary: rows {} | mismatches {} | peak alloc {:.1} MB | transpile {:.1} s",
+        "\nsummary: rows {} | mismatches {} | peak alloc {:.1} MiB | transpile {:.1} s",
         report.rows.len(),
         mismatches,
-        peak_alloc_mb,
+        peak_alloc_mib,
         total_seconds
     );
 

@@ -69,13 +69,14 @@ pub fn request_with_headers(
         .iter()
         .map(|(name, value)| format!("{name}: {value}\r\n"))
         .collect();
-    write!(
-        stream,
+    // Formatted first and sent whole: on a `TCP_NODELAY` stream each write
+    // is a segment of its own.
+    let request = format!(
         "{method} {path_and_query} HTTP/1.1\r\nhost: {addr}\r\nconnection: close\r\n\
          {extra}content-length: {}\r\n\r\n{body}",
         body.len()
-    )?;
-    stream.flush()?;
+    );
+    stream.write_all(request.as_bytes())?;
 
     let mut reader = BufReader::new(stream);
     let mut status_line = String::new();

@@ -15,6 +15,10 @@ const MAX_LINE_BYTES: usize = 8 * 1024;
 /// Hard cap on the number of request headers.
 const MAX_HEADERS: usize = 64;
 
+/// Room for a response's status line, its three fixed headers and the blank
+/// line: the longest reason phrase, content type and a 20-digit length fit.
+const HEAD_BYTES: usize = 160;
+
 /// A parsed HTTP request.
 #[derive(Debug, Clone)]
 pub struct Request {
@@ -310,12 +314,24 @@ impl Response {
 
     /// Serializes the response to `writer` (always `Connection: close`).
     ///
+    /// The status line, headers, blank line and body are rendered into one
+    /// buffer and handed to `writer` in a single `write_all`. The daemon's
+    /// sockets set `TCP_NODELAY`, where every `write` leaves as a segment of
+    /// its own and wakes the client once more, so a response formatted
+    /// piece by piece onto the socket would cost a segment per piece.
+    ///
     /// # Errors
     ///
     /// Propagates I/O failures; the caller drops the connection either way.
     pub fn write_to(&self, writer: &mut impl Write) -> std::io::Result<()> {
+        let headers: usize = self
+            .headers
+            .iter()
+            .map(|(name, value)| name.len() + value.len() + 4)
+            .sum();
+        let mut out = Vec::with_capacity(HEAD_BYTES + headers + self.body.len());
         write!(
-            writer,
+            out,
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n",
             self.status,
             reason(self.status),
@@ -323,10 +339,11 @@ impl Response {
             self.body.len()
         )?;
         for (name, value) in &self.headers {
-            write!(writer, "{name}: {value}\r\n")?;
+            write!(out, "{name}: {value}\r\n")?;
         }
-        write!(writer, "\r\n")?;
-        writer.write_all(self.body.as_bytes())?;
+        out.extend_from_slice(b"\r\n");
+        out.extend_from_slice(self.body.as_bytes());
+        writer.write_all(&out)?;
         writer.flush()
     }
 }
@@ -416,19 +433,87 @@ mod tests {
         assert_eq!(percent_decode("%+A"), "%+A");
     }
 
+    /// A writer that keeps the bytes of each `write` call apart.
+    #[derive(Default)]
+    struct RecordingWriter {
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Write for RecordingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Serializes `response` and returns the one write it must arrive in.
+    fn single_write(response: &Response) -> Vec<u8> {
+        let mut out = RecordingWriter::default();
+        response.write_to(&mut out).unwrap();
+        assert_eq!(out.writes.len(), 1, "a response must leave in one write");
+        out.writes.pop().unwrap()
+    }
+
     #[test]
     fn response_serializes_with_extra_headers() {
-        let mut out = Vec::new();
-        Response::qasm("OPENQASM 2.0;\n")
-            .header("X-Elapsed-Ms", "1.5")
-            .write_to(&mut out)
-            .unwrap();
-        let text = String::from_utf8(out).unwrap();
-        assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
-        assert!(text.contains("Content-Type: application/x-qasm\r\n"));
-        assert!(text.contains("Content-Length: 14\r\n"));
-        assert!(text.contains("Connection: close\r\n"));
-        assert!(text.contains("X-Elapsed-Ms: 1.5\r\n"));
-        assert!(text.ends_with("\r\n\r\nOPENQASM 2.0;\n"));
+        // A 200 as the daemon sends it: its ten `X-*` headers and a 64 KiB
+        // body.
+        let body = "h q[0];\n".repeat(8 * 1024);
+        assert_eq!(body.len(), 64 * 1024);
+        let response = [
+            ("X-Device", "montreal"),
+            ("X-Elapsed-Ms", "1.500"),
+            ("X-Queue-Ms", "0.042"),
+            ("X-Cx-Count", "24"),
+            ("X-Swap-Count", "3"),
+            ("X-Depth", "17"),
+            ("X-Chosen-Trial", "0"),
+            ("X-Cache-Hits", "2"),
+            ("X-Cache-Misses", "1"),
+            ("X-Request-Id", "serve-7"),
+        ]
+        .into_iter()
+        .fold(Response::qasm(body.clone()), |response, (name, value)| {
+            response.header(name, value)
+        });
+        let head = "HTTP/1.1 200 OK\r\n\
+                    Content-Type: application/x-qasm\r\n\
+                    Content-Length: 65536\r\n\
+                    Connection: close\r\n\
+                    X-Device: montreal\r\n\
+                    X-Elapsed-Ms: 1.500\r\n\
+                    X-Queue-Ms: 0.042\r\n\
+                    X-Cx-Count: 24\r\n\
+                    X-Swap-Count: 3\r\n\
+                    X-Depth: 17\r\n\
+                    X-Chosen-Trial: 0\r\n\
+                    X-Cache-Hits: 2\r\n\
+                    X-Cache-Misses: 1\r\n\
+                    X-Request-Id: serve-7\r\n\
+                    \r\n";
+        let written = single_write(&response);
+        assert_eq!(
+            String::from_utf8_lossy(&written[..head.len().min(written.len())]),
+            head
+        );
+        assert!(
+            written[head.len()..] == *body.as_bytes(),
+            "the body must follow the blank line byte for byte"
+        );
+
+        // The acceptor's load-shedding reject.
+        assert_eq!(
+            String::from_utf8(single_write(&Response::text(429, "queue full\n"))).unwrap(),
+            "HTTP/1.1 429 Too Many Requests\r\n\
+             Content-Type: text/plain; charset=utf-8\r\n\
+             Content-Length: 11\r\n\
+             Connection: close\r\n\
+             \r\n\
+             queue full\n"
+        );
     }
 }

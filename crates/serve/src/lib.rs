@@ -30,7 +30,8 @@
 //!   `X-Cache-Hits`/`X-Cache-Misses` response headers, so the body stays
 //!   byte-comparable against a direct [`Transpiler`] call.
 //!   Appending `?trace=1` runs the transpile under the process-wide trace
-//!   recorder and returns a JSON envelope with the per-span table. Traced
+//!   recorder and returns a JSON envelope with the per-span table, which
+//!   includes the daemon's own `qasm_parse` and `qasm_export` spans. Traced
 //!   requests serialize on a recorder lock; spans from concurrent untraced
 //!   requests may appear in the table (best-effort attribution — outputs
 //!   are never affected).
@@ -46,7 +47,9 @@
 //! **Request correlation.** Every response carries `X-Request-Id` — the
 //! inbound `x-request-id` header when the client sent a well-formed one,
 //! else a server-assigned `serve-<n>` — and every request is logged as a
-//! single-line JSON object on stderr keyed by that id.
+//! single-line JSON object on stderr keyed by that id. Each access-log line
+//! is formatted first and leaves in one write, as each response does (see
+//! [`Response::write_to`](http::Response::write_to)).
 //!
 //! Error taxonomy is derived from [`nassc::ErrorKind`], not string matching:
 //! parse failures → 400, circuit wider than the device or over the
@@ -84,7 +87,7 @@ pub mod metrics;
 pub mod queue;
 pub mod signal;
 
-use std::io::{BufReader, Read, Write};
+use std::io::{BufReader, Read};
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
@@ -502,10 +505,7 @@ fn reject(
     message: &str,
 ) {
     lock_metrics(shared).count_response(status);
-    let response = Response::text(status, format!("{message}\n"));
-    if response.write_to(&mut stream).is_ok() {
-        let _ = stream.flush();
-    }
+    let _ = Response::text(status, format!("{message}\n")).write_to(&mut stream);
     // Closing a socket with unread input resets the connection, and the
     // reset can discard the response before the client reads it. The
     // request has usually not arrived yet, so half-close and hand the
@@ -549,13 +549,7 @@ fn handle_connection(shared: &Shared, conn: Conn) {
     let _ = stream.set_read_timeout(Some(SOCKET_READ_TIMEOUT));
     let _ = stream.set_nodelay(true);
 
-    let request = {
-        let mut reader = BufReader::new(match stream.try_clone() {
-            Ok(clone) => clone,
-            Err(_) => return,
-        });
-        read_request(&mut reader, MAX_BODY_BYTES)
-    };
+    let request = read_request(&mut BufReader::new(&stream), MAX_BODY_BYTES);
     let request_id = request_id(shared, request.as_ref().ok());
     let (method, path) = match &request {
         Ok(request) => (request.method.clone(), request.path.clone()),
@@ -569,14 +563,14 @@ fn handle_connection(shared: &Shared, conn: Conn) {
     // Count before writing: a client that has read this response may ask
     // another worker for `/metrics` at once, and must find it counted.
     lock_metrics(shared).count_response(response.status);
-    if response.write_to(&mut stream).is_ok() {
-        let _ = stream.flush();
-    }
+    let _ = response.write_to(&mut stream);
     // The access log: one JSON object per request on stderr, keyed by the
-    // same id the client saw in `X-Request-Id`.
-    eprintln!(
+    // same id the client saw in `X-Request-Id`. Stderr is unbuffered and
+    // `eprintln!` writes each formatted piece on its own, so the line is
+    // built first and printed whole: one write per request.
+    let line = format!(
         "{{\"request_id\":\"{}\",\"method\":\"{}\",\"path\":\"{}\",\"status\":{},\
-         \"queue_ms\":{:.3},\"elapsed_ms\":{:.3}}}",
+         \"queue_ms\":{:.3},\"elapsed_ms\":{:.3}}}\n",
         json_escape(&request_id),
         json_escape(&method),
         json_escape(&path),
@@ -584,6 +578,7 @@ fn handle_connection(shared: &Shared, conn: Conn) {
         queue_ms,
         1000.0 * accepted_at.elapsed().as_secs_f64(),
     );
+    eprint!("{line}");
 }
 
 /// The correlation id for a request: an inbound `x-request-id` header when
@@ -812,7 +807,10 @@ fn transpile_core(
 
     // Parse and admission-check before any transpilation work, so oversized
     // requests cost nothing and are refused deterministically.
-    let circuit = match std::panic::catch_unwind(|| qasm::parse(&request.body)) {
+    let circuit = match std::panic::catch_unwind(|| {
+        let _span = nassc::trace::span("qasm_parse");
+        qasm::parse(&request.body)
+    }) {
         Ok(Ok(circuit)) => circuit,
         Ok(Err(e)) => {
             return Response::text(400, format!("{e}\n")).header("X-Error-Kind", "parse");
@@ -867,7 +865,11 @@ fn transpile_core(
             return Response::text(status, format!("{e}\n")).header("X-Error-Kind", kind);
         }
     };
-    let out_qasm = match qasm::export(&result.circuit) {
+    let exported = {
+        let _span = nassc::trace::span("qasm_export");
+        qasm::export(&result.circuit)
+    };
+    let out_qasm = match exported {
         Ok(out) => out,
         Err(e) => {
             return Response::text(500, format!("exporting result: {e}\n"))

@@ -488,11 +488,13 @@ fn traced_requests_return_span_tables_that_round_trip() {
     assert_eq!(traced.header("x-request-id").unwrap(), "traced-1");
     assert!(traced.body.contains("\"request_id\":\"traced-1\""));
     assert!(traced.body.contains("\"spans\":["), "body: {}", traced.body);
-    assert!(
-        traced.body.contains("\"name\":\"job\""),
-        "span table must include the session job span: {}",
-        traced.body
-    );
+    for span in ["job", "qasm_parse", "qasm_export"] {
+        assert!(
+            traced.body.contains(&format!("\"name\":\"{span}\"")),
+            "span table must include the {span} span: {}",
+            traced.body
+        );
+    }
     // The traced transpile returns the exact bytes of the untraced one —
     // tracing is observational only.
     assert_eq!(
