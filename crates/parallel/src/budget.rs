@@ -27,10 +27,9 @@ use std::time::{Duration, Instant};
 
 /// The typed unwind payload produced by an expired [`Budget`] checkpoint.
 ///
-/// Carried by `panic_any`, caught at the session boundary, and mapped to a
-/// deadline error there. Never printed by the default panic hook: budget
-/// checkpoints unwind inside a `catch_unwind` scope that installs no hook
-/// output of its own (the pool's per-job `catch_unwind` swallows it too).
+/// Carried by `resume_unwind`, caught at the session boundary, and mapped to
+/// a deadline error there. `resume_unwind` skips the panic hook, so a
+/// deadline abort prints no panic message or backtrace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Cancelled;
 
@@ -123,7 +122,7 @@ impl Budget {
     #[inline]
     pub fn checkpoint(&self) {
         if self.is_exhausted() {
-            std::panic::panic_any(Cancelled);
+            std::panic::resume_unwind(Box::new(Cancelled));
         }
     }
 }

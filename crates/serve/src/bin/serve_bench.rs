@@ -136,9 +136,9 @@ fn chaos_main(
     disarm_chaos_sites();
     let injected = injections_so_far() - injected_before;
 
-    // The daemon must have survived: supervision respawns dead workers and
-    // poison recovery resets the caches, so /health and a fresh transpile
-    // both still work.
+    // The daemon must have survived: a worker's loop catches its handler's
+    // panic and poison recovery resets the caches, so /health and a fresh
+    // transpile both still work.
     let alive = matches!(client::get(&addr, "/health"), Ok(r) if r.status == 200);
 
     // Phase 2 — recovery: every response byte-identical, no errors.

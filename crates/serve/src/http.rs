@@ -64,7 +64,7 @@ pub struct HttpError {
 }
 
 impl HttpError {
-    fn new(status: u16, message: impl Into<String>) -> Self {
+    pub(crate) fn new(status: u16, message: impl Into<String>) -> Self {
         Self {
             status,
             message: message.into(),

@@ -63,10 +63,10 @@
 //! starts becomes the session's cooperative [`TranspileOptions::deadline`],
 //! so a slow transpile aborts mid-routing with a 504 instead of pinning a
 //! worker. Panics inside the session are contained there and surface as
-//! 500 + `X-Error-Kind: internal`. Should a worker thread itself unwind
-//! (a panic outside every containment boundary), a supervision guard
-//! respawns a replacement before the thread dies and counts it in the
-//! `worker_restarts` metric — the daemon never loses serving capacity.
+//! 500 + `X-Error-Kind: internal`. A panic outside every containment
+//! boundary unwinds only as far as its handler worker's loop: that one
+//! connection drops, the `worker_restarts` metric counts it, and the worker
+//! takes the next connection — the daemon never loses serving capacity.
 //!
 //! Shutdown is graceful: SIGINT/SIGTERM (or [`ShutdownHandle::shutdown`])
 //! stops the acceptor, closes the queue, lets the workers drain in-flight
@@ -76,9 +76,8 @@
 //! SIGINT/SIGTERM (see [`signal`]).
 
 // Production code must not `unwrap()` — a stray panic in a handler is a
-// dropped connection and a respawned worker, so every lock/parse site
-// either recovers or maps to a taxonomy error. Tests are exempt: an
-// unwrap there *is* the assertion.
+// dropped connection, so every lock/parse site either recovers or maps to
+// a taxonomy error. Tests are exempt: an unwrap there *is* the assertion.
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
 pub mod client;
@@ -87,8 +86,9 @@ pub mod metrics;
 pub mod queue;
 pub mod signal;
 
-use std::io::{BufReader, Read};
+use std::io::{BufRead, BufReader, Read};
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -122,7 +122,13 @@ const SIGNAL_CHECK: Duration = Duration::from_millis(50);
 /// Bound on the loopback connect that wakes the acceptor on shutdown.
 const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
-/// Per-socket read timeout so a stalled client cannot pin a worker.
+/// How long a dequeued connection may stay silent before its first bytes:
+/// a client that connects and sends nothing is answered 408 this soon
+/// instead of holding a worker for [`SOCKET_READ_TIMEOUT`].
+const FIRST_BYTE_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// Per-read timeout once a request has started, so a stalled client cannot
+/// pin a worker.
 const SOCKET_READ_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// A shed or refused connection stays open after its response for at most
@@ -188,14 +194,16 @@ struct Conn {
 
 /// State shared between the acceptor and the handler workers.
 struct Shared {
-    sessions: Vec<(String, Arc<Transpiler>)>,
+    /// One session per device, found by `session.device().name()`.
+    sessions: Vec<Transpiler>,
     queue: BoundedQueue<Conn>,
     metrics: Mutex<ServerMetrics>,
     default_timeout_ms: u64,
     workers: usize,
     max_gates: Option<usize>,
     max_qubits: Option<usize>,
-    /// Workers respawned after an uncontained panic (see [`RespawnGuard`]).
+    /// Handler panics caught by a worker's loop, each of which dropped its
+    /// one connection (see [`worker_loop`]).
     worker_restarts: AtomicU64,
     started: Instant,
     /// Unix timestamp of [`Server::bind`], reported by `/metrics`.
@@ -254,7 +262,7 @@ struct Lingering {
 pub struct Server {
     listener: TcpListener,
     addr: SocketAddr,
-    shared: Arc<Shared>,
+    shared: Shared,
     shutdown: ShutdownHandle,
 }
 
@@ -272,26 +280,22 @@ impl Server {
                 "at least one device is required",
             ));
         }
-        let mut sessions: Vec<(String, Arc<Transpiler>)> = Vec::new();
+        let mut sessions: Vec<Transpiler> = Vec::new();
         for device in &config.devices {
-            let name = device.name().to_string();
-            if sessions.iter().any(|(existing, _)| *existing == name) {
+            if sessions.iter().any(|s| s.device().name() == device.name()) {
                 return Err(std::io::Error::new(
                     std::io::ErrorKind::InvalidInput,
-                    format!("duplicate device {name:?}"),
+                    format!("duplicate device {:?}", device.name()),
                 ));
             }
-            sessions.push((
-                name,
-                Arc::new(Transpiler::new(device.clone(), config.options.clone())),
-            ));
+            sessions.push(Transpiler::new(device.clone(), config.options.clone()));
         }
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
         Ok(Server {
             listener,
             addr,
-            shared: Arc::new(Shared {
+            shared: Shared {
                 sessions,
                 queue: BoundedQueue::new(config.queue_depth),
                 metrics: Mutex::new(ServerMetrics::default()),
@@ -308,7 +312,7 @@ impl Server {
                 next_request_id: AtomicU64::new(1),
                 trace_serial: Mutex::new(()),
                 last_trace: Mutex::new(None),
-            }),
+            },
             shutdown: ShutdownHandle {
                 flag: Arc::new(AtomicBool::new(false)),
                 wake: wake_addr(addr),
@@ -330,15 +334,21 @@ impl Server {
     /// is requested (via [`ShutdownHandle`] or SIGINT/SIGTERM), then closes
     /// the queue, drains in-flight requests and joins the workers.
     pub fn run(self) {
-        let registry: Arc<WorkerRegistry> = Arc::new(Mutex::new(Vec::new()));
-        for index in 0..self.shared.workers {
-            spawn_worker(&self.shared, &registry, index);
-        }
-
-        // The scope joins the signal watcher and the linger thread; the
-        // latter ends once the acceptor's sender is gone and the connections
-        // it holds are done.
+        // The scope joins every daemon thread: the handler workers end once
+        // the queue is closed and drained, and the linger thread once the
+        // acceptor's sender is gone and the connections it holds are done.
         std::thread::scope(|scope| {
+            for index in 0..self.shared.workers {
+                let spawned = std::thread::Builder::new()
+                    .name(format!("nassc-serve-worker-{index}"))
+                    .spawn_scoped(scope, || worker_loop(&self.shared));
+                if let Err(error) = spawned {
+                    // The workers already running block in `pop` until the
+                    // queue closes; the scope would wait on them forever.
+                    self.shared.queue.close();
+                    panic!("spawning handler worker: {error}");
+                }
+            }
             let watcher = scope.spawn(|| watch_signals(&self.shutdown));
             let (linger, lingering) = sync_channel(LINGER_BACKLOG);
             scope.spawn(move || linger_loop(lingering));
@@ -346,19 +356,6 @@ impl Server {
             watcher.thread().unpark();
             self.shared.queue.close();
         });
-
-        // Join until the registry stays empty: a worker that panics while
-        // draining respawns (and registers) its replacement before it dies,
-        // so after joining a handle there may be late registrations.
-        loop {
-            let drained: Vec<_> = lock_registry(&registry).drain(..).collect();
-            if drained.is_empty() {
-                break;
-            }
-            for worker in drained {
-                let _ = worker.join();
-            }
-        }
     }
 
     /// Blocks in `accept` and queues each connection as it arrives, until
@@ -434,57 +431,6 @@ fn linger_loop(lingering: Receiver<Lingering>) {
     }
 }
 
-/// The join handles of every live handler worker — including supervision
-/// respawns, which register themselves here so shutdown joins them too.
-type WorkerRegistry = Mutex<Vec<std::thread::JoinHandle<()>>>;
-
-fn lock_registry(
-    registry: &WorkerRegistry,
-) -> std::sync::MutexGuard<'_, Vec<std::thread::JoinHandle<()>>> {
-    // Nothing in the registry can be half-updated by a panic: recover.
-    registry.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Spawns one supervised handler worker and registers its handle.
-fn spawn_worker(shared: &Arc<Shared>, registry: &Arc<WorkerRegistry>, index: usize) {
-    let worker_shared = Arc::clone(shared);
-    let guard_shared = Arc::clone(shared);
-    let guard_registry = Arc::clone(registry);
-    let handle = std::thread::Builder::new()
-        .name(format!("nassc-serve-worker-{index}"))
-        .spawn(move || {
-            let _guard = RespawnGuard {
-                shared: guard_shared,
-                registry: guard_registry,
-                index,
-            };
-            worker_loop(&worker_shared);
-        })
-        .expect("spawning handler worker");
-    lock_registry(registry).push(handle);
-}
-
-/// Worker supervision: dropped on every worker exit, but acts only when the
-/// worker is *unwinding* — a panic that escaped every containment boundary
-/// (the session catches its own; this is the last line). It respawns a
-/// replacement before the thread dies and counts the loss, so the daemon's
-/// serving capacity never decays. Clean exits (queue closed and drained)
-/// fall through untouched.
-struct RespawnGuard {
-    shared: Arc<Shared>,
-    registry: Arc<WorkerRegistry>,
-    index: usize,
-}
-
-impl Drop for RespawnGuard {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.shared.worker_restarts.fetch_add(1, Ordering::Relaxed);
-            spawn_worker(&self.shared, &self.registry, self.index);
-        }
-    }
-}
-
 fn lock_metrics(shared: &Shared) -> std::sync::MutexGuard<'_, ServerMetrics> {
     // Metrics are monotone counters and histograms — no invariant spans two
     // fields — so a panic mid-update (the only poison source) leaves them
@@ -528,17 +474,24 @@ fn reject(
     }
 }
 
-/// One handler worker: drain the queue until it is closed and empty.
+/// One handler worker: drain the queue until it is closed and empty. A
+/// panic that escapes every containment boundary drops its one connection
+/// and is counted; the worker then takes the next one. Unwinding past the
+/// shared state is sound: its locks recover from poison and its counters
+/// are monotone.
 fn worker_loop(shared: &Shared) {
     while let Some(conn) = shared.queue.pop() {
-        handle_connection(shared, conn);
+        let served = std::panic::catch_unwind(AssertUnwindSafe(|| handle_connection(shared, conn)));
+        if served.is_err() {
+            shared.worker_restarts.fetch_add(1, Ordering::Relaxed);
+        }
     }
 }
 
 /// Serves exactly one request on the connection (`Connection: close`).
 fn handle_connection(shared: &Shared, conn: Conn) {
-    // Deliberately *outside* every containment boundary: arming
-    // `handler:panic` kills the worker itself, exercising supervision.
+    // Deliberately *outside* every containment boundary but the worker
+    // loop's: arming `handler:panic` drops the connection unanswered.
     nassc::circuit::failpoints::hit("handler");
     let Conn {
         mut stream,
@@ -546,10 +499,17 @@ fn handle_connection(shared: &Shared, conn: Conn) {
     } = conn;
     let queue_ms = 1000.0 * accepted_at.elapsed().as_secs_f64();
     lock_metrics(shared).queue_wait.record(queue_ms);
-    let _ = stream.set_read_timeout(Some(SOCKET_READ_TIMEOUT));
     let _ = stream.set_nodelay(true);
 
-    let request = read_request(&mut BufReader::new(&stream), MAX_BODY_BYTES);
+    let _ = stream.set_read_timeout(Some(FIRST_BYTE_TIMEOUT));
+    let mut reader = BufReader::new(&stream);
+    let started = reader.fill_buf().map(|_| ());
+    let _ = stream.set_read_timeout(Some(SOCKET_READ_TIMEOUT));
+    let request = started
+        .map_err(|e| HttpError::new(408, format!("reading request: {e}")))
+        .and_then(|()| read_request(&mut reader, MAX_BODY_BYTES));
+    // Free the 8 KiB read buffer before the request is served.
+    drop(reader);
     let request_id = request_id(shared, request.as_ref().ok());
     let (method, path) = match &request {
         Ok(request) => (request.method.clone(), request.path.clone()),
@@ -749,19 +709,12 @@ fn transpile_core(
         .header("X-Error-Kind", "deadline");
     }
 
-    let (device_name, session) = match request.query_param("device") {
-        None => {
-            let (name, session) = &shared.sessions[0];
-            (name.clone(), Arc::clone(session))
-        }
-        Some(wanted) => match shared.sessions.iter().find(|(name, _)| name == wanted) {
-            Some((name, session)) => (name.clone(), Arc::clone(session)),
+    let session = match request.query_param("device") {
+        None => &shared.sessions[0],
+        Some(wanted) => match shared.sessions.iter().find(|s| s.device().name() == wanted) {
+            Some(session) => session,
             None => {
-                let known: Vec<&str> = shared
-                    .sessions
-                    .iter()
-                    .map(|(name, _)| name.as_str())
-                    .collect();
+                let known: Vec<&str> = shared.sessions.iter().map(|s| s.device().name()).collect();
                 return Response::text(
                     400,
                     format!(
@@ -879,7 +832,7 @@ fn transpile_core(
     let elapsed_ms = 1000.0 * started.elapsed().as_secs_f64();
     lock_metrics(shared).transpile_latency.record(elapsed_ms);
     Response::qasm(out_qasm)
-        .header("X-Device", device_name)
+        .header("X-Device", session.device().name())
         .header("X-Elapsed-Ms", format!("{elapsed_ms:.3}"))
         .header("X-Queue-Ms", format!("{queue_ms:.3}"))
         .header("X-Cx-Count", result.cx_count().to_string())
@@ -913,14 +866,14 @@ fn metrics_json(shared: &Shared) -> String {
     let devices: Vec<String> = shared
         .sessions
         .iter()
-        .map(|(name, session)| {
+        .map(|session| {
             let stats = session.cache_stats();
             format!(
                 concat!(
                     "{{\"name\":\"{}\",\"qubits\":{},\"cache_hits\":{},",
                     "\"cache_misses\":{},\"cache_resets\":{}}}"
                 ),
-                json_escape(name),
+                json_escape(session.device().name()),
                 session.device().num_qubits(),
                 stats.hits(),
                 stats.misses(),
@@ -1043,9 +996,9 @@ fn metrics_prometheus(shared: &Shared) -> String {
     prometheus_histogram(&mut out, "nassc_serve_queue_wait_ms", &metrics.queue_wait);
     let _ = writeln!(out, "# TYPE nassc_serve_device_cache_hits counter");
     let _ = writeln!(out, "# TYPE nassc_serve_device_cache_misses counter");
-    for (name, session) in &shared.sessions {
+    for session in &shared.sessions {
         let stats = session.cache_stats();
-        let label = json_escape(name);
+        let label = json_escape(session.device().name());
         let _ = writeln!(
             out,
             "nassc_serve_device_cache_hits{{device=\"{label}\"}} {}",

@@ -1,8 +1,8 @@
 //! The fault-injection suite: with `NASSC_FAIL`-style failpoints armed
 //! inside the daemon (panicking routing steps, slow layout trials, poisoned
-//! cache commits, dying workers), the process must never crash, every fault
-//! must surface as a taxonomy status (500/504/422) or at worst a dropped
-//! connection, and once the faults stop every response must be
+//! cache commits, panicking handlers), the process must never crash, every
+//! fault must surface as a taxonomy status (500/504/422) or at worst a
+//! dropped connection, and once the faults stop every response must be
 //! byte-identical to an unfaulted reference.
 //!
 //! Run with `cargo test -p nassc-serve --features failpoints --test chaos`.
@@ -10,8 +10,10 @@
 //! one lock and disarms on exit (including panicking exits).
 #![cfg(feature = "failpoints")]
 
-use std::sync::{Mutex, MutexGuard, PoisonError};
-use std::time::Duration;
+use std::io::{Read, Write};
+use std::net::TcpStream;
+use std::sync::{mpsc, Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
 
 use nassc::circuit::failpoints::{arm, disarm_all, total_injections, Action};
 use nassc_serve::{client, ServeConfig, Server};
@@ -131,21 +133,21 @@ fn slow_routing_expires_the_deadline_mid_flight_as_504() {
 #[test]
 fn handler_panic_restarts_the_worker_and_service_continues() {
     let _session = failpoint_session();
-    // One worker: the panicking request kills the only worker, so the next
-    // request can only succeed if supervision respawned it.
+    // One worker: the panicking request unwinds the only worker's handler,
+    // so the next request can only succeed if that worker kept serving.
     let (addr, stop) = boot(config(1));
 
     let reference = client::post(&addr, "/transpile", BELL).expect("reference");
     assert_eq!(reference.status, 200, "body: {}", reference.body);
 
     arm("handler", Action::Panic, 1.0);
-    // The worker dies before writing a response; the client sees the
+    // The handler panics before writing a response; the client sees the
     // connection drop. That request is lost — but only that one.
     let dropped = client::post(&addr, "/transpile", BELL);
     assert!(dropped.is_err(), "worker death must drop the connection");
 
     disarm_all();
-    let recovered = client::post(&addr, "/transpile", BELL).expect("respawned worker");
+    let recovered = client::post(&addr, "/transpile", BELL).expect("worker kept serving");
     assert_eq!(recovered.status, 200, "body: {}", recovered.body);
     assert_eq!(recovered.body, reference.body);
 
@@ -156,6 +158,82 @@ fn handler_panic_restarts_the_worker_and_service_continues() {
         metrics.body
     );
     stop();
+}
+
+/// Handler panics while the queue drains at shutdown: `run` still returns,
+/// the in-flight request still completes, and each queued request drops.
+#[test]
+fn handler_panics_while_draining_at_shutdown_do_not_hang_run() {
+    let _session = failpoint_session();
+    let server = Server::bind(ServeConfig {
+        queue_depth: 3,
+        ..config(1)
+    })
+    .expect("bind");
+    let addr = server.local_addr().to_string();
+    let shutdown = server.shutdown_handle();
+    let (returned, run_returned) = mpsc::channel();
+    let running = std::thread::spawn(move || {
+        server.run();
+        let _ = returned.send(());
+    });
+
+    // The only worker holds the first request in a 500 ms layout trial;
+    // once the delay has fired, the worker is past the `handler` site.
+    arm(
+        "layout_trial",
+        Action::Delay(Duration::from_millis(500)),
+        1.0,
+    );
+    let delays_before = total_injections();
+    let first = {
+        let addr = addr.clone();
+        std::thread::spawn(move || client::post(&addr, "/transpile", GHZ5))
+    };
+    let give_up = Instant::now() + Duration::from_secs(10);
+    while total_injections() == delays_before {
+        assert!(
+            Instant::now() < give_up,
+            "the layout-trial delay never fired"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    arm("handler", Action::Panic, 1.0);
+    let request = format!(
+        "POST /transpile HTTP/1.1\r\nhost: {addr}\r\nconnection: close\r\n\
+         content-length: {}\r\n\r\n{BELL}",
+        BELL.len()
+    );
+    let queued: Vec<TcpStream> = (0..3)
+        .map(|_| {
+            let mut stream = TcpStream::connect(&addr).expect("queued connection");
+            stream.write_all(request.as_bytes()).expect("send request");
+            stream
+        })
+        .collect();
+    // The listener's backlog is FIFO, so a 429 for a fourth connection
+    // means the three before it fill the queue.
+    let shed = client::get(&addr, "/health").expect("shed request");
+    assert_eq!(shed.status, 429, "body: {}", shed.body);
+    shutdown.shutdown();
+
+    let finished = run_returned.recv_timeout(Duration::from_secs(10));
+    disarm_all();
+    finished.expect("run must return while handlers panic at shutdown");
+    running.join().expect("server thread");
+    let first = first.join().expect("first client").expect("first request");
+    assert_eq!(first.status, 200, "body: {}", first.body);
+    for mut stream in queued {
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        let mut response = String::new();
+        let _ = stream.read_to_string(&mut response);
+        assert!(
+            response.is_empty(),
+            "a panicking handler must drop its request: {response:?}"
+        );
+    }
 }
 
 #[test]

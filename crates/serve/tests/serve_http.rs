@@ -5,7 +5,7 @@
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::mpsc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use nassc::{qasm, Device, TranspileOptions, Transpiler};
 use nassc_serve::{client, ServeConfig, Server};
@@ -50,6 +50,23 @@ fn default_config() -> ServeConfig {
         options: TranspileOptions::new(),
         max_gates: None,
         max_qubits: None,
+    }
+}
+
+#[test]
+fn bind_rejects_empty_and_duplicate_device_lists() {
+    for devices in [
+        Vec::new(),
+        vec![Device::montreal(), Device::linear(4), Device::montreal()],
+    ] {
+        let count = devices.len();
+        let Err(error) = Server::bind(ServeConfig {
+            devices,
+            ..default_config()
+        }) else {
+            panic!("bind must refuse a list of {count} devices");
+        };
+        assert_eq!(error.kind(), std::io::ErrorKind::InvalidInput, "{error}");
     }
 }
 
@@ -234,6 +251,41 @@ fn shed_connection_reads_429_after_sending_its_request_late() {
         "response: {response:?}"
     );
     drop(shed);
+    stop();
+}
+
+/// A client that connects and sends nothing holds a worker for at most the
+/// 1 s first-byte wait, not the 10 s per-read timeout: with both workers
+/// taken by silent sockets, `/health` still answers within seconds, and
+/// each silent socket reads a 408.
+#[test]
+fn idle_connections_release_their_workers() {
+    let (addr, stop) = boot(default_config());
+    // The acceptor queues in arrival order, so the two workers dequeue the
+    // silent sockets before `/health`.
+    let idle: Vec<TcpStream> = (0..2)
+        .map(|_| TcpStream::connect(&addr).expect("idle connection"))
+        .collect();
+    let started = Instant::now();
+    let health = client::get(&addr, "/health").expect("health");
+    let waited = started.elapsed();
+    assert_eq!(health.status, 200);
+    assert!(
+        waited < Duration::from_secs(5),
+        "/health waited {:.3} s",
+        waited.as_secs_f64()
+    );
+    for mut socket in idle {
+        socket
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        let mut response = String::new();
+        socket.read_to_string(&mut response).expect("read the 408");
+        assert!(
+            response.starts_with("HTTP/1.1 408"),
+            "response: {response:?}"
+        );
+    }
     stop();
 }
 
