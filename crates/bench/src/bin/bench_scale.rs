@@ -64,9 +64,7 @@ fn workload(style: &str, width: usize, gates: usize) -> (QuantumCircuit, Quantum
             std::process::exit(1);
         }
     };
-    let qasm = generated
-        .to_qasm()
-        .expect("generated circuits are exportable");
+    let qasm = nassc_qasm::export(&generated).expect("generated circuits are exportable");
     let parsed = nassc_qasm::parse(&qasm).expect("exported QASM must re-parse");
     (generated, parsed)
 }

@@ -104,7 +104,7 @@ mod tests {
     #[test]
     fn generated_circuits_round_trip_through_qasm() {
         for qc in [qv_style(27, 500, 11), qft_style(27, 500)] {
-            let qasm = qc.to_qasm().expect("exportable");
+            let qasm = nassc_qasm::export(&qc).expect("exportable");
             let parsed = nassc_qasm::parse(&qasm).expect("parseable");
             assert_eq!(parsed, qc);
         }

@@ -1,7 +1,6 @@
 //! The flat quantum-circuit container.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 use crate::gate::Gate;
 use crate::instruction::Instruction;
@@ -273,87 +272,6 @@ impl QuantumCircuit {
             .collect()
     }
 
-    /// Serializes the circuit as a strictly valid OpenQASM 2.0 program.
-    ///
-    /// The output carries the standard header, one `qreg q[n]` covering every
-    /// qubit, a matching `creg c[n]` when the circuit measures, and canonical
-    /// lower-case gate spellings (`u`, `p`, `sx`, …) resolvable against
-    /// `qelib1.inc`. Parameters print via Rust's shortest-round-trip `f64`
-    /// formatting, so re-parsing reproduces every angle bit-for-bit — the
-    /// `nassc-qasm` round-trip guarantee builds on exactly that.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QasmExportError`] when an instruction has no OpenQASM 2.0
-    /// spelling: the synthesis intermediates `unitary1`/`unitary2` (raw
-    /// matrices) and gates carrying non-finite parameters.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use nassc_circuit::QuantumCircuit;
-    ///
-    /// let mut bell = QuantumCircuit::new(2);
-    /// bell.h(0).cx(0, 1).measure(0).measure(1);
-    /// let qasm = bell.to_qasm().unwrap();
-    /// assert!(qasm.starts_with("OPENQASM 2.0;"));
-    /// assert!(qasm.contains("cx q[0],q[1];"));
-    /// assert!(qasm.contains("measure q[0] -> c[0];"));
-    /// ```
-    pub fn to_qasm(&self) -> Result<String, QasmExportError> {
-        // The output is pre-sized and every line is written in place (no
-        // per-gate `format!` temporaries), so a 100k-gate export performs
-        // O(1) reallocations. ~24 bytes covers a typical parameterless line
-        // (`cx q[12],q[13];`); parameterised lines overflow into the usual
-        // amortised growth.
-        let mut out = String::with_capacity(64 + 24 * self.instructions.len());
-        out.push_str("OPENQASM 2.0;\n");
-        out.push_str("include \"qelib1.inc\";\n");
-        if self.num_qubits > 0 {
-            let _ = writeln!(out, "qreg q[{}];", self.num_qubits);
-        }
-        if self.instructions.iter().any(|i| i.gate == Gate::Measure) {
-            let _ = writeln!(out, "creg c[{}];", self.num_qubits);
-        }
-        for (index, inst) in self.instructions.iter().enumerate() {
-            match &inst.gate {
-                Gate::Measure => {
-                    let q = inst.qubit(0);
-                    let _ = writeln!(out, "measure q[{q}] -> c[{q}];");
-                }
-                Gate::Barrier(_) => {
-                    out.push_str("barrier ");
-                    write_qasm_qubits(&mut out, inst.qubits());
-                    out.push_str(";\n");
-                }
-                Gate::Unitary1(_) | Gate::Unitary2(_) => {
-                    return Err(QasmExportError::new(index, inst.gate.name()));
-                }
-                gate => {
-                    let params = gate.params();
-                    if params.iter().any(|p| !p.is_finite()) {
-                        return Err(QasmExportError::new(index, gate.name()));
-                    }
-                    out.push_str(gate.name());
-                    if !params.is_empty() {
-                        out.push('(');
-                        for (i, p) in params.iter().enumerate() {
-                            if i > 0 {
-                                out.push(',');
-                            }
-                            let _ = write!(out, "{p}");
-                        }
-                        out.push(')');
-                    }
-                    out.push(' ');
-                    write_qasm_qubits(&mut out, inst.qubits());
-                    out.push_str(";\n");
-                }
-            }
-        }
-        Ok(out)
-    }
-
     // ----- builder helpers -------------------------------------------------
 
     /// Appends a Hadamard gate.
@@ -446,48 +364,6 @@ impl QuantumCircuit {
         self.append(Gate::Barrier(n), (0..n).collect::<Vec<_>>())
     }
 }
-
-/// Writes a qubit index list as OpenQASM arguments: `q[0],q[3]`.
-fn write_qasm_qubits(out: &mut String, qubits: &QubitList) {
-    for (i, q) in qubits.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "q[{q}]");
-    }
-}
-
-/// Error from [`QuantumCircuit::to_qasm`]: an instruction with no OpenQASM
-/// 2.0 representation (a raw-matrix `unitary1`/`unitary2`, or a gate with a
-/// non-finite parameter).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct QasmExportError {
-    /// Index of the offending instruction.
-    pub instruction: usize,
-    /// Name of the offending gate.
-    pub gate: String,
-}
-
-impl QasmExportError {
-    fn new(instruction: usize, gate: impl Into<String>) -> Self {
-        Self {
-            instruction,
-            gate: gate.into(),
-        }
-    }
-}
-
-impl std::fmt::Display for QasmExportError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "instruction {} ({}) has no OpenQASM 2.0 representation",
-            self.instruction, self.gate
-        )
-    }
-}
-
-impl std::error::Error for QasmExportError {}
 
 impl FromIterator<Instruction> for QuantumCircuit {
     /// Builds a circuit wide enough to hold every referenced qubit.
@@ -651,61 +527,5 @@ mod tests {
         let mut qc = QuantumCircuit::new(6);
         qc.cx(1, 4);
         assert_eq!(qc.active_qubits(), vec![1, 4]);
-    }
-
-    #[test]
-    fn qasm_dump_is_a_valid_program() {
-        let mut qc = QuantumCircuit::new(3);
-        qc.h(0)
-            .cx(0, 1)
-            .rz(0.5, 1)
-            .barrier_all()
-            .measure(0)
-            .measure(1);
-        let qasm = qc.to_qasm().unwrap();
-        assert!(qasm.starts_with("OPENQASM 2.0;\ninclude \"qelib1.inc\";\n"));
-        assert!(qasm.contains("qreg q[3];"));
-        assert!(qasm.contains("creg c[3];"));
-        assert!(qasm.contains("h q[0];"));
-        assert!(qasm.contains("cx q[0],q[1];"));
-        assert!(qasm.contains("rz(0.5) q[1];"));
-        assert!(qasm.contains("barrier q[0],q[1],q[2];"));
-        assert!(qasm.contains("measure q[1] -> c[1];"));
-    }
-
-    #[test]
-    fn measureless_circuits_omit_the_creg() {
-        let mut qc = QuantumCircuit::new(2);
-        qc.h(0).cx(0, 1);
-        let qasm = qc.to_qasm().unwrap();
-        assert!(!qasm.contains("creg"));
-        assert!(!qasm.contains("measure"));
-    }
-
-    #[test]
-    fn unitary_payload_gates_fail_strict_export_but_not_lossy() {
-        use nassc_math::Matrix2;
-        let mut qc = QuantumCircuit::new(1);
-        qc.h(0);
-        qc.append(Gate::Unitary1(Box::new(Matrix2::identity())), vec![0]);
-        let err = qc.to_qasm().unwrap_err();
-        assert_eq!(err.instruction, 1);
-        assert_eq!(err.gate, "unitary1");
-        assert!(err.to_string().contains("no OpenQASM 2.0 representation"));
-    }
-
-    #[test]
-    fn non_finite_parameters_fail_strict_export() {
-        let mut qc = QuantumCircuit::new(1);
-        qc.rz(f64::NAN, 0);
-        let err = qc.to_qasm().unwrap_err();
-        assert_eq!((err.instruction, err.gate.as_str()), (0, "rz"));
-    }
-
-    #[test]
-    fn empty_circuit_exports_header_only() {
-        let qasm = QuantumCircuit::new(0).to_qasm().unwrap();
-        assert!(!qasm.contains("qreg"));
-        assert!(qasm.starts_with("OPENQASM 2.0;"));
     }
 }

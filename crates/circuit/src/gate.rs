@@ -7,7 +7,7 @@
 //! `|b a⟩`. Controlled gates list the control qubit first.
 
 use nassc_math::{Matrix2, Matrix4, C64};
-use std::f64::consts::{FRAC_PI_2, FRAC_PI_4};
+use std::f64::consts::FRAC_PI_4;
 
 /// A quantum gate (or the non-unitary `Measure`/`Barrier` markers).
 ///
@@ -130,64 +130,6 @@ impl Gate {
             Gate::Measure => "measure",
             Gate::Barrier(_) => "barrier",
         }
-    }
-
-    /// The inverse of [`Gate::name`]: builds the gate for a lower-case
-    /// OpenQASM name and parameter list.
-    ///
-    /// Accepts every name [`Gate::name`] produces for a parameterizable gate
-    /// (so `Gate::from_qasm_name(g.name(), &g.params()) == Some(g)` for all
-    /// named gates) plus the legacy OpenQASM 2.0 spellings `u1`, `u2`, `u3`
-    /// and `cu1`. Returns `None` for unknown names, wrong parameter counts,
-    /// and the gates that carry non-parameter payloads (`unitary1`,
-    /// `unitary2`, `barrier`).
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use nassc_circuit::Gate;
-    ///
-    /// assert_eq!(Gate::from_qasm_name("cx", &[]), Some(Gate::Cx));
-    /// assert_eq!(Gate::from_qasm_name("rz", &[0.5]), Some(Gate::Rz(0.5)));
-    /// assert_eq!(Gate::from_qasm_name("rz", &[]), None);
-    /// assert_eq!(Gate::from_qasm_name("u1", &[0.5]), Some(Gate::Phase(0.5)));
-    /// ```
-    pub fn from_qasm_name(name: &str, params: &[f64]) -> Option<Gate> {
-        let gate = match (name, params) {
-            ("id", []) => Gate::I,
-            ("x", []) => Gate::X,
-            ("y", []) => Gate::Y,
-            ("z", []) => Gate::Z,
-            ("h", []) => Gate::H,
-            ("s", []) => Gate::S,
-            ("sdg", []) => Gate::Sdg,
-            ("t", []) => Gate::T,
-            ("tdg", []) => Gate::Tdg,
-            ("sx", []) => Gate::Sx,
-            ("sxdg", []) => Gate::Sxdg,
-            ("rx", &[t]) => Gate::Rx(t),
-            ("ry", &[t]) => Gate::Ry(t),
-            ("rz", &[t]) => Gate::Rz(t),
-            ("p" | "u1", &[l]) => Gate::Phase(l),
-            ("u2", &[p, l]) => Gate::U(FRAC_PI_2, p, l),
-            ("u" | "u3", &[t, p, l]) => Gate::U(t, p, l),
-            ("cx", []) => Gate::Cx,
-            ("cy", []) => Gate::Cy,
-            ("cz", []) => Gate::Cz,
-            ("ch", []) => Gate::Ch,
-            ("swap", []) => Gate::Swap,
-            ("crx", &[t]) => Gate::Crx(t),
-            ("cry", &[t]) => Gate::Cry(t),
-            ("crz", &[t]) => Gate::Crz(t),
-            ("cp" | "cu1", &[l]) => Gate::Cp(l),
-            ("rxx", &[t]) => Gate::Rxx(t),
-            ("rzz", &[t]) => Gate::Rzz(t),
-            ("ccx", []) => Gate::Ccx,
-            ("cswap", []) => Gate::Cswap,
-            ("measure", []) => Gate::Measure,
-            _ => return None,
-        };
-        Some(gate)
     }
 
     /// The number of qubits the gate acts on.
@@ -431,6 +373,7 @@ fn u_matrix(theta: f64, phi: f64, lam: f64) -> Matrix2 {
 mod tests {
     use super::*;
     use nassc_math::Matrix4;
+    use std::f64::consts::FRAC_PI_2;
 
     #[test]
     fn names_and_arities() {
@@ -555,80 +498,6 @@ mod tests {
         assert!(cz.approx_eq(&cz.swap_qubits(), 1e-12));
         let cx = Gate::Cx.matrix4().unwrap();
         assert!(!cx.approx_eq(&cx.swap_qubits(), 1e-12));
-    }
-
-    #[test]
-    fn every_named_gate_round_trips_through_from_qasm_name() {
-        // All gates constructible from (name, params) alone — i.e. everything
-        // except the matrix payloads (`unitary1`/`unitary2`) and `barrier`.
-        let gates = [
-            Gate::I,
-            Gate::X,
-            Gate::Y,
-            Gate::Z,
-            Gate::H,
-            Gate::S,
-            Gate::Sdg,
-            Gate::T,
-            Gate::Tdg,
-            Gate::Sx,
-            Gate::Sxdg,
-            Gate::Rx(0.25),
-            Gate::Ry(-1.5),
-            Gate::Rz(2.125),
-            Gate::Phase(0.3),
-            Gate::U(0.1, 0.2, 0.3),
-            Gate::Cx,
-            Gate::Cy,
-            Gate::Cz,
-            Gate::Ch,
-            Gate::Swap,
-            Gate::Crx(0.7),
-            Gate::Cry(0.8),
-            Gate::Crz(0.9),
-            Gate::Cp(1.1),
-            Gate::Rxx(1.2),
-            Gate::Rzz(1.3),
-            Gate::Ccx,
-            Gate::Cswap,
-            Gate::Measure,
-        ];
-        for gate in gates {
-            let rebuilt = Gate::from_qasm_name(gate.name(), &gate.params());
-            assert_eq!(
-                rebuilt,
-                Some(gate.clone()),
-                "{} did not round-trip",
-                gate.name()
-            );
-            // And the other direction: name→gate→name.
-            assert_eq!(rebuilt.unwrap().name(), gate.name());
-        }
-    }
-
-    #[test]
-    fn from_qasm_name_rejects_unknowns_and_payload_gates() {
-        assert_eq!(Gate::from_qasm_name("nope", &[]), None);
-        assert_eq!(Gate::from_qasm_name("cx", &[0.5]), None);
-        assert_eq!(Gate::from_qasm_name("rz", &[]), None);
-        assert_eq!(Gate::from_qasm_name("u", &[0.1]), None);
-        assert_eq!(Gate::from_qasm_name("unitary1", &[]), None);
-        assert_eq!(Gate::from_qasm_name("unitary2", &[]), None);
-        assert_eq!(Gate::from_qasm_name("barrier", &[]), None);
-    }
-
-    #[test]
-    fn legacy_spellings_map_to_canonical_gates() {
-        assert_eq!(Gate::from_qasm_name("u1", &[0.4]), Some(Gate::Phase(0.4)));
-        assert_eq!(Gate::from_qasm_name("cu1", &[0.4]), Some(Gate::Cp(0.4)));
-        assert_eq!(
-            Gate::from_qasm_name("u3", &[0.1, 0.2, 0.3]),
-            Some(Gate::U(0.1, 0.2, 0.3))
-        );
-        assert_eq!(
-            Gate::from_qasm_name("u2", &[0.2, 0.3]),
-            Some(Gate::U(FRAC_PI_2, 0.2, 0.3))
-        );
     }
 
     #[test]

@@ -10,6 +10,10 @@
 //! * [`unitary`] — dense unitary construction for equivalence checking of
 //!   small circuits.
 //!
+//! The IR knows no file format: OpenQASM 2.0 is read and written by the
+//! `nassc-qasm` crate, which owns the gate spellings. [`Gate::name`] is the
+//! canonical lower-case name that counts, hashes and the exporter share.
+//!
 //! # Example
 //!
 //! ```
@@ -31,7 +35,7 @@ pub mod instruction;
 pub mod qubits;
 pub mod unitary;
 
-pub use circuit::{QasmExportError, QuantumCircuit};
+pub use circuit::QuantumCircuit;
 pub use dag::{DagCircuit, DagNode};
 pub use gate::Gate;
 pub use instruction::Instruction;

@@ -19,6 +19,7 @@
 use std::fmt;
 use std::str::FromStr;
 
+use nassc_qasm::MAX_QUBITS;
 use nassc_topology::CouplingMap;
 
 /// A transpilation target: a named coupling map.
@@ -26,7 +27,8 @@ use nassc_topology::CouplingMap;
 /// Constructors cover the devices of the paper's evaluation
 /// ([`montreal`](Self::montreal), [`linear`](Self::linear),
 /// [`grid`](Self::grid)); [`FromStr`] accepts the same specs every CLI flag
-/// and daemon config uses (`montreal`, `linear:<n>`, `grid:<rows>x<cols>`).
+/// and daemon config uses (`montreal`, `linear:<n>`, `grid:<rows>x<cols>`),
+/// up to the [`MAX_QUBITS`] a parsed source may declare.
 ///
 /// # Example
 ///
@@ -160,7 +162,8 @@ impl fmt::Display for DeviceParseError {
             f,
             "invalid device {:?}: expected montreal, eagle, osprey, \
              heavy-hex:<d> (odd d >= 3), linear:<n> (n >= 2) \
-             or grid:<rows>x<cols> (rows*cols >= 2)",
+             or grid:<rows>x<cols> (rows*cols >= 2), \
+             of at most {MAX_QUBITS} qubits",
             self.spec
         )
     }
@@ -173,6 +176,9 @@ impl FromStr for Device {
 
     /// Parses `montreal`, `eagle`, `osprey`, `heavy-hex:<d>` (odd `d >= 3`),
     /// `linear:<n>` (`n >= 2`) or `grid:<rows>x<cols>` (`rows * cols >= 2`).
+    /// The size is checked before anything is built: a spec over
+    /// [`MAX_QUBITS`] qubits is rejected, so a few characters cannot ask for
+    /// a coupling map of billions of qubits.
     fn from_str(spec: &str) -> Result<Self, Self::Err> {
         let reject = || DeviceParseError {
             spec: spec.to_string(),
@@ -188,14 +194,14 @@ impl FromStr for Device {
         }
         if let Some(d) = spec.strip_prefix("heavy-hex:") {
             let d: usize = d.parse().map_err(|_| reject())?;
-            if d < 3 || d.is_multiple_of(2) {
+            if d < 3 || d.is_multiple_of(2) || heavy_hex_qubits(d) > MAX_QUBITS {
                 return Err(reject());
             }
             return Ok(Self::heavy_hex(d));
         }
         if let Some(n) = spec.strip_prefix("linear:") {
             let n: usize = n.parse().map_err(|_| reject())?;
-            if n < 2 {
+            if !(2..=MAX_QUBITS).contains(&n) {
                 return Err(reject());
             }
             return Ok(Self::linear(n));
@@ -204,13 +210,22 @@ impl FromStr for Device {
             let (rows, cols) = dims.split_once('x').ok_or_else(reject)?;
             let rows: usize = rows.parse().map_err(|_| reject())?;
             let cols: usize = cols.parse().map_err(|_| reject())?;
-            if rows * cols < 2 {
+            let qubits = rows.checked_mul(cols).ok_or_else(reject)?;
+            if !(2..=MAX_QUBITS).contains(&qubits) {
                 return Err(reject());
             }
             return Ok(Self::grid(rows, cols));
         }
         Err(reject())
     }
+}
+
+/// The qubit count of [`CouplingMap::heavy_hex`] at odd distance `d >= 3`:
+/// `d` rows of `2d + 1` qubits less the two trimmed corners, plus `d - 1`
+/// gaps of `(d + 1) / 2` rungs. Saturates instead of overflowing.
+fn heavy_hex_qubits(d: usize) -> usize {
+    let rows = d.saturating_mul(d.saturating_mul(2).saturating_add(1)) - 2;
+    rows.saturating_add((d - 1).saturating_mul(d / 2 + 1))
 }
 
 #[cfg(test)]
@@ -285,6 +300,37 @@ mod tests {
             assert_eq!(err.spec(), spec);
             assert!(err.to_string().contains("expected montreal"), "{err}");
         }
+    }
+
+    #[test]
+    fn from_str_bounds_the_device_size_before_building() {
+        // The first grid's `rows * cols` wraps to 8,589,934,593 in a
+        // release build; building it exhausted memory.
+        for spec in [
+            "grid:4294967297x4294967297",
+            "grid:65x64",
+            "linear:4097",
+            "heavy-hex:41",
+        ] {
+            let err = spec.parse::<Device>().unwrap_err();
+            assert!(err.to_string().contains("of at most 4096 qubits"), "{err}");
+        }
+        for (spec, qubits) in [
+            ("grid:64x64", 4096),
+            ("linear:4096", 4096),
+            ("heavy-hex:39", 3839),
+        ] {
+            assert_eq!(spec.parse::<Device>().unwrap().num_qubits(), qubits);
+        }
+    }
+
+    #[test]
+    fn heavy_hex_qubit_count_matches_the_built_map() {
+        for d in (3..=15).step_by(2) {
+            assert_eq!(heavy_hex_qubits(d), CouplingMap::heavy_hex(d).num_qubits());
+        }
+        assert_eq!(heavy_hex_qubits(41), 4241);
+        assert_eq!(heavy_hex_qubits(usize::MAX), usize::MAX);
     }
 
     #[test]

@@ -811,7 +811,7 @@ mod tests {
             assert_eq!(err.kind(), crate::ErrorKind::TooWide, "{err}");
         };
         too_wide(&session.transpile(&wide));
-        too_wide(&session.transpile_qasm(&wide.to_qasm().unwrap()));
+        too_wide(&session.transpile_qasm(&nassc_qasm::export(&wide).unwrap()));
         let results = session.transpile_jobs(&[SessionJob::new(&wide), SessionJob::new(&narrow)]);
         too_wide(&results[0]);
         results[1].as_ref().expect("the narrow sibling transpiles");

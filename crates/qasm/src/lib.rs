@@ -10,13 +10,19 @@
 //!   `barrier`/`measure`/`include "qelib1.inc"` tolerated), lowering into
 //!   [`nassc_circuit::QuantumCircuit`];
 //! * [`export`] — serializes any circuit of named gates back to valid
-//!   OpenQASM 2.0 (delegating to [`QuantumCircuit::to_qasm`], which formats
-//!   parameters with shortest-round-trip precision);
+//!   OpenQASM 2.0, formatting parameters with shortest-round-trip
+//!   precision;
 //! * the round-trip guarantee: for every circuit the transpiler can produce,
 //!   `parse(&export(c)?)? == c` structurally, float parameters included;
 //! * [`load_corpus`] — reads every `.qasm` file of a directory (sorted by
 //!   filename for deterministic job order) for batch ingestion by the bench
 //!   harness.
+//!
+//! This crate is the one place that knows the format. The parser resolves
+//! built-in gates through one table of their spellings, counts and
+//! lowerings (the legacy `u1`/`u2`/`u3`/`cu1` included), and the exporter
+//! writes each gate under the canonical name
+//! [`Gate::name`](nassc_circuit::Gate::name) gives it.
 //!
 //! Known limitations: no classical control (`if`), no `reset`, no `opaque`
 //! gates, and includes other than `qelib1.inc` are rejected. A source may
@@ -34,11 +40,12 @@
 //! assert_eq!(parse(&qasm).unwrap(), qc);
 //! ```
 
+use std::fmt::Write as _;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use nassc_circuit::QuantumCircuit;
+use nassc_circuit::{Gate, QuantumCircuit, QubitList};
 
 mod error;
 mod lexer;
@@ -47,18 +54,95 @@ mod parser;
 pub use error::QasmError;
 pub use parser::{parse, MAX_OPERANDS, MAX_QUBITS};
 
-/// Serializes a circuit as an OpenQASM 2.0 program.
+/// Serializes a circuit as a strictly valid OpenQASM 2.0 program.
 ///
-/// Thin wrapper over [`QuantumCircuit::to_qasm`] that converts its error into
-/// [`QasmError`], so frontend and exporter share one error type.
+/// The output carries the standard header, one `qreg q[n]` covering every
+/// qubit, a matching `creg c[n]` when the circuit measures, and canonical
+/// lower-case gate spellings (`u`, `p`, `sx`, …) resolvable against
+/// `qelib1.inc`. Parameters print via Rust's shortest-round-trip `f64`
+/// formatting, so [`parse`] reproduces every angle bit for bit.
 ///
 /// # Errors
 ///
-/// Fails when the circuit contains instructions with no OpenQASM 2.0
-/// spelling: raw-matrix `unitary1`/`unitary2` blocks or non-finite
-/// parameters.
+/// A [`QasmError`] without a source line when an instruction has no
+/// OpenQASM 2.0 spelling: the synthesis intermediates `unitary1`/`unitary2`
+/// (raw matrices) and gates carrying non-finite parameters.
+///
+/// # Example
+///
+/// ```
+/// let mut bell = nassc_circuit::QuantumCircuit::new(2);
+/// bell.h(0).cx(0, 1).measure(0).measure(1);
+/// assert_eq!(
+///     nassc_qasm::export(&bell).unwrap(),
+///     "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[2];\ncreg c[2];\n\
+///      h q[0];\ncx q[0],q[1];\nmeasure q[0] -> c[0];\nmeasure q[1] -> c[1];\n"
+/// );
+/// ```
 pub fn export(circuit: &QuantumCircuit) -> Result<String, QasmError> {
-    circuit.to_qasm().map_err(|e| QasmError::new(e.to_string()))
+    // The output is pre-sized and every line is written in place (no
+    // per-gate `format!` temporaries), so a 100k-gate export performs O(1)
+    // reallocations. ~24 bytes covers a typical parameterless line
+    // (`cx q[12],q[13];`); parameterised lines overflow into the usual
+    // amortised growth.
+    let mut out = String::with_capacity(64 + 24 * circuit.num_gates());
+    out.push_str("OPENQASM 2.0;\n");
+    out.push_str("include \"qelib1.inc\";\n");
+    if circuit.num_qubits() > 0 {
+        let _ = writeln!(out, "qreg q[{}];", circuit.num_qubits());
+    }
+    if circuit.iter().any(|i| i.gate == Gate::Measure) {
+        let _ = writeln!(out, "creg c[{}];", circuit.num_qubits());
+    }
+    for (index, inst) in circuit.iter().enumerate() {
+        match &inst.gate {
+            Gate::Measure => {
+                let q = inst.qubit(0);
+                let _ = writeln!(out, "measure q[{q}] -> c[{q}];");
+            }
+            Gate::Barrier(_) => {
+                out.push_str("barrier ");
+                write_qubits(&mut out, inst.qubits());
+                out.push_str(";\n");
+            }
+            gate => {
+                let params = gate.params();
+                if matches!(gate, Gate::Unitary1(_) | Gate::Unitary2(_))
+                    || params.iter().any(|p| !p.is_finite())
+                {
+                    return Err(QasmError::new(format!(
+                        "instruction {index} ({}) has no OpenQASM 2.0 representation",
+                        gate.name()
+                    )));
+                }
+                out.push_str(gate.name());
+                if !params.is_empty() {
+                    out.push('(');
+                    for (i, p) in params.iter().enumerate() {
+                        if i > 0 {
+                            out.push(',');
+                        }
+                        let _ = write!(out, "{p}");
+                    }
+                    out.push(')');
+                }
+                out.push(' ');
+                write_qubits(&mut out, inst.qubits());
+                out.push_str(";\n");
+            }
+        }
+    }
+    Ok(out)
+}
+
+/// Writes a qubit index list as OpenQASM arguments: `q[0],q[3]`.
+fn write_qubits(out: &mut String, qubits: &QubitList) {
+    for (i, q) in qubits.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(out, "q[{q}]");
+    }
 }
 
 /// One `.qasm` file of a corpus directory: its stem, path and parse outcome.
@@ -154,6 +238,24 @@ ccx q[0],q[1],q[2]; cswap q[0],q[1],q[2];
         assert_eq!(qc.instructions()[1].gate, Gate::Cx);
         // u0 lowers to the identity.
         assert!(qc.iter().any(|i| i.gate == Gate::I));
+    }
+
+    #[test]
+    fn legacy_spellings_map_to_canonical_gates() {
+        let qc = parse_ok(
+            "OPENQASM 2.0;\nqreg q[2];\n\
+             u1(0.4) q[0];\ncu1(0.4) q[0],q[1];\nu3(0.1,0.2,0.3) q[0];\nu2(0.2,0.3) q[0];\n",
+        );
+        let gates: Vec<Gate> = qc.iter().map(|i| i.gate.clone()).collect();
+        assert_eq!(
+            gates,
+            vec![
+                Gate::Phase(0.4),
+                Gate::Cp(0.4),
+                Gate::U(0.1, 0.2, 0.3),
+                Gate::U(PI / 2.0, 0.2, 0.3),
+            ]
+        );
     }
 
     #[test]

@@ -20,7 +20,8 @@
 //! which bound what a short source can make the parser allocate.
 
 use std::collections::HashMap;
-use std::f64::consts::PI;
+use std::f64::consts::{FRAC_PI_2, PI};
+use std::fmt::Display;
 use std::ops::Range;
 use std::rc::Rc;
 
@@ -44,47 +45,54 @@ pub const MAX_QUBITS: usize = 4_096;
 /// few lines of nested definitions or broadcasts can demand.
 pub const MAX_OPERANDS: usize = 1 << 21;
 
-/// `(name, parameter count, qubit count)` of every built-in gate the parser
-/// resolves without a user definition: the `U`/`CX` primitives and the
-/// `qelib1.inc` standard library.
-const BUILTINS: &[(&str, usize, usize)] = &[
-    ("U", 3, 1),
-    ("CX", 0, 2),
-    ("id", 0, 1),
-    ("u0", 1, 1),
-    ("x", 0, 1),
-    ("y", 0, 1),
-    ("z", 0, 1),
-    ("h", 0, 1),
-    ("s", 0, 1),
-    ("sdg", 0, 1),
-    ("t", 0, 1),
-    ("tdg", 0, 1),
-    ("sx", 0, 1),
-    ("sxdg", 0, 1),
-    ("rx", 1, 1),
-    ("ry", 1, 1),
-    ("rz", 1, 1),
-    ("p", 1, 1),
-    ("u1", 1, 1),
-    ("u2", 2, 1),
-    ("u", 3, 1),
-    ("u3", 3, 1),
-    ("cx", 0, 2),
-    ("cy", 0, 2),
-    ("cz", 0, 2),
-    ("ch", 0, 2),
-    ("swap", 0, 2),
-    ("crx", 1, 2),
-    ("cry", 1, 2),
-    ("crz", 1, 2),
-    ("cp", 1, 2),
-    ("cu1", 1, 2),
-    ("cu3", 3, 2),
-    ("rxx", 1, 2),
-    ("rzz", 1, 2),
-    ("ccx", 0, 3),
-    ("cswap", 0, 3),
+/// How a built-in gate lowers to the IR, given its evaluated parameters;
+/// `None` for the composite `cu3`, which [`Parser::emit_builtin`] inlines.
+type Lowering = Option<fn(&[f64]) -> Gate>;
+
+/// `(name, parameter count, qubit count, lowering)` of every built-in gate
+/// the parser resolves without a user definition: the `U`/`CX` primitives
+/// and the `qelib1.inc` standard library, legacy spellings (`u1`, `u2`,
+/// `u3`, `cu1`) included. The lowering runs only after the counts are
+/// checked, so it may index its parameters.
+const BUILTINS: &[(&str, usize, usize, Lowering)] = &[
+    ("U", 3, 1, Some(|p| Gate::U(p[0], p[1], p[2]))),
+    ("CX", 0, 2, Some(|_| Gate::Cx)),
+    ("id", 0, 1, Some(|_| Gate::I)),
+    // qelib1's idle/delay gate: the duration has no circuit-level meaning.
+    ("u0", 1, 1, Some(|_| Gate::I)),
+    ("x", 0, 1, Some(|_| Gate::X)),
+    ("y", 0, 1, Some(|_| Gate::Y)),
+    ("z", 0, 1, Some(|_| Gate::Z)),
+    ("h", 0, 1, Some(|_| Gate::H)),
+    ("s", 0, 1, Some(|_| Gate::S)),
+    ("sdg", 0, 1, Some(|_| Gate::Sdg)),
+    ("t", 0, 1, Some(|_| Gate::T)),
+    ("tdg", 0, 1, Some(|_| Gate::Tdg)),
+    ("sx", 0, 1, Some(|_| Gate::Sx)),
+    ("sxdg", 0, 1, Some(|_| Gate::Sxdg)),
+    ("rx", 1, 1, Some(|p| Gate::Rx(p[0]))),
+    ("ry", 1, 1, Some(|p| Gate::Ry(p[0]))),
+    ("rz", 1, 1, Some(|p| Gate::Rz(p[0]))),
+    ("p", 1, 1, Some(|p| Gate::Phase(p[0]))),
+    ("u1", 1, 1, Some(|p| Gate::Phase(p[0]))),
+    ("u2", 2, 1, Some(|p| Gate::U(FRAC_PI_2, p[0], p[1]))),
+    ("u", 3, 1, Some(|p| Gate::U(p[0], p[1], p[2]))),
+    ("u3", 3, 1, Some(|p| Gate::U(p[0], p[1], p[2]))),
+    ("cx", 0, 2, Some(|_| Gate::Cx)),
+    ("cy", 0, 2, Some(|_| Gate::Cy)),
+    ("cz", 0, 2, Some(|_| Gate::Cz)),
+    ("ch", 0, 2, Some(|_| Gate::Ch)),
+    ("swap", 0, 2, Some(|_| Gate::Swap)),
+    ("crx", 1, 2, Some(|p| Gate::Crx(p[0]))),
+    ("cry", 1, 2, Some(|p| Gate::Cry(p[0]))),
+    ("crz", 1, 2, Some(|p| Gate::Crz(p[0]))),
+    ("cp", 1, 2, Some(|p| Gate::Cp(p[0]))),
+    ("cu1", 1, 2, Some(|p| Gate::Cp(p[0]))),
+    ("cu3", 3, 2, None),
+    ("rxx", 1, 2, Some(|p| Gate::Rxx(p[0]))),
+    ("rzz", 1, 2, Some(|p| Gate::Rzz(p[0]))),
+    ("ccx", 0, 3, Some(|_| Gate::Ccx)),
+    ("cswap", 0, 3, Some(|_| Gate::Cswap)),
 ];
 
 /// Parses OpenQASM 2.0 source into a flat [`QuantumCircuit`].
@@ -275,20 +283,28 @@ impl Parser {
         QasmError::at(self.line().max(self.last_line()), message)
     }
 
+    /// The error for `found` (a token, or `None` at end of input) where the
+    /// grammar wants `what`. Callers build it on the error path only.
+    fn expected(&self, what: impl Display, found: Option<Token>) -> QasmError {
+        match found {
+            Some(token) => QasmError::at(
+                token.line,
+                format!("expected {what}, found {}", token.kind.describe()),
+            ),
+            None => QasmError::at(
+                self.last_line(),
+                format!("expected {what}, found end of input"),
+            ),
+        }
+    }
+
     fn expect_symbol(&mut self, want: char) -> Result<usize, QasmError> {
         match self.next() {
             Some(Token {
                 kind: TokenKind::Symbol(c),
                 line,
             }) if c == want => Ok(line),
-            Some(token) => Err(QasmError::at(
-                token.line,
-                format!("expected '{want}', found {}", token.kind.describe()),
-            )),
-            None => Err(QasmError::at(
-                self.last_line(),
-                format!("expected '{want}', found end of input"),
-            )),
+            found => Err(self.expected(format_args!("'{want}'"), found)),
         }
     }
 
@@ -298,14 +314,7 @@ impl Parser {
                 kind: TokenKind::Id(name),
                 line,
             }) => Ok((name, line)),
-            Some(token) => Err(QasmError::at(
-                token.line,
-                format!("expected {context}, found {}", token.kind.describe()),
-            )),
-            None => Err(QasmError::at(
-                self.last_line(),
-                format!("expected {context}, found end of input"),
-            )),
+            found => Err(self.expected(context, found)),
         }
     }
 
@@ -320,17 +329,7 @@ impl Parser {
                     format!("expected a non-negative integer {context}, found {text}"),
                 )
             }),
-            Some(token) => Err(QasmError::at(
-                token.line,
-                format!(
-                    "expected a non-negative integer {context}, found {}",
-                    token.kind.describe()
-                ),
-            )),
-            None => Err(QasmError::at(
-                self.last_line(),
-                format!("expected a non-negative integer {context}, found end of input"),
-            )),
+            found => Err(self.expected(format_args!("a non-negative integer {context}"), found)),
         }
     }
 
@@ -494,19 +493,7 @@ impl Parser {
     fn parse_gate_def(&mut self) -> Result<(), QasmError> {
         let (_, _) = self.expect_id("gate")?;
         let (name, line) = self.expect_id("a gate name")?;
-        let params = if self.at_symbol('(') {
-            self.expect_symbol('(')?;
-            if self.at_symbol(')') {
-                self.expect_symbol(')')?;
-                Vec::new()
-            } else {
-                let list = self.parse_id_list("a parameter name")?;
-                self.expect_symbol(')')?;
-                list
-            }
-        } else {
-            Vec::new()
-        };
+        let params = self.parse_parens(|p| Ok(p.expect_id("a parameter name")?.0))?;
         let qargs = self.parse_id_list("a qubit argument name")?;
         self.expect_symbol('{')?;
         let mut body = Vec::new();
@@ -530,19 +517,7 @@ impl Parser {
                 }
                 Some(TokenKind::Id(_)) => {
                     let (op_name, op_line) = self.expect_id("a gate name")?;
-                    let exprs = if self.at_symbol('(') {
-                        self.expect_symbol('(')?;
-                        if self.at_symbol(')') {
-                            self.expect_symbol(')')?;
-                            Vec::new()
-                        } else {
-                            let list = self.parse_expr_list()?;
-                            self.expect_symbol(')')?;
-                            list
-                        }
-                    } else {
-                        Vec::new()
-                    };
+                    let exprs = self.parse_parens(Self::parse_expr)?;
                     let op_qargs = self.parse_id_list("a qubit argument name")?;
                     self.expect_symbol(';')?;
                     // Definition-time resolution: bind the callee now (the
@@ -579,25 +554,43 @@ impl Parser {
         Ok(())
     }
 
-    fn parse_id_list(&mut self, context: &str) -> Result<Vec<String>, QasmError> {
-        let mut list = vec![self.expect_id(context)?.0];
+    /// Parses `item (',' item)*`.
+    fn parse_list<T>(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<T, QasmError>,
+    ) -> Result<Vec<T>, QasmError> {
+        let mut list = vec![item(self)?];
         while self.at_symbol(',') {
             self.expect_symbol(',')?;
-            list.push(self.expect_id(context)?.0);
+            list.push(item(self)?);
         }
         Ok(list)
+    }
+
+    /// Parses an optional parenthesised list, `(item, …)` or `()`; without
+    /// the parentheses the list is empty.
+    fn parse_parens<T>(
+        &mut self,
+        item: impl FnMut(&mut Self) -> Result<T, QasmError>,
+    ) -> Result<Vec<T>, QasmError> {
+        if !self.at_symbol('(') {
+            return Ok(Vec::new());
+        }
+        self.expect_symbol('(')?;
+        let list = if self.at_symbol(')') {
+            Vec::new()
+        } else {
+            self.parse_list(item)?
+        };
+        self.expect_symbol(')')?;
+        Ok(list)
+    }
+
+    fn parse_id_list(&mut self, context: &str) -> Result<Vec<String>, QasmError> {
+        self.parse_list(|p| Ok(p.expect_id(context)?.0))
     }
 
     // ----- expressions -----------------------------------------------------
-
-    fn parse_expr_list(&mut self) -> Result<Vec<Expr>, QasmError> {
-        let mut list = vec![self.parse_expr()?];
-        while self.at_symbol(',') {
-            self.expect_symbol(',')?;
-            list.push(self.parse_expr()?);
-        }
-        Ok(list)
-    }
 
     fn parse_expr(&mut self) -> Result<Expr, QasmError> {
         let mut lhs = self.parse_term()?;
@@ -689,14 +682,7 @@ impl Parser {
                 self.expect_symbol(')')?;
                 Ok(inner)
             }
-            Some(token) => Err(QasmError::at(
-                token.line,
-                format!("expected an expression, found {}", token.kind.describe()),
-            )),
-            None => Err(QasmError::at(
-                self.last_line(),
-                "expected an expression, found end of input",
-            )),
+            found => Err(self.expected("an expression", found)),
         }
     }
 
@@ -713,15 +699,6 @@ impl Parser {
             None
         };
         Ok(Argument { reg, index, line })
-    }
-
-    fn parse_argument_list(&mut self) -> Result<Vec<Argument>, QasmError> {
-        let mut list = vec![self.parse_argument()?];
-        while self.at_symbol(',') {
-            self.expect_symbol(',')?;
-            list.push(self.parse_argument()?);
-        }
-        Ok(list)
     }
 
     /// Resolves a quantum argument to its flat qubit indices (`None` index
@@ -748,7 +725,7 @@ impl Parser {
 
     fn parse_barrier(&mut self) -> Result<(), QasmError> {
         let (_, line) = self.expect_id("barrier")?;
-        let arguments = self.parse_argument_list()?;
+        let arguments = self.parse_list(Self::parse_argument)?;
         self.expect_symbol(';')?;
         let mut qubits = Vec::new();
         for argument in &arguments {
@@ -816,23 +793,13 @@ impl Parser {
 
     fn parse_application(&mut self) -> Result<(), QasmError> {
         let (name, line) = self.expect_id("a gate name")?;
-        let params = if self.at_symbol('(') {
-            self.expect_symbol('(')?;
-            let exprs = if self.at_symbol(')') {
-                Vec::new()
-            } else {
-                self.parse_expr_list()?
-            };
-            self.expect_symbol(')')?;
-            let env = HashMap::new();
-            exprs
-                .iter()
-                .map(|e| e.eval(&env, line))
-                .collect::<Result<Vec<f64>, QasmError>>()?
-        } else {
-            Vec::new()
-        };
-        let arguments = self.parse_argument_list()?;
+        let env = HashMap::new();
+        let params = self
+            .parse_parens(Self::parse_expr)?
+            .iter()
+            .map(|e| e.eval(&env, line))
+            .collect::<Result<Vec<f64>, QasmError>>()?;
+        let arguments = self.parse_list(Self::parse_argument)?;
         self.expect_symbol(';')?;
 
         // Register broadcast: every whole-register argument must have the
@@ -883,8 +850,7 @@ impl Parser {
 
     /// Emits one gate application: user definitions (`resolved`) inline
     /// recursively through their definition-time bindings, built-ins lower
-    /// through [`Gate::from_qasm_name`] (plus the `U`/`CX` primitives and
-    /// the composite `cu3`/`u0`).
+    /// through [`BUILTINS`].
     fn emit_gate(
         &mut self,
         name: &str,
@@ -904,26 +870,13 @@ impl Parser {
         }
         if let Some(def) = resolved {
             self.charge_operands(qubits.len(), line)?;
-            if params.len() != def.params.len() {
-                return Err(QasmError::at(
-                    line,
-                    format!(
-                        "gate {name} takes {} parameter(s), got {}",
-                        def.params.len(),
-                        params.len()
-                    ),
-                ));
-            }
-            if qubits.len() != def.qargs.len() {
-                return Err(QasmError::at(
-                    line,
-                    format!(
-                        "gate {name} acts on {} qubit(s), got {}",
-                        def.qargs.len(),
-                        qubits.len()
-                    ),
-                ));
-            }
+            check_arity(
+                name,
+                (def.params.len(), def.qargs.len()),
+                params,
+                qubits,
+                line,
+            )?;
             let env: HashMap<String, f64> = def
                 .params
                 .iter()
@@ -997,62 +950,29 @@ impl Parser {
         qubits: &[usize],
         line: usize,
     ) -> Result<(), QasmError> {
-        let Some(&(_, want_params, want_qubits)) =
-            BUILTINS.iter().find(|(known, _, _)| *known == name)
+        let Some(&(_, want_params, want_qubits, lowering)) =
+            BUILTINS.iter().find(|(known, ..)| *known == name)
         else {
             return Err(QasmError::at(line, format!("unknown gate \"{name}\"")));
         };
-        if params.len() != want_params {
-            return Err(QasmError::at(
-                line,
-                format!(
-                    "gate {name} takes {want_params} parameter(s), got {}",
-                    params.len()
-                ),
-            ));
+        check_arity(name, (want_params, want_qubits), params, qubits, line)?;
+        if let Some(lower) = lowering {
+            return self.push_instruction(lower(params), qubits.to_vec(), line);
         }
-        if qubits.len() != want_qubits {
-            return Err(QasmError::at(
-                line,
-                format!(
-                    "gate {name} acts on {want_qubits} qubit(s), got {}",
-                    qubits.len()
-                ),
-            ));
-        }
-        match name {
-            // The bare primitives of the language.
-            "U" => self.push_instruction(
-                Gate::U(params[0], params[1], params[2]),
-                qubits.to_vec(),
-                line,
-            ),
-            "CX" => self.push_instruction(Gate::Cx, qubits.to_vec(), line),
-            // qelib1's idle/delay gate: identity (the duration parameter has
-            // no circuit-level meaning here).
-            "u0" => self.push_instruction(Gate::I, qubits.to_vec(), line),
-            // Controlled-U3 has no single-gate equivalent in the IR; inline
-            // the standard qelib1 decomposition.
-            "cu3" => {
-                let (theta, phi, lambda) = (params[0], params[1], params[2]);
-                let (c, t) = (qubits[0], qubits[1]);
-                self.push_instruction(Gate::Phase((lambda + phi) / 2.0), vec![c], line)?;
-                self.push_instruction(Gate::Phase((lambda - phi) / 2.0), vec![t], line)?;
-                self.push_instruction(Gate::Cx, vec![c, t], line)?;
-                self.push_instruction(
-                    Gate::U(-theta / 2.0, 0.0, -(phi + lambda) / 2.0),
-                    vec![t],
-                    line,
-                )?;
-                self.push_instruction(Gate::Cx, vec![c, t], line)?;
-                self.push_instruction(Gate::U(theta / 2.0, phi, 0.0), vec![t], line)
-            }
-            _ => {
-                let gate = Gate::from_qasm_name(name, params)
-                    .ok_or_else(|| QasmError::at(line, format!("unknown gate \"{name}\"")))?;
-                self.push_instruction(gate, qubits.to_vec(), line)
-            }
-        }
+        // Controlled-U3 has no single-gate equivalent in the IR; inline the
+        // standard qelib1 decomposition.
+        let (theta, phi, lambda) = (params[0], params[1], params[2]);
+        let (c, t) = (qubits[0], qubits[1]);
+        self.push_instruction(Gate::Phase((lambda + phi) / 2.0), vec![c], line)?;
+        self.push_instruction(Gate::Phase((lambda - phi) / 2.0), vec![t], line)?;
+        self.push_instruction(Gate::Cx, vec![c, t], line)?;
+        self.push_instruction(
+            Gate::U(-theta / 2.0, 0.0, -(phi + lambda) / 2.0),
+            vec![t],
+            line,
+        )?;
+        self.push_instruction(Gate::Cx, vec![c, t], line)?;
+        self.push_instruction(Gate::U(theta / 2.0, phi, 0.0), vec![t], line)
     }
 
     /// Fails when `count` more operands would take the source over
@@ -1094,4 +1014,34 @@ impl Parser {
         self.instructions.push(Instruction::new(gate, qubits));
         Ok(())
     }
+}
+
+/// Fails unless an application of gate `name` passes the `(parameter,
+/// qubit)` counts its definition takes.
+fn check_arity(
+    name: &str,
+    (want_params, want_qubits): (usize, usize),
+    params: &[f64],
+    qubits: &[usize],
+    line: usize,
+) -> Result<(), QasmError> {
+    if params.len() != want_params {
+        return Err(QasmError::at(
+            line,
+            format!(
+                "gate {name} takes {want_params} parameter(s), got {}",
+                params.len()
+            ),
+        ));
+    }
+    if qubits.len() != want_qubits {
+        return Err(QasmError::at(
+            line,
+            format!(
+                "gate {name} acts on {want_qubits} qubit(s), got {}",
+                qubits.len()
+            ),
+        ));
+    }
+    Ok(())
 }

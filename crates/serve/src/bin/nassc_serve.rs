@@ -10,9 +10,14 @@
 //! `linear:<n>`, `grid:<rows>x<cols>`); the
 //! first one is the default for requests without `?device=`. SIGINT/SIGTERM
 //! drain in-flight requests before exit.
+//!
+//! Stderr is the access log, one JSON object per line (bar the start and
+//! stop banners), and a panic is logged as one such line too.
 
+use std::backtrace::{Backtrace, BacktraceStatus};
 use std::process::ExitCode;
 
+use nassc::trace::json_escape;
 use nassc::Device;
 use nassc_bench::{cli_usize, cli_value};
 use nassc_serve::{signal, ServeConfig, Server};
@@ -43,7 +48,36 @@ fn devices_from_args() -> Result<Vec<Device>, ExitCode> {
     Ok(devices)
 }
 
+/// Replaces the default panic hook, whose multi-line banner would break the
+/// access log, with one JSON line: `{"panic", "thread", "location"}`, plus
+/// `"backtrace"` when `RUST_BACKTRACE` asks for one. Session and handler
+/// panics are caught and answered (500, or a dropped connection); this line
+/// is what is left of them on stderr.
+fn log_panics_as_json() {
+    std::panic::set_hook(Box::new(|info| {
+        let message = info.payload_as_str().unwrap_or("Box<dyn Any>");
+        let location = info.location().map(ToString::to_string).unwrap_or_default();
+        let backtrace = Backtrace::capture();
+        let backtrace = match backtrace.status() {
+            BacktraceStatus::Captured => {
+                format!(",\"backtrace\":\"{}\"", json_escape(&backtrace.to_string()))
+            }
+            _ => String::new(),
+        };
+        // Formatted first and printed whole: one write, as for each
+        // access-log line, so concurrent lines cannot interleave.
+        let line = format!(
+            "{{\"panic\":\"{}\",\"thread\":\"{}\",\"location\":\"{}\"{backtrace}}}\n",
+            json_escape(message),
+            json_escape(std::thread::current().name().unwrap_or("<unnamed>")),
+            json_escape(&location),
+        );
+        eprint!("{line}");
+    }));
+}
+
 fn main() -> ExitCode {
+    log_panics_as_json();
     if std::env::args().any(|arg| arg == "--help" || arg == "-h") {
         eprintln!(
             "usage: nassc-serve [--addr HOST:PORT] [--device SPEC]... \

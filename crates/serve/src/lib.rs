@@ -127,8 +127,9 @@ const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 /// instead of holding a worker for [`SOCKET_READ_TIMEOUT`].
 const FIRST_BYTE_TIMEOUT: Duration = Duration::from_secs(1);
 
-/// Per-read timeout once a request has started, so a stalled client cannot
-/// pin a worker.
+/// How long the rest of a request may take to arrive once its first bytes
+/// have: a deadline for the whole request, not for each read, so a client
+/// that trickles bytes cannot hold a worker either.
 const SOCKET_READ_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// A shed or refused connection stays open after its response for at most
@@ -411,23 +412,15 @@ fn watch_signals(shutdown: &ShutdownHandle) {
 /// thread serves every shed connection in arrival order; each deadline is
 /// absolute, so the whole backlog is done [`LINGER_TIMEOUT`] after the last.
 fn linger_loop(lingering: Receiver<Lingering>) {
-    let mut sink = [0u8; 4096];
-    for Lingering {
-        mut stream,
-        deadline,
-    } in lingering
-    {
-        let mut read = 0;
-        while read < LINGER_MAX_BYTES {
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
-                break;
-            }
-            match stream.read(&mut sink) {
-                Ok(n) if n > 0 => read += n,
-                _ => break,
-            }
-        }
+    for Lingering { stream, deadline } in lingering {
+        let reader = DeadlineReader {
+            stream: &stream,
+            deadline,
+        };
+        let _ = std::io::copy(
+            &mut reader.take(LINGER_MAX_BYTES as u64),
+            &mut std::io::sink(),
+        );
     }
 }
 
@@ -501,10 +494,12 @@ fn handle_connection(shared: &Shared, conn: Conn) {
     lock_metrics(shared).queue_wait.record(queue_ms);
     let _ = stream.set_nodelay(true);
 
-    let _ = stream.set_read_timeout(Some(FIRST_BYTE_TIMEOUT));
-    let mut reader = BufReader::new(&stream);
+    let mut reader = BufReader::new(DeadlineReader {
+        stream: &stream,
+        deadline: Instant::now() + FIRST_BYTE_TIMEOUT,
+    });
     let started = reader.fill_buf().map(|_| ());
-    let _ = stream.set_read_timeout(Some(SOCKET_READ_TIMEOUT));
+    reader.get_mut().deadline = Instant::now() + SOCKET_READ_TIMEOUT;
     let request = started
         .map_err(|e| HttpError::new(408, format!("reading request: {e}")))
         .and_then(|()| read_request(&mut reader, MAX_BODY_BYTES));
@@ -539,6 +534,25 @@ fn handle_connection(shared: &Shared, conn: Conn) {
         1000.0 * accepted_at.elapsed().as_secs_f64(),
     );
     eprint!("{line}");
+}
+
+/// Reads a socket under one deadline for everything read through it: before
+/// each read, the time left becomes the socket's read timeout, and once it
+/// has run out every read fails with [`std::io::ErrorKind::TimedOut`].
+struct DeadlineReader<'a> {
+    stream: &'a TcpStream,
+    deadline: Instant,
+}
+
+impl Read for DeadlineReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(std::io::ErrorKind::TimedOut.into());
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        self.stream.read(buf)
+    }
 }
 
 /// The correlation id for a request: an inbound `x-request-id` header when
@@ -1011,4 +1025,40 @@ fn metrics_prometheus(shared: &Shared) -> String {
         );
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Write;
+
+    /// A client that sends a byte every 50 ms never trips a per-read
+    /// timeout; the request's deadline (300 ms here) still cuts it off with
+    /// a 408, although the request it trickles is well formed.
+    #[test]
+    fn trickled_request_times_out_at_its_deadline() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let client = std::thread::spawn(move || {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            for byte in b"GET /health HTTP/1.1\r\n\r\n" {
+                std::thread::sleep(Duration::from_millis(50));
+                if stream.write_all(&[*byte]).is_err() {
+                    break;
+                }
+            }
+        });
+        let (stream, _) = listener.accept().unwrap();
+        let started = Instant::now();
+        let mut reader = BufReader::new(DeadlineReader {
+            stream: &stream,
+            deadline: started + Duration::from_millis(300),
+        });
+        let error = read_request(&mut reader, MAX_BODY_BYTES).unwrap_err();
+        assert_eq!(error.status, 408, "{error}");
+        assert!(started.elapsed() >= Duration::from_millis(300));
+        drop(reader);
+        drop(stream);
+        client.join().unwrap();
+    }
 }

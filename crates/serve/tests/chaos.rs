@@ -18,6 +18,9 @@ use std::time::{Duration, Instant};
 use nassc::circuit::failpoints::{arm, disarm_all, total_injections, Action};
 use nassc_serve::{client, ServeConfig, Server};
 
+#[cfg(unix)]
+mod common;
+
 const BELL: &str = r#"OPENQASM 2.0;
 include "qelib1.inc";
 qreg q[2];
@@ -327,4 +330,111 @@ fn five_percent_chaos_contains_every_fault_and_recovers_bit_identically() {
     }
     assert_eq!(client::get(&addr, "/health").expect("health").status, 200);
     stop();
+}
+
+/// The daemon binary logs a panic as one JSON line, so its stderr stays one
+/// JSON object per line, bar its two `nassc-serve …` banners, even when a
+/// session panics with `RUST_BACKTRACE` set. The failpoint is armed through
+/// the child's environment, so this test shares no state with the others.
+#[cfg(unix)]
+#[test]
+fn panics_keep_the_access_log_one_json_object_per_line() {
+    let daemon = common::Daemon::spawn(
+        &["--workers", "1"],
+        &[
+            ("NASSC_FAIL", "route_step:panic:1.0"),
+            ("RUST_BACKTRACE", "1"),
+        ],
+    );
+    // Signal before asserting anything, so that no failure leaves the
+    // daemon running.
+    let response = client::post(&daemon.addr, "/transpile", BELL);
+    let (status, log) = daemon.terminate();
+    let response = response.expect("request");
+    assert_eq!(response.status, 500, "body: {}", response.body);
+    assert!(status.success(), "stderr: {log}");
+    let lines: Vec<&str> = log
+        .lines()
+        .filter(|line| !line.starts_with("nassc-serve "))
+        .collect();
+    assert!(
+        lines.iter().any(|line| {
+            line.starts_with("{\"panic\":\"failpoint route_step\",\"thread\":")
+                && line.contains("\"backtrace\":\"")
+        }),
+        "no panic line in stderr: {log}"
+    );
+    for line in lines {
+        assert!(is_json_object(line), "not one JSON object: {line:?}");
+    }
+}
+
+/// Whether `line` is exactly one JSON object.
+fn is_json_object(line: &str) -> bool {
+    line.trim_start().starts_with('{')
+        && json_value(line).is_some_and(|rest| rest.trim().is_empty())
+}
+
+// A JSON validator, enough to tell an access-log line from a panic banner
+// without a JSON dependency. Each function consumes one item from the front
+// of `s`, leading whitespace included, and returns what follows it.
+
+fn json_value(s: &str) -> Option<&str> {
+    let s = s.trim_start();
+    match s.chars().next()? {
+        '{' => json_members(&s[1..], '}', json_member),
+        '[' => json_members(&s[1..], ']', json_value),
+        '"' => json_string(s),
+        't' => s.strip_prefix("true"),
+        'f' => s.strip_prefix("false"),
+        'n' => s.strip_prefix("null"),
+        _ => {
+            let end = s
+                .find(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c)))
+                .unwrap_or(s.len());
+            s[..end].parse::<f64>().ok().map(|_| &s[end..])
+        }
+    }
+}
+
+fn json_member(s: &str) -> Option<&str> {
+    let s = json_string(s.trim_start())?;
+    json_value(s.trim_start().strip_prefix(':')?)
+}
+
+/// `item (',' item)* close`, or `close` alone, after the opening bracket.
+fn json_members(s: &str, close: char, item: fn(&str) -> Option<&str>) -> Option<&str> {
+    if let Some(rest) = s.trim_start().strip_prefix(close) {
+        return Some(rest);
+    }
+    let mut s = item(s)?;
+    loop {
+        let t = s.trim_start();
+        if let Some(rest) = t.strip_prefix(close) {
+            return Some(rest);
+        }
+        s = item(t.strip_prefix(',')?)?;
+    }
+}
+
+fn json_string(s: &str) -> Option<&str> {
+    let body = s.strip_prefix('"')?;
+    let mut chars = body.char_indices();
+    while let Some((i, c)) = chars.next() {
+        match c {
+            '"' => return Some(&body[i + 1..]),
+            '\\' => match chars.next()?.1 {
+                'u' => {
+                    for _ in 0..4 {
+                        chars.next().filter(|(_, c)| c.is_ascii_hexdigit())?;
+                    }
+                }
+                '"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't' => {}
+                _ => return None,
+            },
+            c if u32::from(c) < 0x20 => return None,
+            _ => {}
+        }
+    }
+    None
 }

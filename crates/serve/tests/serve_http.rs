@@ -10,6 +10,9 @@ use std::time::{Duration, Instant};
 use nassc::{qasm, Device, TranspileOptions, Transpiler};
 use nassc_serve::{client, ServeConfig, Server};
 
+#[cfg(unix)]
+mod common;
+
 const BELL: &str = r#"OPENQASM 2.0;
 include "qelib1.inc";
 qreg q[2];
@@ -605,48 +608,13 @@ fn shutdown_wakes_an_idle_acceptor_bound_to_an_unspecified_address() {
 #[cfg(unix)]
 #[test]
 fn sigterm_stops_the_daemon_binary() {
-    use std::io::{BufRead, BufReader};
-    use std::process::{Command, Stdio};
-
-    let mut child = Command::new(env!("CARGO_BIN_EXE_nassc-serve"))
-        .args(["--addr", "127.0.0.1:0", "--device", "linear:4"])
-        .args(["--workers", "1"])
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn nassc-serve");
-    let pid = child.id().to_string();
-    let mut stderr = BufReader::new(child.stderr.take().expect("stderr"));
-    let mut banner = String::new();
-    let _ = stderr.read_line(&mut banner);
-    let Some(addr) = banner
-        .strip_prefix("nassc-serve listening on ")
-        .and_then(|rest| rest.split_whitespace().next())
-        .map(str::to_string)
-    else {
-        let _ = child.kill();
-        panic!("unexpected banner {banner:?}");
-    };
-
-    // The rest of stderr and the exit status, collected on another thread so
-    // that a daemon which misses the signal fails the test, not hangs it.
-    let (exited, exit) = mpsc::channel();
-    let waiter = std::thread::spawn(move || {
-        let mut rest = String::new();
-        let _ = stderr.read_to_string(&mut rest);
-        let _ = exited.send((child.wait(), rest));
-    });
-
+    let daemon = common::Daemon::spawn(&["--device", "linear:4", "--workers", "1"], &[]);
     // Signal before asserting anything, so that no failure leaves the
     // daemon running.
-    let response = client::post(&addr, "/transpile", BELL);
-    let term = Command::new("kill").args(["-TERM", &pid]).status();
-    let Ok((status, stderr)) = exit.recv_timeout(Duration::from_secs(10)) else {
-        let _ = Command::new("kill").args(["-KILL", &pid]).status();
-        panic!("nassc-serve did not exit within 10 s of SIGTERM ({term:?})");
-    };
-    waiter.join().expect("waiter thread");
+    let response = client::post(&daemon.addr, "/transpile", BELL);
+    let (status, stderr) = daemon.terminate();
     let response = response.expect("request");
     assert_eq!(response.status, 200, "body: {}", response.body);
-    assert!(status.expect("wait").success(), "stderr: {stderr}");
+    assert!(status.success(), "stderr: {stderr}");
     assert!(stderr.contains("drained and stopped"), "stderr: {stderr}");
 }
