@@ -10,10 +10,13 @@
 //!
 //! 1. **round-trip** — `parse(export(generated))` must equal the generated
 //!    circuit exactly;
-//! 2. **cold vs warm** — the same session transpiles the parsed circuit a
-//!    second time, which replays one routing pass from the cached layout
-//!    (the warm `route_from` path); that result must equal the cold one
-//!    field by field (circuit, layouts, swap count, trial diagnostics).
+//! 2. **cold vs warm vs stored** — the same session transpiles the parsed
+//!    circuit a second time, which replays one routing pass from the cached
+//!    layout (the warm `route_from` path) and stores its result, and a third
+//!    time, which copies that stored result (or replays again, for a result
+//!    over the session's `STORED_RESULT_BYTES`); both must equal the cold
+//!    one field by field (circuit, layouts, swap count, trial diagnostics).
+//!    Row metrics come from the cold call alone.
 //!
 //! Peak/total heap use per row comes from the crate's counting global
 //! allocator ([`nassc_bench::alloc`]) — no external profiler. The table
@@ -130,19 +133,21 @@ fn main() {
                     let peak = alloc::peak_bytes();
                     let total = alloc::total_bytes();
 
-                    let warm = session.transpile(&parsed).expect("warm transpile");
-                    if warm.circuit != result.circuit
-                        || warm.initial_layout != result.initial_layout
-                        || warm.final_layout != result.final_layout
-                        || warm.swap_count != result.swap_count
-                        || warm.chosen_layout_trial != result.chosen_layout_trial
-                        || warm.layout_trial_costs != result.layout_trial_costs
-                    {
-                        eprintln!(
-                            "MISMATCH: {spec}/{style}{gates}/{router}: warm output \
-                             diverged from the cold transpile"
-                        );
-                        mismatches += 1;
+                    for path in ["warm", "stored"] {
+                        let repeat = session.transpile(&parsed).expect("repeat transpile");
+                        if repeat.circuit != result.circuit
+                            || repeat.initial_layout != result.initial_layout
+                            || repeat.final_layout != result.final_layout
+                            || repeat.swap_count != result.swap_count
+                            || repeat.chosen_layout_trial != result.chosen_layout_trial
+                            || repeat.layout_trial_costs != result.layout_trial_costs
+                        {
+                            eprintln!(
+                                "MISMATCH: {spec}/{style}{gates}/{router}: {path} output \
+                                 diverged from the cold transpile"
+                            );
+                            mismatches += 1;
+                        }
                     }
 
                     let name = format!("{spec}/{style}{}k/{router}", gates / 1000);

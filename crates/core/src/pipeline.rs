@@ -211,7 +211,9 @@ pub struct TranspileResult {
     pub cache: CacheStats,
     /// Wall-clock time of layout, routing, SWAP decomposition and
     /// post-routing optimization. Preparation is not included: the session
-    /// runs it earlier, while resolving the request against its caches.
+    /// runs it earlier, while resolving the request against its caches. A
+    /// repeat served from a stored result ran none of those stages, so its
+    /// `elapsed` is the time it took to copy that result.
     pub elapsed: Duration,
 }
 

@@ -14,12 +14,19 @@
 //!    pre-routing optimization ([`optimize_without_routing`]) memoized per
 //!    structurally distinct circuit, keyed by
 //!    [`QuantumCircuit::structural_hash`] and confirmed by full equality.
-//! 3. **Layout winners** — the chosen initial layout (plus trial
-//!    diagnostics) per options, stored under the prepared entry they were
-//!    found for. A warm request replays one routing pass from the cached
-//!    layout instead of re-running the whole layout search; the result is
-//!    bit-identical to the cold path (see `transpile_prepared` in
-//!    `pipeline.rs` for why).
+//! 3. **Layout winners, then stored results** — one slot per options,
+//!    under the prepared entry it was found for, in one of two states. A
+//!    cold request leaves the layout winner: the initial layout, the chosen
+//!    trial and the trial costs. The first repeat replays one routing pass
+//!    from that winner instead of re-running the whole layout search, and
+//!    its result then replaces the winner. Every later repeat returns a copy
+//!    of the stored result, without routing, SWAP expansion or
+//!    post-optimization. A result is stored only after a replay, so a
+//!    one-off request (a fresh seed, say) leaves nothing but its compact
+//!    winner, and only while the session's stored results stay within
+//!    [`STORED_RESULT_BYTES`]; past that, repeats keep replaying. Nothing is
+//!    evicted. All three paths return the same result bit for bit (see
+//!    `transpile_prepared` in `pipeline.rs` for why the replay does).
 //!
 //! Hit/miss counters for all three caches are attached to every
 //! [`TranspileResult`] (`result.cache`, this request only) and accumulated
@@ -41,10 +48,11 @@
 //! session, its caches and its sibling requests stay serviceable. A request
 //! whose [`TranspileOptions::deadline`] expires is aborted cooperatively at
 //! the next checkpoint (per layout trial, per routing step, per pass) and
-//! reported as [`Error::Deadline`]. Should a panic ever poison the session
-//! lock (the cache-commit window is the only code that runs under it), the
-//! next lock acquisition recovers by clearing the caches —
-//! counted by [`Transpiler::cache_resets`] — and the session continues
+//! reported as [`Error::Deadline`]; a stored hit checks its deadline once,
+//! before the copy. Should a panic ever poison the session lock (the
+//! cache-commit window is the only code that runs under it), the next lock
+//! acquisition recovers by clearing the caches and the stored-result count
+//! — counted by [`Transpiler::cache_resets`] — and the session continues
 //! with a cold cache rather than failing every subsequent request.
 //!
 //! [`optimize_without_routing`]: crate::pipeline::optimize_without_routing
@@ -55,17 +63,30 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use nassc_circuit::QuantumCircuit;
+use nassc_circuit::{Instruction, QuantumCircuit};
 use nassc_parallel::{Budget, Cancelled, ThreadPool};
 use nassc_passes::PassError;
 use nassc_sabre::LayoutSelection;
-use nassc_topology::{noise_aware_distance, Calibration, DistanceMatrix};
+use nassc_topology::{noise_aware_distance, Calibration, DistanceMatrix, Layout};
 
 use crate::device::Device;
 use crate::error::Error;
 use crate::pipeline::{
     optimize_without_routing_budgeted, transpile_prepared, TranspileOptions, TranspileResult,
 };
+
+/// The most bytes of transpile results one [`Transpiler`] stores for its
+/// repeat requests (see the [module docs](self)), counted per result as its
+/// instructions at `size_of::<Instruction>()` each, its two layouts and its
+/// trial costs.
+///
+/// 64 MiB holds the results of the whole `benchmarks/qasm` corpus
+/// (≈ 0.18 MiB) several hundred times over, or three results of a
+/// 100k-gate QV circuit on Montreal (≈ 17.8 MiB each), and bounds what
+/// storing adds to a long-running daemon whatever its traffic. A result
+/// that would take the total past it is not stored, and its repeats keep
+/// replaying from the layout winner. Nothing is evicted.
+pub const STORED_RESULT_BYTES: usize = 64 << 20;
 
 /// Hit/miss counters of the [`Transpiler`] caches.
 ///
@@ -84,7 +105,9 @@ pub struct CacheStats {
     /// Prepared-baseline cache misses (each miss runs the pre-routing
     /// optimization pipeline).
     pub prepared_misses: u64,
-    /// Layout-winner cache hits (a hit skips the whole layout search).
+    /// Layout-winner cache hits: a hit skips the whole layout search, and a
+    /// hit on a stored result also skips routing, SWAP expansion and
+    /// post-optimization.
     pub layout_hits: u64,
     /// Layout-winner cache misses (each miss runs layout + trials).
     pub layout_misses: u64,
@@ -143,12 +166,52 @@ impl<'a> SessionJob<'a> {
 }
 
 /// A prepared baseline memoized per structurally distinct raw circuit,
-/// with the layout-search winners found for it, one per options.
+/// with one slot per options it was transpiled under.
 struct PreparedEntry {
     raw_hash: u64,
     raw: QuantumCircuit,
     prepared: Arc<QuantumCircuit>,
-    layouts: Vec<(TranspileOptions, LayoutSelection)>,
+    slots: Vec<(TranspileOptions, Slot)>,
+}
+
+/// What the session keeps for one (prepared circuit, options) pair.
+enum Slot {
+    /// After a cold request: the layout winner to replay from.
+    Winner(Winner),
+    /// After the first replay: its whole result, copied for every later
+    /// repeat.
+    Stored(Arc<TranspileResult>),
+}
+
+/// A layout winner, kept in what a replay needs: one-off requests leave
+/// one each, so it is small.
+struct Winner {
+    /// The initial layout, logical → physical.
+    layout: Box<[u32]>,
+    chosen_trial: usize,
+    trial_costs: Box<[f64]>,
+}
+
+impl Winner {
+    fn new(result: &TranspileResult) -> Self {
+        let layout = result.initial_layout.logical_to_physical().iter();
+        Self {
+            layout: layout
+                .map(|&physical| u32::try_from(physical).expect("a physical qubit fits in u32"))
+                .collect(),
+            chosen_trial: result.chosen_layout_trial,
+            trial_costs: result.layout_trial_costs.as_slice().into(),
+        }
+    }
+
+    fn selection(&self) -> LayoutSelection {
+        let layout = self.layout.iter().map(|&physical| physical as usize);
+        LayoutSelection {
+            layout: Layout::from_logical_to_physical(layout.collect()),
+            chosen_trial: self.chosen_trial,
+            trial_costs: self.trial_costs.to_vec(),
+        }
+    }
 }
 
 /// Everything mutable behind the session lock.
@@ -156,7 +219,66 @@ struct PreparedEntry {
 struct SessionState {
     distances: Vec<(Option<Calibration>, Arc<DistanceMatrix>)>,
     prepared: Vec<PreparedEntry>,
+    /// The bytes of every [`Slot::Stored`] result, by [`stored_bytes`].
+    stored_bytes: usize,
     stats: CacheStats,
+}
+
+impl SessionState {
+    /// The entry `job` resolved against, unless poison recovery has cleared
+    /// it since.
+    fn entry_mut(&mut self, job: &ResolvedJob) -> Option<&mut PreparedEntry> {
+        self.prepared
+            .iter_mut()
+            .find(|e| Arc::ptr_eq(&e.prepared, &job.prepared))
+    }
+
+    /// Stores `result` in place of the winner `job` replayed from, unless
+    /// the slot already holds a result, is gone, or `bytes` would take the
+    /// stored total past `cap`.
+    fn admit(&mut self, job: &ResolvedJob, result: Arc<TranspileResult>, bytes: usize, cap: usize) {
+        if self.stored_bytes + bytes > cap {
+            return;
+        }
+        let slot = self.entry_mut(job).and_then(|e| {
+            e.slots
+                .iter_mut()
+                .find(|(cached, _)| *cached == job.options)
+        });
+        if let Some((_, slot @ Slot::Winner(_))) = slot {
+            *slot = Slot::Stored(result);
+            self.stored_bytes += bytes;
+        }
+    }
+}
+
+/// The bytes a stored result counts against [`STORED_RESULT_BYTES`].
+fn stored_bytes(result: &TranspileResult) -> usize {
+    let layouts = result.initial_layout.len() + result.final_layout.len();
+    size_of::<TranspileResult>()
+        + result.circuit.num_gates() * size_of::<Instruction>()
+        + layouts * 2 * size_of::<usize>()
+        + result.layout_trial_costs.len() * size_of::<f64>()
+}
+
+/// How a resolved job gets its result; the `job` span's `path`.
+enum Path {
+    /// No slot: run the layout search.
+    Cold,
+    /// A winner: replay one routing pass from it.
+    Warm(LayoutSelection),
+    /// A stored result: copy it.
+    Stored(Arc<TranspileResult>),
+}
+
+impl Path {
+    fn name(&self) -> &'static str {
+        match self {
+            Path::Cold => "cold",
+            Path::Warm(_) => "warm",
+            Path::Stored(_) => "stored",
+        }
+    }
 }
 
 /// What the serial resolution phase hands each fanned-out job: every cache
@@ -167,7 +289,7 @@ struct ResolvedJob {
     options: TranspileOptions,
     distances: Arc<DistanceMatrix>,
     prepared: Arc<QuantumCircuit>,
-    cached_layout: Option<LayoutSelection>,
+    path: Path,
     stats: CacheStats,
     /// The job's cooperative deadline, anchored at request entry; unlimited
     /// when [`TranspileOptions::deadline`] is unset.
@@ -319,6 +441,12 @@ impl Transpiler {
     /// its error in place (see [`transpile`](Self::transpile) for the
     /// kinds); its siblings are unaffected.
     pub fn transpile_jobs(&self, jobs: &[SessionJob<'_>]) -> Vec<Result<TranspileResult, Error>> {
+        self.run_jobs(jobs, STORED_RESULT_BYTES)
+    }
+
+    /// [`transpile_jobs`](Self::transpile_jobs), storing replayed results
+    /// while the session's stored total stays within `cap` bytes.
+    fn run_jobs(&self, jobs: &[SessionJob<'_>], cap: usize) -> Vec<Result<TranspileResult, Error>> {
         // Deadlines are anchored here, at request entry: a job's budget
         // covers its share of resolution, layout, routing and optimization.
         let entry = Instant::now();
@@ -328,11 +456,14 @@ impl Transpiler {
         // are deterministic and workers never contend on the session lock.
         // The catch boundary sits *inside* the lock scope, so a contained
         // panic never poisons the session lock.
-        let resolved: Vec<Result<ResolvedJob, Error>> = {
+        // `room` is what the cap left at resolution: a result larger than
+        // that is not copied for storing.
+        let (resolved, room): (Vec<Result<ResolvedJob, Error>>, usize) = {
             let mut resolve_span = nassc_trace::span!("resolve");
             resolve_span.arg_u64("jobs", jobs.len() as u64);
             let mut state = self.lock();
-            jobs.iter()
+            let resolved = jobs
+                .iter()
                 .enumerate()
                 .map(|(index, job)| {
                     let options = job.options.clone().unwrap_or_else(|| self.options.clone());
@@ -347,7 +478,8 @@ impl Transpiler {
                     }))
                     .unwrap_or_else(|payload| Err(classify_panic("prepare", payload, deadline)))
                 })
-                .collect()
+                .collect();
+            (resolved, cap.saturating_sub(state.stored_bytes))
         };
 
         // Phase 2 — fan the seed-dependent tails across the pool. Each
@@ -361,7 +493,8 @@ impl Transpiler {
             });
 
         // Phase 3 — commit: stamp per-request counters, memoize the layout
-        // winners that cold jobs just discovered, roll up session stats.
+        // winners that cold jobs just discovered and the results that warm
+        // jobs just replayed, roll up session stats.
         for (resolved, result) in resolved.iter().zip(results.iter_mut()) {
             if let (Ok(resolved), Ok(result)) = (resolved, result.as_mut()) {
                 result.cache = resolved.stats;
@@ -372,7 +505,9 @@ impl Transpiler {
         // memoizing is swallowed here. It poisons the session lock (commit
         // runs under it) and the next `lock()` recovers by resetting the
         // caches — requests keep succeeding, just cold.
-        let _ = catch_unwind(AssertUnwindSafe(|| self.commit(&committed, &results)));
+        let _ = catch_unwind(AssertUnwindSafe(|| {
+            self.commit(&committed, &results, room, cap);
+        }));
         results
     }
 
@@ -445,8 +580,9 @@ impl Transpiler {
     /// under it) leaves the caches in an unknown state, so recovery resets
     /// all three to empty — preserving the accumulated stats — counts the
     /// reset in [`cache_resets`](Self::cache_resets), clears the poison
-    /// flag and continues serving. Layout winners live under their prepared
-    /// entries, so clearing those empties both caches.
+    /// flag and continues serving. Winners and stored results live under
+    /// their prepared entries, so clearing those empties both caches, and
+    /// the stored-result count restarts at zero.
     fn lock(&self) -> std::sync::MutexGuard<'_, SessionState> {
         match self.state.lock() {
             Ok(guard) => guard,
@@ -454,6 +590,7 @@ impl Transpiler {
                 let mut guard = poisoned.into_inner();
                 guard.distances.clear();
                 guard.prepared.clear();
+                guard.stored_bytes = 0;
                 self.cache_resets.fetch_add(1, Ordering::Relaxed);
                 self.state.clear_poison();
                 guard
@@ -483,7 +620,7 @@ impl Transpiler {
             raw_hash,
             raw: circuit.clone(),
             prepared,
-            layouts: Vec::new(),
+            slots: Vec::new(),
         });
         Ok((state.prepared.len() - 1, false))
     }
@@ -538,17 +675,18 @@ impl Transpiler {
 
         let entry = &state.prepared[entry];
         let prepared = Arc::clone(&entry.prepared);
-        let cached_layout = entry
-            .layouts
-            .iter()
-            .find(|(cached, _)| *cached == options)
-            .map(|(_, winner)| winner.clone());
-        if cached_layout.is_some() {
-            stats.layout_hits += 1;
-            nassc_trace::counter("cache.layout_hit", 1);
-        } else {
+        let slot = entry.slots.iter().find(|(cached, _)| *cached == options);
+        let path = match slot.map(|(_, slot)| slot) {
+            None => Path::Cold,
+            Some(Slot::Winner(winner)) => Path::Warm(winner.selection()),
+            Some(Slot::Stored(result)) => Path::Stored(Arc::clone(result)),
+        };
+        if let Path::Cold = path {
             stats.layout_misses += 1;
             nassc_trace::counter("cache.layout_miss", 1);
+        } else {
+            stats.layout_hits += 1;
+            nassc_trace::counter("cache.layout_hit", 1);
         }
 
         Ok(ResolvedJob {
@@ -556,34 +694,38 @@ impl Transpiler {
             options,
             distances,
             prepared,
-            cached_layout,
+            path,
             stats,
             budget,
         })
     }
 
-    /// The lock-free tail of one job: warm jobs replay a single routing
-    /// pass from the cached layout, cold jobs run the full layout search.
-    /// This is the per-job catch boundary — a panic or budget abort in here
-    /// fails this job alone.
+    /// The lock-free tail of one job: stored hits copy the stored result,
+    /// warm jobs replay a single routing pass from the cached layout, cold
+    /// jobs run the full layout search. This is the per-job catch boundary
+    /// — a panic or budget abort in here fails this job alone.
     fn run_resolved(&self, resolved: &ResolvedJob) -> Result<TranspileResult, Error> {
         let mut span = nassc_trace::span!("job");
         span.arg_u64("index", resolved.index as u64);
-        span.arg_text(
-            "path",
-            if resolved.cached_layout.is_some() {
-                "warm"
-            } else {
-                "cold"
-            },
-        );
+        span.arg_text("path", resolved.path.name());
         let outcome = catch_unwind(AssertUnwindSafe(|| {
+            let cached = match &resolved.path {
+                Path::Stored(stored) => {
+                    let start = Instant::now();
+                    resolved.budget.checkpoint();
+                    let mut result = TranspileResult::clone(stored);
+                    result.elapsed = start.elapsed();
+                    return Ok(result);
+                }
+                Path::Warm(winner) => Some(winner),
+                Path::Cold => None,
+            };
             transpile_prepared(
                 &resolved.prepared,
                 self.device.coupling(),
                 &resolved.distances,
                 &resolved.options,
-                resolved.cached_layout.as_ref(),
+                cached,
                 &self.pool,
                 &resolved.budget,
             )
@@ -598,44 +740,56 @@ impl Transpiler {
         }
     }
 
-    /// Rolls per-request counters into the session totals and memoizes the
-    /// layout winners cold jobs discovered under their prepared entry.
-    /// Insertion re-checks for an existing winner so duplicate cold jobs in
-    /// one batch stay idempotent; a winner whose entry poison recovery has
-    /// cleared since resolution is dropped.
-    fn commit(&self, resolved: &[ResolvedJob], results: &[Result<TranspileResult, Error>]) {
+    /// Rolls per-request counters into the session totals and fills the
+    /// slots: a cold job leaves its layout winner, and a warm job's result
+    /// replaces the winner it replayed from while the stored total stays
+    /// within `cap`. Both re-check the slot, so duplicate jobs in one batch
+    /// stay idempotent, and a slot whose entry poison recovery has cleared
+    /// since resolution is dropped.
+    fn commit(
+        &self,
+        resolved: &[ResolvedJob],
+        results: &[Result<TranspileResult, Error>],
+        room: usize,
+        cap: usize,
+    ) {
         let _span = nassc_trace::span!("commit");
+        // Copies to store are built before taking the lock: copying a large
+        // result takes milliseconds, and every `resolve` waits on the lock.
+        let stored: Vec<_> = resolved
+            .iter()
+            .filter_map(|job| {
+                let (Path::Warm(_), Ok(result)) = (&job.path, &results[job.index]) else {
+                    return None;
+                };
+                let bytes = stored_bytes(result);
+                if bytes > room {
+                    return None;
+                }
+                let mut copy = result.clone();
+                copy.cache = CacheStats::default();
+                copy.elapsed = Duration::ZERO;
+                Some((job, Arc::new(copy), bytes))
+            })
+            .collect();
+
         let mut state = self.lock();
         nassc_circuit::failpoints::hit("cache_commit");
         for job in resolved {
             state.stats.accumulate(&job.stats);
-            if job.cached_layout.is_some() {
-                continue;
-            }
-            let Some(Ok(result)) = results.get(job.index) else {
+            let (Path::Cold, Ok(result)) = (&job.path, &results[job.index]) else {
                 continue;
             };
-            let Some(entry) = state
-                .prepared
-                .iter_mut()
-                .find(|e| Arc::ptr_eq(&e.prepared, &job.prepared))
-            else {
+            let Some(entry) = state.entry_mut(job) else {
                 continue;
             };
-            if !entry
-                .layouts
-                .iter()
-                .any(|(cached, _)| *cached == job.options)
-            {
-                entry.layouts.push((
-                    job.options.clone(),
-                    LayoutSelection {
-                        layout: result.initial_layout.clone(),
-                        chosen_trial: result.chosen_layout_trial,
-                        trial_costs: result.layout_trial_costs.clone(),
-                    },
-                ));
+            if !entry.slots.iter().any(|(cached, _)| *cached == job.options) {
+                let winner = Slot::Winner(Winner::new(result));
+                entry.slots.push((job.options.clone(), winner));
             }
+        }
+        for (job, result, bytes) in stored {
+            state.admit(job, result, bytes, cap);
         }
     }
 }
@@ -737,10 +891,137 @@ mod tests {
         assert_eq!(warm.cache.misses(), 0);
     }
 
+    /// Every field two equal transpiles share (`elapsed` and `cache` are
+    /// per request).
+    fn assert_same_result(left: &TranspileResult, right: &TranspileResult, context: &str) {
+        assert_eq!(left.circuit, right.circuit, "{context}: circuit");
+        assert_eq!(left.initial_layout, right.initial_layout, "{context}");
+        assert_eq!(left.final_layout, right.final_layout, "{context}");
+        assert_eq!(left.swap_count, right.swap_count, "{context}");
+        assert_eq!(
+            left.chosen_layout_trial, right.chosen_layout_trial,
+            "{context}"
+        );
+        assert_eq!(
+            left.layout_trial_costs, right.layout_trial_costs,
+            "{context}"
+        );
+    }
+
+    /// The state of every slot, in insertion order.
+    fn slot_states(session: &Transpiler) -> Vec<&'static str> {
+        let state = session.lock();
+        let slots = state.prepared.iter().flat_map(|entry| &entry.slots);
+        slots
+            .map(|(_, slot)| match slot {
+                Slot::Winner(_) => "winner",
+                Slot::Stored(_) => "stored",
+            })
+            .collect()
+    }
+
+    #[test]
+    fn repeats_after_the_first_copy_the_stored_result() {
+        let circuit = ghz(4);
+        for router in [RouterKind::Sabre, RouterKind::Nassc] {
+            for trials in [1, 4] {
+                let options = TranspileOptions::new()
+                    .router(router)
+                    .seed(7)
+                    .layout_trials(trials);
+                let session = Transpiler::new(CouplingMap::linear(4), options);
+                let context = format!("{router:?} trials={trials}");
+                let cold = session.transpile(&circuit).expect("cold");
+                assert_eq!(slot_states(&session), ["winner"], "{context}");
+                let replayed = session.transpile(&circuit).expect("replay");
+                assert_eq!(slot_states(&session), ["stored"], "{context}");
+                assert_same_result(&replayed, &cold, &context);
+                for request in [3, 4] {
+                    let stored = session.transpile(&circuit).expect("stored");
+                    let context = format!("{context} request {request}");
+                    assert_same_result(&stored, &cold, &context);
+                    assert_eq!(stored.cache, replayed.cache, "{context}");
+                }
+                let stored_total = session.lock().stored_bytes;
+                assert_eq!(stored_total, stored_bytes(&cold), "{context}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_one_off_seed_leaves_a_winner_and_stores_nothing() {
+        let session = session();
+        let reseeded = session.options().clone().seed(99);
+        session.transpile(&ghz(4)).expect("default seed");
+        session.transpile(&ghz(4)).expect("default seed again");
+        session
+            .transpile_with(&ghz(4), &reseeded)
+            .expect("fresh seed");
+        assert_eq!(slot_states(&session), ["stored", "winner"]);
+        let state = session.lock();
+        let (_, Slot::Winner(winner)) = &state.prepared[0].slots[1] else {
+            panic!("the fresh seed's slot holds a winner");
+        };
+        assert_eq!(winner.layout.len(), 4);
+        assert!(winner.trial_costs.is_empty());
+    }
+
+    #[test]
+    fn admission_stops_at_the_cap() {
+        let session = session();
+        let small = ghz(3);
+        let large = ghz(4);
+        let cap = stored_bytes(&session.transpile(&small).expect("cold small"));
+        let jobs = |circuit| [SessionJob::new(circuit)];
+        session.transpile(&large).expect("cold large");
+        // The small result fits the cap exactly; the large one no longer
+        // fits beside it, so its repeats keep replaying from the winner.
+        for circuit in [&small, &large, &large] {
+            let results = session.run_jobs(&jobs(circuit), cap);
+            results[0].as_ref().expect("repeat");
+        }
+        assert_eq!(slot_states(&session), ["stored", "winner"]);
+        assert_eq!(session.lock().stored_bytes, cap);
+        // Past the cap the repeat still returns the cold result.
+        let fresh = Transpiler::new(CouplingMap::linear(4), session.options().clone());
+        let cold = fresh.transpile(&large).expect("fresh cold");
+        let results = session.run_jobs(&jobs(&large), cap);
+        assert_same_result(results[0].as_ref().expect("repeat"), &cold, "past the cap");
+    }
+
+    #[test]
+    fn duplicate_replays_in_one_batch_store_one_result() {
+        let session = session();
+        let circuit = ghz(4);
+        let cold = session.transpile(&circuit).expect("cold");
+        let results =
+            session.transpile_jobs(&[SessionJob::new(&circuit), SessionJob::new(&circuit)]);
+        for result in &results {
+            assert_same_result(result.as_ref().expect("replay"), &cold, "duplicate replay");
+        }
+        assert_eq!(slot_states(&session), ["stored"]);
+        assert_eq!(session.lock().stored_bytes, stored_bytes(&cold));
+    }
+
+    #[test]
+    fn a_zero_deadline_on_a_stored_slot_is_a_deadline_error() {
+        let session = session();
+        for _ in 0..2 {
+            session.transpile(&ghz(4)).expect("fill the slot");
+        }
+        assert_eq!(slot_states(&session), ["stored"]);
+        let options = session.options().clone().deadline(Duration::ZERO);
+        let err = session.transpile_with(&ghz(4), &options).unwrap_err();
+        assert_eq!(err.kind(), crate::ErrorKind::Deadline);
+        assert_eq!(err.to_string(), "transpile exceeded its 0 ms deadline");
+    }
+
     #[test]
     fn poison_recovery_resets_caches_and_keeps_serving() {
         let session = Arc::new(session());
         let cold = session.transpile(&ghz(4)).expect("cold transpile");
+        session.transpile(&ghz(4)).expect("replay");
+        assert_eq!(slot_states(&session), ["stored"]);
         assert_eq!(session.cache_resets(), 0);
 
         // Poison the session lock the only way a panic can reach it: by
@@ -760,11 +1041,15 @@ mod tests {
         assert!(!session.state.is_poisoned());
         assert_eq!(recovered.cache.misses(), 3);
         assert_eq!(recovered.circuit, cold.circuit);
+        assert_eq!(slot_states(&session), ["winner"]);
+        assert_eq!(session.lock().stored_bytes, 0);
 
-        // And the one after that is warm, as if nothing happened.
+        // And the one after that replays and stores, as if nothing happened.
         let warm = session.transpile(&ghz(4)).expect("warm transpile");
         assert_eq!(warm.cache.hits(), 3);
         assert_eq!(session.cache_resets(), 1);
+        assert_eq!(slot_states(&session), ["stored"]);
+        assert_eq!(session.lock().stored_bytes, stored_bytes(&cold));
     }
 
     #[test]

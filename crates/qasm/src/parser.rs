@@ -271,12 +271,15 @@ impl Parser {
             .map_or(1, |t| t.line)
     }
 
+    /// Consumes the next token. Its kind moves out, leaving a heap-free
+    /// placeholder: nothing reads a consumed token again but its `line`.
     fn next(&mut self) -> Option<Token> {
-        let token = self.tokens.get(self.pos).cloned();
-        if token.is_some() {
-            self.pos += 1;
-        }
-        token
+        let token = self.tokens.get_mut(self.pos)?;
+        self.pos += 1;
+        Some(Token {
+            kind: std::mem::replace(&mut token.kind, TokenKind::Arrow),
+            line: token.line,
+        })
     }
 
     fn err_here(&self, message: impl Into<String>) -> QasmError {

@@ -568,6 +568,61 @@ fn traced_requests_return_span_tables_that_round_trip() {
     stop();
 }
 
+/// A repeat request is served from the session's stored result: the second
+/// POST replays and stores, the third and fourth copy. The daemon runs as
+/// its own process, so the traced request's table holds its spans alone.
+#[cfg(unix)]
+#[test]
+fn repeat_requests_return_the_stored_result_byte_for_byte() {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../benchmarks/qasm/qft_n8.qasm"
+    );
+    let source = std::fs::read_to_string(path).expect("corpus file");
+    let daemon = common::Daemon::spawn(&["--device", "montreal", "--workers", "1"], &[]);
+    // Signal before asserting anything, so that no failure leaves the
+    // daemon running.
+    let responses: Vec<_> = [
+        "/transpile",
+        "/transpile",
+        "/transpile?trace=1",
+        "/transpile",
+    ]
+    .iter()
+    .map(|path| client::post(&daemon.addr, path, &source))
+    .collect();
+    let (status, stderr) = daemon.terminate();
+    assert!(status.success(), "stderr: {stderr}");
+    let responses: Vec<_> = responses
+        .into_iter()
+        .map(|response| response.expect("request"))
+        .collect();
+    for response in &responses {
+        assert_eq!(response.status, 200, "body: {}", response.body);
+    }
+    let cold = &responses[0];
+    assert_eq!(cold.header("x-cache-hits"), Some("0"));
+    for repeat in &responses[1..] {
+        assert_eq!(repeat.header("x-cache-hits"), Some("3"));
+        assert_eq!(repeat.header("x-cache-misses"), Some("0"));
+    }
+    assert_eq!(responses[1].body, cold.body);
+    assert_eq!(responses[3].body, cold.body);
+
+    let traced = &responses[2].body;
+    assert_eq!(
+        client::json_str_field(traced, "qasm").as_deref(),
+        Some(cold.body.as_str())
+    );
+    assert!(traced.contains("\"name\":\"job\""), "trace: {traced}");
+    for computed in ["route_from", "decompose", "post_optimize"] {
+        assert!(
+            !traced.contains(&format!("\"name\":\"{computed}\"")),
+            "a stored hit runs no {computed}: {traced}"
+        );
+    }
+}
+
 #[test]
 fn graceful_shutdown_drains_and_stops_listening() {
     let (addr, stop) = boot(default_config());

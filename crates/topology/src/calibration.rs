@@ -178,8 +178,7 @@ pub fn noise_aware_distance(coupling: &CouplingMap, calibration: &Calibration) -
         }
     }
 
-    let hops: Vec<usize> = (0..n * n).map(|idx| base.hops(idx / n, idx % n)).collect();
-    DistanceMatrix::from_hops(n, hops).with_weights(weights)
+    base.with_weights(weights)
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! Hardware coupling maps.
 
-use crate::distance::DistanceMatrix;
+use crate::distance::{DistanceMatrix, UNREACHABLE};
 
 /// The qubit-connectivity graph of a quantum device.
 ///
@@ -228,25 +228,26 @@ impl CouplingMap {
         (0..self.num_qubits).all(|q| d.hops(0, q) != usize::MAX)
     }
 
-    /// The all-pairs shortest-path (hop-count) distance matrix via BFS.
+    /// The all-pairs shortest-path (hop-count) distance matrix via BFS,
+    /// run straight into the matrix's compact hop table.
     pub fn distance_matrix(&self) -> DistanceMatrix {
         let n = self.num_qubits;
-        let mut hops = vec![usize::MAX; n * n];
-        for source in 0..n {
-            let mut queue = std::collections::VecDeque::new();
-            hops[source * n + source] = 0;
+        let mut hops = vec![UNREACHABLE; n * n];
+        let mut queue = std::collections::VecDeque::new();
+        for (source, row) in hops.chunks_exact_mut(n.max(1)).enumerate() {
+            row[source] = 0;
             queue.push_back(source);
             while let Some(u) = queue.pop_front() {
-                let du = hops[source * n + u];
+                let du = row[u];
                 for &v in self.neighbors(u) {
-                    if hops[source * n + v] == usize::MAX {
-                        hops[source * n + v] = du + 1;
+                    if row[v] == UNREACHABLE {
+                        row[v] = du + 1;
                         queue.push_back(v);
                     }
                 }
             }
         }
-        DistanceMatrix::from_hops(n, hops)
+        DistanceMatrix::from_compact_hops(n, hops)
     }
 
     /// The graph diameter (longest shortest path). Returns `None` when the

@@ -8,7 +8,7 @@
 /// and unit distance).
 /// Sentinel for "unreachable" in the compact hop storage; surfaced to
 /// callers as `usize::MAX` so the public API is unchanged.
-const UNREACHABLE: u32 = u32::MAX;
+pub(crate) const UNREACHABLE: u32 = u32::MAX;
 
 #[derive(Debug, Clone, PartialEq)]
 pub struct DistanceMatrix {
@@ -23,18 +23,24 @@ pub struct DistanceMatrix {
 impl DistanceMatrix {
     /// Builds a matrix from BFS hop counts; weights default to the hop count.
     pub fn from_hops(n: usize, hops: Vec<usize>) -> Self {
+        Self::from_compact_hops(n, hops.into_iter().map(Self::compact_hop).collect())
+    }
+
+    /// [`from_hops`](Self::from_hops) over hop counts already in their
+    /// stored form, [`UNREACHABLE`] where there is no path: the hop table is
+    /// kept as given, and only the weights are built.
+    pub(crate) fn from_compact_hops(n: usize, hops: Vec<u32>) -> Self {
         assert_eq!(hops.len(), n * n);
         let weights = hops
             .iter()
             .map(|&h| {
-                if h == usize::MAX {
+                if h == UNREACHABLE {
                     f64::INFINITY
                 } else {
-                    h as f64
+                    f64::from(h)
                 }
             })
             .collect();
-        let hops = hops.into_iter().map(Self::compact_hop).collect();
         Self { n, hops, weights }
     }
 

@@ -167,6 +167,36 @@ fn enabled_recorder_captures_the_span_taxonomy() {
     }
 }
 
+#[test]
+fn a_stored_hit_records_no_routing_or_pass_spans() {
+    let _guard = recorder_guard();
+    let circuit = sample_circuit();
+    let session = Transpiler::new(CouplingMap::grid(2, 3), options_for(RouterKind::Nassc, 4));
+
+    nassc::trace::enable();
+    for _ in 0..3 {
+        session.transpile(&circuit).expect("transpile");
+    }
+    let report = nassc::trace::take_report();
+    nassc::trace::disable();
+
+    // Cold, then the replay that stores its result, then a copy of it.
+    let paths: Vec<&ArgValue> = report
+        .spans()
+        .filter(|span| span.name == "job")
+        .map(|span| {
+            let path = span.args.iter().find(|(key, _)| key == "path");
+            &path.expect("every job span has a path").1
+        })
+        .collect();
+    let expected = ["cold", "warm", "stored"].map(|path| ArgValue::Text(path.into()));
+    assert_eq!(paths, expected.iter().collect::<Vec<_>>());
+    assert_eq!(report.span_count("post_optimize"), 2, "cold + warm");
+    assert_eq!(report.span_count("decompose"), 2, "cold + warm");
+    assert_eq!(report.span_count("route_from"), 1, "warm");
+    assert_eq!(report.counter_total("cache.layout_hit"), 2);
+}
+
 /// The `items` annotation of every `pool_batch` span in `report`.
 fn pool_batch_items(report: &TraceReport) -> Vec<u64> {
     report
