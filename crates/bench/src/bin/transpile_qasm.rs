@@ -34,9 +34,10 @@
 //! Either mode accepts `--profile <out.json>`: tracing is enabled around
 //! the transpile and a Chrome `trace_event` profile (open it in
 //! `chrome://tracing` or Perfetto) is written to the given path, with the
-//! aggregated per-span table printed to stderr. Single-circuit mode also
-//! reports what share of the transpile wall time the top-level spans
-//! account for.
+//! aggregated per-span table printed to stderr. In single-circuit mode the
+//! trace also covers the parse and the export, as the `qasm_parse` and
+//! `qasm_export` spans, and the command reports what share of that wall
+//! time the top-level spans account for.
 
 use std::io::Read;
 use std::path::{Path, PathBuf};
@@ -168,7 +169,24 @@ fn single_mode(
             (source, "stdin".to_string())
         }
     };
-    let circuit = match qasm::parse(&source) {
+    let seed = cli_usize("--seed").map_or(BASE_SEED, |s| s as u64);
+    let options = TranspileOptions::new()
+        .router(router)
+        .seed(seed)
+        .layout_trials(layout_trials);
+    let session = Transpiler::new(device.clone(), options.clone());
+    // The profile covers the parse and the export too, in the `qasm_parse`
+    // and `qasm_export` spans the daemon records around them.
+    let profile = cli_value("--profile").map(PathBuf::from);
+    if profile.is_some() {
+        nassc::trace::enable();
+    }
+    let traced_start = Instant::now();
+    let parsed = {
+        let _span = nassc::trace::span("qasm_parse");
+        qasm::parse(&source)
+    };
+    let circuit = match parsed {
         Ok(circuit) => circuit,
         Err(e) => {
             eprintln!("error: {name}: {e}");
@@ -184,31 +202,23 @@ fn single_mode(
         );
         return ExitCode::FAILURE;
     }
-    let seed = cli_usize("--seed").map_or(BASE_SEED, |s| s as u64);
-    let options = TranspileOptions::new()
-        .router(router)
-        .seed(seed)
-        .layout_trials(layout_trials);
-    let session = Transpiler::new(device.clone(), options.clone());
-    let profile = cli_value("--profile").map(PathBuf::from);
-    if profile.is_some() {
-        nassc::trace::enable();
-    }
-    let traced_start = Instant::now();
-    let result = session.transpile(&circuit);
-    let traced_wall = traced_start.elapsed();
-    let trace = profile.as_ref().map(|_| {
-        let report = nassc::trace::take_report();
-        nassc::trace::disable();
-        report
-    });
-    let result = match result {
+    let result = match session.transpile(&circuit) {
         Ok(result) => result,
         Err(e) => {
             eprintln!("error: transpiling {name}: {e}");
             return ExitCode::FAILURE;
         }
     };
+    let exported = {
+        let _span = nassc::trace::span("qasm_export");
+        qasm::export(&result.circuit)
+    };
+    let traced_wall = traced_start.elapsed();
+    let trace = profile.as_ref().map(|_| {
+        let report = nassc::trace::take_report();
+        nassc::trace::disable();
+        report
+    });
     if let (Some(path), Some(trace)) = (&profile, &trace) {
         if let Err(e) = std::fs::write(path, trace.to_chrome_json()) {
             eprintln!("error: writing {}: {e}", path.display());
@@ -226,7 +236,7 @@ fn single_mode(
             path.display()
         );
     }
-    let out_qasm = match qasm::export(&result.circuit) {
+    let out_qasm = match exported {
         Ok(out) => out,
         Err(e) => {
             eprintln!("error: exporting {name}: {e}");

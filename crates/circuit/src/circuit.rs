@@ -40,12 +40,34 @@ impl QuantumCircuit {
     }
 
     /// Creates an empty circuit with pre-allocated room for `capacity`
-    /// instructions — the parser and generators use this so 100k-gate ingest
-    /// does not re-grow the instruction buffer.
+    /// instructions — passes and generators use this so 100k-gate circuits
+    /// do not re-grow the instruction buffer.
     pub fn with_capacity(num_qubits: usize, capacity: usize) -> Self {
         Self {
             num_qubits,
             instructions: Vec::with_capacity(capacity),
+        }
+    }
+
+    /// A circuit over `num_qubits` qubits that takes `instructions` as its
+    /// instruction buffer, without copying it (the parser builds its
+    /// instruction list before it knows the final register width).
+    ///
+    /// # Panics
+    ///
+    /// Panics if an instruction qubit is out of range.
+    pub fn from_instructions(num_qubits: usize, instructions: Vec<Instruction>) -> Self {
+        for instruction in &instructions {
+            for q in instruction.qubits().iter() {
+                assert!(
+                    q < num_qubits,
+                    "qubit {q} out of range for a {num_qubits}-qubit circuit"
+                );
+            }
+        }
+        Self {
+            num_qubits,
+            instructions,
         }
     }
 
@@ -374,11 +396,7 @@ impl FromIterator<Instruction> for QuantumCircuit {
             .flat_map(|i| i.qubits().iter())
             .max()
             .map_or(0, |m| m + 1);
-        let mut qc = QuantumCircuit::new(width);
-        for inst in instructions {
-            qc.push(inst);
-        }
-        qc
+        QuantumCircuit::from_instructions(width, instructions)
     }
 }
 
@@ -520,6 +538,12 @@ mod tests {
         .into_iter()
         .collect();
         assert_eq!(qc.num_qubits(), 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn from_instructions_rejects_out_of_range_qubits() {
+        let _ = QuantumCircuit::from_instructions(2, vec![Instruction::new(Gate::Cx, [0, 2])]);
     }
 
     #[test]

@@ -325,9 +325,9 @@ impl Gate {
         Some(m)
     }
 
-    /// The gate's parameters, if any.
-    pub fn params(&self) -> Vec<f64> {
-        match self {
+    /// The gate's parameters, if any, held inline (no heap allocation).
+    pub fn params(&self) -> Params {
+        match *self {
             Gate::Rx(t)
             | Gate::Ry(t)
             | Gate::Rz(t)
@@ -337,9 +337,9 @@ impl Gate {
             | Gate::Crz(t)
             | Gate::Cp(t)
             | Gate::Rxx(t)
-            | Gate::Rzz(t) => vec![*t],
-            Gate::U(t, p, l) => vec![*t, *p, *l],
-            _ => Vec::new(),
+            | Gate::Rzz(t) => Params::new(&[t]),
+            Gate::U(t, p, l) => Params::new(&[t, p, l]),
+            _ => Params::new(&[]),
         }
     }
 
@@ -356,6 +356,60 @@ impl Gate {
                 | Gate::Measure
                 | Gate::Barrier(_)
         )
+    }
+}
+
+/// The parameters of one [`Gate`], as [`Gate::params`] returns them: at most
+/// three `f64`s held inline. It derefs to `[f64]` and iterates by value.
+///
+/// # Example
+///
+/// ```
+/// use nassc_circuit::Gate;
+///
+/// let params = Gate::U(0.1, 0.2, 0.3).params();
+/// assert_eq!(params.len(), 3);
+/// assert_eq!(params[2], 0.3);
+/// assert_eq!(params.into_iter().sum::<f64>(), 0.1 + 0.2 + 0.3);
+/// assert!(Gate::H.params().is_empty());
+/// ```
+#[derive(Clone, Copy)]
+pub struct Params {
+    len: u8,
+    values: [f64; 3],
+}
+
+impl Params {
+    fn new(values: &[f64]) -> Self {
+        let mut params = Params {
+            len: values.len() as u8,
+            values: [0.0; 3],
+        };
+        params.values[..values.len()].copy_from_slice(values);
+        params
+    }
+}
+
+impl std::ops::Deref for Params {
+    type Target = [f64];
+
+    fn deref(&self) -> &[f64] {
+        &self.values[..usize::from(self.len)]
+    }
+}
+
+impl IntoIterator for Params {
+    type Item = f64;
+    type IntoIter = std::iter::Take<std::array::IntoIter<f64, 3>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.values.into_iter().take(usize::from(self.len))
+    }
+}
+
+impl std::fmt::Debug for Params {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 
@@ -381,7 +435,61 @@ mod tests {
         assert_eq!(Gate::Rz(0.3).name(), "rz");
         assert_eq!(Gate::Ccx.num_qubits(), 3);
         assert_eq!(Gate::Barrier(5).num_qubits(), 5);
-        assert_eq!(Gate::U(0.1, 0.2, 0.3).params(), vec![0.1, 0.2, 0.3]);
+        assert_eq!(*Gate::U(0.1, 0.2, 0.3).params(), [0.1, 0.2, 0.3]);
+    }
+
+    #[test]
+    fn params_yield_each_variants_values_in_order() {
+        let one = [
+            Gate::Rx(0.1),
+            Gate::Ry(0.1),
+            Gate::Rz(0.1),
+            Gate::Phase(0.1),
+            Gate::Crx(0.1),
+            Gate::Cry(0.1),
+            Gate::Crz(0.1),
+            Gate::Cp(0.1),
+            Gate::Rxx(0.1),
+            Gate::Rzz(0.1),
+        ];
+        for gate in one {
+            assert_eq!(
+                gate.params().into_iter().collect::<Vec<_>>(),
+                [0.1],
+                "{gate:?}"
+            );
+        }
+        let u = Gate::U(0.1, -0.2, 0.3).params();
+        assert_eq!(u.into_iter().collect::<Vec<_>>(), [0.1, -0.2, 0.3]);
+        assert_eq!(*u, [0.1, -0.2, 0.3]);
+        let none = [
+            Gate::I,
+            Gate::X,
+            Gate::Y,
+            Gate::Z,
+            Gate::H,
+            Gate::S,
+            Gate::Sdg,
+            Gate::T,
+            Gate::Tdg,
+            Gate::Sx,
+            Gate::Sxdg,
+            Gate::Cx,
+            Gate::Cy,
+            Gate::Cz,
+            Gate::Ch,
+            Gate::Swap,
+            Gate::Ccx,
+            Gate::Cswap,
+            Gate::Unitary1(Box::new(Matrix2::identity())),
+            Gate::Unitary2(Box::new(Matrix4::identity())),
+            Gate::Measure,
+            Gate::Barrier(3),
+        ];
+        for gate in none {
+            assert!(gate.params().is_empty(), "{gate:?}");
+            assert_eq!(gate.params().into_iter().count(), 0, "{gate:?}");
+        }
     }
 
     #[test]

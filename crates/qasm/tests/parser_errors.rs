@@ -251,3 +251,77 @@ fn expanded_operands_are_bounded() {
     );
     assert_error(&barriers, "more than 2097152 qubit operands", 515);
 }
+
+#[test]
+fn non_finite_parameters_are_rejected() {
+    // NaN and infinities have no OpenQASM 2.0 spelling (`export` refuses
+    // them too), and no unitary: they stop at the gate that takes them.
+    for angle in ["0/0", "1e400", "-1/0", "ln(0)", "sqrt(-1)", "1e308*10"] {
+        assert_error(
+            &format!("OPENQASM 2.0;\nqreg q[1];\nh q[0];\nrz({angle}) q[0];\n"),
+            "gate rz has a non-finite angle",
+            4,
+        );
+    }
+    assert_error(
+        "OPENQASM 2.0;\nqreg q[1];\nu3(0, 0/0, 0) q[0];\n",
+        "gate u3 has a non-finite angle (NaN)",
+        3,
+    );
+    // u0's duration lowers to nothing, but it is a parameter all the same.
+    assert_error(
+        "OPENQASM 2.0;\nqreg q[1];\nu0(1e999) q[0];\n",
+        "gate u0 has a non-finite angle (inf)",
+        3,
+    );
+}
+
+#[test]
+fn non_finite_parameters_inside_a_definition_are_rejected_at_the_call() {
+    // The body is fine until a call makes `1/t` infinite: the error points
+    // at the body line that lowers it.
+    let source =
+        "OPENQASM 2.0;\nqreg q[1];\ngate g(t) a {\n  rz(1/t) a;\n}\ng(2) q[0];\ng(0) q[0];\n";
+    assert_error(source, "gate rz has a non-finite angle (inf)", 4);
+    // A definition that is never called with such a value still parses.
+    let fine = "OPENQASM 2.0;\nqreg q[1];\ngate g(t) a { rz(1/t) a; }\ng(2) q[0];\n";
+    assert_eq!(parse(fine).unwrap().num_gates(), 1);
+}
+
+#[test]
+fn non_finite_cu3_angles_are_rejected() {
+    assert_error(
+        "OPENQASM 2.0;\nqreg q[2];\ncu3(0/0, 0, 0) q[0],q[1];\n",
+        "gate cu3 has a non-finite angle (NaN)",
+        3,
+    );
+    // Finite parameters whose decomposition overflows: (λ + φ) / 2.
+    assert_error(
+        "OPENQASM 2.0;\nqreg q[2];\ncu3(0, 1.5e308, 1.5e308) q[0],q[1];\n",
+        "gate cu3 has a non-finite angle (inf)",
+        3,
+    );
+}
+
+#[test]
+fn a_late_lexical_error_outranks_an_early_syntax_error() {
+    // Tokens are pulled as the parse goes, but the outcome is that of
+    // lexing the whole source first.
+    assert_error(
+        "OPENQASM 2.0;\nqreg q[1];\nh q[0] q[0];\nx q[0];\n#\n",
+        "unexpected character '#'",
+        5,
+    );
+    assert_error(
+        "OPENQASM 2.0;\nqreg q[1];\nfrobnicate q[0];\ninclude \"qelib1.inc\n",
+        "unterminated string",
+        4,
+    );
+    // And one that stops the token stream early is still reported when
+    // the tokens before it parse.
+    assert_error(
+        "OPENQASM 2.0;\nqreg q[1];\nx q[0];\n@",
+        "unexpected character '@'",
+        4,
+    );
+}

@@ -201,6 +201,27 @@ fn oversized_register_is_a_parse_error_and_the_daemon_survives() {
     stop();
 }
 
+/// A NaN or infinite gate parameter is refused by the parser as a 400, not
+/// carried into synthesis, where a non-unitary matrix would panic (a 500).
+#[test]
+fn non_finite_parameter_is_a_parse_error_and_the_daemon_survives() {
+    let (addr, stop) = boot(default_config());
+    for angle in ["0/0", "1e400"] {
+        let source = format!(r#"OPENQASM 2.0; include "qelib1.inc"; qreg q[1]; rz({angle}) q[0];"#);
+        let refused = client::post(&addr, "/transpile", &source).expect("non-finite angle");
+        assert_eq!(refused.status, 400, "body: {}", refused.body);
+        assert_eq!(refused.header("x-error-kind").unwrap(), "parse");
+        assert!(
+            refused.body.contains("non-finite angle"),
+            "body: {}",
+            refused.body
+        );
+    }
+    let health = client::get(&addr, "/health").expect("health");
+    assert_eq!(health.status, 200);
+    stop();
+}
+
 #[test]
 fn full_queue_sheds_load_with_429() {
     // No workers: nothing drains the queue, so with depth 1 the second
