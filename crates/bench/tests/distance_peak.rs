@@ -2,10 +2,10 @@
 //!
 //! This binary installs the counting allocator, as `bench_scale` does, and
 //! reads the peak live bytes of each table's construction. A
-//! `DistanceMatrix` keeps 12 bytes per qubit pair (a `u32` hop count and an
-//! `f64` weight), so the hop-count matrix must peak at that, and the
-//! noise-aware one at that plus the weight table it replaces the hop-derived
-//! one with: no wider intermediate table may be built on the way.
+//! `DistanceMatrix` keeps 8 bytes per qubit pair (one `f64`), so both the
+//! hop-count matrix and the noise-aware one must peak at that: each
+//! construction fills its final table in place, and no second or wider
+//! table may be built on the way.
 
 use nassc_bench::alloc::{self, CountingAlloc};
 use nassc_topology::{noise_aware_distance, Calibration, CouplingMap};
@@ -24,7 +24,7 @@ fn distance_tables_peak_at_their_final_size() {
     let pairs = device.num_qubits() * device.num_qubits();
     let (hops, peak) = peak_growth(|| device.distance_matrix());
     assert!(
-        peak <= 12 * pairs + SLACK,
+        peak <= 8 * pairs + SLACK,
         "distance_matrix peaked at {peak} bytes, {:.1} per pair",
         peak as f64 / pairs as f64
     );
@@ -37,7 +37,7 @@ fn distance_tables_peak_at_their_final_size() {
     let pairs = device.num_qubits() * device.num_qubits();
     let (weighted, peak) = peak_growth(|| noise_aware_distance(&device, &calibration));
     assert!(
-        peak <= 20 * pairs + SLACK,
+        peak <= 8 * pairs + SLACK,
         "noise_aware_distance peaked at {peak} bytes, {:.1} per pair",
         peak as f64 / pairs as f64
     );

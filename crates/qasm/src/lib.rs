@@ -36,8 +36,9 @@
 //! Known limitations: no classical control (`if`), no `reset`, no `opaque`
 //! gates, and includes other than `qelib1.inc` are rejected. A source may
 //! declare at most [`MAX_QUBITS`] qubits and expand to at most
-//! [`MAX_OPERANDS`] qubit operands, and every gate parameter must evaluate
-//! to a finite number.
+//! [`MAX_OPERANDS`] qubit operands, its parameter expressions may nest at
+//! most 64 levels deep, and every gate parameter must evaluate to a finite
+//! number.
 //!
 //! # Example
 //!

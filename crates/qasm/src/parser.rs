@@ -17,9 +17,11 @@
 //! Unsupported constructs fail with a positioned [`QasmError`]: `if`
 //! (classical control), `reset`, `opaque`, and includes other than
 //! `qelib1.inc`. So do gate parameters that evaluate to NaN or ±inf, which
-//! OpenQASM cannot carry and no unitary has, and sources over
-//! [`MAX_QUBITS`] or [`MAX_OPERANDS`], which bound what a short source can
-//! make the parser allocate.
+//! OpenQASM cannot carry and no unitary has, and sources past the bounds on
+//! what a short source can make the parser do: [`MAX_QUBITS`] and
+//! [`MAX_OPERANDS`] bound what it allocates, and gate inlining and
+//! parameter expressions (parentheses, calls, signs and exponents) nest at
+//! most 64 levels deep, which bounds the stack its recursion takes.
 //!
 //! Lowering a statement allocates nothing beyond the instructions it emits:
 //! arguments, qubit spans, parameter expressions (in postfix form) and
@@ -42,6 +44,10 @@ use crate::lexer::{Lexer, Token, TokenKind};
 /// Hard cap on nested gate-definition inlining, against (ill-formed)
 /// self-referential definitions.
 const MAX_EXPANSION_DEPTH: usize = 64;
+
+/// Hard cap on how deep a parameter expression nests: each parenthesis,
+/// call, sign and exponent is one level of the parser's recursion.
+const MAX_EXPRESSION_DEPTH: usize = 64;
 
 /// The most qubits a source may declare over all its `qreg`s: about 10×
 /// the 433-qubit Osprey, the largest device this workspace models.
@@ -127,8 +133,9 @@ fn builtin(name: &str) -> Option<(usize, usize, Lowering)> {
 /// Returns a [`QasmError`] with the offending source line for syntax errors,
 /// unknown gates, register overflows, arity mismatches, gate parameters
 /// that are not finite (NaN or infinite), unsupported constructs (`if`,
-/// `reset`, `opaque`, non-`qelib1.inc` includes) and sources over
-/// [`MAX_QUBITS`] or [`MAX_OPERANDS`]. A lexical error (a character outside
+/// `reset`, `opaque`, non-`qelib1.inc` includes), parameter expressions
+/// nested more than 64 levels deep and sources over [`MAX_QUBITS`] or
+/// [`MAX_OPERANDS`]. A lexical error (a character outside
 /// the OpenQASM alphabet, an unterminated string) anywhere in the source
 /// takes precedence over every other error.
 ///
@@ -344,6 +351,8 @@ struct Parser<'a> {
     // Scratch buffers, reused by every statement.
     /// The parameter expressions of the statement being parsed.
     ops: Vec<Op<'a>>,
+    /// How deep the expression being parsed is nested.
+    expr_depth: usize,
     arguments: Vec<Argument<'a>>,
     spans: Vec<Range<usize>>,
     /// The parameter values of the calls being lowered, outermost first:
@@ -378,6 +387,7 @@ impl<'a> Parser<'a> {
                 operands: 0,
             },
             ops: Vec::new(),
+            expr_depth: 0,
             arguments: Vec::new(),
             spans: Vec::new(),
             values: Vec::new(),
@@ -752,6 +762,20 @@ impl<'a> Parser<'a> {
         self.parse_parens(Self::parse_expr)
     }
 
+    /// Runs `parse` one level deeper (a sign's or `^`'s operand, or inside
+    /// parentheses or a call), failing past [`MAX_EXPRESSION_DEPTH`] levels.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<(), QasmError>) -> Result<(), QasmError> {
+        if self.expr_depth == MAX_EXPRESSION_DEPTH {
+            return Err(self.err_here(format!(
+                "expression nested more than {MAX_EXPRESSION_DEPTH} levels deep"
+            )));
+        }
+        self.expr_depth += 1;
+        let parsed = parse(self);
+        self.expr_depth -= 1;
+        parsed
+    }
+
     fn parse_expr(&mut self) -> Result<(), QasmError> {
         self.parse_term()?;
         while let Some(TokenKind::Symbol(op @ ('+' | '-'))) = self.peek() {
@@ -777,13 +801,13 @@ impl<'a> Parser<'a> {
     fn parse_unary(&mut self) -> Result<(), QasmError> {
         if self.at_symbol('-') {
             self.expect_symbol('-')?;
-            self.parse_unary()?;
+            self.nested(Self::parse_unary)?;
             self.ops.push(Op::Neg);
             return Ok(());
         }
         if self.at_symbol('+') {
             self.expect_symbol('+')?;
-            return self.parse_unary();
+            return self.nested(Self::parse_unary);
         }
         self.parse_power()
     }
@@ -794,7 +818,7 @@ impl<'a> Parser<'a> {
             self.expect_symbol('^')?;
             // Right-associative, and the exponent may carry its own sign
             // (`2^-3`).
-            self.parse_unary()?;
+            self.nested(Self::parse_unary)?;
             self.ops.push(Op::Binary('^'));
         }
         Ok(())
@@ -819,7 +843,7 @@ impl<'a> Parser<'a> {
             }) => {
                 if self.at_symbol('(') {
                     self.expect_symbol('(')?;
-                    self.parse_expr()?;
+                    self.nested(Self::parse_expr)?;
                     self.expect_symbol(')')?;
                     Op::Call(name)
                 } else {
@@ -834,7 +858,7 @@ impl<'a> Parser<'a> {
                 kind: TokenKind::Symbol('('),
                 ..
             }) => {
-                self.parse_expr()?;
+                self.nested(Self::parse_expr)?;
                 self.expect_symbol(')')?;
                 return Ok(());
             }

@@ -1,6 +1,9 @@
 //! Parser error paths: every rejection carries a positioned, descriptive
 //! [`QasmError`] instead of a panic or a silently wrong circuit.
 
+use std::f64::consts::PI;
+
+use nassc_circuit::QuantumCircuit;
 use nassc_qasm::parse;
 
 /// Asserts that `source` fails to parse and the error mentions `fragment`
@@ -324,4 +327,37 @@ fn a_late_lexical_error_outranks_an_early_syntax_error() {
         "unexpected character '@'",
         4,
     );
+}
+
+/// `rz(<open × levels>pi<close × levels>) q[0];` on line 3.
+fn nested(open: &str, close: &str, levels: usize) -> String {
+    let (open, close) = (open.repeat(levels), close.repeat(levels));
+    format!("OPENQASM 2.0;\nqreg q[1];\nrz({open}pi{close}) q[0];\n")
+}
+
+#[test]
+fn deeply_nested_expressions_are_rejected_not_overflowed() {
+    // Each level is a recursive call in the parser: unbounded, these
+    // sources overflow the stack, which aborts the process. 2 MiB is the
+    // stack of a spawned thread and of the daemon's workers.
+    let checks = || {
+        let sin64 = (0..64).fold(PI, |x, _| x.sin());
+        for (open, close, deep, angle) in [
+            ("(", ")", 10_000, PI),
+            ("sin(", ")", 10_000, sin64),
+            ("-", "", 100_000, PI),
+            ("1^", "", 10_000, 1.0),
+        ] {
+            for levels in [65, deep] {
+                let source = nested(open, close, levels);
+                assert_error(&source, "expression nested more than 64 levels deep", 3);
+            }
+            // 64 levels still parse, to the angle the expression has.
+            let mut expected = QuantumCircuit::new(1);
+            expected.rz(angle, 0);
+            assert_eq!(parse(&nested(open, close, 64)).unwrap(), expected);
+        }
+    };
+    let thread = std::thread::Builder::new().stack_size(2 << 20);
+    thread.spawn(checks).unwrap().join().unwrap();
 }

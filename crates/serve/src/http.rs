@@ -165,8 +165,9 @@ fn parse_query(raw: &str) -> Vec<(String, String)> {
 /// # Errors
 ///
 /// [`HttpError`] with the status the caller should answer with: 400 for
-/// malformed syntax, 408 for read timeouts, 413 for bodies above
-/// `max_body_bytes`, 431 for oversized header lines.
+/// malformed syntax (a header name holding whitespace, a `Content-Length`
+/// that is not all digits or comes twice included), 408 for read timeouts,
+/// 413 for bodies above `max_body_bytes`, 431 for oversized header lines.
 pub fn read_request(
     reader: &mut impl BufRead,
     max_body_bytes: usize,
@@ -198,10 +199,14 @@ pub fn read_request(
         if headers.len() >= MAX_HEADERS {
             return Err(HttpError::new(431, "too many headers"));
         }
+        // RFC 9112 §5.1: a non-empty field name, no whitespace before ':'.
         let (name, value) = line
             .split_once(':')
+            .filter(|(name, _)| {
+                !name.is_empty() && !name.contains(|c: char| c.is_ascii_whitespace())
+            })
             .ok_or_else(|| HttpError::new(400, format!("malformed header {line:?}")))?;
-        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
+        headers.push((name.to_ascii_lowercase(), value.trim().to_string()));
     }
 
     if headers
@@ -214,11 +219,18 @@ pub fn read_request(
         ));
     }
 
-    let content_length = match headers.iter().find(|(k, _)| k == "content-length") {
-        Some((_, v)) => v
-            .parse::<usize>()
-            .map_err(|_| HttpError::new(400, format!("bad content-length {v:?}")))?,
-        None => 0,
+    // RFC 9112 §6.3: a length that is not all digits, or one of several,
+    // leaves the body's end unknown.
+    let mut lengths = headers.iter().filter(|(k, _)| k == "content-length");
+    let content_length = match (lengths.next(), lengths.next()) {
+        (None, _) => 0,
+        (Some((_, v)), None) => Some(v)
+            .filter(|v| v.bytes().all(|b| b.is_ascii_digit()))
+            .and_then(|v| v.parse::<usize>().ok())
+            .ok_or_else(|| HttpError::new(400, format!("bad content-length {v:?}")))?,
+        (Some(_), Some(_)) => {
+            return Err(HttpError::new(400, "more than one content-length header"));
+        }
     };
     if content_length > max_body_bytes {
         return Err(HttpError::new(
@@ -413,6 +425,30 @@ mod tests {
                 .status,
             400
         );
+    }
+
+    /// Asserts that a request with `headers` is a 400 naming the
+    /// `Content-Length` header.
+    fn assert_framing_400(headers: &str) {
+        let e = parse(&format!("POST / HTTP/1.1\r\n{headers}\r\nbody")).unwrap_err();
+        assert_eq!(e.status, 400, "{e}");
+        let named = e.message.to_ascii_lowercase().contains("content-length");
+        assert!(named, "{e} does not name the header");
+    }
+
+    #[test]
+    fn signed_content_length_is_rejected() {
+        assert_framing_400("Content-Length: +4\r\n");
+    }
+
+    #[test]
+    fn repeated_content_length_is_rejected() {
+        assert_framing_400("Content-Length: 4\r\nContent-Length: 5\r\n");
+    }
+
+    #[test]
+    fn whitespace_before_a_header_colon_is_rejected() {
+        assert_framing_400("Content-Length : 4\r\n");
     }
 
     #[test]

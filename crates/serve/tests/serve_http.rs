@@ -222,6 +222,33 @@ fn non_finite_parameter_is_a_parse_error_and_the_daemon_survives() {
     stop();
 }
 
+/// A parameter nested 10,000 parentheses deep is refused by the parser as
+/// a 400 before its recursion can overflow the worker's stack, which would
+/// abort the daemon. The real binary runs it, so an abort fails the test.
+#[cfg(unix)]
+#[test]
+fn deeply_nested_expression_is_a_parse_error_and_the_daemon_survives() {
+    let source = format!(
+        "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[1];\nrz({}pi{}) q[0];\n",
+        "(".repeat(10_000),
+        ")".repeat(10_000)
+    );
+    assert_eq!(source.len(), 20_060);
+    let daemon = common::Daemon::spawn(&["--device", "montreal", "--workers", "1"], &[]);
+    // Signal before asserting anything, so that no failure leaves the
+    // daemon running.
+    let refused = client::post(&daemon.addr, "/transpile", &source);
+    let health = client::get(&daemon.addr, "/health");
+    let (status, stderr) = daemon.terminate();
+    let refused = refused.expect("nested expression");
+    assert_eq!(refused.status, 400, "body: {}", refused.body);
+    assert_eq!(refused.header("x-error-kind"), Some("parse"));
+    let body = &refused.body;
+    assert!(body.contains("nested more than 64 levels"), "body: {body}");
+    assert_eq!(health.expect("health").status, 200);
+    assert!(status.success(), "stderr: {stderr}");
+}
+
 #[test]
 fn full_queue_sheds_load_with_429() {
     // No workers: nothing drains the queue, so with depth 1 the second

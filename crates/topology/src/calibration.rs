@@ -121,25 +121,21 @@ const ALPHA_DISTANCE: f64 = 0.5;
 ///
 /// Edge weights are `α1·ε̂ + α2·T̂ + α3·1` where `ε̂`/`T̂` are the edge error
 /// and duration normalised to `[0, 1]` over the device, and all-pairs
-/// distances are shortest weighted paths (Dijkstra from every source). The
-/// hop view of the returned matrix remains the plain BFS hop count so the
-/// routers can still reason about adjacency.
+/// distances are shortest weighted paths (Dijkstra from every source),
+/// `f64::INFINITY` where there is no path. The Dijkstra table is the
+/// returned matrix; no hop-count table is built.
 pub fn noise_aware_distance(coupling: &CouplingMap, calibration: &Calibration) -> DistanceMatrix {
     let n = coupling.num_qubits();
-    let base = coupling.distance_matrix();
 
-    let max_err = coupling
-        .edges()
-        .iter()
-        .filter_map(|&(a, b)| calibration.cx_error(a, b))
-        .fold(0.0_f64, f64::max)
-        .max(1e-12);
-    let max_dur = coupling
-        .edges()
-        .iter()
-        .filter_map(|&(a, b)| calibration.cx_duration_ns(a, b))
-        .fold(0.0_f64, f64::max)
-        .max(1e-12);
+    // The largest value of an edge property over the device.
+    let largest = |property: fn(&Calibration, usize, usize) -> Option<f64>| {
+        (coupling.edges().iter())
+            .filter_map(|&(a, b)| property(calibration, a, b))
+            .fold(0.0_f64, f64::max)
+            .max(1e-12)
+    };
+    let max_err = largest(Calibration::cx_error);
+    let max_dur = largest(Calibration::cx_duration_ns);
 
     let edge_weight = |a: usize, b: usize| -> f64 {
         let err = calibration.cx_error(a, b).unwrap_or(max_err) / max_err;
@@ -147,38 +143,24 @@ pub fn noise_aware_distance(coupling: &CouplingMap, calibration: &Calibration) -
         ALPHA_ERROR * err + ALPHA_TIME * dur + ALPHA_DISTANCE
     };
 
-    // Dijkstra from every source over the weighted graph.
+    // Dijkstra from every source over the weighted graph, in its row.
     let mut weights = vec![f64::INFINITY; n * n];
-    for source in 0..n {
-        let mut dist = vec![f64::INFINITY; n];
+    for (source, dist) in weights.chunks_exact_mut(n.max(1)).enumerate() {
         let mut done = vec![false; n];
         dist[source] = 0.0;
-        for _ in 0..n {
-            let mut u = usize::MAX;
-            let mut best = f64::INFINITY;
-            for (q, &d) in dist.iter().enumerate() {
-                if !done[q] && d < best {
-                    best = d;
-                    u = q;
-                }
-            }
-            if u == usize::MAX {
-                break;
-            }
+        // The nearest unsettled reachable qubit, the first of equals.
+        while let Some(u) = (0..n)
+            .filter(|&q| !done[q] && dist[q] < f64::INFINITY)
+            .min_by(|&a, &b| dist[a].total_cmp(&dist[b]))
+        {
             done[u] = true;
             for &v in coupling.neighbors(u) {
-                let cand = dist[u] + edge_weight(u, v);
-                if cand < dist[v] {
-                    dist[v] = cand;
-                }
+                dist[v] = dist[v].min(dist[u] + edge_weight(u, v));
             }
-        }
-        for (q, &d) in dist.iter().enumerate() {
-            weights[source * n + q] = d;
         }
     }
 
-    base.with_weights(weights)
+    DistanceMatrix::from_weights(n, weights)
 }
 
 #[cfg(test)]
@@ -217,10 +199,10 @@ mod tests {
         let cal = Calibration::uniform(&map, 0.01, 0.02);
         let d = noise_aware_distance(&map, &cal);
         // Uniform errors: every edge weight is 0.5*1 + 0.5 = 1.0, so the
-        // weighted distance equals the hop count.
+        // weighted distance equals the hop count, |i - j| on a line.
         for i in 0..5 {
             for j in 0..5 {
-                assert!((d.weight(i, j) - d.hops(i, j) as f64).abs() < 1e-9);
+                assert!((d.weight(i, j) - i.abs_diff(j) as f64).abs() < 1e-9);
             }
         }
     }

@@ -1,6 +1,6 @@
 //! Hardware coupling maps.
 
-use crate::distance::{DistanceMatrix, UNREACHABLE};
+use crate::distance::DistanceMatrix;
 
 /// The qubit-connectivity graph of a quantum device.
 ///
@@ -16,7 +16,7 @@ use crate::distance::{DistanceMatrix, UNREACHABLE};
 /// let line = CouplingMap::linear(4);
 /// assert!(line.are_connected(1, 2));
 /// assert!(!line.are_connected(0, 3));
-/// assert_eq!(line.distance_matrix().hops(0, 3), 3);
+/// assert_eq!(line.distance_matrix().weight(0, 3), 3.0);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct CouplingMap {
@@ -28,7 +28,8 @@ pub struct CouplingMap {
 impl CouplingMap {
     /// Creates a coupling map from an undirected edge list.
     ///
-    /// Edges are normalised to `(min, max)` and deduplicated.
+    /// Edges are normalised to `(min, max)` and deduplicated, keeping the
+    /// order of their first occurrence.
     ///
     /// # Panics
     ///
@@ -43,9 +44,8 @@ impl CouplingMap {
                 "edge ({a},{b}) out of range"
             );
             assert_ne!(a, b, "self-loop edge ({a},{b}) is not allowed");
-            let e = (a.min(b), a.max(b));
-            if !normalized.contains(&e) {
-                normalized.push(e);
+            if !adjacency[a].contains(&b) {
+                normalized.push((a.min(b), a.max(b)));
                 adjacency[a].push(b);
                 adjacency[b].push(a);
             }
@@ -221,53 +221,40 @@ impl CouplingMap {
 
     /// Whether the graph is connected.
     pub fn is_connected(&self) -> bool {
-        if self.num_qubits == 0 {
-            return true;
-        }
-        let d = self.distance_matrix();
-        (0..self.num_qubits).all(|q| d.hops(0, q) != usize::MAX)
+        self.num_qubits == 0 || self.diameter().is_some()
     }
 
-    /// The all-pairs shortest-path (hop-count) distance matrix via BFS,
-    /// run straight into the matrix's compact hop table.
+    /// The all-pairs shortest-path (hop-count) distance matrix via BFS, run
+    /// straight into the matrix's table (`f64::INFINITY` where no path).
     pub fn distance_matrix(&self) -> DistanceMatrix {
         let n = self.num_qubits;
-        let mut hops = vec![UNREACHABLE; n * n];
+        let mut hops = vec![f64::INFINITY; n * n];
         let mut queue = std::collections::VecDeque::new();
         for (source, row) in hops.chunks_exact_mut(n.max(1)).enumerate() {
-            row[source] = 0;
+            row[source] = 0.0;
             queue.push_back(source);
             while let Some(u) = queue.pop_front() {
                 let du = row[u];
                 for &v in self.neighbors(u) {
-                    if row[v] == UNREACHABLE {
-                        row[v] = du + 1;
+                    if row[v] == f64::INFINITY {
+                        row[v] = du + 1.0;
                         queue.push_back(v);
                     }
                 }
             }
         }
-        DistanceMatrix::from_compact_hops(n, hops)
+        DistanceMatrix::from_weights(n, hops)
     }
 
     /// The graph diameter (longest shortest path). Returns `None` when the
     /// graph is disconnected or empty.
     pub fn diameter(&self) -> Option<usize> {
-        if self.num_qubits == 0 {
-            return None;
-        }
+        let n = self.num_qubits;
         let d = self.distance_matrix();
-        let mut max = 0;
-        for i in 0..self.num_qubits {
-            for j in 0..self.num_qubits {
-                let h = d.hops(i, j);
-                if h == usize::MAX {
-                    return None;
-                }
-                max = max.max(h);
-            }
-        }
-        Some(max)
+        let longest = (0..n * n)
+            .map(|ij| d.weight(ij / n, ij % n))
+            .fold(0.0, f64::max);
+        (n > 0 && longest.is_finite()).then_some(longest as usize)
     }
 
     /// The shortest path between two physical qubits (inclusive of both
@@ -378,9 +365,9 @@ mod tests {
             assert_eq!(total, 2 * m.edges().len());
             let dist = m.distance_matrix();
             for i in 0..m.num_qubits() {
-                assert_eq!(dist.hops(i, i), 0);
+                assert_eq!(dist.weight(i, i), 0.0);
                 for j in 0..m.num_qubits() {
-                    assert_eq!(dist.hops(i, j), dist.hops(j, i));
+                    assert_eq!(dist.weight(i, j), dist.weight(j, i));
                 }
             }
         }
@@ -399,11 +386,11 @@ mod tests {
         let m = CouplingMap::ibmq_montreal();
         let d = m.distance_matrix();
         for i in 0..27 {
-            assert_eq!(d.hops(i, i), 0);
+            assert_eq!(d.weight(i, i), 0.0);
             for j in 0..27 {
-                assert_eq!(d.hops(i, j), d.hops(j, i));
+                assert_eq!(d.weight(i, j), d.weight(j, i));
                 for k in 0..27 {
-                    assert!(d.hops(i, j) <= d.hops(i, k) + d.hops(k, j));
+                    assert!(d.weight(i, j) <= d.weight(i, k) + d.weight(k, j));
                 }
             }
         }
@@ -415,7 +402,7 @@ mod tests {
         let p = m.shortest_path(0, 8).unwrap();
         assert_eq!(p.first(), Some(&0));
         assert_eq!(p.last(), Some(&8));
-        assert_eq!(p.len(), m.distance_matrix().hops(0, 8) + 1);
+        assert_eq!(p.len() as f64, m.distance_matrix().weight(0, 8) + 1.0);
         for w in p.windows(2) {
             assert!(m.are_connected(w[0], w[1]));
         }
@@ -423,8 +410,9 @@ mod tests {
 
     #[test]
     fn duplicate_edges_are_ignored() {
-        let m = CouplingMap::new(3, &[(0, 1), (1, 0), (1, 2)]);
-        assert_eq!(m.edges().len(), 2);
+        let m = CouplingMap::new(3, &[(2, 1), (0, 1), (1, 0), (1, 2)]);
+        assert_eq!(m.edges(), [(1, 2), (0, 1)]);
+        assert_eq!(m.neighbors(1), [0, 2]);
     }
 
     #[test]

@@ -193,11 +193,11 @@ proptest! {
         let d = map.distance_matrix();
         let n = map.num_qubits();
         for i in 0..n {
-            prop_assert_eq!(d.hops(i, i), 0);
+            prop_assert_eq!(d.weight(i, i), 0.0);
             for j in 0..n {
-                prop_assert_eq!(d.hops(i, j), d.hops(j, i));
+                prop_assert_eq!(d.weight(i, j), d.weight(j, i));
                 for k in 0..n {
-                    prop_assert!(d.hops(i, j) <= d.hops(i, k) + d.hops(k, j));
+                    prop_assert!(d.weight(i, j) <= d.weight(i, k) + d.weight(k, j));
                 }
             }
         }
