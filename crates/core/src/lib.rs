@@ -60,9 +60,7 @@ pub mod pipeline;
 pub mod policy;
 pub mod session;
 
-pub use cost::{
-    evaluate_swap_reduction, evaluate_swap_reduction_windowed, OptimizationFlags, SwapReduction,
-};
+pub use cost::{evaluate_swap_reduction, OptimizationFlags, SwapReduction};
 pub use device::{Device, DeviceParseError};
 pub use error::{Error, ErrorKind};
 pub use pipeline::{optimize_without_routing, RouterKind, TranspileOptions, TranspileResult};

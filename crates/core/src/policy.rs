@@ -4,7 +4,7 @@
 use nassc_circuit::{Gate, Instruction, QuantumCircuit};
 use nassc_sabre::{RoutingContext, RoutingState, SwapPolicy};
 
-use crate::cost::{evaluate_swap_reduction_windowed, OptimizationFlags};
+use crate::cost::{evaluate_swap_reduction, OptimizationFlags};
 
 /// NASSC's SWAP-scoring policy.
 ///
@@ -46,7 +46,7 @@ impl NasscPolicy {
 impl SwapPolicy for NasscPolicy {
     fn score(&self, ctx: &RoutingContext<'_>, p1: usize, p2: usize) -> f64 {
         let front_len = ctx.front.len().max(1) as f64;
-        let reduction = evaluate_swap_reduction_windowed(ctx.state, p1, p2, &self.flags);
+        let reduction = evaluate_swap_reduction(ctx.state, p1, p2, &self.flags);
         let basic = (3.0 * ctx.front_distance_after_swap(p1, p2) - reduction.total()) / front_len;
         basic + ctx.extended_cost(p1, p2)
     }
@@ -54,7 +54,7 @@ impl SwapPolicy for NasscPolicy {
     fn emit_swap(&mut self, output: &mut RoutingState, p1: usize, p2: usize) {
         // Re-evaluate the winning candidate for the control its first CNOT
         // needs (and its sandwich partner's).
-        let reduction = evaluate_swap_reduction_windowed(output, p1, p2, &self.flags);
+        let reduction = evaluate_swap_reduction(output, p1, p2, &self.flags);
 
         // Single-qubit movement: trailing one-qubit gates on the swapped
         // wires can hop over the SWAP (retargeted to the partner wire), so

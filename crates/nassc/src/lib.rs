@@ -41,9 +41,9 @@
 //! ```
 
 pub use nassc_core::{
-    evaluate_swap_reduction, evaluate_swap_reduction_windowed, optimize_without_routing,
-    CacheStats, Device, DeviceParseError, Error, ErrorKind, NasscPolicy, OptimizationFlags,
-    RouterKind, SessionJob, TranspileOptions, TranspileResult, Transpiler, STORED_RESULT_BYTES,
+    evaluate_swap_reduction, optimize_without_routing, CacheStats, Device, DeviceParseError, Error,
+    ErrorKind, NasscPolicy, OptimizationFlags, RouterKind, SessionJob, TranspileOptions,
+    TranspileResult, Transpiler, STORED_RESULT_BYTES,
 };
 
 // The parallel batches behind every `Transpiler` dispatch: the budget handle

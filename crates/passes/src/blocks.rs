@@ -160,7 +160,7 @@ pub fn collect_two_qubit_blocks(circuit: &QuantumCircuit) -> Vec<TwoQubitBlock> 
 pub struct TwoQubitBlockResynthesis;
 
 impl TranspilePass for TwoQubitBlockResynthesis {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "two-qubit-block-resynthesis"
     }
 

@@ -185,7 +185,7 @@ pub const COMMUTE_SET_LIMIT: usize = 20;
 pub struct CommutativeCancellation;
 
 impl TranspilePass for CommutativeCancellation {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "commutative-cancellation"
     }
 

@@ -39,8 +39,9 @@ impl std::error::Error for PassError {}
 /// Passes must preserve circuit semantics (up to the documented contract of
 /// the pass, e.g. layout application changes qubit indices).
 pub trait TranspilePass {
-    /// A short identifying name for error messages and logging.
-    fn name(&self) -> &str;
+    /// A short identifying name for error messages, logging and the pass's
+    /// trace span.
+    fn name(&self) -> &'static str;
 
     /// Runs the pass.
     ///
@@ -119,7 +120,7 @@ impl PassManager {
         for pass in &self.passes {
             budget.checkpoint();
             nassc_circuit::failpoints::hit("pass");
-            let _span = nassc_trace::span_owned(pass.name());
+            let _span = nassc_trace::span(pass.name());
             current = pass.run(&current)?;
         }
         Ok(current)
@@ -141,7 +142,7 @@ mod tests {
 
     struct AddHadamard;
     impl TranspilePass for AddHadamard {
-        fn name(&self) -> &str {
+        fn name(&self) -> &'static str {
             "add-hadamard"
         }
         fn run(&self, circuit: &QuantumCircuit) -> Result<QuantumCircuit, PassError> {
@@ -153,7 +154,7 @@ mod tests {
 
     struct AlwaysFails;
     impl TranspilePass for AlwaysFails {
-        fn name(&self) -> &str {
+        fn name(&self) -> &'static str {
             "always-fails"
         }
         fn run(&self, _circuit: &QuantumCircuit) -> Result<QuantumCircuit, PassError> {

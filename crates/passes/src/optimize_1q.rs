@@ -26,7 +26,7 @@ use crate::manager::{PassError, TranspilePass};
 pub struct Optimize1qGates;
 
 impl TranspilePass for Optimize1qGates {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "optimize-1q-gates"
     }
 

@@ -30,7 +30,7 @@ use crate::manager::{PassError, TranspilePass};
 pub struct UnrollToBasis;
 
 impl TranspilePass for UnrollToBasis {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "unroll-to-basis"
     }
 

@@ -41,8 +41,11 @@ use nassc_circuit::{Gate, Instruction, QuantumCircuit, QubitList};
 use crate::error::QasmError;
 use crate::lexer::{Lexer, Token, TokenKind};
 
-/// Hard cap on nested gate-definition inlining, against (ill-formed)
-/// self-referential definitions.
+/// How deep one call's expansion may nest, which bounds the stack inlining
+/// takes: each application in an inlined definition's body is one level
+/// below the call that inlined it. Definitions bind their callees when they
+/// are parsed, so none can recurse, but a chain of distinct definitions,
+/// each calling the one before it, nests as deep as it is long.
 const MAX_EXPANSION_DEPTH: usize = 64;
 
 /// Hard cap on how deep a parameter expression nests: each parenthesis,
@@ -133,9 +136,10 @@ fn builtin(name: &str) -> Option<(usize, usize, Lowering)> {
 /// Returns a [`QasmError`] with the offending source line for syntax errors,
 /// unknown gates, register overflows, arity mismatches, gate parameters
 /// that are not finite (NaN or infinite), unsupported constructs (`if`,
-/// `reset`, `opaque`, non-`qelib1.inc` includes), parameter expressions
-/// nested more than 64 levels deep and sources over [`MAX_QUBITS`] or
-/// [`MAX_OPERANDS`]. A lexical error (a character outside
+/// `reset`, `opaque`, non-`qelib1.inc` includes), gate calls that expand
+/// more than 64 levels deep (at the call's line), parameter expressions
+/// nested more than 64 levels deep and sources over
+/// [`MAX_QUBITS`] or [`MAX_OPERANDS`]. A lexical error (a character outside
 /// the OpenQASM alphabet, an unterminated string) anywhere in the source
 /// takes precedence over every other error.
 ///
@@ -210,6 +214,10 @@ struct GateDef<'a> {
     num_params: usize,
     num_qubits: usize,
     body: Vec<GateOp<'a>>,
+    /// How deep a call of this definition expands: one more than the
+    /// deepest callee's among its body's applications (a built-in's is 0),
+    /// or 0 when its body applies no gate.
+    depth: usize,
 }
 
 /// One step of a parameter expression in postfix order. A list of
@@ -646,7 +654,7 @@ impl<'a> Parser<'a> {
             Ok(())
         })?;
         self.expect_symbol('{')?;
-        let mut body = Vec::new();
+        let (mut body, mut depth) = (Vec::new(), 0);
         loop {
             match self.peek() {
                 None => {
@@ -675,6 +683,7 @@ impl<'a> Parser<'a> {
                     // gate being defined is not yet in the table, so bodies
                     // can never recurse into themselves).
                     let resolved = self.gates.get(op_name).cloned();
+                    depth = depth.max(1 + resolved.as_ref().map_or(0, |def| def.depth));
                     body.push(GateOp::Apply {
                         name: op_name,
                         line: op_line,
@@ -702,6 +711,7 @@ impl<'a> Parser<'a> {
                 num_params,
                 num_qubits,
                 body,
+                depth,
             }),
         );
         Ok(())
@@ -1003,6 +1013,15 @@ impl<'a> Parser<'a> {
         } else {
             self.gates.get(name).cloned()
         };
+        if resolved
+            .as_ref()
+            .is_some_and(|def| def.depth > MAX_EXPANSION_DEPTH)
+        {
+            return Err(QasmError::at(
+                line,
+                format!("gate \"{name}\" expands more than {MAX_EXPANSION_DEPTH} levels deep"),
+            ));
+        }
         for repetition in 0..repetitions {
             self.qubits.clear();
             self.qubits.extend(self.spans.iter().map(|span| {
@@ -1013,7 +1032,7 @@ impl<'a> Parser<'a> {
                 }
             }));
             let qubits = 0..self.qubits.len();
-            self.emit_gate(name, resolved.as_deref(), 0..num_params, qubits, line, 0)?;
+            self.emit_gate(name, resolved.as_deref(), 0..num_params, qubits, line)?;
         }
         Ok(())
     }
@@ -1031,16 +1050,7 @@ impl<'a> Parser<'a> {
         params: Range<usize>,
         qubits: Range<usize>,
         line: usize,
-        depth: usize,
     ) -> Result<(), QasmError> {
-        if depth > MAX_EXPANSION_DEPTH {
-            // Unreachable through well-formed sources (definition-time
-            // binding rules out recursion), kept as a hard backstop.
-            return Err(QasmError::at(
-                line,
-                format!("gate expansion too deep at \"{name}\""),
-            ));
-        }
         let Some(def) = def else {
             return self.emit_builtin(name, params, qubits, line);
         };
@@ -1069,7 +1079,6 @@ impl<'a> Parser<'a> {
                         values_base..self.values.len(),
                         qubits_base..self.qubits.len(),
                         *op_line,
-                        depth + 1,
                     )?;
                 }
                 GateOp::Barrier(qargs) => {

@@ -151,6 +151,30 @@ fn self_referential_gate_definitions_cannot_recurse() {
     );
 }
 
+/// Definitions `g0 … g{len-1}`, `g0` applying `x` and each other calling
+/// the one before it, then a call of the last: `len + 4` lines.
+fn definition_chain(len: usize) -> String {
+    let mut source = String::from("OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[1];\n");
+    source += "gate g0 a { x a; }\n";
+    for k in 1..len {
+        source += &format!("gate g{k} a {{ g{} a; }}\n", k - 1);
+    }
+    source + &format!("g{} q[0];\n", len - 1)
+}
+
+#[test]
+fn definition_chains_expand_at_most_64_levels() {
+    // A call of `g63` expands 64 levels deep: `g62`, …, `g0` and `x`.
+    let mut expected = QuantumCircuit::new(1);
+    expected.x(0);
+    assert_eq!(parse(&definition_chain(64)).unwrap(), expected);
+    // `g64` expands 65: the error names the call and stands at its line.
+    assert_eq!(
+        parse(&definition_chain(65)).unwrap_err().to_string(),
+        "QASM error at line 69: gate \"g64\" expands more than 64 levels deep"
+    );
+}
+
 #[test]
 fn malformed_declarations() {
     assert_error("OPENQASM 2.0;\nqreg q[0];\n", "size 0", 2);

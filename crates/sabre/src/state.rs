@@ -4,9 +4,10 @@
 //! Both SABRE's traversal and NASSC's optimization-aware cost (Eq. 2) keep
 //! asking the same question about the circuit emitted so far: *which recent
 //! instructions touch this physical qubit pair?* Answering it by re-scanning
-//! the whole output from the back — what `touching_window`/`trailing_block`
-//! used to do — makes every candidate-SWAP score O(output), and the routing
-//! pass as a whole quadratic in circuit size.
+//! the whole output from the back, as the full-scan reference in
+//! `tests/routing_state_equivalence.rs` does, makes every candidate-SWAP
+//! score O(output), and the routing pass as a whole quadratic in circuit
+//! size.
 //!
 //! [`RoutingState`] makes the question O(window): alongside the output
 //! circuit it maintains, per physical qubit, the ascending list of output

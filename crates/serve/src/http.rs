@@ -7,7 +7,7 @@
 //! cleanly): chunked transfer encoding, multiline headers, bodies above the
 //! configured cap.
 
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 
 /// Hard cap on a single request/header line, against unbounded buffering.
 const MAX_LINE_BYTES: usize = 8 * 1024;
@@ -86,26 +86,21 @@ impl std::fmt::Display for HttpError {
 
 impl std::error::Error for HttpError {}
 
-/// Reads one line (up to CRLF or LF), rejecting lines above the cap.
+/// Reads one line (up to CRLF or LF), rejecting lines above the cap: at
+/// most [`MAX_LINE_BYTES`] before the `\n`, a `\r` counted.
 fn read_line(reader: &mut impl BufRead) -> Result<String, HttpError> {
     let mut line = Vec::new();
-    loop {
-        let mut byte = [0u8; 1];
-        let n = std::io::Read::read(reader, &mut byte)
-            .map_err(|e| HttpError::new(408, format!("reading request: {e}")))?;
-        if n == 0 {
-            if line.is_empty() {
-                return Err(HttpError::new(400, "connection closed before request"));
-            }
-            break;
-        }
-        if byte[0] == b'\n' {
-            break;
-        }
-        line.push(byte[0]);
-        if line.len() > MAX_LINE_BYTES {
-            return Err(HttpError::new(431, "request line or header too long"));
-        }
+    reader
+        .take(MAX_LINE_BYTES as u64 + 1)
+        .read_until(b'\n', &mut line)
+        .map_err(|e| HttpError::new(408, format!("reading request: {e}")))?;
+    if line.is_empty() {
+        return Err(HttpError::new(400, "connection closed before request"));
+    }
+    if line.last() == Some(&b'\n') {
+        line.pop();
+    } else if line.len() > MAX_LINE_BYTES {
+        return Err(HttpError::new(431, "request line or header too long"));
     }
     if line.last() == Some(&b'\r') {
         line.pop();
@@ -459,6 +454,19 @@ mod tests {
                 .status,
             408
         );
+    }
+
+    #[test]
+    fn a_line_holds_at_most_max_line_bytes_before_its_newline() {
+        for end in ["\r\n", "\n"] {
+            // A header line with `len` bytes before its `\n`, a `\r` counted.
+            let request = |len: usize| {
+                let value = "v".repeat(len + 1 - "x: ".len() - end.len());
+                parse(&format!("GET / HTTP/1.1\r\nx: {value}{end}\r\n"))
+            };
+            assert_eq!(request(MAX_LINE_BYTES).map(|r| r.headers.len()), Ok(1));
+            assert_eq!(request(MAX_LINE_BYTES + 1).unwrap_err().status, 431);
+        }
     }
 
     #[test]

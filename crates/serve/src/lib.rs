@@ -1010,6 +1010,7 @@ fn metrics_prometheus(shared: &Shared) -> String {
     prometheus_histogram(&mut out, "nassc_serve_queue_wait_ms", &metrics.queue_wait);
     let _ = writeln!(out, "# TYPE nassc_serve_device_cache_hits counter");
     let _ = writeln!(out, "# TYPE nassc_serve_device_cache_misses counter");
+    let _ = writeln!(out, "# TYPE nassc_serve_device_cache_resets counter");
     for session in &shared.sessions {
         let stats = session.cache_stats();
         let label = json_escape(session.device().name());
@@ -1022,6 +1023,11 @@ fn metrics_prometheus(shared: &Shared) -> String {
             out,
             "nassc_serve_device_cache_misses{{device=\"{label}\"}} {}",
             stats.misses()
+        );
+        let _ = writeln!(
+            out,
+            "nassc_serve_device_cache_resets{{device=\"{label}\"}} {}",
+            session.cache_resets()
         );
     }
     out

@@ -266,6 +266,15 @@ fn cache_commit_panic_poisons_the_session_and_recovery_resets_caches() {
         "metrics: {}",
         metrics.body
     );
+    let text =
+        client::request_with_headers(&addr, "GET", "/metrics", &[("accept", "text/plain")], "")
+            .expect("prometheus metrics");
+    assert!(
+        text.body
+            .contains("\nnassc_serve_device_cache_resets{device=\"montreal\"} 1\n"),
+        "metrics: {}",
+        text.body
+    );
     stop();
 }
 

@@ -545,7 +545,8 @@ fn metrics_json_and_prometheus_render_the_same_numbers() {
         json_number(&json.body, "worker_restarts"),
         prom_value(&prom.body, "nassc_serve_worker_restarts_total"),
     );
-    // Cumulative montreal cache hits/misses agree across renderings.
+    // Cumulative montreal cache hits, misses and resets agree across
+    // renderings.
     let montreal_json = json
         .body
         .split("\"name\":\"montreal\"")
@@ -565,6 +566,14 @@ fn metrics_json_and_prometheus_render_the_same_numbers() {
             "nassc_serve_device_cache_misses{device=\"montreal\"}"
         ),
     );
+    assert_eq!(
+        json_number(montreal_json, "cache_resets"),
+        prom_value(
+            &prom.body,
+            "nassc_serve_device_cache_resets{device=\"montreal\"}"
+        ),
+    );
+    assert_eq!(json_number(montreal_json, "cache_resets"), Some(0.0));
     stop();
 }
 

@@ -14,7 +14,7 @@
 //!
 //! # Recording model
 //!
-//! * [`span()`]/[`span_owned`] return a [`SpanGuard`]: an RAII guard that
+//! * [`span()`] returns a [`SpanGuard`]: an RAII guard that
 //!   stamps a start time on creation and records one complete-span event on
 //!   drop. Guards nest naturally — each thread tracks its current depth, so
 //!   reports can reconstruct the span tree without timestamp inference.
@@ -71,7 +71,6 @@ pub use report::{
     TraceReport,
 };
 
-use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
@@ -148,7 +147,7 @@ fn now_ns() -> u64 {
 #[derive(Debug)]
 enum RawEvent {
     Span {
-        name: Cow<'static, str>,
+        name: &'static str,
         start_ns: u64,
         dur_ns: u64,
         depth: u32,
@@ -241,7 +240,7 @@ fn with_buffer<R>(f: impl FnOnce(&mut ThreadBuffer) -> R) -> R {
     })
 }
 
-/// An RAII span: created by [`span()`]/[`span_owned`]/[`span!`], records one
+/// An RAII span: created by [`span()`]/[`span!`], records one
 /// complete-span event when dropped. Inert (`None` inside, zero further
 /// work) when tracing was disabled at creation.
 #[must_use = "a span measures the scope it is bound to; binding to _ drops it immediately"]
@@ -250,7 +249,7 @@ pub struct SpanGuard {
 }
 
 struct ActiveSpan {
-    name: Cow<'static, str>,
+    name: &'static str,
     start_ns: u64,
     depth: u32,
     alloc_start: u64,
@@ -258,23 +257,6 @@ struct ActiveSpan {
 }
 
 impl SpanGuard {
-    fn begin(name: Cow<'static, str>) -> Self {
-        let (depth, own_bytes) = with_buffer(|buffer| {
-            let depth = buffer.depth;
-            buffer.depth += 1;
-            (depth, buffer.own_bytes)
-        });
-        SpanGuard {
-            inner: Some(ActiveSpan {
-                name,
-                start_ns: now_ns(),
-                depth,
-                alloc_start: alloc_now().saturating_sub(own_bytes),
-                args: Vec::new(),
-            }),
-        }
-    }
-
     /// Attaches an integer annotation (e.g. trial index, item count).
     /// No-op on an inert guard.
     pub fn arg_u64(&mut self, key: &'static str, value: u64) {
@@ -328,18 +310,20 @@ pub fn span(name: &'static str) -> SpanGuard {
     if !enabled() {
         return SpanGuard { inner: None };
     }
-    SpanGuard::begin(Cow::Borrowed(name))
-}
-
-/// Opens a span whose name is only known at runtime (e.g. a pass name).
-/// The name is copied **only when tracing is enabled** — disabled mode
-/// still allocates nothing.
-#[inline]
-pub fn span_owned(name: &str) -> SpanGuard {
-    if !enabled() {
-        return SpanGuard { inner: None };
+    let (depth, own_bytes) = with_buffer(|buffer| {
+        let depth = buffer.depth;
+        buffer.depth += 1;
+        (depth, buffer.own_bytes)
+    });
+    SpanGuard {
+        inner: Some(ActiveSpan {
+            name,
+            start_ns: now_ns(),
+            depth,
+            alloc_start: alloc_now().saturating_sub(own_bytes),
+            args: Vec::new(),
+        }),
     }
-    SpanGuard::begin(Cow::Owned(name.to_string()))
 }
 
 /// Opens a span; sugar for [`span()`] so call sites read
@@ -425,7 +409,7 @@ pub fn take_report() -> TraceReport {
                     alloc_bytes,
                     args,
                 } => EventKind::Span(SpanEvent {
-                    name: name.into_owned(),
+                    name: name.to_string(),
                     start_ns,
                     dur_ns,
                     depth,
@@ -471,7 +455,7 @@ mod tests {
         {
             let mut outer = span!("outer");
             outer.arg_u64("k", 1);
-            let _inner = span_owned("inner");
+            let _inner = span("inner");
             counter("c", 5);
         }
         let report = take_report();

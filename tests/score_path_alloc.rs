@@ -1,6 +1,6 @@
 //! NASSC's SWAP score allocates nothing.
 //!
-//! `evaluate_swap_reduction_windowed` prices every candidate SWAP of every
+//! `evaluate_swap_reduction` prices every candidate SWAP of every
 //! routing step (the `C_2q`, `C_commute1` and `C_commute2` terms of Eq. 2),
 //! so it must not touch the allocator. This binary installs a global
 //! allocator that counts the bytes each thread requests and checks that,
@@ -16,7 +16,7 @@ use std::cell::Cell;
 
 use nassc::circuit::{Gate, Instruction};
 use nassc::sabre::RoutingState;
-use nassc::{evaluate_swap_reduction_windowed, OptimizationFlags};
+use nassc::{evaluate_swap_reduction, OptimizationFlags};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -78,7 +78,7 @@ fn windowed_swap_reduction_allocates_nothing_after_warm_up() {
             for p1 in 0..WIDTH {
                 for p2 in (0..WIDTH).filter(|&p2| p2 != p1) {
                     for flags in &flag_sets {
-                        let r = evaluate_swap_reduction_windowed(state, p1, p2, flags);
+                        let r = evaluate_swap_reduction(state, p1, p2, flags);
                         c_2q += r.c_2q;
                         c_commute += r.c_commute1 + r.c_commute2;
                     }
