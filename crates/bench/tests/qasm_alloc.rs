@@ -7,7 +7,9 @@
 //! at most `PARSE_BYTES_PER_GATE` per parsed gate, the returned circuit
 //! included. An export writes into one buffer sized for its text: it
 //! allocates exactly the returned `String`'s capacity, with no growth and
-//! no temporaries.
+//! no temporaries. A stored hit through `Transpiler::transpile_to_qasm`
+//! shares the text its session keeps, so what it allocates does not grow
+//! with the circuit.
 
 use std::path::Path;
 
@@ -75,4 +77,32 @@ fn exporting_a_result_allocates_its_output_buffer_once() {
             text.capacity()
         );
     }
+}
+
+#[test]
+fn a_stored_qasm_hit_allocates_nothing_per_gate() {
+    let session = Transpiler::new(Device::montreal(), TranspileOptions::new());
+    let options = session.options().clone();
+    let corpus = corpus();
+    // The text of `name`'s result, and what its third request allocated
+    // (a cold request, then the replay that stores the result and its text).
+    let stored_hit = |name: &str| {
+        let (_, source) = corpus.iter().find(|(file, _)| file == name).expect(name);
+        let circuit = qasm::parse(source).unwrap_or_else(|e| panic!("{name}: {e}"));
+        for _ in 0..2 {
+            session.transpile_to_qasm(&circuit, &options).expect(name);
+        }
+        let (hit, bytes) = allocated(|| session.transpile_to_qasm(&circuit, &options));
+        (hit.expect(name).qasm.len(), bytes)
+    };
+    let (_, bell_bytes) = stored_hit("bell_n2");
+    let (vqe_text, vqe_bytes) = stored_hit("vqe_n8");
+    assert_eq!(
+        bell_bytes, vqe_bytes,
+        "a stored hit allocated {bell_bytes} bytes for bell_n2 and {vqe_bytes} for vqe_n8"
+    );
+    assert!(
+        vqe_bytes < vqe_text as u64,
+        "a stored hit allocated {vqe_bytes} bytes, not less than vqe_n8's {vqe_text}-byte text"
+    );
 }

@@ -3,7 +3,9 @@
 //! The transpilation stack has three failure domains: OpenQASM
 //! parsing/export ([`QasmError`], from `nassc-qasm`), capacity — a circuit
 //! wider than the session's device ([`Error::TooWide`]) — and optimization
-//! passes ([`PassError`], from `nassc-passes`). Callers driving circuits
+//! passes ([`PassError`], from `nassc-passes`). A source that does not parse
+//! is the caller's fault ([`Error::Qasm`]); a transpiled circuit that does
+//! not export is the pipeline's ([`Error::Export`]). Callers driving circuits
 //! through the [`Transpiler`] from QASM source used to match the first and
 //! last; [`Error`] wraps all three behind one `std::error::Error` so
 //! `Transpiler::transpile_qasm` — and the `nassc-serve` daemon on top of it
@@ -56,8 +58,14 @@ pub enum ErrorKind {
 pub enum Error {
     /// An optimization or layout pass failed.
     Pass(PassError),
-    /// OpenQASM parsing or export failed.
+    /// OpenQASM parsing failed.
     Qasm(QasmError),
+    /// The transpiled circuit has no OpenQASM 2.0 spelling, so
+    /// [`Transpiler::transpile_to_qasm`] could not export it. The pipeline's
+    /// fault, not the input's: it classifies as [`ErrorKind::Pass`].
+    ///
+    /// [`Transpiler::transpile_to_qasm`]: crate::session::Transpiler::transpile_to_qasm
+    Export(QasmError),
     /// The circuit needs more qubits than the session's device has.
     TooWide {
         /// Qubits the circuit declares.
@@ -115,7 +123,7 @@ impl Error {
     /// should branch on (the daemon maps it to HTTP statuses).
     pub fn kind(&self) -> ErrorKind {
         match self {
-            Error::Pass(_) => ErrorKind::Pass,
+            Error::Pass(_) | Error::Export(_) => ErrorKind::Pass,
             Error::Qasm(_) => ErrorKind::Parse,
             Error::TooWide { .. } => ErrorKind::TooWide,
             Error::Internal { .. } => ErrorKind::Internal,
@@ -129,6 +137,7 @@ impl fmt::Display for Error {
         match self {
             Error::Pass(e) => e.fmt(f),
             Error::Qasm(e) => e.fmt(f),
+            Error::Export(e) => write!(f, "exporting result: {e}"),
             Error::TooWide {
                 circuit_qubits,
                 device_qubits,
@@ -150,7 +159,7 @@ impl std::error::Error for Error {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             Error::Pass(e) => Some(e),
-            Error::Qasm(e) => Some(e),
+            Error::Qasm(e) | Error::Export(e) => Some(e),
             Error::TooWide { .. } => None,
             Error::Internal { .. } => None,
             Error::Deadline { .. } => None,
@@ -195,8 +204,14 @@ mod tests {
         let pass: Error = PassError::new("unroll", "unknown gate").into();
         let qasm: Error = QasmError::at(3, "bad register").into();
         let wide = Error::too_wide(30, 27);
+        let export = Error::Export(QasmError::new("instruction 0 (unitary1)"));
         assert_eq!(pass.kind(), ErrorKind::Pass);
         assert_eq!(qasm.kind(), ErrorKind::Parse);
+        assert_eq!(export.kind(), ErrorKind::Pass);
+        assert_eq!(
+            export.to_string(),
+            "exporting result: QASM error: instruction 0 (unitary1)"
+        );
         assert_eq!(wide.kind(), ErrorKind::TooWide);
         let internal = Error::internal("transpile", "index out of bounds");
         assert_eq!(internal.kind(), ErrorKind::Internal);

@@ -65,7 +65,7 @@ pub use device::{Device, DeviceParseError};
 pub use error::{Error, ErrorKind};
 pub use pipeline::{optimize_without_routing, RouterKind, TranspileOptions, TranspileResult};
 pub use policy::NasscPolicy;
-pub use session::{CacheStats, SessionJob, Transpiler, STORED_RESULT_BYTES};
+pub use session::{CacheStats, QasmResult, SessionJob, Transpiler, STORED_RESULT_BYTES};
 
 /// The batch engine, [`Transpiler::transpile_jobs`]: a batch equals its
 /// serial replay at every worker budget.

@@ -28,6 +28,14 @@
 //!    evicted. All three paths return the same result bit for bit (see
 //!    `transpile_prepared` in `pipeline.rs` for why the replay does).
 //!
+//!    The QASM-out entry point, [`Transpiler::transpile_to_qasm`], exports
+//!    every result it computes inside the session, under a `qasm_export`
+//!    span, and the slot keeps the text of its stored result beside it, with
+//!    the circuit's CNOT count and depth, within the same byte bound. A
+//!    stored hit on that entry point then hands back the shared text without
+//!    copying, exporting or scanning the circuit. Library callers
+//!    ([`transpile`](Transpiler::transpile) and the rest) never export.
+//!
 //! Hit/miss counters for all three caches are attached to every
 //! [`TranspileResult`] (`result.cache`, this request only) and accumulated
 //! on the session ([`Transpiler::cache_stats`]). The session's
@@ -78,14 +86,16 @@ use crate::pipeline::{
 /// The most bytes of transpile results one [`Transpiler`] stores for its
 /// repeat requests (see the [module docs](self)), counted per result as its
 /// instructions at `size_of::<Instruction>()` each, its two layouts and its
-/// trial costs.
+/// trial costs, and per kept OpenQASM text as its length.
 ///
 /// 64 MiB holds the results of the whole `benchmarks/qasm` corpus
-/// (≈ 0.18 MiB) several hundred times over, or three results of a
-/// 100k-gate QV circuit on Montreal (≈ 17.8 MiB each), and bounds what
-/// storing adds to a long-running daemon whatever its traffic. A result
-/// that would take the total past it is not stored, and its repeats keep
-/// replaying from the layout winner. Nothing is evicted.
+/// (≈ 0.18 MiB, and ≈ 0.07 MiB of text) several hundred times over, or
+/// three results of a 100k-gate QV circuit on Montreal (≈ 17.8 MiB each),
+/// and bounds what storing adds to a long-running daemon whatever its
+/// traffic. A result that would take the total past it is not stored, and
+/// its repeats keep replaying from the layout winner; a text that would is
+/// not kept, and its QASM-out repeats export the stored result again.
+/// Nothing is evicted.
 pub const STORED_RESULT_BYTES: usize = 64 << 20;
 
 /// Hit/miss counters of the [`Transpiler`] caches.
@@ -178,9 +188,56 @@ struct PreparedEntry {
 enum Slot {
     /// After a cold request: the layout winner to replay from.
     Winner(Winner),
-    /// After the first replay: its whole result, copied for every later
-    /// repeat.
-    Stored(Arc<TranspileResult>),
+    /// After the first replay: its whole result, for every later repeat.
+    /// Boxed, so that the winners one-off requests leave stay small.
+    Stored(Box<Stored>),
+}
+
+/// A stored result, and its OpenQASM text once a QASM-out request has
+/// exported it: library repeats copy the result, QASM-out repeats share the
+/// text.
+#[derive(Clone)]
+struct Stored {
+    result: Arc<TranspileResult>,
+    /// Kept with `cache` at its default; each hit stamps its own.
+    qasm: Option<QasmResult>,
+}
+
+/// What [`Transpiler::transpile_to_qasm`] returns: the transpiled circuit as
+/// OpenQASM 2.0, with the numbers a service reports beside it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct QasmResult {
+    /// What [`nassc_qasm::export`] writes for the transpiled circuit. A
+    /// stored hit shares the session's copy.
+    pub qasm: Arc<str>,
+    /// CNOT count of the transpiled circuit.
+    pub cx_count: usize,
+    /// Depth of the transpiled circuit.
+    pub depth: usize,
+    /// As [`TranspileResult::swap_count`].
+    pub swap_count: usize,
+    /// As [`TranspileResult::chosen_layout_trial`].
+    pub chosen_layout_trial: usize,
+    /// As [`TranspileResult::cache`]: this request's cache activity.
+    pub cache: CacheStats,
+}
+
+impl QasmResult {
+    /// Exports `result` under the `qasm_export` span.
+    fn export(result: &TranspileResult) -> Result<Self, Error> {
+        let qasm = {
+            let _span = nassc_trace::span!("qasm_export");
+            Arc::from(nassc_qasm::export(&result.circuit).map_err(Error::Export)?)
+        };
+        Ok(Self {
+            qasm,
+            cx_count: result.cx_count(),
+            depth: result.depth(),
+            swap_count: result.swap_count,
+            chosen_layout_trial: result.chosen_layout_trial,
+            cache: CacheStats::default(),
+        })
+    }
 }
 
 /// A layout winner, kept in what a replay needs: one-off requests leave
@@ -219,7 +276,8 @@ impl Winner {
 struct SessionState {
     distances: Vec<(Option<Calibration>, Arc<DistanceMatrix>)>,
     prepared: Vec<PreparedEntry>,
-    /// The bytes of every [`Slot::Stored`] result, by [`stored_bytes`].
+    /// The bytes of every [`Slot::Stored`] result, by [`stored_bytes`], and
+    /// of every text kept beside one.
     stored_bytes: usize,
     stats: CacheStats,
 }
@@ -233,6 +291,16 @@ impl SessionState {
             .find(|e| Arc::ptr_eq(&e.prepared, &job.prepared))
     }
 
+    /// The slot `job` resolved against, unless poison recovery has cleared
+    /// it since.
+    fn slot_mut(&mut self, job: &ResolvedJob) -> Option<&mut Slot> {
+        let entry = self.entry_mut(job)?;
+        let mut slots = entry.slots.iter_mut();
+        slots
+            .find(|(cached, _)| *cached == job.options)
+            .map(|(_, slot)| slot)
+    }
+
     /// Stores `result` in place of the winner `job` replayed from, unless
     /// the slot already holds a result, is gone, or `bytes` would take the
     /// stored total past `cap`.
@@ -240,14 +308,28 @@ impl SessionState {
         if self.stored_bytes + bytes > cap {
             return;
         }
-        let slot = self.entry_mut(job).and_then(|e| {
-            e.slots
-                .iter_mut()
-                .find(|(cached, _)| *cached == job.options)
-        });
-        if let Some((_, slot @ Slot::Winner(_))) = slot {
-            *slot = Slot::Stored(result);
+        if let Some(slot @ Slot::Winner(_)) = self.slot_mut(job) {
+            *slot = Slot::Stored(Box::new(Stored { result, qasm: None }));
             self.stored_bytes += bytes;
+        }
+    }
+
+    /// Keeps `qasm` beside the result stored for `job`, unless the slot
+    /// holds no result, already keeps a text, or the text would take the
+    /// stored total past `cap`.
+    fn keep_qasm(&mut self, job: &ResolvedJob, qasm: &QasmResult, cap: usize) {
+        let bytes = qasm.qasm.len();
+        if self.stored_bytes + bytes > cap {
+            return;
+        }
+        if let Some(Slot::Stored(stored)) = self.slot_mut(job) {
+            if stored.qasm.is_none() {
+                stored.qasm = Some(QasmResult {
+                    cache: CacheStats::default(),
+                    ..qasm.clone()
+                });
+                self.stored_bytes += bytes;
+            }
         }
     }
 }
@@ -267,8 +349,8 @@ enum Path {
     Cold,
     /// A winner: replay one routing pass from it.
     Warm(LayoutSelection),
-    /// A stored result: copy it.
-    Stored(Arc<TranspileResult>),
+    /// A stored result: copy it, or share its text.
+    Stored(Stored),
 }
 
 impl Path {
@@ -447,40 +529,7 @@ impl Transpiler {
     /// [`transpile_jobs`](Self::transpile_jobs), storing replayed results
     /// while the session's stored total stays within `cap` bytes.
     fn run_jobs(&self, jobs: &[SessionJob<'_>], cap: usize) -> Vec<Result<TranspileResult, Error>> {
-        // Deadlines are anchored here, at request entry: a job's budget
-        // covers its share of resolution, layout, routing and optimization.
-        let entry = Instant::now();
-
-        // Phase 1 — serial resolution under the lock: every cache read and
-        // every preparation happens here, in job order, so cache counters
-        // are deterministic and workers never contend on the session lock.
-        // The catch boundary sits *inside* the lock scope, so a contained
-        // panic never poisons the session lock.
-        // `room` is what the cap left at resolution: a result larger than
-        // that is not copied for storing.
-        let (resolved, room): (Vec<Result<ResolvedJob, Error>>, usize) = {
-            let mut resolve_span = nassc_trace::span!("resolve");
-            resolve_span.arg_u64("jobs", jobs.len() as u64);
-            let mut state = self.lock();
-            let resolved = jobs
-                .iter()
-                .enumerate()
-                .map(|(index, job)| {
-                    let options = job.options.clone().unwrap_or_else(|| self.options.clone());
-                    let deadline = options.deadline;
-                    // A deadline beyond `Instant`'s range means no deadline.
-                    let budget = match deadline.and_then(|limit| entry.checked_add(limit)) {
-                        Some(at) => Budget::with_deadline(at),
-                        None => Budget::unlimited(),
-                    };
-                    catch_unwind(AssertUnwindSafe(|| {
-                        self.resolve(&mut state, index, job.circuit, options, budget)
-                    }))
-                    .unwrap_or_else(|payload| Err(classify_panic("prepare", payload, deadline)))
-                })
-                .collect();
-            (resolved, cap.saturating_sub(state.stored_bytes))
-        };
+        let (resolved, room) = self.resolve_jobs(jobs, cap);
 
         // Phase 2 — fan the seed-dependent tails across the pool. Each
         // job's tail is its own catch boundary: one panicking or expired
@@ -488,7 +537,7 @@ impl Transpiler {
         let mut results = self
             .pool
             .map(resolved.iter().collect(), |resolved| match resolved {
-                Ok(resolved) => self.run_resolved(resolved),
+                Ok(resolved) => self.run_tail(resolved, copy_stored, Ok),
                 Err(e) => Err(e.clone()),
             });
 
@@ -500,15 +549,117 @@ impl Transpiler {
                 result.cache = resolved.stats;
             }
         }
-        let committed: Vec<ResolvedJob> = resolved.into_iter().filter_map(Result::ok).collect();
-        // Contained: the results are already valid, so a panic while
-        // memoizing is swallowed here. It poisons the session lock (commit
-        // runs under it) and the next `lock()` recovers by resetting the
-        // caches — requests keep succeeding, just cold.
-        let _ = catch_unwind(AssertUnwindSafe(|| {
-            self.commit(&committed, &results, room, cap);
-        }));
+        let outcomes: Vec<Outcome<'_>> = resolved
+            .iter()
+            .zip(&results)
+            .filter_map(|(job, result)| {
+                Some(Outcome {
+                    job: job.as_ref().ok()?,
+                    result: result.as_ref().ok(),
+                    qasm: None,
+                })
+            })
+            .collect();
+        self.commit_contained(&outcomes, room, cap);
         results
+    }
+
+    /// Transpiles one circuit with per-request options, as
+    /// [`transpile_with`](Self::transpile_with) does, and returns the
+    /// result as OpenQASM 2.0 text (what [`nassc_qasm::export`] writes for
+    /// its circuit) with the numbers a service reports beside it.
+    ///
+    /// A cold or replayed request exports its result here, under a
+    /// `qasm_export` span, and a replay that stores its result keeps the
+    /// text beside it. A later repeat hands back that shared text: it
+    /// neither copies nor exports nor scans the circuit. This is what the
+    /// `nassc-serve` daemon calls.
+    ///
+    /// # Errors
+    ///
+    /// As [`transpile`](Self::transpile), plus [`Error::Export`] when the
+    /// transpiled circuit has no OpenQASM 2.0 spelling.
+    pub fn transpile_to_qasm(
+        &self,
+        circuit: &QuantumCircuit,
+        options: &TranspileOptions,
+    ) -> Result<QasmResult, Error> {
+        self.run_qasm(circuit, options, STORED_RESULT_BYTES)
+    }
+
+    /// [`transpile_to_qasm`](Self::transpile_to_qasm), storing results and
+    /// texts while the session's stored total stays within `cap` bytes.
+    fn run_qasm(
+        &self,
+        circuit: &QuantumCircuit,
+        options: &TranspileOptions,
+        cap: usize,
+    ) -> Result<QasmResult, Error> {
+        let job = SessionJob::with_options(circuit, options.clone());
+        let (mut resolved, room) = self.resolve_jobs(std::slice::from_ref(&job), cap);
+        let resolved = resolved.pop().expect("one job resolves to one")?;
+        // A slot that keeps its text is read, not written.
+        let kept = matches!(&resolved.path, Path::Stored(Stored { qasm: Some(_), .. }));
+        let tail = self.run_tail(
+            &resolved,
+            |stored| match &stored.qasm {
+                Some(qasm) => Ok((qasm.clone(), None)),
+                None => QasmResult::export(&stored.result).map(|qasm| (qasm, None)),
+            },
+            |result| Ok((QasmResult::export(&result)?, Some(result))),
+        );
+        let (qasm, result) = match &tail {
+            Ok((qasm, result)) => ((!kept).then_some(qasm), result.as_ref()),
+            Err(_) => (None, None),
+        };
+        let outcome = Outcome {
+            job: &resolved,
+            result,
+            qasm,
+        };
+        self.commit_contained(std::slice::from_ref(&outcome), room, cap);
+        tail.map(|(qasm, _)| QasmResult {
+            cache: resolved.stats,
+            ..qasm
+        })
+    }
+
+    /// Phase 1 — serial resolution under the lock: every cache read and
+    /// every preparation happens here, in job order, so cache counters are
+    /// deterministic and workers never contend on the session lock. Also
+    /// returns the room the cap left at resolution: a result larger than
+    /// that is not copied for storing.
+    fn resolve_jobs(
+        &self,
+        jobs: &[SessionJob<'_>],
+        cap: usize,
+    ) -> (Vec<Result<ResolvedJob, Error>>, usize) {
+        // Deadlines are anchored here, at request entry: a job's budget
+        // covers its share of resolution, layout, routing and optimization.
+        let entry = Instant::now();
+        let mut resolve_span = nassc_trace::span!("resolve");
+        resolve_span.arg_u64("jobs", jobs.len() as u64);
+        let mut state = self.lock();
+        // The catch boundary sits *inside* the lock scope, so a contained
+        // panic never poisons the session lock.
+        let resolved = jobs
+            .iter()
+            .enumerate()
+            .map(|(index, job)| {
+                let options = job.options.clone().unwrap_or_else(|| self.options.clone());
+                let deadline = options.deadline;
+                // A deadline beyond `Instant`'s range means no deadline.
+                let budget = match deadline.and_then(|limit| entry.checked_add(limit)) {
+                    Some(at) => Budget::with_deadline(at),
+                    None => Budget::unlimited(),
+                };
+                catch_unwind(AssertUnwindSafe(|| {
+                    self.resolve(&mut state, index, job.circuit, options, budget)
+                }))
+                .unwrap_or_else(|payload| Err(classify_panic("prepare", payload, deadline)))
+            })
+            .collect();
+        (resolved, cap.saturating_sub(state.stored_bytes))
     }
 
     /// Transpiles OpenQASM 2.0 source under the session's default options:
@@ -523,9 +674,8 @@ impl Transpiler {
         self.transpile_qasm_with(source, &self.options)
     }
 
-    /// [`transpile_qasm`](Self::transpile_qasm) with per-request options —
-    /// what the `nassc-serve` daemon calls for requests overriding the
-    /// session defaults (router, seed, layout trials).
+    /// [`transpile_qasm`](Self::transpile_qasm) with per-request options
+    /// (router, seed, layout trials).
     ///
     /// # Errors
     ///
@@ -679,7 +829,7 @@ impl Transpiler {
         let path = match slot.map(|(_, slot)| slot) {
             None => Path::Cold,
             Some(Slot::Winner(winner)) => Path::Warm(winner.selection()),
-            Some(Slot::Stored(result)) => Path::Stored(Arc::clone(result)),
+            Some(Slot::Stored(stored)) => Path::Stored(Stored::clone(stored)),
         };
         if let Path::Cold = path {
             stats.layout_misses += 1;
@@ -700,27 +850,31 @@ impl Transpiler {
         })
     }
 
-    /// The lock-free tail of one job: stored hits copy the stored result,
-    /// warm jobs replay a single routing pass from the cached layout, cold
-    /// jobs run the full layout search. This is the per-job catch boundary
-    /// — a panic or budget abort in here fails this job alone.
-    fn run_resolved(&self, resolved: &ResolvedJob) -> Result<TranspileResult, Error> {
+    /// The lock-free tail of one job, in its `job` span: a stored hit checks
+    /// its deadline and hands its slot's record to `stored`, a warm job
+    /// replays a single routing pass from the cached layout and a cold job
+    /// runs the full layout search, handing the result to `computed`. This
+    /// is the per-job catch boundary — a panic or budget abort in here
+    /// fails this job alone.
+    fn run_tail<T>(
+        &self,
+        resolved: &ResolvedJob,
+        stored: impl FnOnce(&Stored) -> Result<T, Error>,
+        computed: impl FnOnce(TranspileResult) -> Result<T, Error>,
+    ) -> Result<T, Error> {
         let mut span = nassc_trace::span!("job");
         span.arg_u64("index", resolved.index as u64);
         span.arg_text("path", resolved.path.name());
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             let cached = match &resolved.path {
-                Path::Stored(stored) => {
-                    let start = Instant::now();
+                Path::Stored(hit) => {
                     resolved.budget.checkpoint();
-                    let mut result = TranspileResult::clone(stored);
-                    result.elapsed = start.elapsed();
-                    return Ok(result);
+                    return stored(hit);
                 }
                 Path::Warm(winner) => Some(winner),
                 Path::Cold => None,
             };
-            transpile_prepared(
+            computed(transpile_prepared(
                 &resolved.prepared,
                 self.device.coupling(),
                 &resolved.distances,
@@ -728,38 +882,41 @@ impl Transpiler {
                 cached,
                 &self.pool,
                 &resolved.budget,
-            )
+            )?)
         }));
-        match outcome {
-            Ok(result) => result.map_err(Error::from),
-            Err(payload) => Err(classify_panic(
+        outcome.unwrap_or_else(|payload| {
+            Err(classify_panic(
                 "transpile",
                 payload,
                 resolved.options.deadline,
-            )),
-        }
+            ))
+        })
+    }
+
+    /// [`commit`](Self::commit) as its own catch boundary. The results are
+    /// already valid, so a panic while memoizing is swallowed here. It
+    /// poisons the session lock (commit runs under it) and the next
+    /// `lock()` recovers by resetting the caches — requests keep
+    /// succeeding, just cold.
+    fn commit_contained(&self, outcomes: &[Outcome<'_>], room: usize, cap: usize) {
+        let _ = catch_unwind(AssertUnwindSafe(|| self.commit(outcomes, room, cap)));
     }
 
     /// Rolls per-request counters into the session totals and fills the
-    /// slots: a cold job leaves its layout winner, and a warm job's result
+    /// slots: a cold job leaves its layout winner, a warm job's result
     /// replaces the winner it replayed from while the stored total stays
-    /// within `cap`. Both re-check the slot, so duplicate jobs in one batch
-    /// stay idempotent, and a slot whose entry poison recovery has cleared
-    /// since resolution is dropped.
-    fn commit(
-        &self,
-        resolved: &[ResolvedJob],
-        results: &[Result<TranspileResult, Error>],
-        room: usize,
-        cap: usize,
-    ) {
+    /// within `cap`, and a text exported now is kept beside its slot's
+    /// stored result while the total still does. Each re-checks the slot,
+    /// so duplicate jobs in one batch stay idempotent, and a slot whose
+    /// entry poison recovery has cleared since resolution is dropped.
+    fn commit(&self, outcomes: &[Outcome<'_>], room: usize, cap: usize) {
         let _span = nassc_trace::span!("commit");
         // Copies to store are built before taking the lock: copying a large
         // result takes milliseconds, and every `resolve` waits on the lock.
-        let stored: Vec<_> = resolved
+        let stored: Vec<_> = outcomes
             .iter()
-            .filter_map(|job| {
-                let (Path::Warm(_), Ok(result)) = (&job.path, &results[job.index]) else {
+            .filter_map(|outcome| {
+                let (Path::Warm(_), Some(result)) = (&outcome.job.path, outcome.result) else {
                     return None;
                 };
                 let bytes = stored_bytes(result);
@@ -769,15 +926,15 @@ impl Transpiler {
                 let mut copy = result.clone();
                 copy.cache = CacheStats::default();
                 copy.elapsed = Duration::ZERO;
-                Some((job, Arc::new(copy), bytes))
+                Some((outcome.job, Arc::new(copy), bytes))
             })
             .collect();
 
         let mut state = self.lock();
         nassc_circuit::failpoints::hit("cache_commit");
-        for job in resolved {
+        for &Outcome { job, result, .. } in outcomes {
             state.stats.accumulate(&job.stats);
-            let (Path::Cold, Ok(result)) = (&job.path, &results[job.index]) else {
+            let (Path::Cold, Some(result)) = (&job.path, result) else {
                 continue;
             };
             let Some(entry) = state.entry_mut(job) else {
@@ -791,7 +948,30 @@ impl Transpiler {
         for (job, result, bytes) in stored {
             state.admit(job, result, bytes, cap);
         }
+        for &Outcome { job, qasm, .. } in outcomes {
+            if let Some(qasm) = qasm {
+                state.keep_qasm(job, qasm, cap);
+            }
+        }
     }
+}
+
+/// What one resolved job hands the commit phase.
+struct Outcome<'a> {
+    job: &'a ResolvedJob,
+    /// A cold or warm job's result, computed now; `None` after a failure.
+    result: Option<&'a TranspileResult>,
+    /// A text exported now, rather than read from the job's slot.
+    qasm: Option<&'a QasmResult>,
+}
+
+/// A library stored hit: a copy of the stored result, whose `elapsed` is
+/// the time the copy took.
+fn copy_stored(stored: &Stored) -> Result<TranspileResult, Error> {
+    let start = Instant::now();
+    let mut result = TranspileResult::clone(&stored.result);
+    result.elapsed = start.elapsed();
+    Ok(result)
 }
 
 /// Renders a caught panic payload best-effort: the `&str`/`String` message
@@ -915,9 +1095,126 @@ mod tests {
         slots
             .map(|(_, slot)| match slot {
                 Slot::Winner(_) => "winner",
-                Slot::Stored(_) => "stored",
+                Slot::Stored(stored) if stored.qasm.is_none() => "stored",
+                Slot::Stored(_) => "stored+qasm",
             })
             .collect()
+    }
+
+    /// The text every stored slot keeps, in insertion order.
+    fn kept_texts(session: &Transpiler) -> Vec<Arc<str>> {
+        let state = session.lock();
+        let slots = state.prepared.iter().flat_map(|entry| &entry.slots);
+        slots
+            .filter_map(|(_, slot)| match slot {
+                Slot::Stored(stored) => Some(Arc::clone(&stored.qasm.as_ref()?.qasm)),
+                Slot::Winner(_) => None,
+            })
+            .collect()
+    }
+
+    /// Every field of `out` that `cold` fixes (`cache` is per request).
+    fn assert_same_qasm(out: &QasmResult, cold: &TranspileResult, context: &str) {
+        let text = nassc_qasm::export(&cold.circuit).expect("a result exports");
+        assert_eq!(*out.qasm, *text, "{context}: text");
+        assert_eq!(out.cx_count, cold.cx_count(), "{context}");
+        assert_eq!(out.depth, cold.depth(), "{context}");
+        assert_eq!(out.swap_count, cold.swap_count, "{context}");
+        assert_eq!(
+            out.chosen_layout_trial, cold.chosen_layout_trial,
+            "{context}"
+        );
+    }
+
+    #[test]
+    fn qasm_repeats_share_the_text_kept_with_the_stored_result() {
+        let circuit = ghz(4);
+        for router in [RouterKind::Sabre, RouterKind::Nassc] {
+            for trials in [1, 4] {
+                let options = TranspileOptions::new()
+                    .router(router)
+                    .seed(7)
+                    .layout_trials(trials);
+                let context = format!("{router:?} trials={trials}");
+                let reference = Transpiler::new(CouplingMap::linear(4), options.clone());
+                let cold = reference.transpile(&circuit).expect("library cold");
+                let session = Transpiler::new(CouplingMap::linear(4), options.clone());
+                let outputs: Vec<QasmResult> = (0..4)
+                    .map(|_| session.transpile_to_qasm(&circuit, &options))
+                    .collect::<Result<_, _>>()
+                    .expect("QASM-out requests");
+                for (request, out) in outputs.iter().enumerate() {
+                    assert_same_qasm(out, &cold, &format!("{context} request {request}"));
+                    let hits = if request == 0 { 0 } else { 3 };
+                    assert_eq!(out.cache.hits(), hits, "{context} request {request}");
+                }
+                // The replay stored its result with the text it exported,
+                // and every later request shares that text.
+                assert_eq!(slot_states(&session), ["stored+qasm"], "{context}");
+                let kept = &kept_texts(&session)[0];
+                for out in &outputs[1..] {
+                    assert!(Arc::ptr_eq(&out.qasm, kept), "{context}");
+                }
+                let stored_total = session.lock().stored_bytes;
+                assert_eq!(stored_total, stored_bytes(&cold) + kept.len(), "{context}");
+            }
+        }
+    }
+
+    #[test]
+    fn library_callers_never_export_and_a_qasm_hit_exports_once() {
+        let session = session();
+        let options = session.options().clone();
+        let circuit = ghz(4);
+        let cold = session.transpile(&circuit).expect("cold");
+        session.transpile_with(&circuit, &options).expect("replay");
+        let results = session.transpile_jobs(&[SessionJob::new(&circuit)]);
+        results[0].as_ref().expect("stored hit");
+        assert_eq!(slot_states(&session), ["stored"]);
+
+        let first = session
+            .transpile_to_qasm(&circuit, &options)
+            .expect("export");
+        assert_eq!(slot_states(&session), ["stored+qasm"]);
+        let second = session
+            .transpile_to_qasm(&circuit, &options)
+            .expect("share");
+        assert!(Arc::ptr_eq(&first.qasm, &second.qasm));
+        assert!(Arc::ptr_eq(&second.qasm, &kept_texts(&session)[0]));
+        assert_same_qasm(&second, &cold, "after a library replay");
+        let copied = session.transpile(&circuit).expect("library stored hit");
+        assert_same_result(&copied, &cold, "after a QASM hit");
+        let stored_total = session.lock().stored_bytes;
+        assert_eq!(stored_total, stored_bytes(&cold) + first.qasm.len());
+    }
+
+    #[test]
+    fn a_text_past_the_cap_is_not_kept_and_its_hits_export_again() {
+        let session = session();
+        let options = session.options().clone();
+        let circuit = ghz(4);
+        let cold = session.transpile(&circuit).expect("cold");
+        // The replayed result fits the cap exactly; its text no longer does.
+        let cap = stored_bytes(&cold);
+        let outputs: Vec<QasmResult> = (0..3)
+            .map(|_| session.run_qasm(&circuit, &options, cap))
+            .collect::<Result<_, _>>()
+            .expect("QASM-out repeats");
+        assert_eq!(slot_states(&session), ["stored"]);
+        assert_eq!(session.lock().stored_bytes, cap);
+        for out in &outputs {
+            assert_same_qasm(out, &cold, "past the cap");
+        }
+        assert!(!Arc::ptr_eq(&outputs[1].qasm, &outputs[2].qasm));
+    }
+
+    #[test]
+    fn an_unexportable_result_is_a_pass_error() {
+        let mut result = session().transpile(&ghz(4)).expect("transpile");
+        result.circuit.rz(f64::NAN, 0);
+        let err = QasmResult::export(&result).unwrap_err();
+        assert_eq!(err.kind(), crate::ErrorKind::Pass);
+        assert!(err.to_string().starts_with("exporting result: "), "{err}");
     }
 
     #[test]
@@ -1020,8 +1317,12 @@ mod tests {
     fn poison_recovery_resets_caches_and_keeps_serving() {
         let session = Arc::new(session());
         let cold = session.transpile(&ghz(4)).expect("cold transpile");
-        session.transpile(&ghz(4)).expect("replay");
-        assert_eq!(slot_states(&session), ["stored"]);
+        let options = session.options().clone();
+        let replay = session.transpile_to_qasm(&ghz(4), &options);
+        let text = replay.expect("replay").qasm;
+        assert_eq!(slot_states(&session), ["stored+qasm"]);
+        let stored_total = session.lock().stored_bytes;
+        assert_eq!(stored_total, stored_bytes(&cold) + text.len());
         assert_eq!(session.cache_resets(), 0);
 
         // Poison the session lock the only way a panic can reach it: by

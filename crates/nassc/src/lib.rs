@@ -18,7 +18,9 @@
 //! [`circuit::QuantumCircuit`] (or go straight through
 //! [`Transpiler::transpile_qasm`]), and `nassc::qasm::export` serializes any
 //! transpiled circuit back out (round-trip exact, float parameters
-//! included).
+//! included). A service that answers in OpenQASM calls
+//! [`Transpiler::transpile_to_qasm`], whose repeats share the text the
+//! session keeps instead of exporting again.
 //!
 //! # Example
 //!
@@ -42,8 +44,8 @@
 
 pub use nassc_core::{
     evaluate_swap_reduction, optimize_without_routing, CacheStats, Device, DeviceParseError, Error,
-    ErrorKind, NasscPolicy, OptimizationFlags, RouterKind, SessionJob, TranspileOptions,
-    TranspileResult, Transpiler, STORED_RESULT_BYTES,
+    ErrorKind, NasscPolicy, OptimizationFlags, QasmResult, RouterKind, SessionJob,
+    TranspileOptions, TranspileResult, Transpiler, STORED_RESULT_BYTES,
 };
 
 // The parallel batches behind every `Transpiler` dispatch: the budget handle

@@ -8,6 +8,7 @@
 //! configured cap.
 
 use std::io::{BufRead, Read, Write};
+use std::sync::Arc;
 
 /// Hard cap on a single request/header line, against unbounded buffering.
 const MAX_LINE_BYTES: usize = 8 * 1024;
@@ -157,6 +158,11 @@ fn parse_query(raw: &str) -> Vec<(String, String)> {
 
 /// Reads and parses one HTTP request from `reader`.
 ///
+/// An HTTP/1.1 request that carries `Expect: 100-continue` and declares a
+/// body within `max_body_bytes` gets the interim `100 Continue` response on
+/// `interim` before its body is read: such a client holds the body back
+/// until it reads that line or its own timer runs out (1 s for curl).
+///
 /// # Errors
 ///
 /// [`HttpError`] with the status the caller should answer with: 400 for
@@ -166,6 +172,7 @@ fn parse_query(raw: &str) -> Vec<(String, String)> {
 pub fn read_request(
     reader: &mut impl BufRead,
     max_body_bytes: usize,
+    interim: &mut impl Write,
 ) -> Result<Request, HttpError> {
     let request_line = read_line(reader)?;
     let mut parts = request_line.split_ascii_whitespace();
@@ -233,6 +240,16 @@ pub fn read_request(
             format!("body of {content_length} bytes exceeds the {max_body_bytes}-byte limit"),
         ));
     }
+    // RFC 9110 §10.1.1: an HTTP/1.0 client's expectation is ignored.
+    let expects_continue = headers
+        .iter()
+        .any(|(k, v)| k == "expect" && v.eq_ignore_ascii_case("100-continue"));
+    if expects_continue && version == "HTTP/1.1" && content_length > 0 {
+        // A failed write surfaces as the failed body read below.
+        let _ = interim
+            .write_all(b"HTTP/1.1 100 Continue\r\n\r\n")
+            .and_then(|()| interim.flush());
+    }
     let mut body = vec![0u8; content_length];
     std::io::Read::read_exact(reader, &mut body)
         .map_err(|e| HttpError::new(408, format!("reading body: {e}")))?;
@@ -281,13 +298,14 @@ pub struct Response {
     pub content_type: &'static str,
     /// Extra headers (`X-*` metrics and the like).
     pub headers: Vec<(String, String)>,
-    /// The response body.
-    pub body: String,
+    /// The response body: shared, so a text the session keeps is copied
+    /// only into the send buffer.
+    pub body: Arc<str>,
 }
 
 impl Response {
     /// A `text/plain` response (the body should end with a newline).
-    pub fn text(status: u16, body: impl Into<String>) -> Self {
+    pub fn text(status: u16, body: impl Into<Arc<str>>) -> Self {
         Self {
             status,
             content_type: "text/plain; charset=utf-8",
@@ -297,7 +315,7 @@ impl Response {
     }
 
     /// An `application/json` response.
-    pub fn json(status: u16, body: impl Into<String>) -> Self {
+    pub fn json(status: u16, body: impl Into<Arc<str>>) -> Self {
         Self {
             content_type: "application/json",
             ..Self::text(status, body)
@@ -305,7 +323,7 @@ impl Response {
     }
 
     /// A transpiled-QASM response.
-    pub fn qasm(body: impl Into<String>) -> Self {
+    pub fn qasm(body: impl Into<Arc<str>>) -> Self {
         Self {
             content_type: "application/x-qasm",
             ..Self::text(200, body)
@@ -361,7 +379,39 @@ mod tests {
     use std::io::BufReader;
 
     fn parse(raw: &str) -> Result<Request, HttpError> {
-        read_request(&mut BufReader::new(raw.as_bytes()), 1024)
+        read_request(&mut BufReader::new(raw.as_bytes()), 1024, &mut Vec::new())
+    }
+
+    #[test]
+    fn expect_100_continue_gets_the_interim_response_before_the_body() {
+        // What `read_request` writes for a request with `head`, and the
+        // status it answers (200 for a request that parses).
+        let read = |head: &str| {
+            let raw = format!("{head}\r\n\r\nbody");
+            let mut interim = Vec::new();
+            let request = read_request(&mut BufReader::new(raw.as_bytes()), 1024, &mut interim);
+            let status = request.map_or_else(|e| e.status, |_| 200);
+            (String::from_utf8(interim).unwrap(), status)
+        };
+        let expect = "Content-Length: 4\r\nExpect: 100-Continue";
+        assert_eq!(
+            read(&format!("POST / HTTP/1.1\r\n{expect}")),
+            ("HTTP/1.1 100 Continue\r\n\r\n".to_string(), 200)
+        );
+        // No interim without the header, for an HTTP/1.0 client, or for a
+        // body refused by its declared length.
+        assert_eq!(
+            read("POST / HTTP/1.1\r\nContent-Length: 4"),
+            (String::new(), 200)
+        );
+        assert_eq!(
+            read(&format!("POST / HTTP/1.0\r\n{expect}")),
+            (String::new(), 200)
+        );
+        assert_eq!(
+            read("POST / HTTP/1.1\r\nContent-Length: 9999\r\nExpect: 100-continue"),
+            (String::new(), 413)
+        );
     }
 
     #[test]

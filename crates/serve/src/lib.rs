@@ -14,10 +14,16 @@
 //!      │  pop (blocking)
 //!      ▼
 //!   N handler workers         ── deadline check → 504 before transpiling
-//!      │                         /transpile → session.transpile_qasm_with
+//!      │                         /transpile → qasm::parse, admission checks,
+//!      │                         then session.transpile_to_qasm
 //!      ▼
 //!   response (+ X-* metric headers), Connection: close
 //! ```
+//!
+//! A repeat request is a stored hit: [`Transpiler::transpile_to_qasm`]
+//! hands back the OpenQASM text the session keeps beside its stored result,
+//! shared, and the handler sends those stored bytes as the body, copying
+//! them once, into the send buffer. Only cold and replayed requests export.
 //!
 //! Endpoints:
 //!
@@ -31,10 +37,11 @@
 //!   byte-comparable against a direct [`Transpiler`] call.
 //!   Appending `?trace=1` runs the transpile under the process-wide trace
 //!   recorder and returns a JSON envelope with the per-span table, which
-//!   includes the daemon's own `qasm_parse` and `qasm_export` spans. Traced
-//!   requests serialize on a recorder lock; spans from concurrent untraced
-//!   requests may appear in the table (best-effort attribution — outputs
-//!   are never affected).
+//!   includes the daemon's own `qasm_parse` span and, for a cold or
+//!   replayed request, the session's `qasm_export` (a stored hit records
+//!   none). Traced requests serialize on a recorder lock; spans from
+//!   concurrent untraced requests may appear in the table (best-effort
+//!   attribution — outputs are never affected).
 //! * `GET /metrics` — JSON: response counts by status, p50/p99 latency
 //!   histograms, cumulative per-device [`CacheStats`](nassc::CacheStats),
 //!   worker-pool status, uptime/start time, dropped trace events. With
@@ -502,7 +509,7 @@ fn handle_connection(shared: &Shared, conn: Conn) {
     reader.get_mut().deadline = Instant::now() + SOCKET_READ_TIMEOUT;
     let request = started
         .map_err(|e| HttpError::new(408, format!("reading request: {e}")))
-        .and_then(|()| read_request(&mut reader, MAX_BODY_BYTES));
+        .and_then(|()| read_request(&mut reader, MAX_BODY_BYTES, &mut &stream));
     // Free the 8 KiB read buffer before the request is served.
     drop(reader);
     let request_id = request_id(shared, request.as_ref().ok());
@@ -816,7 +823,7 @@ fn transpile_core(
     let options = options.deadline(total.saturating_sub(accepted_at.elapsed()));
 
     let started = Instant::now();
-    let result = match session.transpile_with(&circuit, &options) {
+    let result = match session.transpile_to_qasm(&circuit, &options) {
         Ok(result) => result,
         Err(e) => {
             let (status, kind) = match e.kind() {
@@ -832,26 +839,15 @@ fn transpile_core(
             return Response::text(status, format!("{e}\n")).header("X-Error-Kind", kind);
         }
     };
-    let exported = {
-        let _span = nassc::trace::span("qasm_export");
-        qasm::export(&result.circuit)
-    };
-    let out_qasm = match exported {
-        Ok(out) => out,
-        Err(e) => {
-            return Response::text(500, format!("exporting result: {e}\n"))
-                .header("X-Error-Kind", "pass");
-        }
-    };
     let elapsed_ms = 1000.0 * started.elapsed().as_secs_f64();
     lock_metrics(shared).transpile_latency.record(elapsed_ms);
-    Response::qasm(out_qasm)
+    Response::qasm(result.qasm)
         .header("X-Device", session.device().name())
         .header("X-Elapsed-Ms", format!("{elapsed_ms:.3}"))
         .header("X-Queue-Ms", format!("{queue_ms:.3}"))
-        .header("X-Cx-Count", result.cx_count().to_string())
+        .header("X-Cx-Count", result.cx_count.to_string())
         .header("X-Swap-Count", result.swap_count.to_string())
-        .header("X-Depth", result.depth().to_string())
+        .header("X-Depth", result.depth.to_string())
         .header("X-Chosen-Trial", result.chosen_layout_trial.to_string())
         .header("X-Cache-Hits", result.cache.hits().to_string())
         .header("X-Cache-Misses", result.cache.misses().to_string())
@@ -1060,7 +1056,7 @@ mod tests {
             stream: &stream,
             deadline: started + Duration::from_millis(300),
         });
-        let error = read_request(&mut reader, MAX_BODY_BYTES).unwrap_err();
+        let error = read_request(&mut reader, MAX_BODY_BYTES, &mut std::io::sink()).unwrap_err();
         assert_eq!(error.status, 408, "{error}");
         assert!(started.elapsed() >= Duration::from_millis(300));
         drop(reader);

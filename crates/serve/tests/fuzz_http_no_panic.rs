@@ -40,7 +40,7 @@ fn draws(seed: u64) -> impl FnMut(usize) -> usize {
 /// Returns the error status, `None` for a parsed request.
 fn read_never_panics(bytes: &[u8], context: &str) -> Option<u16> {
     let outcome = catch_unwind(|| {
-        let request = read_request(&mut Cursor::new(bytes), MAX_BODY)?;
+        let request = read_request(&mut Cursor::new(bytes), MAX_BODY, &mut std::io::sink())?;
         for name in ["device", "router", "seed", "layout-trials", "timeout-ms"] {
             let _ = request.query_param(name);
         }

@@ -662,6 +662,10 @@ fn repeat_requests_return_the_stored_result_byte_for_byte() {
     for repeat in &responses[1..] {
         assert_eq!(repeat.header("x-cache-hits"), Some("3"));
         assert_eq!(repeat.header("x-cache-misses"), Some("0"));
+        for name in ["x-cx-count", "x-depth", "x-swap-count", "x-chosen-trial"] {
+            assert!(cold.header(name).is_some(), "the cold response has {name}");
+            assert_eq!(repeat.header(name), cold.header(name), "{name}");
+        }
     }
     assert_eq!(responses[1].body, cold.body);
     assert_eq!(responses[3].body, cold.body);
@@ -672,12 +676,53 @@ fn repeat_requests_return_the_stored_result_byte_for_byte() {
         Some(cold.body.as_str())
     );
     assert!(traced.contains("\"name\":\"job\""), "trace: {traced}");
-    for computed in ["route_from", "decompose", "post_optimize"] {
+    // The replay exported the text the session keeps, so the stored hit
+    // sends it without exporting again.
+    for computed in ["route_from", "decompose", "post_optimize", "qasm_export"] {
         assert!(
             !traced.contains(&format!("\"name\":\"{computed}\"")),
             "a stored hit runs no {computed}: {traced}"
         );
     }
+}
+
+/// A client that sends `Expect: 100-continue` holds its body back until it
+/// reads `100 Continue` (curl does so for bodies over 1 MiB, and waits 1 s
+/// for it): the interim arrives after the head alone, and the body then
+/// gets its 200.
+#[test]
+fn expect_100_continue_is_answered_before_the_body_is_sent() {
+    let (addr, stop) = boot(default_config());
+    let mut stream = TcpStream::connect(&addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(2)))
+        .expect("read timeout");
+    let head = format!(
+        "POST /transpile HTTP/1.1\r\nhost: {addr}\r\nexpect: 100-continue\r\n\
+         content-length: {}\r\n\r\n",
+        BELL.len()
+    );
+    stream.write_all(head.as_bytes()).expect("send the head");
+    let interim = b"HTTP/1.1 100 Continue\r\n\r\n";
+    let mut read = vec![0; interim.len()];
+    stream
+        .read_exact(&mut read)
+        .expect("100 Continue within 2 s of the head");
+    assert_eq!(read, interim, "{:?}", String::from_utf8_lossy(&read));
+
+    stream.write_all(BELL.as_bytes()).expect("send the body");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("read timeout");
+    let mut response = String::new();
+    stream
+        .read_to_string(&mut response)
+        .expect("read the response");
+    assert!(
+        response.starts_with("HTTP/1.1 200 OK\r\n"),
+        "response: {response:?}"
+    );
+    stop();
 }
 
 #[test]
