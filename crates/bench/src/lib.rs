@@ -413,8 +413,9 @@ pub fn qasm_corpus_suite(dir: &std::path::Path) -> Result<Vec<Benchmark>, String
 }
 
 /// Exits with a clean error when any benchmark is wider than the device —
-/// otherwise the batch engine would panic mid-run deep inside routing.
-/// Relevant for `--qasm-dir` corpora, whose widths are user-controlled.
+/// otherwise the session answers its jobs with `nassc::Error::TooWide`, and
+/// the harness's `expect` on each result panics mid-run. Relevant for
+/// `--qasm-dir` corpora, whose widths are user-controlled.
 pub fn ensure_suite_fits(suite: &[Benchmark], device: &CouplingMap) {
     for bench in suite {
         if bench.qubits > device.num_qubits() {

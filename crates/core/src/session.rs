@@ -14,27 +14,27 @@
 //!    pre-routing optimization ([`optimize_without_routing`]) memoized per
 //!    structurally distinct circuit, keyed by
 //!    [`QuantumCircuit::structural_hash`] and confirmed by full equality.
-//! 3. **Layout winners, then stored results** — one slot per options,
+//! 3. **Layout winners, then stored answers** — one slot per options,
 //!    under the prepared entry it was found for, in one of two states. A
 //!    cold request leaves the layout winner: the initial layout, the chosen
 //!    trial and the trial costs. The first repeat replays one routing pass
 //!    from that winner instead of re-running the whole layout search, and
-//!    its result then replaces the winner. Every later repeat returns a copy
-//!    of the stored result, without routing, SWAP expansion or
-//!    post-optimization. A result is stored only after a replay, so a
-//!    one-off request (a fresh seed, say) leaves nothing but its compact
-//!    winner, and only while the session's stored results stay within
-//!    [`STORED_RESULT_BYTES`]; past that, repeats keep replaying. Nothing is
-//!    evicted. All three paths return the same result bit for bit (see
-//!    `transpile_prepared` in `pipeline.rs` for why the replay does).
-//!
-//!    The QASM-out entry point, [`Transpiler::transpile_to_qasm`], exports
-//!    every result it computes inside the session, under a `qasm_export`
-//!    span, and the slot keeps the text of its stored result beside it, with
-//!    the circuit's CNOT count and depth, within the same byte bound. A
-//!    stored hit on that entry point then hands back the shared text without
-//!    copying, exporting or scanning the circuit. Library callers
-//!    ([`transpile`](Transpiler::transpile) and the rest) never export.
+//!    the answer it returned to its caller then replaces the winner: a copy
+//!    of the result for [`transpile_jobs`](Transpiler::transpile_jobs) and
+//!    the calls built on it, the OpenQASM text with its numbers for
+//!    [`transpile_to_qasm`](Transpiler::transpile_to_qasm). Every later
+//!    repeat through the same entry point hands back that answer (a copy of
+//!    the result, or the shared text) without routing, SWAP expansion,
+//!    post-optimization or export. A repeat through the other entry point
+//!    is a layout miss: it runs cold and leaves the slot's answer in place.
+//!    An answer is stored only after a replay, so a one-off request (a fresh
+//!    seed, say) leaves nothing but its compact winner, and only while the
+//!    session's stored answers stay within [`STORED_RESULT_BYTES`]; past
+//!    that, repeats keep replaying. Nothing is evicted. All three paths
+//!    return the same answer bit for bit (see `transpile_prepared` in
+//!    `pipeline.rs` for why the replay does). `transpile_to_qasm` exports
+//!    inside the session, under a `qasm_export` span; library callers never
+//!    export.
 //!
 //! Hit/miss counters for all three caches are attached to every
 //! [`TranspileResult`] (`result.cache`, this request only) and accumulated
@@ -59,8 +59,8 @@
 //! reported as [`Error::Deadline`]; a stored hit checks its deadline once,
 //! before the copy. Should a panic ever poison the session lock (the
 //! cache-commit window is the only code that runs under it), the next lock
-//! acquisition recovers by clearing the caches and the stored-result count
-//! — counted by [`Transpiler::cache_resets`] — and the session continues
+//! acquisition recovers by clearing the caches and the stored total —
+//! counted by [`Transpiler::cache_resets`] — and the session continues
 //! with a cold cache rather than failing every subsequent request.
 //!
 //! [`optimize_without_routing`]: crate::pipeline::optimize_without_routing
@@ -83,19 +83,18 @@ use crate::pipeline::{
     optimize_without_routing_budgeted, transpile_prepared, TranspileOptions, TranspileResult,
 };
 
-/// The most bytes of transpile results one [`Transpiler`] stores for its
-/// repeat requests (see the [module docs](self)), counted per result as its
+/// The most bytes of answers one [`Transpiler`] stores for its repeat
+/// requests (see the [module docs](self)). A stored result counts as its
 /// instructions at `size_of::<Instruction>()` each, its two layouts and its
-/// trial costs, and per kept OpenQASM text as its length.
+/// trial costs; a stored OpenQASM text counts as its length.
 ///
-/// 64 MiB holds the results of the whole `benchmarks/qasm` corpus
-/// (≈ 0.18 MiB, and ≈ 0.07 MiB of text) several hundred times over, or
-/// three results of a 100k-gate QV circuit on Montreal (≈ 17.8 MiB each),
-/// and bounds what storing adds to a long-running daemon whatever its
-/// traffic. A result that would take the total past it is not stored, and
-/// its repeats keep replaying from the layout winner; a text that would is
-/// not kept, and its QASM-out repeats export the stored result again.
-/// Nothing is evicted.
+/// 64 MiB holds the answers of the whole `benchmarks/qasm` corpus
+/// (≈ 0.18 MiB as results, ≈ 0.07 MiB as texts) several hundred times
+/// over, or three results of a 100k-gate QV circuit on Montreal
+/// (≈ 17.8 MiB each), and bounds what storing adds to a long-running daemon
+/// whatever its traffic. An answer that would take the total past it is not
+/// stored, and its repeats keep replaying from the layout winner. Nothing
+/// is evicted.
 pub const STORED_RESULT_BYTES: usize = 64 << 20;
 
 /// Hit/miss counters of the [`Transpiler`] caches.
@@ -116,10 +115,11 @@ pub struct CacheStats {
     /// optimization pipeline).
     pub prepared_misses: u64,
     /// Layout-winner cache hits: a hit skips the whole layout search, and a
-    /// hit on a stored result also skips routing, SWAP expansion and
-    /// post-optimization.
+    /// hit on a stored answer also skips routing, SWAP expansion,
+    /// post-optimization and export.
     pub layout_hits: u64,
-    /// Layout-winner cache misses (each miss runs layout + trials).
+    /// Layout-winner cache misses (each miss runs layout + trials). A slot
+    /// whose answer the other entry point stored counts as a miss.
     pub layout_misses: u64,
 }
 
@@ -188,19 +188,29 @@ struct PreparedEntry {
 enum Slot {
     /// After a cold request: the layout winner to replay from.
     Winner(Winner),
-    /// After the first replay: its whole result, for every later repeat.
-    /// Boxed, so that the winners one-off requests leave stay small.
-    Stored(Box<Stored>),
+    /// After the first replay: the answer it returned, for every later
+    /// repeat through the same entry point.
+    Stored(Stored),
 }
 
-/// A stored result, and its OpenQASM text once a QASM-out request has
-/// exported it: library repeats copy the result, QASM-out repeats share the
-/// text.
-#[derive(Clone)]
-struct Stored {
-    result: Arc<TranspileResult>,
-    /// Kept with `cache` at its default; each hit stamps its own.
-    qasm: Option<QasmResult>,
+/// The answer a replay returned to its caller, kept with `cache` at its
+/// default (each hit stamps its own).
+enum Stored {
+    /// From [`Transpiler::transpile_jobs`]: its hits return a copy.
+    Result(Arc<TranspileResult>),
+    /// From [`Transpiler::transpile_to_qasm`]: its hits share the text.
+    Qasm(Arc<QasmResult>),
+}
+
+impl Stored {
+    /// What the answer counts against the session's stored total: the
+    /// result's [`stored_bytes`], or the text's length.
+    fn bytes(&self) -> usize {
+        match self {
+            Stored::Result(result) => stored_bytes(result),
+            Stored::Qasm(qasm) => qasm.qasm.len(),
+        }
+    }
 }
 
 /// What [`Transpiler::transpile_to_qasm`] returns: the transpiled circuit as
@@ -276,60 +286,36 @@ impl Winner {
 struct SessionState {
     distances: Vec<(Option<Calibration>, Arc<DistanceMatrix>)>,
     prepared: Vec<PreparedEntry>,
-    /// The bytes of every [`Slot::Stored`] result, by [`stored_bytes`], and
-    /// of every text kept beside one.
+    /// What every [`Slot::Stored`] answer counts, by [`Stored::bytes`].
     stored_bytes: usize,
+    /// The bound on `stored_bytes`: [`STORED_RESULT_BYTES`], lower in tests.
+    cap: usize,
     stats: CacheStats,
 }
 
 impl SessionState {
-    /// The entry `job` resolved against, unless poison recovery has cleared
-    /// it since.
-    fn entry_mut(&mut self, job: &ResolvedJob) -> Option<&mut PreparedEntry> {
-        self.prepared
-            .iter_mut()
-            .find(|e| Arc::ptr_eq(&e.prepared, &job.prepared))
-    }
-
-    /// The slot `job` resolved against, unless poison recovery has cleared
-    /// it since.
-    fn slot_mut(&mut self, job: &ResolvedJob) -> Option<&mut Slot> {
-        let entry = self.entry_mut(job)?;
-        let mut slots = entry.slots.iter_mut();
-        slots
-            .find(|(cached, _)| *cached == job.options)
-            .map(|(_, slot)| slot)
-    }
-
-    /// Stores `result` in place of the winner `job` replayed from, unless
-    /// the slot already holds a result, is gone, or `bytes` would take the
-    /// stored total past `cap`.
-    fn admit(&mut self, job: &ResolvedJob, result: Arc<TranspileResult>, bytes: usize, cap: usize) {
-        if self.stored_bytes + bytes > cap {
+    /// Fills the slot `job` resolved against: a cold job's winner goes
+    /// where no slot is yet, and a warm job's answer replaces the winner it
+    /// replayed from while the stored total stays within the cap. Anything
+    /// else is dropped, so duplicate jobs in one batch stay idempotent, a
+    /// cold job leaves the other entry point's answer in place, and a slot
+    /// whose entry poison recovery has cleared since resolution is gone.
+    fn fill<A>(&mut self, job: &ResolvedJob<A>, slot: Slot) {
+        let mut entries = self.prepared.iter_mut();
+        let Some(entry) = entries.find(|e| Arc::ptr_eq(&e.prepared, &job.prepared)) else {
             return;
-        }
-        if let Some(slot @ Slot::Winner(_)) = self.slot_mut(job) {
-            *slot = Slot::Stored(Box::new(Stored { result, qasm: None }));
-            self.stored_bytes += bytes;
-        }
-    }
-
-    /// Keeps `qasm` beside the result stored for `job`, unless the slot
-    /// holds no result, already keeps a text, or the text would take the
-    /// stored total past `cap`.
-    fn keep_qasm(&mut self, job: &ResolvedJob, qasm: &QasmResult, cap: usize) {
-        let bytes = qasm.qasm.len();
-        if self.stored_bytes + bytes > cap {
-            return;
-        }
-        if let Some(Slot::Stored(stored)) = self.slot_mut(job) {
-            if stored.qasm.is_none() {
-                stored.qasm = Some(QasmResult {
-                    cache: CacheStats::default(),
-                    ..qasm.clone()
-                });
-                self.stored_bytes += bytes;
+        };
+        let cached = entry.slots.iter_mut().find(|(key, _)| *key == job.options);
+        match (cached, slot) {
+            (None, winner @ Slot::Winner(_)) => entry.slots.push((job.options.clone(), winner)),
+            (Some((_, cached @ Slot::Winner(_))), Slot::Stored(stored)) => {
+                let bytes = stored.bytes();
+                if self.stored_bytes + bytes <= self.cap {
+                    *cached = Slot::Stored(stored);
+                    self.stored_bytes += bytes;
+                }
             }
+            _ => {}
         }
     }
 }
@@ -343,17 +329,17 @@ fn stored_bytes(result: &TranspileResult) -> usize {
         + result.layout_trial_costs.len() * size_of::<f64>()
 }
 
-/// How a resolved job gets its result; the `job` span's `path`.
-enum Path {
-    /// No slot: run the layout search.
+/// How a resolved job gets its answer `A`; the `job` span's `path`.
+enum Path<A> {
+    /// No slot, or one the other entry point stored: run the layout search.
     Cold,
     /// A winner: replay one routing pass from it.
     Warm(LayoutSelection),
-    /// A stored result: copy it, or share its text.
-    Stored(Stored),
+    /// This entry point's stored answer: hand it back.
+    Stored(A),
 }
 
-impl Path {
+impl<A> Path<A> {
     fn name(&self) -> &'static str {
         match self {
             Path::Cold => "cold",
@@ -366,16 +352,32 @@ impl Path {
 /// What the serial resolution phase hands each fanned-out job: every cache
 /// decision is already made, so workers share state without touching the
 /// session lock.
-struct ResolvedJob {
-    index: usize,
+struct ResolvedJob<A> {
     options: TranspileOptions,
     distances: Arc<DistanceMatrix>,
     prepared: Arc<QuantumCircuit>,
-    path: Path,
+    path: Path<A>,
     stats: CacheStats,
     /// The job's cooperative deadline, anchored at request entry; unlimited
     /// when [`TranspileOptions::deadline`] is unset.
     budget: Budget,
+}
+
+impl<A> ResolvedJob<A> {
+    /// What the job leaves in its slot once it has computed `result`: a
+    /// cold job its layout winner, a warm job the answer `store` builds
+    /// (`None` stores nothing).
+    fn fill(
+        &self,
+        result: &TranspileResult,
+        store: impl FnOnce() -> Option<Stored>,
+    ) -> Option<Slot> {
+        match self.path {
+            Path::Cold => Some(Slot::Winner(Winner::new(result))),
+            Path::Warm(_) => store().map(Slot::Stored),
+            Path::Stored(_) => None,
+        }
+    }
 }
 
 /// A long-lived transpilation session for one device.
@@ -438,7 +440,10 @@ impl Transpiler {
             device: device.into(),
             options,
             pool: ThreadPool::with_default_parallelism(),
-            state: Mutex::new(SessionState::default()),
+            state: Mutex::new(SessionState {
+                cap: STORED_RESULT_BYTES,
+                ..SessionState::default()
+            }),
             cache_resets: AtomicU64::new(0),
         }
     }
@@ -467,7 +472,8 @@ impl Transpiler {
         self.pool
     }
 
-    /// Cumulative cache counters over every request served so far.
+    /// Cumulative cache counters over every request resolved so far,
+    /// including those that failed and those still in flight.
     pub fn cache_stats(&self) -> CacheStats {
         self.lock().stats
     }
@@ -523,44 +529,43 @@ impl Transpiler {
     /// its error in place (see [`transpile`](Self::transpile) for the
     /// kinds); its siblings are unaffected.
     pub fn transpile_jobs(&self, jobs: &[SessionJob<'_>]) -> Vec<Result<TranspileResult, Error>> {
-        self.run_jobs(jobs, STORED_RESULT_BYTES)
-    }
-
-    /// [`transpile_jobs`](Self::transpile_jobs), storing replayed results
-    /// while the session's stored total stays within `cap` bytes.
-    fn run_jobs(&self, jobs: &[SessionJob<'_>], cap: usize) -> Vec<Result<TranspileResult, Error>> {
-        let (resolved, room) = self.resolve_jobs(jobs, cap);
+        let (resolved, room) = self.resolve_jobs(jobs, |stored| match stored {
+            Stored::Result(result) => Some(Arc::clone(result)),
+            Stored::Qasm(_) => None,
+        });
 
         // Phase 2 — fan the seed-dependent tails across the pool. Each
         // job's tail is its own catch boundary: one panicking or expired
         // job fails alone while its siblings complete normally.
-        let mut results = self
-            .pool
-            .map(resolved.iter().collect(), |resolved| match resolved {
-                Ok(resolved) => self.run_tail(resolved, copy_stored, Ok),
-                Err(e) => Err(e.clone()),
-            });
+        let items = resolved.iter().enumerate().collect();
+        let mut results = self.pool.map(items, |(index, resolved)| match resolved {
+            Ok(resolved) => self.run_tail(index, resolved, copy_stored, Ok),
+            Err(e) => Err(e.clone()),
+        });
 
-        // Phase 3 — commit: stamp per-request counters, memoize the layout
-        // winners that cold jobs just discovered and the results that warm
-        // jobs just replayed, roll up session stats.
+        // Phase 3 — commit: stamp per-request counters, then memoize the
+        // layout winners that cold jobs just discovered and a copy of each
+        // result that a warm job just replayed, if the room left at
+        // resolution holds it.
         for (resolved, result) in resolved.iter().zip(results.iter_mut()) {
             if let (Ok(resolved), Ok(result)) = (resolved, result.as_mut()) {
                 result.cache = resolved.stats;
             }
         }
-        let outcomes: Vec<Outcome<'_>> = resolved
-            .iter()
-            .zip(&results)
-            .filter_map(|(job, result)| {
-                Some(Outcome {
-                    job: job.as_ref().ok()?,
-                    result: result.as_ref().ok(),
-                    qasm: None,
+        self.commit(resolved.iter().zip(&results).filter_map(|(job, result)| {
+            let (Ok(job), Ok(result)) = (job, result) else {
+                return None;
+            };
+            let fill = job.fill(result, || {
+                (stored_bytes(result) <= room).then(|| {
+                    let mut copy = result.clone();
+                    copy.cache = CacheStats::default();
+                    copy.elapsed = Duration::ZERO;
+                    Stored::Result(Arc::new(copy))
                 })
-            })
-            .collect();
-        self.commit_contained(&outcomes, room, cap);
+            });
+            Some((job, fill?))
+        }));
         results
     }
 
@@ -570,10 +575,12 @@ impl Transpiler {
     /// its circuit) with the numbers a service reports beside it.
     ///
     /// A cold or replayed request exports its result here, under a
-    /// `qasm_export` span, and a replay that stores its result keeps the
-    /// text beside it. A later repeat hands back that shared text: it
-    /// neither copies nor exports nor scans the circuit. This is what the
-    /// `nassc-serve` daemon calls.
+    /// `qasm_export` span, and a replay stores the text in place of the
+    /// layout winner. A later repeat hands back that shared text: it
+    /// neither copies nor exports nor scans the circuit. A slot whose result
+    /// [`transpile_jobs`](Self::transpile_jobs) stored is a layout miss
+    /// here: the request runs cold and exports, and the slot keeps its
+    /// result. This is what the `nassc-serve` daemon calls.
     ///
     /// # Errors
     ///
@@ -584,41 +591,26 @@ impl Transpiler {
         circuit: &QuantumCircuit,
         options: &TranspileOptions,
     ) -> Result<QasmResult, Error> {
-        self.run_qasm(circuit, options, STORED_RESULT_BYTES)
-    }
-
-    /// [`transpile_to_qasm`](Self::transpile_to_qasm), storing results and
-    /// texts while the session's stored total stays within `cap` bytes.
-    fn run_qasm(
-        &self,
-        circuit: &QuantumCircuit,
-        options: &TranspileOptions,
-        cap: usize,
-    ) -> Result<QasmResult, Error> {
         let job = SessionJob::with_options(circuit, options.clone());
-        let (mut resolved, room) = self.resolve_jobs(std::slice::from_ref(&job), cap);
+        let jobs = std::slice::from_ref(&job);
+        let (mut resolved, _) = self.resolve_jobs(jobs, |stored| match stored {
+            Stored::Qasm(qasm) => Some(Arc::clone(qasm)),
+            Stored::Result(_) => None,
+        });
         let resolved = resolved.pop().expect("one job resolves to one")?;
-        // A slot that keeps its text is read, not written.
-        let kept = matches!(&resolved.path, Path::Stored(Stored { qasm: Some(_), .. }));
-        let tail = self.run_tail(
+        let mut fill = None;
+        let qasm = self.run_tail(
+            0,
             &resolved,
-            |stored| match &stored.qasm {
-                Some(qasm) => Ok((qasm.clone(), None)),
-                None => QasmResult::export(&stored.result).map(|qasm| (qasm, None)),
+            |stored| Ok(QasmResult::clone(stored)),
+            |result| {
+                let qasm = QasmResult::export(&result)?;
+                fill = resolved.fill(&result, || Some(Stored::Qasm(Arc::new(qasm.clone()))));
+                Ok(qasm)
             },
-            |result| Ok((QasmResult::export(&result)?, Some(result))),
         );
-        let (qasm, result) = match &tail {
-            Ok((qasm, result)) => ((!kept).then_some(qasm), result.as_ref()),
-            Err(_) => (None, None),
-        };
-        let outcome = Outcome {
-            job: &resolved,
-            result,
-            qasm,
-        };
-        self.commit_contained(std::slice::from_ref(&outcome), room, cap);
-        tail.map(|(qasm, _)| QasmResult {
+        self.commit(fill.map(|slot| (&resolved, slot)));
+        qasm.map(|qasm| QasmResult {
             cache: resolved.stats,
             ..qasm
         })
@@ -626,14 +618,17 @@ impl Transpiler {
 
     /// Phase 1 — serial resolution under the lock: every cache read and
     /// every preparation happens here, in job order, so cache counters are
-    /// deterministic and workers never contend on the session lock. Also
-    /// returns the room the cap left at resolution: a result larger than
-    /// that is not copied for storing.
-    fn resolve_jobs(
+    /// deterministic and workers never contend on the session lock. A
+    /// stored slot serves the answer `hit` takes from it, and is a layout
+    /// miss when `hit` takes none. Each job's counters join the session
+    /// totals here, whether it resolved, failed or panicked. Also returns
+    /// the room the cap left at resolution: a result larger than that is
+    /// not copied for storing.
+    fn resolve_jobs<A>(
         &self,
         jobs: &[SessionJob<'_>],
-        cap: usize,
-    ) -> (Vec<Result<ResolvedJob, Error>>, usize) {
+        hit: fn(&Stored) -> Option<A>,
+    ) -> (Vec<Result<ResolvedJob<A>, Error>>, usize) {
         // Deadlines are anchored here, at request entry: a job's budget
         // covers its share of resolution, layout, routing and optimization.
         let entry = Instant::now();
@@ -644,8 +639,7 @@ impl Transpiler {
         // panic never poisons the session lock.
         let resolved = jobs
             .iter()
-            .enumerate()
-            .map(|(index, job)| {
+            .map(|job| {
                 let options = job.options.clone().unwrap_or_else(|| self.options.clone());
                 let deadline = options.deadline;
                 // A deadline beyond `Instant`'s range means no deadline.
@@ -653,13 +647,16 @@ impl Transpiler {
                     Some(at) => Budget::with_deadline(at),
                     None => Budget::unlimited(),
                 };
-                catch_unwind(AssertUnwindSafe(|| {
-                    self.resolve(&mut state, index, job.circuit, options, budget)
+                let mut stats = CacheStats::default();
+                let resolved = catch_unwind(AssertUnwindSafe(|| {
+                    self.resolve(&mut state, job.circuit, options, budget, hit, &mut stats)
                 }))
-                .unwrap_or_else(|payload| Err(classify_panic("prepare", payload, deadline)))
+                .unwrap_or_else(|payload| Err(classify_panic("prepare", payload, deadline)));
+                state.stats.accumulate(&stats);
+                resolved
             })
             .collect();
-        (resolved, cap.saturating_sub(state.stored_bytes))
+        (resolved, state.cap.saturating_sub(state.stored_bytes))
     }
 
     /// Transpiles OpenQASM 2.0 source under the session's default options:
@@ -713,16 +710,14 @@ impl Transpiler {
     /// [`Error::Internal`] when it panicked (contained at this boundary).
     pub fn prepared(&self, circuit: &QuantumCircuit) -> Result<Arc<QuantumCircuit>, Error> {
         let mut state = self.lock();
-        let (entry, hit) = catch_unwind(AssertUnwindSafe(|| {
-            Self::prepared_locked(&mut state, circuit, &Budget::unlimited()).map_err(Error::from)
+        let mut stats = CacheStats::default();
+        let entry = catch_unwind(AssertUnwindSafe(|| {
+            Self::prepared_locked(&mut state, circuit, &Budget::unlimited(), &mut stats)
+                .map_err(Error::from)
         }))
-        .unwrap_or_else(|payload| Err(classify_panic("prepare", payload, None)))?;
-        if hit {
-            state.stats.prepared_hits += 1;
-        } else {
-            state.stats.prepared_misses += 1;
-        }
-        Ok(Arc::clone(&state.prepared[entry].prepared))
+        .unwrap_or_else(|payload| Err(classify_panic("prepare", payload, None)));
+        state.stats.accumulate(&stats);
+        Ok(Arc::clone(&state.prepared[entry?].prepared))
     }
 
     /// Acquires the session lock, recovering from poison: a panic while
@@ -730,9 +725,9 @@ impl Transpiler {
     /// under it) leaves the caches in an unknown state, so recovery resets
     /// all three to empty — preserving the accumulated stats — counts the
     /// reset in [`cache_resets`](Self::cache_resets), clears the poison
-    /// flag and continues serving. Winners and stored results live under
+    /// flag and continues serving. Winners and stored answers live under
     /// their prepared entries, so clearing those empties both caches, and
-    /// the stored-result count restarts at zero.
+    /// the stored total restarts at zero.
     fn lock(&self) -> std::sync::MutexGuard<'_, SessionState> {
         match self.state.lock() {
             Ok(guard) => guard,
@@ -749,22 +744,25 @@ impl Transpiler {
     }
 
     /// Looks up / computes the prepared baseline for `circuit`, returning
-    /// the index of its entry in `state.prepared` with a hit flag. Does not
-    /// touch the stats counters — callers attribute the hit/miss to the
-    /// right request.
+    /// the index of its entry in `state.prepared`. Counts the hit or miss
+    /// in `stats`, a miss before it prepares, so a failed preparation is
+    /// counted too.
     fn prepared_locked(
         state: &mut SessionState,
         circuit: &QuantumCircuit,
         budget: &Budget,
-    ) -> Result<(usize, bool), PassError> {
+        stats: &mut CacheStats,
+    ) -> Result<usize, PassError> {
         let raw_hash = circuit.structural_hash();
         if let Some(index) = state
             .prepared
             .iter()
             .position(|e| e.raw_hash == raw_hash && e.raw == *circuit)
         {
-            return Ok((index, true));
+            stats.prepared_hits += 1;
+            return Ok(index);
         }
+        stats.prepared_misses += 1;
         let prepared = Arc::new(optimize_without_routing_budgeted(circuit, budget)?);
         state.prepared.push(PreparedEntry {
             raw_hash,
@@ -772,22 +770,22 @@ impl Transpiler {
             prepared,
             slots: Vec::new(),
         });
-        Ok((state.prepared.len() - 1, false))
+        Ok(state.prepared.len() - 1)
     }
 
-    /// Makes every cache decision for one job, updating that job's private
-    /// counters. Runs under the session lock. A circuit too wide for the
-    /// device fails here, before it touches any cache.
-    fn resolve(
+    /// Makes every cache decision for one job, counting them in `stats`.
+    /// Runs under the session lock. A circuit too wide for the device fails
+    /// here, before it touches any cache.
+    fn resolve<A>(
         &self,
         state: &mut SessionState,
-        index: usize,
         circuit: &QuantumCircuit,
         options: TranspileOptions,
         budget: Budget,
-    ) -> Result<ResolvedJob, Error> {
+        hit: fn(&Stored) -> Option<A>,
+        stats: &mut CacheStats,
+    ) -> Result<ResolvedJob<A>, Error> {
         self.check_fits(circuit)?;
-        let mut stats = CacheStats::default();
 
         let cached = state
             .distances
@@ -814,14 +812,14 @@ impl Transpiler {
             }
         };
 
-        let (entry, prepared_hit) = Self::prepared_locked(state, circuit, &budget)?;
-        if prepared_hit {
-            stats.prepared_hits += 1;
-            nassc_trace::counter("cache.prepared_hit", 1);
-        } else {
-            stats.prepared_misses += 1;
-            nassc_trace::counter("cache.prepared_miss", 1);
-        }
+        let entry = Self::prepared_locked(state, circuit, &budget, stats)?;
+        nassc_trace::counter(
+            match stats.prepared_hits {
+                0 => "cache.prepared_miss",
+                _ => "cache.prepared_hit",
+            },
+            1,
+        );
 
         let entry = &state.prepared[entry];
         let prepared = Arc::clone(&entry.prepared);
@@ -829,7 +827,7 @@ impl Transpiler {
         let path = match slot.map(|(_, slot)| slot) {
             None => Path::Cold,
             Some(Slot::Winner(winner)) => Path::Warm(winner.selection()),
-            Some(Slot::Stored(stored)) => Path::Stored(Stored::clone(stored)),
+            Some(Slot::Stored(stored)) => hit(stored).map_or(Path::Cold, Path::Stored),
         };
         if let Path::Cold = path {
             stats.layout_misses += 1;
@@ -840,30 +838,30 @@ impl Transpiler {
         }
 
         Ok(ResolvedJob {
-            index,
             options,
             distances,
             prepared,
             path,
-            stats,
+            stats: *stats,
             budget,
         })
     }
 
-    /// The lock-free tail of one job, in its `job` span: a stored hit checks
-    /// its deadline and hands its slot's record to `stored`, a warm job
+    /// The lock-free tail of the `index`th job, in its `job` span: a stored
+    /// hit checks its deadline and hands its answer to `stored`, a warm job
     /// replays a single routing pass from the cached layout and a cold job
     /// runs the full layout search, handing the result to `computed`. This
     /// is the per-job catch boundary — a panic or budget abort in here
     /// fails this job alone.
-    fn run_tail<T>(
+    fn run_tail<A, T>(
         &self,
-        resolved: &ResolvedJob,
-        stored: impl FnOnce(&Stored) -> Result<T, Error>,
+        index: usize,
+        resolved: &ResolvedJob<A>,
+        stored: impl FnOnce(&A) -> Result<T, Error>,
         computed: impl FnOnce(TranspileResult) -> Result<T, Error>,
     ) -> Result<T, Error> {
         let mut span = nassc_trace::span!("job");
-        span.arg_u64("index", resolved.index as u64);
+        span.arg_u64("index", index as u64);
         span.arg_text("path", resolved.path.name());
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             let cached = match &resolved.path {
@@ -893,83 +891,31 @@ impl Transpiler {
         })
     }
 
-    /// [`commit`](Self::commit) as its own catch boundary. The results are
-    /// already valid, so a panic while memoizing is swallowed here. It
-    /// poisons the session lock (commit runs under it) and the next
-    /// `lock()` recovers by resetting the caches — requests keep
-    /// succeeding, just cold.
-    fn commit_contained(&self, outcomes: &[Outcome<'_>], room: usize, cap: usize) {
-        let _ = catch_unwind(AssertUnwindSafe(|| self.commit(outcomes, room, cap)));
-    }
-
-    /// Rolls per-request counters into the session totals and fills the
-    /// slots: a cold job leaves its layout winner, a warm job's result
-    /// replaces the winner it replayed from while the stored total stays
-    /// within `cap`, and a text exported now is kept beside its slot's
-    /// stored result while the total still does. Each re-checks the slot,
-    /// so duplicate jobs in one batch stay idempotent, and a slot whose
-    /// entry poison recovery has cleared since resolution is dropped.
-    fn commit(&self, outcomes: &[Outcome<'_>], room: usize, cap: usize) {
-        let _span = nassc_trace::span!("commit");
-        // Copies to store are built before taking the lock: copying a large
-        // result takes milliseconds, and every `resolve` waits on the lock.
-        let stored: Vec<_> = outcomes
-            .iter()
-            .filter_map(|outcome| {
-                let (Path::Warm(_), Some(result)) = (&outcome.job.path, outcome.result) else {
-                    return None;
-                };
-                let bytes = stored_bytes(result);
-                if bytes > room {
-                    return None;
-                }
-                let mut copy = result.clone();
-                copy.cache = CacheStats::default();
-                copy.elapsed = Duration::ZERO;
-                Some((outcome.job, Arc::new(copy), bytes))
-            })
-            .collect();
-
-        let mut state = self.lock();
-        nassc_circuit::failpoints::hit("cache_commit");
-        for &Outcome { job, result, .. } in outcomes {
-            state.stats.accumulate(&job.stats);
-            let (Path::Cold, Some(result)) = (&job.path, result) else {
-                continue;
-            };
-            let Some(entry) = state.entry_mut(job) else {
-                continue;
-            };
-            if !entry.slots.iter().any(|(cached, _)| *cached == job.options) {
-                let winner = Slot::Winner(Winner::new(result));
-                entry.slots.push((job.options.clone(), winner));
+    /// Phase 3 — fills the slots (see [`SessionState::fill`]), as its own
+    /// catch boundary. The answers are already valid, so a panic while
+    /// memoizing is swallowed here. It poisons the session lock (the fills
+    /// run under it) and the next `lock()` recovers by resetting the caches
+    /// — requests keep succeeding, just cold.
+    fn commit<'a, A: 'a>(&self, fills: impl IntoIterator<Item = (&'a ResolvedJob<A>, Slot)>) {
+        let _ = catch_unwind(AssertUnwindSafe(|| {
+            let _span = nassc_trace::span!("commit");
+            // The fills are built before taking the lock: copying a large
+            // result takes milliseconds, and every `resolve` waits on the lock.
+            let fills: Vec<_> = fills.into_iter().collect();
+            let mut state = self.lock();
+            nassc_circuit::failpoints::hit("cache_commit");
+            for (job, slot) in fills {
+                state.fill(job, slot);
             }
-        }
-        for (job, result, bytes) in stored {
-            state.admit(job, result, bytes, cap);
-        }
-        for &Outcome { job, qasm, .. } in outcomes {
-            if let Some(qasm) = qasm {
-                state.keep_qasm(job, qasm, cap);
-            }
-        }
+        }));
     }
-}
-
-/// What one resolved job hands the commit phase.
-struct Outcome<'a> {
-    job: &'a ResolvedJob,
-    /// A cold or warm job's result, computed now; `None` after a failure.
-    result: Option<&'a TranspileResult>,
-    /// A text exported now, rather than read from the job's slot.
-    qasm: Option<&'a QasmResult>,
 }
 
 /// A library stored hit: a copy of the stored result, whose `elapsed` is
 /// the time the copy took.
-fn copy_stored(stored: &Stored) -> Result<TranspileResult, Error> {
+fn copy_stored(stored: &Arc<TranspileResult>) -> Result<TranspileResult, Error> {
     let start = Instant::now();
-    let mut result = TranspileResult::clone(&stored.result);
+    let mut result = TranspileResult::clone(stored);
     result.elapsed = start.elapsed();
     Ok(result)
 }
@@ -1023,6 +969,32 @@ mod tests {
         let err = session.transpile_with(&ghz(4), &options).unwrap_err();
         assert_eq!(err.kind(), crate::ErrorKind::Deadline);
         assert_eq!(err.to_string(), "transpile exceeded its 0 ms deadline");
+    }
+
+    #[test]
+    fn a_request_that_fails_while_resolving_keeps_its_cache_counts() {
+        // The expired request builds the distance matrix, then aborts in
+        // preparation: both consultations stay counted.
+        let session = session();
+        let options = session.options().clone().deadline(Duration::ZERO);
+        session.transpile_with(&ghz(4), &options).unwrap_err();
+        let failed = CacheStats {
+            distance_misses: 1,
+            prepared_misses: 1,
+            ..CacheStats::default()
+        };
+        assert_eq!(session.cache_stats(), failed);
+        let next = session.transpile(&ghz(4)).expect("transpile");
+        let expected = CacheStats {
+            distance_hits: 1,
+            prepared_misses: 1,
+            layout_misses: 1,
+            ..CacheStats::default()
+        };
+        assert_eq!(next.cache, expected);
+        let mut total = failed;
+        total.accumulate(&expected);
+        assert_eq!(session.cache_stats(), total);
     }
 
     #[test]
@@ -1095,20 +1067,20 @@ mod tests {
         slots
             .map(|(_, slot)| match slot {
                 Slot::Winner(_) => "winner",
-                Slot::Stored(stored) if stored.qasm.is_none() => "stored",
-                Slot::Stored(_) => "stored+qasm",
+                Slot::Stored(Stored::Result(_)) => "stored",
+                Slot::Stored(Stored::Qasm(_)) => "text",
             })
             .collect()
     }
 
-    /// The text every stored slot keeps, in insertion order.
-    fn kept_texts(session: &Transpiler) -> Vec<Arc<str>> {
+    /// The text every slot stores, in insertion order.
+    fn stored_texts(session: &Transpiler) -> Vec<Arc<str>> {
         let state = session.lock();
         let slots = state.prepared.iter().flat_map(|entry| &entry.slots);
         slots
             .filter_map(|(_, slot)| match slot {
-                Slot::Stored(stored) => Some(Arc::clone(&stored.qasm.as_ref()?.qasm)),
-                Slot::Winner(_) => None,
+                Slot::Stored(Stored::Qasm(stored)) => Some(Arc::clone(&stored.qasm)),
+                _ => None,
             })
             .collect()
     }
@@ -1127,7 +1099,7 @@ mod tests {
     }
 
     #[test]
-    fn qasm_repeats_share_the_text_kept_with_the_stored_result() {
+    fn a_qasm_replay_stores_its_text_and_later_hits_share_it() {
         let circuit = ghz(4);
         for router in [RouterKind::Sabre, RouterKind::Nassc] {
             for trials in [1, 4] {
@@ -1148,64 +1120,103 @@ mod tests {
                     let hits = if request == 0 { 0 } else { 3 };
                     assert_eq!(out.cache.hits(), hits, "{context} request {request}");
                 }
-                // The replay stored its result with the text it exported,
-                // and every later request shares that text.
-                assert_eq!(slot_states(&session), ["stored+qasm"], "{context}");
-                let kept = &kept_texts(&session)[0];
+                // The replay stored the text it exported in place of the
+                // winner, and every later request shares that text.
+                assert_eq!(slot_states(&session), ["text"], "{context}");
+                let stored = &stored_texts(&session)[0];
+                let text = nassc_qasm::export(&cold.circuit).expect("a result exports");
+                assert_eq!(**stored, *text, "{context}");
                 for out in &outputs[1..] {
-                    assert!(Arc::ptr_eq(&out.qasm, kept), "{context}");
+                    assert!(Arc::ptr_eq(&out.qasm, stored), "{context}");
                 }
-                let stored_total = session.lock().stored_bytes;
-                assert_eq!(stored_total, stored_bytes(&cold) + kept.len(), "{context}");
+                assert_eq!(session.lock().stored_bytes, stored.len(), "{context}");
             }
         }
     }
 
     #[test]
-    fn library_callers_never_export_and_a_qasm_hit_exports_once() {
-        let session = session();
-        let options = session.options().clone();
+    fn a_repeat_through_the_other_entry_point_runs_cold_and_keeps_the_answer() {
+        let (library_first, qasm_first) = (session(), session());
+        let options = library_first.options().clone();
         let circuit = ghz(4);
-        let cold = session.transpile(&circuit).expect("cold");
-        session.transpile_with(&circuit, &options).expect("replay");
-        let results = session.transpile_jobs(&[SessionJob::new(&circuit)]);
-        results[0].as_ref().expect("stored hit");
-        assert_eq!(slot_states(&session), ["stored"]);
+        let layout_miss = CacheStats {
+            distance_hits: 1,
+            prepared_hits: 1,
+            layout_misses: 1,
+            ..CacheStats::default()
+        };
 
-        let first = session
+        // A library replay stores its result, counted by its byte estimate;
+        // QASM-out repeats then miss the layout and leave it in place.
+        let cold = library_first.transpile(&circuit).expect("library cold");
+        library_first.transpile(&circuit).expect("library replay");
+        assert_eq!(slot_states(&library_first), ["stored"]);
+        for _ in 0..2 {
+            let out = library_first.transpile_to_qasm(&circuit, &options);
+            let out = out.expect("QASM-out repeat");
+            assert_same_qasm(&out, &cold, "after a library replay");
+            assert_eq!(out.cache, layout_miss);
+        }
+        assert_eq!(slot_states(&library_first), ["stored"]);
+        assert_eq!(library_first.lock().stored_bytes, stored_bytes(&cold));
+        let copied = library_first.transpile(&circuit).expect("library hit");
+        assert_same_result(&copied, &cold, "after QASM-out repeats");
+        assert_eq!(copied.cache.hits(), 3);
+
+        // A QASM-out replay stores its text; library repeats then miss the
+        // layout and leave it in place.
+        qasm_first
             .transpile_to_qasm(&circuit, &options)
-            .expect("export");
-        assert_eq!(slot_states(&session), ["stored+qasm"]);
-        let second = session
-            .transpile_to_qasm(&circuit, &options)
-            .expect("share");
-        assert!(Arc::ptr_eq(&first.qasm, &second.qasm));
-        assert!(Arc::ptr_eq(&second.qasm, &kept_texts(&session)[0]));
-        assert_same_qasm(&second, &cold, "after a library replay");
-        let copied = session.transpile(&circuit).expect("library stored hit");
-        assert_same_result(&copied, &cold, "after a QASM hit");
-        let stored_total = session.lock().stored_bytes;
-        assert_eq!(stored_total, stored_bytes(&cold) + first.qasm.len());
+            .expect("cold");
+        let replay = qasm_first.transpile_to_qasm(&circuit, &options);
+        let replay = replay.expect("QASM-out replay");
+        assert_eq!(slot_states(&qasm_first), ["text"]);
+        for _ in 0..2 {
+            let result = qasm_first.transpile_with(&circuit, &options);
+            let result = result.expect("library repeat");
+            assert_same_result(&result, &cold, "after a QASM-out replay");
+            assert_eq!(result.cache, layout_miss);
+        }
+        assert_eq!(slot_states(&qasm_first), ["text"]);
+        assert_eq!(qasm_first.lock().stored_bytes, replay.qasm.len());
+        let hit = qasm_first.transpile_to_qasm(&circuit, &options);
+        let hit = hit.expect("QASM-out hit");
+        assert!(Arc::ptr_eq(&hit.qasm, &replay.qasm));
+        assert_eq!(hit.cache.hits(), 3);
     }
 
     #[test]
-    fn a_text_past_the_cap_is_not_kept_and_its_hits_export_again() {
+    fn a_text_past_the_cap_is_not_stored_and_its_repeats_replay() {
+        let circuit = ghz(4);
+        let cold = session().transpile(&circuit).expect("reference");
+        let text = nassc_qasm::export(&cold.circuit).expect("a result exports");
         let session = session();
         let options = session.options().clone();
-        let circuit = ghz(4);
-        let cold = session.transpile(&circuit).expect("cold");
-        // The replayed result fits the cap exactly; its text no longer does.
-        let cap = stored_bytes(&cold);
-        let outputs: Vec<QasmResult> = (0..3)
-            .map(|_| session.run_qasm(&circuit, &options, cap))
+        session.lock().cap = text.len() - 1;
+        let outputs: Vec<QasmResult> = (0..4)
+            .map(|_| session.transpile_to_qasm(&circuit, &options))
             .collect::<Result<_, _>>()
-            .expect("QASM-out repeats");
-        assert_eq!(slot_states(&session), ["stored"]);
-        assert_eq!(session.lock().stored_bytes, cap);
-        for out in &outputs {
-            assert_same_qasm(out, &cold, "past the cap");
+            .expect("QASM-out requests");
+        assert_eq!(slot_states(&session), ["winner"]);
+        assert_eq!(session.lock().stored_bytes, 0);
+        for (request, out) in outputs.iter().enumerate() {
+            assert_same_qasm(out, &cold, &format!("past the cap, request {request}"));
         }
-        assert!(!Arc::ptr_eq(&outputs[1].qasm, &outputs[2].qasm));
+        // Every repeat replayed from the winner and exported its own text.
+        for out in &outputs[1..] {
+            assert_eq!(out.cache.hits(), 3);
+        }
+        assert!(!Arc::ptr_eq(&outputs[2].qasm, &outputs[3].qasm));
+    }
+
+    #[test]
+    fn a_slot_and_its_options_take_at_most_232_bytes() {
+        // A one-off request (a fresh seed, say) leaves one pair for good.
+        let bytes = size_of::<(TranspileOptions, Slot)>();
+        assert!(
+            bytes <= 232,
+            "a (TranspileOptions, Slot) pair takes {bytes} bytes"
+        );
     }
 
     #[test]
@@ -1269,21 +1280,20 @@ mod tests {
         let small = ghz(3);
         let large = ghz(4);
         let cap = stored_bytes(&session.transpile(&small).expect("cold small"));
-        let jobs = |circuit| [SessionJob::new(circuit)];
+        session.lock().cap = cap;
         session.transpile(&large).expect("cold large");
         // The small result fits the cap exactly; the large one no longer
         // fits beside it, so its repeats keep replaying from the winner.
         for circuit in [&small, &large, &large] {
-            let results = session.run_jobs(&jobs(circuit), cap);
-            results[0].as_ref().expect("repeat");
+            session.transpile(circuit).expect("repeat");
         }
         assert_eq!(slot_states(&session), ["stored", "winner"]);
         assert_eq!(session.lock().stored_bytes, cap);
         // Past the cap the repeat still returns the cold result.
         let fresh = Transpiler::new(CouplingMap::linear(4), session.options().clone());
         let cold = fresh.transpile(&large).expect("fresh cold");
-        let results = session.run_jobs(&jobs(&large), cap);
-        assert_same_result(results[0].as_ref().expect("repeat"), &cold, "past the cap");
+        let repeat = session.transpile(&large).expect("repeat");
+        assert_same_result(&repeat, &cold, "past the cap");
     }
 
     #[test]
@@ -1320,9 +1330,8 @@ mod tests {
         let options = session.options().clone();
         let replay = session.transpile_to_qasm(&ghz(4), &options);
         let text = replay.expect("replay").qasm;
-        assert_eq!(slot_states(&session), ["stored+qasm"]);
-        let stored_total = session.lock().stored_bytes;
-        assert_eq!(stored_total, stored_bytes(&cold) + text.len());
+        assert_eq!(slot_states(&session), ["text"]);
+        assert_eq!(session.lock().stored_bytes, text.len());
         assert_eq!(session.cache_resets(), 0);
 
         // Poison the session lock the only way a panic can reach it: by

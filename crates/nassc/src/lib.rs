@@ -19,8 +19,10 @@
 //! [`Transpiler::transpile_qasm`]), and `nassc::qasm::export` serializes any
 //! transpiled circuit back out (round-trip exact, float parameters
 //! included). A service that answers in OpenQASM calls
-//! [`Transpiler::transpile_to_qasm`], whose repeats share the text the
-//! session keeps instead of exporting again.
+//! [`Transpiler::transpile_to_qasm`]: the session stores the text its first
+//! repeat exports, and later repeats share it instead of exporting again. A
+//! slot stores one answer, in the form its replay returned, so a repeat
+//! through the other entry point runs cold and returns the same answer.
 //!
 //! # Example
 //!

@@ -21,9 +21,9 @@
 //! ```
 //!
 //! A repeat request is a stored hit: [`Transpiler::transpile_to_qasm`]
-//! hands back the OpenQASM text the session keeps beside its stored result,
-//! shared, and the handler sends those stored bytes as the body, copying
-//! them once, into the send buffer. Only cold and replayed requests export.
+//! hands back the OpenQASM text the session stored for it, shared, and the
+//! handler sends those stored bytes as the body, copying them once, into
+//! the send buffer. Only cold and replayed requests export.
 //!
 //! Endpoints:
 //!

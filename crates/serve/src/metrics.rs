@@ -123,10 +123,12 @@ pub struct ServerMetrics {
     pub responses_by_status: BTreeMap<u16, u64>,
     /// Connections shed by the acceptor because the queue was full (429).
     pub rejected_busy: u64,
-    /// Requests that timed out waiting in the queue (504).
+    /// Requests answered 504 because their deadline expired, whether
+    /// waiting in the queue or mid-transpile.
     pub deadline_expired: u64,
     /// Server-side transpile time of `/transpile` requests that produced a
-    /// transpiled circuit: the session call plus the QASM export, the same
+    /// transpiled circuit: the session call, which exports a cold or
+    /// replayed result and hands a stored hit its stored text, the same
     /// number the response carries as `X-Elapsed-Ms`. Parsing, queueing and
     /// writing the response are not included.
     pub transpile_latency: LatencyHistogram,
