@@ -5,9 +5,10 @@
 //! allocation-free. The crate provides:
 //!
 //! * [`C64`] — a minimal complex-number type (we avoid external crates),
-//! * [`Matrix2`] and [`Matrix4`] — dense complex matrices with the handful of
-//!   operations the synthesis code needs (multiply, adjoint, Kronecker
-//!   product, determinant, trace, phase-insensitive comparison),
+//! * [`Matrix`](matrix::Matrix) — one dense `N×N` complex matrix type, used
+//!   as its aliases [`Matrix2`] and [`Matrix4`], with the handful of
+//!   operations the synthesis code needs (multiply, adjoint, transpose,
+//!   Kronecker product, determinant, phase-insensitive comparison),
 //! * [`eigen`] — a Jacobi eigensolver for small real-symmetric matrices, used
 //!   by the two-qubit Weyl (KAK) decomposition.
 //!

@@ -1,10 +1,17 @@
-//! Fixed-size 2×2 and 4×4 complex matrices.
+//! Fixed-size square complex matrices.
 //!
-//! These are the only matrix sizes the quantum stack manipulates (one- and
-//! two-qubit operators), so both types are simple stack-allocated arrays with
-//! exactly the operations the synthesis and simulation layers need.
+//! The quantum stack manipulates only one- and two-qubit operators, so one
+//! stack-allocated `N×N` type serves both sizes: every operation they share
+//! is written once for [`Matrix<N>`], and what only one size has lives on
+//! its alias, [`Matrix2`] or [`Matrix4`].
 
 use crate::complex::C64;
+
+/// A dense `N×N` complex matrix, stored row-major on the stack.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Matrix<const N: usize> {
+    data: [[C64; N]; N],
+}
 
 /// A 2×2 complex matrix (a single-qubit operator).
 ///
@@ -16,22 +23,128 @@ use crate::complex::C64;
 /// let x = Matrix2::pauli_x();
 /// assert!(x.mul(&x).approx_eq(&Matrix2::identity(), 1e-12));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Matrix2 {
-    data: [[C64; 2]; 2],
-}
+pub type Matrix2 = Matrix<2>;
 
-impl Matrix2 {
+/// A 4×4 complex matrix (a two-qubit operator).
+///
+/// # Example
+///
+/// ```
+/// use nassc_math::Matrix4;
+///
+/// let cx = Matrix4::cnot();
+/// assert!(cx.mul(&cx).approx_eq(&Matrix4::identity(), 1e-12));
+/// ```
+pub type Matrix4 = Matrix<4>;
+
+impl<const N: usize> Matrix<N> {
     /// Builds a matrix from rows.
-    pub const fn new(data: [[C64; 2]; 2]) -> Self {
+    pub const fn new(data: [[C64; N]; N]) -> Self {
         Self { data }
     }
 
-    /// The 2×2 identity.
+    /// The identity.
     pub fn identity() -> Self {
-        Self::new([[C64::one(), C64::zero()], [C64::zero(), C64::one()]])
+        let mut data = [[C64::zero(); N]; N];
+        for (i, row) in data.iter_mut().enumerate() {
+            row[i] = C64::one();
+        }
+        Self::new(data)
     }
 
+    /// Element access.
+    pub fn get(&self, row: usize, col: usize) -> C64 {
+        self.data[row][col]
+    }
+
+    /// Mutable element access.
+    pub fn set(&mut self, row: usize, col: usize, value: C64) {
+        self.data[row][col] = value;
+    }
+
+    /// Matrix product `self * rhs`.
+    pub fn mul(&self, rhs: &Self) -> Self {
+        let mut out = [[C64::zero(); N]; N];
+        for (i, row) in out.iter_mut().enumerate() {
+            for (j, cell) in row.iter_mut().enumerate() {
+                let mut acc = C64::zero();
+                for k in 0..N {
+                    acc += self.data[i][k] * rhs.data[k][j];
+                }
+                *cell = acc;
+            }
+        }
+        Self::new(out)
+    }
+
+    /// Conjugate transpose.
+    pub fn adjoint(&self) -> Self {
+        self.transpose_map(C64::conj)
+    }
+
+    /// Transpose (no conjugation).
+    pub fn transpose(&self) -> Self {
+        self.transpose_map(|c| c)
+    }
+
+    /// The transpose with `f` applied to every entry.
+    fn transpose_map(&self, f: impl Fn(C64) -> C64) -> Self {
+        let mut out = [[C64::zero(); N]; N];
+        for (i, row) in out.iter_mut().enumerate() {
+            for (j, cell) in row.iter_mut().enumerate() {
+                *cell = f(self.data[j][i]);
+            }
+        }
+        Self::new(out)
+    }
+
+    /// Multiplies every entry by a complex scalar.
+    pub fn scale(&self, s: C64) -> Self {
+        let mut out = self.data;
+        for row in &mut out {
+            for cell in row.iter_mut() {
+                *cell *= s;
+            }
+        }
+        Self::new(out)
+    }
+
+    /// Entry-wise comparison within `tol`.
+    pub fn approx_eq(&self, other: &Self, tol: f64) -> bool {
+        self.data
+            .iter()
+            .flatten()
+            .zip(other.data.iter().flatten())
+            .all(|(a, b)| a.approx_eq(*b, tol))
+    }
+
+    /// Comparison that ignores a global phase factor: `self ≈ p · other`
+    /// for some `p` of modulus 1.
+    ///
+    /// The phase is read off the largest entry of `other`; a ratio whose
+    /// modulus is more than 1e-6 from 1 is a scaling, not a phase.
+    pub fn approx_eq_up_to_phase(&self, other: &Self, tol: f64) -> bool {
+        let largest = self
+            .data
+            .iter()
+            .flatten()
+            .zip(other.data.iter().flatten())
+            .max_by(|x, y| x.1.norm_sqr().partial_cmp(&y.1.norm_sqr()).unwrap());
+        let Some((a, b)) = largest else {
+            return true;
+        };
+        // When `other` is (near) zero, any phase works.
+        let phase = if b.abs() <= tol { C64::one() } else { *a / *b };
+        (phase.abs() - 1.0).abs() <= 1e-6 && self.approx_eq(&other.scale(phase), tol)
+    }
+
+    /// Returns `true` when `self * self† ≈ I`.
+    pub fn is_unitary(&self, tol: f64) -> bool {
+        self.mul(&self.adjoint()).approx_eq(&Self::identity(), tol)
+    }
+}
+
+impl Matrix2 {
     /// The Pauli-X matrix.
     pub fn pauli_x() -> Self {
         Self::new([[C64::zero(), C64::one()], [C64::one(), C64::zero()]])
@@ -56,88 +169,9 @@ impl Matrix2 {
         Self::new([[C64::real(s), C64::real(s)], [C64::real(s), C64::real(-s)]])
     }
 
-    /// Element access.
-    pub fn get(&self, row: usize, col: usize) -> C64 {
-        self.data[row][col]
-    }
-
-    /// Mutable element access.
-    pub fn set(&mut self, row: usize, col: usize, value: C64) {
-        self.data[row][col] = value;
-    }
-
-    /// Matrix product `self * rhs`.
-    pub fn mul(&self, rhs: &Matrix2) -> Matrix2 {
-        let mut out = [[C64::zero(); 2]; 2];
-        for (i, row) in out.iter_mut().enumerate() {
-            for (j, cell) in row.iter_mut().enumerate() {
-                let mut acc = C64::zero();
-                for k in 0..2 {
-                    acc += self.data[i][k] * rhs.data[k][j];
-                }
-                *cell = acc;
-            }
-        }
-        Matrix2::new(out)
-    }
-
-    /// Conjugate transpose.
-    pub fn adjoint(&self) -> Matrix2 {
-        let mut out = [[C64::zero(); 2]; 2];
-        for (i, row) in out.iter_mut().enumerate() {
-            for (j, cell) in row.iter_mut().enumerate() {
-                *cell = self.data[j][i].conj();
-            }
-        }
-        Matrix2::new(out)
-    }
-
     /// Determinant.
     pub fn det(&self) -> C64 {
         self.data[0][0] * self.data[1][1] - self.data[0][1] * self.data[1][0]
-    }
-
-    /// Trace.
-    pub fn trace(&self) -> C64 {
-        self.data[0][0] + self.data[1][1]
-    }
-
-    /// Multiplies every entry by a complex scalar.
-    pub fn scale(&self, s: C64) -> Matrix2 {
-        let mut out = self.data;
-        for row in &mut out {
-            for cell in row.iter_mut() {
-                *cell *= s;
-            }
-        }
-        Matrix2::new(out)
-    }
-
-    /// Entry-wise comparison within `tol`.
-    pub fn approx_eq(&self, other: &Matrix2, tol: f64) -> bool {
-        self.data
-            .iter()
-            .flatten()
-            .zip(other.data.iter().flatten())
-            .all(|(a, b)| a.approx_eq(*b, tol))
-    }
-
-    /// Comparison that ignores a global phase factor.
-    pub fn approx_eq_up_to_phase(&self, other: &Matrix2, tol: f64) -> bool {
-        match phase_between(
-            self.data.iter().flatten().copied(),
-            other.data.iter().flatten().copied(),
-            tol,
-        ) {
-            Some(phase) => self.approx_eq(&other.scale(phase), tol),
-            None => false,
-        }
-    }
-
-    /// Returns `true` when `self * self† ≈ I`.
-    pub fn is_unitary(&self, tol: f64) -> bool {
-        self.mul(&self.adjoint())
-            .approx_eq(&Matrix2::identity(), tol)
     }
 
     /// Kronecker product producing a 4×4 matrix. `self` acts on the most
@@ -157,36 +191,7 @@ impl Matrix2 {
     }
 }
 
-/// A 4×4 complex matrix (a two-qubit operator).
-///
-/// # Example
-///
-/// ```
-/// use nassc_math::Matrix4;
-///
-/// let cx = Matrix4::cnot();
-/// assert!(cx.mul(&cx).approx_eq(&Matrix4::identity(), 1e-12));
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Matrix4 {
-    data: [[C64; 4]; 4],
-}
-
 impl Matrix4 {
-    /// Builds a matrix from rows.
-    pub const fn new(data: [[C64; 4]; 4]) -> Self {
-        Self { data }
-    }
-
-    /// The 4×4 identity.
-    pub fn identity() -> Self {
-        let mut data = [[C64::zero(); 4]; 4];
-        for (i, row) in data.iter_mut().enumerate() {
-            row[i] = C64::one();
-        }
-        Self::new(data)
-    }
-
     /// The CNOT matrix with qubit 0 (least significant) as control and
     /// qubit 1 as target, in little-endian ordering `|q1 q0>`.
     pub fn cnot() -> Self {
@@ -202,58 +207,6 @@ impl Matrix4 {
         let o = C64::one();
         let z = C64::zero();
         Self::new([[o, z, z, z], [z, z, o, z], [z, o, z, z], [z, z, z, o]])
-    }
-
-    /// Element access.
-    pub fn get(&self, row: usize, col: usize) -> C64 {
-        self.data[row][col]
-    }
-
-    /// Mutable element access.
-    pub fn set(&mut self, row: usize, col: usize, value: C64) {
-        self.data[row][col] = value;
-    }
-
-    /// Matrix product `self * rhs`.
-    pub fn mul(&self, rhs: &Matrix4) -> Matrix4 {
-        let mut out = [[C64::zero(); 4]; 4];
-        for (i, row) in out.iter_mut().enumerate() {
-            for (j, cell) in row.iter_mut().enumerate() {
-                let mut acc = C64::zero();
-                for k in 0..4 {
-                    acc += self.data[i][k] * rhs.data[k][j];
-                }
-                *cell = acc;
-            }
-        }
-        Matrix4::new(out)
-    }
-
-    /// Conjugate transpose.
-    pub fn adjoint(&self) -> Matrix4 {
-        let mut out = [[C64::zero(); 4]; 4];
-        for (i, row) in out.iter_mut().enumerate() {
-            for (j, cell) in row.iter_mut().enumerate() {
-                *cell = self.data[j][i].conj();
-            }
-        }
-        Matrix4::new(out)
-    }
-
-    /// Transpose (no conjugation).
-    pub fn transpose(&self) -> Matrix4 {
-        let mut out = [[C64::zero(); 4]; 4];
-        for (i, row) in out.iter_mut().enumerate() {
-            for (j, cell) in row.iter_mut().enumerate() {
-                *cell = self.data[j][i];
-            }
-        }
-        Matrix4::new(out)
-    }
-
-    /// Trace.
-    pub fn trace(&self) -> C64 {
-        (0..4).map(|i| self.data[i][i]).sum()
     }
 
     /// Determinant via cofactor expansion.
@@ -274,44 +227,6 @@ impl Matrix4 {
         det
     }
 
-    /// Multiplies every entry by a complex scalar.
-    pub fn scale(&self, s: C64) -> Matrix4 {
-        let mut out = self.data;
-        for row in &mut out {
-            for cell in row.iter_mut() {
-                *cell *= s;
-            }
-        }
-        Matrix4::new(out)
-    }
-
-    /// Entry-wise comparison within `tol`.
-    pub fn approx_eq(&self, other: &Matrix4, tol: f64) -> bool {
-        self.data
-            .iter()
-            .flatten()
-            .zip(other.data.iter().flatten())
-            .all(|(a, b)| a.approx_eq(*b, tol))
-    }
-
-    /// Comparison that ignores a global phase factor.
-    pub fn approx_eq_up_to_phase(&self, other: &Matrix4, tol: f64) -> bool {
-        match phase_between(
-            self.data.iter().flatten().copied(),
-            other.data.iter().flatten().copied(),
-            tol,
-        ) {
-            Some(phase) => self.approx_eq(&other.scale(phase), tol),
-            None => false,
-        }
-    }
-
-    /// Returns `true` when `self * self† ≈ I`.
-    pub fn is_unitary(&self, tol: f64) -> bool {
-        self.mul(&self.adjoint())
-            .approx_eq(&Matrix4::identity(), tol)
-    }
-
     /// Reinterprets the matrix with the two qubits exchanged (conjugation by
     /// SWAP). Useful for mapping little-endian conventions.
     pub fn swap_qubits(&self) -> Matrix4 {
@@ -320,28 +235,59 @@ impl Matrix4 {
     }
 }
 
-/// Finds the phase `p` such that `a ≈ p * b` when the two sequences differ by
-/// only a global phase; returns `None` when no reference entry is large
-/// enough to determine it.
-fn phase_between<I, J>(a: I, b: J, tol: f64) -> Option<C64>
-where
-    I: Iterator<Item = C64>,
-    J: Iterator<Item = C64>,
-{
-    let pairs: Vec<(C64, C64)> = a.zip(b).collect();
-    let (sa, sb) = pairs
-        .iter()
-        .max_by(|x, y| x.1.norm_sqr().partial_cmp(&y.1.norm_sqr()).unwrap())?;
-    if sb.abs() <= tol {
-        // Both matrices are (near) zero; any phase works.
-        return Some(C64::one());
-    }
-    Some(*sa / *sb)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The operations both sizes share, checked on a set of unitaries.
+    fn check_algebra<const N: usize>(unitaries: &[Matrix<N>]) {
+        let id = Matrix::<N>::identity();
+        for u in unitaries {
+            assert!(u.is_unitary(1e-12));
+            assert!(id.mul(u).approx_eq(u, 1e-12) && u.mul(&id).approx_eq(u, 1e-12));
+            assert_eq!(u.adjoint().adjoint(), *u);
+            assert_eq!(u.transpose().transpose(), *u);
+            for i in 0..N {
+                for j in 0..N {
+                    assert_eq!(u.transpose().get(i, j), u.get(j, i));
+                    assert_eq!(u.adjoint().get(i, j), u.get(j, i).conj());
+                }
+            }
+            assert!(u.scale(C64::exp_i(0.7)).approx_eq_up_to_phase(u, 1e-12));
+            for v in unitaries {
+                let uv = u.mul(v);
+                assert!(uv.is_unitary(1e-12));
+                assert!(uv
+                    .adjoint()
+                    .approx_eq(&v.adjoint().mul(&u.adjoint()), 1e-12));
+            }
+        }
+    }
+
+    #[test]
+    fn shared_algebra_holds_at_both_sizes() {
+        let (x, y, z, h) = (
+            Matrix2::pauli_x(),
+            Matrix2::pauli_y(),
+            Matrix2::pauli_z(),
+            Matrix2::hadamard(),
+        );
+        check_algebra(&[x, y, z, h, h.mul(&y)]);
+        let (cx, swap) = (Matrix4::cnot(), Matrix4::swap());
+        check_algebra(&[
+            cx,
+            swap,
+            h.kron(&y),
+            x.kron(&h).mul(&cx),
+            swap.mul(&z.kron(&h)),
+        ]);
+    }
+
+    #[test]
+    fn matrices_stay_unboxed_arrays() {
+        assert_eq!(std::mem::size_of::<Matrix2>(), 64);
+        assert_eq!(std::mem::size_of::<Matrix4>(), 256);
+    }
 
     #[test]
     fn pauli_matrices_square_to_identity() {
@@ -406,6 +352,10 @@ mod tests {
         assert!(m.approx_eq_up_to_phase(&phased, 1e-12));
         assert!(!m.approx_eq(&phased, 1e-12));
         assert!(!m.approx_eq_up_to_phase(&Matrix4::swap(), 1e-9));
+        // A scalar multiple whose modulus is not 1 is not a global phase.
+        let id = Matrix2::identity();
+        assert!(!id.approx_eq_up_to_phase(&id.scale(C64::real(2.0)), 1e-12));
+        assert!(!m.approx_eq_up_to_phase(&m.scale(C64::new(0.0, 0.5)), 1e-12));
     }
 
     #[test]

@@ -206,6 +206,7 @@ struct Expected {
 }
 
 /// Measurements from one load phase.
+#[derive(Default)]
 struct PhaseStats {
     latencies_ms: Vec<f64>,
     wall_seconds: f64,
@@ -214,6 +215,14 @@ struct PhaseStats {
 }
 
 impl PhaseStats {
+    /// Adds another pass's requests, errors and mismatches; the wall time
+    /// is the caller's to set.
+    fn merge(&mut self, other: PhaseStats) {
+        self.latencies_ms.extend(other.latencies_ms);
+        self.error_responses += other.error_responses;
+        self.mismatches += other.mismatches;
+    }
+
     fn requests(&self) -> usize {
         self.latencies_ms.len()
     }
@@ -281,12 +290,7 @@ fn build_expected(dir: &Path, device: &Device) -> Result<Vec<Expected>, String> 
 
 /// Runs one pass of the full corpus on the calling thread.
 fn run_corpus_pass(addr: &str, expected: &[Expected]) -> PhaseStats {
-    let mut stats = PhaseStats {
-        latencies_ms: Vec::new(),
-        wall_seconds: 0.0,
-        error_responses: 0,
-        mismatches: 0,
-    };
+    let mut stats = PhaseStats::default();
     for item in expected {
         let started = Instant::now();
         match client::post(addr, "/transpile", &item.source) {
@@ -319,12 +323,7 @@ fn run_corpus_pass(addr: &str, expected: &[Expected]) -> PhaseStats {
 /// round-trip the exact QASM bytes of the untraced reference — tracing is
 /// observational only, so any divergence counts as a mismatch.
 fn run_traced_pass(addr: &str, expected: &[Expected], tag: &str) -> PhaseStats {
-    let mut stats = PhaseStats {
-        latencies_ms: Vec::new(),
-        wall_seconds: 0.0,
-        error_responses: 0,
-        mismatches: 0,
-    };
+    let mut stats = PhaseStats::default();
     let started_pass = Instant::now();
     for (index, item) in expected.iter().enumerate() {
         let request_id = format!("{tag}-{index}-{}", item.name);
@@ -384,33 +383,17 @@ fn run_phase(
             let addr = addr.to_string();
             let expected = Arc::clone(&expected);
             std::thread::spawn(move || {
-                let mut merged = PhaseStats {
-                    latencies_ms: Vec::new(),
-                    wall_seconds: 0.0,
-                    error_responses: 0,
-                    mismatches: 0,
-                };
+                let mut merged = PhaseStats::default();
                 for _ in 0..rounds {
-                    let pass = run_corpus_pass(&addr, &expected);
-                    merged.latencies_ms.extend(pass.latencies_ms);
-                    merged.error_responses += pass.error_responses;
-                    merged.mismatches += pass.mismatches;
+                    merged.merge(run_corpus_pass(&addr, &expected));
                 }
                 merged
             })
         })
         .collect();
-    let mut total = PhaseStats {
-        latencies_ms: Vec::new(),
-        wall_seconds: 0.0,
-        error_responses: 0,
-        mismatches: 0,
-    };
+    let mut total = PhaseStats::default();
     for handle in handles {
-        let stats = handle.join().expect("client thread panicked");
-        total.latencies_ms.extend(stats.latencies_ms);
-        total.error_responses += stats.error_responses;
-        total.mismatches += stats.mismatches;
+        total.merge(handle.join().expect("client thread panicked"));
     }
     total.wall_seconds = started.elapsed().as_secs_f64();
     total

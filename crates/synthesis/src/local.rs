@@ -30,12 +30,6 @@ pub fn from_magic(u: &Matrix4) -> Matrix4 {
     b.mul(u).mul(&b.adjoint())
 }
 
-/// The Kronecker product `high ⊗ low`, with `high` acting on the more
-/// significant qubit (qubit 1 of the pair) and `low` on qubit 0.
-pub fn kron(high: &Matrix2, low: &Matrix2) -> Matrix4 {
-    high.kron(low)
-}
-
 /// Splits a 4×4 operator that is (numerically) a Kronecker product into its
 /// two 2×2 factors `(high, low)` with `high ⊗ low ≈ m`.
 ///
