@@ -9,6 +9,7 @@
 //! (little-endian), matching the gate-matrix convention where the first
 //! listed qubit of an instruction is least significant.
 
+use nassc_math::matrix::approx_eq_up_to_phase;
 use nassc_math::C64;
 
 use crate::circuit::QuantumCircuit;
@@ -35,29 +36,11 @@ impl CircuitUnitary {
         self.data[col * self.dim + row]
     }
 
-    /// Compares two unitaries entry-wise ignoring a global phase.
+    /// Compares two unitaries entry-wise ignoring a global phase (see
+    /// [`nassc_math::matrix::approx_eq_up_to_phase`]); unitaries of
+    /// different dimensions never match.
     pub fn approx_eq_up_to_phase(&self, other: &CircuitUnitary, tol: f64) -> bool {
-        if self.dim != other.dim {
-            return false;
-        }
-        // Find the largest entry of `other` to fix the phase.
-        let mut best = 0usize;
-        for (i, v) in other.data.iter().enumerate() {
-            if v.norm_sqr() > other.data[best].norm_sqr() {
-                best = i;
-            }
-        }
-        if other.data[best].abs() <= tol {
-            return self.data.iter().all(|v| v.abs() <= tol);
-        }
-        let phase = self.data[best] / other.data[best];
-        if (phase.abs() - 1.0).abs() > 1e-6 {
-            return false;
-        }
-        self.data
-            .iter()
-            .zip(other.data.iter())
-            .all(|(a, b)| a.approx_eq(*b * phase, tol))
+        approx_eq_up_to_phase(&self.data, &other.data, tol)
     }
 
     /// Reorders the *output* wires of the unitary according to `perm`, where

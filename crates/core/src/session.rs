@@ -895,13 +895,17 @@ impl Transpiler {
     /// catch boundary. The answers are already valid, so a panic while
     /// memoizing is swallowed here. It poisons the session lock (the fills
     /// run under it) and the next `lock()` recovers by resetting the caches
-    /// — requests keep succeeding, just cold.
+    /// — requests keep succeeding, just cold. With nothing to fill, as on
+    /// every stored hit, it neither opens its span nor takes the lock.
     fn commit<'a, A: 'a>(&self, fills: impl IntoIterator<Item = (&'a ResolvedJob<A>, Slot)>) {
         let _ = catch_unwind(AssertUnwindSafe(|| {
-            let _span = nassc_trace::span!("commit");
             // The fills are built before taking the lock: copying a large
             // result takes milliseconds, and every `resolve` waits on the lock.
             let fills: Vec<_> = fills.into_iter().collect();
+            if fills.is_empty() {
+                return;
+            }
+            let _span = nassc_trace::span!("commit");
             let mut state = self.lock();
             nassc_circuit::failpoints::hit("cache_commit");
             for (job, slot) in fills {

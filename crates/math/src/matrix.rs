@@ -3,7 +3,9 @@
 //! The quantum stack manipulates only one- and two-qubit operators, so one
 //! stack-allocated `N×N` type serves both sizes: every operation they share
 //! is written once for [`Matrix<N>`], and what only one size has lives on
-//! its alias, [`Matrix2`] or [`Matrix4`].
+//! its alias, [`Matrix2`] or [`Matrix4`]. The global-phase rule,
+//! [`global_phase`] and [`approx_eq_up_to_phase`], works on entry slices, so
+//! whole-circuit unitaries of any size share it.
 
 use crate::complex::C64;
 
@@ -60,6 +62,11 @@ impl<const N: usize> Matrix<N> {
     /// Mutable element access.
     pub fn set(&mut self, row: usize, col: usize, value: C64) {
         self.data[row][col] = value;
+    }
+
+    /// The entries, row by row.
+    pub fn entries(&self) -> &[C64] {
+        self.data.as_flattened()
     }
 
     /// Matrix product `self * rhs`.
@@ -119,29 +126,51 @@ impl<const N: usize> Matrix<N> {
     }
 
     /// Comparison that ignores a global phase factor: `self ≈ p · other`
-    /// for some `p` of modulus 1.
-    ///
-    /// The phase is read off the largest entry of `other`; a ratio whose
-    /// modulus is more than 1e-6 from 1 is a scaling, not a phase.
+    /// for some `p` of modulus 1 (see [`approx_eq_up_to_phase`]).
     pub fn approx_eq_up_to_phase(&self, other: &Self, tol: f64) -> bool {
-        let largest = self
-            .data
-            .iter()
-            .flatten()
-            .zip(other.data.iter().flatten())
-            .max_by(|x, y| x.1.norm_sqr().partial_cmp(&y.1.norm_sqr()).unwrap());
-        let Some((a, b)) = largest else {
-            return true;
-        };
-        // When `other` is (near) zero, any phase works.
-        let phase = if b.abs() <= tol { C64::one() } else { *a / *b };
-        (phase.abs() - 1.0).abs() <= 1e-6 && self.approx_eq(&other.scale(phase), tol)
+        approx_eq_up_to_phase(self.entries(), other.entries(), tol)
     }
 
     /// Returns `true` when `self * self† ≈ I`.
     pub fn is_unitary(&self, tol: f64) -> bool {
         self.mul(&self.adjoint()).approx_eq(&Self::identity(), tol)
     }
+}
+
+/// The global phase `p` with `target ≈ p · reference`, for two matrices'
+/// entries listed in the same order: the ratio of the entries where
+/// `reference` has its largest one (the first of equals; a NaN entry is
+/// never the largest). A reference whose largest entry is within `tol` of
+/// zero, or that has none, gives phase 1.
+pub fn global_phase(target: &[C64], reference: &[C64], tol: f64) -> C64 {
+    let mut largest = None;
+    let mut largest_norm = -1.0;
+    for (&a, &b) in target.iter().zip(reference) {
+        if b.norm_sqr() > largest_norm {
+            largest = Some((a, b));
+            largest_norm = b.norm_sqr();
+        }
+    }
+    match largest {
+        Some((a, b)) if b.abs() > tol => a / b,
+        _ => C64::one(),
+    }
+}
+
+/// Whether `target ≈ p · reference` entry-wise within `tol`, `p` being the
+/// [`global_phase`] between them. A `p` whose modulus is more than 1e-6
+/// from 1 is a scaling, not a phase, and slices of different lengths never
+/// match.
+pub fn approx_eq_up_to_phase(target: &[C64], reference: &[C64], tol: f64) -> bool {
+    if target.len() != reference.len() {
+        return false;
+    }
+    let phase = global_phase(target, reference, tol);
+    (phase.abs() - 1.0).abs() <= 1e-6
+        && target
+            .iter()
+            .zip(reference)
+            .all(|(a, b)| a.approx_eq(*b * phase, tol))
 }
 
 impl Matrix2 {
@@ -356,6 +385,51 @@ mod tests {
         let id = Matrix2::identity();
         assert!(!id.approx_eq_up_to_phase(&id.scale(C64::real(2.0)), 1e-12));
         assert!(!m.approx_eq_up_to_phase(&m.scale(C64::new(0.0, 0.5)), 1e-12));
+    }
+
+    /// One rule for every size: 2×2, 4×4 and 8×8 unitaries as entry slices.
+    #[test]
+    fn the_phase_rule_holds_on_2x2_4x4_and_8x8_entries() {
+        let h = Matrix2::hadamard();
+        let hycx = h.kron(&Matrix2::pauli_y()).mul(&Matrix4::cnot());
+        // H ⊗ hycx, row-major.
+        let eight: Vec<C64> = (0..64)
+            .map(|k| {
+                let (row, col) = (k / 8, k % 8);
+                h.get(row / 4, col / 4) * hycx.get(row % 4, col % 4)
+            })
+            .collect();
+        let p = C64::exp_i(0.7);
+        for entries in [h.entries().to_vec(), hycx.entries().to_vec(), eight] {
+            let phased: Vec<C64> = entries.iter().map(|&e| e * p).collect();
+            assert!(global_phase(&phased, &entries, 1e-12).approx_eq(p, 1e-12));
+            assert!(approx_eq_up_to_phase(&phased, &entries, 1e-12));
+            assert!(approx_eq_up_to_phase(&entries, &phased, 1e-12));
+            // A scaled reference is not a phase away, in either direction.
+            let scaled: Vec<C64> = entries.iter().map(|&e| e * 2.0).collect();
+            assert!(!approx_eq_up_to_phase(&entries, &scaled, 1e-12));
+            assert!(!approx_eq_up_to_phase(&scaled, &entries, 1e-12));
+            // A NaN entry is never the largest, and never matches.
+            let mut broken = entries.clone();
+            broken[0] = C64::new(f64::NAN, 0.0);
+            assert!(global_phase(&phased, &broken, 1e-12).approx_eq(p, 1e-12));
+            assert!(!approx_eq_up_to_phase(&entries, &broken, 1e-12));
+            assert!(!approx_eq_up_to_phase(&broken, &entries, 1e-12));
+            // A near-zero reference compares at phase 1.
+            let tiny = vec![C64::real(1e-13); entries.len()];
+            let zero = vec![C64::zero(); entries.len()];
+            assert_eq!(global_phase(&entries, &tiny, 1e-12), C64::one());
+            assert!(approx_eq_up_to_phase(&tiny, &zero, 1e-12));
+            assert!(approx_eq_up_to_phase(&zero, &tiny, 1e-12));
+            assert!(!approx_eq_up_to_phase(&entries, &tiny, 1e-12));
+            assert!(!approx_eq_up_to_phase(&entries, &entries[1..], 1e-12));
+        }
+        // The first of equal largest entries sets the phase.
+        let diagonal = [C64::i(), C64::zero(), C64::zero(), C64::real(-1.0)];
+        assert_eq!(
+            global_phase(&diagonal, Matrix2::identity().entries(), 1e-12),
+            C64::i()
+        );
     }
 
     #[test]

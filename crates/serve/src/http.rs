@@ -283,7 +283,6 @@ pub fn reason(status: u16) -> &'static str {
         429 => "Too Many Requests",
         431 => "Request Header Fields Too Large",
         500 => "Internal Server Error",
-        503 => "Service Unavailable",
         504 => "Gateway Timeout",
         _ => "Unknown",
     }

@@ -7,11 +7,11 @@
 //!
 //! ```text
 //!   acceptor (blocking accept: each connection is queued on arrival)
-//!      │  try_push            ── full → 429 written by the acceptor; the
+//!      │  try_send            ── full → 429 written by the acceptor; the
 //!      │                         linger thread reads to the client's EOF
 //!      ▼
-//!   BoundedQueue<Conn>        ── backpressure valve (queue_depth)
-//!      │  pop (blocking)
+//!   sync_channel<Conn>        ── backpressure valve (queue_depth)
+//!      │  recv (blocking)
 //!      ▼
 //!   N handler workers         ── deadline check → 504 before transpiling
 //!      │                         /transpile → qasm::parse, admission checks,
@@ -76,8 +76,9 @@
 //! takes the next connection — the daemon never loses serving capacity.
 //!
 //! Shutdown is graceful: SIGINT/SIGTERM (or [`ShutdownHandle::shutdown`])
-//! stops the acceptor, closes the queue, lets the workers drain in-flight
-//! requests, and joins them before [`Server::run`] returns. The acceptor
+//! stops the acceptor, whose end of the queue drops and closes it; the
+//! workers drain the queued requests, and [`Server::run`] joins them before
+//! it returns. The acceptor
 //! blocks in `accept` with no timer, so a shutdown wakes it with a loopback
 //! connection to the bound port; a signal watcher thread does the same on
 //! SIGINT/SIGTERM (see [`signal`]).
@@ -90,13 +91,12 @@
 pub mod client;
 pub mod http;
 pub mod metrics;
-pub mod queue;
 pub mod signal;
 
 use std::io::{BufRead, BufReader, Read};
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -107,7 +107,6 @@ use nassc::{Device, ErrorKind, RouterKind, TranspileOptions, Transpiler};
 
 use http::{read_request, HttpError, Request, Response};
 use metrics::ServerMetrics;
-use queue::{BoundedQueue, PushError};
 
 /// Largest accepted request body (QASM source), in bytes.
 pub const MAX_BODY_BYTES: usize = 4 * 1024 * 1024;
@@ -161,7 +160,8 @@ pub struct ServeConfig {
     /// Handler worker threads. `0` is allowed (nothing drains the queue) so
     /// tests can provoke deterministic 429s; the binary enforces `>= 1`.
     pub workers: usize,
-    /// Bounded queue capacity — connections beyond it are answered 429.
+    /// Bounded queue capacity (at least 1) — connections beyond it are
+    /// answered 429.
     pub queue_depth: usize,
     /// Default per-request deadline (queue wait), overridable per request
     /// via `?timeout-ms=` or the `x-timeout-ms` header.
@@ -204,7 +204,10 @@ struct Conn {
 struct Shared {
     /// One session per device, found by `session.device().name()`.
     sessions: Vec<Transpiler>,
-    queue: BoundedQueue<Conn>,
+    /// Connections in the queue: counted up before each `try_send`, down on
+    /// a refusal or a `recv`.
+    queue_depth: AtomicUsize,
+    queue_capacity: usize,
     metrics: Mutex<ServerMetrics>,
     default_timeout_ms: u64,
     workers: usize,
@@ -305,7 +308,8 @@ impl Server {
             addr,
             shared: Shared {
                 sessions,
-                queue: BoundedQueue::new(config.queue_depth),
+                queue_depth: AtomicUsize::new(0),
+                queue_capacity: config.queue_depth.max(1),
                 metrics: Mutex::new(ServerMetrics::default()),
                 default_timeout_ms: config.default_timeout_ms,
                 workers: config.workers,
@@ -342,33 +346,33 @@ impl Server {
     /// is requested (via [`ShutdownHandle`] or SIGINT/SIGTERM), then closes
     /// the queue, drains in-flight requests and joins the workers.
     pub fn run(self) {
+        let (queue, queued) = sync_channel(self.shared.queue_capacity);
+        let queued = Mutex::new(queued);
         // The scope joins every daemon thread: the handler workers end once
         // the queue is closed and drained, and the linger thread once the
         // acceptor's sender is gone and the connections it holds are done.
+        // The scope owns the queue's sender, so the queue closes when the
+        // acceptor returns, or as a failed spawn's panic unwinds the scope.
         std::thread::scope(|scope| {
             for index in 0..self.shared.workers {
                 let spawned = std::thread::Builder::new()
                     .name(format!("nassc-serve-worker-{index}"))
-                    .spawn_scoped(scope, || worker_loop(&self.shared));
+                    .spawn_scoped(scope, || worker_loop(&self.shared, &queued));
                 if let Err(error) = spawned {
-                    // The workers already running block in `pop` until the
-                    // queue closes; the scope would wait on them forever.
-                    self.shared.queue.close();
                     panic!("spawning handler worker: {error}");
                 }
             }
             let watcher = scope.spawn(|| watch_signals(&self.shutdown));
             let (linger, lingering) = sync_channel(LINGER_BACKLOG);
             scope.spawn(move || linger_loop(lingering));
-            self.accept_until_shutdown(&linger);
+            self.accept_until_shutdown(queue, &linger);
             watcher.thread().unpark();
-            self.shared.queue.close();
         });
     }
 
     /// Blocks in `accept` and queues each connection as it arrives, until
-    /// shutdown is requested.
-    fn accept_until_shutdown(&self, linger: &SyncSender<Lingering>) {
+    /// shutdown is requested; returning drops `queue`, which closes it.
+    fn accept_until_shutdown(&self, queue: SyncSender<Conn>, linger: &SyncSender<Lingering>) {
         loop {
             let accepted = self.listener.accept();
             // A shutdown wakes the blocked `accept` with a connection of its
@@ -385,15 +389,13 @@ impl Server {
                 stream,
                 accepted_at: Instant::now(),
             };
-            match self.shared.queue.try_push(conn) {
-                Ok(()) => {}
-                Err(PushError::Full(conn)) => {
-                    lock_metrics(&self.shared).rejected_busy += 1;
-                    reject(&self.shared, linger, conn.stream, 429, "queue full");
-                }
-                Err(PushError::Closed(conn)) => {
-                    reject(&self.shared, linger, conn.stream, 503, "shutting down");
-                }
+            // The workers' receiver outlives the acceptor, so a refused send
+            // means a full queue.
+            self.shared.queue_depth.fetch_add(1, Ordering::Relaxed);
+            if let Err(TrySendError::Full(conn)) = queue.try_send(conn) {
+                self.shared.queue_depth.fetch_sub(1, Ordering::Relaxed);
+                lock_metrics(&self.shared).rejected_busy += 1;
+                reject(&self.shared, linger, conn.stream, 429, "queue full");
             }
         }
     }
@@ -441,8 +443,8 @@ fn lock_metrics(shared: &Shared) -> std::sync::MutexGuard<'_, ServerMetrics> {
         .unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Writes a bare error response from the acceptor (load shedding and
-/// shutdown refusals never reach the queue).
+/// Writes a bare error response from the acceptor (a shed connection never
+/// reaches the queue).
 fn reject(
     shared: &Shared,
     linger: &SyncSender<Lingering>,
@@ -479,8 +481,16 @@ fn reject(
 /// and is counted; the worker then takes the next one. Unwinding past the
 /// shared state is sound: its locks recover from poison and its counters
 /// are monotone.
-fn worker_loop(shared: &Shared) {
-    while let Some(conn) = shared.queue.pop() {
+fn worker_loop(shared: &Shared, queue: &Mutex<Receiver<Conn>>) {
+    loop {
+        // The guard drops at the end of this statement: one worker waits in
+        // `recv` at a time, and none holds the lock while serving. Nothing
+        // under the lock panics, so recovering from poison is sound.
+        let received = queue.lock().unwrap_or_else(PoisonError::into_inner).recv();
+        let Ok(conn) = received else {
+            return;
+        };
+        shared.queue_depth.fetch_sub(1, Ordering::Relaxed);
         let served = std::panic::catch_unwind(AssertUnwindSafe(|| handle_connection(shared, conn)));
         if served.is_err() {
             shared.worker_restarts.fetch_add(1, Ordering::Relaxed);
@@ -913,8 +923,8 @@ fn metrics_json(shared: &Shared) -> String {
         shared.started.elapsed().as_secs_f64(),
         shared.started_at_epoch_seconds,
         nassc::trace::events_dropped_total(),
-        shared.queue.len(),
-        shared.queue.capacity(),
+        shared.queue_depth.load(Ordering::Relaxed),
+        shared.queue_capacity,
         shared.workers,
         statuses.join(","),
         metrics.total_responses(),
@@ -974,8 +984,11 @@ fn metrics_prometheus(shared: &Shared) -> String {
         "trace_events_dropped",
         nassc::trace::events_dropped_total().to_string(),
     );
-    gauge("queue_depth", shared.queue.len().to_string());
-    gauge("queue_capacity", shared.queue.capacity().to_string());
+    gauge(
+        "queue_depth",
+        shared.queue_depth.load(Ordering::Relaxed).to_string(),
+    );
+    gauge("queue_capacity", shared.queue_capacity.to_string());
     gauge("handler_workers", shared.workers.to_string());
     gauge("rejected_busy_total", metrics.rejected_busy.to_string());
     gauge(

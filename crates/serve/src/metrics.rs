@@ -2,16 +2,17 @@
 //!
 //! The histogram uses fixed log-spaced millisecond buckets so `/metrics` can
 //! report p50/p99 without storing every sample. Quantiles are read from the
-//! bucket upper bounds — coarse, but monotone and constant-memory, which is
-//! what a long-running daemon wants.
+//! bucket upper bounds, capped at the largest sample — coarse, but monotone
+//! and constant-memory, which is what a long-running daemon wants.
 
 use std::collections::BTreeMap;
 
-/// Upper bounds (milliseconds) of the histogram buckets; a final implicit
-/// overflow bucket catches everything above the last bound.
-const BUCKET_BOUNDS_MS: [f64; 16] = [
-    0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0, 2000.0, 5000.0, 10000.0,
-    20000.0, 60000.0,
+/// Upper bounds (milliseconds) of the histogram buckets, 1-2-5 steps from
+/// 5 µs (a stored hit takes a few µs of server time) to 60 s; a final
+/// implicit overflow bucket catches everything above the last bound.
+const BUCKET_BOUNDS_MS: [f64; 22] = [
+    0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0,
+    1000.0, 2000.0, 5000.0, 10000.0, 20000.0, 60000.0,
 ];
 
 /// A fixed-bucket latency histogram over milliseconds.
@@ -96,9 +97,9 @@ impl LatencyHistogram {
             .collect()
     }
 
-    /// The upper bound of the bucket holding quantile `q` in `[0, 1]` —
-    /// an upper estimate of the true quantile (the exact max for the
-    /// overflow bucket). Returns 0 when empty.
+    /// The upper bound of the bucket holding quantile `q` in `[0, 1]`,
+    /// capped at the largest sample — an upper estimate of the true quantile
+    /// that never exceeds [`max_ms`](Self::max_ms). Returns 0 when empty.
     pub fn quantile_ms(&self, q: f64) -> f64 {
         if self.total == 0 {
             return 0.0;
@@ -108,7 +109,8 @@ impl LatencyHistogram {
         for (bucket, &count) in self.counts.iter().enumerate() {
             seen += count;
             if seen >= rank {
-                return BUCKET_BOUNDS_MS.get(bucket).copied().unwrap_or(self.max_ms);
+                let bound = BUCKET_BOUNDS_MS.get(bucket).copied();
+                return bound.map_or(self.max_ms, |bound| bound.min(self.max_ms));
             }
         }
         self.max_ms
@@ -117,6 +119,12 @@ impl LatencyHistogram {
 
 /// Mutable counters shared by the acceptor and the handler workers
 /// (guarded by one mutex in the server).
+///
+/// Both latency histograms share one bucket layout: 0.005, 0.01, 0.02,
+/// 0.05, 0.1 and 0.2 ms, then 0.5 ms in 1-2-5 steps to 20 s, then 60 s and
+/// an overflow bucket. A stored hit (a few µs of server time, ≈ 10 µs of
+/// queue wait) lands in the first buckets, and every reported quantile is
+/// capped at the histogram's `max_ms`.
 #[derive(Debug, Default, Clone)]
 pub struct ServerMetrics {
     /// Completed responses by HTTP status code (includes errors).
@@ -176,12 +184,34 @@ mod tests {
         for _ in 0..99 {
             h.record(3.0); // bucket bound 5.0
         }
-        h.record(150.0); // bucket bound 200.0
+        h.record(150.0); // bucket bound 200.0, capped at the max
         assert_eq!(h.count(), 100);
         assert_eq!(h.quantile_ms(0.5), 5.0);
         assert_eq!(h.quantile_ms(0.99), 5.0);
-        assert_eq!(h.quantile_ms(1.0), 200.0);
+        assert_eq!(h.quantile_ms(1.0), 150.0);
         assert_eq!(h.max_ms(), 150.0);
+    }
+
+    /// A stored hit's few microseconds land in the first bucket, and no
+    /// quantile reads above the largest sample.
+    #[test]
+    fn microsecond_samples_resolve_and_quantiles_stay_under_the_max() {
+        let mut h = LatencyHistogram::new();
+        h.record(0.004);
+        assert!(h.quantile_ms(0.5) <= 0.005, "{}", h.quantile_ms(0.5));
+        for sample in [0.012, 0.3, 7.0] {
+            h.record(sample);
+            for q in [0.0, 0.5, 0.99, 1.0] {
+                assert!(
+                    h.quantile_ms(q) <= h.max_ms(),
+                    "q {q}: {}",
+                    h.quantile_ms(q)
+                );
+            }
+        }
+        assert_eq!(h.quantile_ms(0.25), 0.005);
+        assert_eq!(h.quantile_ms(0.5), 0.02);
+        assert_eq!(h.quantile_ms(1.0), 7.0);
     }
 
     #[test]
@@ -197,7 +227,7 @@ mod tests {
         h.record(-4.0);
         h.record(f64::NAN);
         assert_eq!(h.count(), 2);
-        assert_eq!(h.quantile_ms(1.0), 0.5);
+        assert_eq!(h.quantile_ms(1.0), 0.0);
         assert_eq!(h.max_ms(), 0.0);
     }
 
@@ -210,7 +240,7 @@ mod tests {
         let buckets = h.buckets();
         assert_eq!(buckets.len(), BUCKET_BOUNDS_MS.len() + 1);
         assert_eq!(buckets.iter().map(|(_, c)| c).sum::<u64>(), h.count());
-        assert_eq!(buckets[3], (5.0, 2));
+        assert_eq!(buckets[9], (5.0, 2));
         let (last_bound, last_count) = buckets[buckets.len() - 1];
         assert!(last_bound.is_infinite());
         assert_eq!(last_count, 1);

@@ -278,6 +278,41 @@ fn cache_commit_panic_poisons_the_session_and_recovery_resets_caches() {
     stop();
 }
 
+/// A stored hit has no slot to fill, so it commits nothing: a `cache_commit`
+/// panic armed for it never fires, and the session keeps its caches.
+#[test]
+fn a_stored_hit_commits_nothing_and_keeps_the_caches() {
+    let _session = failpoint_session();
+    let (addr, stop) = boot(config(1));
+
+    // Cold, then the replay that stores its text.
+    for _ in 0..2 {
+        let response = client::post(&addr, "/transpile", BELL).expect("warm-up");
+        assert_eq!(response.status, 200, "body: {}", response.body);
+    }
+    arm("cache_commit", Action::Panic, 1.0);
+    let injected_before = total_injections();
+    let stored = client::post(&addr, "/transpile", BELL).expect("stored hit");
+    let injected = total_injections() - injected_before;
+    disarm_all();
+    assert_eq!(stored.status, 200, "body: {}", stored.body);
+    assert_eq!(injected, 0, "a stored hit reached the commit failpoint");
+
+    // Still a stored hit: the distance, prepared and layout caches all hit.
+    let again = client::post(&addr, "/transpile", BELL).expect("after the hit");
+    assert_eq!(again.status, 200, "body: {}", again.body);
+    assert_eq!(again.body, stored.body);
+    assert_eq!(again.header("x-cache-hits"), Some("3"));
+    assert_eq!(again.header("x-cache-misses"), Some("0"));
+    let metrics = client::get(&addr, "/metrics").expect("metrics");
+    assert!(
+        metrics.body.contains("\"cache_resets\":0"),
+        "metrics: {}",
+        metrics.body
+    );
+    stop();
+}
+
 #[test]
 fn five_percent_chaos_contains_every_fault_and_recovers_bit_identically() {
     let _session = failpoint_session();
@@ -295,7 +330,9 @@ fn five_percent_chaos_contains_every_fault_and_recovers_bit_identically() {
         .collect();
 
     // Arm the pipeline sites at a 5% fault rate (plus slow trials and the
-    // occasional worker death) and sweep.
+    // occasional worker death) and sweep. Each round asks for a new seed, so
+    // it searches a layout, routes and commits its winner: a repeat would be
+    // a stored hit, which reaches none of those sites.
     let injected_before = total_injections();
     arm("route_step", Action::Panic, 0.05);
     arm(
@@ -309,7 +346,8 @@ fn five_percent_chaos_contains_every_fault_and_recovers_bit_identically() {
     let mut dropped = 0u32;
     for round in 0..30 {
         let (_, source) = circuits[round % circuits.len()];
-        match client::post(&addr, "/transpile?timeout-ms=30000", source) {
+        let path = format!("/transpile?timeout-ms=30000&seed={}", 100 + round);
+        match client::post(&addr, &path, source) {
             Ok(response) => statuses.push(response.status),
             // A worker died mid-request (handler site): contained — the
             // connection drops but the daemon keeps serving.

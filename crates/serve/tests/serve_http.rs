@@ -252,17 +252,104 @@ fn deeply_nested_expression_is_a_parse_error_and_the_daemon_survives() {
 #[test]
 fn full_queue_sheds_load_with_429() {
     // No workers: nothing drains the queue, so with depth 1 the second
-    // connection must be rejected by the acceptor.
-    let (addr, stop) = boot(ServeConfig {
-        workers: 0,
-        queue_depth: 1,
+    // connection must be rejected by the acceptor. Depth 0 is clamped to 1,
+    // so there too the first connection is queued, not refused.
+    for queue_depth in [1, 0] {
+        let (addr, stop) = boot(ServeConfig {
+            workers: 0,
+            queue_depth,
+            ..default_config()
+        });
+        let parked = TcpStream::connect(&addr).expect("first connection");
+        let rejected = client::post(&addr, "/transpile", BELL).expect("second connection");
+        assert_eq!(rejected.status, 429, "queue_depth {queue_depth}");
+        // The acceptor takes connections in arrival order, so a refusal of
+        // the first would already be waiting on its socket.
+        parked
+            .set_read_timeout(Some(Duration::from_millis(100)))
+            .expect("read timeout");
+        let mut byte = [0u8; 1];
+        let unanswered = parked.peek(&mut byte).is_err();
+        assert!(
+            unanswered,
+            "queue_depth {queue_depth}: first connection answered"
+        );
+        stop();
+    }
+}
+
+/// Queued connections reach the worker in arrival order, and a shutdown
+/// still serves them. The only worker holds a request whose body has not
+/// arrived (its `100 Continue` shows the worker took it), two requests fill
+/// the queue behind it (a third is shed with 429) and the server is told to
+/// stop. Once the body arrives, all three are served, and their
+/// server-assigned request ids rise in the order they connected.
+#[test]
+fn queued_connections_drain_in_arrival_order_after_shutdown() {
+    let server = Server::bind(ServeConfig {
+        workers: 1,
+        queue_depth: 2,
         ..default_config()
-    });
-    let _parked = TcpStream::connect(&addr).expect("first connection");
-    std::thread::sleep(Duration::from_millis(100)); // let the acceptor queue it
-    let rejected = client::post(&addr, "/transpile", BELL).expect("second connection");
-    assert_eq!(rejected.status, 429);
-    stop();
+    })
+    .expect("bind");
+    let addr = server.local_addr().to_string();
+    let shutdown = server.shutdown_handle();
+    let running = std::thread::spawn(move || server.run());
+
+    let mut busy = TcpStream::connect(&addr).expect("busy connection");
+    busy.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    let head = format!(
+        "POST /transpile HTTP/1.1\r\nhost: {addr}\r\nexpect: 100-continue\r\n\
+         content-length: {}\r\n\r\n",
+        BELL.len()
+    );
+    busy.write_all(head.as_bytes()).expect("send the head");
+    let mut interim = [0u8; 25];
+    busy.read_exact(&mut interim).expect("100 Continue");
+    assert_eq!(&interim, b"HTTP/1.1 100 Continue\r\n\r\n");
+
+    let queued: Vec<TcpStream> = (0..2)
+        .map(|_| {
+            let mut stream = TcpStream::connect(&addr).expect("queued connection");
+            let request = format!("GET /health HTTP/1.1\r\nhost: {addr}\r\n\r\n");
+            stream.write_all(request.as_bytes()).expect("send request");
+            stream
+        })
+        .collect();
+    // The acceptor takes connections in arrival order, so a 429 for the
+    // next one means the two before it fill the queue.
+    let shed = client::get(&addr, "/health").expect("shed request");
+    assert_eq!(shed.status, 429, "body: {}", shed.body);
+    shutdown.shutdown();
+    busy.write_all(BELL.as_bytes()).expect("send the body");
+
+    let ids: Vec<u64> = std::iter::once(busy)
+        .chain(queued)
+        .map(|mut stream| {
+            stream
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .expect("read timeout");
+            let mut response = String::new();
+            stream
+                .read_to_string(&mut response)
+                .expect("read the response");
+            assert!(
+                response.starts_with("HTTP/1.1 200"),
+                "response: {response:?}"
+            );
+            let id = response
+                .lines()
+                .find_map(|line| line.strip_prefix("X-Request-Id: serve-"))
+                .unwrap_or_else(|| panic!("no server-assigned id: {response:?}"));
+            id.trim().parse().expect("numeric request id")
+        })
+        .collect();
+    assert!(
+        ids.windows(2).all(|pair| pair[0] < pair[1]),
+        "ids in connect order: {ids:?}"
+    );
+    running.join().expect("server thread");
 }
 
 /// The shed client sends its request only after the 429 has arrived, in two

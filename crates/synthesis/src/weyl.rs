@@ -23,6 +23,7 @@
 //! for bit.
 
 use nassc_math::eigen::{jacobi_eigen, RealMatrix};
+use nassc_math::matrix::global_phase;
 use nassc_math::{Matrix2, Matrix4, C64};
 use std::f64::consts::{FRAC_PI_2, FRAC_PI_4, PI};
 use std::fmt;
@@ -145,19 +146,7 @@ impl WeylDecomposition {
     fn fix_phase(&mut self, original: &Matrix4) -> Result<(), DecomposeUnitaryError> {
         self.phase = 0.0;
         let rebuilt = self.reconstruct();
-        // Find the largest entry to estimate the phase.
-        let mut best = (0, 0);
-        let mut best_norm = -1.0;
-        for r in 0..4 {
-            for c in 0..4 {
-                if rebuilt.get(r, c).norm_sqr() > best_norm {
-                    best_norm = rebuilt.get(r, c).norm_sqr();
-                    best = (r, c);
-                }
-            }
-        }
-        let ratio = original.get(best.0, best.1) / rebuilt.get(best.0, best.1);
-        self.phase = ratio.arg();
+        self.phase = global_phase(original.entries(), rebuilt.entries(), 1e-6).arg();
         let adjusted = self.reconstruct();
         if adjusted.approx_eq(original, 1e-6) {
             Ok(())

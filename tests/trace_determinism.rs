@@ -195,6 +195,15 @@ fn a_stored_hit_records_no_routing_or_pass_spans() {
     assert_eq!(report.span_count("decompose"), 2, "cold + warm");
     assert_eq!(report.span_count("route_from"), 1, "warm");
     assert_eq!(report.counter_total("cache.layout_hit"), 2);
+
+    // A stored hit resolves and runs its job, and has nothing to commit.
+    nassc::trace::enable();
+    session.transpile(&circuit).expect("stored hit");
+    let report = nassc::trace::take_report();
+    nassc::trace::disable();
+    assert_eq!(report.span_count("resolve"), 1);
+    assert_eq!(report.span_count("job"), 1);
+    assert_eq!(report.span_count("commit"), 0);
 }
 
 /// The `items` annotation of every `pool_batch` span in `report`.
