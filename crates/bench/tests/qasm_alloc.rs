@@ -8,13 +8,14 @@
 //! included. An export writes into one buffer sized for its text: it
 //! allocates exactly the returned `String`'s capacity, with no growth and
 //! no temporaries. A stored hit through `Transpiler::transpile_to_qasm`
-//! shares the text its session keeps, so what it allocates does not grow
-//! with the circuit.
+//! is found by its source text and shares the answer text its session
+//! keeps, so it parses nothing, and what it allocates does not grow with
+//! the circuit.
 
 use std::path::Path;
 
 use nassc::qasm;
-use nassc::{Device, TranspileOptions, Transpiler};
+use nassc::{Device, Limits, TranspileOptions, Transpiler};
 use nassc_bench::alloc::{self, CountingAlloc};
 
 #[global_allocator]
@@ -84,25 +85,33 @@ fn a_stored_qasm_hit_allocates_nothing_per_gate() {
     let session = Transpiler::new(Device::montreal(), TranspileOptions::new());
     let options = session.options().clone();
     let corpus = corpus();
-    // The text of `name`'s result, and what its third request allocated
-    // (a cold request, then the replay that stores the result and its text).
-    let stored_hit = |name: &str| {
+    let source = |name: &str| {
         let (_, source) = corpus.iter().find(|(file, _)| file == name).expect(name);
-        let circuit = qasm::parse(source).unwrap_or_else(|e| panic!("{name}: {e}"));
-        for _ in 0..2 {
-            session.transpile_to_qasm(&circuit, &options).expect(name);
-        }
-        let (hit, bytes) = allocated(|| session.transpile_to_qasm(&circuit, &options));
-        (hit.expect(name).qasm.len(), bytes)
+        source.as_str()
     };
-    let (_, bell_bytes) = stored_hit("bell_n2");
-    let (vqe_text, vqe_bytes) = stored_hit("vqe_n8");
+    // What `name`'s third request allocated. The first runs cold; the
+    // second parses, finds the prepared entry, indexes its text, and
+    // replays and stores the answer; the third is found by its text.
+    let text_hit = |name: &str| {
+        for _ in 0..2 {
+            let out = session.transpile_to_qasm(source(name), &options, Limits::default());
+            out.expect(name);
+        }
+        let hit = || session.transpile_to_qasm(source(name), &options, Limits::default());
+        let (hit, bytes) = allocated(hit);
+        (hit.expect(name).cache.hits(), bytes)
+    };
+    let (bell_hits, bell_bytes) = text_hit("bell_n2");
+    let (vqe_hits, vqe_bytes) = text_hit("vqe_n8");
+    assert_eq!((bell_hits, vqe_hits), (3, 3), "both hits are stored hits");
     assert_eq!(
         bell_bytes, vqe_bytes,
-        "a stored hit allocated {bell_bytes} bytes for bell_n2 and {vqe_bytes} for vqe_n8"
+        "a text hit allocated {bell_bytes} bytes for bell_n2 and {vqe_bytes} for vqe_n8"
     );
+    let (parsed, parse_bytes) = allocated(|| qasm::parse(source("bell_n2")));
+    parsed.expect("bell_n2 parses");
     assert!(
-        vqe_bytes < vqe_text as u64,
-        "a stored hit allocated {vqe_bytes} bytes, not less than vqe_n8's {vqe_text}-byte text"
+        vqe_bytes < parse_bytes,
+        "a text hit allocated {vqe_bytes} bytes, not less than bell_n2's parse ({parse_bytes})"
     );
 }

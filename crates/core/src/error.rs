@@ -13,8 +13,8 @@
 //!
 //! Service front ends should branch on [`Error::kind`], the stable
 //! classification, rather than on display strings: the daemon derives its
-//! HTTP statuses from it (parse → 400, too wide → 422, pass/internal → 500,
-//! deadline → 504).
+//! HTTP statuses from it (parse → 400, too wide or over the admission
+//! limits → 422, pass/internal → 500, deadline → 504).
 //!
 //! Two kinds exist for fault containment rather than for ordinary failures:
 //! [`Error::Internal`] is what the session's `catch_unwind` boundary turns a
@@ -41,6 +41,9 @@ pub enum ErrorKind {
     /// The circuit parsed but needs more qubits than the device has
     /// (caller's fault, but well-formed: unprocessable → HTTP 422).
     TooWide,
+    /// The circuit parsed but is over the caller's admission limits
+    /// (refused before any work: unprocessable → HTTP 422).
+    Limits,
     /// An optimization or layout pass failed (our fault: internal error →
     /// HTTP 500).
     Pass,
@@ -66,6 +69,17 @@ pub enum Error {
     ///
     /// [`Transpiler::transpile_to_qasm`]: crate::session::Transpiler::transpile_to_qasm
     Export(QasmError),
+    /// The circuit is over one of the [`Limits`] its caller admits.
+    ///
+    /// [`Limits`]: crate::session::Limits
+    OverLimit {
+        /// What the limit counts: `"qubits"` or `"gates"`.
+        unit: &'static str,
+        /// How many the circuit has.
+        count: usize,
+        /// The most the limit admits.
+        max: usize,
+    },
     /// The circuit needs more qubits than the session's device has.
     TooWide {
         /// Qubits the circuit declares.
@@ -126,6 +140,7 @@ impl Error {
             Error::Pass(_) | Error::Export(_) => ErrorKind::Pass,
             Error::Qasm(_) => ErrorKind::Parse,
             Error::TooWide { .. } => ErrorKind::TooWide,
+            Error::OverLimit { .. } => ErrorKind::Limits,
             Error::Internal { .. } => ErrorKind::Internal,
             Error::Deadline { .. } => ErrorKind::Deadline,
         }
@@ -145,6 +160,17 @@ impl fmt::Display for Error {
                 f,
                 "circuit needs {circuit_qubits} qubits but the device has {device_qubits}"
             ),
+            Error::OverLimit {
+                unit: "qubits",
+                count,
+                max,
+            } => write!(
+                f,
+                "circuit declares {count} qubits; at most {max} are admitted"
+            ),
+            Error::OverLimit { unit, count, max } => {
+                write!(f, "circuit has {count} {unit}; at most {max} are admitted")
+            }
             Error::Internal { site, message } => {
                 write!(f, "internal error (contained panic in {site}): {message}")
             }
@@ -160,7 +186,7 @@ impl std::error::Error for Error {
         match self {
             Error::Pass(e) => Some(e),
             Error::Qasm(e) | Error::Export(e) => Some(e),
-            Error::TooWide { .. } => None,
+            Error::TooWide { .. } | Error::OverLimit { .. } => None,
             Error::Internal { .. } => None,
             Error::Deadline { .. } => None,
         }
@@ -213,6 +239,25 @@ mod tests {
             "exporting result: QASM error: instruction 0 (unitary1)"
         );
         assert_eq!(wide.kind(), ErrorKind::TooWide);
+        let qubits = Error::OverLimit {
+            unit: "qubits",
+            count: 5,
+            max: 3,
+        };
+        let gates = Error::OverLimit {
+            unit: "gates",
+            count: 6,
+            max: 3,
+        };
+        assert_eq!(qubits.kind(), ErrorKind::Limits);
+        assert_eq!(
+            qubits.to_string(),
+            "circuit declares 5 qubits; at most 3 are admitted"
+        );
+        assert_eq!(
+            gates.to_string(),
+            "circuit has 6 gates; at most 3 are admitted"
+        );
         let internal = Error::internal("transpile", "index out of bounds");
         assert_eq!(internal.kind(), ErrorKind::Internal);
         let deadline = Error::deadline(std::time::Duration::from_millis(250));

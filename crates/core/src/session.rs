@@ -12,8 +12,16 @@
 //!    whose options carry a different calibration get their own entry.
 //! 2. **Prepared baselines** — the deterministic, seed-independent
 //!    pre-routing optimization ([`optimize_without_routing`]) memoized per
-//!    structurally distinct circuit, keyed by
+//!    structurally distinct circuit, found through a map keyed by
 //!    [`QuantumCircuit::structural_hash`] and confirmed by full equality.
+//!    The OpenQASM entry points ([`transpile_qasm`](Transpiler::transpile_qasm)
+//!    and [`transpile_to_qasm`](Transpiler::transpile_to_qasm)) also reach
+//!    it by text: a source whose parse found an entry that already existed
+//!    is indexed by its exact bytes, and every later arrival of the same
+//!    bytes goes straight to that entry, with no parse, no hash and no
+//!    circuit comparison. A source seen once is not indexed, as a one-off
+//!    answer is not stored (below), and an indexed text counts its length
+//!    against [`STORED_RESULT_BYTES`].
 //! 3. **Layout winners, then stored answers** — one slot per options,
 //!    under the prepared entry it was found for, in one of two states. A
 //!    cold request leaves the layout winner: the initial layout, the chosen
@@ -59,13 +67,15 @@
 //! reported as [`Error::Deadline`]; a stored hit checks its deadline once,
 //! before the copy. Should a panic ever poison the session lock (the
 //! cache-commit window is the only code that runs under it), the next lock
-//! acquisition recovers by clearing the caches and the stored total —
+//! acquisition recovers by clearing the caches, the text index and the
+//! stored total —
 //! counted by [`Transpiler::cache_resets`] — and the session continues
 //! with a cold cache rather than failing every subsequent request.
 //!
 //! [`optimize_without_routing`]: crate::pipeline::optimize_without_routing
 
 use std::any::Any;
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -83,19 +93,48 @@ use crate::pipeline::{
     optimize_without_routing_budgeted, transpile_prepared, TranspileOptions, TranspileResult,
 };
 
-/// The most bytes of answers one [`Transpiler`] stores for its repeat
-/// requests (see the [module docs](self)). A stored result counts as its
-/// instructions at `size_of::<Instruction>()` each, its two layouts and its
-/// trial costs; a stored OpenQASM text counts as its length.
+/// The most bytes of answers and indexed sources one [`Transpiler`] keeps
+/// for its repeat requests (see the [module docs](self)). A stored result
+/// counts as its instructions at `size_of::<Instruction>()` each, its two
+/// layouts and its trial costs; a stored OpenQASM text, and an indexed
+/// OpenQASM source, count as their length.
 ///
 /// 64 MiB holds the answers of the whole `benchmarks/qasm` corpus
-/// (≈ 0.18 MiB as results, ≈ 0.07 MiB as texts) several hundred times
-/// over, or three results of a 100k-gate QV circuit on Montreal
-/// (≈ 17.8 MiB each), and bounds what storing adds to a long-running daemon
-/// whatever its traffic. An answer that would take the total past it is not
-/// stored, and its repeats keep replaying from the layout winner. Nothing
-/// is evicted.
+/// (≈ 0.18 MiB as results, ≈ 0.07 MiB as texts, beside its 7,864 bytes of
+/// sources) several hundred times over, or three results of a 100k-gate QV
+/// circuit on Montreal (≈ 17.8 MiB each), and bounds what storing adds to a
+/// long-running daemon whatever its traffic. An answer that would take the
+/// total past it is not stored, and its repeats keep replaying from the
+/// layout winner; a source that would is not indexed, and its repeats keep
+/// parsing. Nothing is evicted.
 pub const STORED_RESULT_BYTES: usize = 64 << 20;
+
+/// Admission limits a service applies to every request's circuit before
+/// any cache or transpilation work: a circuit declaring more than
+/// `max_qubits` qubits, or with more than `max_gates` gates, fails with
+/// [`Error::OverLimit`] (checked in that order, then the device's width).
+/// The default admits any size. The limits are not part of any cache key:
+/// a circuit the session already knows, by its text or its structure, is
+/// checked on every arrival.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Limits {
+    /// The most qubits a circuit may declare; `None` admits any width.
+    pub max_qubits: Option<usize>,
+    /// The most gates a circuit may have; `None` admits any size.
+    pub max_gates: Option<usize>,
+}
+
+impl Limits {
+    /// Refuses `circuit` when it is over a limit.
+    fn check(&self, circuit: &QuantumCircuit) -> Result<(), Error> {
+        let over = |unit, count, max: Option<usize>| match max {
+            Some(max) if count > max => Err(Error::OverLimit { unit, count, max }),
+            _ => Ok(()),
+        };
+        over("qubits", circuit.num_qubits(), self.max_qubits)?;
+        over("gates", circuit.num_gates(), self.max_gates)
+    }
+}
 
 /// Hit/miss counters of the [`Transpiler`] caches.
 ///
@@ -178,7 +217,6 @@ impl<'a> SessionJob<'a> {
 /// A prepared baseline memoized per structurally distinct raw circuit,
 /// with one slot per options it was transpiled under.
 struct PreparedEntry {
-    raw_hash: u64,
     raw: QuantumCircuit,
     prepared: Arc<QuantumCircuit>,
     slots: Vec<(TranspileOptions, Slot)>,
@@ -209,6 +247,22 @@ impl Stored {
         match self {
             Stored::Result(result) => stored_bytes(result),
             Stored::Qasm(qasm) => qasm.qasm.len(),
+        }
+    }
+
+    /// The answer a library hit hands back, if the library stored it.
+    fn result(&self) -> Option<Arc<TranspileResult>> {
+        match self {
+            Stored::Result(result) => Some(Arc::clone(result)),
+            Stored::Qasm(_) => None,
+        }
+    }
+
+    /// The answer a QASM-out hit hands back, if a QASM-out replay stored it.
+    fn qasm(&self) -> Option<Arc<QasmResult>> {
+        match self {
+            Stored::Qasm(qasm) => Some(Arc::clone(qasm)),
+            Stored::Result(_) => None,
         }
     }
 }
@@ -286,7 +340,13 @@ impl Winner {
 struct SessionState {
     distances: Vec<(Option<Calibration>, Arc<DistanceMatrix>)>,
     prepared: Vec<PreparedEntry>,
-    /// What every [`Slot::Stored`] answer counts, by [`Stored::bytes`].
+    /// The indices in `prepared` of the entries whose raw circuit has each
+    /// structural hash.
+    by_hash: HashMap<u64, Vec<usize>>,
+    /// The index in `prepared` each indexed OpenQASM source resolved to.
+    texts: HashMap<Box<str>, usize>,
+    /// What every [`Slot::Stored`] answer counts, by [`Stored::bytes`],
+    /// and every indexed source, by its length.
     stored_bytes: usize,
     /// The bound on `stored_bytes`: [`STORED_RESULT_BYTES`], lower in tests.
     cap: usize,
@@ -301,8 +361,8 @@ impl SessionState {
     /// cold job leaves the other entry point's answer in place, and a slot
     /// whose entry poison recovery has cleared since resolution is gone.
     fn fill<A>(&mut self, job: &ResolvedJob<A>, slot: Slot) {
-        let mut entries = self.prepared.iter_mut();
-        let Some(entry) = entries.find(|e| Arc::ptr_eq(&e.prepared, &job.prepared)) else {
+        let entry = self.prepared.get_mut(job.entry);
+        let Some(entry) = entry.filter(|e| Arc::ptr_eq(&e.prepared, &job.prepared)) else {
             return;
         };
         let cached = entry.slots.iter_mut().find(|(key, _)| *key == job.options);
@@ -317,6 +377,20 @@ impl SessionState {
             }
             _ => {}
         }
+    }
+
+    /// Indexes `source` to the entry at `entry`, unless it already is or
+    /// its length would take the stored total past the cap.
+    fn index_text(&mut self, source: &str, entry: usize) {
+        if self.stored_bytes + source.len() <= self.cap && !self.texts.contains_key(source) {
+            self.texts.insert(source.into(), entry);
+            self.stored_bytes += source.len();
+        }
+    }
+
+    /// The room the cap leaves for stored answers.
+    fn room(&self) -> usize {
+        self.cap.saturating_sub(self.stored_bytes)
     }
 }
 
@@ -355,12 +429,27 @@ impl<A> Path<A> {
 struct ResolvedJob<A> {
     options: TranspileOptions,
     distances: Arc<DistanceMatrix>,
+    /// The index in `SessionState::prepared` of the entry `prepared` came
+    /// from, which its slot is filled under.
+    entry: usize,
     prepared: Arc<QuantumCircuit>,
     path: Path<A>,
     stats: CacheStats,
     /// The job's cooperative deadline, anchored at request entry; unlimited
     /// when [`TranspileOptions::deadline`] is unset.
     budget: Budget,
+    /// The room the cap left at resolution: a result larger than that is
+    /// not copied for storing.
+    room: usize,
+}
+
+/// Where a request's raw circuit is.
+#[derive(Clone, Copy)]
+enum Raw<'a> {
+    /// Parsed for this request, or passed in: resolved by its structure.
+    Circuit(&'a QuantumCircuit),
+    /// In the entry at this index, which the request's text is indexed to.
+    Indexed(usize),
 }
 
 impl<A> ResolvedJob<A> {
@@ -529,24 +618,25 @@ impl Transpiler {
     /// its error in place (see [`transpile`](Self::transpile) for the
     /// kinds); its siblings are unaffected.
     pub fn transpile_jobs(&self, jobs: &[SessionJob<'_>]) -> Vec<Result<TranspileResult, Error>> {
-        let (resolved, room) = self.resolve_jobs(jobs, |stored| match stored {
-            Stored::Result(result) => Some(Arc::clone(result)),
-            Stored::Qasm(_) => None,
-        });
+        self.run_library(self.resolve_jobs(jobs))
+    }
 
-        // Phase 2 — fan the seed-dependent tails across the pool. Each
-        // job's tail is its own catch boundary: one panicking or expired
-        // job fails alone while its siblings complete normally.
+    /// Phases 2 and 3 of the entry points that return results. Phase 2 fans
+    /// the seed-dependent tails across the pool. Each job's tail is its own
+    /// catch boundary: one panicking or expired job fails alone while its
+    /// siblings complete normally. Phase 3 stamps the per-request counters,
+    /// then memoizes the layout winners that cold jobs just discovered and
+    /// a copy of each result that a warm job just replayed, if the room left
+    /// at its resolution holds it.
+    fn run_library(
+        &self,
+        resolved: Vec<Result<ResolvedJob<Arc<TranspileResult>>, Error>>,
+    ) -> Vec<Result<TranspileResult, Error>> {
         let items = resolved.iter().enumerate().collect();
         let mut results = self.pool.map(items, |(index, resolved)| match resolved {
             Ok(resolved) => self.run_tail(index, resolved, copy_stored, Ok),
             Err(e) => Err(e.clone()),
         });
-
-        // Phase 3 — commit: stamp per-request counters, then memoize the
-        // layout winners that cold jobs just discovered and a copy of each
-        // result that a warm job just replayed, if the room left at
-        // resolution holds it.
         for (resolved, result) in resolved.iter().zip(results.iter_mut()) {
             if let (Ok(resolved), Ok(result)) = (resolved, result.as_mut()) {
                 result.cache = resolved.stats;
@@ -557,7 +647,7 @@ impl Transpiler {
                 return None;
             };
             let fill = job.fill(result, || {
-                (stored_bytes(result) <= room).then(|| {
+                (stored_bytes(result) <= job.room).then(|| {
                     let mut copy = result.clone();
                     copy.cache = CacheStats::default();
                     copy.elapsed = Duration::ZERO;
@@ -569,35 +659,38 @@ impl Transpiler {
         results
     }
 
-    /// Transpiles one circuit with per-request options, as
-    /// [`transpile_with`](Self::transpile_with) does, and returns the
-    /// result as OpenQASM 2.0 text (what [`nassc_qasm::export`] writes for
-    /// its circuit) with the numbers a service reports beside it.
+    /// Transpiles OpenQASM 2.0 source with per-request options, as
+    /// [`transpile_qasm_with`](Self::transpile_qasm_with) does, admitting
+    /// only a circuit within `limits`, and returns the result as OpenQASM
+    /// 2.0 text (what [`nassc_qasm::export`] writes for its circuit) with
+    /// the numbers a service reports beside it.
     ///
-    /// A cold or replayed request exports its result here, under a
-    /// `qasm_export` span, and a replay stores the text in place of the
-    /// layout winner. A later repeat hands back that shared text: it
-    /// neither copies nor exports nor scans the circuit. A slot whose result
+    /// A source the session has indexed (see the [module docs](self)) goes
+    /// straight to its prepared entry; any other is parsed here, under a
+    /// `qasm_parse` span. `limits`, then the device's width, apply to the
+    /// circuit either way, before any cache or transpilation work. A cold
+    /// or replayed request exports its result here, under a `qasm_export`
+    /// span, and a replay stores the text in place of the layout winner. A
+    /// later repeat hands back that shared text: it neither copies nor
+    /// exports nor scans the circuit. A slot whose result
     /// [`transpile_jobs`](Self::transpile_jobs) stored is a layout miss
     /// here: the request runs cold and exports, and the slot keeps its
-    /// result. This is what the `nassc-serve` daemon calls.
+    /// result. This is what the `nassc-serve` daemon calls with each
+    /// request's body.
     ///
     /// # Errors
     ///
-    /// As [`transpile`](Self::transpile), plus [`Error::Export`] when the
-    /// transpiled circuit has no OpenQASM 2.0 spelling.
+    /// As [`transpile_qasm`](Self::transpile_qasm), plus
+    /// [`Error::OverLimit`] when the circuit is over `limits` and
+    /// [`Error::Export`] when the transpiled circuit has no OpenQASM 2.0
+    /// spelling.
     pub fn transpile_to_qasm(
         &self,
-        circuit: &QuantumCircuit,
+        source: &str,
         options: &TranspileOptions,
+        limits: Limits,
     ) -> Result<QasmResult, Error> {
-        let job = SessionJob::with_options(circuit, options.clone());
-        let jobs = std::slice::from_ref(&job);
-        let (mut resolved, _) = self.resolve_jobs(jobs, |stored| match stored {
-            Stored::Qasm(qasm) => Some(Arc::clone(qasm)),
-            Stored::Result(_) => None,
-        });
-        let resolved = resolved.pop().expect("one job resolves to one")?;
+        let resolved = self.resolve_source(source, options, limits, Stored::qasm)?;
         let mut fill = None;
         let qasm = self.run_tail(
             0,
@@ -616,52 +709,107 @@ impl Transpiler {
         })
     }
 
-    /// Phase 1 — serial resolution under the lock: every cache read and
-    /// every preparation happens here, in job order, so cache counters are
-    /// deterministic and workers never contend on the session lock. A
-    /// stored slot serves the answer `hit` takes from it, and is a layout
-    /// miss when `hit` takes none. Each job's counters join the session
-    /// totals here, whether it resolved, failed or panicked. Also returns
-    /// the room the cap left at resolution: a result larger than that is
-    /// not copied for storing.
-    fn resolve_jobs<A>(
+    /// Phase 1 of a batch — serial resolution under the lock: every cache
+    /// read and every preparation happens here, in job order, so cache
+    /// counters are deterministic and workers never contend on the session
+    /// lock. A slot the library stored serves its result; one holding a
+    /// text is a layout miss.
+    fn resolve_jobs(
         &self,
         jobs: &[SessionJob<'_>],
-        hit: fn(&Stored) -> Option<A>,
-    ) -> (Vec<Result<ResolvedJob<A>, Error>>, usize) {
+    ) -> Vec<Result<ResolvedJob<Arc<TranspileResult>>, Error>> {
         // Deadlines are anchored here, at request entry: a job's budget
         // covers its share of resolution, layout, routing and optimization.
         let entry = Instant::now();
         let mut resolve_span = nassc_trace::span!("resolve");
         resolve_span.arg_u64("jobs", jobs.len() as u64);
         let mut state = self.lock();
-        // The catch boundary sits *inside* the lock scope, so a contained
-        // panic never poisons the session lock.
-        let resolved = jobs
-            .iter()
+        jobs.iter()
             .map(|job| {
                 let options = job.options.clone().unwrap_or_else(|| self.options.clone());
-                let deadline = options.deadline;
-                // A deadline beyond `Instant`'s range means no deadline.
-                let budget = match deadline.and_then(|limit| entry.checked_add(limit)) {
-                    Some(at) => Budget::with_deadline(at),
-                    None => Budget::unlimited(),
-                };
-                let mut stats = CacheStats::default();
-                let resolved = catch_unwind(AssertUnwindSafe(|| {
-                    self.resolve(&mut state, job.circuit, options, budget, hit, &mut stats)
-                }))
-                .unwrap_or_else(|payload| Err(classify_panic("prepare", payload, deadline)));
-                state.stats.accumulate(&stats);
-                resolved
+                let budget = anchored_budget(entry, options.deadline);
+                let raw = Raw::Circuit(job.circuit);
+                let limits = Limits::default();
+                self.resolve_locked(&mut state, raw, options, limits, budget, Stored::result)
             })
-            .collect();
-        (resolved, state.cap.saturating_sub(state.stored_bytes))
+            .collect()
+    }
+
+    /// Phase 1 of a text request, in one `resolve` span. An indexed source
+    /// resolves its entry under the lock at once. Any other is parsed
+    /// outside the lock, under a `qasm_parse` span, then resolved by its
+    /// circuit; when that finds an entry that already existed, the source
+    /// is indexed to it. The deadline is anchored before the parse, so the
+    /// parse counts against it. A slot stored by the other entry point is a
+    /// layout miss (`hit` takes nothing from it).
+    fn resolve_source<A>(
+        &self,
+        source: &str,
+        options: &TranspileOptions,
+        limits: Limits,
+        hit: fn(&Stored) -> Option<A>,
+    ) -> Result<ResolvedJob<A>, Error> {
+        let budget = anchored_budget(Instant::now(), options.deadline);
+        let mut resolve_span = nassc_trace::span!("resolve");
+        resolve_span.arg_u64("jobs", 1);
+        let mut state = self.lock();
+        if let Some(&entry) = state.texts.get(source) {
+            let raw = Raw::Indexed(entry);
+            return self.resolve_locked(&mut state, raw, options.clone(), limits, budget, hit);
+        }
+        drop(state);
+        let circuit = {
+            let _span = nassc_trace::span!("qasm_parse");
+            catch_unwind(|| nassc_qasm::parse(source).map_err(Error::from))
+                .unwrap_or_else(|payload| Err(classify_panic("parse", payload, options.deadline)))?
+        };
+        let mut state = self.lock();
+        let raw = Raw::Circuit(&circuit);
+        let resolved = self.resolve_locked(&mut state, raw, options.clone(), limits, budget, hit);
+        if let Ok(job) = &resolved {
+            if job.stats.prepared_hits > 0 {
+                state.index_text(source, job.entry);
+            }
+        }
+        resolved
+    }
+
+    /// Resolves one job under the lock: the admission checks (`limits`,
+    /// then the device's width), which a refused circuit fails before it
+    /// touches any cache, then [`resolve`](Self::resolve). This is the
+    /// job's catch boundary, inside the lock scope, so a contained panic
+    /// never poisons the session lock. The job's counters join the session
+    /// totals whether it resolved, failed or panicked.
+    fn resolve_locked<A>(
+        &self,
+        state: &mut SessionState,
+        raw: Raw<'_>,
+        options: TranspileOptions,
+        limits: Limits,
+        budget: Budget,
+        hit: fn(&Stored) -> Option<A>,
+    ) -> Result<ResolvedJob<A>, Error> {
+        let deadline = options.deadline;
+        let mut stats = CacheStats::default();
+        let resolved = catch_unwind(AssertUnwindSafe(|| {
+            let circuit = match raw {
+                Raw::Circuit(circuit) => circuit,
+                Raw::Indexed(entry) => &state.prepared[entry].raw,
+            };
+            limits.check(circuit)?;
+            self.check_fits(circuit)?;
+            self.resolve(state, raw, options, budget, hit, &mut stats)
+        }))
+        .unwrap_or_else(|payload| Err(classify_panic("prepare", payload, deadline)));
+        state.stats.accumulate(&stats);
+        resolved
     }
 
     /// Transpiles OpenQASM 2.0 source under the session's default options:
-    /// parse, then [`transpile`](Self::transpile), with every failure domain
-    /// folded into one [`Error`] (branch on [`Error::kind`]).
+    /// [`transpile`](Self::transpile) of the parsed circuit, with every
+    /// failure domain folded into one [`Error`] (branch on [`Error::kind`]).
+    /// A source the session has indexed (see the [module docs](self)) is
+    /// not parsed again.
     ///
     /// # Errors
     ///
@@ -682,8 +830,10 @@ impl Transpiler {
         source: &str,
         options: &TranspileOptions,
     ) -> Result<TranspileResult, Error> {
-        let circuit = nassc_qasm::parse(source)?;
-        self.transpile_with(&circuit, options)
+        let resolved = self.resolve_source(source, options, Limits::default(), Stored::result);
+        self.run_library(vec![resolved])
+            .pop()
+            .expect("one job yields one result")
     }
 
     /// Checks that `circuit` fits on the session's device; routing a wider
@@ -726,8 +876,9 @@ impl Transpiler {
     /// all three to empty — preserving the accumulated stats — counts the
     /// reset in [`cache_resets`](Self::cache_resets), clears the poison
     /// flag and continues serving. Winners and stored answers live under
-    /// their prepared entries, so clearing those empties both caches, and
-    /// the stored total restarts at zero.
+    /// their prepared entries, so clearing those, with the hash and text
+    /// indexes into them, empties both caches, and the stored total
+    /// restarts at zero.
     fn lock(&self) -> std::sync::MutexGuard<'_, SessionState> {
         match self.state.lock() {
             Ok(guard) => guard,
@@ -735,6 +886,8 @@ impl Transpiler {
                 let mut guard = poisoned.into_inner();
                 guard.distances.clear();
                 guard.prepared.clear();
+                guard.by_hash.clear();
+                guard.texts.clear();
                 guard.stored_bytes = 0;
                 self.cache_resets.fetch_add(1, Ordering::Relaxed);
                 self.state.clear_poison();
@@ -744,9 +897,10 @@ impl Transpiler {
     }
 
     /// Looks up / computes the prepared baseline for `circuit`, returning
-    /// the index of its entry in `state.prepared`. Counts the hit or miss
-    /// in `stats`, a miss before it prepares, so a failed preparation is
-    /// counted too.
+    /// the index of its entry in `state.prepared`: the candidates are the
+    /// entries with its structural hash, and a hit is one whose raw
+    /// circuit equals it. Counts the hit or miss in `stats`, a miss before
+    /// it prepares, so a failed preparation is counted too.
     fn prepared_locked(
         state: &mut SessionState,
         circuit: &QuantumCircuit,
@@ -754,39 +908,38 @@ impl Transpiler {
         stats: &mut CacheStats,
     ) -> Result<usize, PassError> {
         let raw_hash = circuit.structural_hash();
-        if let Some(index) = state
-            .prepared
+        let candidates = state.by_hash.get(&raw_hash).map_or(&[][..], Vec::as_slice);
+        let found = candidates
             .iter()
-            .position(|e| e.raw_hash == raw_hash && e.raw == *circuit)
-        {
+            .find(|&&e| state.prepared[e].raw == *circuit);
+        if let Some(&entry) = found {
             stats.prepared_hits += 1;
-            return Ok(index);
+            return Ok(entry);
         }
         stats.prepared_misses += 1;
         let prepared = Arc::new(optimize_without_routing_budgeted(circuit, budget)?);
+        let entry = state.prepared.len();
         state.prepared.push(PreparedEntry {
-            raw_hash,
             raw: circuit.clone(),
             prepared,
             slots: Vec::new(),
         });
-        Ok(state.prepared.len() - 1)
+        state.by_hash.entry(raw_hash).or_default().push(entry);
+        Ok(entry)
     }
 
-    /// Makes every cache decision for one job, counting them in `stats`.
-    /// Runs under the session lock. A circuit too wide for the device fails
-    /// here, before it touches any cache.
+    /// Makes every cache decision for one admitted job, counting them in
+    /// `stats`. Runs under the session lock. A job whose text is indexed
+    /// is a prepared hit on the entry the text is indexed to.
     fn resolve<A>(
         &self,
         state: &mut SessionState,
-        circuit: &QuantumCircuit,
+        raw: Raw<'_>,
         options: TranspileOptions,
         budget: Budget,
         hit: fn(&Stored) -> Option<A>,
         stats: &mut CacheStats,
     ) -> Result<ResolvedJob<A>, Error> {
-        self.check_fits(circuit)?;
-
         let cached = state
             .distances
             .iter()
@@ -812,7 +965,13 @@ impl Transpiler {
             }
         };
 
-        let entry = Self::prepared_locked(state, circuit, &budget, stats)?;
+        let entry = match raw {
+            Raw::Circuit(circuit) => Self::prepared_locked(state, circuit, &budget, stats)?,
+            Raw::Indexed(entry) => {
+                stats.prepared_hits += 1;
+                entry
+            }
+        };
         nassc_trace::counter(
             match stats.prepared_hits {
                 0 => "cache.prepared_miss",
@@ -821,9 +980,12 @@ impl Transpiler {
             1,
         );
 
-        let entry = &state.prepared[entry];
-        let prepared = Arc::clone(&entry.prepared);
-        let slot = entry.slots.iter().find(|(cached, _)| *cached == options);
+        let prepared_entry = &state.prepared[entry];
+        let prepared = Arc::clone(&prepared_entry.prepared);
+        let slot = prepared_entry
+            .slots
+            .iter()
+            .find(|(cached, _)| *cached == options);
         let path = match slot.map(|(_, slot)| slot) {
             None => Path::Cold,
             Some(Slot::Winner(winner)) => Path::Warm(winner.selection()),
@@ -840,10 +1002,12 @@ impl Transpiler {
         Ok(ResolvedJob {
             options,
             distances,
+            entry,
             prepared,
             path,
             stats: *stats,
             budget,
+            room: state.room(),
         })
     }
 
@@ -915,6 +1079,15 @@ impl Transpiler {
     }
 }
 
+/// The cooperative deadline of a request that entered at `entry`:
+/// unlimited without a deadline, or with one beyond `Instant`'s range.
+fn anchored_budget(entry: Instant, deadline: Option<Duration>) -> Budget {
+    match deadline.and_then(|limit| entry.checked_add(limit)) {
+        Some(at) => Budget::with_deadline(at),
+        None => Budget::unlimited(),
+    }
+}
+
 /// A library stored hit: a copy of the stored result, whose `elapsed` is
 /// the time the copy took.
 fn copy_stored(stored: &Arc<TranspileResult>) -> Result<TranspileResult, Error> {
@@ -964,6 +1137,38 @@ mod tests {
             CouplingMap::linear(4),
             TranspileOptions::new().router(RouterKind::Nassc).seed(7),
         )
+    }
+
+    /// `circuit` as OpenQASM source.
+    fn source_of(circuit: &QuantumCircuit) -> String {
+        nassc_qasm::export(circuit).expect("a circuit exports")
+    }
+
+    /// What `run` returns, and the names of the spans it recorded on this
+    /// thread: the recorder is process-wide, and other tests may record on
+    /// their own threads meanwhile. The tests that read it take turns.
+    fn spans_of<T>(run: impl FnOnce() -> T) -> (T, Vec<String>) {
+        static RECORDER: Mutex<()> = Mutex::new(());
+        let _turn = RECORDER.lock().unwrap_or_else(|e| e.into_inner());
+        nassc_trace::enable();
+        let out = run();
+        let report = nassc_trace::take_report();
+        nassc_trace::disable();
+        let this = std::thread::current();
+        let name = this.name().expect("test threads are named");
+        let thread = report.threads.iter().find(|t| t.name == name);
+        let tid = thread.expect("this thread recorded spans").tid;
+        let names = report.events.iter().filter(|event| event.tid == tid);
+        let names = names.filter_map(|event| match &event.kind {
+            nassc_trace::EventKind::Span(span) => Some(span.name.clone()),
+            nassc_trace::EventKind::Counter(_) => None,
+        });
+        (out, names.collect())
+    }
+
+    /// How many of `spans` are named `name`.
+    fn count(spans: &[String], name: &str) -> usize {
+        spans.iter().filter(|span| *span == name).count()
     }
 
     #[test]
@@ -1079,7 +1284,11 @@ mod tests {
 
     /// The text every slot stores, in insertion order.
     fn stored_texts(session: &Transpiler) -> Vec<Arc<str>> {
-        let state = session.lock();
+        stored_texts_locked(&session.lock())
+    }
+
+    /// [`stored_texts`] under a lock the caller holds.
+    fn stored_texts_locked(state: &SessionState) -> Vec<Arc<str>> {
         let slots = state.prepared.iter().flat_map(|entry| &entry.slots);
         slots
             .filter_map(|(_, slot)| match slot {
@@ -1115,8 +1324,9 @@ mod tests {
                 let reference = Transpiler::new(CouplingMap::linear(4), options.clone());
                 let cold = reference.transpile(&circuit).expect("library cold");
                 let session = Transpiler::new(CouplingMap::linear(4), options.clone());
+                let source = source_of(&circuit);
                 let outputs: Vec<QasmResult> = (0..4)
-                    .map(|_| session.transpile_to_qasm(&circuit, &options))
+                    .map(|_| session.transpile_to_qasm(&source, &options, Limits::default()))
                     .collect::<Result<_, _>>()
                     .expect("QASM-out requests");
                 for (request, out) in outputs.iter().enumerate() {
@@ -1133,7 +1343,9 @@ mod tests {
                 for out in &outputs[1..] {
                     assert!(Arc::ptr_eq(&out.qasm, stored), "{context}");
                 }
-                assert_eq!(session.lock().stored_bytes, stored.len(), "{context}");
+                // The second request also indexed its source.
+                let total = stored.len() + source.len();
+                assert_eq!(session.lock().stored_bytes, total, "{context}");
             }
         }
     }
@@ -1143,6 +1355,7 @@ mod tests {
         let (library_first, qasm_first) = (session(), session());
         let options = library_first.options().clone();
         let circuit = ghz(4);
+        let source = source_of(&circuit);
         let layout_miss = CacheStats {
             distance_hits: 1,
             prepared_hits: 1,
@@ -1151,18 +1364,21 @@ mod tests {
         };
 
         // A library replay stores its result, counted by its byte estimate;
-        // QASM-out repeats then miss the layout and leave it in place.
+        // QASM-out repeats then miss the layout and leave it in place. The
+        // first of them finds the entry the library made, so it indexes its
+        // source.
         let cold = library_first.transpile(&circuit).expect("library cold");
         library_first.transpile(&circuit).expect("library replay");
         assert_eq!(slot_states(&library_first), ["stored"]);
         for _ in 0..2 {
-            let out = library_first.transpile_to_qasm(&circuit, &options);
+            let out = library_first.transpile_to_qasm(&source, &options, Limits::default());
             let out = out.expect("QASM-out repeat");
             assert_same_qasm(&out, &cold, "after a library replay");
             assert_eq!(out.cache, layout_miss);
         }
         assert_eq!(slot_states(&library_first), ["stored"]);
-        assert_eq!(library_first.lock().stored_bytes, stored_bytes(&cold));
+        let total = stored_bytes(&cold) + source.len();
+        assert_eq!(library_first.lock().stored_bytes, total);
         let copied = library_first.transpile(&circuit).expect("library hit");
         assert_same_result(&copied, &cold, "after QASM-out repeats");
         assert_eq!(copied.cache.hits(), 3);
@@ -1170,9 +1386,9 @@ mod tests {
         // A QASM-out replay stores its text; library repeats then miss the
         // layout and leave it in place.
         qasm_first
-            .transpile_to_qasm(&circuit, &options)
+            .transpile_to_qasm(&source, &options, Limits::default())
             .expect("cold");
-        let replay = qasm_first.transpile_to_qasm(&circuit, &options);
+        let replay = qasm_first.transpile_to_qasm(&source, &options, Limits::default());
         let replay = replay.expect("QASM-out replay");
         assert_eq!(slot_states(&qasm_first), ["text"]);
         for _ in 0..2 {
@@ -1182,8 +1398,9 @@ mod tests {
             assert_eq!(result.cache, layout_miss);
         }
         assert_eq!(slot_states(&qasm_first), ["text"]);
-        assert_eq!(qasm_first.lock().stored_bytes, replay.qasm.len());
-        let hit = qasm_first.transpile_to_qasm(&circuit, &options);
+        let total = replay.qasm.len() + source.len();
+        assert_eq!(qasm_first.lock().stored_bytes, total);
+        let hit = qasm_first.transpile_to_qasm(&source, &options, Limits::default());
         let hit = hit.expect("QASM-out hit");
         assert!(Arc::ptr_eq(&hit.qasm, &replay.qasm));
         assert_eq!(hit.cache.hits(), 3);
@@ -1196,13 +1413,15 @@ mod tests {
         let text = nassc_qasm::export(&cold.circuit).expect("a result exports");
         let session = session();
         let options = session.options().clone();
-        session.lock().cap = text.len() - 1;
+        // The source fits the cap; its answer's text no longer does.
+        let source = source_of(&circuit);
+        session.lock().cap = source.len() + text.len() - 1;
         let outputs: Vec<QasmResult> = (0..4)
-            .map(|_| session.transpile_to_qasm(&circuit, &options))
+            .map(|_| session.transpile_to_qasm(&source, &options, Limits::default()))
             .collect::<Result<_, _>>()
             .expect("QASM-out requests");
         assert_eq!(slot_states(&session), ["winner"]);
-        assert_eq!(session.lock().stored_bytes, 0);
+        assert_eq!(session.lock().stored_bytes, source.len());
         for (request, out) in outputs.iter().enumerate() {
             assert_same_qasm(out, &cold, &format!("past the cap, request {request}"));
         }
@@ -1332,10 +1551,11 @@ mod tests {
         let session = Arc::new(session());
         let cold = session.transpile(&ghz(4)).expect("cold transpile");
         let options = session.options().clone();
-        let replay = session.transpile_to_qasm(&ghz(4), &options);
+        let source = source_of(&ghz(4));
+        let replay = session.transpile_to_qasm(&source, &options, Limits::default());
         let text = replay.expect("replay").qasm;
         assert_eq!(slot_states(&session), ["text"]);
-        assert_eq!(session.lock().stored_bytes, text.len());
+        assert_eq!(session.lock().stored_bytes, text.len() + source.len());
         assert_eq!(session.cache_resets(), 0);
 
         // Poison the session lock the only way a panic can reach it: by
@@ -1356,6 +1576,7 @@ mod tests {
         assert_eq!(recovered.cache.misses(), 3);
         assert_eq!(recovered.circuit, cold.circuit);
         assert_eq!(slot_states(&session), ["winner"]);
+        assert!(session.lock().texts.is_empty());
         assert_eq!(session.lock().stored_bytes, 0);
 
         // And the one after that replays and stores, as if nothing happened.
@@ -1437,5 +1658,195 @@ mod tests {
         );
         let survivor = results[1].as_ref().expect("sibling survives");
         assert_eq!(survivor.circuit, reference.circuit);
+    }
+
+    #[test]
+    fn a_texts_second_arrival_indexes_it_and_its_third_is_not_parsed() {
+        let session = session();
+        let options = session.options().clone();
+        let source = source_of(&ghz(4));
+        let ask = || session.transpile_to_qasm(&source, &options, Limits::default());
+        let (cold, cold_spans) = spans_of(ask);
+        assert!(
+            session.lock().texts.is_empty(),
+            "a first arrival is not indexed"
+        );
+        let (second, second_spans) = spans_of(ask);
+        assert_eq!(
+            session.lock().texts.get(source.as_str()),
+            Some(&0),
+            "the second arrival indexes its source to its entry"
+        );
+        let (third, third_spans) = spans_of(ask);
+        assert_eq!(count(&cold_spans, "qasm_parse"), 1);
+        assert_eq!(count(&second_spans, "qasm_parse"), 1);
+        assert_eq!(count(&third_spans, "qasm_parse"), 0, "{third_spans:?}");
+        assert_eq!(count(&third_spans, "resolve"), 1, "{third_spans:?}");
+        let (cold, second, third) = (cold.unwrap(), second.unwrap(), third.unwrap());
+        assert_eq!(cold.qasm, second.qasm);
+        assert!(Arc::ptr_eq(&second.qasm, &third.qasm));
+        // A text hit is the prepared hit it stands for.
+        assert_eq!(third.cache, second.cache);
+        assert_eq!(third.cache.hits(), 3);
+        let total = source.len() + second.qasm.len();
+        assert_eq!(session.lock().stored_bytes, total);
+    }
+
+    #[test]
+    fn a_comment_or_whitespace_variant_resolves_to_the_same_entry() {
+        let session = session();
+        let options = session.options().clone();
+        let source = source_of(&ghz(4));
+        let ask = |text: &str| session.transpile_to_qasm(text, &options, Limits::default());
+        ask(&source).expect("cold");
+        let stored = ask(&source).expect("replay").qasm;
+        let variants = [
+            format!("// the same circuit\n{source}"),
+            source.replace('\n', " \n\n"),
+        ];
+        for variant in &variants {
+            let hit = ask(variant).expect("variant");
+            assert!(Arc::ptr_eq(&hit.qasm, &stored), "{variant:?}");
+            assert_eq!(hit.cache.hits(), 3, "{variant:?}");
+        }
+        let state = session.lock();
+        assert_eq!(state.prepared.len(), 1);
+        assert_eq!(state.texts.len(), 3);
+        assert!(state.texts.values().all(|&entry| entry == 0));
+    }
+
+    #[test]
+    fn past_the_cap_a_text_is_not_indexed_and_its_repeats_parse() {
+        let circuit = ghz(4);
+        let cold = session().transpile(&circuit).expect("reference");
+        let session = session();
+        let options = session.options().clone();
+        let source = source_of(&circuit);
+        session.lock().cap = source.len() - 1;
+        for request in 0..4 {
+            let ask = || session.transpile_to_qasm(&source, &options, Limits::default());
+            let (out, spans) = spans_of(ask);
+            let context = format!("past the cap, request {request}");
+            assert_same_qasm(&out.expect("QASM-out request"), &cold, &context);
+            assert_eq!(count(&spans, "qasm_parse"), 1, "{context}");
+        }
+        assert!(session.lock().texts.is_empty());
+    }
+
+    #[test]
+    fn after_poison_recovery_the_next_arrival_parses_and_returns_the_same_bytes() {
+        let session = Arc::new(session());
+        let options = session.options().clone();
+        let source = source_of(&ghz(4));
+        let ask = || session.transpile_to_qasm(&source, &options, Limits::default());
+        let reference = ask().expect("cold").qasm;
+        for _ in 0..2 {
+            ask().expect("repeat");
+        }
+        assert_eq!(session.lock().texts.len(), 1);
+
+        let poisoner = Arc::clone(&session);
+        let _ = std::thread::spawn(move || {
+            let _guard = poisoner.state.lock().unwrap();
+            panic!("poison the session lock");
+        })
+        .join();
+
+        let (recovered, spans) = spans_of(ask);
+        let recovered = recovered.expect("post-poison request");
+        assert_eq!(session.cache_resets(), 1);
+        assert_eq!(count(&spans, "qasm_parse"), 1, "{spans:?}");
+        assert_eq!(recovered.qasm, reference);
+        assert_eq!(recovered.cache.misses(), 3);
+        // It ran cold, so it is not indexed; the next arrival indexes it.
+        assert!(session.lock().texts.is_empty());
+        let (again, spans) = spans_of(ask);
+        assert_eq!(again.expect("second post-poison request").qasm, reference);
+        assert_eq!(count(&spans, "qasm_parse"), 1, "{spans:?}");
+        assert_eq!(session.lock().texts.len(), 1);
+    }
+
+    #[test]
+    fn concurrent_duplicate_arrivals_index_a_text_once() {
+        let session = session();
+        let options = session.options().clone();
+        let source = source_of(&ghz(4));
+        let ask = || session.transpile_to_qasm(&source, &options, Limits::default());
+        let reference = ask().expect("cold").qasm;
+        let start = std::sync::Barrier::new(4);
+        let outputs: Vec<QasmResult> = std::thread::scope(|scope| {
+            let arrivals: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        ask()
+                    })
+                })
+                .collect();
+            let outputs = arrivals.into_iter().map(|arrival| arrival.join().unwrap());
+            outputs
+                .collect::<Result<_, _>>()
+                .expect("duplicate arrivals")
+        });
+        for out in &outputs {
+            assert_eq!(out.qasm, reference);
+        }
+        assert_eq!(slot_states(&session), ["text"]);
+        let state = session.lock();
+        assert_eq!(state.texts.len(), 1);
+        let stored = stored_texts_locked(&state);
+        assert_eq!(state.stored_bytes, source.len() + stored[0].len());
+    }
+
+    #[test]
+    fn limits_and_deadlines_apply_to_every_arrival() {
+        let session = session();
+        let options = session.options().clone();
+        // 4 qubits, 4 gates.
+        let source = source_of(&ghz(4));
+        for _ in 0..3 {
+            let out = session.transpile_to_qasm(&source, &options, Limits::default());
+            out.expect("admitted");
+        }
+        assert_eq!(session.lock().texts.len(), 1);
+        let before = session.cache_stats();
+        let refused = |limits: Limits| {
+            let err = session.transpile_to_qasm(&source, &options, limits);
+            err.expect_err("over a limit")
+        };
+        let both = refused(Limits {
+            max_qubits: Some(3),
+            max_gates: Some(3),
+        });
+        assert_eq!(both.kind(), crate::ErrorKind::Limits);
+        assert_eq!(
+            both.to_string(),
+            "circuit declares 4 qubits; at most 3 are admitted"
+        );
+        let gates = refused(Limits {
+            max_gates: Some(3),
+            ..Limits::default()
+        });
+        assert_eq!(
+            gates.to_string(),
+            "circuit has 4 gates; at most 3 are admitted"
+        );
+        // A refused request consults no cache.
+        assert_eq!(session.cache_stats(), before);
+        let expired = options.clone().deadline(Duration::ZERO);
+        let err = session.transpile_to_qasm(&source, &expired, Limits::default());
+        assert_eq!(err.unwrap_err().kind(), crate::ErrorKind::Deadline);
+        // A new text over the limits is refused after its parse, and not
+        // indexed.
+        let variant = format!("// over the limits\n{source}");
+        let limits = Limits {
+            max_gates: Some(3),
+            ..Limits::default()
+        };
+        for _ in 0..2 {
+            let err = session.transpile_to_qasm(&variant, &options, limits);
+            assert_eq!(err.unwrap_err().kind(), crate::ErrorKind::Limits);
+        }
+        assert_eq!(session.lock().texts.len(), 1);
     }
 }

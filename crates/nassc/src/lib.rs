@@ -18,11 +18,14 @@
 //! [`circuit::QuantumCircuit`] (or go straight through
 //! [`Transpiler::transpile_qasm`]), and `nassc::qasm::export` serializes any
 //! transpiled circuit back out (round-trip exact, float parameters
-//! included). A service that answers in OpenQASM calls
-//! [`Transpiler::transpile_to_qasm`]: the session stores the text its first
-//! repeat exports, and later repeats share it instead of exporting again. A
-//! slot stores one answer, in the form its replay returned, so a repeat
-//! through the other entry point runs cold and returns the same answer.
+//! included). A service that answers in OpenQASM hands its request's source
+//! to [`Transpiler::transpile_to_qasm`], with its admission [`Limits`]: the
+//! session stores the text its first repeat exports, and later repeats share
+//! it instead of exporting again. Both text entry points index a source by
+//! its exact bytes once its parse finds a circuit the session already
+//! knows, so later arrivals of those bytes are not parsed at all. A slot
+//! stores one answer, in the form its replay returned, so a repeat through
+//! the other entry point runs cold and returns the same answer.
 //!
 //! # Example
 //!
@@ -46,7 +49,7 @@
 
 pub use nassc_core::{
     evaluate_swap_reduction, optimize_without_routing, CacheStats, Device, DeviceParseError, Error,
-    ErrorKind, NasscPolicy, OptimizationFlags, QasmResult, RouterKind, SessionJob,
+    ErrorKind, Limits, NasscPolicy, OptimizationFlags, QasmResult, RouterKind, SessionJob,
     TranspileOptions, TranspileResult, Transpiler, STORED_RESULT_BYTES,
 };
 

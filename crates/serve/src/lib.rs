@@ -14,16 +14,23 @@
 //!      │  recv (blocking)
 //!      ▼
 //!   N handler workers         ── deadline check → 504 before transpiling
-//!      │                         /transpile → qasm::parse, admission checks,
-//!      │                         then session.transpile_to_qasm
+//!      │                         /transpile → the body, unparsed, with the
+//!      │                         options and admission limits
+//!      ▼
+//!   session.transpile_to_qasm ── an indexed body → its prepared entry;
+//!      │                         any other → qasm_parse, the limits, then
+//!      │                         the structural lookup; then the slot
 //!      ▼
 //!   response (+ X-* metric headers), Connection: close
 //! ```
 //!
-//! A repeat request is a stored hit: [`Transpiler::transpile_to_qasm`]
-//! hands back the OpenQASM text the session stored for it, shared, and the
-//! handler sends those stored bytes as the body, copying them once, into
-//! the send buffer. Only cold and replayed requests export.
+//! The handler hands the request body to the session unparsed: a body the
+//! session has seen twice is found by its exact bytes, so a repeat is
+//! neither parsed nor hashed (see [`Transpiler::transpile_to_qasm`]). A
+//! repeat request is then a stored hit: the session hands back the
+//! OpenQASM text it stored for it, shared, and the handler sends those
+//! stored bytes as the body, copying them once, into the send buffer. Only
+//! cold and replayed requests export.
 //!
 //! Endpoints:
 //!
@@ -37,11 +44,11 @@
 //!   byte-comparable against a direct [`Transpiler`] call.
 //!   Appending `?trace=1` runs the transpile under the process-wide trace
 //!   recorder and returns a JSON envelope with the per-span table, which
-//!   includes the daemon's own `qasm_parse` span and, for a cold or
-//!   replayed request, the session's `qasm_export` (a stored hit records
-//!   none). Traced requests serialize on a recorder lock; spans from
-//!   concurrent untraced requests may appear in the table (best-effort
-//!   attribution — outputs are never affected).
+//!   includes the session's `qasm_parse` for a body it has not indexed and
+//!   its `qasm_export` for a cold or replayed request (a stored hit found
+//!   by its text records neither). Traced requests serialize on a recorder
+//!   lock; spans from concurrent untraced requests may appear in the table
+//!   (best-effort attribution — outputs are never affected).
 //! * `GET /metrics` — JSON: response counts by status, p50/p99 latency
 //!   histograms, cumulative per-device [`CacheStats`](nassc::CacheStats),
 //!   worker-pool status, uptime/start time, dropped trace events. With
@@ -101,9 +108,8 @@ use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use nassc::qasm;
 use nassc::trace::json_escape;
-use nassc::{Device, ErrorKind, RouterKind, TranspileOptions, Transpiler};
+use nassc::{Device, ErrorKind, Limits, RouterKind, TranspileOptions, Transpiler};
 
 use http::{read_request, HttpError, Request, Response};
 use metrics::ServerMetrics;
@@ -211,8 +217,8 @@ struct Shared {
     metrics: Mutex<ServerMetrics>,
     default_timeout_ms: u64,
     workers: usize,
-    max_gates: Option<usize>,
-    max_qubits: Option<usize>,
+    /// `ServeConfig::{max_qubits, max_gates}`, applied by the session.
+    limits: Limits,
     /// Handler panics caught by a worker's loop, each of which dropped its
     /// one connection (see [`worker_loop`]).
     worker_restarts: AtomicU64,
@@ -313,8 +319,10 @@ impl Server {
                 metrics: Mutex::new(ServerMetrics::default()),
                 default_timeout_ms: config.default_timeout_ms,
                 workers: config.workers,
-                max_gates: config.max_gates,
-                max_qubits: config.max_qubits,
+                limits: Limits {
+                    max_qubits: config.max_qubits,
+                    max_gates: config.max_gates,
+                },
                 worker_restarts: AtomicU64::new(0),
                 started: Instant::now(),
                 started_at_epoch_seconds: std::time::SystemTime::now()
@@ -718,8 +726,9 @@ fn transpile_endpoint(
     wrapped
 }
 
-/// The untraced `/transpile` pipeline: option parsing, admission checks,
-/// the session call, and the metric headers.
+/// The untraced `/transpile` pipeline: option parsing, the session call
+/// (which parses the body, unless it knows it, and applies the admission
+/// limits), and the metric headers.
 fn transpile_core(
     shared: &Shared,
     request: &Request,
@@ -789,55 +798,20 @@ fn transpile_core(
         }
     }
 
-    // Parse and admission-check before any transpilation work, so oversized
-    // requests cost nothing and are refused deterministically.
-    let circuit = match std::panic::catch_unwind(|| {
-        let _span = nassc::trace::span("qasm_parse");
-        qasm::parse(&request.body)
-    }) {
-        Ok(Ok(circuit)) => circuit,
-        Ok(Err(e)) => {
-            return Response::text(400, format!("{e}\n")).header("X-Error-Kind", "parse");
-        }
-        Err(_) => {
-            return Response::text(500, "internal error (contained panic in parse)\n")
-                .header("X-Error-Kind", "internal");
-        }
-    };
-    if let Some(max) = shared.max_qubits {
-        if circuit.num_qubits() > max {
-            return Response::text(
-                422,
-                format!(
-                    "circuit declares {} qubits; this server admits at most {max}\n",
-                    circuit.num_qubits()
-                ),
-            )
-            .header("X-Error-Kind", "limits");
-        }
-    }
-    if let Some(max) = shared.max_gates {
-        if circuit.num_gates() > max {
-            return Response::text(
-                422,
-                format!(
-                    "circuit has {} gates; this server admits at most {max}\n",
-                    circuit.num_gates()
-                ),
-            )
-            .header("X-Error-Kind", "limits");
-        }
-    }
-    // Whatever remains of the request deadline becomes the transpile budget:
-    // the session aborts cooperatively mid-routing when it expires.
+    // Whatever remains of the request deadline becomes the session's
+    // budget, the parse included: it aborts cooperatively mid-routing when
+    // it expires.
     let options = options.deadline(total.saturating_sub(accepted_at.elapsed()));
 
+    // The clock covers the whole session call: a new body's parse and
+    // admission checks, the cache lookups and any transpilation work.
     let started = Instant::now();
-    let result = match session.transpile_to_qasm(&circuit, &options) {
+    let result = match session.transpile_to_qasm(&request.body, &options, shared.limits) {
         Ok(result) => result,
         Err(e) => {
             let (status, kind) = match e.kind() {
                 ErrorKind::Parse => (400, "parse"),
+                ErrorKind::Limits => (422, "limits"),
                 ErrorKind::TooWide => (422, "too-wide"),
                 ErrorKind::Pass => (500, "pass"),
                 ErrorKind::Internal => (500, "internal"),

@@ -135,10 +135,11 @@ pub struct ServerMetrics {
     /// waiting in the queue or mid-transpile.
     pub deadline_expired: u64,
     /// Server-side transpile time of `/transpile` requests that produced a
-    /// transpiled circuit: the session call, which exports a cold or
-    /// replayed result and hands a stored hit its stored text, the same
-    /// number the response carries as `X-Elapsed-Ms`. Parsing, queueing and
-    /// writing the response are not included.
+    /// transpiled circuit: the whole session call, the same number the
+    /// response carries as `X-Elapsed-Ms`. It covers parsing a body the
+    /// session has not indexed, the admission checks, exporting a cold or
+    /// replayed result and handing a stored hit its stored text. Reading
+    /// the request, queueing and writing the response are not included.
     pub transpile_latency: LatencyHistogram,
     /// Time requests spent queued before a worker picked them up.
     pub queue_wait: LatencyHistogram,

@@ -103,6 +103,58 @@ fn route_step_panic_is_a_500_and_recovery_is_bit_identical() {
     stop();
 }
 
+/// A `parse` panic on a body the session has not indexed is contained by
+/// the session as a 500 `internal`. The body is not indexed, so its next
+/// POST parses again and gets the unfaulted bytes.
+#[test]
+fn parse_panic_on_a_new_body_is_a_500_and_leaves_it_unindexed() {
+    let _session = failpoint_session();
+    let (addr, stop) = boot(config(1));
+
+    let reference = client::post(&addr, "/transpile", BELL).expect("reference");
+    assert_eq!(reference.status, 200, "body: {}", reference.body);
+    // The same circuit, in a body the session has not seen.
+    let variant = format!("// a new body\n{BELL}");
+    arm("parse", Action::Panic, 1.0);
+    let faulted = client::post(&addr, "/transpile", &variant).expect("faulted request");
+    disarm_all();
+    assert_eq!(faulted.status, 500, "body: {}", faulted.body);
+    assert_eq!(faulted.header("x-error-kind").unwrap(), "internal");
+    assert!(
+        faulted.body.contains("contained panic in parse"),
+        "body: {}",
+        faulted.body
+    );
+
+    // The next POST parses, finds the circuit's entry and indexes the body;
+    // the one after is found by its body.
+    for parses in [1, 0] {
+        let traced = client::post(&addr, "/transpile?trace=1", &variant).expect("traced");
+        assert_eq!(traced.status, 200, "body: {}", traced.body);
+        assert_eq!(
+            client::json_str_field(&traced.body, "qasm").as_deref(),
+            Some(reference.body.as_str()),
+            "post-fault responses must be byte-identical to the unfaulted reference"
+        );
+        assert_eq!(span_count(&traced.body, "qasm_parse"), parses);
+    }
+    assert_eq!(client::get(&addr, "/health").expect("health").status, 200);
+    stop();
+}
+
+/// The `count` of span `name` in a `?trace=1` envelope's table (0 when the
+/// table has no such row).
+fn span_count(envelope: &str, name: &str) -> u64 {
+    let row = format!("{{\"name\":\"{name}\",\"count\":");
+    envelope.find(&row).map_or(0, |at| {
+        let digits = &envelope[at + row.len()..];
+        let end = digits
+            .find(|c: char| !c.is_ascii_digit())
+            .unwrap_or(digits.len());
+        digits[..end].parse().expect("a span count")
+    })
+}
+
 #[test]
 fn slow_routing_expires_the_deadline_mid_flight_as_504() {
     let _session = failpoint_session();

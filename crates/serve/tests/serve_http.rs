@@ -173,10 +173,13 @@ fn device_and_option_query_params() {
 fn error_taxonomy_maps_kinds_to_statuses() {
     let (addr, stop) = boot(default_config());
 
-    // Parse failure -> 400.
-    let parse = client::post(&addr, "/transpile", "OPENQASM 2.0;\nbogus").expect("parse");
-    assert_eq!(parse.status, 400);
-    assert_eq!(parse.header("x-error-kind").unwrap(), "parse");
+    // Parse failure -> 400, every time: a text that does not parse is
+    // never indexed.
+    for _ in 0..3 {
+        let parse = client::post(&addr, "/transpile", "OPENQASM 2.0;\nbogus").expect("parse");
+        assert_eq!(parse.status, 400);
+        assert_eq!(parse.header("x-error-kind").unwrap(), "parse");
+    }
 
     // Wider than the device -> 422 on the 4-qubit device.
     let wide = client::post(&addr, "/transpile?device=linear:4", GHZ5).expect("wide");
@@ -436,15 +439,24 @@ fn admission_limits_refuse_oversized_circuits_with_422() {
     });
 
     // GHZ5 exceeds both limits (5 qubits, 5 gates): refused before any
-    // transpilation work, with the taxonomy header.
-    let refused = client::post(&addr, "/transpile", GHZ5).expect("oversized");
-    assert_eq!(refused.status, 422, "body: {}", refused.body);
-    assert_eq!(refused.header("x-error-kind").unwrap(), "limits");
-    assert!(refused.body.contains("at most 3"), "body: {}", refused.body);
+    // transpilation work, with the taxonomy header, on every arrival.
+    for _ in 0..3 {
+        let refused = client::post(&addr, "/transpile", GHZ5).expect("oversized");
+        assert_eq!(refused.status, 422, "body: {}", refused.body);
+        assert_eq!(refused.header("x-error-kind").unwrap(), "limits");
+        assert!(refused.body.contains("at most 3"), "body: {}", refused.body);
+    }
 
-    // Bell (2 qubits, 2 gates) is within limits and still transpiles.
-    let admitted = client::post(&addr, "/transpile", BELL).expect("within limits");
-    assert_eq!(admitted.status, 200, "body: {}", admitted.body);
+    // Bell (2 qubits, 2 gates) is within limits and still transpiles, also
+    // when its third arrival is found by its text.
+    let admitted: Vec<_> = (0..3)
+        .map(|_| client::post(&addr, "/transpile", BELL).expect("within limits"))
+        .collect();
+    for response in &admitted {
+        assert_eq!(response.status, 200, "body: {}", response.body);
+        assert_eq!(response.body, admitted[0].body);
+    }
+    assert_eq!(admitted[2].header("x-cache-hits"), Some("3"));
     stop();
 }
 
@@ -713,8 +725,9 @@ fn traced_requests_return_span_tables_that_round_trip() {
 }
 
 /// A repeat request is served from the session's stored result: the second
-/// POST replays and stores, the third and fourth copy. The daemon runs as
-/// its own process, so the traced request's table holds its spans alone.
+/// POST parses, indexes its body, replays and stores; the third and fourth
+/// are found by their body and send the stored text. The daemon runs as its
+/// own process, so the traced request's table holds its spans alone.
 #[cfg(unix)]
 #[test]
 fn repeat_requests_return_the_stored_result_byte_for_byte() {
@@ -763,9 +776,16 @@ fn repeat_requests_return_the_stored_result_byte_for_byte() {
         Some(cold.body.as_str())
     );
     assert!(traced.contains("\"name\":\"job\""), "trace: {traced}");
-    // The replay exported the text the session keeps, so the stored hit
-    // sends it without exporting again.
-    for computed in ["route_from", "decompose", "post_optimize", "qasm_export"] {
+    // The second request indexed its body and exported the text the
+    // session keeps, so the third is found by its body and sends that text:
+    // it neither parses nor exports.
+    for computed in [
+        "qasm_parse",
+        "route_from",
+        "decompose",
+        "post_optimize",
+        "qasm_export",
+    ] {
         assert!(
             !traced.contains(&format!("\"name\":\"{computed}\"")),
             "a stored hit runs no {computed}: {traced}"
