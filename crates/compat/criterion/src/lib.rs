@@ -5,31 +5,43 @@
 //! [`Criterion::bench_function`], [`Criterion::benchmark_group`],
 //! [`BenchmarkGroup::bench_with_input`], [`BenchmarkId`], `criterion_group!`
 //! and `criterion_main!` — with plain wall-clock timing instead of
-//! statistics. Each benchmark runs a short warm-up followed by `sample_size`
-//! timed iterations and prints the mean per-iteration time. Swap in the real
-//! criterion (same manifest entry, registry source) when network access is
-//! available for publication-grade numbers.
+//! statistics. Each benchmark runs one untimed warm-up call, then times its
+//! `sample_size` iterations in ten consecutive batches and prints the median
+//! batch's per-iteration time with the fastest and slowest batch's, so a
+//! one-off stall shows as spread instead of moving a single mean. Swap in
+//! the real criterion (same manifest entry, registry source) when network
+//! access is available for publication-grade numbers.
 
 use std::fmt::Display;
 use std::time::{Duration, Instant};
 
+/// Timed batches per benchmark (fewer when it has fewer iterations).
+const BATCHES: u64 = 10;
+
 /// Measurement state handed to the `|b| b.iter(...)` closure.
 pub struct Bencher {
     iterations: u64,
-    elapsed: Duration,
+    /// The per-iteration time of each timed batch.
+    batch_times: Vec<Duration>,
 }
 
 impl Bencher {
-    /// Times `iterations` calls of `routine`, keeping each return value alive
-    /// until after the measurement so it cannot be optimized away.
+    /// Times `iterations` calls of `routine` in up to ten batches of
+    /// near-equal size, keeping each return value alive until after the
+    /// measurement so it cannot be optimized away.
     pub fn iter<O, F: FnMut() -> O>(&mut self, mut routine: F) {
-        // Warm-up pass, untimed.
+        // Warm-up call, untimed.
         black_box(routine());
-        let start = Instant::now();
-        for _ in 0..self.iterations {
-            black_box(routine());
+        let batches = BATCHES.min(self.iterations);
+        self.batch_times.clear();
+        for batch in 0..batches {
+            let size = self.iterations * (batch + 1) / batches - self.iterations * batch / batches;
+            let start = Instant::now();
+            for _ in 0..size {
+                black_box(routine());
+            }
+            self.batch_times.push(start.elapsed().div_f64(size as f64));
         }
-        self.elapsed = start.elapsed();
     }
 }
 
@@ -63,14 +75,23 @@ const DEFAULT_SAMPLE_SIZE: u64 = 10;
 fn run_one(label: &str, sample_size: u64, f: &mut dyn FnMut(&mut Bencher)) {
     let mut bencher = Bencher {
         iterations: sample_size.max(1),
-        elapsed: Duration::ZERO,
+        batch_times: Vec::new(),
     };
     f(&mut bencher);
-    let per_iter = bencher.elapsed.as_secs_f64() / bencher.iterations as f64;
+    let mut times = bencher.batch_times;
+    if times.is_empty() {
+        println!("{label:<40} (the closure timed nothing)");
+        return;
+    }
+    times.sort_unstable();
+    let micros = |time: Duration| time.as_secs_f64() * 1e6;
     println!(
-        "{label:<40} time: {:>12.3} µs/iter ({} iters)",
-        per_iter * 1e6,
-        bencher.iterations
+        "{label:<40} time: {:>12.3} µs/iter [{:.3} – {:.3}] ({} iters in {} batches)",
+        micros(times[times.len() / 2]),
+        micros(times[0]),
+        micros(times[times.len() - 1]),
+        bencher.iterations,
+        times.len()
     );
 }
 
@@ -156,6 +177,24 @@ mod tests {
         Criterion::default().bench_function("counter", |b| b.iter(|| runs += 1));
         // One warm-up call plus DEFAULT_SAMPLE_SIZE timed calls.
         assert_eq!(runs, DEFAULT_SAMPLE_SIZE + 1);
+    }
+
+    #[test]
+    fn batches_split_the_iterations_exactly() {
+        for iterations in [1, 3, 10, 25, 20_000] {
+            let mut bencher = Bencher {
+                iterations,
+                batch_times: Vec::new(),
+            };
+            let mut runs = 0u64;
+            bencher.iter(|| runs += 1);
+            assert_eq!(runs, iterations + 1, "{iterations} iterations");
+            assert_eq!(
+                bencher.batch_times.len() as u64,
+                BATCHES.min(iterations),
+                "{iterations} iterations"
+            );
+        }
     }
 
     #[test]

@@ -6,6 +6,16 @@
 //! gates, [`sabre_layout_prepared_budgeted`]'s single-RNG refinement for
 //! one trial, [`split_seed`]-seeded policy-aware trials otherwise — and
 //! routes from it on the production RNG, which it owns.
+//!
+//! A refinement pass keeps only its final layout. Under a policy whose
+//! decisions never read the routed output ([`SwapPolicy::READS_OUTPUT`]
+//! false, as [`SabrePolicy`] declares) it records none: no routing-state
+//! pushes, no SWAP emission, no circuit. So the six passes of the
+//! single-trial search and every refinement pass of a SABRE multi-trial
+//! search build nothing, while NASSC's refinement passes, whose score reads
+//! the output, and every scoring or production route still record. Either
+//! way a pass keeps its budget checkpoints, failpoint and SWAP-budget
+//! assert, draws the same random numbers and ends on the same layout.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -15,7 +25,9 @@ use nassc_parallel::{Budget, ThreadPool};
 use nassc_topology::{CouplingMap, DistanceMatrix, Layout};
 
 use crate::config::{SabreConfig, LAYOUT_ITERATIONS};
-use crate::router::{route_prepared_budgeted, RoutingResult, SabrePolicy, SwapPolicy};
+use crate::router::{
+    refinement_pass, route_prepared_budgeted, RoutingResult, SabrePolicy, SwapPolicy,
+};
 
 /// Derives an independent child seed from `base` and a stream index.
 ///
@@ -66,7 +78,8 @@ pub fn sabre_layout_prepared(
 /// stream, which does not depend on call-ordering internals.
 ///
 /// The search always runs: [`LayoutTrials::run`] gives a circuit without
-/// two-qubit gates the identity layout instead of calling it.
+/// two-qubit gates the identity layout instead of calling it. Its
+/// refinement passes record no output (see the [module docs](self)).
 ///
 /// `budget` is checked at the start of the search and once per routing step
 /// of every refinement pass (see [`route_prepared_budgeted`]). Outputs are
@@ -85,7 +98,7 @@ pub fn sabre_layout_prepared_budgeted(
     let mut rng = StdRng::seed_from_u64(seed);
     let mut layout = Layout::random(coupling.num_qubits(), &mut rng);
     for _ in 0..LAYOUT_ITERATIONS {
-        let forward = route_prepared_budgeted(
+        let forward = refinement_pass(
             dag,
             coupling,
             distances,
@@ -94,16 +107,15 @@ pub fn sabre_layout_prepared_budgeted(
             &mut rng,
             budget,
         );
-        let backward = route_prepared_budgeted(
+        layout = refinement_pass(
             reversed_dag,
             coupling,
             distances,
-            &forward.final_layout,
+            &forward,
             &mut SabrePolicy,
             &mut rng,
             budget,
         );
-        layout = backward.final_layout;
     }
     layout
 }
@@ -162,10 +174,11 @@ fn select_best_trial(costs: &[f64]) -> usize {
 ///
 /// Refinement and scoring run through a caller-supplied [`SwapPolicy`]
 /// factory, so optimization-aware routers refine layouts with their own cost
-/// function instead of the plain SABRE heuristic. Every policy is priced
-/// alike: routing emits each input gate once and every SWAP later expands
-/// into three CNOTs, so the SWAP count ranks trials exactly as the CNOT
-/// count of the expanded circuit would.
+/// function instead of the plain SABRE heuristic; a refinement pass records
+/// its output only when the policy reads it (see the [module docs](self)).
+/// Every policy is priced alike: routing emits each input gate once and
+/// every SWAP later expands into three CNOTs, so the SWAP count ranks trials
+/// exactly as the CNOT count of the expanded circuit would.
 ///
 /// # Example
 ///
@@ -371,7 +384,7 @@ impl<'a> LayoutTrials<'a> {
 
         let mut layout = Layout::random(self.coupling.num_qubits(), &mut stage_rng());
         for _ in 0..LAYOUT_ITERATIONS {
-            let forward = route_prepared_budgeted(
+            let forward = refinement_pass(
                 &self.dag,
                 self.coupling,
                 self.distances,
@@ -380,16 +393,15 @@ impl<'a> LayoutTrials<'a> {
                 &mut stage_rng(),
                 &self.budget,
             );
-            let backward = route_prepared_budgeted(
+            layout = refinement_pass(
                 reversed_dag,
                 self.coupling,
                 self.distances,
-                &forward.final_layout,
+                &forward,
                 &mut make_policy(),
                 &mut stage_rng(),
                 &self.budget,
             );
-            layout = backward.final_layout;
         }
         let scored = self.production_route(&layout, make_policy);
         let cost = scored.swap_count as f64;

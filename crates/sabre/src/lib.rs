@@ -22,7 +22,8 @@
 //!   independently seeded and refined through any [`SwapPolicy`], each
 //!   priced by the SWAPs its full routing pass inserts, argmin kept with
 //!   deterministic lowest-index tie-breaking, optionally fanned across a
-//!   thread pool without affecting results,
+//!   thread pool without affecting results. A refinement pass under a
+//!   policy that never reads the routed output records none,
 //! * [`RoutingState`] — the incremental output-circuit state (per-qubit
 //!   touch index with O(1) push/pop, in-place SWAP orientation and
 //!   O(window) pair queries) the hot loop is built around.

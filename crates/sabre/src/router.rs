@@ -23,7 +23,14 @@
 //!   scores cost microseconds, far less than one worker-pool dispatch, so
 //!   parallelism lives a level up: in layout trials and batch jobs;
 //! * all per-step buffers (front layer, extended set, candidate edges) are
-//!   reused scratch owned by the routing loop.
+//!   reused scratch owned by the routing loop. The front and extended
+//!   layers depend only on which gates have executed, so a step whose SWAP
+//!   executed nothing keeps the previous step's layers instead of
+//!   rebuilding them;
+//! * a layout refinement pass keeps only its final layout, so under a
+//!   policy that never reads the output ([`SwapPolicy::READS_OUTPUT`]) it
+//!   records none: no [`RoutingState`] pushes, no SWAP emission, no
+//!   circuit.
 
 use std::collections::VecDeque;
 
@@ -201,6 +208,16 @@ impl<'a> RoutingContext<'a> {
 /// [`emit_swap`](Self::emit_swap), which runs exactly once per inserted
 /// SWAP.
 pub trait SwapPolicy {
+    /// Whether the policy's decisions read the output emitted so far: its
+    /// [`score`](Self::score) reads [`RoutingContext::state`], or its
+    /// [`emit_swap`](Self::emit_swap) does more than append the SWAP.
+    ///
+    /// A layout refinement pass keeps only its final layout. Under a policy
+    /// that declares `false` it records no output: it builds no circuit,
+    /// hands `score` an empty state over zero qubits and never calls
+    /// `emit_swap`. The default, `true`, records every pass.
+    const READS_OUTPUT: bool = true;
+
     /// Scores the SWAP on physical qubits `(p1, p2)`.
     fn score(&self, ctx: &RoutingContext<'_>, p1: usize, p2: usize) -> f64;
 
@@ -223,6 +240,8 @@ pub trait SwapPolicy {
 pub struct SabrePolicy;
 
 impl SwapPolicy for SabrePolicy {
+    const READS_OUTPUT: bool = false;
+
     fn score(&self, ctx: &RoutingContext<'_>, p1: usize, p2: usize) -> f64 {
         ctx.lookahead_cost(p1, p2)
     }
@@ -299,6 +318,66 @@ pub fn route_prepared_budgeted<P: SwapPolicy>(
     rng: &mut StdRng,
     budget: &Budget,
 ) -> RoutingResult {
+    let (state, final_layout, swap_count) = route_pass::<P, true>(
+        dag,
+        coupling,
+        distances,
+        initial_layout,
+        policy,
+        rng,
+        budget,
+    );
+    RoutingResult {
+        circuit: state.into_circuit(),
+        initial_layout: initial_layout.clone(),
+        final_layout,
+        swap_count,
+    }
+}
+
+/// The final layout of a layout refinement pass: the traversal of
+/// [`route_prepared_budgeted`], with its budget checkpoints, failpoint and
+/// SWAP-budget assert, which records its output only when
+/// [`P::READS_OUTPUT`](SwapPolicy::READS_OUTPUT). Either way it draws the
+/// same random numbers and returns the same layout.
+pub(crate) fn refinement_pass<P: SwapPolicy>(
+    dag: &DagCircuit,
+    coupling: &CouplingMap,
+    distances: &DistanceMatrix,
+    initial_layout: &Layout,
+    policy: &mut P,
+    rng: &mut StdRng,
+    budget: &Budget,
+) -> Layout {
+    let pass = if P::READS_OUTPUT {
+        route_pass::<P, true>
+    } else {
+        route_pass::<P, false>
+    };
+    pass(
+        dag,
+        coupling,
+        distances,
+        initial_layout,
+        policy,
+        rng,
+        budget,
+    )
+    .1
+}
+
+/// One routing pass: returns the output state, the final layout and the
+/// SWAP count. With `RECORD` false the state stays empty over zero qubits:
+/// no gate is pushed and `emit_swap` is never called.
+fn route_pass<P: SwapPolicy, const RECORD: bool>(
+    dag: &DagCircuit,
+    coupling: &CouplingMap,
+    distances: &DistanceMatrix,
+    initial_layout: &Layout,
+    policy: &mut P,
+    rng: &mut StdRng,
+    budget: &Budget,
+) -> (RoutingState, Layout, usize) {
     assert!(
         dag.num_qubits() <= coupling.num_qubits(),
         "circuit needs {} qubits but the device has {}",
@@ -310,7 +389,7 @@ pub fn route_prepared_budgeted<P: SwapPolicy>(
     let mut executed = vec![false; dag.num_nodes()];
     let mut ready: Vec<usize> = dag.front_layer();
     let mut layout = initial_layout.clone();
-    let mut state = RoutingState::new(num_physical);
+    let mut state = RoutingState::new(if RECORD { num_physical } else { 0 });
     let mut decay = vec![1.0_f64; num_physical];
     let mut swaps_since_reset = 0usize;
     let mut swap_count = 0usize;
@@ -326,6 +405,9 @@ pub fn route_prepared_budgeted<P: SwapPolicy>(
     let mut candidates: Vec<(usize, usize)> = Vec::new();
     let mut edge_seen = vec![false; num_physical * num_physical];
     let mut endpoints = StepEndpoints::new();
+    // Set whenever a gate executes: the front and extended layers need a
+    // rebuild before the next SWAP is scored.
+    let mut layers_stale = true;
 
     // Trace totals, accumulated locally and emitted once per route call:
     // per-step counter events would dominate the enabled-mode overhead on
@@ -358,7 +440,10 @@ pub fn route_prepared_budgeted<P: SwapPolicy>(
                     true
                 };
                 if runnable {
-                    state.push(inst.map_qubits(|q| layout.physical_of(q)));
+                    layers_stale = true;
+                    if RECORD {
+                        state.push(inst.map_qubits(|q| layout.physical_of(q)));
+                    }
                     executed[node] = true;
                     remaining -= 1;
                     progress = true;
@@ -380,25 +465,31 @@ pub fn route_prepared_budgeted<P: SwapPolicy>(
             break;
         }
 
-        // The remaining ready gates are two-qubit gates that need SWAPs.
-        front.clear();
-        front.extend(
-            ready
-                .iter()
-                .copied()
-                .filter(|&n| !executed[n] && dag.node(n).instruction.is_two_qubit()),
-        );
-        assert!(
-            !front.is_empty(),
-            "routing stalled: unresolved gates remain but the front layer is empty"
-        );
-        let extended = collect_extended_set(
-            dag,
-            &front,
-            &executed,
-            EXTENDED_SET_SIZE,
-            &mut extended_scratch,
-        );
+        // The remaining ready gates are two-qubit gates that need SWAPs. The
+        // front and extended layers depend only on which gates have
+        // executed, so a step after a SWAP that executed nothing reuses them.
+        if layers_stale {
+            front.clear();
+            front.extend(
+                ready
+                    .iter()
+                    .copied()
+                    .filter(|&n| !executed[n] && dag.node(n).instruction.is_two_qubit()),
+            );
+            assert!(
+                !front.is_empty(),
+                "routing stalled: unresolved gates remain but the front layer is empty"
+            );
+            collect_extended_set(
+                dag,
+                &front,
+                &executed,
+                EXTENDED_SET_SIZE,
+                &mut extended_scratch,
+            );
+            layers_stale = false;
+        }
+        let extended = &extended_scratch.extended[..];
 
         // Candidate SWAPs: every coupling edge incident to a front-layer
         // qubit, deduplicated through a per-edge bitset (insertion order is
@@ -436,7 +527,9 @@ pub fn route_prepared_budgeted<P: SwapPolicy>(
         }
         let ((p1, p2), _) = best.expect("at least one SWAP candidate");
 
-        policy.emit_swap(&mut state, p1, p2);
+        if RECORD {
+            policy.emit_swap(&mut state, p1, p2);
+        }
         layout.swap_physical(p1, p2);
         swap_count += 1;
         total_swaps_guard += 1;
@@ -456,12 +549,7 @@ pub fn route_prepared_budgeted<P: SwapPolicy>(
     nassc_trace::counter("route.steps", trace_steps);
     nassc_trace::counter("route.swap_candidates", trace_swap_candidates);
 
-    RoutingResult {
-        circuit: state.into_circuit(),
-        initial_layout: initial_layout.clone(),
-        final_layout: layout,
-        swap_count,
-    }
+    (state, layout, swap_count)
 }
 
 /// Reusable buffers for [`collect_extended_set`]: the BFS queue, the visited
@@ -486,15 +574,14 @@ impl ExtendedScratch {
 }
 
 /// Collects up to `limit` not-yet-executed two-qubit gates reachable from the
-/// front layer — the lookahead (extended) layer. Returns a slice into the
-/// scratch's output buffer.
-fn collect_extended_set<'s>(
+/// front layer — the lookahead (extended) layer — into `scratch.extended`.
+fn collect_extended_set(
     dag: &DagCircuit,
     front: &[usize],
     executed: &[bool],
     limit: usize,
-    scratch: &'s mut ExtendedScratch,
-) -> &'s [usize] {
+    scratch: &mut ExtendedScratch,
+) {
     for node in scratch.seen_touched.drain(..) {
         scratch.seen[node] = false;
     }
@@ -527,7 +614,6 @@ fn collect_extended_set<'s>(
             }
         }
     }
-    &scratch.extended
 }
 
 #[cfg(test)]
@@ -657,6 +743,105 @@ mod tests {
         assert!(measures.contains(&2) || measures.contains(&1));
     }
 
+    /// A seeded circuit of `gates` CNOTs and Hadamards on `width` qubits.
+    fn random_circuit(width: usize, gates: usize, seed: u64) -> QuantumCircuit {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut qc = QuantumCircuit::new(width);
+        for _ in 0..gates {
+            let a = rng.gen_range(0..width);
+            if rng.gen_bool(0.25) {
+                qc.h(a);
+            } else {
+                qc.cx(a, (a + rng.gen_range(1..width)) % width);
+            }
+        }
+        qc
+    }
+
+    #[test]
+    fn output_free_passes_end_where_recording_passes_do() {
+        use rand::Rng;
+        let devices = [
+            CouplingMap::linear(7),
+            CouplingMap::grid(3, 3),
+            CouplingMap::heavy_hex(3),
+        ];
+        for device in &devices {
+            let distances = device.distance_matrix();
+            for seed in 0..8 {
+                let circuit = random_circuit(7, 40, seed);
+                let dag = DagCircuit::from_circuit(&circuit);
+                let layout = Layout::random(device.num_qubits(), &mut StdRng::seed_from_u64(seed));
+                let pass = |rng: &mut StdRng, record: bool| {
+                    let route = if record {
+                        route_pass::<SabrePolicy, true>
+                    } else {
+                        route_pass::<SabrePolicy, false>
+                    };
+                    let budget = Budget::unlimited();
+                    let (state, final_layout, swaps) = route(
+                        &dag,
+                        device,
+                        &distances,
+                        &layout,
+                        &mut SabrePolicy,
+                        rng,
+                        &budget,
+                    );
+                    (state.num_gates(), final_layout, swaps)
+                };
+                let mut recording_rng = StdRng::seed_from_u64(seed);
+                let mut free_rng = StdRng::seed_from_u64(seed);
+                let (recorded_gates, recorded, recorded_swaps) = pass(&mut recording_rng, true);
+                let (free_gates, free, free_swaps) = pass(&mut free_rng, false);
+                let context = format!("{} qubits, seed {seed}", device.num_qubits());
+                assert_eq!(free, recorded, "{context}: final layout");
+                assert_eq!(free_swaps, recorded_swaps, "{context}: SWAP count");
+                assert!(recorded_gates >= circuit.num_gates(), "{context}");
+                assert_eq!(free_gates, 0, "{context}: the output-free pass recorded");
+                // Both drew the same random numbers, so a search threading
+                // one RNG through its passes continues identically.
+                assert_eq!(
+                    free_rng.gen::<u64>(),
+                    recording_rng.gen::<u64>(),
+                    "{context}: RNG stream"
+                );
+                let refined = refinement_pass(
+                    &dag,
+                    device,
+                    &distances,
+                    &layout,
+                    &mut SabrePolicy,
+                    &mut StdRng::seed_from_u64(seed),
+                    &Budget::unlimited(),
+                );
+                assert_eq!(refined, recorded, "{context}: refinement pass");
+            }
+        }
+    }
+
+    #[test]
+    fn output_free_passes_keep_the_budget_checkpoint() {
+        let line = CouplingMap::linear(5);
+        let circuit = random_circuit(5, 20, 1);
+        let budget = Budget::unlimited();
+        budget.cancel();
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            refinement_pass(
+                &DagCircuit::from_circuit(&circuit),
+                &line,
+                &line.distance_matrix(),
+                &Layout::trivial(5),
+                &mut SabrePolicy,
+                &mut StdRng::seed_from_u64(1),
+                &budget,
+            )
+        }));
+        let payload = caught.expect_err("a cancelled budget aborts the pass");
+        assert!(nassc_parallel::Cancelled::from_payload(payload.as_ref()));
+    }
+
     #[test]
     fn extended_set_respects_limit() {
         let mut qc = QuantumCircuit::new(6);
@@ -666,7 +851,7 @@ mod tests {
         let dag = DagCircuit::from_circuit(&qc);
         let executed = vec![false; dag.num_nodes()];
         let mut scratch = ExtendedScratch::new(dag.num_nodes());
-        let extended = collect_extended_set(&dag, &[0], &executed, 2, &mut scratch);
-        assert!(extended.len() <= 2);
+        collect_extended_set(&dag, &[0], &executed, 2, &mut scratch);
+        assert!(scratch.extended.len() <= 2);
     }
 }

@@ -7,12 +7,12 @@
 //!
 //! ```text
 //!   acceptor (blocking accept: each connection is queued on arrival)
-//!      │  try_send            ── full → 429 written by the acceptor; the
+//!      │  push, notify_one    ── full → 429 written by the acceptor; the
 //!      │                         linger thread reads to the client's EOF
 //!      ▼
-//!   sync_channel<Conn>        ── backpressure valve (queue_depth)
-//!      │  recv (blocking)
-//!      ▼
+//!   ConnQueue                 ── backpressure valve (queue_depth): a
+//!      │  pop (condvar wait)     VecDeque<Conn> behind a mutex; each push
+//!      ▼                         wakes one idle worker
 //!   N handler workers         ── deadline check → 504 before transpiling
 //!      │                         /transpile → the body, unparsed, with the
 //!      │                         options and admission limits
@@ -83,7 +83,7 @@
 //! takes the next connection — the daemon never loses serving capacity.
 //!
 //! Shutdown is graceful: SIGINT/SIGTERM (or [`ShutdownHandle::shutdown`])
-//! stops the acceptor, whose end of the queue drops and closes it; the
+//! stops the acceptor, and the queue closes as it returns; the
 //! workers drain the queued requests, and [`Server::run`] joins them before
 //! it returns. The acceptor
 //! blocks in `accept` with no timer, so a shutdown wakes it with a loopback
@@ -100,12 +100,13 @@ pub mod http;
 pub mod metrics;
 pub mod signal;
 
+use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Read};
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use nassc::trace::json_escape;
@@ -206,12 +207,77 @@ struct Conn {
     accepted_at: Instant,
 }
 
+/// The bounded hand-off from the acceptor to the handler workers: the
+/// queued connections in arrival order behind one mutex, and a condvar on
+/// which idle workers wait. Each push wakes one worker; closing wakes all.
+#[derive(Default)]
+struct ConnQueue {
+    pending: Mutex<Pending>,
+    available: Condvar,
+}
+
+#[derive(Default)]
+struct Pending {
+    conns: VecDeque<Conn>,
+    /// Set once the acceptor is done: the workers drain `conns`, then end.
+    closed: bool,
+}
+
+impl ConnQueue {
+    /// Queues `conn` and wakes one idle worker, or hands `conn` back when
+    /// `capacity` connections are already waiting.
+    fn push(&self, conn: Conn, capacity: usize) -> Result<(), Conn> {
+        let mut pending = self.lock();
+        if pending.conns.len() >= capacity {
+            return Err(conn);
+        }
+        pending.conns.push_back(conn);
+        drop(pending);
+        self.available.notify_one();
+        Ok(())
+    }
+
+    /// The oldest queued connection, waiting while the queue is open and
+    /// empty; `None` once it is closed and drained.
+    fn pop(&self) -> Option<Conn> {
+        let mut pending = self.lock();
+        loop {
+            if let Some(conn) = pending.conns.pop_front() {
+                return Some(conn);
+            }
+            if pending.closed {
+                return None;
+            }
+            pending = self
+                .available
+                .wait(pending)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Pending> {
+        // A deque and a flag, neither left half-updated by a panic (nothing
+        // under the lock panics), so recovering from poison is sound.
+        self.pending.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// Closes the queue when dropped, and wakes every waiting worker.
+struct CloseOnDrop<'a>(&'a ConnQueue);
+
+impl Drop for CloseOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.lock().closed = true;
+        self.0.available.notify_all();
+    }
+}
+
 /// State shared between the acceptor and the handler workers.
 struct Shared {
     /// One session per device, found by `session.device().name()`.
     sessions: Vec<Transpiler>,
-    /// Connections in the queue: counted up before each `try_send`, down on
-    /// a refusal or a `recv`.
+    /// Connections in the queue: counted up before each push, down on a
+    /// refusal or a pop.
     queue_depth: AtomicUsize,
     queue_capacity: usize,
     metrics: Mutex<ServerMetrics>,
@@ -354,18 +420,18 @@ impl Server {
     /// is requested (via [`ShutdownHandle`] or SIGINT/SIGTERM), then closes
     /// the queue, drains in-flight requests and joins the workers.
     pub fn run(self) {
-        let (queue, queued) = sync_channel(self.shared.queue_capacity);
-        let queued = Mutex::new(queued);
+        let queue = ConnQueue::default();
         // The scope joins every daemon thread: the handler workers end once
         // the queue is closed and drained, and the linger thread once the
         // acceptor's sender is gone and the connections it holds are done.
-        // The scope owns the queue's sender, so the queue closes when the
-        // acceptor returns, or as a failed spawn's panic unwinds the scope.
+        // The guard closes the queue when the acceptor returns, or as a
+        // failed spawn's panic unwinds the scope, before the scope joins.
         std::thread::scope(|scope| {
+            let _close = CloseOnDrop(&queue);
             for index in 0..self.shared.workers {
                 let spawned = std::thread::Builder::new()
                     .name(format!("nassc-serve-worker-{index}"))
-                    .spawn_scoped(scope, || worker_loop(&self.shared, &queued));
+                    .spawn_scoped(scope, || worker_loop(&self.shared, &queue));
                 if let Err(error) = spawned {
                     panic!("spawning handler worker: {error}");
                 }
@@ -373,14 +439,14 @@ impl Server {
             let watcher = scope.spawn(|| watch_signals(&self.shutdown));
             let (linger, lingering) = sync_channel(LINGER_BACKLOG);
             scope.spawn(move || linger_loop(lingering));
-            self.accept_until_shutdown(queue, &linger);
+            self.accept_until_shutdown(&queue, &linger);
             watcher.thread().unpark();
         });
     }
 
     /// Blocks in `accept` and queues each connection as it arrives, until
-    /// shutdown is requested; returning drops `queue`, which closes it.
-    fn accept_until_shutdown(&self, queue: SyncSender<Conn>, linger: &SyncSender<Lingering>) {
+    /// shutdown is requested.
+    fn accept_until_shutdown(&self, queue: &ConnQueue, linger: &SyncSender<Lingering>) {
         loop {
             let accepted = self.listener.accept();
             // A shutdown wakes the blocked `accept` with a connection of its
@@ -397,10 +463,8 @@ impl Server {
                 stream,
                 accepted_at: Instant::now(),
             };
-            // The workers' receiver outlives the acceptor, so a refused send
-            // means a full queue.
             self.shared.queue_depth.fetch_add(1, Ordering::Relaxed);
-            if let Err(TrySendError::Full(conn)) = queue.try_send(conn) {
+            if let Err(conn) = queue.push(conn, self.shared.queue_capacity) {
                 self.shared.queue_depth.fetch_sub(1, Ordering::Relaxed);
                 lock_metrics(&self.shared).rejected_busy += 1;
                 reject(&self.shared, linger, conn.stream, 429, "queue full");
@@ -489,15 +553,8 @@ fn reject(
 /// and is counted; the worker then takes the next one. Unwinding past the
 /// shared state is sound: its locks recover from poison and its counters
 /// are monotone.
-fn worker_loop(shared: &Shared, queue: &Mutex<Receiver<Conn>>) {
-    loop {
-        // The guard drops at the end of this statement: one worker waits in
-        // `recv` at a time, and none holds the lock while serving. Nothing
-        // under the lock panics, so recovering from poison is sound.
-        let received = queue.lock().unwrap_or_else(PoisonError::into_inner).recv();
-        let Ok(conn) = received else {
-            return;
-        };
+fn worker_loop(shared: &Shared, queue: &ConnQueue) {
+    while let Some(conn) = queue.pop() {
         shared.queue_depth.fetch_sub(1, Ordering::Relaxed);
         let served = std::panic::catch_unwind(AssertUnwindSafe(|| handle_connection(shared, conn)));
         if served.is_err() {

@@ -11,7 +11,8 @@
 //!   operator,
 //! * [`synthesize_two_qubit`] / [`two_qubit_cnot_cost`] — re-synthesis of a
 //!   two-qubit unitary with 0–3 CNOTs, and its CNOT count from the
-//!   decomposition's allocation-free angle stage alone,
+//!   decomposition's allocation-free angle stage alone, which a per-thread
+//!   table of recent counts skips for an input whose exact bits it holds,
 //! * [`swap_decomposition`] / [`expand_swaps`] — the SWAP-to-CNOT
 //!   expansion. A SWAP's qubit order is its orientation: its first qubit
 //!   controls the first CNOT, which is how NASSC's optimization-aware
@@ -37,7 +38,7 @@ pub mod weyl;
 pub use euler::{wrap_angle, EulerAngles, OneQubitEulerDecomposer};
 pub use local::{interaction_matrix, magic_basis, split_kron};
 pub use synth::{
-    expand_swaps, interaction_circuit, swap_decomposition, synthesize_two_qubit,
-    two_qubit_cnot_cost,
+    count_table_stats, expand_swaps, interaction_circuit, swap_decomposition, synthesize_two_qubit,
+    two_qubit_cnot_cost, CountTableStats, COUNT_TABLE_SLOTS,
 };
 pub use weyl::{DecomposeUnitaryError, WeylDecomposition};

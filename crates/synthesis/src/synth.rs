@@ -1,5 +1,14 @@
 //! Circuit emission: re-synthesis of two-qubit unitaries with minimal CNOTs
 //! and the expansion of routed SWAPs into CNOTs.
+//!
+//! [`two_qubit_cnot_cost`] answers a repeated input from a table of recent
+//! counts, one per thread: [`COUNT_TABLE_SLOTS`] direct-mapped entries,
+//! each keyed by the exact bit pattern of all 32 floats of the 4×4 matrix
+//! and compared in full, so a hash alone never decides a hit. It holds only
+//! successful counts, lives in thread-local storage rather than on the
+//! heap (about 17 KB per thread), and allocates nothing.
+
+use std::cell::RefCell;
 
 use nassc_circuit::{Gate, Instruction, QuantumCircuit};
 use nassc_math::{Matrix2, Matrix4};
@@ -71,13 +80,120 @@ pub fn synthesize_two_qubit(
 ///
 /// Runs only the angle stage of the Weyl decomposition, which allocates
 /// nothing unless it fails; its angles, and so the count, are bit-identical
-/// to those [`WeylDecomposition::new`] computes.
+/// to those [`WeylDecomposition::new`] computes. An input whose exact bits
+/// this thread has priced recently is answered from its table of counts
+/// (see the [module docs](self)) without running the angle stage.
 ///
 /// # Errors
 ///
 /// Propagates [`DecomposeUnitaryError`] when the Weyl decomposition fails.
 pub fn two_qubit_cnot_cost(u: &Matrix4) -> Result<usize, DecomposeUnitaryError> {
-    Ok(AngleStage::new(u)?.cnot_cost())
+    let key = CountKey::of(u);
+    if let Some(count) = COUNT_TABLE.with_borrow_mut(|table| table.lookup(&key)) {
+        return Ok(count);
+    }
+    let count = AngleStage::new(u)?.cnot_cost();
+    COUNT_TABLE.with_borrow_mut(|table| table.store(key, count));
+    Ok(count)
+}
+
+/// Entries in each thread's table of recent CNOT counts.
+pub const COUNT_TABLE_SLOTS: usize = 64;
+
+/// How often this thread's [`two_qubit_cnot_cost`] table answered.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CountTableStats {
+    /// Calls answered from the table.
+    pub hits: u64,
+    /// Calls that ran the angle stage, failed ones included.
+    pub misses: u64,
+}
+
+/// The current thread's [`CountTableStats`] since it started.
+pub fn count_table_stats() -> CountTableStats {
+    COUNT_TABLE.with_borrow(|table| table.stats)
+}
+
+/// The exact bits of a 4×4 matrix: real and imaginary part of each entry,
+/// row by row. `-0.0` and `0.0` are different keys, and so are NaNs with
+/// different payloads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct CountKey([u64; 32]);
+
+impl CountKey {
+    fn of(u: &Matrix4) -> Self {
+        let mut bits = [0u64; 32];
+        for (pair, z) in bits.chunks_exact_mut(2).zip(u.entries()) {
+            pair[0] = z.re.to_bits();
+            pair[1] = z.im.to_bits();
+        }
+        Self(bits)
+    }
+
+    /// The table slot this key maps to: the top bits of a multiplicative
+    /// hash over every word.
+    fn slot(&self) -> usize {
+        const SLOT_BITS: u32 = COUNT_TABLE_SLOTS.trailing_zeros();
+        const _: () = assert!(COUNT_TABLE_SLOTS.is_power_of_two());
+        let hash = self.0.iter().fold(0u64, |hash, &word| {
+            (hash.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95)
+        });
+        (hash >> (u64::BITS - SLOT_BITS)) as usize
+    }
+}
+
+/// One table slot: a key and its count, or `None` while empty.
+#[derive(Debug, Clone, Copy)]
+struct CountEntry {
+    key: CountKey,
+    count: Option<u8>,
+}
+
+/// A direct-mapped table of recent CNOT counts: a new key evicts the one
+/// in its slot.
+#[derive(Debug)]
+struct CountTable {
+    entries: [CountEntry; COUNT_TABLE_SLOTS],
+    stats: CountTableStats,
+}
+
+impl CountTable {
+    const EMPTY: Self = Self {
+        entries: [CountEntry {
+            key: CountKey([0; 32]),
+            count: None,
+        }; COUNT_TABLE_SLOTS],
+        stats: CountTableStats { hits: 0, misses: 0 },
+    };
+
+    /// The stored count of `key`, when its slot holds exactly `key`.
+    fn lookup(&mut self, key: &CountKey) -> Option<usize> {
+        let entry = &self.entries[key.slot()];
+        match entry.count {
+            Some(count) if entry.key == *key => {
+                self.stats.hits += 1;
+                Some(usize::from(count))
+            }
+            _ => {
+                self.stats.misses += 1;
+                None
+            }
+        }
+    }
+
+    fn store(&mut self, key: CountKey, count: usize) {
+        let count = u8::try_from(count).expect("a CNOT count is at most 3");
+        self.entries[key.slot()] = CountEntry {
+            key,
+            count: Some(count),
+        };
+    }
+}
+
+thread_local! {
+    /// This thread's counts: constant-initialised, so no thread allocates
+    /// for it.
+    static COUNT_TABLE: RefCell<CountTable> = const { RefCell::new(CountTable::EMPTY) };
 }
 
 /// Appends a single-qubit unitary as an instruction unless it is the
@@ -388,6 +504,83 @@ mod tests {
         let expanded = expand_swaps(&routed);
         assert_eq!(expanded, expected);
         assert!(circuits_equivalent(&routed, &expanded, 1e-10));
+    }
+
+    /// Prices `u` and returns the count with the change in this thread's
+    /// table statistics.
+    fn priced(u: &Matrix4) -> (Result<usize, DecomposeUnitaryError>, CountTableStats) {
+        let before = count_table_stats();
+        let cost = two_qubit_cnot_cost(u);
+        let after = count_table_stats();
+        let delta = CountTableStats {
+            hits: after.hits - before.hits,
+            misses: after.misses - before.misses,
+        };
+        (cost, delta)
+    }
+
+    const HIT: CountTableStats = CountTableStats { hits: 1, misses: 0 };
+    const MISS: CountTableStats = CountTableStats { hits: 0, misses: 1 };
+
+    #[test]
+    fn count_table_is_a_fixed_array_of_about_17_kb() {
+        // 64 entries of a 256-byte key and a count (16,920 bytes on x86-64).
+        assert!(size_of::<RefCell<CountTable>>() <= 17_000);
+    }
+
+    #[test]
+    fn inputs_sharing_a_slot_each_keep_their_own_count() {
+        let mut rng = StdRng::seed_from_u64(4);
+        let mut random_angle = || rng.gen_range(0.1..0.7);
+        // Two-CNOT inputs by slot, then a three-CNOT input landing on one.
+        let mut two_cnot = vec![None; COUNT_TABLE_SLOTS];
+        for _ in 0..16 * COUNT_TABLE_SLOTS {
+            let u = interaction_matrix(random_angle(), 0.0, random_angle());
+            two_cnot[CountKey::of(&u).slot()] = Some(u);
+        }
+        let (a, b) = std::iter::repeat_with(|| {
+            interaction_matrix(random_angle(), random_angle(), random_angle())
+        })
+        .find_map(|b| two_cnot[CountKey::of(&b).slot()].map(|a| (a, b)))
+        .expect("a three-CNOT input shares a slot with a two-CNOT one");
+        assert_ne!(CountKey::of(&a), CountKey::of(&b));
+        assert_eq!(priced(&a).0, Ok(2));
+        for _ in 0..3 {
+            // Each evicts the other, so neither is ever served the other's
+            // count.
+            assert_eq!(priced(&b), (Ok(3), MISS));
+            assert_eq!(priced(&a), (Ok(2), MISS));
+        }
+        assert_eq!(priced(&a), (Ok(2), HIT));
+    }
+
+    #[test]
+    fn a_signed_zero_is_a_different_key() {
+        let positive = Matrix4::cnot();
+        let mut negative = positive;
+        assert_eq!(negative.get(0, 1), C64::zero());
+        negative.set(0, 1, C64::new(-0.0, 0.0));
+        assert_eq!(positive, negative, "-0.0 == 0.0 as floats");
+        assert_ne!(CountKey::of(&positive), CountKey::of(&negative));
+        assert_eq!(priced(&positive), (Ok(1), MISS));
+        assert_eq!(priced(&positive), (Ok(1), HIT));
+        assert_eq!(priced(&negative), (Ok(1), MISS));
+        assert_eq!(priced(&negative), (Ok(1), HIT));
+    }
+
+    #[test]
+    fn a_failing_input_fails_every_time_and_is_never_stored() {
+        let not_unitary = Matrix4::identity().scale(C64::new(2.0, 0.0));
+        let expected = AngleStage::new(&not_unitary).map(|stage| stage.cnot_cost());
+        assert!(expected.is_err());
+        for _ in 0..3 {
+            assert_eq!(priced(&not_unitary), (expected.clone(), MISS));
+        }
+        let key = CountKey::of(&not_unitary);
+        COUNT_TABLE.with_borrow(|table| {
+            let entry = &table.entries[key.slot()];
+            assert!(entry.count.is_none() || entry.key != key);
+        });
     }
 
     #[test]

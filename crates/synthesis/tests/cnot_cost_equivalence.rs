@@ -7,14 +7,17 @@
 //! straddling the 1e-9 and 1e-7 thresholds) the two must return the same
 //! count and fail on the same inputs, and `synthesize_two_qubit` must emit
 //! exactly that many CNOTs — the fact `TwoQubitBlockResynthesis` relies on
-//! when it synthesises only the blocks it will replace.
+//! when it synthesises only the blocks it will replace. Each input is
+//! priced twice on the sweep's thread: the repeat returns the same count,
+//! and for a successful count it comes from the table of recent counts.
 
 use std::f64::consts::{FRAC_PI_2, FRAC_PI_4, PI};
 
 use nassc_circuit::Gate;
 use nassc_math::{Matrix2, Matrix4, C64};
 use nassc_synthesis::{
-    interaction_matrix, synthesize_two_qubit, two_qubit_cnot_cost, WeylDecomposition,
+    count_table_stats, interaction_matrix, synthesize_two_qubit, two_qubit_cnot_cost,
+    WeylDecomposition,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -79,6 +82,14 @@ fn sweep(seed: u64, local: fn(&mut StdRng) -> Matrix2) {
         let base = sample_unitary(&mut rng, local);
         for (u, swapped) in [(base, false), (Matrix4::swap().mul(&base), true)] {
             let cost = two_qubit_cnot_cost(&u);
+            let hits = count_table_stats().hits;
+            let repeat = two_qubit_cnot_cost(&u);
+            assert_eq!(repeat, cost, "case {case} (swap {swapped}): repeat");
+            assert_eq!(
+                count_table_stats().hits - hits,
+                u64::from(cost.is_ok()),
+                "case {case} (swap {swapped}): a count is stored, an error never"
+            );
             let full = WeylDecomposition::new(&u).map(|d| d.cnot_cost());
             assert_eq!(
                 cost.as_ref().ok(),

@@ -1,23 +1,28 @@
 //! The layout-trials determinism contract: transpile output is bit-identical
 //! at every worker budget ({1, 2, 8} workers) for both the single-trial
 //! search and multi-trial selection, trial selection is reproducible with
-//! deterministic lowest-index tie-breaking, and the single-trial search is
-//! the one a caller recomposes from the public stage functions.
+//! deterministic lowest-index tie-breaking, the single-trial search is
+//! the one a caller recomposes from the public stage functions, and layout
+//! searches keep the results pinned before SABRE's refinement passes
+//! stopped recording their output.
+
+mod fingerprint;
 
 use std::path::PathBuf;
 
+use fingerprint::{digest, Fnv};
 use nassc::circuit::{DagCircuit, QuantumCircuit};
 use nassc::parallel::ThreadPool;
 use nassc::passes::standard_optimization_pipeline;
 use nassc::sabre::{route_prepared, sabre_layout_prepared, SabreConfig, SabrePolicy, SwapPolicy};
 use nassc::synthesis::expand_swaps;
 use nassc::{
-    optimize_without_routing, NasscPolicy, RouterKind, SessionJob, TranspileOptions,
+    optimize_without_routing, LayoutTrials, NasscPolicy, RouterKind, SessionJob, TranspileOptions,
     TranspileResult, Transpiler,
 };
 use nassc_topology::{CouplingMap, DistanceMatrix, Layout};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 fn sample_circuit() -> QuantumCircuit {
     let mut qc = QuantumCircuit::new(6);
@@ -240,4 +245,75 @@ fn single_trial_sessions_match_the_recomposed_stages() {
             assert_identical(&expected, &result, &format!("{router:?}, {name}"));
         }
     }
+}
+
+/// A seeded circuit of `gates` CNOTs and Hadamards on `width` qubits.
+fn random_circuit(width: usize, gates: usize, seed: u64) -> QuantumCircuit {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut qc = QuantumCircuit::new(width);
+    for _ in 0..gates {
+        let a = rng.gen_range(0..width);
+        if rng.gen_bool(0.25) {
+            qc.h(a);
+        } else {
+            qc.cx(a, (a + rng.gen_range(1..width)) % width);
+        }
+    }
+    qc
+}
+
+/// The digest of every layout search below, recorded when every
+/// refinement pass still built its routed circuit.
+const LAYOUT_SEARCH_DIGEST: u64 = 0x5604_cb5d_02ae_5cb3;
+
+/// Random circuits × {linear, grid, heavy-hex} × seeds: the single-trial
+/// layout, the 4-trial SABRE and NASSC selections with their winning
+/// routes, and both routers' single-trial transpiles digest to the pinned
+/// value.
+#[test]
+fn layout_searches_match_the_pinned_digest() {
+    let devices = [
+        CouplingMap::linear(8),
+        CouplingMap::grid(3, 3),
+        CouplingMap::heavy_hex(3),
+    ];
+    let flags = TranspileOptions::nassc(0).flags;
+    let pool = ThreadPool::new(1);
+    let mut h = Fnv::new();
+    for device in &devices {
+        let distances = device.distance_matrix();
+        for seed in 0..6 {
+            let circuit = random_circuit(7, 60, seed);
+            let dag = DagCircuit::from_circuit(&circuit);
+            let reversed = DagCircuit::from_circuit(&circuit.reversed());
+            let config = SabreConfig { seed };
+            h.layout(&sabre_layout_prepared(
+                &dag, &reversed, device, &distances, &config, &pool,
+            ));
+            let engine = LayoutTrials::new(&circuit, device, &distances, seed).trials(4);
+            for (selection, routed) in [
+                engine.run(|| SabrePolicy),
+                engine.run(|| NasscPolicy::new(flags)),
+            ] {
+                h.layout(&selection.layout);
+                h.word(selection.chosen_trial as u64);
+                for cost in &selection.trial_costs {
+                    h.word(cost.to_bits());
+                }
+                h.circuit(&routed.circuit);
+                h.word(routed.swap_count as u64);
+                h.layout(&routed.final_layout);
+            }
+            for router in [RouterKind::Sabre, RouterKind::Nassc] {
+                let session = Transpiler::new(device.clone(), options_for(router, 1));
+                h.word(digest(&session.transpile(&circuit).unwrap()));
+            }
+        }
+    }
+    assert_eq!(
+        h.finish(),
+        LAYOUT_SEARCH_DIGEST,
+        "layout searches changed: {:#018x}",
+        h.finish()
+    );
 }
