@@ -14,8 +14,9 @@
 //!    circuit a second time, which replays one routing pass from the cached
 //!    layout (the warm `route_from` path) and stores its result, and a third
 //!    time, which copies that stored result (or replays again, for a result
-//!    over the session's `STORED_RESULT_BYTES`); both must equal the cold
-//!    one field by field (circuit, layouts, swap count, trial diagnostics).
+//!    that does not fit the session's `CACHE_BUDGET_BYTES` beside its
+//!    prepared entry); both must equal the cold one field by field
+//!    (circuit, layouts, swap count, trial diagnostics).
 //!    Row metrics come from the cold call alone.
 //!
 //! Peak/total heap use per row comes from the crate's counting global

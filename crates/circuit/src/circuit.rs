@@ -71,6 +71,13 @@ impl QuantumCircuit {
         }
     }
 
+    /// Drops the instruction buffer's spare capacity, so that it holds
+    /// exactly [`num_gates`](Self::num_gates) instructions (a cache keeping
+    /// the circuit then pays for no growth slack).
+    pub fn shrink_to_fit(&mut self) {
+        self.instructions.shrink_to_fit();
+    }
+
     /// The number of qubits.
     pub fn num_qubits(&self) -> usize {
         self.num_qubits

@@ -26,6 +26,11 @@ impl DagNode {
     pub fn successors(&self) -> &[usize] {
         &self.succs
     }
+
+    /// The number of distinct predecessor nodes.
+    pub fn in_degree(&self) -> usize {
+        self.in_degree
+    }
 }
 
 /// A directed acyclic dependency graph over the instructions of a circuit.

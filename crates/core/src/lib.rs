@@ -65,7 +65,9 @@ pub use device::{Device, DeviceParseError};
 pub use error::{Error, ErrorKind};
 pub use pipeline::{optimize_without_routing, RouterKind, TranspileOptions, TranspileResult};
 pub use policy::NasscPolicy;
-pub use session::{CacheStats, Limits, QasmResult, SessionJob, Transpiler, STORED_RESULT_BYTES};
+pub use session::{
+    CacheStats, CacheUsage, Limits, QasmResult, SessionJob, Transpiler, CACHE_BUDGET_BYTES,
+};
 
 /// The batch engine, [`Transpiler::transpile_jobs`]: a batch equals its
 /// serial replay at every worker budget.

@@ -20,8 +20,7 @@
 //!    is indexed by its exact bytes, and every later arrival of the same
 //!    bytes goes straight to that entry, with no parse, no hash and no
 //!    circuit comparison. A source seen once is not indexed, as a one-off
-//!    answer is not stored (below), and an indexed text counts its length
-//!    against [`STORED_RESULT_BYTES`].
+//!    answer is not stored (below).
 //! 3. **Layout winners, then stored answers** — one slot per options,
 //!    under the prepared entry it was found for, in one of two states. A
 //!    cold request leaves the layout winner: the initial layout, the chosen
@@ -36,13 +35,26 @@
 //!    post-optimization or export. A repeat through the other entry point
 //!    is a layout miss: it runs cold and leaves the slot's answer in place.
 //!    An answer is stored only after a replay, so a one-off request (a fresh
-//!    seed, say) leaves nothing but its compact winner, and only while the
-//!    session's stored answers stay within [`STORED_RESULT_BYTES`]; past
-//!    that, repeats keep replaying. Nothing is evicted. All three paths
+//!    seed, say) leaves nothing but its compact winner. All three paths
 //!    return the same answer bit for bit (see `transpile_prepared` in
 //!    `pipeline.rs` for why the replay does). `transpile_to_qasm` exports
 //!    inside the session, under a `qasm_export` span; library callers never
 //!    export.
+//!
+//! **Memory.** The caches hold at most [`CACHE_BUDGET_BYTES`], counted per
+//! prepared entry: its circuits, its slots and its indexed sources (the
+//! constant says how each is sized). An entry keeps at most 16 slots, its
+//! most recently resolved: a new options pushes out the least recently
+//! resolved one, so one-off seeds stop piling up while a sweep of 8 seeds
+//! under both routers stays warm. When a new entry, slot, answer or source
+//! takes the total past the budget, the least recently resolved entries
+//! are evicted, each with its slots and its text keys, the entry that grew
+//! going last; an answer or a source that would not fit beside its own
+//! entry within the budget is not stored. Eviction never changes an answer:
+//! a request whose entry or slot was evicted runs cold (a text parses
+//! again) and returns the same bytes, and only its cache counters differ.
+//! [`Transpiler::cache_usage`] reports the bytes held, the entries and the
+//! evictions so far.
 //!
 //! Hit/miss counters for all three caches are attached to every
 //! [`TranspileResult`] (`result.cache`, this request only) and accumulated
@@ -68,8 +80,7 @@
 //! before the copy. Should a panic ever poison the session lock (the
 //! cache-commit window is the only code that runs under it), the next lock
 //! acquisition recovers by clearing the caches, the text index and the
-//! stored total —
-//! counted by [`Transpiler::cache_resets`] — and the session continues
+//! byte total — counted by [`Transpiler::cache_resets`] — and the session continues
 //! with a cold cache rather than failing every subsequent request.
 //!
 //! [`optimize_without_routing`]: crate::pipeline::optimize_without_routing
@@ -93,21 +104,29 @@ use crate::pipeline::{
     optimize_without_routing_budgeted, transpile_prepared, TranspileOptions, TranspileResult,
 };
 
-/// The most bytes of answers and indexed sources one [`Transpiler`] keeps
-/// for its repeat requests (see the [module docs](self)). A stored result
-/// counts as its instructions at `size_of::<Instruction>()` each, its two
-/// layouts and its trial costs; a stored OpenQASM text, and an indexed
-/// OpenQASM source, count as their length.
+/// The most bytes one [`Transpiler`]'s caches hold (see the [module
+/// docs](self)).
 ///
-/// 64 MiB holds the answers of the whole `benchmarks/qasm` corpus
-/// (≈ 0.18 MiB as results, ≈ 0.07 MiB as texts, beside its 7,864 bytes of
-/// sources) several hundred times over, or three results of a 100k-gate QV
-/// circuit on Montreal (≈ 17.8 MiB each), and bounds what storing adds to a
-/// long-running daemon whatever its traffic. An answer that would take the
-/// total past it is not stored, and its repeats keep replaying from the
-/// layout winner; a source that would is not indexed, and its repeats keep
-/// parsing. Nothing is evicted.
-pub const STORED_RESULT_BYTES: usize = 64 << 20;
+/// A prepared entry counts its own struct, its raw and prepared circuits at
+/// `size_of::<Instruction>()` per instruction (both buffers hold exactly
+/// their instructions: the prepared one is shrunk to fit when the entry is
+/// made), its slots, and the length of each OpenQASM source indexed to it.
+/// A slot counts its `(options, slot)` pair, plus a layout winner's compact
+/// layout and trial costs, or a stored answer: a result's instructions, two
+/// layouts and trial costs, or a text's length.
+///
+/// 64 MiB holds the whole `benchmarks/qasm` corpus on Montreal, each file
+/// with its stored text, its indexed source and 15 one-off winners
+/// (253,590 bytes), over 250 times, or one 100k-gate QV circuit on Montreal
+/// with its stored result (36.2 MiB). Past it the least recently resolved
+/// entries are evicted, so what a long-running daemon keeps for repeats
+/// stays bounded whatever its traffic.
+pub const CACHE_BUDGET_BYTES: usize = 64 << 20;
+
+/// The most slots one prepared entry keeps: a sweep of 8 seeds under both
+/// routers stays warm, and one-off options push out the least recently
+/// resolved.
+const SLOTS_PER_ENTRY: usize = 16;
 
 /// Admission limits a service applies to every request's circuit before
 /// any cache or transpilation work: a circuit declaring more than
@@ -185,6 +204,23 @@ impl CacheStats {
     }
 }
 
+/// What a [`Transpiler`]'s caches hold, and what they have evicted, as
+/// [`Transpiler::cache_usage`] reads them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CacheUsage {
+    /// What the prepared entries count against [`CACHE_BUDGET_BYTES`]; at
+    /// most that once a request has resolved or committed.
+    pub bytes: usize,
+    /// The prepared entries held.
+    pub entries: usize,
+    /// Entries evicted so far, each with its slots and indexed sources, to
+    /// keep `bytes` within the budget.
+    pub evicted_entries: u64,
+    /// Slots pushed out so far by a new options on an entry that already
+    /// held 16.
+    pub evicted_slots: u64,
+}
+
 /// One request of a [`Transpiler::transpile_jobs`] batch: a circuit and,
 /// optionally, options overriding the session defaults (a different seed,
 /// router, flag set or calibration — the sweep axes of the paper's grids).
@@ -219,7 +255,29 @@ impl<'a> SessionJob<'a> {
 struct PreparedEntry {
     raw: QuantumCircuit,
     prepared: Arc<QuantumCircuit>,
+    /// The structural hash of `raw`, its key in `SessionState::by_hash`.
+    hash: u64,
+    /// The OpenQASM sources indexed to this entry, its keys in
+    /// `SessionState::texts`.
+    texts: Vec<Arc<str>>,
+    /// At most [`SLOTS_PER_ENTRY`], least recently resolved first.
     slots: Vec<(TranspileOptions, Slot)>,
+    /// The session's recency clock when a request last resolved to it.
+    used: u64,
+}
+
+impl PreparedEntry {
+    /// What the entry counts against [`CACHE_BUDGET_BYTES`].
+    fn bytes(&self) -> usize {
+        let slots: usize = self.slots.iter().map(|(_, slot)| slot.bytes()).sum();
+        let texts: usize = self.texts.iter().map(|text| text.len()).sum();
+        size_of::<Self>() + circuit_bytes(&self.raw) + circuit_bytes(&self.prepared) + slots + texts
+    }
+}
+
+/// What a cached circuit counts against [`CACHE_BUDGET_BYTES`].
+fn circuit_bytes(circuit: &QuantumCircuit) -> usize {
+    size_of::<QuantumCircuit>() + circuit.num_gates() * size_of::<Instruction>()
 }
 
 /// What the session keeps for one (prepared circuit, options) pair.
@@ -229,6 +287,21 @@ enum Slot {
     /// After the first replay: the answer it returned, for every later
     /// repeat through the same entry point.
     Stored(Stored),
+}
+
+impl Slot {
+    /// What the slot counts against [`CACHE_BUDGET_BYTES`]: its pair with
+    /// its options, plus a winner's compact layout and trial costs, or the
+    /// stored answer's [`Stored::bytes`].
+    fn bytes(&self) -> usize {
+        let held = match self {
+            Slot::Winner(winner) => {
+                size_of_val(&*winner.layout) + size_of_val(&*winner.trial_costs)
+            }
+            Slot::Stored(stored) => stored.bytes(),
+        };
+        size_of::<(TranspileOptions, Slot)>() + held
+    }
 }
 
 /// The answer a replay returned to its caller, kept with `cache` at its
@@ -241,8 +314,8 @@ enum Stored {
 }
 
 impl Stored {
-    /// What the answer counts against the session's stored total: the
-    /// result's [`stored_bytes`], or the text's length.
+    /// What the answer counts against [`CACHE_BUDGET_BYTES`]: the result's
+    /// [`stored_bytes`], or the text's length.
     fn bytes(&self) -> usize {
         match self {
             Stored::Result(result) => stored_bytes(result),
@@ -339,62 +412,155 @@ impl Winner {
 #[derive(Default)]
 struct SessionState {
     distances: Vec<(Option<Calibration>, Arc<DistanceMatrix>)>,
-    prepared: Vec<PreparedEntry>,
+    /// The prepared entries; an evicted entry leaves its index vacant until
+    /// a new entry takes it.
+    prepared: Vec<Option<PreparedEntry>>,
+    /// The vacant indices in `prepared`.
+    vacant: Vec<usize>,
     /// The indices in `prepared` of the entries whose raw circuit has each
     /// structural hash.
     by_hash: HashMap<u64, Vec<usize>>,
     /// The index in `prepared` each indexed OpenQASM source resolved to.
-    texts: HashMap<Box<str>, usize>,
-    /// What every [`Slot::Stored`] answer counts, by [`Stored::bytes`],
-    /// and every indexed source, by its length.
-    stored_bytes: usize,
-    /// The bound on `stored_bytes`: [`STORED_RESULT_BYTES`], lower in tests.
-    cap: usize,
+    texts: HashMap<Arc<str>, usize>,
+    /// What the held entries count, by [`PreparedEntry::bytes`].
+    bytes: usize,
+    /// The bound on `bytes`: [`CACHE_BUDGET_BYTES`], lower in tests.
+    budget: usize,
+    /// Ticks once per resolution; stamps `PreparedEntry::used`.
+    clock: u64,
+    evicted_entries: u64,
+    evicted_slots: u64,
     stats: CacheStats,
 }
 
 impl SessionState {
-    /// Fills the slot `job` resolved against: a cold job's winner goes
-    /// where no slot is yet, and a warm job's answer replaces the winner it
-    /// replayed from while the stored total stays within the cap. Anything
-    /// else is dropped, so duplicate jobs in one batch stay idempotent, a
-    /// cold job leaves the other entry point's answer in place, and a slot
-    /// whose entry poison recovery has cleared since resolution is gone.
-    fn fill<A>(&mut self, job: &ResolvedJob<A>, slot: Slot) {
-        let entry = self.prepared.get_mut(job.entry);
-        let Some(entry) = entry.filter(|e| Arc::ptr_eq(&e.prepared, &job.prepared)) else {
-            return;
+    /// The held entry at `index`.
+    fn entry(&self, index: usize) -> &PreparedEntry {
+        self.prepared[index]
+            .as_ref()
+            .expect("an indexed entry is held")
+    }
+
+    /// Makes the held entry at `index` the most recently resolved.
+    fn touch(&mut self, index: usize) -> &mut PreparedEntry {
+        self.clock += 1;
+        let entry = self.prepared[index].as_mut();
+        let entry = entry.expect("a resolved entry is held");
+        entry.used = self.clock;
+        entry
+    }
+
+    /// Holds `entry` at a vacant index, or a new one, and returns it.
+    fn insert(&mut self, entry: PreparedEntry) -> usize {
+        self.bytes += entry.bytes();
+        let hash = entry.hash;
+        let index = match self.vacant.pop() {
+            Some(index) => {
+                self.prepared[index] = Some(entry);
+                index
+            }
+            None => {
+                self.prepared.push(Some(entry));
+                self.prepared.len() - 1
+            }
         };
-        let cached = entry.slots.iter_mut().find(|(key, _)| *key == job.options);
-        match (cached, slot) {
-            (None, winner @ Slot::Winner(_)) => entry.slots.push((job.options.clone(), winner)),
-            (Some((_, cached @ Slot::Winner(_))), Slot::Stored(stored)) => {
-                let bytes = stored.bytes();
-                if self.stored_bytes + bytes <= self.cap {
-                    *cached = Slot::Stored(stored);
-                    self.stored_bytes += bytes;
+        self.by_hash.entry(hash).or_default().push(index);
+        index
+    }
+
+    /// Evicts the least recently resolved entries, the one at `keep` last,
+    /// until the caches hold at most the budget.
+    fn evict_to_budget(&mut self, keep: usize) {
+        while self.bytes > self.budget {
+            let held = self.prepared.iter().enumerate();
+            let held = held.filter_map(|(index, entry)| Some((index, entry.as_ref()?)));
+            let lru = held.min_by_key(|(index, entry)| (*index == keep, entry.used));
+            let Some((victim, _)) = lru else {
+                return;
+            };
+            let entry = self.prepared[victim].take().expect("the victim is held");
+            self.bytes -= entry.bytes();
+            if let Some(indices) = self.by_hash.get_mut(&entry.hash) {
+                indices.retain(|&index| index != victim);
+                if indices.is_empty() {
+                    self.by_hash.remove(&entry.hash);
                 }
             }
-            _ => {}
+            for text in &entry.texts {
+                self.texts.remove(text);
+            }
+            self.vacant.push(victim);
+            self.evicted_entries += 1;
         }
     }
 
-    /// Indexes `source` to the entry at `entry`, unless it already is or
-    /// its length would take the stored total past the cap.
-    fn index_text(&mut self, source: &str, entry: usize) {
-        if self.stored_bytes + source.len() <= self.cap && !self.texts.contains_key(source) {
-            self.texts.insert(source.into(), entry);
-            self.stored_bytes += source.len();
+    /// Fills the slot `job` resolved against: a cold job's winner goes
+    /// where no slot is yet, pushing out the least recently resolved slot
+    /// when the entry already has [`SLOTS_PER_ENTRY`], and a warm job's
+    /// answer replaces the winner it replayed from when it fits beside its
+    /// entry within the budget. Anything else is dropped, so duplicate jobs
+    /// in one batch stay idempotent, a cold job leaves the other entry
+    /// point's answer in place, and a slot whose entry was evicted, or
+    /// cleared by poison recovery, since resolution is gone. Other entries
+    /// are then evicted as the budget requires.
+    fn fill<A>(&mut self, job: &ResolvedJob<A>, slot: Slot) {
+        let Some(entry) = held(&mut self.prepared, job) else {
+            return;
+        };
+        let cached = entry.slots.iter().position(|(key, _)| *key == job.options);
+        match (cached, slot) {
+            (None, winner @ Slot::Winner(_)) => {
+                if entry.slots.len() == SLOTS_PER_ENTRY {
+                    let (_, dropped) = entry.slots.remove(0);
+                    self.bytes -= dropped.bytes();
+                    self.evicted_slots += 1;
+                }
+                self.bytes += winner.bytes();
+                entry.slots.push((job.options.clone(), winner));
+            }
+            (Some(index), Slot::Stored(stored))
+                if matches!(entry.slots[index].1, Slot::Winner(_))
+                    && stored.bytes() <= self.budget.saturating_sub(entry.bytes()) =>
+            {
+                let stored = Slot::Stored(stored);
+                self.bytes += stored.bytes();
+                self.bytes -= std::mem::replace(&mut entry.slots[index].1, stored).bytes();
+            }
+            _ => return,
         }
+        self.evict_to_budget(job.entry);
     }
 
-    /// The room the cap leaves for stored answers.
-    fn room(&self) -> usize {
-        self.cap.saturating_sub(self.stored_bytes)
+    /// Indexes `source` to the entry `job` resolved to, unless it already
+    /// is, that entry is gone, or the source would not fit beside it within
+    /// the budget. Other entries are then evicted as the budget requires.
+    fn index_text<A>(&mut self, source: &str, job: &ResolvedJob<A>) {
+        let Some(entry) = held(&mut self.prepared, job) else {
+            return;
+        };
+        let fits = entry.bytes() + source.len() <= self.budget;
+        if !fits || self.texts.contains_key(source) {
+            return;
+        }
+        let key: Arc<str> = source.into();
+        entry.texts.push(Arc::clone(&key));
+        self.texts.insert(key, job.entry);
+        self.bytes += source.len();
+        self.evict_to_budget(job.entry);
     }
 }
 
-/// The bytes a stored result counts against [`STORED_RESULT_BYTES`].
+/// The entry `job` resolved to, unless it has been evicted or cleared since
+/// (its index may hold another entry by now).
+fn held<'a, A>(
+    prepared: &'a mut [Option<PreparedEntry>],
+    job: &ResolvedJob<A>,
+) -> Option<&'a mut PreparedEntry> {
+    let entry = prepared.get_mut(job.entry)?.as_mut()?;
+    Arc::ptr_eq(&entry.prepared, &job.prepared).then_some(entry)
+}
+
+/// The bytes a stored result counts against [`CACHE_BUDGET_BYTES`].
 fn stored_bytes(result: &TranspileResult) -> usize {
     let layouts = result.initial_layout.len() + result.final_layout.len();
     size_of::<TranspileResult>()
@@ -438,8 +604,8 @@ struct ResolvedJob<A> {
     /// The job's cooperative deadline, anchored at request entry; unlimited
     /// when [`TranspileOptions::deadline`] is unset.
     budget: Budget,
-    /// The room the cap left at resolution: a result larger than that is
-    /// not copied for storing.
+    /// For a warm job, the room the budget left beside its entry at
+    /// resolution: a result larger than that is not copied for storing.
     room: usize,
 }
 
@@ -530,7 +696,7 @@ impl Transpiler {
             options,
             pool: ThreadPool::with_default_parallelism(),
             state: Mutex::new(SessionState {
-                cap: STORED_RESULT_BYTES,
+                budget: CACHE_BUDGET_BYTES,
                 ..SessionState::default()
             }),
             cache_resets: AtomicU64::new(0),
@@ -565,6 +731,18 @@ impl Transpiler {
     /// including those that failed and those still in flight.
     pub fn cache_stats(&self) -> CacheStats {
         self.lock().stats
+    }
+
+    /// What the caches hold now, and what they have evicted so far (see
+    /// the [module docs](self)).
+    pub fn cache_usage(&self) -> CacheUsage {
+        let state = self.lock();
+        CacheUsage {
+            bytes: state.bytes,
+            entries: state.prepared.len() - state.vacant.len(),
+            evicted_entries: state.evicted_entries,
+            evicted_slots: state.evicted_slots,
+        }
     }
 
     /// How many times poison recovery has reset the session caches — `0`
@@ -626,8 +804,8 @@ impl Transpiler {
     /// catch boundary: one panicking or expired job fails alone while its
     /// siblings complete normally. Phase 3 stamps the per-request counters,
     /// then memoizes the layout winners that cold jobs just discovered and
-    /// a copy of each result that a warm job just replayed, if the room left
-    /// at its resolution holds it.
+    /// a copy of each result that a warm job just replayed, if the room the
+    /// budget left beside its entry at resolution holds it.
     fn run_library(
         &self,
         resolved: Vec<Result<ResolvedJob<Arc<TranspileResult>>, Error>>,
@@ -768,7 +946,7 @@ impl Transpiler {
         let resolved = self.resolve_locked(&mut state, raw, options.clone(), limits, budget, hit);
         if let Ok(job) = &resolved {
             if job.stats.prepared_hits > 0 {
-                state.index_text(source, job.entry);
+                state.index_text(source, job);
             }
         }
         resolved
@@ -794,7 +972,7 @@ impl Transpiler {
         let resolved = catch_unwind(AssertUnwindSafe(|| {
             let circuit = match raw {
                 Raw::Circuit(circuit) => circuit,
-                Raw::Indexed(entry) => &state.prepared[entry].raw,
+                Raw::Indexed(entry) => &state.entry(entry).raw,
             };
             limits.check(circuit)?;
             self.check_fits(circuit)?;
@@ -867,7 +1045,10 @@ impl Transpiler {
         }))
         .unwrap_or_else(|payload| Err(classify_panic("prepare", payload, None)));
         state.stats.accumulate(&stats);
-        Ok(Arc::clone(&state.prepared[entry?].prepared))
+        let entry = entry?;
+        let prepared = Arc::clone(&state.touch(entry).prepared);
+        state.evict_to_budget(entry);
+        Ok(prepared)
     }
 
     /// Acquires the session lock, recovering from poison: a panic while
@@ -877,8 +1058,8 @@ impl Transpiler {
     /// reset in [`cache_resets`](Self::cache_resets), clears the poison
     /// flag and continues serving. Winners and stored answers live under
     /// their prepared entries, so clearing those, with the hash and text
-    /// indexes into them, empties both caches, and the stored total
-    /// restarts at zero.
+    /// indexes into them, empties both caches, and the byte total restarts
+    /// at zero.
     fn lock(&self) -> std::sync::MutexGuard<'_, SessionState> {
         match self.state.lock() {
             Ok(guard) => guard,
@@ -886,9 +1067,10 @@ impl Transpiler {
                 let mut guard = poisoned.into_inner();
                 guard.distances.clear();
                 guard.prepared.clear();
+                guard.vacant.clear();
                 guard.by_hash.clear();
                 guard.texts.clear();
-                guard.stored_bytes = 0;
+                guard.bytes = 0;
                 self.cache_resets.fetch_add(1, Ordering::Relaxed);
                 self.state.clear_poison();
                 guard
@@ -900,7 +1082,8 @@ impl Transpiler {
     /// the index of its entry in `state.prepared`: the candidates are the
     /// entries with its structural hash, and a hit is one whose raw
     /// circuit equals it. Counts the hit or miss in `stats`, a miss before
-    /// it prepares, so a failed preparation is counted too.
+    /// it prepares, so a failed preparation is counted too. A new entry
+    /// counts against the budget, which the caller then enforces.
     fn prepared_locked(
         state: &mut SessionState,
         circuit: &QuantumCircuit,
@@ -909,28 +1092,30 @@ impl Transpiler {
     ) -> Result<usize, PassError> {
         let raw_hash = circuit.structural_hash();
         let candidates = state.by_hash.get(&raw_hash).map_or(&[][..], Vec::as_slice);
-        let found = candidates
-            .iter()
-            .find(|&&e| state.prepared[e].raw == *circuit);
+        let found = candidates.iter().find(|&&e| state.entry(e).raw == *circuit);
         if let Some(&entry) = found {
             stats.prepared_hits += 1;
             return Ok(entry);
         }
         stats.prepared_misses += 1;
-        let prepared = Arc::new(optimize_without_routing_budgeted(circuit, budget)?);
-        let entry = state.prepared.len();
-        state.prepared.push(PreparedEntry {
+        let mut prepared = optimize_without_routing_budgeted(circuit, budget)?;
+        prepared.shrink_to_fit();
+        Ok(state.insert(PreparedEntry {
             raw: circuit.clone(),
-            prepared,
+            prepared: Arc::new(prepared),
+            hash: raw_hash,
+            texts: Vec::new(),
             slots: Vec::new(),
-        });
-        state.by_hash.entry(raw_hash).or_default().push(entry);
-        Ok(entry)
+            used: state.clock,
+        }))
     }
 
     /// Makes every cache decision for one admitted job, counting them in
     /// `stats`. Runs under the session lock. A job whose text is indexed
-    /// is a prepared hit on the entry the text is indexed to.
+    /// is a prepared hit on the entry the text is indexed to. The entry and
+    /// the slot the job found become the most recently resolved (a slot by
+    /// moving to the end of its entry's list), and a new entry may evict
+    /// others, never the job's own before them.
     fn resolve<A>(
         &self,
         state: &mut SessionState,
@@ -980,17 +1165,25 @@ impl Transpiler {
             1,
         );
 
-        let prepared_entry = &state.prepared[entry];
-        let prepared = Arc::clone(&prepared_entry.prepared);
-        let slot = prepared_entry
-            .slots
-            .iter()
-            .find(|(cached, _)| *cached == options);
-        let path = match slot.map(|(_, slot)| slot) {
+        let cache_budget = state.budget;
+        let held = state.touch(entry);
+        let prepared = Arc::clone(&held.prepared);
+        let found = held.slots.iter().position(|(cached, _)| *cached == options);
+        let slot = found.and_then(|found| {
+            held.slots[found..].rotate_left(1);
+            held.slots.last().map(|(_, slot)| slot)
+        });
+        let path = match slot {
             None => Path::Cold,
             Some(Slot::Winner(winner)) => Path::Warm(winner.selection()),
             Some(Slot::Stored(stored)) => hit(stored).map_or(Path::Cold, Path::Stored),
         };
+        let room = match path {
+            Path::Warm(_) => cache_budget.saturating_sub(held.bytes()),
+            _ => 0,
+        };
+        // A new entry may have taken the caches past the budget.
+        state.evict_to_budget(entry);
         if let Path::Cold = path {
             stats.layout_misses += 1;
             nassc_trace::counter("cache.layout_miss", 1);
@@ -1007,7 +1200,7 @@ impl Transpiler {
             path,
             stats: *stats,
             budget,
-            room: state.room(),
+            room,
         })
     }
 
@@ -1269,10 +1462,15 @@ mod tests {
         );
     }
 
-    /// The state of every slot, in insertion order.
+    /// The state of every slot, by entry index, each entry's least
+    /// recently resolved first.
     fn slot_states(session: &Transpiler) -> Vec<&'static str> {
         let state = session.lock();
-        let slots = state.prepared.iter().flat_map(|entry| &entry.slots);
+        let slots = state
+            .prepared
+            .iter()
+            .flatten()
+            .flat_map(|entry| &entry.slots);
         slots
             .map(|(_, slot)| match slot {
                 Slot::Winner(_) => "winner",
@@ -1282,20 +1480,47 @@ mod tests {
             .collect()
     }
 
-    /// The text every slot stores, in insertion order.
+    /// The text every slot stores, in the order of [`slot_states`].
     fn stored_texts(session: &Transpiler) -> Vec<Arc<str>> {
         stored_texts_locked(&session.lock())
     }
 
     /// [`stored_texts`] under a lock the caller holds.
     fn stored_texts_locked(state: &SessionState) -> Vec<Arc<str>> {
-        let slots = state.prepared.iter().flat_map(|entry| &entry.slots);
+        let slots = state
+            .prepared
+            .iter()
+            .flatten()
+            .flat_map(|entry| &entry.slots);
         slots
             .filter_map(|(_, slot)| match slot {
                 Slot::Stored(Stored::Qasm(stored)) => Some(Arc::clone(&stored.qasm)),
                 _ => None,
             })
             .collect()
+    }
+
+    /// What the stored answers and the indexed sources count, once the
+    /// session's running byte total is checked against a recount of its
+    /// entries.
+    fn stored_total(session: &Transpiler) -> usize {
+        stored_total_locked(&session.lock())
+    }
+
+    /// [`stored_total`] under a lock the caller holds.
+    fn stored_total_locked(state: &SessionState) -> usize {
+        let entries = state.prepared.iter().flatten();
+        let recount: usize = entries.clone().map(PreparedEntry::bytes).sum();
+        assert_eq!(state.bytes, recount, "the running byte total");
+        let answers = entries.clone().flat_map(|entry| &entry.slots);
+        let answers = answers.filter_map(|(_, slot)| match slot {
+            Slot::Stored(stored) => Some(stored.bytes()),
+            Slot::Winner(_) => None,
+        });
+        let sources = entries
+            .flat_map(|entry| &entry.texts)
+            .map(|text| text.len());
+        answers.sum::<usize>() + sources.sum::<usize>()
     }
 
     /// Every field of `out` that `cold` fixes (`cache` is per request).
@@ -1345,7 +1570,7 @@ mod tests {
                 }
                 // The second request also indexed its source.
                 let total = stored.len() + source.len();
-                assert_eq!(session.lock().stored_bytes, total, "{context}");
+                assert_eq!(stored_total(&session), total, "{context}");
             }
         }
     }
@@ -1378,7 +1603,7 @@ mod tests {
         }
         assert_eq!(slot_states(&library_first), ["stored"]);
         let total = stored_bytes(&cold) + source.len();
-        assert_eq!(library_first.lock().stored_bytes, total);
+        assert_eq!(stored_total(&library_first), total);
         let copied = library_first.transpile(&circuit).expect("library hit");
         assert_same_result(&copied, &cold, "after QASM-out repeats");
         assert_eq!(copied.cache.hits(), 3);
@@ -1399,7 +1624,7 @@ mod tests {
         }
         assert_eq!(slot_states(&qasm_first), ["text"]);
         let total = replay.qasm.len() + source.len();
-        assert_eq!(qasm_first.lock().stored_bytes, total);
+        assert_eq!(stored_total(&qasm_first), total);
         let hit = qasm_first.transpile_to_qasm(&source, &options, Limits::default());
         let hit = hit.expect("QASM-out hit");
         assert!(Arc::ptr_eq(&hit.qasm, &replay.qasm));
@@ -1407,39 +1632,138 @@ mod tests {
     }
 
     #[test]
-    fn a_text_past_the_cap_is_not_stored_and_its_repeats_replay() {
-        let circuit = ghz(4);
-        let cold = session().transpile(&circuit).expect("reference");
-        let text = nassc_qasm::export(&cold.circuit).expect("a result exports");
+    fn a_text_past_the_budget_evicts_the_least_recently_resolved_entry() {
+        let (older, newer) = (ghz(3), ghz(4));
+        let reference = session();
+        let options = reference.options().clone();
+        let (older_source, newer_source) = (source_of(&older), source_of(&newer));
+        let ask = |session: &Transpiler, source: &str| {
+            let out = session.transpile_to_qasm(source, &options, Limits::default());
+            out.expect("QASM-out request")
+        };
+        let older_text = ask(&reference, &older_source).qasm;
+        let newer_cold = session().transpile(&newer).expect("reference");
+
+        // A text that would not fit beside its own entry is not stored,
+        // whatever is evicted: the source fits, its answer's text does not,
+        // so every repeat replays from the winner and exports its own text.
         let session = session();
-        let options = session.options().clone();
-        // The source fits the cap; its answer's text no longer does.
-        let source = source_of(&circuit);
-        session.lock().cap = source.len() + text.len() - 1;
-        let outputs: Vec<QasmResult> = (0..4)
-            .map(|_| session.transpile_to_qasm(&source, &options, Limits::default()))
-            .collect::<Result<_, _>>()
-            .expect("QASM-out requests");
+        ask(&session, &newer_source);
+        let budget = session.cache_usage().bytes + newer_source.len();
+        session.lock().budget = budget;
+        let outputs: Vec<QasmResult> = (0..3).map(|_| ask(&session, &newer_source)).collect();
         assert_eq!(slot_states(&session), ["winner"]);
-        assert_eq!(session.lock().stored_bytes, source.len());
+        assert_eq!(stored_total(&session), newer_source.len());
         for (request, out) in outputs.iter().enumerate() {
-            assert_same_qasm(out, &cold, &format!("past the cap, request {request}"));
-        }
-        // Every repeat replayed from the winner and exported its own text.
-        for out in &outputs[1..] {
+            assert_same_qasm(out, &newer_cold, &format!("past the budget, {request}"));
             assert_eq!(out.cache.hits(), 3);
         }
-        assert!(!Arc::ptr_eq(&outputs[2].qasm, &outputs[3].qasm));
+        assert!(!Arc::ptr_eq(&outputs[1].qasm, &outputs[2].qasm));
+
+        // A text that fits beside its entry, but not beside every other
+        // entry, evicts the least recently resolved one to be stored.
+        let session = Transpiler::new(CouplingMap::linear(4), options.clone());
+        for source in [&older_source, &older_source, &newer_source] {
+            ask(&session, source);
+        }
+        let full = {
+            let unbounded = Transpiler::new(CouplingMap::linear(4), options.clone());
+            for source in [&older_source, &older_source, &newer_source, &newer_source] {
+                ask(&unbounded, source);
+            }
+            unbounded.cache_usage().bytes
+        };
+        let budget = full - 1;
+        session.lock().budget = budget;
+        let stored = ask(&session, &newer_source);
+        assert_same_qasm(&stored, &newer_cold, "stored past the budget");
+        assert_eq!(slot_states(&session), ["text"]);
+        let usage = session.cache_usage();
+        assert_eq!((usage.entries, usage.evicted_entries), (1, 1));
+        assert!(usage.bytes <= budget, "{usage:?}");
+        let hit = ask(&session, &newer_source);
+        assert!(Arc::ptr_eq(&hit.qasm, &stored.qasm));
+        assert_eq!(hit.cache.hits(), 3);
+        // The evicted entry's circuit runs cold and returns the same text.
+        let recomputed = ask(&session, &older_source);
+        assert_eq!(recomputed.qasm, older_text);
+        let cold = CacheStats {
+            distance_hits: 1,
+            prepared_misses: 1,
+            layout_misses: 1,
+            ..CacheStats::default()
+        };
+        assert_eq!(recomputed.cache, cold);
+        assert!(session.cache_usage().bytes <= budget);
     }
 
     #[test]
     fn a_slot_and_its_options_take_at_most_232_bytes() {
-        // A one-off request (a fresh seed, say) leaves one pair for good.
+        // A one-off request (a fresh seed, say) leaves one pair, until 16
+        // newer options on its circuit push it out.
         let bytes = size_of::<(TranspileOptions, Slot)>();
         assert!(
             bytes <= 232,
             "a (TranspileOptions, Slot) pair takes {bytes} bytes"
         );
+    }
+
+    #[test]
+    fn forty_seeds_keep_the_sixteen_most_recently_resolved_slots() {
+        let session = session();
+        let source = source_of(&ghz(4));
+        let ask = |seed: u64| {
+            let options = session.options().clone().seed(seed);
+            let out = session.transpile_to_qasm(&source, &options, Limits::default());
+            out.expect("seeded request")
+        };
+        let cold: Vec<Arc<str>> = (0..40).map(|seed| ask(seed).qasm).collect();
+        assert_eq!(slot_states(&session), ["winner"; SLOTS_PER_ENTRY]);
+        assert_eq!(session.cache_usage().evicted_slots, 24);
+        // The 16 most recent seeds replay warm from their winners.
+        for seed in 24..40 {
+            let warm = ask(seed);
+            assert_eq!(warm.cache.hits(), 3, "seed {seed}");
+            assert_eq!(warm.qasm, cold[seed as usize], "seed {seed}");
+        }
+        assert_eq!(slot_states(&session), ["text"; SLOTS_PER_ENTRY]);
+        // An older seed runs cold, a layout miss on a prepared hit, with the
+        // same bytes, and pushes out the least recently resolved slot.
+        let older = ask(3);
+        assert_eq!(older.qasm, cold[3]);
+        let layout_miss = CacheStats {
+            distance_hits: 1,
+            prepared_hits: 1,
+            layout_misses: 1,
+            ..CacheStats::default()
+        };
+        assert_eq!(older.cache, layout_miss);
+        let mut states = vec!["text"; SLOTS_PER_ENTRY - 1];
+        states.push("winner");
+        assert_eq!(slot_states(&session), states);
+        assert_eq!(ask(25).cache.hits(), 3, "seed 25 is still held");
+        assert_eq!(ask(24).cache.layout_misses, 1, "seed 24 was pushed out");
+    }
+
+    #[test]
+    fn a_thousand_fresh_seeds_leave_sixteen_slots_and_flat_bytes() {
+        let session = session();
+        let circuit = ghz(4);
+        let mut after_sixteen = 0;
+        for seed in 0..1000 {
+            let options = session.options().clone().seed(1000 + seed);
+            session
+                .transpile_with(&circuit, &options)
+                .expect("fresh seed");
+            if seed == 15 {
+                after_sixteen = session.cache_usage().bytes;
+            }
+            assert!(session.lock().entry(0).slots.len() <= SLOTS_PER_ENTRY);
+        }
+        let usage = session.cache_usage();
+        assert_eq!(usage.bytes, after_sixteen, "{usage:?}");
+        assert_eq!((usage.entries, usage.evicted_slots), (1, 984));
+        assert_eq!(stored_total(&session), 0);
     }
 
     #[test]
@@ -1473,8 +1797,7 @@ mod tests {
                     assert_same_result(&stored, &cold, &context);
                     assert_eq!(stored.cache, replayed.cache, "{context}");
                 }
-                let stored_total = session.lock().stored_bytes;
-                assert_eq!(stored_total, stored_bytes(&cold), "{context}");
+                assert_eq!(stored_total(&session), stored_bytes(&cold), "{context}");
             }
         }
     }
@@ -1490,7 +1813,7 @@ mod tests {
             .expect("fresh seed");
         assert_eq!(slot_states(&session), ["stored", "winner"]);
         let state = session.lock();
-        let (_, Slot::Winner(winner)) = &state.prepared[0].slots[1] else {
+        let (_, Slot::Winner(winner)) = &state.entry(0).slots[1] else {
             panic!("the fresh seed's slot holds a winner");
         };
         assert_eq!(winner.layout.len(), 4);
@@ -1498,25 +1821,38 @@ mod tests {
     }
 
     #[test]
-    fn admission_stops_at_the_cap() {
+    fn past_the_budget_the_least_recently_resolved_entry_goes() {
         let session = session();
         let small = ghz(3);
         let large = ghz(4);
-        let cap = stored_bytes(&session.transpile(&small).expect("cold small"));
-        session.lock().cap = cap;
+        session.transpile(&small).expect("cold small");
+        session.transpile(&small).expect("small replay");
         session.transpile(&large).expect("cold large");
-        // The small result fits the cap exactly; the large one no longer
-        // fits beside it, so its repeats keep replaying from the winner.
-        for circuit in [&small, &large, &large] {
-            session.transpile(circuit).expect("repeat");
-        }
-        assert_eq!(slot_states(&session), ["stored", "winner"]);
-        assert_eq!(session.lock().stored_bytes, cap);
-        // Past the cap the repeat still returns the cold result.
+        // The small entry with its stored result and the large one with its
+        // winner fill the budget exactly.
+        let budget = session.cache_usage().bytes;
+        session.lock().budget = budget;
+        session.transpile(&small).expect("small hit");
+        // Storing the large result takes the total past the budget, so the
+        // small entry, resolved less recently, goes with its slot.
+        session.transpile(&large).expect("large replay");
+        assert_eq!(slot_states(&session), ["stored"]);
+        let usage = session.cache_usage();
+        assert_eq!((usage.entries, usage.evicted_entries), (1, 1));
+        assert!(usage.bytes <= budget, "{usage:?}");
+        // Past the budget every request still returns the cold result, and
+        // the total stays within it after every commit.
         let fresh = Transpiler::new(CouplingMap::linear(4), session.options().clone());
-        let cold = fresh.transpile(&large).expect("fresh cold");
-        let repeat = session.transpile(&large).expect("repeat");
-        assert_same_result(&repeat, &cold, "past the cap");
+        let cold = [&small, &large].map(|circuit| fresh.transpile(circuit).expect("fresh cold"));
+        for (request, index) in [0, 0, 1, 0, 1, 1, 0].into_iter().enumerate() {
+            let circuit = [&small, &large][index];
+            let result = session.transpile(circuit).expect("request");
+            assert_same_result(&result, &cold[index], &format!("request {request}"));
+            let usage = session.cache_usage();
+            assert!(usage.bytes <= budget, "request {request}: {usage:?}");
+            stored_total(&session);
+        }
+        assert!(session.cache_usage().evicted_entries > 1);
     }
 
     #[test]
@@ -1530,7 +1866,7 @@ mod tests {
             assert_same_result(result.as_ref().expect("replay"), &cold, "duplicate replay");
         }
         assert_eq!(slot_states(&session), ["stored"]);
-        assert_eq!(session.lock().stored_bytes, stored_bytes(&cold));
+        assert_eq!(stored_total(&session), stored_bytes(&cold));
     }
 
     #[test]
@@ -1555,7 +1891,7 @@ mod tests {
         let replay = session.transpile_to_qasm(&source, &options, Limits::default());
         let text = replay.expect("replay").qasm;
         assert_eq!(slot_states(&session), ["text"]);
-        assert_eq!(session.lock().stored_bytes, text.len() + source.len());
+        assert_eq!(stored_total(&session), text.len() + source.len());
         assert_eq!(session.cache_resets(), 0);
 
         // Poison the session lock the only way a panic can reach it: by
@@ -1577,14 +1913,14 @@ mod tests {
         assert_eq!(recovered.circuit, cold.circuit);
         assert_eq!(slot_states(&session), ["winner"]);
         assert!(session.lock().texts.is_empty());
-        assert_eq!(session.lock().stored_bytes, 0);
+        assert_eq!(stored_total(&session), 0);
 
         // And the one after that replays and stores, as if nothing happened.
         let warm = session.transpile(&ghz(4)).expect("warm transpile");
         assert_eq!(warm.cache.hits(), 3);
         assert_eq!(session.cache_resets(), 1);
         assert_eq!(slot_states(&session), ["stored"]);
-        assert_eq!(session.lock().stored_bytes, stored_bytes(&cold));
+        assert_eq!(stored_total(&session), stored_bytes(&cold));
     }
 
     #[test]
@@ -1689,7 +2025,7 @@ mod tests {
         assert_eq!(third.cache, second.cache);
         assert_eq!(third.cache.hits(), 3);
         let total = source.len() + second.qasm.len();
-        assert_eq!(session.lock().stored_bytes, total);
+        assert_eq!(stored_total(&session), total);
     }
 
     #[test]
@@ -1716,21 +2052,43 @@ mod tests {
     }
 
     #[test]
-    fn past_the_cap_a_text_is_not_indexed_and_its_repeats_parse() {
+    fn an_evicted_entry_takes_its_text_keys_with_it() {
         let circuit = ghz(4);
-        let cold = session().transpile(&circuit).expect("reference");
-        let session = session();
-        let options = session.options().clone();
+        let reference = session();
+        let options = reference.options().clone();
         let source = source_of(&circuit);
-        session.lock().cap = source.len() - 1;
-        for request in 0..4 {
-            let ask = || session.transpile_to_qasm(&source, &options, Limits::default());
-            let (out, spans) = spans_of(ask);
-            let context = format!("past the cap, request {request}");
-            assert_same_qasm(&out.expect("QASM-out request"), &cold, &context);
-            assert_eq!(count(&spans, "qasm_parse"), 1, "{context}");
+        let text = reference
+            .transpile_to_qasm(&source, &options, Limits::default())
+            .expect("reference")
+            .qasm;
+        let session = session();
+        let ask = || session.transpile_to_qasm(&source, &options, Limits::default());
+        for _ in 0..3 {
+            ask().expect("QASM-out request");
         }
-        assert!(session.lock().texts.is_empty());
+        assert_eq!(session.lock().texts.len(), 1);
+        // A new entry past the budget evicts the indexed one, and its text
+        // key with it.
+        let budget = session.cache_usage().bytes;
+        session.lock().budget = budget;
+        session.transpile(&ghz(3)).expect("another circuit");
+        assert_eq!(session.cache_usage().evicted_entries, 1);
+        {
+            let state = session.lock();
+            assert!(state.texts.is_empty());
+            assert!(state
+                .by_hash
+                .values()
+                .flatten()
+                .all(|&e| state.prepared[e].is_some()));
+        }
+        // So the next arrival parses, runs cold, and returns the same text.
+        let (out, spans) = spans_of(ask);
+        let out = out.expect("after the eviction");
+        assert_eq!(count(&spans, "qasm_parse"), 1, "{spans:?}");
+        assert_eq!(out.qasm, text);
+        assert_eq!(out.cache.prepared_misses, 1);
+        assert_eq!(out.cache.layout_misses, 1);
     }
 
     #[test]
@@ -1795,7 +2153,7 @@ mod tests {
         let state = session.lock();
         assert_eq!(state.texts.len(), 1);
         let stored = stored_texts_locked(&state);
-        assert_eq!(state.stored_bytes, source.len() + stored[0].len());
+        assert_eq!(stored_total_locked(&state), source.len() + stored[0].len());
     }
 
     #[test]

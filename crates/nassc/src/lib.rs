@@ -48,9 +48,9 @@
 //! ```
 
 pub use nassc_core::{
-    evaluate_swap_reduction, optimize_without_routing, CacheStats, Device, DeviceParseError, Error,
-    ErrorKind, Limits, NasscPolicy, OptimizationFlags, QasmResult, RouterKind, SessionJob,
-    TranspileOptions, TranspileResult, Transpiler, STORED_RESULT_BYTES,
+    evaluate_swap_reduction, optimize_without_routing, CacheStats, CacheUsage, Device,
+    DeviceParseError, Error, ErrorKind, Limits, NasscPolicy, OptimizationFlags, QasmResult,
+    RouterKind, SessionJob, TranspileOptions, TranspileResult, Transpiler, CACHE_BUDGET_BYTES,
 };
 
 // The parallel batches behind every `Transpiler` dispatch: the budget handle

@@ -16,13 +16,16 @@
 //!
 //! The flag is shared (`Arc`) so that once any checkpoint trips, sibling
 //! layout trials running on other workers abort at their own next
-//! checkpoint instead of running to completion.
+//! checkpoint instead of running to completion. It is allocated only when
+//! first needed, by a clone, a [`Budget::cancel`] or a latching deadline,
+//! so a request that never shares or trips its budget allocates nothing
+//! for it.
 //!
 //! [`ThreadPool::map`]: crate::ThreadPool::map
 
 use std::any::Any;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// The typed unwind payload produced by an expired [`Budget`] checkpoint.
@@ -52,11 +55,25 @@ impl std::fmt::Display for Cancelled {
 ///
 /// `Budget` is cheap to clone — clones share the same flag, so cancelling
 /// one cancels them all. An unlimited budget ([`Budget::unlimited`]) makes
-/// every checkpoint a single relaxed atomic load.
-#[derive(Debug, Clone)]
+/// every checkpoint a load of the flag's cell, plus a relaxed load of the
+/// flag once it exists.
+#[derive(Debug)]
 pub struct Budget {
     deadline: Option<Instant>,
-    cancelled: Arc<AtomicBool>,
+    /// The cancellation flag every clone shares, allocated by the first
+    /// clone, cancel or latch (see [`flag`](Self::flag)).
+    cancelled: OnceLock<Arc<AtomicBool>>,
+}
+
+impl Clone for Budget {
+    /// A budget sharing this one's deadline and flag: cancelling either
+    /// cancels both, whichever was cloned from which.
+    fn clone(&self) -> Self {
+        Self {
+            deadline: self.deadline,
+            cancelled: OnceLock::from(Arc::clone(self.flag())),
+        }
+    }
 }
 
 impl Budget {
@@ -65,7 +82,7 @@ impl Budget {
     pub fn unlimited() -> Self {
         Self {
             deadline: None,
-            cancelled: Arc::new(AtomicBool::new(false)),
+            cancelled: OnceLock::new(),
         }
     }
 
@@ -82,8 +99,13 @@ impl Budget {
     pub fn with_deadline(deadline: Instant) -> Self {
         Self {
             deadline: Some(deadline),
-            cancelled: Arc::new(AtomicBool::new(false)),
+            cancelled: OnceLock::new(),
         }
+    }
+
+    /// The shared flag, allocated on first use.
+    fn flag(&self) -> &Arc<AtomicBool> {
+        self.cancelled.get_or_init(Arc::default)
     }
 
     /// The deadline instant, if this budget has one.
@@ -94,7 +116,7 @@ impl Budget {
     /// Raises the shared cancellation flag: every clone's next
     /// [`checkpoint`](Self::checkpoint) will abort.
     pub fn cancel(&self) {
-        self.cancelled.store(true, Ordering::Relaxed);
+        self.flag().store(true, Ordering::Relaxed);
     }
 
     /// Whether the budget is exhausted (flag raised or deadline passed),
@@ -102,14 +124,18 @@ impl Budget {
     /// pipelines; this is for callers that want to turn exhaustion into an
     /// error value themselves.
     pub fn is_exhausted(&self) -> bool {
-        if self.cancelled.load(Ordering::Relaxed) {
+        if self
+            .cancelled
+            .get()
+            .is_some_and(|flag| flag.load(Ordering::Relaxed))
+        {
             return true;
         }
         match self.deadline {
             Some(deadline) if Instant::now() >= deadline => {
                 // Latch, so sibling clones abort on their flag load
                 // without re-reading the clock.
-                self.cancelled.store(true, Ordering::Relaxed);
+                self.flag().store(true, Ordering::Relaxed);
                 true
             }
             _ => false,
@@ -118,7 +144,7 @@ impl Budget {
 
     /// Aborts the computation by unwinding with a [`Cancelled`] payload if
     /// the budget is exhausted. The fast path — flag clear, no deadline —
-    /// is one relaxed atomic load.
+    /// reads the flag's cell and, once the flag exists, the flag.
     #[inline]
     pub fn checkpoint(&self) {
         if self.is_exhausted() {
@@ -163,6 +189,37 @@ mod tests {
             std::panic::catch_unwind(|| budget.checkpoint()).is_err(),
             "cancelled budget must trip its checkpoint"
         );
+    }
+
+    #[test]
+    fn clones_made_before_a_cancel_share_its_flag() {
+        // The first clone allocates the flag; cancelling any of the three
+        // budgets, or latching a deadline on one, reaches them all.
+        for cancelled in 0..3 {
+            let original = Budget::unlimited();
+            let clone = original.clone();
+            let grandchild = clone.clone();
+            let family = [&original, &clone, &grandchild];
+            family[cancelled].cancel();
+            assert!(
+                family.iter().all(|budget| budget.is_exhausted()),
+                "{cancelled}"
+            );
+        }
+        let original = Budget::with_deadline(Instant::now() - Duration::from_millis(1));
+        let clone = original.clone();
+        assert!(clone.is_exhausted());
+        let flag = original.cancelled.get().expect("the clone shares its flag");
+        assert!(flag.load(Ordering::Relaxed));
+    }
+
+    #[test]
+    fn an_unshared_budget_allocates_no_flag_until_it_trips() {
+        let budget = Budget::with_timeout(Duration::from_secs(3600));
+        budget.checkpoint();
+        assert!(budget.cancelled.get().is_none());
+        budget.cancel();
+        assert!(budget.is_exhausted());
     }
 
     #[test]

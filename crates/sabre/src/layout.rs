@@ -25,9 +25,7 @@ use nassc_parallel::{Budget, ThreadPool};
 use nassc_topology::{CouplingMap, DistanceMatrix, Layout};
 
 use crate::config::{SabreConfig, LAYOUT_ITERATIONS};
-use crate::router::{
-    refinement_pass, route_prepared_budgeted, RoutingResult, SabrePolicy, SwapPolicy,
-};
+use crate::router::{route_prepared_budgeted, Passes, RoutingResult, SabrePolicy, SwapPolicy};
 
 /// Derives an independent child seed from `base` and a stream index.
 ///
@@ -79,7 +77,8 @@ pub fn sabre_layout_prepared(
 ///
 /// The search always runs: [`LayoutTrials::run`] gives a circuit without
 /// two-qubit gates the identity layout instead of calling it. Its
-/// refinement passes record no output (see the [module docs](self)).
+/// refinement passes record no output (see the [module docs](self)) and
+/// share one set of routing buffers.
 ///
 /// `budget` is checked at the start of the search and once per routing step
 /// of every refinement pass (see [`route_prepared_budgeted`]). Outputs are
@@ -97,25 +96,10 @@ pub fn sabre_layout_prepared_budgeted(
     let _span = nassc_trace::span!("sabre_layout");
     let mut rng = StdRng::seed_from_u64(seed);
     let mut layout = Layout::random(coupling.num_qubits(), &mut rng);
+    let mut passes = Passes::new(coupling, distances, budget);
     for _ in 0..LAYOUT_ITERATIONS {
-        let forward = refinement_pass(
-            dag,
-            coupling,
-            distances,
-            &layout,
-            &mut SabrePolicy,
-            &mut rng,
-            budget,
-        );
-        layout = refinement_pass(
-            reversed_dag,
-            coupling,
-            distances,
-            &forward,
-            &mut SabrePolicy,
-            &mut rng,
-            budget,
-        );
+        let forward = passes.refine(dag, layout, &mut SabrePolicy, &mut rng);
+        layout = passes.refine(reversed_dag, forward, &mut SabrePolicy, &mut rng);
     }
     layout
 }
@@ -383,25 +367,10 @@ impl<'a> LayoutTrials<'a> {
         };
 
         let mut layout = Layout::random(self.coupling.num_qubits(), &mut stage_rng());
+        let mut passes = Passes::new(self.coupling, self.distances, &self.budget);
         for _ in 0..LAYOUT_ITERATIONS {
-            let forward = refinement_pass(
-                &self.dag,
-                self.coupling,
-                self.distances,
-                &layout,
-                &mut make_policy(),
-                &mut stage_rng(),
-                &self.budget,
-            );
-            layout = refinement_pass(
-                reversed_dag,
-                self.coupling,
-                self.distances,
-                &forward,
-                &mut make_policy(),
-                &mut stage_rng(),
-                &self.budget,
-            );
+            let forward = passes.refine(&self.dag, layout, &mut make_policy(), &mut stage_rng());
+            layout = passes.refine(reversed_dag, forward, &mut make_policy(), &mut stage_rng());
         }
         let scored = self.production_route(&layout, make_policy);
         let cost = scored.swap_count as f64;

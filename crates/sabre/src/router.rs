@@ -30,7 +30,10 @@
 //! * a layout refinement pass keeps only its final layout, so under a
 //!   policy that never reads the output ([`SwapPolicy::READS_OUTPUT`]) it
 //!   records none: no [`RoutingState`] pushes, no SWAP emission, no
-//!   circuit.
+//!   circuit. The passes of one layout search share one set of per-pass
+//!   buffers (dependency counters, ready and front lists, extended-set
+//!   scratch, the candidate-edge bitset, decay), which each pass resets
+//!   instead of allocating its own.
 
 use std::collections::VecDeque;
 
@@ -318,15 +321,9 @@ pub fn route_prepared_budgeted<P: SwapPolicy>(
     rng: &mut StdRng,
     budget: &Budget,
 ) -> RoutingResult {
-    let (state, final_layout, swap_count) = route_pass::<P, true>(
-        dag,
-        coupling,
-        distances,
-        initial_layout,
-        policy,
-        rng,
-        budget,
-    );
+    let mut passes = Passes::new(coupling, distances, budget);
+    let (state, final_layout, swap_count) =
+        passes.route::<P, true>(dag, initial_layout.clone(), policy, rng);
     RoutingResult {
         circuit: state.into_circuit(),
         initial_layout: initial_layout.clone(),
@@ -335,226 +332,281 @@ pub fn route_prepared_budgeted<P: SwapPolicy>(
     }
 }
 
-/// The final layout of a layout refinement pass: the traversal of
+/// The routing passes of one layout search on one device: the traversal of
 /// [`route_prepared_budgeted`], with its budget checkpoints, failpoint and
-/// SWAP-budget assert, which records its output only when
-/// [`P::READS_OUTPUT`](SwapPolicy::READS_OUTPUT). Either way it draws the
-/// same random numbers and returns the same layout.
-pub(crate) fn refinement_pass<P: SwapPolicy>(
-    dag: &DagCircuit,
-    coupling: &CouplingMap,
-    distances: &DistanceMatrix,
-    initial_layout: &Layout,
-    policy: &mut P,
-    rng: &mut StdRng,
-    budget: &Budget,
-) -> Layout {
-    let pass = if P::READS_OUTPUT {
-        route_pass::<P, true>
-    } else {
-        route_pass::<P, false>
-    };
-    pass(
-        dag,
-        coupling,
-        distances,
-        initial_layout,
-        policy,
-        rng,
-        budget,
-    )
-    .1
+/// SWAP-budget assert, run pass after pass in one [`PassScratch`].
+pub(crate) struct Passes<'a> {
+    coupling: &'a CouplingMap,
+    distances: &'a DistanceMatrix,
+    budget: &'a Budget,
+    scratch: PassScratch,
 }
 
-/// One routing pass: returns the output state, the final layout and the
-/// SWAP count. With `RECORD` false the state stays empty over zero qubits:
-/// no gate is pushed and `emit_swap` is never called.
-fn route_pass<P: SwapPolicy, const RECORD: bool>(
-    dag: &DagCircuit,
-    coupling: &CouplingMap,
-    distances: &DistanceMatrix,
-    initial_layout: &Layout,
-    policy: &mut P,
-    rng: &mut StdRng,
-    budget: &Budget,
-) -> (RoutingState, Layout, usize) {
-    assert!(
-        dag.num_qubits() <= coupling.num_qubits(),
-        "circuit needs {} qubits but the device has {}",
-        dag.num_qubits(),
-        coupling.num_qubits()
-    );
-    let num_physical = coupling.num_qubits();
-    let mut in_deg = dag.in_degrees();
-    let mut executed = vec![false; dag.num_nodes()];
-    let mut ready: Vec<usize> = dag.front_layer();
-    let mut layout = initial_layout.clone();
-    let mut state = RoutingState::new(if RECORD { num_physical } else { 0 });
-    let mut decay = vec![1.0_f64; num_physical];
-    let mut swaps_since_reset = 0usize;
-    let mut swap_count = 0usize;
-    let mut remaining = dag.num_nodes();
-
-    let max_swaps = 10 + 20 * dag.num_nodes() * num_physical;
-    let mut total_swaps_guard = 0usize;
-
-    // Reusable per-step scratch: nothing below allocates after warm-up.
-    let mut next_ready: Vec<usize> = Vec::new();
-    let mut front: Vec<usize> = Vec::new();
-    let mut extended_scratch = ExtendedScratch::new(dag.num_nodes());
-    let mut candidates: Vec<(usize, usize)> = Vec::new();
-    let mut edge_seen = vec![false; num_physical * num_physical];
-    let mut endpoints = StepEndpoints::new();
-    // Set whenever a gate executes: the front and extended layers need a
-    // rebuild before the next SWAP is scored.
-    let mut layers_stale = true;
-
-    // Trace totals, accumulated locally and emitted once per route call:
-    // per-step counter events would dominate the enabled-mode overhead on
-    // small circuits (and a cancellation unwinds without emitting — the
-    // trace of a cancelled route is best-effort).
-    let mut trace_steps = 0u64;
-    let mut trace_swap_candidates = 0u64;
-
-    while remaining > 0 {
-        // A deadline mid-routing aborts here — before the step's scoring,
-        // the expensive part — by unwinding with `Cancelled`.
-        budget.checkpoint();
-        nassc_circuit::failpoints::hit("route_step");
-
-        // Execute everything that fits under the current layout.
-        let mut progress = true;
-        while progress {
-            progress = false;
-            next_ready.clear();
-            for &node in &ready {
-                if executed[node] {
-                    continue;
-                }
-                let inst = &dag.node(node).instruction;
-                let runnable = if inst.is_two_qubit() {
-                    let a = layout.physical_of(inst.qubit(0));
-                    let b = layout.physical_of(inst.qubit(1));
-                    coupling.are_connected(a, b)
-                } else {
-                    true
-                };
-                if runnable {
-                    layers_stale = true;
-                    if RECORD {
-                        state.push(inst.map_qubits(|q| layout.physical_of(q)));
-                    }
-                    executed[node] = true;
-                    remaining -= 1;
-                    progress = true;
-                    for &succ in dag.node(node).successors() {
-                        in_deg[succ] -= 1;
-                        if in_deg[succ] == 0 {
-                            next_ready.push(succ);
-                        }
-                    }
-                } else {
-                    next_ready.push(node);
-                }
-            }
-            std::mem::swap(&mut ready, &mut next_ready);
-            ready.sort_unstable();
-            ready.dedup();
-        }
-        if remaining == 0 {
-            break;
-        }
-
-        // The remaining ready gates are two-qubit gates that need SWAPs. The
-        // front and extended layers depend only on which gates have
-        // executed, so a step after a SWAP that executed nothing reuses them.
-        if layers_stale {
-            front.clear();
-            front.extend(
-                ready
-                    .iter()
-                    .copied()
-                    .filter(|&n| !executed[n] && dag.node(n).instruction.is_two_qubit()),
-            );
-            assert!(
-                !front.is_empty(),
-                "routing stalled: unresolved gates remain but the front layer is empty"
-            );
-            collect_extended_set(
-                dag,
-                &front,
-                &executed,
-                EXTENDED_SET_SIZE,
-                &mut extended_scratch,
-            );
-            layers_stale = false;
-        }
-        let extended = &extended_scratch.extended[..];
-
-        // Candidate SWAPs: every coupling edge incident to a front-layer
-        // qubit, deduplicated through a per-edge bitset (insertion order is
-        // preserved, so the shuffle below sees the same vector as ever).
-        candidates.clear();
-        for &node in &front {
-            for logical in dag.node(node).instruction.qubits().iter() {
-                let p = layout.physical_of(logical);
-                for &n in coupling.neighbors(p) {
-                    let edge = (p.min(n), p.max(n));
-                    let slot = edge.0 * num_physical + edge.1;
-                    if !edge_seen[slot] {
-                        edge_seen[slot] = true;
-                        candidates.push(edge);
-                    }
-                }
-            }
-        }
-        for &(a, b) in &candidates {
-            edge_seen[a * num_physical + b] = false;
-        }
-        candidates.shuffle(rng);
-        trace_steps += 1;
-        trace_swap_candidates += candidates.len() as u64;
-
-        endpoints.prepare(dag, &front, extended, &layout);
-        let ctx = RoutingContext::new(distances, &front, extended, dag, &state, &endpoints);
-        // Argmin in shuffled candidate order: ties keep the first minimum.
-        let mut best: Option<((usize, usize), f64)> = None;
-        for &(p1, p2) in &candidates {
-            let score = policy.score(&ctx, p1, p2) * decay[p1].max(decay[p2]);
-            if best.is_none_or(|(_, b)| score < b) {
-                best = Some(((p1, p2), score));
-            }
-        }
-        let ((p1, p2), _) = best.expect("at least one SWAP candidate");
-
-        if RECORD {
-            policy.emit_swap(&mut state, p1, p2);
-        }
-        layout.swap_physical(p1, p2);
-        swap_count += 1;
-        total_swaps_guard += 1;
-        assert!(
-            total_swaps_guard <= max_swaps,
-            "routing exceeded the SWAP budget; the coupling graph may be disconnected"
-        );
-        decay[p1] += DECAY_DELTA;
-        decay[p2] += DECAY_DELTA;
-        swaps_since_reset += 1;
-        if swaps_since_reset >= DECAY_RESET_INTERVAL {
-            decay.iter_mut().for_each(|d| *d = 1.0);
-            swaps_since_reset = 0;
+impl<'a> Passes<'a> {
+    /// Passes on `coupling` under `budget`, with empty buffers.
+    pub(crate) fn new(
+        coupling: &'a CouplingMap,
+        distances: &'a DistanceMatrix,
+        budget: &'a Budget,
+    ) -> Self {
+        Self {
+            coupling,
+            distances,
+            budget,
+            scratch: PassScratch::default(),
         }
     }
 
-    nassc_trace::counter("route.steps", trace_steps);
-    nassc_trace::counter("route.swap_candidates", trace_swap_candidates);
+    /// The final layout of a layout refinement pass over `dag` from
+    /// `layout`, which records its output only when
+    /// [`P::READS_OUTPUT`](SwapPolicy::READS_OUTPUT). Either way it draws
+    /// the same random numbers and returns the same layout.
+    pub(crate) fn refine<P: SwapPolicy>(
+        &mut self,
+        dag: &DagCircuit,
+        layout: Layout,
+        policy: &mut P,
+        rng: &mut StdRng,
+    ) -> Layout {
+        if P::READS_OUTPUT {
+            self.route::<P, true>(dag, layout, policy, rng).1
+        } else {
+            self.route::<P, false>(dag, layout, policy, rng).1
+        }
+    }
 
-    (state, layout, swap_count)
+    /// One routing pass over `dag` from `layout`: returns the output state,
+    /// the final layout and the SWAP count. With `RECORD` false the state
+    /// stays empty over zero qubits: no gate is pushed and `emit_swap` is
+    /// never called.
+    fn route<P: SwapPolicy, const RECORD: bool>(
+        &mut self,
+        dag: &DagCircuit,
+        mut layout: Layout,
+        policy: &mut P,
+        rng: &mut StdRng,
+    ) -> (RoutingState, Layout, usize) {
+        let (coupling, distances, budget) = (self.coupling, self.distances, self.budget);
+        assert!(
+            dag.num_qubits() <= coupling.num_qubits(),
+            "circuit needs {} qubits but the device has {}",
+            dag.num_qubits(),
+            coupling.num_qubits()
+        );
+        let num_physical = coupling.num_qubits();
+        self.scratch.reset(dag, num_physical);
+        let PassScratch {
+            in_degrees,
+            executed,
+            ready,
+            next_ready,
+            front,
+            extended: extended_scratch,
+            candidates,
+            edge_seen,
+            endpoints,
+            decay,
+        } = &mut self.scratch;
+        let mut state = RoutingState::new(if RECORD { num_physical } else { 0 });
+        let mut swaps_since_reset = 0usize;
+        let mut swap_count = 0usize;
+        let mut remaining = dag.num_nodes();
+
+        let max_swaps = 10 + 20 * dag.num_nodes() * num_physical;
+        let mut total_swaps_guard = 0usize;
+
+        // Set whenever a gate executes: the front and extended layers need a
+        // rebuild before the next SWAP is scored.
+        let mut layers_stale = true;
+
+        // Trace totals, accumulated locally and emitted once per route call:
+        // per-step counter events would dominate the enabled-mode overhead on
+        // small circuits (and a cancellation unwinds without emitting — the
+        // trace of a cancelled route is best-effort).
+        let mut trace_steps = 0u64;
+        let mut trace_swap_candidates = 0u64;
+
+        while remaining > 0 {
+            // A deadline mid-routing aborts here — before the step's scoring,
+            // the expensive part — by unwinding with `Cancelled`.
+            budget.checkpoint();
+            nassc_circuit::failpoints::hit("route_step");
+
+            // Execute everything that fits under the current layout.
+            let mut progress = true;
+            while progress {
+                progress = false;
+                next_ready.clear();
+                for &node in ready.iter() {
+                    if executed[node] {
+                        continue;
+                    }
+                    let inst = &dag.node(node).instruction;
+                    let runnable = if inst.is_two_qubit() {
+                        let a = layout.physical_of(inst.qubit(0));
+                        let b = layout.physical_of(inst.qubit(1));
+                        coupling.are_connected(a, b)
+                    } else {
+                        true
+                    };
+                    if runnable {
+                        layers_stale = true;
+                        if RECORD {
+                            state.push(inst.map_qubits(|q| layout.physical_of(q)));
+                        }
+                        executed[node] = true;
+                        remaining -= 1;
+                        progress = true;
+                        for &succ in dag.node(node).successors() {
+                            in_degrees[succ] -= 1;
+                            if in_degrees[succ] == 0 {
+                                next_ready.push(succ);
+                            }
+                        }
+                    } else {
+                        next_ready.push(node);
+                    }
+                }
+                std::mem::swap(ready, next_ready);
+                ready.sort_unstable();
+                ready.dedup();
+            }
+            if remaining == 0 {
+                break;
+            }
+
+            // The remaining ready gates are two-qubit gates that need SWAPs.
+            // The front and extended layers depend only on which gates have
+            // executed, so a step after a SWAP that executed nothing reuses
+            // them.
+            if layers_stale {
+                front.clear();
+                front.extend(
+                    ready
+                        .iter()
+                        .copied()
+                        .filter(|&n| !executed[n] && dag.node(n).instruction.is_two_qubit()),
+                );
+                assert!(
+                    !front.is_empty(),
+                    "routing stalled: unresolved gates remain but the front layer is empty"
+                );
+                collect_extended_set(dag, front, executed, EXTENDED_SET_SIZE, extended_scratch);
+                layers_stale = false;
+            }
+            let extended = &extended_scratch.extended[..];
+
+            // Candidate SWAPs: every coupling edge incident to a front-layer
+            // qubit, deduplicated through a per-edge bitset (insertion order
+            // is preserved, so the shuffle below sees the same vector as
+            // ever).
+            candidates.clear();
+            for &node in front.iter() {
+                for logical in dag.node(node).instruction.qubits().iter() {
+                    let p = layout.physical_of(logical);
+                    for &n in coupling.neighbors(p) {
+                        let edge = (p.min(n), p.max(n));
+                        let slot = edge.0 * num_physical + edge.1;
+                        if !edge_seen[slot] {
+                            edge_seen[slot] = true;
+                            candidates.push(edge);
+                        }
+                    }
+                }
+            }
+            for &(a, b) in candidates.iter() {
+                edge_seen[a * num_physical + b] = false;
+            }
+            candidates.shuffle(rng);
+            trace_steps += 1;
+            trace_swap_candidates += candidates.len() as u64;
+
+            endpoints.prepare(dag, front, extended, &layout);
+            let ctx = RoutingContext::new(distances, front, extended, dag, &state, endpoints);
+            // Argmin in shuffled candidate order: ties keep the first minimum.
+            let mut best: Option<((usize, usize), f64)> = None;
+            for &(p1, p2) in candidates.iter() {
+                let score = policy.score(&ctx, p1, p2) * decay[p1].max(decay[p2]);
+                if best.is_none_or(|(_, b)| score < b) {
+                    best = Some(((p1, p2), score));
+                }
+            }
+            let ((p1, p2), _) = best.expect("at least one SWAP candidate");
+
+            if RECORD {
+                policy.emit_swap(&mut state, p1, p2);
+            }
+            layout.swap_physical(p1, p2);
+            swap_count += 1;
+            total_swaps_guard += 1;
+            assert!(
+                total_swaps_guard <= max_swaps,
+                "routing exceeded the SWAP budget; the coupling graph may be disconnected"
+            );
+            decay[p1] += DECAY_DELTA;
+            decay[p2] += DECAY_DELTA;
+            swaps_since_reset += 1;
+            if swaps_since_reset >= DECAY_RESET_INTERVAL {
+                decay.iter_mut().for_each(|d| *d = 1.0);
+                swaps_since_reset = 0;
+            }
+        }
+
+        nassc_trace::counter("route.steps", trace_steps);
+        nassc_trace::counter("route.swap_candidates", trace_swap_candidates);
+
+        (state, layout, swap_count)
+    }
+}
+
+/// The per-pass buffers of [`Passes::route`]; nothing in a pass allocates
+/// once they have grown to the circuit and the device.
+#[derive(Default)]
+struct PassScratch {
+    /// Each node's unexecuted predecessors.
+    in_degrees: Vec<usize>,
+    executed: Vec<bool>,
+    ready: Vec<usize>,
+    next_ready: Vec<usize>,
+    front: Vec<usize>,
+    extended: ExtendedScratch,
+    candidates: Vec<(usize, usize)>,
+    /// One flag per physical qubit pair; every step clears what it set.
+    edge_seen: Vec<bool>,
+    endpoints: StepEndpoints,
+    decay: Vec<f64>,
+}
+
+impl PassScratch {
+    /// Resets the buffers for a pass over `dag` on `num_physical` qubits:
+    /// every counter at its node's in-degree, the ready list at the DAG's
+    /// front layer, and every flag and decay value at its start.
+    fn reset(&mut self, dag: &DagCircuit, num_physical: usize) {
+        let num_nodes = dag.num_nodes();
+        self.in_degrees.clear();
+        self.in_degrees
+            .extend((0..num_nodes).map(|node| dag.node(node).in_degree()));
+        self.ready.clear();
+        let front_layer = self.in_degrees.iter().enumerate();
+        self.ready.extend(
+            front_layer
+                .filter(|&(_, &degree)| degree == 0)
+                .map(|(node, _)| node),
+        );
+        self.executed.clear();
+        self.executed.resize(num_nodes, false);
+        self.extended.reset(num_nodes);
+        self.edge_seen.clear();
+        self.edge_seen.resize(num_physical * num_physical, false);
+        self.decay.clear();
+        self.decay.resize(num_physical, 1.0);
+    }
 }
 
 /// Reusable buffers for [`collect_extended_set`]: the BFS queue, the visited
 /// bitmap (cleared via the touched list, so a step costs O(visited) rather
 /// than O(nodes)) and the output vector.
+#[derive(Default)]
 struct ExtendedScratch {
     queue: VecDeque<usize>,
     seen: Vec<bool>,
@@ -563,13 +615,13 @@ struct ExtendedScratch {
 }
 
 impl ExtendedScratch {
-    fn new(num_nodes: usize) -> Self {
-        Self {
-            queue: VecDeque::new(),
-            seen: vec![false; num_nodes],
-            seen_touched: Vec::new(),
-            extended: Vec::new(),
-        }
+    /// Resets the buffers for a DAG of `num_nodes` nodes.
+    fn reset(&mut self, num_nodes: usize) {
+        self.queue.clear();
+        self.seen.clear();
+        self.seen.resize(num_nodes, false);
+        self.seen_touched.clear();
+        self.extended.clear();
     }
 }
 
@@ -773,22 +825,15 @@ mod tests {
                 let circuit = random_circuit(7, 40, seed);
                 let dag = DagCircuit::from_circuit(&circuit);
                 let layout = Layout::random(device.num_qubits(), &mut StdRng::seed_from_u64(seed));
+                let budget = Budget::unlimited();
                 let pass = |rng: &mut StdRng, record: bool| {
-                    let route = if record {
-                        route_pass::<SabrePolicy, true>
+                    let mut passes = Passes::new(device, &distances, &budget);
+                    let layout = layout.clone();
+                    let (state, final_layout, swaps) = if record {
+                        passes.route::<SabrePolicy, true>(&dag, layout, &mut SabrePolicy, rng)
                     } else {
-                        route_pass::<SabrePolicy, false>
+                        passes.route::<SabrePolicy, false>(&dag, layout, &mut SabrePolicy, rng)
                     };
-                    let budget = Budget::unlimited();
-                    let (state, final_layout, swaps) = route(
-                        &dag,
-                        device,
-                        &distances,
-                        &layout,
-                        &mut SabrePolicy,
-                        rng,
-                        &budget,
-                    );
                     (state.num_gates(), final_layout, swaps)
                 };
                 let mut recording_rng = StdRng::seed_from_u64(seed);
@@ -807,14 +852,11 @@ mod tests {
                     recording_rng.gen::<u64>(),
                     "{context}: RNG stream"
                 );
-                let refined = refinement_pass(
+                let refined = Passes::new(device, &distances, &budget).refine(
                     &dag,
-                    device,
-                    &distances,
-                    &layout,
+                    layout.clone(),
                     &mut SabrePolicy,
                     &mut StdRng::seed_from_u64(seed),
-                    &Budget::unlimited(),
                 );
                 assert_eq!(refined, recorded, "{context}: refinement pass");
             }
@@ -827,19 +869,47 @@ mod tests {
         let circuit = random_circuit(5, 20, 1);
         let budget = Budget::unlimited();
         budget.cancel();
+        let distances = line.distance_matrix();
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            refinement_pass(
+            Passes::new(&line, &distances, &budget).refine(
                 &DagCircuit::from_circuit(&circuit),
-                &line,
-                &line.distance_matrix(),
-                &Layout::trivial(5),
+                Layout::trivial(5),
                 &mut SabrePolicy,
                 &mut StdRng::seed_from_u64(1),
-                &budget,
             )
         }));
         let payload = caught.expect_err("a cancelled budget aborts the pass");
         assert!(nassc_parallel::Cancelled::from_payload(payload.as_ref()));
+    }
+
+    #[test]
+    fn passes_sharing_one_scratch_end_where_fresh_passes_do() {
+        // Passes sharing one scratch run circuits of different sizes in
+        // turn; each must end as a pass with buffers of its own would.
+        let devices = [CouplingMap::linear(7), CouplingMap::heavy_hex(3)];
+        let budget = Budget::unlimited();
+        for device in &devices {
+            let distances = device.distance_matrix();
+            let mut shared = Passes::new(device, &distances, &budget);
+            for seed in 0..6 {
+                let circuit = random_circuit(7, 10 + 15 * (seed as usize % 3), seed);
+                let dag = DagCircuit::from_circuit(&circuit);
+                let layout = Layout::random(device.num_qubits(), &mut StdRng::seed_from_u64(seed));
+                let fresh = Passes::new(device, &distances, &budget).refine(
+                    &dag,
+                    layout.clone(),
+                    &mut SabrePolicy,
+                    &mut StdRng::seed_from_u64(seed),
+                );
+                let reused = shared.refine(
+                    &dag,
+                    layout,
+                    &mut SabrePolicy,
+                    &mut StdRng::seed_from_u64(seed),
+                );
+                assert_eq!(reused, fresh, "{} qubits, seed {seed}", device.num_qubits());
+            }
+        }
     }
 
     #[test]
@@ -850,7 +920,8 @@ mod tests {
         }
         let dag = DagCircuit::from_circuit(&qc);
         let executed = vec![false; dag.num_nodes()];
-        let mut scratch = ExtendedScratch::new(dag.num_nodes());
+        let mut scratch = ExtendedScratch::default();
+        scratch.reset(dag.num_nodes());
         collect_extended_set(&dag, &[0], &executed, 2, &mut scratch);
         assert!(scratch.extended.len() <= 2);
     }

@@ -919,16 +919,23 @@ fn metrics_json(shared: &Shared) -> String {
         .iter()
         .map(|session| {
             let stats = session.cache_stats();
+            let usage = session.cache_usage();
             format!(
                 concat!(
                     "{{\"name\":\"{}\",\"qubits\":{},\"cache_hits\":{},",
-                    "\"cache_misses\":{},\"cache_resets\":{}}}"
+                    "\"cache_misses\":{},\"cache_resets\":{},\"cache_bytes\":{},",
+                    "\"cache_entries\":{},\"cache_evicted_entries\":{},",
+                    "\"cache_evicted_slots\":{}}}"
                 ),
                 json_escape(session.device().name()),
                 session.device().num_qubits(),
                 stats.hits(),
                 stats.misses(),
                 session.cache_resets(),
+                usage.bytes,
+                usage.entries,
+                usage.evicted_entries,
+                usage.evicted_slots,
             )
         })
         .collect();
@@ -1051,24 +1058,32 @@ fn metrics_prometheus(shared: &Shared) -> String {
     let _ = writeln!(out, "# TYPE nassc_serve_device_cache_hits counter");
     let _ = writeln!(out, "# TYPE nassc_serve_device_cache_misses counter");
     let _ = writeln!(out, "# TYPE nassc_serve_device_cache_resets counter");
+    let _ = writeln!(out, "# TYPE nassc_serve_device_cache_bytes gauge");
+    let _ = writeln!(out, "# TYPE nassc_serve_device_cache_entries gauge");
+    let _ = writeln!(
+        out,
+        "# TYPE nassc_serve_device_cache_evicted_entries counter"
+    );
+    let _ = writeln!(out, "# TYPE nassc_serve_device_cache_evicted_slots counter");
     for session in &shared.sessions {
         let stats = session.cache_stats();
+        let usage = session.cache_usage();
         let label = json_escape(session.device().name());
-        let _ = writeln!(
-            out,
-            "nassc_serve_device_cache_hits{{device=\"{label}\"}} {}",
-            stats.hits()
-        );
-        let _ = writeln!(
-            out,
-            "nassc_serve_device_cache_misses{{device=\"{label}\"}} {}",
-            stats.misses()
-        );
-        let _ = writeln!(
-            out,
-            "nassc_serve_device_cache_resets{{device=\"{label}\"}} {}",
-            session.cache_resets()
-        );
+        let values = [
+            ("hits", stats.hits()),
+            ("misses", stats.misses()),
+            ("resets", session.cache_resets()),
+            ("bytes", usage.bytes as u64),
+            ("entries", usage.entries as u64),
+            ("evicted_entries", usage.evicted_entries),
+            ("evicted_slots", usage.evicted_slots),
+        ];
+        for (name, value) in values {
+            let _ = writeln!(
+                out,
+                "nassc_serve_device_cache_{name}{{device=\"{label}\"}} {value}"
+            );
+        }
     }
     out
 }

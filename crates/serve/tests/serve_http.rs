@@ -644,8 +644,8 @@ fn metrics_json_and_prometheus_render_the_same_numbers() {
         json_number(&json.body, "worker_restarts"),
         prom_value(&prom.body, "nassc_serve_worker_restarts_total"),
     );
-    // Cumulative montreal cache hits, misses and resets agree across
-    // renderings.
+    // Cumulative montreal cache hits, misses and resets, and what its
+    // caches hold, agree across renderings.
     let montreal_json = json
         .body
         .split("\"name\":\"montreal\"")
@@ -673,6 +673,39 @@ fn metrics_json_and_prometheus_render_the_same_numbers() {
         ),
     );
     assert_eq!(json_number(montreal_json, "cache_resets"), Some(0.0));
+    for name in ["bytes", "entries", "evicted_entries", "evicted_slots"] {
+        let prom_name = format!("nassc_serve_device_cache_{name}{{device=\"montreal\"}}");
+        let value = json_number(montreal_json, &format!("cache_{name}"));
+        assert_eq!(value, prom_value(&prom.body, &prom_name), "{name}");
+    }
+    assert_eq!(json_number(montreal_json, "cache_entries"), Some(1.0));
+    assert!(json_number(montreal_json, "cache_bytes") > Some(0.0));
+    stop();
+}
+
+#[test]
+fn fresh_seeds_leave_the_cache_bytes_flat() {
+    let (addr, stop) = boot(default_config());
+    let cache_bytes = || {
+        let metrics = client::get(&addr, "/metrics").expect("metrics");
+        let montreal = metrics.body.split("\"name\":\"montreal\"").nth(1);
+        json_number(montreal.expect("montreal in json"), "cache_bytes").expect("cache_bytes")
+    };
+    let mut after_sixteen = 0.0;
+    for seed in 1..=200 {
+        let path = format!("/transpile?seed={seed}");
+        let response = client::post(&addr, &path, BELL).expect("fresh seed");
+        assert_eq!(response.status, 200, "seed {seed}: {}", response.body);
+        if seed == 16 {
+            after_sixteen = cache_bytes();
+        }
+    }
+    let after = cache_bytes();
+    assert!(
+        after <= after_sixteen,
+        "cache_bytes {after} after 200 fresh seeds, {after_sixteen} after 16"
+    );
+    assert_eq!(client::get(&addr, "/health").expect("health").status, 200);
     stop();
 }
 
