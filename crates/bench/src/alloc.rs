@@ -95,6 +95,11 @@ pub fn reset() {
     PEAK.store(LIVE.load(Ordering::Relaxed), Ordering::Relaxed);
 }
 
+/// Bytes allocated and not yet freed, across all threads, now.
+pub fn live_bytes() -> usize {
+    LIVE.load(Ordering::Relaxed)
+}
+
 /// High-water mark of live bytes since the last [`reset`].
 pub fn peak_bytes() -> usize {
     PEAK.load(Ordering::Relaxed)

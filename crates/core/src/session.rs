@@ -111,9 +111,11 @@ use crate::pipeline::{
 /// `size_of::<Instruction>()` per instruction (both buffers hold exactly
 /// their instructions: the prepared one is shrunk to fit when the entry is
 /// made), its slots, and the length of each OpenQASM source indexed to it.
-/// A slot counts its `(options, slot)` pair, plus a layout winner's compact
-/// layout and trial costs, or a stored answer: a result's instructions, two
-/// layouts and trial costs, or a text's length.
+/// A slot counts its `(options, slot)` pair and the heap its options'
+/// calibration holds, if any ([`Calibration::heap_bytes`]; each slot keeps
+/// its own clone), plus a layout winner's compact layout and trial costs,
+/// or a stored answer: a result's instructions, two layouts and trial
+/// costs, or a text's length.
 ///
 /// 64 MiB holds the whole `benchmarks/qasm` corpus on Montreal, each file
 /// with its stored text, its indexed source and 15 one-off winners
@@ -269,10 +271,22 @@ struct PreparedEntry {
 impl PreparedEntry {
     /// What the entry counts against [`CACHE_BUDGET_BYTES`].
     fn bytes(&self) -> usize {
-        let slots: usize = self.slots.iter().map(|(_, slot)| slot.bytes()).sum();
+        let slots = self.slots.iter();
+        let slots: usize = slots
+            .map(|(options, slot)| options_heap_bytes(options) + slot.bytes())
+            .sum();
         let texts: usize = self.texts.iter().map(|text| text.len()).sum();
         size_of::<Self>() + circuit_bytes(&self.raw) + circuit_bytes(&self.prepared) + slots + texts
     }
+}
+
+/// What a slot's options hold on the heap: their calibration's tables, if
+/// any. [`Slot::bytes`] counts the rest of the pair.
+fn options_heap_bytes(options: &TranspileOptions) -> usize {
+    options
+        .calibration
+        .as_ref()
+        .map_or(0, Calibration::heap_bytes)
 }
 
 /// What a cached circuit counts against [`CACHE_BUDGET_BYTES`].
@@ -511,12 +525,15 @@ impl SessionState {
         match (cached, slot) {
             (None, winner @ Slot::Winner(_)) => {
                 if entry.slots.len() == SLOTS_PER_ENTRY {
-                    let (_, dropped) = entry.slots.remove(0);
-                    self.bytes -= dropped.bytes();
+                    let (options, dropped) = entry.slots.remove(0);
+                    self.bytes -= options_heap_bytes(&options) + dropped.bytes();
                     self.evicted_slots += 1;
                 }
-                self.bytes += winner.bytes();
-                entry.slots.push((job.options.clone(), winner));
+                // Counted on the clone the slot keeps: a clone's vectors
+                // hold no spare capacity.
+                let options = job.options.clone();
+                self.bytes += options_heap_bytes(&options) + winner.bytes();
+                entry.slots.push((options, winner));
             }
             (Some(index), Slot::Stored(stored))
                 if matches!(entry.slots[index].1, Slot::Winner(_))
@@ -1954,6 +1971,28 @@ mod tests {
         assert_eq!(keys, [None, Some(calibration)]);
         assert_eq!(*state.distances[0].1, coupling.distance_matrix());
         assert_ne!(*state.distances[1].1, *state.distances[0].1);
+    }
+
+    #[test]
+    fn a_calibrated_slot_counts_its_calibration() {
+        let (plain, calibrated) = (session(), session());
+        let calibration = Calibration::synthetic(plain.device().coupling(), 1);
+        let circuit = ghz(4);
+        // 20 seeds: the first four slots are pushed out again.
+        for seed in 0..20 {
+            let options = plain.options().clone().seed(seed);
+            plain.transpile_with(&circuit, &options).expect("plain");
+            let options = options.calibration(calibration.clone());
+            calibrated
+                .transpile_with(&circuit, &options)
+                .expect("calibrated");
+        }
+        // `stored_total` checks each running total against a recount.
+        assert_eq!((stored_total(&plain), stored_total(&calibrated)), (0, 0));
+        let extra = calibrated.cache_usage().bytes - plain.cache_usage().bytes;
+        let per_slot = calibration.clone().heap_bytes();
+        assert!(per_slot > 0);
+        assert_eq!(extra, SLOTS_PER_ENTRY * per_slot);
     }
 
     #[test]

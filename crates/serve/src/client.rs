@@ -1,8 +1,10 @@
 //! A minimal blocking HTTP client for the daemon's own tests and load
-//! generator — the counterpart of [`crate::http`], one request per
-//! connection, matching the server's `Connection: close` model.
+//! generator — the counterpart of [`crate::http`]. It opens a connection
+//! per request and sends `connection: close`, so the server closes each
+//! connection after its response; [`read_response`] also reads a response
+//! off a connection the caller keeps alive.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
@@ -32,8 +34,8 @@ fn invalid(message: impl Into<String>) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, message.into())
 }
 
-/// Sends one request and reads the full response (the server closes the
-/// connection after it).
+/// Sends one request on a new connection and reads the full response (the
+/// server closes the connection after it).
 ///
 /// # Errors
 ///
@@ -77,8 +79,19 @@ pub fn request_with_headers(
         body.len()
     );
     stream.write_all(request.as_bytes())?;
+    read_response(&mut BufReader::new(stream))
+}
 
-    let mut reader = BufReader::new(stream);
+/// Reads one response from `reader`: its status line, headers and body,
+/// which `Content-Length` delimits, or else the connection's EOF. On a
+/// connection the server keeps open, the next response follows in the
+/// same reader.
+///
+/// # Errors
+///
+/// Read failures, plus `InvalidData` for a response that is not parseable
+/// HTTP/1.1.
+pub fn read_response(reader: &mut impl BufRead) -> std::io::Result<ClientResponse> {
     let mut status_line = String::new();
     reader.read_line(&mut status_line)?;
     let status = status_line
@@ -120,7 +133,7 @@ pub fn request_with_headers(
             String::from_utf8(buffer).map_err(|_| invalid("non-UTF-8 response body"))?
         }
         None => {
-            // `Connection: close` delimits the body.
+            // The connection's close delimits the body.
             let mut buffer = String::new();
             reader.read_to_string(&mut buffer)?;
             buffer

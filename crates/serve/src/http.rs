@@ -1,11 +1,14 @@
 //! A minimal HTTP/1.1 subset over `std::io` — just enough protocol for the
 //! transpilation daemon, with zero dependencies.
 //!
-//! Supported: one request per connection (every response carries
-//! `Connection: close`), request line + headers + `Content-Length` bodies,
-//! query strings with percent-decoding. Not supported (and rejected
-//! cleanly): chunked transfer encoding, multiline headers, bodies above the
-//! configured cap.
+//! Supported: persistent connections (an HTTP/1.1 client's connection stays
+//! open unless it sends `Connection: close`; see [`Request::keep_alive`]),
+//! so one buffered reader may hold the start of the next request after
+//! [`read_request`] returns; request line + headers + `Content-Length`
+//! bodies; query strings with percent-decoding. Every response says
+//! `Connection: keep-alive` or `Connection: close`. Not supported (and
+//! rejected cleanly): chunked transfer encoding, multiline headers, bodies
+//! above the configured cap.
 
 use std::io::{BufRead, Read, Write};
 use std::sync::Arc;
@@ -21,7 +24,7 @@ const MAX_HEADERS: usize = 64;
 const HEAD_BYTES: usize = 160;
 
 /// A parsed HTTP request.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Request {
     /// Upper-case method (`GET`, `POST`, …).
     pub method: String,
@@ -33,6 +36,10 @@ pub struct Request {
     pub headers: Vec<(String, String)>,
     /// The request body (empty when no `Content-Length` was sent).
     pub body: String,
+    /// Whether the client lets the connection stay open after the response
+    /// (RFC 9112 §9.3): an HTTP/1.1 request without a `close` connection
+    /// option. Every HTTP/1.0 request closes.
+    pub keep_alive: bool,
 }
 
 impl Request {
@@ -260,6 +267,11 @@ pub fn read_request(
         Some((path, raw)) => (path.to_string(), parse_query(raw)),
         None => (target, Vec::new()),
     };
+    let close = headers.iter().any(|(k, v)| {
+        k == "connection"
+            && v.split(',')
+                .any(|option| option.trim().eq_ignore_ascii_case("close"))
+    });
 
     Ok(Request {
         method,
@@ -267,6 +279,7 @@ pub fn read_request(
         query,
         headers,
         body,
+        keep_alive: version == "HTTP/1.1" && !close,
     })
 }
 
@@ -336,7 +349,9 @@ impl Response {
         self
     }
 
-    /// Serializes the response to `writer` (always `Connection: close`).
+    /// Serializes the response to `writer`, with `Connection: keep-alive`
+    /// when the server will read the connection's next request and
+    /// `Connection: close` when it closes the connection after this one.
     ///
     /// The status line, headers, blank line and body are rendered into one
     /// buffer and handed to `writer` in a single `write_all`. The daemon's
@@ -347,7 +362,7 @@ impl Response {
     /// # Errors
     ///
     /// Propagates I/O failures; the caller drops the connection either way.
-    pub fn write_to(&self, writer: &mut impl Write) -> std::io::Result<()> {
+    pub fn write_to(&self, writer: &mut impl Write, keep_alive: bool) -> std::io::Result<()> {
         let headers: usize = self
             .headers
             .iter()
@@ -356,11 +371,12 @@ impl Response {
         let mut out = Vec::with_capacity(HEAD_BYTES + headers + self.body.len());
         write!(
             out,
-            "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n",
+            "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n",
             self.status,
             reason(self.status),
             self.content_type,
-            self.body.len()
+            self.body.len(),
+            if keep_alive { "keep-alive" } else { "close" },
         )?;
         for (name, value) in &self.headers {
             write!(out, "{name}: {value}\r\n")?;
@@ -431,6 +447,23 @@ mod tests {
         assert_eq!(req.header("host"), Some("localhost"));
         assert_eq!(req.header("HOST"), Some("localhost"));
         assert_eq!(req.body, "body");
+    }
+
+    #[test]
+    fn http_1_1_keeps_the_connection_unless_a_close_option_is_sent() {
+        let keep_alive = |head: &str| parse(&format!("{head}\r\n\r\n")).unwrap().keep_alive;
+        assert!(keep_alive("GET / HTTP/1.1"));
+        assert!(keep_alive("GET / HTTP/1.1\r\nConnection: keep-alive"));
+        assert!(keep_alive("GET / HTTP/1.1\r\nConnection: closed"));
+        assert!(!keep_alive("GET / HTTP/1.1\r\nConnection: close"));
+        assert!(!keep_alive(
+            "GET / HTTP/1.1\r\nconnection: Keep-Alive, CLOSE"
+        ));
+        assert!(!keep_alive(
+            "GET / HTTP/1.1\r\nConnection: keep-alive\r\nConnection: close"
+        ));
+        assert!(!keep_alive("GET / HTTP/1.0"));
+        assert!(!keep_alive("GET / HTTP/1.0\r\nConnection: keep-alive"));
     }
 
     #[test]
@@ -544,17 +577,17 @@ mod tests {
     }
 
     /// Serializes `response` and returns the one write it must arrive in.
-    fn single_write(response: &Response) -> Vec<u8> {
+    fn single_write(response: &Response, keep_alive: bool) -> Vec<u8> {
         let mut out = RecordingWriter::default();
-        response.write_to(&mut out).unwrap();
+        response.write_to(&mut out, keep_alive).unwrap();
         assert_eq!(out.writes.len(), 1, "a response must leave in one write");
         out.writes.pop().unwrap()
     }
 
     #[test]
     fn response_serializes_with_extra_headers() {
-        // A 200 as the daemon sends it: its ten `X-*` headers and a 64 KiB
-        // body.
+        // A 200 as the daemon sends it on a kept-alive connection: its ten
+        // `X-*` headers and a 64 KiB body.
         let body = "h q[0];\n".repeat(8 * 1024);
         assert_eq!(body.len(), 64 * 1024);
         let response = [
@@ -576,7 +609,7 @@ mod tests {
         let head = "HTTP/1.1 200 OK\r\n\
                     Content-Type: application/x-qasm\r\n\
                     Content-Length: 65536\r\n\
-                    Connection: close\r\n\
+                    Connection: keep-alive\r\n\
                     X-Device: montreal\r\n\
                     X-Elapsed-Ms: 1.500\r\n\
                     X-Queue-Ms: 0.042\r\n\
@@ -588,7 +621,7 @@ mod tests {
                     X-Cache-Misses: 1\r\n\
                     X-Request-Id: serve-7\r\n\
                     \r\n";
-        let written = single_write(&response);
+        let written = single_write(&response, true);
         assert_eq!(
             String::from_utf8_lossy(&written[..head.len().min(written.len())]),
             head
@@ -600,7 +633,7 @@ mod tests {
 
         // The acceptor's load-shedding reject.
         assert_eq!(
-            String::from_utf8(single_write(&Response::text(429, "queue full\n"))).unwrap(),
+            String::from_utf8(single_write(&Response::text(429, "queue full\n"), false)).unwrap(),
             "HTTP/1.1 429 Too Many Requests\r\n\
              Content-Type: text/plain; charset=utf-8\r\n\
              Content-Length: 11\r\n\

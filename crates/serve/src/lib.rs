@@ -14,15 +14,23 @@
 //!      │  pop (condvar wait)     VecDeque<Conn> behind a mutex; each push
 //!      ▼                         wakes one idle worker
 //!   N handler workers         ── deadline check → 504 before transpiling
-//!      │                         /transpile → the body, unparsed, with the
-//!      │                         options and admission limits
-//!      ▼
+//!      │  ▲                      /transpile → the body, unparsed, with the
+//!      │  │                      options and admission limits
+//!      ▼  │
 //!   session.transpile_to_qasm ── an indexed body → its prepared entry;
-//!      │                         any other → qasm_parse, the limits, then
-//!      │                         the structural lookup; then the slot
-//!      ▼
-//!   response (+ X-* metric headers), Connection: close
+//!      │  │                      any other → qasm_parse, the limits, then
+//!      │  │                      the structural lookup; then the slot
+//!      ▼  │ keep-alive: the same worker reads the connection's next request
+//!   response (+ X-* metric headers), Connection: keep-alive or close
 //! ```
+//!
+//! A worker keeps its connection between requests, so a client that
+//! reuses its connection pays no connect, accept or queue hand-off per
+//! request. It waits at most 1 s for the next request, and it lets the
+//! connection go, after the current response, as soon as a queued
+//! connection has no free worker or the queue closes for shutdown; an
+//! HTTP/1.0 client, a `Connection: close` or a request that could not be
+//! read whole closes it too.
 //!
 //! The handler hands the request body to the session unparsed: a body the
 //! session has seen twice is found by its exact bytes, so a repeat is
@@ -49,7 +57,8 @@
 //!   by its text records neither). Traced requests serialize on a recorder
 //!   lock; spans from concurrent untraced requests may appear in the table
 //!   (best-effort attribution — outputs are never affected).
-//! * `GET /metrics` — JSON: response counts by status, p50/p99 latency
+//! * `GET /metrics` — JSON: response counts by status, connections
+//!   accepted (so requests per connection shows reuse), p50/p99 latency
 //!   histograms, cumulative per-device [`CacheStats`](nassc::CacheStats),
 //!   worker-pool status, uptime/start time, dropped trace events. With
 //!   `Accept: text/plain` the same numbers render in Prometheus text
@@ -85,7 +94,9 @@
 //! Shutdown is graceful: SIGINT/SIGTERM (or [`ShutdownHandle::shutdown`])
 //! stops the acceptor, and the queue closes as it returns; the
 //! workers drain the queued requests, and [`Server::run`] joins them before
-//! it returns. The acceptor
+//! it returns. A worker holding a connection closes it after its current
+//! response, or, when it is waiting for a next request, once that wait
+//! ends, within 1 s. The acceptor
 //! blocks in `accept` with no timer, so a shutdown wakes it with a loopback
 //! connection to the bound port; a signal watcher thread does the same on
 //! SIGINT/SIGTERM (see [`signal`]).
@@ -135,9 +146,10 @@ const SIGNAL_CHECK: Duration = Duration::from_millis(50);
 /// Bound on the loopback connect that wakes the acceptor on shutdown.
 const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
-/// How long a dequeued connection may stay silent before its first bytes:
-/// a client that connects and sends nothing is answered 408 this soon
-/// instead of holding a worker for [`SOCKET_READ_TIMEOUT`].
+/// How long a connection may stay silent before a request's first byte: a
+/// client that connects and sends nothing is answered 408 this soon, and a
+/// kept-alive connection with no next request is closed, instead of
+/// holding a worker for [`SOCKET_READ_TIMEOUT`].
 const FIRST_BYTE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// How long the rest of a request may take to arrive once its first bytes
@@ -200,8 +212,8 @@ impl Default for ServeConfig {
     }
 }
 
-/// A connection waiting in the queue. `accepted_at` anchors both the
-/// queue-wait metric and the request deadline.
+/// A connection waiting in the queue. `accepted_at` anchors the queue-wait
+/// metric and the deadline of the connection's first request.
 struct Conn {
     stream: TcpStream,
     accepted_at: Instant,
@@ -219,6 +231,8 @@ struct ConnQueue {
 #[derive(Default)]
 struct Pending {
     conns: VecDeque<Conn>,
+    /// Connections the workers hold: popped and not yet released.
+    held: usize,
     /// Set once the acceptor is done: the workers drain `conns`, then end.
     closed: bool,
 }
@@ -237,12 +251,28 @@ impl ConnQueue {
         Ok(())
     }
 
+    /// Whether the acceptor still queues and each queued connection has a
+    /// worker of `workers` that holds none: then a worker may keep its
+    /// connection for the next request without keeping a queued one
+    /// waiting.
+    fn lets_connections_stay(&self, workers: usize) -> bool {
+        let pending = self.lock();
+        !pending.closed && pending.held + pending.conns.len() <= workers
+    }
+
+    /// Counts a connection [`pop`](Self::pop) handed out as closed.
+    fn release(&self) {
+        self.lock().held -= 1;
+    }
+
     /// The oldest queued connection, waiting while the queue is open and
-    /// empty; `None` once it is closed and drained.
+    /// empty; `None` once it is closed and drained. The caller releases
+    /// the connection once it has closed it.
     fn pop(&self) -> Option<Conn> {
         let mut pending = self.lock();
         loop {
             if let Some(conn) = pending.conns.pop_front() {
+                pending.held += 1;
                 return Some(conn);
             }
             if pending.closed {
@@ -256,8 +286,9 @@ impl ConnQueue {
     }
 
     fn lock(&self) -> MutexGuard<'_, Pending> {
-        // A deque and a flag, neither left half-updated by a panic (nothing
-        // under the lock panics), so recovering from poison is sound.
+        // A deque, a count and a flag, none left half-updated by a panic
+        // (nothing under the lock panics), so recovering from poison is
+        // sound.
         self.pending.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
@@ -280,6 +311,8 @@ struct Shared {
     /// refusal or a pop.
     queue_depth: AtomicUsize,
     queue_capacity: usize,
+    /// Every connection `accept` returned, shed ones included.
+    connections_accepted: AtomicU64,
     metrics: Mutex<ServerMetrics>,
     default_timeout_ms: u64,
     workers: usize,
@@ -382,6 +415,7 @@ impl Server {
                 sessions,
                 queue_depth: AtomicUsize::new(0),
                 queue_capacity: config.queue_depth.max(1),
+                connections_accepted: AtomicU64::new(0),
                 metrics: Mutex::new(ServerMetrics::default()),
                 default_timeout_ms: config.default_timeout_ms,
                 workers: config.workers,
@@ -459,6 +493,9 @@ impl Server {
                 std::thread::sleep(ACCEPT_ERROR_BACKOFF);
                 continue;
             };
+            self.shared
+                .connections_accepted
+                .fetch_add(1, Ordering::Relaxed);
             let conn = Conn {
                 stream,
                 accepted_at: Instant::now(),
@@ -525,7 +562,7 @@ fn reject(
     message: &str,
 ) {
     lock_metrics(shared).count_response(status);
-    let _ = Response::text(status, format!("{message}\n")).write_to(&mut stream);
+    let _ = Response::text(status, format!("{message}\n")).write_to(&mut stream, false);
     // Closing a socket with unread input resets the connection, and the
     // reset can discard the response before the client reads it. The
     // request has usually not arrived yet, so half-close and hand the
@@ -556,20 +593,32 @@ fn reject(
 fn worker_loop(shared: &Shared, queue: &ConnQueue) {
     while let Some(conn) = queue.pop() {
         shared.queue_depth.fetch_sub(1, Ordering::Relaxed);
-        let served = std::panic::catch_unwind(AssertUnwindSafe(|| handle_connection(shared, conn)));
+        let served =
+            std::panic::catch_unwind(AssertUnwindSafe(|| handle_connection(shared, queue, conn)));
+        queue.release();
         if served.is_err() {
             shared.worker_restarts.fetch_add(1, Ordering::Relaxed);
         }
     }
 }
 
-/// Serves exactly one request on the connection (`Connection: close`).
-fn handle_connection(shared: &Shared, conn: Conn) {
-    // Deliberately *outside* every containment boundary but the worker
-    // loop's: arming `handler:panic` drops the connection unanswered.
-    nassc::circuit::failpoints::hit("handler");
+/// Serves the connection's requests in turn, over one buffered reader,
+/// until a response closes it. A response keeps the connection open when
+/// the request was read whole, its client allows it (see
+/// [`Request::keep_alive`]), it is not a `HEAD` (whose response here still
+/// carries a body), and the queue is open with a free worker for each
+/// connection in it, so a held connection never keeps a queued one waiting
+/// past its current request; the response says which. The worker then
+/// waits up to [`FIRST_BYTE_TIMEOUT`] for the next request's first byte.
+/// Silence or EOF there, or EOF before a first request, ends the
+/// connection with no response, count or log line.
+///
+/// The first request is anchored at the accept, so its deadline and
+/// `X-Queue-Ms` include its time in the queue; each later one is anchored
+/// at its own first byte, with `X-Queue-Ms` 0 and no `queue_wait` sample.
+fn handle_connection(shared: &Shared, queue: &ConnQueue, conn: Conn) {
     let Conn {
-        mut stream,
+        stream,
         accepted_at,
     } = conn;
     let queue_ms = 1000.0 * accepted_at.elapsed().as_secs_f64();
@@ -578,44 +627,61 @@ fn handle_connection(shared: &Shared, conn: Conn) {
 
     let mut reader = BufReader::new(DeadlineReader {
         stream: &stream,
-        deadline: Instant::now() + FIRST_BYTE_TIMEOUT,
+        deadline: accepted_at,
     });
-    let started = reader.fill_buf().map(|_| ());
-    reader.get_mut().deadline = Instant::now() + SOCKET_READ_TIMEOUT;
-    let request = started
-        .map_err(|e| HttpError::new(408, format!("reading request: {e}")))
-        .and_then(|()| read_request(&mut reader, MAX_BODY_BYTES, &mut &stream));
-    // Free the 8 KiB read buffer before the request is served.
-    drop(reader);
-    let request_id = request_id(shared, request.as_ref().ok());
-    let (method, path) = match &request {
-        Ok(request) => (request.method.clone(), request.path.clone()),
-        Err(_) => ("-".to_string(), "-".to_string()),
-    };
-    let response = match request {
-        Ok(request) => route(shared, &request, accepted_at, queue_ms, &request_id),
-        Err(HttpError { status, message }) => Response::text(status, format!("{message}\n")),
-    };
-    let response = response.header("X-Request-Id", &request_id);
-    // Count before writing: a client that has read this response may ask
-    // another worker for `/metrics` at once, and must find it counted.
-    lock_metrics(shared).count_response(response.status);
-    let _ = response.write_to(&mut stream);
-    // The access log: one JSON object per request on stderr, keyed by the
-    // same id the client saw in `X-Request-Id`. Stderr is unbuffered and
-    // `eprintln!` writes each formatted piece on its own, so the line is
-    // built first and printed whole: one write per request.
-    let line = format!(
-        "{{\"request_id\":\"{}\",\"method\":\"{}\",\"path\":\"{}\",\"status\":{},\
-         \"queue_ms\":{:.3},\"elapsed_ms\":{:.3}}}\n",
-        json_escape(&request_id),
-        json_escape(&method),
-        json_escape(&path),
-        response.status,
-        queue_ms,
-        1000.0 * accepted_at.elapsed().as_secs_f64(),
-    );
-    eprint!("{line}");
+    let mut queued = Some((accepted_at, queue_ms));
+    loop {
+        reader.get_mut().deadline = Instant::now() + FIRST_BYTE_TIMEOUT;
+        let started = reader.fill_buf().map(|buffered| !buffered.is_empty());
+        let (arrived, queue_ms) = match (queued.take(), &started) {
+            (_, Ok(false)) | (None, Err(_)) => return,
+            (Some(queued), _) => queued,
+            (None, Ok(true)) => (Instant::now(), 0.0),
+        };
+        // Deliberately *outside* every containment boundary but the worker
+        // loop's: arming `handler:panic` drops the connection unanswered.
+        nassc::circuit::failpoints::hit("handler");
+        reader.get_mut().deadline = Instant::now() + SOCKET_READ_TIMEOUT;
+        let request = started
+            .map_err(|e| HttpError::new(408, format!("reading request: {e}")))
+            .and_then(|_| read_request(&mut reader, MAX_BODY_BYTES, &mut &stream));
+        let request_id = request_id(shared, request.as_ref().ok());
+        let response = match &request {
+            Ok(request) => route(shared, request, arrived, queue_ms, &request_id),
+            Err(HttpError { status, message }) => Response::text(*status, format!("{message}\n")),
+        };
+        let response = response.header("X-Request-Id", &request_id);
+        let keep_alive = request
+            .as_ref()
+            .is_ok_and(|request| request.keep_alive && request.method != "HEAD")
+            && queue.lets_connections_stay(shared.workers);
+        // Count before writing: a client that has read this response may ask
+        // for `/metrics` at once, and must find it counted.
+        lock_metrics(shared).count_response(response.status);
+        let written = response.write_to(&mut &stream, keep_alive);
+        // The access log: one JSON object per request on stderr, keyed by
+        // the same id the client saw in `X-Request-Id`. Stderr is unbuffered
+        // and `eprintln!` writes each formatted piece on its own, so the
+        // line is built first and printed whole: one write per request.
+        let (method, path) = match &request {
+            Ok(request) => (request.method.as_str(), request.path.as_str()),
+            Err(_) => ("-", "-"),
+        };
+        let line = format!(
+            "{{\"request_id\":\"{}\",\"method\":\"{}\",\"path\":\"{}\",\"status\":{},\
+             \"queue_ms\":{:.3},\"elapsed_ms\":{:.3}}}\n",
+            json_escape(&request_id),
+            json_escape(method),
+            json_escape(path),
+            response.status,
+            queue_ms,
+            1000.0 * arrived.elapsed().as_secs_f64(),
+        );
+        eprint!("{line}");
+        if !keep_alive || written.is_err() {
+            return;
+        }
+    }
 }
 
 /// Reads a socket under one deadline for everything read through it: before
@@ -652,11 +718,13 @@ fn request_id(shared: &Shared, request: Option<&Request>) -> String {
     )
 }
 
-/// Dispatches a parsed request to an endpoint.
+/// Dispatches a parsed request to an endpoint. `arrived` anchors its
+/// deadline (the accept for a connection's first request, its first byte
+/// for a later one), and `queue_ms` is its time in the queue.
 fn route(
     shared: &Shared,
     request: &Request,
-    accepted_at: Instant,
+    arrived: Instant,
     queue_ms: f64,
     request_id: &str,
 ) -> Response {
@@ -678,7 +746,7 @@ fn route(
             }
         }
         ("POST", "/transpile") => {
-            transpile_endpoint(shared, request, accepted_at, queue_ms, request_id)
+            transpile_endpoint(shared, request, arrived, queue_ms, request_id)
         }
         ("GET" | "HEAD", "/transpile") => {
             Response::text(405, "use POST with an OpenQASM 2.0 body\n")
@@ -741,13 +809,13 @@ fn deadline_ms(shared: &Shared, request: &Request) -> Result<u64, Response> {
 fn transpile_endpoint(
     shared: &Shared,
     request: &Request,
-    accepted_at: Instant,
+    arrived: Instant,
     queue_ms: f64,
     request_id: &str,
 ) -> Response {
     let traced = matches!(request.query_param("trace"), Some("1" | "true"));
     if !traced {
-        return transpile_core(shared, request, accepted_at, queue_ms);
+        return transpile_core(shared, request, arrived, queue_ms);
     }
 
     let serial = shared
@@ -755,7 +823,7 @@ fn transpile_endpoint(
         .lock()
         .unwrap_or_else(PoisonError::into_inner);
     nassc::trace::enable();
-    let response = transpile_core(shared, request, accepted_at, queue_ms);
+    let response = transpile_core(shared, request, arrived, queue_ms);
     let report = nassc::trace::take_report();
     nassc::trace::disable();
     drop(serial);
@@ -786,18 +854,13 @@ fn transpile_endpoint(
 /// The untraced `/transpile` pipeline: option parsing, the session call
 /// (which parses the body, unless it knows it, and applies the admission
 /// limits), and the metric headers.
-fn transpile_core(
-    shared: &Shared,
-    request: &Request,
-    accepted_at: Instant,
-    queue_ms: f64,
-) -> Response {
+fn transpile_core(shared: &Shared, request: &Request, arrived: Instant, queue_ms: f64) -> Response {
     let timeout_ms = match deadline_ms(shared, request) {
         Ok(ms) => ms,
         Err(response) => return response,
     };
     let total = Duration::from_millis(timeout_ms);
-    if accepted_at.elapsed() >= total {
+    if arrived.elapsed() >= total {
         lock_metrics(shared).deadline_expired += 1;
         return Response::text(
             504,
@@ -858,7 +921,7 @@ fn transpile_core(
     // Whatever remains of the request deadline becomes the session's
     // budget, the parse included: it aborts cooperatively mid-routing when
     // it expires.
-    let options = options.deadline(total.saturating_sub(accepted_at.elapsed()));
+    let options = options.deadline(total.saturating_sub(arrived.elapsed()));
 
     // The clock covers the whole session call: a new body's parse and
     // admission checks, the cache lookups and any transpilation work.
@@ -946,6 +1009,7 @@ fn metrics_json(shared: &Shared) -> String {
             "\"started_at_epoch_seconds\":{},",
             "\"trace_events_dropped\":{},",
             "\"queue\":{{\"depth\":{},\"capacity\":{},\"workers\":{}}},",
+            "\"connections_accepted\":{},",
             "\"responses_by_status\":{{{}}},",
             "\"total_responses\":{},",
             "\"error_responses\":{},",
@@ -964,6 +1028,7 @@ fn metrics_json(shared: &Shared) -> String {
         shared.queue_depth.load(Ordering::Relaxed),
         shared.queue_capacity,
         shared.workers,
+        shared.connections_accepted.load(Ordering::Relaxed),
         statuses.join(","),
         metrics.total_responses(),
         metrics.error_responses(),
@@ -1028,6 +1093,13 @@ fn metrics_prometheus(shared: &Shared) -> String {
     );
     gauge("queue_capacity", shared.queue_capacity.to_string());
     gauge("handler_workers", shared.workers.to_string());
+    gauge(
+        "connections_accepted_total",
+        shared
+            .connections_accepted
+            .load(Ordering::Relaxed)
+            .to_string(),
+    );
     gauge("rejected_busy_total", metrics.rejected_busy.to_string());
     gauge(
         "deadline_expired_total",

@@ -10,7 +10,7 @@
 //! one lock and disarms on exit (including panicking exits).
 #![cfg(feature = "failpoints")]
 
-use std::io::{Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::TcpStream;
 use std::sync::{mpsc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
@@ -212,6 +212,57 @@ fn handler_panic_restarts_the_worker_and_service_continues() {
         "metrics: {}",
         metrics.body
     );
+    stop();
+}
+
+/// The `handler` failpoint fires once per request, so a panic on a
+/// kept-alive connection's second request drops that connection alone: a
+/// second kept-alive connection, held by the other worker, keeps serving on
+/// the same socket, and `/metrics` counts one worker restart.
+#[test]
+fn handler_panic_on_a_kept_alive_second_request_drops_only_that_connection() {
+    let _session = failpoint_session();
+    let (addr, stop) = boot(config(2));
+    let keep_open = || {
+        let stream = TcpStream::connect(&addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(60)))
+            .expect("read timeout");
+        BufReader::new(stream)
+    };
+    let exchange = |conn: &mut BufReader<TcpStream>, path: &str, body: &str| {
+        let request = format!(
+            "POST {path} HTTP/1.1\r\nhost: {addr}\r\ncontent-length: {}\r\n\r\n{body}",
+            body.len()
+        );
+        conn.get_mut().write_all(request.as_bytes())?;
+        client::read_response(conn)
+    };
+    let (mut doomed, mut survivor) = (keep_open(), keep_open());
+    for conn in [&mut doomed, &mut survivor] {
+        let first = exchange(conn, "/transpile", BELL).expect("first request");
+        assert_eq!(first.status, 200, "body: {}", first.body);
+        assert_eq!(first.header("connection"), Some("keep-alive"));
+    }
+
+    arm("handler", Action::Panic, 1.0);
+    let dropped = exchange(&mut doomed, "/transpile", BELL);
+    disarm_all();
+    assert!(dropped.is_err(), "the panicking request got {dropped:?}");
+    let mut rest = Vec::new();
+    let _ = doomed.read_to_end(&mut rest);
+    assert!(rest.is_empty(), "bytes after the panic: {rest:?}");
+
+    let again = exchange(&mut survivor, "/transpile", BELL).expect("the other connection");
+    assert_eq!(again.status, 200, "body: {}", again.body);
+    assert_eq!(again.header("connection"), Some("keep-alive"));
+    let metrics = client::get(&addr, "/metrics").expect("metrics");
+    assert!(
+        metrics.body.contains("\"worker_restarts\":1,"),
+        "metrics: {}",
+        metrics.body
+    );
+    drop(survivor);
     stop();
 }
 

@@ -4,12 +4,15 @@
 //! neither do the `query_param` and `header` lookups the daemon then runs.
 //! Every daemon worker reads untrusted sockets through this code, so this
 //! suite is its fuzz harness, as `fuzz_no_panic.rs` is the QASM parser's.
+//! A kept-alive connection reads each request from the bytes the one
+//! before it left buffered, so some cases read two requests from one
+//! reader.
 
 use std::io::Cursor;
-use std::panic::catch_unwind;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use nassc::split_seed;
-use nassc_serve::http::{read_request, HttpError};
+use nassc_serve::http::{read_request, HttpError, Request};
 
 /// The body cap the harness reads under: small, so random `Content-Length`
 /// values reach the 413 path without large allocations.
@@ -35,33 +38,44 @@ fn draws(seed: u64) -> impl FnMut(usize) -> usize {
     }
 }
 
-/// Reads `bytes` as one request under `catch_unwind`, failing the test on a
-/// panic or on a status the daemon does not answer framing errors with.
-/// Returns the error status, `None` for a parsed request.
-fn read_never_panics(bytes: &[u8], context: &str) -> Option<u16> {
-    let outcome = catch_unwind(|| {
-        let request = read_request(&mut Cursor::new(bytes), MAX_BODY, &mut std::io::sink())?;
+/// Reads the next request from `reader` under `catch_unwind`, failing the
+/// test on a panic or on a status the daemon does not answer framing errors
+/// with. Returns the request, or the error status.
+fn read_next(reader: &mut Cursor<&[u8]>, context: &str) -> Result<Request, u16> {
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        let request = read_request(reader, MAX_BODY, &mut std::io::sink())?;
         for name in ["device", "router", "seed", "layout-trials", "timeout-ms"] {
             let _ = request.query_param(name);
         }
         for name in ["x-request-id", "x-timeout-ms", "accept", "Content-Length"] {
             let _ = request.header(name);
         }
-        Ok::<(), HttpError>(())
-    });
-    let input = String::from_utf8_lossy(bytes);
+        Ok::<Request, HttpError>(request)
+    }));
+    let input = String::from_utf8_lossy(reader.get_ref());
     match outcome {
-        Ok(Ok(())) => None,
+        Ok(Ok(request)) => Ok(request),
         Ok(Err(e)) => {
             let status = e.status;
             assert!(
                 matches!(status, 400 | 408 | 413 | 431),
                 "status {status} on {context}: {e}\ninput: {input:?}"
             );
-            Some(status)
+            Err(status)
         }
         Err(_) => panic!("read_request panicked on {context}\ninput: {input:?}"),
     }
+}
+
+/// Reads `bytes` as one request (see [`read_next`]). Returns the error
+/// status, `None` for a parsed request.
+fn read_never_panics(bytes: &[u8], context: &str) -> Option<u16> {
+    read_next(&mut Cursor::new(bytes), context).err()
+}
+
+/// The request `bytes` holds, read alone.
+fn parsed(bytes: &[u8]) -> Request {
+    read_next(&mut Cursor::new(bytes), "a valid request").expect("a valid request parses")
 }
 
 /// Well-formed requests of the shapes the daemon serves.
@@ -84,17 +98,52 @@ fn arbitrary_bytes_never_panic_the_framing() {
     }
 }
 
+/// `len` or slightly more bytes of random [`VOCAB`] tokens, appended to
+/// `bytes`.
+fn extend_with_soup(bytes: &mut Vec<u8>, below: &mut impl FnMut(usize) -> usize, len: usize) {
+    let vocab: Vec<&[u8]> = VOCAB.split(|&b| b == b'|').collect();
+    let end = bytes.len() + len;
+    while bytes.len() < end {
+        bytes.extend_from_slice(vocab[below(vocab.len())]);
+    }
+}
+
 #[test]
 fn token_soup_never_panics_the_framing() {
-    let vocab: Vec<&[u8]> = VOCAB.split(|&b| b == b'|').collect();
     for seed in 0..CASES {
         let mut below = draws(seed);
         let len = below(600);
         let mut bytes = Vec::new();
-        while bytes.len() < len {
-            bytes.extend_from_slice(vocab[below(vocab.len())]);
-        }
+        extend_with_soup(&mut bytes, &mut below, len);
         read_never_panics(&bytes, &format!("token soup, seed {seed}"));
+    }
+}
+
+#[test]
+fn joined_valid_requests_read_back_one_at_a_time() {
+    for (i, first) in VALID.iter().enumerate() {
+        for (j, second) in VALID.iter().enumerate() {
+            let joined = [*first, *second].concat();
+            let mut reader = Cursor::new(joined.as_slice());
+            let context = format!("valid requests {i} then {j}");
+            assert_eq!(read_next(&mut reader, &context), Ok(parsed(first)));
+            assert_eq!(read_next(&mut reader, &context), Ok(parsed(second)));
+        }
+    }
+}
+
+#[test]
+fn a_valid_request_then_token_soup_never_panics_the_framing() {
+    for seed in 0..CASES {
+        let mut below = draws(seed);
+        let first = VALID[below(VALID.len())];
+        let mut bytes = first.to_vec();
+        let len = below(600);
+        extend_with_soup(&mut bytes, &mut below, len);
+        let mut reader = Cursor::new(bytes.as_slice());
+        let context = format!("a valid request then token soup, seed {seed}");
+        assert_eq!(read_next(&mut reader, &context), Ok(parsed(first)));
+        let _ = read_next(&mut reader, &context);
     }
 }
 

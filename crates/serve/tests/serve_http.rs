@@ -1,8 +1,8 @@
 //! End-to-end tests of the daemon over real TCP connections: the endpoint
 //! surface, the HTTP error taxonomy derived from `ErrorKind`, backpressure
-//! (429), deadlines (504) and graceful shutdown.
+//! (429), deadlines (504), kept-alive connections and graceful shutdown.
 
-use std::io::{Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::TcpStream;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
@@ -303,8 +303,8 @@ fn queued_connections_drain_in_arrival_order_after_shutdown() {
     busy.set_read_timeout(Some(Duration::from_secs(10)))
         .expect("read timeout");
     let head = format!(
-        "POST /transpile HTTP/1.1\r\nhost: {addr}\r\nexpect: 100-continue\r\n\
-         content-length: {}\r\n\r\n",
+        "POST /transpile HTTP/1.1\r\nhost: {addr}\r\nconnection: close\r\n\
+         expect: 100-continue\r\ncontent-length: {}\r\n\r\n",
         BELL.len()
     );
     busy.write_all(head.as_bytes()).expect("send the head");
@@ -315,7 +315,8 @@ fn queued_connections_drain_in_arrival_order_after_shutdown() {
     let queued: Vec<TcpStream> = (0..2)
         .map(|_| {
             let mut stream = TcpStream::connect(&addr).expect("queued connection");
-            let request = format!("GET /health HTTP/1.1\r\nhost: {addr}\r\n\r\n");
+            let request =
+                format!("GET /health HTTP/1.1\r\nhost: {addr}\r\nconnection: close\r\n\r\n");
             stream.write_all(request.as_bytes()).expect("send request");
             stream
         })
@@ -600,11 +601,15 @@ fn metrics_json_and_prometheus_render_the_same_numbers() {
         assert_eq!(ok.status, 200);
     }
 
-    let json = client::get(&addr, "/metrics").expect("json metrics");
+    // Both renderings on one kept-alive connection, so neither request
+    // moves `connections_accepted` for the other.
+    let mut conn = keep_open(&addr);
+    let json = exchange(&mut conn, &http_request("GET", "/metrics", "", ""));
     assert_eq!(json.status, 200);
-    let prom =
-        client::request_with_headers(&addr, "GET", "/metrics", &[("accept", "text/plain")], "")
-            .expect("prometheus metrics");
+    let prom = exchange(
+        &mut conn,
+        &http_request("GET", "/metrics", "accept: text/plain\r\n", ""),
+    );
     assert_eq!(prom.status, 200);
     assert!(
         prom.body.starts_with("# TYPE nassc_serve_"),
@@ -644,6 +649,11 @@ fn metrics_json_and_prometheus_render_the_same_numbers() {
         json_number(&json.body, "worker_restarts"),
         prom_value(&prom.body, "nassc_serve_worker_restarts_total"),
     );
+    assert_eq!(json_number(&json.body, "connections_accepted"), Some(4.0));
+    assert_eq!(
+        json_number(&json.body, "connections_accepted"),
+        prom_value(&prom.body, "nassc_serve_connections_accepted_total"),
+    );
     // Cumulative montreal cache hits, misses and resets, and what its
     // caches hold, agree across renderings.
     let montreal_json = json
@@ -680,6 +690,8 @@ fn metrics_json_and_prometheus_render_the_same_numbers() {
     }
     assert_eq!(json_number(montreal_json, "cache_entries"), Some(1.0));
     assert!(json_number(montreal_json, "cache_bytes") > Some(0.0));
+    // Closed first, so the shutdown waits for no next request on it.
+    drop(conn);
     stop();
 }
 
@@ -838,8 +850,8 @@ fn expect_100_continue_is_answered_before_the_body_is_sent() {
         .set_read_timeout(Some(Duration::from_secs(2)))
         .expect("read timeout");
     let head = format!(
-        "POST /transpile HTTP/1.1\r\nhost: {addr}\r\nexpect: 100-continue\r\n\
-         content-length: {}\r\n\r\n",
+        "POST /transpile HTTP/1.1\r\nhost: {addr}\r\nconnection: close\r\n\
+         expect: 100-continue\r\ncontent-length: {}\r\n\r\n",
         BELL.len()
     );
     stream.write_all(head.as_bytes()).expect("send the head");
@@ -863,6 +875,325 @@ fn expect_100_continue_is_answered_before_the_body_is_sent() {
         "response: {response:?}"
     );
     stop();
+}
+
+/// A connection the test keeps open across requests, read through one
+/// buffer as the daemon reads it.
+fn keep_open(addr: &str) -> BufReader<TcpStream> {
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("read timeout");
+    BufReader::new(stream)
+}
+
+/// An HTTP/1.1 request with `headers` (each line ending in CRLF).
+fn http_request(method: &str, path: &str, headers: &str, body: &str) -> String {
+    format!(
+        "{method} {path} HTTP/1.1\r\nhost: test\r\n{headers}content-length: {}\r\n\r\n{body}",
+        body.len()
+    )
+}
+
+/// Sends `request` on `conn` in one write and reads its response.
+fn exchange(conn: &mut BufReader<TcpStream>, request: &str) -> client::ClientResponse {
+    conn.get_mut()
+        .write_all(request.as_bytes())
+        .expect("send the request");
+    client::read_response(conn).expect("read the response")
+}
+
+/// Whether the daemon closed `conn` without sending another byte.
+fn closed_quietly(conn: &mut BufReader<TcpStream>) -> bool {
+    let mut rest = Vec::new();
+    matches!(conn.read_to_end(&mut rest), Ok(0))
+}
+
+/// An HTTP/1.1 client that sends no `Connection: close` keeps its
+/// connection: each of several requests on one socket reads
+/// `Connection: keep-alive` and what the one-shot client reads, and
+/// `/metrics` counts one accepted connection for all of them. The first
+/// request carries its time in the queue; later ones read 0 and add no
+/// queue-wait sample.
+#[test]
+fn a_kept_alive_connection_serves_several_requests() {
+    let (addr, stop) = boot(default_config());
+    let one_shot = client::post(&addr, "/transpile", GHZ5).expect("one-shot request");
+    assert_eq!(one_shot.status, 200, "body: {}", one_shot.body);
+    assert_eq!(one_shot.header("connection"), Some("close"));
+
+    let mut conn = keep_open(&addr);
+    let before = exchange(&mut conn, &http_request("GET", "/metrics", "", ""));
+    assert_eq!(before.header("connection"), Some("keep-alive"));
+    for _ in 0..3 {
+        let response = exchange(&mut conn, &http_request("POST", "/transpile", "", GHZ5));
+        assert_eq!(response.status, 200, "body: {}", response.body);
+        assert_eq!(response.header("connection"), Some("keep-alive"));
+        assert_eq!(response.body, one_shot.body);
+        for name in ["x-cx-count", "x-swap-count", "x-depth", "x-chosen-trial"] {
+            assert_eq!(response.header(name), one_shot.header(name), "{name}");
+        }
+        assert_eq!(response.header("x-queue-ms"), Some("0.000"));
+    }
+    let after = exchange(&mut conn, &http_request("GET", "/metrics", "", ""));
+    // The one-shot client's connection and this one.
+    for metrics in [&before, &after] {
+        let accepted = json_number(&metrics.body, "connections_accepted");
+        assert_eq!(accepted, Some(2.0), "metrics: {}", metrics.body);
+    }
+    let queue_wait = after.body.split("\"queue_wait_ms\":").nth(1);
+    let samples = json_number(queue_wait.expect("queue_wait_ms in json"), "count");
+    assert_eq!(
+        samples,
+        Some(2.0),
+        "one sample per connection: {}",
+        after.body
+    );
+    assert_eq!(json_number(&after.body, "total_responses"), Some(5.0));
+    drop(conn);
+    stop();
+}
+
+/// A client that asks to close, an HTTP/1.0 client, and a `HEAD` request
+/// (whose response here carries a body) each read `Connection: close`, then
+/// EOF.
+#[test]
+fn close_requests_http_1_0_and_head_close_the_connection() {
+    let (addr, stop) = boot(default_config());
+    let requests = [
+        ("GET /health HTTP/1.1\r\nconnection: close\r\n\r\n", 200),
+        (
+            "GET /health HTTP/1.1\r\nconnection: keep-alive, Close\r\n\r\n",
+            200,
+        ),
+        ("GET /health HTTP/1.0\r\n\r\n", 200),
+        (
+            "GET /health HTTP/1.0\r\nconnection: keep-alive\r\n\r\n",
+            200,
+        ),
+        ("HEAD /transpile HTTP/1.1\r\n\r\n", 405),
+    ];
+    for (request, status) in requests {
+        let mut conn = keep_open(&addr);
+        let response = exchange(&mut conn, request);
+        assert_eq!(response.status, status, "{request:?}: {}", response.body);
+        assert_eq!(response.header("connection"), Some("close"), "{request:?}");
+        assert!(closed_quietly(&mut conn), "{request:?}: not closed");
+    }
+    stop();
+}
+
+/// A request that cannot be read whole closes its connection after its
+/// response: where the next request would start is unknown.
+#[test]
+fn framing_errors_close_the_connection_after_their_response() {
+    let (addr, stop) = boot(default_config());
+    let requests = [
+        ("GET /health HTTP/1.1\r\nno colon\r\n\r\n".to_string(), 400),
+        (
+            "POST /transpile HTTP/1.1\r\ncontent-length: 99999999\r\n\r\n".to_string(),
+            413,
+        ),
+        (
+            format!("GET /health HTTP/1.1\r\n{}\r\n", "h: v\r\n".repeat(65)),
+            431,
+        ),
+    ];
+    for (request, status) in requests {
+        let mut conn = keep_open(&addr);
+        let response = exchange(&mut conn, &request);
+        assert_eq!(response.status, status, "body: {}", response.body);
+        assert_eq!(response.header("connection"), Some("close"), "{status}");
+        assert!(closed_quietly(&mut conn), "{status}: not closed");
+    }
+    stop();
+}
+
+/// A kept-alive connection with no next request holds its worker for the
+/// 1 s first-byte wait, then closes with no bytes, no count and no access
+/// log line. The real binary runs it, so its stderr is the access log.
+#[cfg(unix)]
+#[test]
+fn a_silent_kept_alive_connection_closes_quietly_after_a_second() {
+    let daemon = common::Daemon::spawn(&["--device", "linear:4", "--workers", "1"], &[]);
+    // Signal before asserting anything, so that no failure leaves the
+    // daemon running.
+    let mut conn = keep_open(&daemon.addr);
+    let health = exchange(&mut conn, &http_request("GET", "/health", "", ""));
+    let answered = Instant::now();
+    let quiet = closed_quietly(&mut conn);
+    let waited = answered.elapsed();
+    let metrics = client::get(&daemon.addr, "/metrics");
+    let (status, stderr) = daemon.terminate();
+    assert!(status.success(), "stderr: {stderr}");
+    assert_eq!(health.status, 200);
+    assert_eq!(health.header("connection"), Some("keep-alive"));
+    assert!(quiet, "the daemon sent bytes after its response");
+    assert!(
+        (Duration::from_millis(800)..Duration::from_secs(5)).contains(&waited),
+        "closed after {:.3} s",
+        waited.as_secs_f64()
+    );
+    let metrics = metrics.expect("metrics");
+    assert_eq!(
+        json_number(&metrics.body, "total_responses"),
+        Some(1.0),
+        "metrics: {}",
+        metrics.body
+    );
+    let logged = stderr
+        .lines()
+        .filter(|line| line.starts_with("{\"request_id\":"))
+        .count();
+    assert_eq!(
+        logged, 2,
+        "one line each for /health and /metrics: {stderr}"
+    );
+}
+
+/// A client that connects and closes without a byte gets no response, and
+/// the daemon counts none: before, it counted and logged a 400. One worker
+/// takes the connections in arrival order, so `/metrics` comes after it.
+#[test]
+fn a_connection_closed_before_its_first_byte_is_not_a_400() {
+    let (addr, stop) = boot(ServeConfig {
+        workers: 1,
+        ..default_config()
+    });
+    drop(TcpStream::connect(&addr).expect("connect"));
+    let metrics = client::get(&addr, "/metrics").expect("metrics");
+    let body = &metrics.body;
+    assert_eq!(
+        json_number(body, "connections_accepted"),
+        Some(2.0),
+        "{body}"
+    );
+    assert_eq!(json_number(body, "total_responses"), Some(0.0), "{body}");
+    assert!(!body.contains("\"400\""), "metrics: {body}");
+    stop();
+}
+
+/// With one worker, a connection waiting in the queue ends the held one:
+/// the holder's next response reads `Connection: close`, and the queued
+/// connection is then served.
+#[test]
+fn a_queued_connection_closes_the_holders_next_response() {
+    let (addr, stop) = boot(ServeConfig {
+        workers: 1,
+        ..default_config()
+    });
+    let mut holder = keep_open(&addr);
+    let first = exchange(&mut holder, &http_request("GET", "/health", "", ""));
+    assert_eq!(first.header("connection"), Some("keep-alive"));
+    let mut queued = TcpStream::connect(&addr).expect("queued connection");
+    queued
+        .write_all(b"GET /health HTTP/1.1\r\nconnection: close\r\n\r\n")
+        .expect("send the queued request");
+    queued
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+
+    // The acceptor queues the second connection at once, but not under the
+    // holder's control: ask `/metrics` until it shows the connection queued.
+    // While it does, nothing can dequeue it, so that response must close.
+    let give_up = Instant::now() + Duration::from_secs(10);
+    loop {
+        let metrics = exchange(&mut holder, &http_request("GET", "/metrics", "", ""));
+        let closes = metrics.header("connection") == Some("close");
+        if json_number(&metrics.body, "depth") == Some(1.0) {
+            assert!(closes, "queued behind a kept-alive response");
+            break;
+        }
+        if closes {
+            break;
+        }
+        assert!(Instant::now() < give_up, "the connection never queued");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert!(closed_quietly(&mut holder), "the holder was not closed");
+    let mut response = String::new();
+    queued
+        .read_to_string(&mut response)
+        .expect("read the response");
+    assert!(
+        response.starts_with("HTTP/1.1 200 OK\r\n"),
+        "response: {response:?}"
+    );
+    stop();
+}
+
+/// Two requests sent in one write are answered in order, each from the
+/// bytes the read before it left buffered.
+#[test]
+fn pipelined_requests_are_answered_in_order() {
+    let (addr, stop) = boot(default_config());
+    let one_shot = client::post(&addr, "/transpile", BELL).expect("one-shot request");
+    let mut conn = keep_open(&addr);
+    let both = [
+        http_request("POST", "/transpile", "x-request-id: first\r\n", BELL),
+        http_request("GET", "/health", "x-request-id: second\r\n", ""),
+    ]
+    .concat();
+    let first = exchange(&mut conn, &both);
+    let second = client::read_response(&mut conn).expect("the second response");
+    assert_eq!(first.header("x-request-id"), Some("first"));
+    assert_eq!(first.status, 200, "body: {}", first.body);
+    assert_eq!(first.body, one_shot.body);
+    assert_eq!(second.header("x-request-id"), Some("second"));
+    assert_eq!((second.status, second.body.as_str()), (200, "ok\n"));
+    for response in [&first, &second] {
+        assert_eq!(response.header("connection"), Some("keep-alive"));
+    }
+    drop(conn);
+    stop();
+}
+
+/// A shutdown ends keep-alive after the current response, and an idle
+/// kept-alive connection holds `run` for at most its 1 s first-byte wait.
+#[test]
+fn shutdown_ends_keep_alive_and_releases_an_idle_connection_within_a_second() {
+    let server = Server::bind(default_config()).expect("bind");
+    let addr = server.local_addr().to_string();
+    let shutdown = server.shutdown_handle();
+    let (returned, run_returned) = mpsc::channel();
+    let running = std::thread::spawn(move || {
+        server.run();
+        let _ = returned.send(());
+    });
+    let mut idle = keep_open(&addr);
+    let mut busy = keep_open(&addr);
+    for conn in [&mut idle, &mut busy] {
+        let health = exchange(conn, &http_request("GET", "/health", "", ""));
+        assert_eq!(health.header("connection"), Some("keep-alive"));
+    }
+    let asked = Instant::now();
+    shutdown.shutdown();
+    // The acceptor closes the queue as it returns; from then on, every
+    // response closes its connection.
+    loop {
+        let health = exchange(&mut busy, &http_request("GET", "/health", "", ""));
+        assert_eq!(health.status, 200, "body: {}", health.body);
+        if health.header("connection") == Some("close") {
+            break;
+        }
+        assert!(asked.elapsed() < Duration::from_secs(5), "still kept alive");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert!(closed_quietly(&mut busy), "not closed after shutdown");
+    run_returned
+        .recv_timeout(Duration::from_secs(10))
+        .expect("run must return after shutdown");
+    let waited = asked.elapsed();
+    assert!(
+        waited < Duration::from_millis(2500),
+        "run returned {:.3} s after shutdown",
+        waited.as_secs_f64()
+    );
+    assert!(
+        closed_quietly(&mut idle),
+        "the idle connection was not closed"
+    );
+    running.join().expect("server thread");
 }
 
 #[test]

@@ -105,6 +105,16 @@ impl Calibration {
     pub fn readout_error(&self, q: usize) -> f64 {
         self.readout_error[q]
     }
+
+    /// The heap bytes the calibration holds, from its tables' capacities: a
+    /// map entry counts its key, its value and the one control byte the
+    /// map keeps per slot, a vector entry its `f64`.
+    pub fn heap_bytes(&self) -> usize {
+        let map_entry = size_of::<((usize, usize), f64)>() + 1;
+        let maps = self.cx_error.capacity() + self.cx_duration_ns.capacity();
+        let vectors = self.sq_error.capacity() + self.readout_error.capacity();
+        maps * map_entry + vectors * size_of::<f64>()
+    }
 }
 
 /// Eq. 3's `α1`, the weight of the CNOT error term (the paper's 0.5).
